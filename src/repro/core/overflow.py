@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.catalog.catalog import VideoCatalog
-from repro.core.schedule import ResidencyInfo, Schedule
-from repro.core.spacefunc import UsageTimeline
+from repro.core.schedule import FileSchedule, ResidencyInfo, Schedule
+from repro.core.spacefunc import SpaceProfile, UsageTimeline, capacity_slack
 from repro.topology.graph import Topology
 
 
@@ -61,6 +61,96 @@ class OverflowSituation:
         }
 
 
+class LocationIndex:
+    """Per-storage residency profiles of one schedule, with version stamps.
+
+    For every storage the index holds ``(residency, profile)`` pairs in
+    exactly ``schedule.residencies_at(loc)`` order, so timelines summed
+    from it are bit-identical to ones built from the schedule directly
+    (:class:`UsageTimeline` accumulates floating-point running sums, so
+    the order of the profiles is part of the result).
+
+    Change the schedule only through :meth:`set_file`: it bumps the
+    version stamp of every storage where the replaced file's old or new
+    residencies lie, marks those storages' entries for a rebuild and
+    empties their :meth:`memo`.  Stamps are per storage, never per time window: a
+    change disjoint in time can still move later running sums by ulps.
+
+    ``background`` is the fixed ``{location: [SpaceProfile, ...]}`` of
+    out-of-schedule usage that every capacity view adds (rolling cycles).
+    Profiles are memoized on ``(video_id, t_start, t_last)``; the index
+    lives for one SORP run, so nothing it caches outlives that run.
+    """
+
+    def __init__(self, schedule: Schedule, catalog: VideoCatalog, background=None):
+        self.schedule = schedule
+        self.background = background or {}
+        self._catalog = catalog
+        self._profiles: dict[tuple[str, float, float], SpaceProfile] = {}
+        self._entries: dict[str, list[tuple[ResidencyInfo, SpaceProfile]]] = {}
+        #: Locations whose entries must be rebuilt; ``None`` means all.
+        self._stale: set[str] | None = None
+        self._versions: dict[str, int] = {}
+        self._memos: dict[str, dict] = {}
+        #: :class:`UsageTimeline` constructions made through this index.
+        self.timeline_builds = 0
+
+    def profile(self, c: ResidencyInfo) -> SpaceProfile:
+        """The Eq. 6 profile of ``c`` (memoized)."""
+        key = (c.video_id, c.t_start, c.t_last)
+        p = self._profiles.get(key)
+        if p is None:
+            p = self._profiles[key] = c.profile(self._catalog[c.video_id])
+        return p
+
+    def entries(self, location: str) -> list[tuple[ResidencyInfo, SpaceProfile]]:
+        """``(residency, profile)`` pairs at ``location``, schedule order."""
+        if self._stale is None or location in self._stale:
+            self._refresh()
+        return self._entries.get(location, [])
+
+    def _refresh(self) -> None:
+        """Rebuild every stale location's entries in one schedule pass."""
+        stale = self._stale
+        if stale is None:
+            self._entries.clear()
+        for loc in stale or ():
+            self._entries.pop(loc, None)
+        for c in self.schedule.residencies:
+            if stale is None or c.location in stale:
+                self._entries.setdefault(c.location, []).append((c, self.profile(c)))
+        self._stale = set()
+
+    def version(self, location: str) -> int:
+        """Stamp that changes whenever the usage at ``location`` may have."""
+        return self._versions.get(location, 0)
+
+    def memo(self, location: str) -> dict:
+        """Scratch cache for ``location``, emptied when its stamp bumps."""
+        memo = self._memos.get(location)
+        if memo is None:
+            memo = self._memos[location] = {}
+        return memo
+
+    def timeline(self, profiles: list[SpaceProfile]) -> UsageTimeline:
+        """Build (and count) one usage timeline."""
+        self.timeline_builds += 1
+        return UsageTimeline(profiles)
+
+    def set_file(self, fs: FileSchedule) -> set[str]:
+        """Replace one video's schedule; returns the storages it touched."""
+        old = self.schedule.file(fs.video_id)
+        self.schedule.set_file(fs)
+        changed = {c.location for c in old.residencies}
+        changed.update(c.location for c in fs.residencies)
+        if self._stale is not None:
+            self._stale |= changed
+        for loc in changed:
+            self._versions[loc] = self.version(loc) + 1
+            self._memos.pop(loc, None)
+        return changed
+
+
 def storage_usage(
     schedule: Schedule, catalog: VideoCatalog, location: str
 ) -> UsageTimeline:
@@ -77,6 +167,7 @@ def detect_overflows(
     topology: Topology,
     *,
     background=None,
+    index: LocationIndex | None = None,
 ) -> list[OverflowSituation]:
     """All storage overflow situations in an integrated schedule.
 
@@ -88,39 +179,59 @@ def detect_overflows(
     from the previous scheduling cycle).  Background usage counts toward
     capacity but is never part of an overflow set -- only the schedule's own
     residencies can be victimized.
+
+    An interval counts only where usage exceeds
+    :func:`~repro.core.spacefunc.capacity_slack`, the tolerance the
+    rejective greedy places under, so a placement that fits never shows up
+    as a new overflow.
+
+    ``index`` (a :class:`LocationIndex` mirroring ``schedule`` and
+    ``background``; by default a fresh one) makes repeated sweeps
+    incremental: a storage whose stamp is unchanged since the index last
+    swept it reuses that sweep's result.
     """
+    if index is None:
+        index = LocationIndex(schedule, catalog, background)
+    elif index.schedule is not schedule:
+        raise ValueError("index does not mirror the schedule being swept")
     overflows: list[OverflowSituation] = []
-    residencies_by_loc: dict[str, list[ResidencyInfo]] = {}
-    for c in schedule.residencies:
-        residencies_by_loc.setdefault(c.location, []).append(c)
-    background = background or {}
     for spec in topology.storages:
-        residencies = residencies_by_loc.get(spec.name)
-        if not residencies:
-            continue
-        profiles = [c.profile(catalog[c.video_id]) for c in residencies]
-        profiles.extend(background.get(spec.name, ()))
-        timeline = UsageTimeline(profiles)
-        if timeline.peak <= spec.capacity:
-            continue
-        for (t0, t1) in timeline.intervals_above(spec.capacity):
-            members = tuple(
-                c
-                for c in residencies
-                if c.profile(catalog[c.video_id]).positive_in(t0, t1)
-            )
-            overflows.append(
-                OverflowSituation(
-                    location=spec.name,
-                    interval=(t0, t1),
-                    members=members,
-                    peak_usage=timeline.max_over(t0, t1),
-                    capacity=spec.capacity,
-                    excess_spacetime=_excess_between(timeline, spec.capacity, t0, t1),
-                )
-            )
+        memo = index.memo(spec.name)
+        found = memo.get("overflows")
+        if found is None:
+            found = memo["overflows"] = _overflows_at(spec, index)
+        overflows.extend(found)
     overflows.sort(key=lambda o: (o.location, o.interval))
     return overflows
+
+
+def _overflows_at(spec, index: LocationIndex) -> list[OverflowSituation]:
+    """Overflow situations at one storage."""
+    entries = index.entries(spec.name)
+    if not entries:
+        return []
+    profiles = [p for _, p in entries]
+    timeline = index.timeline([*profiles, *index.background.get(spec.name, ())])
+    slack = capacity_slack(spec.capacity)
+    if timeline.peak <= slack:
+        return []
+    found = []
+    for (t0, t1) in timeline.intervals_above(spec.capacity):
+        peak = timeline.max_over(t0, t1)
+        if peak <= slack:
+            continue  # within the placement tolerance: not an overflow
+        members = tuple(c for c, p in entries if p.positive_in(t0, t1))
+        found.append(
+            OverflowSituation(
+                location=spec.name,
+                interval=(t0, t1),
+                members=members,
+                peak_usage=peak,
+                capacity=spec.capacity,
+                excess_spacetime=_excess_between(timeline, spec.capacity, t0, t1),
+            )
+        )
+    return found
 
 
 def total_excess(schedule: Schedule, catalog: VideoCatalog, topology: Topology) -> float:

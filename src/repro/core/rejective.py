@@ -26,8 +26,9 @@ from repro.catalog.catalog import VideoCatalog
 from repro.catalog.video import VideoFile
 from repro.core.costmodel import CostModel
 from repro.core.individual import IndividualScheduler
+from repro.core.overflow import LocationIndex
 from repro.core.schedule import FileSchedule, ResidencyInfo, Schedule
-from repro.core.spacefunc import EPS, SpaceProfile, UsageTimeline
+from repro.core.spacefunc import EPS, SpaceProfile, UsageTimeline, capacity_slack
 from repro.topology.graph import Topology
 from repro.workload.requests import Request
 
@@ -48,7 +49,7 @@ def fits_under(
     """
     if not profile.segments:
         return True
-    slack = capacity + eps + 1e-12 * max(capacity, 1.0)
+    slack = capacity_slack(capacity, eps)
     if timeline.is_empty:
         return profile.peak <= slack
     ts = timeline._ts
@@ -85,10 +86,15 @@ def fits_under(
 class AvailabilityOracle:
     """Per-storage "space used by everyone else" view for one victim file.
 
-    Built from the current integrated schedule with the victim's residencies
-    excluded; answers whether a candidate residency profile fits in the
-    remaining capacity at a location.  Timelines are built lazily per
-    location because a reschedule usually touches only a few storages.
+    Answers whether a candidate residency profile fits in the capacity
+    left at a location by every file but the victim (plus background).
+    Timelines and answers come from a :class:`LocationIndex`, cached per
+    ``(victim, location)`` until the location's stamp bumps, so every
+    trial of one SORP run shares them; without an ``index`` the oracle
+    builds a private one from ``schedule`` and ``background``.
+
+    :attr:`consulted` maps every location the oracle answered for to its
+    stamp at the time -- exactly what the answers depended on.
     """
 
     def __init__(
@@ -98,32 +104,52 @@ class AvailabilityOracle:
         topology: Topology,
         exclude_video: str,
         background=None,
+        *,
+        index: LocationIndex | None = None,
     ):
-        self._schedule = schedule
-        self._catalog = catalog
+        if index is None:
+            index = LocationIndex(schedule, catalog, background)
+        self._index = index
         self._topo = topology
         self._exclude = exclude_video
-        self._background = background or {}
-        self._timelines: dict[str, UsageTimeline] = {}
+        self.consulted: dict[str, int] = {}
+
+    def profile(self, c: ResidencyInfo) -> SpaceProfile:
+        """The (memoized) Eq. 6 profile of a candidate residency."""
+        return self._index.profile(c)
 
     def timeline(self, location: str) -> UsageTimeline:
-        tl = self._timelines.get(location)
+        memo = self._index.memo(location)
+        key = ("timeline", self._exclude)
+        tl = memo.get(key)
         if tl is None:
             profiles = [
-                c.profile(self._catalog[c.video_id])
-                for c in self._schedule.residencies_at(location)
+                p
+                for c, p in self._index.entries(location)
                 if c.video_id != self._exclude
             ]
-            profiles.extend(self._background.get(location, ()))
-            tl = UsageTimeline(profiles)
-            self._timelines[location] = tl
+            profiles.extend(self._index.background.get(location, ()))
+            tl = memo[key] = self._index.timeline(profiles)
         return tl
 
     def fits(self, location: str, profile: SpaceProfile) -> bool:
+        self.consulted[location] = self._index.version(location)
         capacity = self._topo.capacity(location)
-        if profile.peak > capacity + EPS:
+        if profile.peak > capacity_slack(capacity):
             return False
         return fits_under(self.timeline(location), profile, capacity)
+
+    def fits_residency(self, candidate: ResidencyInfo, profile: SpaceProfile) -> bool:
+        """:meth:`fits` for ``candidate``'s profile, answered once per stamp."""
+        location = candidate.location
+        answers = self._index.memo(location).setdefault(("fits", self._exclude), {})
+        key = (candidate.t_start, candidate.t_last)
+        ok = answers.get(key)
+        if ok is None:
+            ok = answers[key] = self.fits(location, profile)
+        else:
+            self.consulted[location] = self._index.version(location)
+        return ok
 
 
 @dataclass
@@ -151,15 +177,16 @@ class ResidencyConstraints:
     ) -> bool:
         """May ``candidate`` (possibly replacing an earlier interval) exist?"""
         del replacing  # one residency per (file, IS); see IndividualScheduler
-        profile = candidate.profile(video)
+        oracle = self.oracle
+        profile = (
+            candidate.profile(video) if oracle is None else oracle.profile(candidate)
+        )
         if not profile.segments:
             return True  # zero-extent candidates occupy no space
         for location, (t0, t1) in self.forbidden:
             if location == candidate.location and profile.positive_in(t0, t1):
                 return False
-        if self.oracle is not None and not self.oracle.fits(
-            candidate.location, profile
-        ):
+        if oracle is not None and not oracle.fits_residency(candidate, profile):
             return False
         return True
 
@@ -184,6 +211,7 @@ class RejectiveGreedyScheduler:
         forbidden: list[tuple[str, tuple[float, float]]],
         background=None,
         initial_residencies: tuple[ResidencyInfo, ...] = (),
+        oracle: AvailabilityOracle | None = None,
     ) -> FileSchedule:
         """New ``S_i`` for ``video`` honouring capacity + forbidden windows.
 
@@ -192,14 +220,19 @@ class RejectiveGreedyScheduler:
         replaced wholesale).  ``background`` adds committed out-of-schedule
         usage (rolling cycles); ``initial_residencies`` re-seeds the
         victim's committed carryover caches, which a rebuild must keep.
+        ``oracle`` supplies a prebuilt availability view of ``schedule``
+        and ``background`` excluding ``video`` (SORP passes one that
+        shares its run's :class:`LocationIndex`); by default a fresh one
+        is built.
         """
-        oracle = AvailabilityOracle(
-            schedule,
-            self._cm.catalog,
-            self._cm.topology,
-            video.video_id,
-            background=background,
-        )
+        if oracle is None:
+            oracle = AvailabilityOracle(
+                schedule,
+                self._cm.catalog,
+                self._cm.topology,
+                video.video_id,
+                background=background,
+            )
         constraints = ResidencyConstraints(forbidden=list(forbidden), oracle=oracle)
         greedy = IndividualScheduler(self._cm, constraints)
         return greedy.schedule_file(

@@ -8,8 +8,19 @@ residency's file with the rejective greedy, pick the member with the largest
 Termination: the rejective greedy (a) never lets the victim occupy the
 overflowing ``(Δt, IS_j)`` and (b) only places residencies that fit in the
 currently available space, so each commit strictly reduces the total
-over-capacity space-time and never creates a new overflow.  A generous
-iteration cap guards against pathological numerical edge cases.
+over-capacity space-time and never creates a new overflow (placement and
+detection share one tolerance, :func:`~repro.core.spacefunc.capacity_slack`).
+A generous iteration cap guards against pathological numerical edge cases.
+
+Evaluation is incremental within one run, with results bit-identical to
+rebuilding every trial from scratch.  A :class:`LocationIndex` mirrors the
+working schedule per storage and stamps each storage with a version that
+bumps only where a committed victim's old or new file has residencies.
+Trials share "everyone but video v" timelines and ``fits`` answers per
+``(v, location, stamp)``, and a trial's result is reused in later rounds
+while every location its oracle consulted keeps its stamp: the greedy is
+deterministic, so identical oracle answers replay the identical schedule.
+Detection re-sweeps only re-stamped storages.
 """
 
 from __future__ import annotations
@@ -20,8 +31,8 @@ from dataclasses import dataclass, field
 
 from repro.core.costmodel import CacheStats, CostModel, record_cache_metrics
 from repro.core.heat import HeatMetric, compute_heat
-from repro.core.overflow import OverflowSituation, detect_overflows
-from repro.core.rejective import RejectiveGreedyScheduler
+from repro.core.overflow import LocationIndex, OverflowSituation, detect_overflows
+from repro.core.rejective import AvailabilityOracle, RejectiveGreedyScheduler
 from repro.core.schedule import FileSchedule, Schedule
 from repro.errors import OverflowResolutionError
 from repro.obs import DOLLAR_BUCKETS, NULL_OBS, Observability
@@ -120,14 +131,20 @@ def resolve_overflows(
         if max_iterations is not None
         else 10 * max(len(working.residencies), 1) + 100
     )
-    rejective = RejectiveGreedyScheduler(cost_model)
-    requests_by_video = batch.by_video()
-    committed = committed or {}
+    selector = _VictimSelector(
+        working,
+        cost_model,
+        batch.by_video(),
+        metric,
+        background,
+        committed or {},
+    )
+    index = selector.index
 
     with obs.tracer.span("sorp", residencies=len(working.residencies)) as sorp_span:
         with obs.tracer.span("overflow") as detect_span:
             overflows = detect_overflows(
-                working, catalog, topology, background=background
+                working, catalog, topology, background=background, index=index
             )
             detect_span.set(overflows=len(overflows))
         stats.initial_overflows = len(overflows)
@@ -150,22 +167,18 @@ def resolve_overflows(
             with obs.tracer.span(
                 "sorp.round", iteration=stats.iterations, overflows=len(overflows)
             ) as round_span:
-                victim = _select_victim(
-                    overflows,
-                    working,
-                    cost_model,
-                    rejective,
-                    requests_by_video,
-                    metric,
-                    background,
-                    committed,
+                ran, reused = selector.trials_run, selector.trials_reused
+                victim = selector.select(overflows)
+                round_span.set(
+                    trials=selector.trials_run - ran,
+                    reused=selector.trials_reused - reused,
                 )
                 if victim is None:
                     raise OverflowResolutionError(
                         "no reschedulable member in any overflow set"
                     )
                 heat, overhead, overflow, new_fs = victim
-                working.set_file(new_fs)
+                selector.commit(new_fs)
                 stats.victims.append(
                     VictimRecord(
                         video_id=new_fs.video_id,
@@ -188,14 +201,20 @@ def resolve_overflows(
                 )
                 with obs.tracer.span("overflow") as detect_span:
                     overflows = detect_overflows(
-                        working, catalog, topology, background=background
+                        working, catalog, topology, background=background,
+                        index=index,
                     )
                     detect_span.set(overflows=len(overflows))
 
         stats.resolved_cost = cost_model.total(working)
         detail = cost_model.cache_stats_detail - cache_base
         stats.cache_stats = detail.combined
-        sorp_span.set(iterations=stats.iterations, victims=len(stats.victims))
+        sorp_span.set(
+            iterations=stats.iterations,
+            victims=len(stats.victims),
+            trials=selector.trials_run,
+            reused=selector.trials_reused,
+        )
 
     metrics = obs.metrics
     if metrics.enabled:
@@ -215,6 +234,17 @@ def resolve_overflows(
         )
         for record in stats.victims:
             overhead_hist.observe(record.overhead_cost)
+        trials_help = "SORP rejective trial reschedules, run or reused"
+        metrics.counter(
+            "vor_sorp_trials_total", help=trials_help, outcome="run"
+        ).inc(selector.trials_run)
+        metrics.counter(
+            "vor_sorp_trials_total", help=trials_help, outcome="reused"
+        ).inc(selector.trials_reused)
+        metrics.counter(
+            "vor_sorp_timeline_builds_total",
+            help="Usage timelines SORP built for detection and availability views",
+        ).inc(index.timeline_builds)
     if stats.iterations:
         _log.info(
             "SORP resolved %d overflow(s) in %d round(s), cost +%.2f%%",
@@ -225,63 +255,127 @@ def resolve_overflows(
     return working, stats
 
 
-def _select_victim(
-    overflows: list[OverflowSituation],
-    working: Schedule,
-    cost_model: CostModel,
-    rejective: RejectiveGreedyScheduler,
-    requests_by_video: dict,
-    metric: HeatMetric,
-    background,
-    committed: dict,
-) -> tuple[float, float, OverflowSituation, FileSchedule] | None:
-    """Price every (overflow, member) reschedule and return the hottest.
+@dataclass
+class _Trial:
+    """A memoized rejective reschedule and what its result depended on."""
 
-    Ties break toward the lower overhead, then lexicographic video id, so
-    runs are fully deterministic.
+    new_fs: FileSchedule
+    new_cost: float
+    #: ``{location: stamp}`` the trial's oracle consulted.
+    stamps: dict[str, int]
+
+
+class _VictimSelector:
+    """``SORP_solve``'s victim selection over one run, evaluated incrementally.
+
+    Owns the run's :class:`LocationIndex` and a memo of trial reschedules
+    keyed on ``(video, overflow location, overflow interval)``; a memoized
+    trial is reused while every location its oracle consulted keeps its
+    stamp.  Trials that do run go through
+    :meth:`RejectiveGreedyScheduler.reschedule`.
     """
-    catalog = cost_model.catalog
-    best_key: tuple[float, float, str] | None = None
-    best: tuple[float, float, OverflowSituation, FileSchedule] | None = None
-    # the incumbent file cost is per-video, not per-(overflow, member):
-    # evaluate it once per candidate video in this selection round
-    old_costs: dict[str, float] = {}
-    for of in overflows:
-        for c in of.members:
-            video = catalog[c.video_id]
-            requests = requests_by_video.get(c.video_id)
-            if not requests:
-                continue  # e.g. a pure-carryover file: cannot be victimized
-            seeds = committed.get(c.video_id, ())
-            if any(
-                s.location == c.location
-                and s.t_start == c.t_start
-                and s.t_last >= c.t_last
-                for s in seeds
-            ):
-                continue  # this residency IS the committed carryover itself
-            new_fs = rejective.reschedule(
-                video,
-                requests,
-                working,
-                forbidden=[(of.location, of.interval)],
-                background=background,
-                initial_residencies=tuple(seeds),
-            )
-            old_cost = old_costs.get(c.video_id)
-            if old_cost is None:
-                old_cost = cost_model.file_cost(working.file(c.video_id)).total
-                old_costs[c.video_id] = old_cost
-            new_cost = cost_model.file_cost(new_fs).total
-            overhead = new_cost - old_cost
-            heat = compute_heat(metric, c, video, of, overhead)
-            if math.isnan(heat):  # pragma: no cover - defensive
-                continue
-            key = (heat, -overhead, c.video_id)
-            if best_key is None or _key_greater(key, best_key):
-                best_key = key
-                best = (heat, overhead, of, new_fs)
-    return best
+
+    def __init__(
+        self,
+        working: Schedule,
+        cost_model: CostModel,
+        requests_by_video: dict,
+        metric: HeatMetric,
+        background,
+        committed: dict,
+    ):
+        self.index = LocationIndex(working, cost_model.catalog, background)
+        self._cm = cost_model
+        self._rejective = RejectiveGreedyScheduler(cost_model)
+        self._requests = requests_by_video
+        self._metric = metric
+        self._background = background
+        self._committed = committed
+        self._trials: dict[tuple, _Trial] = {}
+        #: The incumbent file cost per video; dropped when a video is victim.
+        self._old_costs: dict[str, float] = {}
+        self.trials_run = 0
+        self.trials_reused = 0
+
+    def select(
+        self, overflows: list[OverflowSituation]
+    ) -> tuple[float, float, OverflowSituation, FileSchedule] | None:
+        """Price every (overflow, member) reschedule and return the hottest.
+
+        Ties break toward the lower overhead, then lexicographic video id, so
+        runs are fully deterministic.
+        """
+        catalog = self._cm.catalog
+        working = self.index.schedule
+        best_key: tuple[float, float, str] | None = None
+        best: tuple[float, float, OverflowSituation, FileSchedule] | None = None
+        trials: dict[tuple, _Trial] = {}
+        for of in overflows:
+            for c in of.members:
+                video = catalog[c.video_id]
+                requests = self._requests.get(c.video_id)
+                if not requests:
+                    continue  # e.g. a pure-carryover file: cannot be victimized
+                seeds = self._committed.get(c.video_id, ())
+                if any(
+                    s.location == c.location
+                    and s.t_start == c.t_start
+                    and s.t_last >= c.t_last
+                    for s in seeds
+                ):
+                    continue  # this residency IS the committed carryover itself
+                key = (c.video_id, of.location, of.interval)
+                trial = self._trials.get(key)
+                if trial is not None and self._current(trial):
+                    self.trials_reused += 1
+                else:
+                    trial = self._run_trial(video, requests, of, tuple(seeds))
+                trials[key] = trial
+                old_cost = self._old_costs.get(c.video_id)
+                if old_cost is None:
+                    old_cost = self._cm.file_cost(working.file(c.video_id)).total
+                    self._old_costs[c.video_id] = old_cost
+                overhead = trial.new_cost - old_cost
+                heat = compute_heat(self._metric, c, video, of, overhead)
+                if math.isnan(heat):  # pragma: no cover - defensive
+                    continue
+                rank = (heat, -overhead, c.video_id)
+                if best_key is None or _key_greater(rank, best_key):
+                    best_key = rank
+                    best = (heat, overhead, of, trial.new_fs)
+        # keep only this round's trials: stale overflow keys never recur
+        self._trials = trials
+        return best
+
+    def commit(self, new_fs: FileSchedule) -> None:
+        """Install the victim's new schedule and re-stamp what it touched."""
+        self.index.set_file(new_fs)
+        self._old_costs.pop(new_fs.video_id, None)
+
+    def _current(self, trial: _Trial) -> bool:
+        version = self.index.version
+        return all(version(loc) == v for loc, v in trial.stamps.items())
+
+    def _run_trial(self, video, requests, of: OverflowSituation, seeds) -> _Trial:
+        self.trials_run += 1
+        oracle = AvailabilityOracle(
+            self.index.schedule,
+            self._cm.catalog,
+            self._cm.topology,
+            video.video_id,
+            self._background,
+            index=self.index,
+        )
+        new_fs = self._rejective.reschedule(
+            video,
+            requests,
+            self.index.schedule,
+            forbidden=[(of.location, of.interval)],
+            background=self._background,
+            initial_residencies=seeds,
+            oracle=oracle,
+        )
+        return _Trial(new_fs, self._cm.file_cost(new_fs).total, oracle.consulted)
 
 
 def _key_greater(a: tuple[float, float, str], b: tuple[float, float, str]) -> bool:

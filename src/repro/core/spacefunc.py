@@ -34,6 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,17 @@ from repro.errors import ScheduleError
 
 #: Absolute slack (bytes / seconds scale-free) for floating-point comparisons.
 EPS = 1e-9
+
+
+def capacity_slack(capacity: float, eps: float = EPS) -> float:
+    """Highest usage that still counts as within ``capacity``.
+
+    The one tolerance shared by placement (the rejective greedy's
+    ``fits_under`` and its oracle's peak shortcut) and by overflow
+    detection, so SORP never commits a placement that the next detection
+    sweep reports as a new overflow.
+    """
+    return capacity + eps + 1e-12 * max(capacity, 1.0)
 
 
 def gamma_coefficient(t_start: float, t_last: float, playback: float) -> float:
@@ -113,8 +125,9 @@ class SpaceProfile:
             return (0.0, 0.0)
         return (self.segments[0].start, self.segments[-1].end)
 
-    @property
+    @cached_property
     def peak(self) -> float:
+        # memoized: the rejective greedy asks every candidate for its peak
         if not self.segments:
             return 0.0
         return max(max(s.y0, s.y1) for s in self.segments)

@@ -90,21 +90,31 @@ class Event:
 
 
 class EventQueue:
-    """Deterministic time-ordered event queue."""
+    """Deterministic time-ordered event queue.
+
+    The heap holds ``(time, priority, seq, event)`` tuples: ``seq`` is
+    unique, so tuple comparison settles on the first three numbers and
+    never reaches :meth:`Event.__lt__` -- the same order, without a
+    property chain per comparison.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
-        ev = Event(time, next(self._counter), kind, payload)
-        heapq.heappush(self._heap, ev)
+        seq = next(self._counter)
+        ev = Event(time, seq, kind, payload)
+        heapq.heappush(
+            self._heap,
+            (time, _KIND_PRIORITY.get(kind, _DEFAULT_PRIORITY), seq, ev),
+        )
         return ev
 
     def pop(self) -> Event:
         if not self._heap:
             raise SimulationError("pop from an empty event queue")
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self._heap)[3]
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -116,11 +126,11 @@ class EventQueue:
     def next_time(self) -> float:
         if not self._heap:
             raise SimulationError("empty event queue has no next_time")
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def drain(self) -> list[Event]:
         """Pop everything, returning the chronological trace."""
         out = []
         while self._heap:
-            out.append(heapq.heappop(self._heap))
+            out.append(heapq.heappop(self._heap)[3])
         return out

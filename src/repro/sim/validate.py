@@ -36,7 +36,7 @@ from repro.core.schedule import Schedule
 from repro.core.spacefunc import EPS
 from repro.errors import SimulationError
 from repro.obs import NULL_OBS, Observability
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SimulationEngine, SimulationReport
 from repro.workload.requests import RequestBatch
 
 
@@ -92,9 +92,11 @@ def validate_schedule(
         violations.extend(
             _check_causality(schedule, cost_model, trusted_residencies)
         )
-        violations.extend(_check_capacity(schedule, cost_model))
+        # one replay serves both the storage and the link checks
+        report = SimulationEngine(cost_model).run(schedule)
+        violations.extend(_check_capacity(report))
         if check_links:
-            violations.extend(_check_links(schedule, cost_model))
+            violations.extend(_check_links(report))
         if replicas is None:
             replicas = cost_model.replicas
         if replicas is not None:
@@ -328,9 +330,8 @@ def _check_causality(
     return out
 
 
-def _check_capacity(schedule: Schedule, cost_model: CostModel) -> list[Violation]:
+def _check_capacity(report: SimulationReport) -> list[Violation]:
     out: list[Violation] = []
-    report = SimulationEngine(cost_model).run(schedule)
     for loc, load in report.storages.items():
         slack = load.capacity + EPS + 1e-9 * max(load.capacity, 1.0)
         if load.reserved_peak > slack:
@@ -346,9 +347,8 @@ def _check_capacity(schedule: Schedule, cost_model: CostModel) -> list[Violation
     return out
 
 
-def _check_links(schedule: Schedule, cost_model: CostModel) -> list[Violation]:
+def _check_links(report: SimulationReport) -> list[Violation]:
     out: list[Violation] = []
-    report = SimulationEngine(cost_model).run(schedule)
     for key, load in report.links.items():
         if load.capacity == float("inf"):
             continue
