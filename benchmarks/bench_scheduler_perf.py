@@ -5,18 +5,17 @@ paper's scale and of its building blocks, so regressions in the hot paths
 (routing, greedy pricing, overflow sweeps) are caught by
 ``pytest benchmarks/ --benchmark-only``.
 
-Also runs standalone as the parallel-scheduling speedup report::
+Also runs standalone as the scheduler report::
 
     PYTHONPATH=src python benchmarks/bench_scheduler_perf.py [--quick]
-        [--videos N] [--workers N] [--backends thread,process]
-        [--json-out BENCH_phase1.json]
+        [--videos N] [--json-out BENCH_phase1.json]
 
-which times Phase 1 serially and on each parallel backend over a 500-video
-batch (``--quick``: 60 videos), verifies every run is bit-identical to the
-serial schedule, and reports speedups plus cost-cache hit rates.
-``--json-out`` additionally writes the whole report as machine-readable
-JSON (per-backend wall time, speedup, cache hit rate, schedule Ψ) so CI
-can archive it as an artifact and diff runs over time.
+which times Phase 1 over a 500-video batch (``--quick``: 60 videos) with
+and without the cost cache, verifies the cache leaves the schedule
+bit-identical, and reports cost-cache hit rates.  ``--json-out``
+additionally writes the whole report as machine-readable JSON (wall
+times, cache hit rates, schedule Ψ) so CI can archive it as an artifact
+and diff runs over time.
 
 ``--compare BASELINE.json`` checks the run against a committed baseline
 report (see ``benchmarks/BENCH_phase1.json``): the deterministic outputs
@@ -62,7 +61,6 @@ import pytest
 from repro import (
     CostModel,
     IndividualScheduler,
-    ParallelConfig,
     ParallelIndividualScheduler,
     VideoScheduler,
     WorkloadGenerator,
@@ -108,15 +106,6 @@ def test_bench_phase1_uncached(benchmark, env):
     assert len(schedule.deliveries) == len(batch)
 
 
-def test_bench_phase1_process_pool(benchmark, env):
-    topo, catalog, batch = env
-    engine = ParallelIndividualScheduler(
-        CostModel(topo, catalog), ParallelConfig(backend="process", workers=2)
-    )
-    result = benchmark(lambda: engine.run(batch))
-    assert len(result.schedule.deliveries) == len(batch)
-
-
 def test_bench_overflow_detection(benchmark, env):
     topo, catalog, batch = env
     cm = CostModel(topo, catalog)
@@ -133,11 +122,11 @@ def test_bench_usage_timeline_sweep(benchmark):
     assert tl.peak > 0
 
 
-# -- standalone speedup report ------------------------------------------------
+# -- standalone report --------------------------------------------------------
 
 
 #: Baseline keys that must match bit-for-bit: pure functions of the seeded
-#: workload, independent of machine and backend.
+#: workload, independent of the machine.
 _DETERMINISTIC_SOLVE_KEYS = (
     "psi_total_dollars",
     "psi_network_dollars",
@@ -202,15 +191,24 @@ _DETERMINISTIC_GATEWAY_KEYS = (
     "quote_total_dollars",
     "realized_total_dollars",
 )
+#: Every gated report section -- (path of nested keys, keys that must
+#: match the baseline bit-for-bit).
+_GATED_SECTIONS = (
+    (("solve",), _DETERMINISTIC_SOLVE_KEYS),
+    (("recovery",), _DETERMINISTIC_RECOVERY_KEYS),
+    (("online",), _DETERMINISTIC_ONLINE_KEYS),
+    (("online", "slo"), _DETERMINISTIC_SLO_KEYS),
+    (("horizon",), _DETERMINISTIC_HORIZON_KEYS),
+    (("gateway",), _DETERMINISTIC_GATEWAY_KEYS),
+)
 
 
 def compare_reports(baseline: dict, current: dict) -> list[str]:
     """Differences between a baseline report and the current run.
 
-    Returns human-readable mismatch lines (empty = pass).  Only
-    deterministic quantities gate: schedule Ψ (total/network/storage) and
-    SORP iteration count, after checking the two runs solved the same
-    workload.  Timing fields are ignored.
+    Returns human-readable mismatch lines (empty = pass).  Only the
+    deterministic keys of :data:`_GATED_SECTIONS` gate, after checking the
+    two runs solved the same workload.  Timing fields are ignored.
     """
     problems: list[str] = []
     if baseline.get("benchmark") != current.get("benchmark"):
@@ -229,48 +227,17 @@ def compare_reports(baseline: dict, current: dict) -> list[str]:
             )
     if problems:
         return problems
-    b_solve, c_solve = baseline.get("solve", {}), current.get("solve", {})
-    for key in _DETERMINISTIC_SOLVE_KEYS:
-        if b_solve.get(key) != c_solve.get(key):
-            problems.append(
-                f"solve.{key} regressed: baseline {b_solve.get(key)!r} vs "
-                f"{c_solve.get(key)!r}"
-            )
-    b_rec, c_rec = baseline.get("recovery", {}), current.get("recovery", {})
-    for key in _DETERMINISTIC_RECOVERY_KEYS:
-        if b_rec.get(key) != c_rec.get(key):
-            problems.append(
-                f"recovery.{key} regressed: baseline {b_rec.get(key)!r} vs "
-                f"{c_rec.get(key)!r}"
-            )
-    b_onl, c_onl = baseline.get("online", {}), current.get("online", {})
-    for key in _DETERMINISTIC_ONLINE_KEYS:
-        if b_onl.get(key) != c_onl.get(key):
-            problems.append(
-                f"online.{key} regressed: baseline {b_onl.get(key)!r} vs "
-                f"{c_onl.get(key)!r}"
-            )
-    b_slo, c_slo = b_onl.get("slo", {}), c_onl.get("slo", {})
-    for key in _DETERMINISTIC_SLO_KEYS:
-        if b_slo.get(key) != c_slo.get(key):
-            problems.append(
-                f"online.slo.{key} regressed: baseline {b_slo.get(key)!r} vs "
-                f"{c_slo.get(key)!r}"
-            )
-    b_hor, c_hor = baseline.get("horizon", {}), current.get("horizon", {})
-    for key in _DETERMINISTIC_HORIZON_KEYS:
-        if b_hor.get(key) != c_hor.get(key):
-            problems.append(
-                f"horizon.{key} regressed: baseline {b_hor.get(key)!r} vs "
-                f"{c_hor.get(key)!r}"
-            )
-    b_gw, c_gw = baseline.get("gateway", {}), current.get("gateway", {})
-    for key in _DETERMINISTIC_GATEWAY_KEYS:
-        if b_gw.get(key) != c_gw.get(key):
-            problems.append(
-                f"gateway.{key} regressed: baseline {b_gw.get(key)!r} vs "
-                f"{c_gw.get(key)!r}"
-            )
+    for path, keys in _GATED_SECTIONS:
+        b_sec, c_sec = baseline, current
+        for name in path:
+            b_sec, c_sec = b_sec.get(name, {}), c_sec.get(name, {})
+        label = ".".join(path)
+        for key in keys:
+            if b_sec.get(key) != c_sec.get(key):
+                problems.append(
+                    f"{label}.{key} regressed: baseline {b_sec.get(key)!r} vs "
+                    f"{c_sec.get(key)!r}"
+                )
     return problems
 
 
@@ -550,12 +517,12 @@ def _gateway_drill():
     }
 
 
-def _time_phase1(topo, catalog, batch, config, repeats):
+def _time_phase1(topo, catalog, batch, repeats):
     """Best-of-N wall time of one Phase-1 run plus its result."""
     best = float("inf")
     result = None
     for _ in range(repeats):
-        engine = ParallelIndividualScheduler(CostModel(topo, catalog), config)
+        engine = ParallelIndividualScheduler(CostModel(topo, catalog))
         t0 = time.perf_counter()
         result = engine.run(batch)
         best = min(best, time.perf_counter() - t0)
@@ -564,20 +531,12 @@ def _time_phase1(topo, catalog, batch, config, repeats):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Serial-vs-parallel Phase-1 speedup and cache report"
+        description="Phase-1 timing, cache and drill report"
     )
     parser.add_argument(
         "--quick", action="store_true", help="60-video smoke run (CI-sized)"
     )
     parser.add_argument("--videos", type=int, default=None, help="catalog size")
-    parser.add_argument(
-        "--workers", type=int, default=8, help="pool size (default 8)"
-    )
-    parser.add_argument(
-        "--backends",
-        default="thread,process",
-        help="comma-separated parallel backends to time",
-    )
     parser.add_argument(
         "--repeats", type=int, default=None, help="best-of-N timing (default 3/1)"
     )
@@ -599,45 +558,28 @@ def main(argv=None) -> int:
     n_videos = args.videos if args.videos else (60 if args.quick else 500)
     users = 4 if args.quick else 10
     repeats = args.repeats if args.repeats else (1 if args.quick else 3)
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    unknown = [b for b in backends if b not in ("thread", "process")]
-    if unknown:
-        parser.error(f"--backends must be thread and/or process, got {unknown}")
 
     topo, catalog, batch = _build_env(n_videos, users)
     print(
-        f"Phase-1 speedup report: {n_videos} videos, {len(batch)} requests, "
-        f"{args.workers} workers, best of {repeats}"
+        f"scheduler report: {n_videos} videos, {len(batch)} requests, "
+        f"best of {repeats}"
     )
 
-    serial_t, serial = _time_phase1(
-        topo, catalog, batch, ParallelConfig(), repeats
-    )
+    phase1_t, phase1 = _time_phase1(topo, catalog, batch, repeats)
     # time the uncached model separately for the cache-win line
     t0 = time.perf_counter()
     uncached_schedule = ParallelIndividualScheduler(
         CostModel(topo, catalog, cache=False)
     ).run(batch).schedule
     uncached_t = time.perf_counter() - t0
-    assert uncached_schedule == serial.schedule, "cache changed the schedule!"
+    assert uncached_schedule == phase1.schedule, "cache changed the schedule!"
 
     # cache hit rate of a full two-phase solve (greedy + SORP repricing)
     solve = VideoScheduler(topo, catalog).solve(batch)
 
-    rows = [("serial", serial_t, 1.0, solve.cache_hit_rate)]
-    for backend in backends:
-        cfg = ParallelConfig(backend=backend, workers=args.workers)
-        t, result = _time_phase1(topo, catalog, batch, cfg, repeats)
-        assert result.schedule == serial.schedule, f"{backend} diverged!"
-        par_solve = VideoScheduler(topo, catalog, parallel=cfg).solve(batch)
-        rows.append((backend, t, serial_t / t, par_solve.cache_hit_rate))
-
-    print(f"\n{'backend':<10} {'time (s)':>10} {'speedup':>9} {'cache hit':>10}")
-    for name, t, speedup, hit_rate in rows:
-        print(f"{name:<10} {t:>10.3f} {speedup:>8.2f}x {100 * hit_rate:>9.1f}%")
     print(
-        f"\nuncached serial Phase 1: {uncached_t:.3f}s "
-        f"(cache win {uncached_t / serial_t:.2f}x); all backends bit-identical"
+        f"\nPhase 1: {phase1_t:.3f}s cached, {uncached_t:.3f}s uncached "
+        f"(cache win {uncached_t / phase1_t:.2f}x, bit-identical)"
     )
     print(
         f"full solve cache: {solve.cache_stats.hits}/"
@@ -690,27 +632,20 @@ def main(argv=None) -> int:
     )
     if args.json_out or args.compare:
         report = {
+            # The name predates the report's scope; committed baselines
+            # are matched on it.
             "benchmark": "phase1_speedup",
             "config": {
                 "n_videos": n_videos,
                 "n_requests": len(batch),
                 "users_per_neighborhood": users,
-                "workers": args.workers,
                 "repeats": repeats,
                 "quick": args.quick,
             },
-            "backends": [
-                {
-                    "backend": name,
-                    "wall_time_seconds": t,
-                    "speedup": speedup,
-                    "cache_hit_rate": hit_rate,
-                }
-                for name, t, speedup, hit_rate in rows
-            ],
+            "phase1": {"wall_time_seconds": phase1_t},
             "uncached": {
                 "wall_time_seconds": uncached_t,
-                "cache_win": uncached_t / serial_t,
+                "cache_win": uncached_t / phase1_t,
             },
             "solve": {
                 "psi_total_dollars": solve.total_cost,

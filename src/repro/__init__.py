@@ -35,7 +35,6 @@ from repro.core import (
     HeatMetric,
     IndividualScheduler,
     OverflowSituation,
-    ParallelConfig,
     ParallelIndividualScheduler,
     Phase1Result,
     ResidencyInfo,
@@ -142,7 +141,6 @@ __all__ = [
     "HeatMetric",
     "IndividualScheduler",
     "OverflowSituation",
-    "ParallelConfig",
     "ParallelIndividualScheduler",
     "Phase1Result",
     "ResidencyInfo",

@@ -53,7 +53,7 @@ when the projected Ψ saving beats the priced staging transfer (disable
 with ``--no-migrate``), and an optional ``--feed`` is split across cycle
 boundaries so a fault window straddling two cycles is amended into both.
 ``--horizon-report-out`` writes the replay-invariant horizon report
-(byte-identical across backends and reruns); the process exits non-zero
+(byte-identical across reruns); the process exits non-zero
 when any cycle ends infeasible.
 
 ``run-gateway`` replays a booking feed (``--request-feed`` JSONL, or
@@ -66,8 +66,8 @@ chain (``accept-all``, ``headroom[:F]``, ``price-ceiling:X``,
 ``--queue-depth`` bound the solver-bound batch and the carryover queue;
 overload sheds the lowest-priority bookings.  ``--seals`` splits the
 feed into that many sealed cycles; ``--gateway-report-out`` writes the
-replay-invariant gateway report (byte-identical across backends and
-reruns).  The process exits non-zero when a sealed cycle is infeasible.
+replay-invariant gateway report (byte-identical across reruns).  The
+process exits non-zero when a sealed cycle is infeasible.
 
 Observability: ``run-env --metrics-out metrics.json --trace-out trace.jsonl``
 schedules an environment with a live :class:`repro.obs.Observability` handle
@@ -181,21 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out",
         default="repro-report",
         help="output directory for the 'report' command (default ./repro-report)",
-    )
-    parser.add_argument(
-        "--phase1-backend",
-        choices=["serial", "thread", "process"],
-        default="serial",
-        help="Phase-1 execution backend for 'run-env' (default serial; "
-        "results are bit-identical across backends)",
-    )
-    parser.add_argument(
-        "--phase1-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker-pool size for --phase1-backend thread/process "
-        "(default: CPU count)",
     )
     parser.add_argument(
         "--log-level",
@@ -656,9 +641,7 @@ def _parse_kinds(spec):
 
 def _solve_environment(args: argparse.Namespace, command: str):
     """Load an environment file and solve it: shared by the env commands."""
-    from repro.core.parallel import ParallelConfig
     from repro.core.scheduler import VideoScheduler
-    from repro.errors import ScheduleError
     from repro.io import load_environment
     from repro.obs import NULL_OBS, Observability
 
@@ -669,12 +652,6 @@ def _solve_environment(args: argparse.Namespace, command: str):
         raise SystemExit(
             f"{args.env_file} contains no 'requests' section to schedule"
         )
-    try:
-        parallel = ParallelConfig(
-            backend=args.phase1_backend, workers=args.phase1_workers
-        )
-    except ScheduleError as exc:
-        raise SystemExit(f"invalid phase-1 options: {exc}") from exc
     replicas = _parse_replicas(
         getattr(args, "replicas", None), topology, catalog, batch,
         seed=args.seed,
@@ -684,9 +661,7 @@ def _solve_environment(args: argparse.Namespace, command: str):
     obs = (
         Observability.on(journal=want_journal) if want_telemetry else NULL_OBS
     )
-    scheduler = VideoScheduler(
-        topology, catalog, parallel=parallel, obs=obs, replicas=replicas
-    )
+    scheduler = VideoScheduler(topology, catalog, obs=obs, replicas=replicas)
     result = scheduler.solve(batch)
     return topology, catalog, batch, scheduler, result, obs, want_telemetry
 
@@ -756,7 +731,6 @@ def _run_environment(args: argparse.Namespace) -> int:
                 ["total cost ($)", result.total_cost],
                 ["network-only baseline ($)", network_only_cost(batch, cm)],
                 ["overflow fixes", result.resolution.iterations],
-                ["phase-1 backend", args.phase1_backend],
                 [
                     "cost-cache hit rate",
                     f"{100 * result.cache_hit_rate:.1f} % "
@@ -831,7 +805,6 @@ def _run_faults(args: argparse.Namespace) -> int:
 
     from repro.analysis import format_table
     from repro.core.costmodel import CostModel
-    from repro.core.parallel import ParallelConfig
     from repro.faults.contingency import ContingencyScheduler
     from repro.faults.inject import masked_topology
     from repro.faults.plan import FaultPlan
@@ -863,13 +836,9 @@ def _run_faults(args: argparse.Namespace) -> int:
     degraded = build_degraded_report(
         result.schedule, scheduler.cost_model, plan, obs=obs
     )
-    recovery = ContingencyScheduler(
-        scheduler.cost_model,
-        parallel=ParallelConfig(
-            backend=args.phase1_backend, workers=args.phase1_workers
-        ),
-        obs=obs,
-    ).recover(result.schedule, plan, batch=batch)
+    recovery = ContingencyScheduler(scheduler.cost_model, obs=obs).recover(
+        result.schedule, plan, batch=batch
+    )
     _write_telemetry(args, obs)
 
     print(
@@ -893,7 +862,6 @@ def _run_faults(args: argparse.Namespace) -> int:
                     if recovery.resolution is None
                     else recovery.resolution.iterations,
                 ],
-                ["phase-1 backend", args.phase1_backend],
             ],
             title=f"fault drill for {args.env_file} [{plan.name or 'scenario'}]",
         )
@@ -954,7 +922,6 @@ def _run_online(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.analysis import format_table
-    from repro.core.parallel import ParallelConfig
     from repro.errors import FaultError, ReproError, ScheduleError
     from repro.faults.feed import FaultFeed
     from repro.io import load_environment
@@ -974,12 +941,6 @@ def _run_online(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"{args.env_file} contains no 'requests' section to schedule"
         )
-    try:
-        parallel = ParallelConfig(
-            backend=args.phase1_backend, workers=args.phase1_workers
-        )
-    except ScheduleError as exc:
-        raise SystemExit(f"invalid phase-1 options: {exc}") from exc
     replicas = _parse_replicas(
         args.replicas, topology, catalog, batch, seed=args.seed
     )
@@ -1034,7 +995,6 @@ def _run_online(args: argparse.Namespace) -> int:
         topology,
         catalog,
         lead_time=0.0,
-        parallel=parallel,
         obs=obs,
         replicas=replicas,
     )
@@ -1075,7 +1035,6 @@ def _run_online(args: argparse.Namespace) -> int:
                 ["reservations shed", run.shed_total],
                 ["breaker state", loop.breaker.state],
                 ["masking", config.masking],
-                ["phase-1 backend", args.phase1_backend],
             ],
             title=f"online drill for {args.env_file} [{feed.name or 'feed'}]",
         )
@@ -1136,8 +1095,7 @@ def _run_horizon(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.analysis import format_table
-    from repro.core.parallel import ParallelConfig
-    from repro.errors import FaultError, ReproError, ScheduleError
+    from repro.errors import FaultError, ReproError
     from repro.faults.feed import FaultFeed
     from repro.horizon import (
         HorizonConfig,
@@ -1158,12 +1116,6 @@ def _run_horizon(args: argparse.Namespace) -> int:
             "generates one drifting batch per cycle from --seed",
             len(batch),
         )
-    try:
-        parallel = ParallelConfig(
-            backend=args.phase1_backend, workers=args.phase1_workers
-        )
-    except ScheduleError as exc:
-        raise SystemExit(f"invalid phase-1 options: {exc}") from exc
     if args.cycles < 1:
         raise SystemExit(f"--cycles must be >= 1, got {args.cycles}")
     if args.cycle_length <= 0:
@@ -1225,7 +1177,6 @@ def _run_horizon(args: argparse.Namespace) -> int:
             topology,
             catalog,
             replicas=replicas,
-            parallel=parallel,
             obs=obs,
             config=config,
         )
@@ -1297,8 +1248,7 @@ def _run_gateway(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.analysis import format_table
-    from repro.core.parallel import ParallelConfig
-    from repro.errors import GatewayError, ReproError, ScheduleError
+    from repro.errors import GatewayError, ReproError
     from repro.gateway import (
         GatewayConfig,
         RequestFeed,
@@ -1312,12 +1262,6 @@ def _run_gateway(args: argparse.Namespace) -> int:
     if not args.env_file:
         raise SystemExit("run-gateway requires an environment JSON path")
     topology, catalog, _ = load_environment(args.env_file)
-    try:
-        parallel = ParallelConfig(
-            backend=args.phase1_backend, workers=args.phase1_workers
-        )
-    except ScheduleError as exc:
-        raise SystemExit(f"invalid phase-1 options: {exc}") from exc
 
     if args.request_feed:
         try:
@@ -1362,9 +1306,7 @@ def _run_gateway(args: argparse.Namespace) -> int:
     if args.seals < 1:
         raise SystemExit(f"--seals must be >= 1, got {args.seals}")
 
-    service = VORService(
-        topology, catalog, parallel=parallel, obs=obs, replicas=replicas
-    )
+    service = VORService(topology, catalog, obs=obs, replicas=replicas)
     gateway = ReservationGateway(service, policy=policy, config=config)
 
     # Intermediate boundaries split the booking span; the last one covers

@@ -6,7 +6,7 @@ Layout:
 * :mod:`repro.core.spacefunc`  -- space-time profiles ``f_c(t)`` (Eqs. 5-7)
 * :mod:`repro.core.costmodel`  -- the mapping Ψ (Eqs. 1-4)
 * :mod:`repro.core.individual` -- Phase 1: capacity-ignorant per-file greedy
-* :mod:`repro.core.parallel`   -- Phase-1 fan-out engine (serial/thread/process)
+* :mod:`repro.core.parallel`   -- Phase-1 engine: the per-video greedy over a batch
 * :mod:`repro.core.overflow`   -- storage-overflow detection (Sec. 4.1)
 * :mod:`repro.core.heat`       -- victim-selection heat metrics (Eqs. 8-11)
 * :mod:`repro.core.rejective`  -- capacity-aware rescheduling (Sec. 4.4)
@@ -37,11 +37,7 @@ from repro.core.costmodel import (
 from repro.core.heat import HeatMetric, compute_heat
 from repro.core.overflow import OverflowSituation, detect_overflows
 from repro.core.individual import IndividualScheduler
-from repro.core.parallel import (
-    ParallelConfig,
-    ParallelIndividualScheduler,
-    Phase1Result,
-)
+from repro.core.parallel import ParallelIndividualScheduler, Phase1Result
 from repro.core.rejective import RejectiveGreedyScheduler, ResidencyConstraints
 from repro.core.sorp import ResolutionStats, resolve_overflows
 from repro.core.scheduler import (
@@ -66,7 +62,6 @@ __all__ = [
     "CostModel",
     "record_cache_metrics",
     "record_schedule_metrics",
-    "ParallelConfig",
     "ParallelIndividualScheduler",
     "Phase1Result",
     "HeatMetric",

@@ -38,7 +38,7 @@ class CacheStats:
     """Hit/miss counters of the memoized cost-evaluation cache.
 
     Instances are immutable snapshots; subtract two snapshots to get the
-    activity between them, add several to aggregate across workers.
+    activity between them, add several to aggregate across models.
     """
 
     hits: int = 0
@@ -69,7 +69,7 @@ class CacheStatsDetail:
     ``psi_c`` covers the Eq. 2/3 storage-cost cache, ``psi_d`` the
     per-route network-rate cache.  Lookup *totals* per cache are
     deterministic for a seeded batch (they count Ψ evaluations); the
-    hit/miss split depends on cache temperature and worker layout.
+    hit/miss split depends on cache temperature.
     """
 
     psi_c: CacheStats = CacheStats()
@@ -91,9 +91,9 @@ def record_cache_metrics(metrics, detail: CacheStatsDetail, *, phase: str) -> No
 
     Ψ *evaluation* totals (``hits + misses`` per cache) are deterministic
     for a seeded batch -- the greedy performs the same pricing sequence on
-    every backend -- so they register as comparable counters; the
-    hit/miss split depends on cache temperature and worker layout and is
-    flagged ``deterministic=False``.
+    every run -- so they register as comparable counters; the hit/miss
+    split depends on cache temperature and is flagged
+    ``deterministic=False``.
     """
     if not metrics.enabled:
         return
@@ -153,19 +153,14 @@ class CostModel:
         replicas: Optional :class:`~repro.replication.ReplicaMap` naming the
             home warehouses of each video.  Pricing is unaffected -- the map
             rides on the model so every scheduler built over it (Phase-1
-            greedy, SORP's rejective greedy, contingency re-solves, thread
-            worker views, pickled process-pool workers) restricts warehouse
-            candidates to the same homes.  ``None`` means every warehouse
-            holds every video (the single-warehouse paper model).
+            greedy, SORP's rejective greedy, contingency re-solves,
+            migration trial solves) restricts warehouse candidates to the
+            same homes.  ``None`` means every warehouse holds every video
+            (the single-warehouse paper model).
 
     The cache is transparent to subclasses: :meth:`network_multiplier` is
     applied *outside* the cached route rate, so time-of-day tariffs stay
-    exact.  Instances may be shared across threads -- dict reads/writes are
-    atomic under the GIL and entries are immutable once stored.  The
-    hit/miss counters would undercount under concurrent mutation, which is
-    why the thread-backend Phase-1 engine gives each shard its own
-    :meth:`worker_view` (shared caches, private counters): every backend
-    reports exact per-shard statistics.
+    exact.
     """
 
     def __init__(
@@ -214,19 +209,6 @@ class CostModel:
         """The :class:`~repro.replication.ReplicaMap`, or ``None``."""
         return self._replicas
 
-    def __getstate__(self) -> dict:
-        # Pickled models (shipped to process-pool workers) start with cold
-        # caches: memoized values are pure recomputables and the counters
-        # belong to the sending process.
-        state = self.__dict__.copy()
-        state["_psi_c_cache"] = {}
-        state["_psi_d_cache"] = {}
-        state["_c_hits"] = 0
-        state["_c_misses"] = 0
-        state["_d_hits"] = 0
-        state["_d_misses"] = 0
-        return state
-
     def with_replicas(self, replicas) -> "CostModel":
         """A clone of this model carrying a different replica map.
 
@@ -244,22 +226,6 @@ class CostModel:
         clone._d_hits = 0
         clone._d_misses = 0
         return clone
-
-    def worker_view(self) -> "CostModel":
-        """A clone sharing this model's memoized caches with fresh counters.
-
-        Thread-backend shards each solve through their own view, so
-        per-shard hit/miss activity is attributable exactly (the shared
-        counters would otherwise interleave); cached *values* stay
-        shared, preserving the warm-cache win.  Subclasses (e.g. diurnal
-        tariffs) are preserved by the shallow copy.
-        """
-        view = copy.copy(self)
-        view._c_hits = 0
-        view._c_misses = 0
-        view._d_hits = 0
-        view._d_misses = 0
-        return view
 
     # -- cache bookkeeping ---------------------------------------------------
 

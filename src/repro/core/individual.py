@@ -115,13 +115,8 @@ class IndividualScheduler:
             span plus delivery/residency counters.  Purely additive:
             schedules are bit-identical either way.
 
-    Thread-safety: with the default (stateless) route policy, one instance
-    may serve concurrent :meth:`schedule_file` calls from multiple threads
-    -- all mutable per-solve state lives in the :class:`FileGreedySession`;
-    the shared router/cost caches are dictionaries whose operations are
-    atomic under the GIL.  Stateful route policies (e.g. the bandwidth
-    extension, which books link capacity in :meth:`RoutePolicy.commit`) are
-    NOT safe to share and must stay on the serial path.
+    All mutable per-solve state lives in the :class:`FileGreedySession`,
+    so one instance serves any number of :meth:`schedule_file` calls.
     """
 
     def __init__(
@@ -148,9 +143,8 @@ class IndividualScheduler:
             route_policy if route_policy is not None else RoutePolicy(self._router)
         )
         self._deposit_scope = deposit_scope
-        # Immutable copies: scheduler instances are shared across worker
-        # threads by the parallel Phase-1 engine, and all per-solve mutable
-        # state must live in the per-call FileGreedySession instead.
+        # Immutable copies: all per-solve mutable state lives in the
+        # per-call FileGreedySession instead.
         self._warehouses = tuple(w.name for w in self._topo.warehouses)
         if not self._warehouses:
             raise ScheduleError("topology has no warehouse to serve from")
@@ -247,12 +241,30 @@ class IndividualScheduler:
             )
         self._apply(video, req, choice, residencies, fs)
 
-    def solve(self, batch: RequestBatch, catalog: VideoCatalog | None = None) -> Schedule:
-        """``IVSP_solve``: schedule every requested file independently."""
+    def solve(
+        self,
+        batch: RequestBatch,
+        catalog: VideoCatalog | None = None,
+        *,
+        seeds: dict[str, tuple[ResidencyInfo, ...]] | None = None,
+    ) -> Schedule:
+        """``IVSP_solve``: schedule every requested file independently.
+
+        Videos are solved in ``batch.by_video()`` (first-request) order;
+        ``seeds`` maps a video id to the carryover residencies seeding its
+        greedy (rolling cycles), missing ids seed empty.
+        """
         catalog = catalog if catalog is not None else self._cm.catalog
+        seeds = seeds or {}
         schedule = Schedule()
         for video_id, requests in batch.by_video().items():
-            schedule.set_file(self.schedule_file(catalog[video_id], requests))
+            schedule.set_file(
+                self.schedule_file(
+                    catalog[video_id],
+                    requests,
+                    initial_residencies=seeds.get(video_id, ()),
+                )
+            )
         return schedule
 
     # -- greedy internals ------------------------------------------------------
@@ -287,7 +299,7 @@ class IndividualScheduler:
             # may not reach this neighborhood at all; an unreachable copy is
             # simply not a candidate.  Ties never depend on iteration order
             # (the sort key includes the source name), so skipping here
-            # keeps schedules bit-identical across backends.
+            # keeps schedules deterministic.
             try:
                 route = self._route_policy.select(
                     w, req.local_storage, t0, t1, video.bandwidth

@@ -1,58 +1,28 @@
-"""Parallel Phase-1 execution engine.
+"""Phase-1 engine: the ``IVSP_solve`` loop over a whole batch.
 
-Individual Video Scheduling (paper Sec. 3.2) is embarrassingly parallel:
-``IVSP_solve`` partitions the cycle's requests into per-video sets ``R_i``
-and computes each file's schedule independently.  Each ``S_i`` is a pure
-function of ``(video, sorted(R_i), seed residencies)`` against a fixed
-topology + catalog, so the shards can run on any worker pool and the merged
-result is **bit-identical** to the serial loop:
+Individual Video Scheduling (paper Sec. 3.2) partitions the cycle's
+requests into per-video sets ``R_i`` and computes each file's schedule
+independently.  :class:`ParallelIndividualScheduler` runs that loop in the
+deterministic ``RequestBatch.by_video()`` order (first-request order),
+seeding each video's greedy with its carryover residencies, and reports
+the cost-cache activity the run caused.
 
-* shards are formed in the deterministic ``RequestBatch.by_video()`` order
-  (first-request order) and merged back in that same order;
-* within a shard the greedy performs exactly the serial sequence of
-  floating-point operations;
-* the memoized cost cache (:class:`repro.core.costmodel.CostModel`) stores
-  exactly the values the uncached expressions produce, so warm or cold
-  caches cannot change a single bit of any schedule.
+Observability: every run is wrapped in an ``ivsp`` span and each per-video
+solve records an ``ivsp.video`` span (see :mod:`repro.core.individual`).
+With the default :data:`repro.obs.NULL_OBS` nothing is recorded and
+schedules are unchanged.
 
-Three backends are provided:
-
-``serial``
-    The plain loop; the default and the reference semantics.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Each shard solves
-    through its own :meth:`~repro.core.costmodel.CostModel.worker_view`
-    (shared memoization dictionaries, private hit/miss counters), so
-    per-shard cache statistics are exact rather than interleaved.  Wins
-    when a GIL-releasing cost model or free-threaded build is in play;
-    otherwise it mostly demonstrates determinism.
-``process``
-    A :class:`~concurrent.futures.ProcessPoolExecutor`; the cost model is
-    shipped to each worker once via the pool initializer and shards return
-    pickled :class:`~repro.core.schedule.FileSchedule` objects plus their
-    worker-side cache statistics, metrics registry, and trace spans.  This
-    is the backend that scales Phase 1 across cores.
-
-Observability: the engine wraps every run in an ``ivsp`` span, each
-per-video solve records an ``ivsp.video`` span (see
-:mod:`repro.core.individual`), and worker-side metrics registries merge
-back in deterministic shard order -- exactly like worker ``CacheStats``
-always have.  With the default :data:`repro.obs.NULL_OBS` nothing is
-recorded and schedules stay bit-identical.
-
-Phase 2 (overflow resolution) stays serial: it is an inherently sequential
-victim-selection loop over the *merged* schedule.
+Phase 2 (overflow resolution) is a sequential victim-selection loop over
+the resulting schedule; see :mod:`repro.core.sorp`.
 """
+
+# Names kept: vorbench/layers.py wraps ParallelIndividualScheduler.run as "ivsp".
 
 from __future__ import annotations
 
-import logging
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import VideoCatalog
-from repro.catalog.video import VideoFile
 from repro.core.costmodel import (
     CacheStats,
     CacheStatsDetail,
@@ -60,200 +30,42 @@ from repro.core.costmodel import (
     record_cache_metrics,
 )
 from repro.core.individual import IndividualScheduler
-from repro.core.schedule import FileSchedule, ResidencyInfo, Schedule
-from repro.errors import ScheduleError
-from repro.obs import MetricsRegistry, NULL_OBS, Observability, SpanRecord
-from repro.obs.events import JournalEvent
-from repro.workload.requests import Request, RequestBatch
-
-_log = logging.getLogger(__name__)
-
-BACKENDS = ("serial", "thread", "process")
-
-#: One unit of Phase-1 work: a video, its chronological requests, and the
-#: carryover residencies seeding its greedy (empty outside rolling cycles).
-Shard = list[tuple[VideoFile, tuple[Request, ...], tuple[ResidencyInfo, ...]]]
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """How Phase 1 fans out.
-
-    Attributes:
-        backend: ``"serial"``, ``"thread"`` or ``"process"``.
-        workers: Pool size; ``None`` uses ``os.cpu_count()``.
-        min_videos: Batches with fewer distinct videos than this run the
-            serial loop regardless of backend (pool spin-up costs more than
-            it saves on tiny batches).
-        chunks_per_worker: Shards are contiguous video runs; creating a few
-            per worker balances load when per-video request counts are
-            skewed (Zipf workloads) without drowning the pool in tasks.
-    """
-
-    backend: str = "serial"
-    workers: int | None = None
-    min_videos: int = 2
-    chunks_per_worker: int = 4
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ScheduleError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ScheduleError(f"workers must be >= 1, got {self.workers}")
-        if self.min_videos < 0:
-            raise ScheduleError(f"min_videos must be >= 0, got {self.min_videos}")
-        if self.chunks_per_worker < 1:
-            raise ScheduleError(
-                f"chunks_per_worker must be >= 1, got {self.chunks_per_worker}"
-            )
-
-    def resolved_workers(self) -> int:
-        """The concrete pool size this config asks for."""
-        if self.workers is not None:
-            return self.workers
-        return os.cpu_count() or 1
+from repro.core.schedule import ResidencyInfo, Schedule
+from repro.obs import NULL_OBS, Observability
+from repro.workload.requests import RequestBatch
 
 
 @dataclass(frozen=True)
 class Phase1Result:
-    """Outcome of one Phase-1 fan-out."""
+    """Outcome of one Phase-1 run."""
 
     schedule: Schedule
-    #: Cost-cache activity attributable to this run, whichever backend ran
-    #: it: the caller-model delta for serial runs, the exact sum of
-    #: per-shard worker counters for thread/process runs.
+    #: Cost-cache activity of this run (the cost model's counter delta).
     cache_stats: CacheStats = field(default_factory=CacheStats)
-    backend: str = "serial"
-    workers: int = 1
     #: Per-cache (Ψ_C vs Ψ_D) breakdown of :attr:`cache_stats`.
     detail: CacheStatsDetail = field(default_factory=CacheStatsDetail)
-    #: Per-shard combined hit/miss counters in shard order (one entry for
-    #: the whole batch on the serial path), so parallel runs report
-    #: per-worker breakdowns rather than just totals.
-    shard_stats: tuple[CacheStats, ...] = ()
-
-
-def make_shards(
-    work: list[tuple[VideoFile, tuple[Request, ...], tuple[ResidencyInfo, ...]]],
-    n_shards: int,
-) -> list[Shard]:
-    """Split the per-video work list into ``n_shards`` contiguous runs.
-
-    Deterministic: depends only on the input order and ``n_shards``.  Sizes
-    differ by at most one (the first ``len(work) % n_shards`` shards get the
-    extra item), and no shard is empty.
-    """
-    if n_shards < 1:
-        raise ScheduleError(f"n_shards must be >= 1, got {n_shards}")
-    n = len(work)
-    if n == 0:
-        return []
-    n_shards = min(n_shards, n)
-    base, extra = divmod(n, n_shards)
-    shards: list[Shard] = []
-    start = 0
-    for i in range(n_shards):
-        size = base + (1 if i < extra else 0)
-        shards.append(work[start : start + size])
-        start += size
-    return shards
-
-
-# -- process-backend worker plumbing ----------------------------------------
-#
-# Worker processes receive the cost model once (pool initializer) and keep
-# it in a module global; shards then ship only the per-video payload and
-# return their schedules plus worker-side telemetry.
-
-_WORKER: dict[str, object] = {}
-
-
-def _worker_init(
-    cost_model: CostModel,
-    deposit_scope: str,
-    obs_enabled: bool,
-    journal_enabled: bool = False,
-) -> None:
-    cost_model.reset_cache_stats()
-    _WORKER["cost_model"] = cost_model
-    _WORKER["deposit_scope"] = deposit_scope
-    _WORKER["obs_enabled"] = obs_enabled
-    _WORKER["journal_enabled"] = journal_enabled
-
-
-def _worker_solve(
-    shard: Shard,
-) -> tuple[
-    list[FileSchedule],
-    CacheStatsDetail,
-    MetricsRegistry | None,
-    tuple[SpanRecord, ...],
-    tuple[JournalEvent, ...],
-]:
-    cost_model: CostModel = _WORKER["cost_model"]  # type: ignore[assignment]
-    child = (
-        Observability.on(journal=bool(_WORKER.get("journal_enabled")))
-        if _WORKER["obs_enabled"]
-        else NULL_OBS
-    )
-    scheduler = IndividualScheduler(
-        cost_model,
-        deposit_scope=_WORKER["deposit_scope"],  # type: ignore[arg-type]
-        obs=child,
-    )
-    before = cost_model.cache_stats_detail
-    out = [
-        scheduler.schedule_file(video, list(requests), initial_residencies=seed)
-        for video, requests, seed in shard
-    ]
-    detail = cost_model.cache_stats_detail - before
-    registry = child.metrics if child.enabled else None
-    return (  # type: ignore[return-value]
-        out,
-        detail,
-        registry,
-        child.tracer.records,
-        child.journal.events,
-    )
 
 
 class ParallelIndividualScheduler:
-    """Fan ``IVSP_solve`` out across a worker pool (or run it serially).
+    """Run ``IVSP_solve`` for a whole batch, one video at a time.
 
     Args:
-        cost_model: Pricing + topology + catalog; shared by every shard (the
-            process backend ships a pickled copy to each worker once).
-        config: Backend/worker selection; ``None`` means serial.
-        deposit_scope: Forwarded to :class:`IndividualScheduler`.
-        obs: Observability handle; worker-side metrics and spans merge into
-            it in deterministic shard order.  Defaults to the inert
+        cost_model: Pricing + topology + catalog.
+        obs: Observability handle; defaults to the inert
             :data:`repro.obs.NULL_OBS`.
 
-    The engine is stateless between runs and safe to reuse across batches;
-    pools are created per run and torn down before it returns.
+    The engine is stateless between runs and safe to reuse across batches.
     """
 
     def __init__(
         self,
         cost_model: CostModel,
-        config: ParallelConfig | None = None,
         *,
-        deposit_scope: str = "route",
         obs: Observability | None = None,
     ):
         self._cm = cost_model
-        self._config = config if config is not None else ParallelConfig()
-        self._deposit_scope = deposit_scope
         self._obs = obs if obs is not None else NULL_OBS
-        self._serial = IndividualScheduler(
-            cost_model, deposit_scope=deposit_scope, obs=self._obs
-        )
-
-    @property
-    def config(self) -> ParallelConfig:
-        return self._config
+        self._scheduler = IndividualScheduler(cost_model, obs=self._obs)
 
     def run(
         self,
@@ -262,7 +74,7 @@ class ParallelIndividualScheduler:
         *,
         seeds: dict[str, tuple[ResidencyInfo, ...]] | None = None,
     ) -> Phase1Result:
-        """Solve Phase 1 for ``batch`` and merge deterministically.
+        """Solve Phase 1 for ``batch``.
 
         Args:
             batch: The cycle's requests.
@@ -270,154 +82,11 @@ class ParallelIndividualScheduler:
             seeds: Optional carryover residencies per video id (rolling
                 cycles); missing ids seed empty.
         """
-        catalog = catalog if catalog is not None else self._cm.catalog
-        seeds = seeds or {}
-        work = [
-            (catalog[video_id], tuple(requests), seeds.get(video_id, ()))
-            for video_id, requests in batch.by_video().items()
-        ]
-        cfg = self._config
-        workers = cfg.resolved_workers()
         with self._obs.tracer.span(
-            "ivsp", videos=len(work), requests=len(batch)
-        ) as span:
-            if cfg.backend == "serial" or len(work) < max(cfg.min_videos, 2):
-                before = self._cm.cache_stats_detail
-                schedule = self._run_serial(work)
-                detail = self._cm.cache_stats_detail - before
-                result = Phase1Result(
-                    schedule,
-                    cache_stats=detail.combined,
-                    backend="serial",
-                    detail=detail,
-                    shard_stats=(detail.combined,) if work else (),
-                )
-                span.set(backend="serial", shards=len(result.shard_stats))
-            else:
-                shards = make_shards(work, workers * cfg.chunks_per_worker)
-                _log.debug(
-                    "phase-1 fan-out: %d videos over %d %s shard(s), %d workers",
-                    len(work), len(shards), cfg.backend, workers,
-                )
-                if cfg.backend == "thread":
-                    schedule, detail, shard_stats = self._run_threads(
-                        shards, workers
-                    )
-                else:
-                    schedule, detail, shard_stats = self._run_processes(
-                        shards, workers
-                    )
-                result = Phase1Result(
-                    schedule,
-                    cache_stats=detail.combined,
-                    backend=cfg.backend,
-                    workers=workers,
-                    detail=detail,
-                    shard_stats=shard_stats,
-                )
-                span.set(backend=cfg.backend, shards=len(shards))
-        metrics = self._obs.metrics
-        if metrics.enabled:
-            record_cache_metrics(metrics, result.detail, phase="ivsp")
-            metrics.counter(
-                "vor_phase1_runs_total",
-                help="Phase-1 fan-outs by executing backend",
-                deterministic=False,
-                backend=result.backend,
-            ).inc()
-            metrics.counter(
-                "vor_phase1_shards_total",
-                help="Phase-1 work shards by executing backend",
-                deterministic=False,
-                backend=result.backend,
-            ).inc(len(result.shard_stats))
-        return result
-
-    # -- backends ------------------------------------------------------------
-
-    def _run_serial(self, work: Shard) -> Schedule:
-        schedule = Schedule()
-        for video, requests, seed in work:
-            schedule.set_file(
-                self._serial.schedule_file(
-                    video, list(requests), initial_residencies=seed
-                )
-            )
-        return schedule
-
-    def _run_threads(
-        self, shards: list[Shard], workers: int
-    ) -> tuple[Schedule, CacheStatsDetail, tuple[CacheStats, ...]]:
-        # One cost-model view + observability child per shard: shared
-        # memoization caches, private counters/spans, so per-shard stats
-        # are exact and merge order is the deterministic shard order.
-        views = [self._cm.worker_view() for _ in shards]
-        children = [self._obs.child() for _ in shards]
-        schedulers = [
-            IndividualScheduler(
-                view, deposit_scope=self._deposit_scope, obs=child
-            )
-            for view, child in zip(views, children)
-        ]
-
-        def solve(indexed: tuple[int, Shard]) -> list[FileSchedule]:
-            i, shard = indexed
-            return [
-                schedulers[i].schedule_file(
-                    video, list(requests), initial_residencies=seed
-                )
-                for video, requests, seed in shard
-            ]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, enumerate(shards)))
-        details = [view.cache_stats_detail for view in views]
-        for child in children:
-            self._obs.absorb(child, parent="ivsp")
-        total = CacheStatsDetail()
-        for d in details:
-            total = total + d
-        return (
-            _merge(shards, results),
-            total,
-            tuple(d.combined for d in details),
-        )
-
-    def _run_processes(
-        self, shards: list[Shard], workers: int
-    ) -> tuple[Schedule, CacheStatsDetail, tuple[CacheStats, ...]]:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(
-                self._cm,
-                self._deposit_scope,
-                self._obs.enabled,
-                self._obs.journal.enabled,
-            ),
-        ) as pool:
-            outcomes = list(pool.map(_worker_solve, shards))
-        results = [files for files, _, _, _, _ in outcomes]
-        total = CacheStatsDetail()
-        shard_stats = []
-        for _, detail, registry, spans, events in outcomes:
-            total = total + detail
-            shard_stats.append(detail.combined)
-            if registry is not None:
-                self._obs.metrics.merge(registry)
-            self._obs.tracer.absorb(spans, parent="ivsp")
-            self._obs.journal.absorb(events)
-        return _merge(shards, results), total, tuple(shard_stats)
-
-
-def _merge(shards: list[Shard], results: list[list[FileSchedule]]) -> Schedule:
-    """Reassemble per-shard outputs in the original by-video order."""
-    schedule = Schedule()
-    for shard, files in zip(shards, results):
-        if len(shard) != len(files):  # pragma: no cover - defensive
-            raise ScheduleError(
-                f"shard returned {len(files)} schedules for {len(shard)} videos"
-            )
-        for fs in files:
-            schedule.set_file(fs)
-    return schedule
+            "ivsp", videos=len(batch.video_ids), requests=len(batch)
+        ):
+            before = self._cm.cache_stats_detail
+            schedule = self._scheduler.solve(batch, catalog, seeds=seeds)
+            detail = self._cm.cache_stats_detail - before
+        record_cache_metrics(self._obs.metrics, detail, phase="ivsp")
+        return Phase1Result(schedule, cache_stats=detail.combined, detail=detail)

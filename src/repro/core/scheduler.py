@@ -30,7 +30,7 @@ from repro.core.costmodel import (
     record_cache_metrics,
 )
 from repro.core.heat import HeatMetric
-from repro.core.parallel import ParallelConfig, ParallelIndividualScheduler
+from repro.core.parallel import ParallelIndividualScheduler
 from repro.core.schedule import Schedule
 from repro.core.sorp import ResolutionStats, resolve_overflows
 from repro.core.spacefunc import UsageTimeline
@@ -51,8 +51,7 @@ class ScheduleResult:
     cost: CostBreakdown
     phase1_cost: CostBreakdown
     resolution: ResolutionStats
-    #: Cost-evaluation cache activity over the whole solve (Phase 1 workers
-    #: included).  Excluded from equality: two runs that produce identical
+    #: Cost-evaluation cache activity over the whole solve.  Excluded from equality: two runs that produce identical
     #: schedules may reach them with different hit/miss mixes.
     cache_stats: CacheStats = field(default_factory=CacheStats, compare=False)
     #: Per-cache (Ψ_C vs Ψ_D) breakdown of :attr:`cache_stats`.
@@ -87,8 +86,8 @@ def record_schedule_metrics(
 
     Every intermediate storage gets a ``vor_storage_peak_reserved_bytes``
     gauge (Eq. 6 reserved model, zero when unused), so capacity pressure
-    is visible per site.  All values are pure functions of the schedule
-    and therefore identical across Phase-1 backends.
+    is visible per site.  All values are pure functions of the schedule,
+    so they are deterministic for a seeded batch.
     """
     metrics = obs.metrics
     if not metrics.enabled:
@@ -128,9 +127,6 @@ class VideoScheduler:
         cost_model: Optional custom Ψ (e.g. a time-of-day tariff from
             :mod:`repro.extensions.pricing`); must be built over the same
             topology and catalog.  Defaults to the flat-rate paper model.
-        parallel: Phase-1 execution plan (:class:`ParallelConfig`); ``None``
-            runs the serial loop.  Every backend produces bit-identical
-            schedules -- see :mod:`repro.core.parallel`.
         obs: Observability handle (:class:`repro.obs.Observability`);
             defaults to the inert :data:`repro.obs.NULL_OBS`.
         replicas: Optional :class:`~repro.replication.ReplicaMap` homing
@@ -147,7 +143,6 @@ class VideoScheduler:
         *,
         heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
         cost_model: CostModel | None = None,
-        parallel: ParallelConfig | None = None,
         obs: Observability | None = None,
         replicas=None,
     ):
@@ -173,11 +168,8 @@ class VideoScheduler:
             if cost_model is not None
             else CostModel(topology, catalog, replicas=replicas)
         )
-        self.parallel = parallel if parallel is not None else ParallelConfig()
         self.obs = obs if obs is not None else NULL_OBS
-        self._engine = ParallelIndividualScheduler(
-            self.cost_model, self.parallel, obs=self.obs
-        )
+        self._engine = ParallelIndividualScheduler(self.cost_model, obs=self.obs)
 
     def solve_individual(self, batch: RequestBatch) -> Schedule:
         """Phase 1 only: capacity-ignorant per-file schedules (Table 2)."""
@@ -187,9 +179,8 @@ class VideoScheduler:
         """Full two-phase solve: greedy + overflow resolution."""
         with self.obs.tracer.span("solve", requests=len(batch)) as span:
             phase1_result = self._engine.run(batch, self.catalog)
-            # Everything after Phase 1 runs on the caller's model, so the
-            # post-phase-1 counter delta plus the engine's exact per-shard
-            # accounting covers the whole solve on every backend.
+            # The post-phase-1 counter delta plus the engine's own delta
+            # covers the whole solve.
             base_detail = self.cost_model.cache_stats_detail
             phase1 = phase1_result.schedule
             phase1_cost = self.cost_model.schedule_cost(phase1)

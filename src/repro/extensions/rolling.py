@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
-from repro.core.parallel import ParallelConfig, ParallelIndividualScheduler
+from repro.core.parallel import ParallelIndividualScheduler
 from repro.core.schedule import ResidencyInfo, Schedule
 from repro.core.scheduler import record_schedule_metrics
 from repro.core.sorp import ResolutionStats, resolve_overflows
@@ -82,7 +82,6 @@ class RollingScheduler:
         *,
         heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
         cost_model: CostModel | None = None,
-        parallel: ParallelConfig | None = None,
         obs: Observability | None = None,
         replicas=None,
     ):
@@ -101,9 +100,7 @@ class RollingScheduler:
             else CostModel(topology, catalog, replicas=replicas)
         )
         self.obs = obs if obs is not None else NULL_OBS
-        self._engine = ParallelIndividualScheduler(
-            self.cost_model, parallel, obs=self.obs
-        )
+        self._engine = ParallelIndividualScheduler(self.cost_model, obs=self.obs)
         #: committed residencies whose occupancy outlives their cycle
         self._carryover: dict[str, list[ResidencyInfo]] = {}
         self._cycle_index = 0
@@ -245,9 +242,7 @@ class RollingScheduler:
         """
         validate_topology(self.topology, replicas=cost_model.replicas)
         self.cost_model = cost_model
-        self._engine = ParallelIndividualScheduler(
-            cost_model, self._engine.config, obs=self.obs
-        )
+        self._engine = ParallelIndividualScheduler(cost_model, obs=self.obs)
 
     def amend_cycle(self, result: CycleResult, plan, *, batch=None,
                     masking: str = "cycle"):
@@ -284,7 +279,6 @@ class RollingScheduler:
         contingency = ContingencyScheduler(
             self.cost_model,
             heat_metric=self.heat_metric,
-            parallel=self._engine.config,
             obs=self.obs,
             masking=masking,
         )

@@ -14,14 +14,15 @@ Given a committed schedule and a :class:`~repro.faults.plan.FaultPlan`, the
    without a :class:`~repro.replication.ReplicaMap` on the cost model every
    surviving warehouse counts as a home, the single-warehouse behaviour;
 4. re-solves *only* the recoverable impacted requests through the existing
-   parallel Phase-1 + SORP machinery against the masked model, grafting the
+   Phase-1 + SORP machinery against the masked model, grafting the
    fresh per-file schedules over the old ones;
 5. reports the patched schedule together with its cost delta (Ψ before vs
    after, both priced on the *original* model so the delta is
    apples-to-apples) and the SLA outcome (requests saved vs lost).
 
-Unimpacted files are untouched bit-for-bit: recovery is incremental, and the
-same seeded plan yields the same patched schedule on every Phase-1 backend.
+Unimpacted files are untouched bit-for-bit: recovery is incremental and
+deterministic -- the same seeded plan always yields the same patched
+schedule.
 
 Two masking stances are supported (``masking=``).  The default ``"cycle"``
 mode is conservative: any resource the plan *ever* fails is treated as
@@ -58,7 +59,7 @@ from dataclasses import dataclass, field
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
-from repro.core.parallel import ParallelConfig, ParallelIndividualScheduler
+from repro.core.parallel import ParallelIndividualScheduler
 from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo, Schedule
 from repro.core.sorp import ResolutionStats, resolve_overflows
 from repro.errors import FaultError
@@ -240,7 +241,6 @@ class RecoveryResult:
     #: Phase-2 statistics of the recovery solve (None when nothing was
     #: impacted and the schedule is returned unchanged).
     resolution: ResolutionStats | None = None
-    backend: str = "serial"
     #: Which masking stance produced this recovery: ``"cycle"`` (any
     #: resource the plan ever fails is avoided for the whole cycle) or
     #: ``"windowed"`` (only services actually intersecting a fault window
@@ -302,7 +302,6 @@ class RecoveryResult:
             "overflow_iterations": (
                 0 if self.resolution is None else self.resolution.iterations
             ),
-            "backend": self.backend,
             "masking": self.masking,
         }
 
@@ -315,8 +314,6 @@ class ContingencyScheduler:
             solved under; supplies topology + catalog and prices the
             before/after Ψ comparison.
         heat_metric: Victim-selection metric for the recovery SORP pass.
-        parallel: Phase-1 execution plan for the re-solve; ``None`` runs
-            serial.  Recovery output is bit-identical across backends.
         obs: Observability handle; a live handle records a ``recover`` span
             plus ``vor_recovery_*`` metrics.
         masking: ``"cycle"`` (default) treats any resource the plan ever
@@ -332,7 +329,6 @@ class ContingencyScheduler:
         cost_model: CostModel,
         *,
         heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
-        parallel: ParallelConfig | None = None,
         obs: Observability | None = None,
         masking: str = "cycle",
     ):
@@ -343,7 +339,6 @@ class ContingencyScheduler:
             )
         self._cm = cost_model
         self._metric = heat_metric
-        self._parallel = parallel if parallel is not None else ParallelConfig()
         self._obs = obs if obs is not None else NULL_OBS
         self._masking = masking
 
@@ -426,7 +421,6 @@ class ContingencyScheduler:
                 schedule=schedule.copy(),
                 cost_before=cost_before,
                 cost_after=cost_before,
-                backend=self._parallel.backend,
                 masking=self._masking,
             )
 
@@ -450,7 +444,6 @@ class ContingencyScheduler:
                 cost_before=cost_before,
                 cost_after=self._cm.schedule_cost(patched),
                 resolution=None,
-                backend=self._parallel.backend,
                 masking=self._masking,
             )
 
@@ -497,9 +490,7 @@ class ContingencyScheduler:
         resolution: ResolutionStats | None = None
         if saved:
             sub_batch = RequestBatch(saved)
-            engine = ParallelIndividualScheduler(
-                masked_cm, self._parallel, obs=self._obs
-            )
+            engine = ParallelIndividualScheduler(masked_cm, obs=self._obs)
             phase1 = engine.run(sub_batch, self._cm.catalog)
             for fs in phase1.schedule:
                 patched.set_file(fs)
@@ -524,7 +515,6 @@ class ContingencyScheduler:
             cost_before=cost_before,
             cost_after=self._cm.schedule_cost(patched),
             resolution=resolution,
-            backend=self._parallel.backend,
             masking=self._masking,
         )
 
@@ -553,7 +543,6 @@ class ContingencyScheduler:
                 schedule=schedule.copy(),
                 cost_before=cost_before,
                 cost_after=cost_before,
-                backend=self._parallel.backend,
                 masking=self._masking,
             )
         impacted_set = set(impacted)
@@ -591,7 +580,6 @@ class ContingencyScheduler:
                 cost_before=cost_before,
                 cost_after=self._cm.schedule_cost(patched),
                 resolution=None,
-                backend=self._parallel.backend,
                 masking=self._masking,
             )
 
@@ -729,9 +717,7 @@ class ContingencyScheduler:
                     if c.location in g_topo
                     and c.t_last <= firsts[video_id]
                 )
-            engine = ParallelIndividualScheduler(
-                g_cm, self._parallel, obs=self._obs
-            )
+            engine = ParallelIndividualScheduler(g_cm, obs=self._obs)
             phase1 = engine.run(sub_batch, catalog, seeds=seeds)
             solved.update({fs.video_id: fs for fs in phase1.schedule})
         for video_id in impacted:
@@ -783,7 +769,6 @@ class ContingencyScheduler:
             cost_before=cost_before,
             cost_after=self._cm.schedule_cost(patched),
             resolution=resolution,
-            backend=self._parallel.backend,
             masking=self._masking,
         )
 

@@ -26,7 +26,7 @@ with ``vor_gateway_*`` metric families.  Queued reservations carry over
 and are promoted (earliest showing first) into the next cycle's batch.
 
 Everything runs on the feed's virtual clock: replaying a feed yields a
-byte-identical journal and report, on every Phase-1 backend.
+byte-identical journal and report.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ Credits are pure accounting: the schedule and its billing stay as the
 recovery produced them, and the horizon layer subtracts the ledger's
 credit total when reporting horizon-wide Ψ.  Everything is derived from
 committed schedules and the fault plan -- no wall clock, no RNG -- so the
-ledger is bit-identical across Phase-1 backends.
+ledger is deterministic.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ each cycle boundary:
 
 The planner is a pure function of its inputs: no wall clock, no RNG beyond
 the seeded candidate placement, so the same arguments always return the
-same plan on every Phase-1 backend.
+same plan.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostModel
 from repro.core.heat import HeatMetric
-from repro.core.parallel import ParallelConfig
 from repro.core.scheduler import VideoScheduler
 from repro.errors import ReplicationError
 from repro.replication.replica import ReplicaMap
@@ -224,8 +223,6 @@ class MigrationPlanner:
         warehouse: Optional tape hierarchy; when present, staging transfers
             consume drive time against ``config.staging_window``.
         heat_metric: Phase-2 victim criterion used by the trial solves.
-        parallel: Phase-1 execution plan for the trial solves (results are
-            bit-identical across backends either way).
     """
 
     def __init__(
@@ -236,14 +233,12 @@ class MigrationPlanner:
         config: MigrationConfig | None = None,
         warehouse: WarehouseSpec | None = None,
         heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
-        parallel: ParallelConfig | None = None,
     ):
         self.topology = topology
         self.catalog = catalog
         self.config = config if config is not None else MigrationConfig()
         self.warehouse = warehouse
         self.heat_metric = heat_metric
-        self.parallel = parallel
         self._router = Router(topology)
         #: warehouse -> {destination -> cheapest $/byte}, filled lazily.
         self._rates: dict[str, dict[str, float]] = {}
@@ -565,16 +560,17 @@ class MigrationPlanner:
 
         Trial solves run against a **null** observability handle: they are
         what-if evaluations, not service decisions, so they must not leak
-        events into the journal or counters into the registry.
+        events into the journal or counters into the registry.  Each
+        solve prices through its own :meth:`CostModel.with_replicas`
+        clone: shared memoized values, private hit/miss counters.
         """
         psi = []
-        for cm in (cost_model, cost_model.with_replicas(pruned)):
+        for replicas in (cost_model.replicas, pruned):
             scheduler = VideoScheduler(
                 self.topology,
                 self.catalog,
                 heat_metric=self.heat_metric,
-                cost_model=cm.worker_view(),
-                parallel=self.parallel,
+                cost_model=cost_model.with_replicas(replicas),
             )
             psi.append(scheduler.solve(next_batch).total_cost)
         return psi[0], psi[1]

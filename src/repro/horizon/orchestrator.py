@@ -21,8 +21,8 @@ three things a single cycle cannot express:
   horizon Ψ accounting charges only the re-transfer tail.
 
 Everything stays deterministic: the orchestrator introduces no RNG and no
-wall clock, so a seeded horizon is bit-identical across the serial,
-thread, and process Phase-1 backends -- journals included.
+wall clock, so a seeded horizon replays bit-identically -- journals
+included.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Sequence
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostModel
 from repro.core.heat import HeatMetric
-from repro.core.parallel import ParallelConfig
 from repro.errors import ScheduleError
 from repro.faults.feed import FaultEvent, FaultFeed
 from repro.horizon.carryover import CarryoverLedger, build_resume_ledger
@@ -264,7 +263,6 @@ class HorizonOrchestrator:
         heat_metric: Phase-2 victim criterion.
         warehouse: Optional tape hierarchy; staged migration transfers
             then consume drive time, and every cycle close plans staging.
-        parallel: Phase-1 execution plan (bit-identical across backends).
         obs: Observability handle; the orchestrator journals
             ``horizon-cycle``, ``migration``, ``resumed`` and
             ``restarted`` events and emits the ``vor_horizon_*`` metric
@@ -281,7 +279,6 @@ class HorizonOrchestrator:
         cost_model: CostModel | None = None,
         heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
         warehouse: WarehouseSpec | None = None,
-        parallel: ParallelConfig | None = None,
         obs: Observability | None = None,
         config: HorizonConfig | None = None,
     ):
@@ -296,7 +293,6 @@ class HorizonOrchestrator:
             heat_metric=heat_metric,
             cost_model=cost_model,
             warehouse=warehouse,
-            parallel=parallel,
             obs=self.obs,
             replicas=replicas,
         )
@@ -313,7 +309,6 @@ class HorizonOrchestrator:
                 config=self.config.migration,
                 warehouse=warehouse,
                 heat_metric=heat_metric,
-                parallel=parallel,
             )
         #: longest playback in the catalog: how far past a boundary a
         #: cycle's streams can still be running (the carry-across tail).

@@ -3,7 +3,7 @@
 Layout:
 
 * :mod:`repro.obs.metrics`   -- counters, gauges, fixed-bucket histograms;
-  deterministic merges; :class:`NullRegistry` no-op default
+  determinism flags; :class:`NullRegistry` no-op default
 * :mod:`repro.obs.trace`     -- span-based tracing (``ivsp``, ``sorp``,
   ``overflow``, ``simulate``, ...) with stitched span ids;
   :class:`NullTracer` no-op default

@@ -1,8 +1,7 @@
 """Critical-path analysis over stitched span trees.
 
 :class:`~repro.obs.trace.SpanRecord` carries ``span_id``/``parent_id``
-ids that survive thread/process worker merges, so the finished records
-of a run form one (or several, one per root) consistent trees.  This
+ids, so the finished records of a run form one (or several, one per root) consistent trees.  This
 module reduces those trees to the question profilers ask: *which chain
 of spans dominated the wall time?*
 

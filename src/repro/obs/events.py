@@ -39,12 +39,9 @@ kind               emitted when
 =================  ==========================================================
 
 Determinism contract: the journal is **append-only** and records *no wall
-clock* -- only the decisions, which are bit-identical across Phase-1
-backends for a seeded run.  Worker shards journal into their own child
-journal and the engine absorbs them back in deterministic shard order
-(exactly like :class:`~repro.obs.metrics.MetricsRegistry` merges), so the
-merged event sequence equals the serial run's.  Replaying the same feed
-twice therefore produces byte-identical JSONL exports.
+clock* -- only the decisions, which are deterministic for a seeded run.
+Replaying the same feed twice therefore produces byte-identical JSONL
+exports.
 
 Requests carry no synthetic id; :func:`request_key` derives a stable one
 from the request's identifying fields.  Two identical reservations (same
@@ -54,9 +51,9 @@ user, title, start, neighborhood) share a key and therefore a timeline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from repro.errors import ReproError
 
@@ -98,7 +95,7 @@ def request_key(request: Any) -> str:
     """Stable request id derived from the identifying fields.
 
     ``Request`` is a frozen value object without a synthetic id; the key
-    is deterministic and survives pickling across process workers.
+    is deterministic across runs and processes.
     """
     return (
         f"{request.user_id}/{request.video_id}"
@@ -108,11 +105,9 @@ def request_key(request: Any) -> str:
 
 @dataclass(frozen=True)
 class JournalEvent:
-    """One wide event.  Immutable and picklable (worker shards ship them).
+    """One wide event.  Immutable.
 
-    ``seq`` is the event's position in its journal; on absorb the events
-    are re-sequenced into the parent, so a merged journal's ``seq`` runs
-    0..N-1 in the deterministic merged order.
+    ``seq`` is the event's position in its journal (0..N-1).
     """
 
     seq: int
@@ -143,12 +138,7 @@ def _jsonable(value: Any) -> Any:
 
 
 class RequestJournal:
-    """Append-only, deterministic event log (see the module docstring).
-
-    Not thread-safe: concurrent shard solves each get their own journal
-    (via :meth:`repro.obs.telemetry.Observability.child`) and are merged
-    afterwards in deterministic shard order via :meth:`absorb`.
-    """
+    """Append-only, deterministic event log (see the module docstring)."""
 
     enabled = True
 
@@ -204,15 +194,6 @@ class RequestJournal:
         for e in self._events:
             out[e.kind] = out.get(e.kind, 0) + 1
         return dict(sorted(out.items()))
-
-    def absorb(self, events: Iterable[JournalEvent]) -> None:
-        """Append events journaled elsewhere (worker shards), re-sequenced.
-
-        Callers absorb shards in deterministic shard order, so the merged
-        sequence equals what a serial run would have appended directly.
-        """
-        for e in events:
-            self._events.append(replace(e, seq=len(self._events)))
 
     # -- queries -------------------------------------------------------------
 
@@ -289,9 +270,6 @@ class NullJournal:
 
     def counts(self) -> dict[str, int]:
         return {}
-
-    def absorb(self, events: Iterable[JournalEvent]) -> None:
-        pass
 
     def request_ids(self) -> tuple[str, ...]:
         return ()

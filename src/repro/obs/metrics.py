@@ -1,32 +1,26 @@
-"""Process-worker-safe metrics: counters, gauges, fixed-bucket histograms.
+"""Metrics: counters, gauges, fixed-bucket histograms.
 
 The registry is the numeric half of the observability layer
 (:mod:`repro.obs`).  Three design rules make it fit the scheduling
 pipeline:
 
-* **Deterministic merges.**  Histograms use *fixed* bucket boundaries
+* **Deterministic values.**  Histograms use *fixed* bucket boundaries
   declared at first registration, counters are plain integer/float sums,
-  and gauges carry an explicit merge mode (``last``/``max``/``min``/
-  ``sum``).  Merging the registries returned by process-pool workers in
-  shard order therefore yields exactly the numbers a serial run records
-  (see ``tests/obs``), the same guarantee the Phase-1 engine already
-  gives for schedules.
+  and gauges carry an explicit mode (``last``/``max``/``min``/``sum``),
+  so a seeded run records the same numbers every time (see
+  ``tests/obs``).
 
-* **Determinism flags.**  Some families are *backend-invariant* for a
-  seeded batch (Ψ evaluation counts, deliveries, residencies); others --
-  cache hit/miss splits, shard counts -- legitimately depend on worker
-  layout and cache temperature.  Families register with
-  ``deterministic=False`` to be excluded from cross-backend equality
-  checks (``snapshot(deterministic_only=True)``).
+* **Determinism flags.**  Some families are deterministic for a seeded
+  batch (Ψ evaluation counts, deliveries, residencies); others -- cache
+  hit/miss splits -- legitimately depend on cache temperature.  Families
+  register with ``deterministic=False`` to be excluded from run-to-run
+  equality checks (``snapshot(deterministic_only=True)``).
 
 * **Null by default.**  :class:`NullRegistry` answers every call with a
   shared no-op instrument, so instrumented call sites cost one method
   call when observability is off and the Ψ_C hot path is never touched
   at all (the cost model keeps plain ``int`` counters; see
   ``tests/obs/test_null_overhead.py``).
-
-Registries and instruments are picklable: process workers build a fresh
-registry per shard and ship it back for merging.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from repro.errors import ReproError
 
 
 class MetricsError(ReproError):
-    """Invalid metric registration, observation, or merge."""
+    """Invalid metric registration or observation."""
 
 
 #: Fixed bucket boundary presets (upper bounds; ``+Inf`` is implicit).
@@ -78,30 +72,13 @@ class Counter:
     def value(self) -> float:
         return self._value
 
-    def _merge(self, other: "Counter") -> None:
-        self._value += other._value
-
 
 class Gauge:
-    """Point-in-time value with an explicit merge mode.
+    """Point-in-time value with an explicit mode.
 
-    ``max``/``min`` gauges also apply their mode on :meth:`set`, so peak
+    ``max``/``min`` gauges apply their mode on :meth:`set`, so peak
     trackers can be set repeatedly; ``last`` overwrites and ``sum``
     accumulates.
-
-    **Merge contract for ``mode="last"``:** shard merges happen in
-    deterministic shard order (``RequestBatch.by_video()`` order, the
-    same across serial/thread/process backends), and a shard that never
-    touched the gauge does not overwrite it on merge.  "Last" across a
-    sharded run therefore means *the last touched shard in shard order*
-    -- NOT wall-clock last-writer, which would be racy under threads and
-    meaningless across processes.  Consequence: a ``last`` gauge set by
-    multiple shards to different values is order-defined but rarely what
-    you want -- prefer ``max``/``min``/``sum`` for cross-shard
-    aggregation, and reserve ``last`` for values set once per run (or
-    only by the coordinating engine).  Pinned by
-    ``tests/obs/test_metrics.py::TestGaugeLastMergeContract`` and the
-    cross-backend test in ``tests/obs/test_pipeline.py``.
     """
 
     __slots__ = ("_value", "_mode", "_touched")
@@ -126,19 +103,13 @@ class Gauge:
     def value(self) -> float:
         return self._value
 
-    def _merge(self, other: "Gauge") -> None:
-        if other._touched:
-            self.set(other._value)
-
 
 class Histogram:
-    """Fixed-boundary histogram (merge-exact bucket counts).
+    """Fixed-boundary histogram.
 
     ``boundaries`` are inclusive upper bounds; an implicit ``+Inf``
-    bucket catches the tail.  Bucket counts are integers, so merging is
-    associative and exact; ``sum`` is a float and is exact whenever the
-    observed values are integers (which is what worker-side call sites
-    observe -- see the module docstring).
+    bucket catches the tail.  Bucket counts are integers; ``sum`` is a
+    float and is exact whenever the observed values are integers.
     """
 
     __slots__ = ("boundaries", "_counts", "_sum", "_count")
@@ -191,17 +162,6 @@ class Histogram:
             out.append((_fmt_bound(b), running))
         out.append(("+Inf", running + self._counts[-1]))
         return out
-
-    def _merge(self, other: "Histogram") -> None:
-        if other.boundaries != self.boundaries:
-            raise MetricsError(
-                f"cannot merge histograms with different boundaries: "
-                f"{self.boundaries} vs {other.boundaries}"
-            )
-        for i, c in enumerate(other._counts):
-            self._counts[i] += c
-        self._sum += other._sum
-        self._count += other._count
 
 
 def _fmt_bound(bound: float) -> str:
@@ -342,19 +302,7 @@ class MetricsRegistry:
             fam.help = help
         return fam
 
-    # -- aggregation ---------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry | NullRegistry") -> None:
-        """Absorb ``other`` (e.g. a worker-shard registry) into this one."""
-        if isinstance(other, NullRegistry):
-            return
-        for name, fam in other._families.items():
-            mine = self._family(
-                name, fam.kind, fam.help, fam.deterministic,
-                fam.mode, fam.boundaries,
-            )
-            for key, child in fam.children.items():
-                mine.child(key)._merge(child)  # type: ignore[arg-type]
+    # -- reading -------------------------------------------------------------
 
     def families(self) -> Iterator[_Family]:
         """Families in registration-independent (sorted-name) order."""
@@ -365,9 +313,8 @@ class MetricsRegistry:
         """JSON-serializable dump of every family.
 
         With ``deterministic_only=True`` the dump contains exactly the
-        families whose values are invariant across Phase-1 backends for a
-        seeded batch -- the subset the cross-backend equality tests (and
-        the PR acceptance criteria) compare.
+        families whose values are fixed for a seeded batch -- the subset
+        that replay and drill equality checks compare.
         """
         out: dict[str, dict] = {}
         for fam in self.families():
@@ -433,8 +380,7 @@ class NullRegistry:
     """No-op registry: every accessor returns a shared inert instrument.
 
     Instrumented call sites pay one attribute lookup and one call; no
-    allocation, no bookkeeping.  ``snapshot()`` is empty and ``merge``
-    discards its argument.
+    allocation, no bookkeeping.  ``snapshot()`` is empty.
     """
 
     enabled = False
@@ -447,9 +393,6 @@ class NullRegistry:
 
     def histogram(self, name: str, **kw: Any) -> _NullHistogram:
         return _NULL_HISTOGRAM
-
-    def merge(self, other: object) -> None:
-        pass
 
     def families(self) -> Iterator[_Family]:
         return iter(())

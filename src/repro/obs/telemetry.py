@@ -111,25 +111,6 @@ class Observability:
     def enabled(self) -> bool:
         return self.metrics.enabled
 
-    def child(self) -> "Observability":
-        """A fresh handle of the same enabledness for one worker shard.
-
-        Shard solves record into their child and the engine merges the
-        children back in shard order, keeping the parent tracer's span
-        stack single-threaded.
-        """
-        if not self.enabled:
-            return NULL_OBS
-        return Observability.on(journal=self.journal.enabled)
-
-    def absorb(self, other: "Observability", *, parent: str | None = None) -> None:
-        """Merge a child handle's metrics, spans and journal into this one."""
-        if not self.enabled or not other.enabled:
-            return
-        self.metrics.merge(other.metrics)
-        self.tracer.absorb(other.tracer.records, parent=parent)
-        self.journal.absorb(other.journal.events)
-
     def telemetry(self, *, deterministic_only: bool = False) -> RunTelemetry:
         """Snapshot the current metrics + spans as a :class:`RunTelemetry`."""
         return RunTelemetry(

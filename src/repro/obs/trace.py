@@ -12,13 +12,7 @@ Spans nest: the tracer keeps an active-span stack, so each record knows
 its parent span's name.  Span *counts and attributes* are deterministic
 for a seeded batch (they describe the work graph); *durations* are wall
 time and are intentionally kept out of the metrics registry so that
-cross-backend registry equality holds bit-exactly.
-
-Worker processes and threads record into their own tracer and the
-Phase-1 engine merges the records back in shard order
-(:meth:`Tracer.absorb`), mirroring how worker cache statistics merge.
-Records shipped from another process keep their durations but their
-``start`` offsets live in that process's clock domain.
+registry snapshots of two runs compare bit-exactly.
 
 :class:`NullTracer` is the default everywhere: ``span()`` returns one
 shared inert context manager, so disabled tracing costs a method call
@@ -29,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -38,9 +32,7 @@ class SpanRecord:
 
     ``span_id``/``parent_id`` stitch the records into a tree: ids are
     small integers allocated in span-open order (1-based; ``parent_id``
-    0 marks a root).  Records absorbed from worker shards are remapped
-    into the absorbing tracer's id space, so the merged trace is one
-    consistent tree -- the input of the critical-path reducer
+    0 marks a root).  The tree is the input of the critical-path reducer
     (:mod:`repro.obs.critpath`).  ``parent`` keeps the enclosing span's
     *name* for human-readable filtering.
     """
@@ -127,10 +119,6 @@ class Tracer:
     Args:
         clock: Monotonic time source (seconds); injectable for
             deterministic tests.  Defaults to :func:`time.perf_counter`.
-
-    Not thread-safe: concurrent shard solves each get their own tracer
-    (via :meth:`repro.obs.telemetry.Observability.child`) and are merged
-    afterwards in deterministic shard order.
     """
 
     enabled = True
@@ -157,47 +145,6 @@ class Tracer:
         for r in self._records:
             out[r.name] = out.get(r.name, 0) + 1
         return dict(sorted(out.items()))
-
-    def absorb(self, records: Iterable[SpanRecord], *, parent: str | None = None) -> None:
-        """Append records produced elsewhere (worker shards).
-
-        ``parent`` re-parents *root* records (those without a parent of
-        their own) under a local span name, so worker-side ``ivsp.video``
-        spans hang off the engine's ``ivsp`` span in the merged trace.
-
-        Span ids are remapped by a constant offset into this tracer's id
-        space; root records additionally get the currently-open span's
-        id as their ``parent_id`` (the engine absorbs shards *inside*
-        its own ``ivsp`` span), so the merged records still form one
-        consistent tree.
-        """
-        records = tuple(records)
-        if not records:
-            return
-        offset = self._next_id - 1
-        anchor_id = self._id_stack[-1] if self._id_stack else 0
-        max_seen = 0
-        for r in records:
-            max_seen = max(max_seen, r.span_id)
-            pname = r.parent
-            if r.parent_id:
-                pid = r.parent_id + offset
-            else:
-                pid = anchor_id if parent is not None else 0
-                if parent is not None and pname is None:
-                    pname = parent
-            self._records.append(
-                SpanRecord(
-                    r.name,
-                    r.start,
-                    r.duration,
-                    pname,
-                    r.attrs,
-                    span_id=r.span_id + offset if r.span_id else 0,
-                    parent_id=pid,
-                )
-            )
-        self._next_id = offset + max_seen + 1
 
 
 class _NullSpan:
@@ -230,9 +177,6 @@ class NullTracer:
 
     def counts(self) -> dict[str, int]:
         return {}
-
-    def absorb(self, records: Iterable[SpanRecord], *, parent: str | None = None) -> None:
-        pass
 
 
 NULL_TRACER = NullTracer()

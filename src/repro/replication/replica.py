@@ -18,8 +18,7 @@ Two placement policies ship with the map:
   and deterministic, so placements replay bit-identically.
 
 Maps are plain data: they serialize to JSON (format-versioned like
-:class:`~repro.faults.plan.FaultPlan`), reload to an equal object, and
-survive pickling into process-pool workers unchanged.
+:class:`~repro.faults.plan.FaultPlan`) and reload to an equal object.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from repro.obs import NULL_OBS, Observability, RunTelemetry
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
-from repro.core.parallel import ParallelConfig
 from repro.errors import ScheduleError, WorkloadError
 from repro.extensions.rolling import CycleResult, RollingScheduler
 from repro.faults.contingency import RecoveryResult
@@ -111,11 +110,6 @@ class VORService:
         cost_model: Optional custom Ψ (e.g. a diurnal tariff).
         warehouse: Optional hierarchical-warehouse spec; when given, every
             cycle close also plans tape staging.
-        parallel: Phase-1 execution plan
-            (:class:`repro.core.parallel.ParallelConfig`): pick the
-            ``thread``/``process`` backend and worker count to fan the
-            per-video greedy across a pool.  ``None`` runs serially.
-            Results are bit-identical either way.
         obs: Observability handle (:class:`repro.obs.Observability`);
             defaults to the inert :data:`repro.obs.NULL_OBS`.  When live,
             every cycle close records spans (``close_cycle`` → ``cycle`` →
@@ -138,7 +132,6 @@ class VORService:
         heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
         cost_model: CostModel | None = None,
         warehouse: WarehouseSpec | None = None,
-        parallel: ParallelConfig | None = None,
         obs: Observability | None = None,
         replicas=None,
     ):
@@ -166,7 +159,6 @@ class VORService:
             catalog,
             heat_metric=heat_metric,
             cost_model=self.cost_model,
-            parallel=parallel,
             obs=self.obs,
         )
         self._warehouse = warehouse

@@ -13,8 +13,7 @@ order.  The priority rank pins the relative order of *simultaneous* events:
   order the engine pushed them).
 
 This total order is part of the replay contract: fault injection and
-contingency re-scheduling rely on traces being stable across runs and
-Phase-1 backends, so the tie-break is pinned by regression tests rather
+contingency re-scheduling rely on traces being stable across runs, so the tie-break is pinned by regression tests rather
 than left to incidental heap behaviour.
 """
 

@@ -23,7 +23,6 @@ import pytest
 
 from repro import (
     CostModel,
-    ParallelConfig,
     Request,
     RequestBatch,
     VideoCatalog,
@@ -108,17 +107,6 @@ class TestHeuristicVsOptimal:
             ratios.append(ratio)
         mean = sum(ratios) / len(ratios)
         assert mean <= MAX_MEAN_GAP, f"mean gap {mean:.3f}"
-
-    def test_parallel_heuristic_same_gap(self, instances):
-        """The optimality gap is a property of the algorithm, not the backend."""
-        topo, catalog, batch = instances[0]
-        serial = VideoScheduler(topo, catalog).solve(batch)
-        par = VideoScheduler(
-            topo,
-            catalog,
-            parallel=ParallelConfig(backend="thread", workers=2, min_videos=0),
-        ).solve(batch)
-        assert par.total_cost == serial.total_cost
 
     def test_single_request_heuristic_is_optimal(self):
         """One request has no caching opportunity: both pick the warehouse."""

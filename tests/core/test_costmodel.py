@@ -189,6 +189,30 @@ class TestAggregation:
         assert fig2_cm.total(Schedule()) == 0.0
 
 
+class TestReplicaClone:
+    """``with_replicas`` clones share the memoized Ψ_C/Ψ_D values."""
+
+    def test_clone_hits_the_warm_cache(self, fig2_cm):
+        s2 = fig2_schedule_s2()
+        fig2_cm.total(s2)  # warm both caches
+        clone = fig2_cm.with_replicas(fig2_cm.replicas)
+        assert clone.cache_stats.lookups == 0  # counters start fresh
+        (residency,) = s2.residencies
+        clone.residency_cost(residency)
+        assert clone.cache_stats_detail.psi_c.hits == 1
+        assert clone.cache_stats_detail.psi_c.misses == 0
+        clone.delivery_cost(s2.deliveries[0])
+        assert clone.cache_stats_detail.psi_d.hits == 1
+        assert clone.cache_stats_detail.psi_d.misses == 0
+
+    def test_clone_prices_like_the_original(self, fig2_cm):
+        s2 = fig2_schedule_s2()
+        want = fig2_cm.total(s2)
+        clone = fig2_cm.with_replicas(fig2_cm.replicas)
+        assert clone.total(s2) == want
+        assert fig2_cm.cache_stats.lookups > 0  # original counters kept
+
+
 class TestCostModelProperties:
     @given(
         srate=st.floats(min_value=0.0, max_value=10.0),

@@ -1,10 +1,11 @@
-"""Parallel Phase-1 engine: determinism, sharding, config, and the
-mutable-state regressions the parallel path would expose.
+"""Phase-1 engine: determinism, cache transparency, and the
+mutable-state regressions a reused scheduler would expose.
 
-The load-bearing guarantee is *bit-identity*: every backend/worker-count
-combination must produce exactly the serial schedule, cost, and resolution
-statistics.  These tests exercise it over seeded random workloads, with and
-without carryover seeds, through both the engine and the public facades.
+The load-bearing guarantee is *determinism*: the engine reproduces the
+plain per-video greedy, and repeated runs produce exactly the same
+schedule, cost, and resolution statistics.  These tests exercise it over
+seeded random workloads, with and without carryover seeds, through both
+the engine and the public facades.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 from repro import (
     CostModel,
-    ParallelConfig,
+    IndividualScheduler,
     ParallelIndividualScheduler,
     Request,
     RequestBatch,
@@ -25,13 +26,8 @@ from repro import (
     paper_topology,
     units,
 )
-from repro.core.parallel import make_shards
 from repro.core.schedule import ResidencyInfo
-from repro.errors import ScheduleError
 from repro.extensions.rolling import RollingScheduler
-
-BACKENDS = ("thread", "process")
-WORKER_COUNTS = (1, 2, 8)
 
 
 def _random_batch(seed: int, *, n_videos: int = 16, n_requests: int = 60) -> tuple:
@@ -63,38 +59,29 @@ def workload(request):
 
 
 class TestDeterminism:
-    def test_engine_matches_serial_all_backends(self, workload):
+    def test_engine_matches_individual_scheduler(self, workload):
         topo, catalog, batch = workload
+        want = IndividualScheduler(CostModel(topo, catalog)).solve(batch)
         cm = CostModel(topo, catalog)
-        serial = ParallelIndividualScheduler(cm).run(batch).schedule
-        for backend in BACKENDS:
-            for workers in WORKER_COUNTS:
-                cfg = ParallelConfig(backend=backend, workers=workers)
-                engine = ParallelIndividualScheduler(CostModel(topo, catalog), cfg)
-                result = engine.run(batch)
-                assert result.backend == backend
-                assert result.workers == workers
-                assert result.schedule == serial, (backend, workers)
+        result = ParallelIndividualScheduler(cm).run(batch)
+        assert result.schedule == want
+        assert result.detail == cm.cache_stats_detail
+        assert result.cache_stats == result.detail.combined
+        assert result.cache_stats.lookups > 0
 
     def test_two_phase_solve_identical(self, workload):
         topo, catalog, batch = workload
-        serial = VideoScheduler(topo, catalog).solve(batch)
-        for backend in BACKENDS:
-            for workers in (2, 8):
-                par = VideoScheduler(
-                    topo,
-                    catalog,
-                    parallel=ParallelConfig(backend=backend, workers=workers),
-                ).solve(batch)
-                assert par.schedule == serial.schedule, (backend, workers)
-                assert par.cost == serial.cost
-                assert par.phase1_cost == serial.phase1_cost
-                # ResolutionStats equality covers iteration counts, victim
-                # records and costs (cache counters are excluded by design)
-                assert par.resolution == serial.resolution
+        first = VideoScheduler(topo, catalog).solve(batch)
+        again = VideoScheduler(topo, catalog).solve(batch)
+        assert again.schedule == first.schedule
+        assert again.cost == first.cost
+        assert again.phase1_cost == first.phase1_cost
+        # ResolutionStats equality covers iteration counts, victim
+        # records and costs (cache counters are excluded by design)
+        assert again.resolution == first.resolution
 
     def test_seeded_runs_identical(self, workload):
-        """Carryover-seeded Phase 1 is deterministic across backends too."""
+        """Carryover-seeded Phase 1 is deterministic too."""
         topo, catalog, batch = workload
         video_id = batch.video_ids[0]
         storages = [s.name for s in topo.storages]
@@ -109,24 +96,24 @@ class TestDeterminism:
                 ),
             )
         }
-        cm = CostModel(topo, catalog)
-        serial = ParallelIndividualScheduler(cm).run(batch, seeds=seeds).schedule
-        for backend in BACKENDS:
-            cfg = ParallelConfig(backend=backend, workers=2)
-            par = (
-                ParallelIndividualScheduler(CostModel(topo, catalog), cfg)
-                .run(batch, seeds=seeds)
-                .schedule
-            )
-            assert par == serial, backend
+        first = ParallelIndividualScheduler(CostModel(topo, catalog)).run(
+            batch, seeds=seeds
+        )
+        again = ParallelIndividualScheduler(CostModel(topo, catalog)).run(
+            batch, seeds=seeds
+        )
+        assert again.schedule == first.schedule
+        assert first.schedule == IndividualScheduler(
+            CostModel(topo, catalog)
+        ).solve(batch, seeds=seeds)
 
     def test_rolling_cycles_identical(self, workload):
         topo, catalog, _ = workload
         gen = WorkloadGenerator(topo, catalog, users_per_neighborhood=4)
         batches = [gen.generate(seed=s) for s in (1, 2)]
 
-        def run(parallel):
-            rolling = RollingScheduler(topo, catalog, parallel=parallel)
+        def run():
+            rolling = RollingScheduler(topo, catalog)
             out = []
             for i, b in enumerate(batches):
                 shifted = RequestBatch(
@@ -145,13 +132,15 @@ class TestDeterminism:
                 )
             return out
 
-        base = run(None)
-        for backend in BACKENDS:
-            cycles = run(ParallelConfig(backend=backend, workers=2))
-            for got, want in zip(cycles, base):
-                assert got.schedule == want.schedule, backend
-                assert got.cost == want.cost
-                assert got.resolution == want.resolution
+        for got, want in zip(run(), run()):
+            assert got.schedule == want.schedule
+            assert got.cost == want.cost
+            assert got.resolution == want.resolution
+
+    def test_empty_batch(self):
+        topo, catalog, _ = _random_batch(1)
+        engine = ParallelIndividualScheduler(CostModel(topo, catalog))
+        assert len(engine.run(RequestBatch()).schedule) == 0
 
 
 class TestCacheTransparency:
@@ -180,62 +169,8 @@ class TestCacheTransparency:
         assert result.resolution.cache_stats.lookups >= 0
 
 
-class TestSharding:
-    def test_contiguous_and_balanced(self):
-        work = [(f"v{i}", (), ()) for i in range(10)]
-        shards = make_shards(work, 3)
-        assert [len(s) for s in shards] == [4, 3, 3]
-        assert [item for shard in shards for item in shard] == work
-
-    def test_more_shards_than_work(self):
-        work = [(f"v{i}", (), ()) for i in range(2)]
-        shards = make_shards(work, 8)
-        assert [len(s) for s in shards] == [1, 1]
-
-    def test_empty_work(self):
-        assert make_shards([], 4) == []
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ScheduleError):
-            make_shards([], 0)
-
-
-class TestConfig:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ScheduleError):
-            ParallelConfig(backend="gpu")
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ScheduleError):
-            ParallelConfig(workers=0)
-
-    def test_rejects_bad_chunking(self):
-        with pytest.raises(ScheduleError):
-            ParallelConfig(chunks_per_worker=0)
-
-    def test_resolved_workers_defaults_to_cpu_count(self):
-        assert ParallelConfig().resolved_workers() >= 1
-        assert ParallelConfig(workers=5).resolved_workers() == 5
-
-    def test_small_batches_fall_back_to_serial(self, fig2_topology, fig2_catalog, fig2_batch):
-        cfg = ParallelConfig(backend="process", workers=4, min_videos=64)
-        engine = ParallelIndividualScheduler(
-            CostModel(fig2_topology, fig2_catalog), cfg
-        )
-        result = engine.run(fig2_batch)
-        assert result.backend == "serial"
-        assert len(result.schedule.deliveries) == len(fig2_batch)
-
-    def test_empty_batch(self):
-        topo, catalog, _ = _random_batch(1)
-        engine = ParallelIndividualScheduler(
-            CostModel(topo, catalog), ParallelConfig(backend="thread", workers=2)
-        )
-        assert len(engine.run(RequestBatch()).schedule) == 0
-
-
 class TestMutableStateRegressions:
-    """The hazards a parallel/reused scheduler would expose (audit findings)."""
+    """The hazards a reused scheduler would expose (audit findings)."""
 
     def test_back_to_back_batches_on_one_scheduler(self):
         """One VideoScheduler must give the same answers as fresh ones."""
@@ -253,9 +188,7 @@ class TestMutableStateRegressions:
     def test_back_to_back_batches_through_parallel_engine(self):
         topo, catalog, batch_a = _random_batch(7)
         _, _, batch_b = _random_batch(7, n_requests=30)
-        engine = ParallelIndividualScheduler(
-            CostModel(topo, catalog), ParallelConfig(backend="thread", workers=2)
-        )
+        engine = ParallelIndividualScheduler(CostModel(topo, catalog))
         got_a, got_b = engine.run(batch_a).schedule, engine.run(batch_b).schedule
         cm = CostModel(topo, catalog)
         want_a = ParallelIndividualScheduler(cm).run(batch_a).schedule

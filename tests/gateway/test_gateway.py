@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro import (
-    ParallelConfig,
     Request,
     RequestBatch,
     Topology,
@@ -287,21 +286,17 @@ class TestDeterminism:
 class TestDirectBatchEquivalence:
     """Accept-all + zero backpressure must be a no-op wrapper: the sealed
     cycle's schedule is bit-identical to feeding the service the same
-    batch directly, on every Phase-1 backend."""
+    batch directly."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_matches_direct_batch_feed(
-        self, gw_topology, gw_catalog, gw_feed, backend
-    ):
-        parallel = ParallelConfig(backend=backend, workers=2)
+    def test_matches_direct_batch_feed(self, gw_topology, gw_catalog, gw_feed):
         last = max(gw_feed.span[1], gw_feed.showing_span[1])
 
-        service = make_service(gw_topology, gw_catalog, parallel=parallel)
+        service = make_service(gw_topology, gw_catalog)
         gateway = ReservationGateway(service)
         run = gateway.run(gw_feed, boundaries=[last])
         (sealed,) = run.cycles
 
-        direct = make_service(gw_topology, gw_catalog, parallel=parallel)
+        direct = make_service(gw_topology, gw_catalog)
         admissible = [
             e.request
             for e in gw_feed

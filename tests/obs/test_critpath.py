@@ -113,16 +113,6 @@ class TestRealTracerStitching:
         names = [s.name for s in path.steps]
         assert names[0] == "solve" and len(names) >= 2
 
-    def test_absorbed_worker_spans_join_the_tree(self):
-        obs = Observability.on()
-        with obs.tracer.span("ivsp"):
-            worker = obs.child()
-            with worker.tracer.span("ivsp.video"):
-                pass
-            obs.absorb(worker, parent="ivsp")
-        (path,) = critical_paths(obs.tracer.records)
-        assert [s.name for s in path.steps] == ["ivsp", "ivsp.video"]
-
 
 class TestFormatting:
     def test_marks_hot_frame_and_indents(self, tree):

@@ -8,7 +8,6 @@ from repro import Request, units
 from repro.obs.events import (
     EVENT_KINDS,
     JournalError,
-    JournalEvent,
     NULL_JOURNAL,
     RequestJournal,
     load_journal_jsonl,
@@ -80,39 +79,6 @@ class TestEmit:
         j.emit("shed")
         assert j.counts() == {"admitted": 1, "shed": 2}
         assert list(j.counts()) == ["admitted", "shed"]
-
-
-class TestAbsorb:
-    def test_resequences_in_shard_order(self):
-        main, shard1, shard2 = RequestJournal(), RequestJournal(), RequestJournal()
-        main.emit("admitted", request_id="r0")
-        shard1.emit("phase1-assigned", request_id="r1")
-        shard2.emit("phase1-assigned", request_id="r2")
-        main.absorb(shard1.events)
-        main.absorb(shard2.events)
-        assert [e.seq for e in main] == [0, 1, 2]
-        assert [e.request_id for e in main] == ["r0", "r1", "r2"]
-
-    def test_merged_order_equals_serial_order(self):
-        # emitting directly vs sharded-then-absorbed yields identical logs
-        serial = RequestJournal()
-        for rid in ("a", "b", "c"):
-            serial.emit("phase1-assigned", request_id=rid, source="VW")
-        sharded = RequestJournal()
-        for rid in ("a", "b", "c"):
-            shard = RequestJournal()
-            shard.emit("phase1-assigned", request_id=rid, source="VW")
-            sharded.absorb(shard.events)
-        assert sharded.events == serial.events
-
-    def test_source_events_unmutated(self):
-        shard = RequestJournal()
-        shard.emit("saved", request_id="r")
-        main = RequestJournal()
-        main.emit("admitted", request_id="r")
-        main.absorb(shard.events)
-        assert shard.events[0].seq == 0  # frozen original untouched
-        assert main.events[1].seq == 1
 
 
 class TestExplain:
@@ -240,9 +206,3 @@ class TestNullJournal:
         assert NULL_JOURNAL.request_ids() == ()
         assert NULL_JOURNAL.explain("r") == ()
         assert NULL_JOURNAL.format_timeline("r") == "journal disabled"
-
-    def test_absorb_noop(self):
-        NULL_JOURNAL.absorb(
-            (JournalEvent(seq=0, kind="admitted", request_id="r"),)
-        )
-        assert NULL_JOURNAL.events == ()

@@ -114,17 +114,6 @@ class TestPrometheusOrdering:
 
         assert build(("z_total", "a_total")) == build(("a_total", "z_total"))
 
-    def test_merge_order_does_not_change_output(self):
-        def build(order):
-            obs = Observability.on()
-            for name in order:
-                shard = Observability.on()
-                shard.metrics.counter(name).inc()
-                obs.metrics.merge(shard.metrics)
-            return prometheus_text(obs.metrics)
-
-        assert build(("z_total", "a_total")) == build(("a_total", "z_total"))
-
 
 class TestJsonSnapshot:
     def test_layout(self, populated_obs):

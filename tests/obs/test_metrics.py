@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry: instruments, labels, merges."""
+"""Unit tests for the metrics registry: instruments, labels, snapshots."""
 
 import pickle
 
@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     MetricsError,
     MetricsRegistry,
     NullRegistry,
-    NULL_REGISTRY,
 )
 
 
@@ -72,75 +71,6 @@ class TestGauge:
         with pytest.raises(MetricsError, match="mode"):
             reg.gauge("g", mode="avg")
 
-    def test_untouched_gauge_does_not_clobber_on_merge(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.gauge("peak", mode="max").set(9.0)
-        b.gauge("peak", mode="max")  # registered, never set
-        a.merge(b)
-        assert a.gauge("peak", mode="max").value == 9.0
-
-
-class TestGaugeLastMergeContract:
-    """Pin the ``mode="last"`` cross-shard semantics.
-
-    "Last" means the last *touched* shard in deterministic shard order,
-    never a wall-clock last-writer.  See the ``Gauge`` docstring.
-    """
-
-    def test_last_touched_shard_in_merge_order_wins(self):
-        main = MetricsRegistry()
-        shard1 = MetricsRegistry()
-        shard2 = MetricsRegistry()
-        shard1.gauge("cost").set(1.0)
-        shard2.gauge("cost").set(2.0)
-        main.merge(shard1)
-        main.merge(shard2)
-        assert main.gauge("cost").value == 2.0
-
-    def test_merge_order_defines_the_result(self):
-        # the symmetric merge gives the other value: "last" is
-        # order-defined, which is exactly why shard order must be
-        # deterministic
-        main = MetricsRegistry()
-        shard1 = MetricsRegistry()
-        shard2 = MetricsRegistry()
-        shard1.gauge("cost").set(1.0)
-        shard2.gauge("cost").set(2.0)
-        main.merge(shard2)
-        main.merge(shard1)
-        assert main.gauge("cost").value == 1.0
-
-    def test_untouched_later_shard_never_overwrites(self):
-        main = MetricsRegistry()
-        shard1 = MetricsRegistry()
-        shard2 = MetricsRegistry()
-        shard1.gauge("cost").set(1.0)
-        shard2.gauge("cost")  # registered, never set
-        main.merge(shard1)
-        main.merge(shard2)
-        assert main.gauge("cost").value == 1.0
-
-    def test_touched_shard_overwrites_coordinator_value(self):
-        main = MetricsRegistry()
-        shard = MetricsRegistry()
-        main.gauge("cost").set(5.0)
-        shard.gauge("cost").set(7.0)
-        main.merge(shard)
-        assert main.gauge("cost").value == 7.0
-
-    def test_merge_marks_target_touched(self):
-        # a value arriving via merge must survive later untouched merges
-        main = MetricsRegistry()
-        shard1 = MetricsRegistry()
-        shard2 = MetricsRegistry()
-        shard1.gauge("cost").set(3.0)
-        shard2.gauge("cost")
-        main.gauge("cost")  # coordinator registers but never sets
-        main.merge(shard1)
-        main.merge(shard2)
-        assert main.gauge("cost").value == 3.0
-
 
 class TestHistogram:
     def test_observe_buckets_by_upper_bound(self):
@@ -164,14 +94,6 @@ class TestHistogram:
         with pytest.raises(MetricsError, match="increasing"):
             Histogram((1, 1))
 
-    def test_merge_requires_identical_boundaries(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.histogram("h", boundaries=COUNT_BUCKETS)
-        b.histogram("h", boundaries=DOLLAR_BUCKETS)
-        with pytest.raises(MetricsError, match="incompatibly|boundaries"):
-            a.merge(b)
-
 
 class TestRegistrySpecConflicts:
     def test_kind_conflict_rejected(self):
@@ -186,59 +108,17 @@ class TestRegistrySpecConflicts:
         with pytest.raises(MetricsError, match="incompatibly"):
             reg.gauge("g", mode="last")
 
+    def test_histogram_boundary_conflict_rejected(self):
+        reg = MetricsRegistry()
+        reg.histogram("h", boundaries=COUNT_BUCKETS)
+        with pytest.raises(MetricsError, match="incompatibly"):
+            reg.histogram("h", boundaries=DOLLAR_BUCKETS)
+
     def test_compatible_reregistration_returns_same_child(self):
         reg = MetricsRegistry()
         reg.counter("x", help="first").inc()
         reg.counter("x").inc()
         assert reg.counter("x").value == 2
-
-
-class TestMerge:
-    @staticmethod
-    def _populated(seed: int) -> MetricsRegistry:
-        reg = MetricsRegistry()
-        reg.counter("c_total", phase="ivsp").inc(seed)
-        reg.counter("c_total", phase="sorp").inc(2 * seed)
-        reg.gauge("peak", mode="max", location="IS1").set(float(seed))
-        h = reg.histogram("h", boundaries=(1, 10, 100))
-        for v in range(seed):
-            h.observe(v)
-        return reg
-
-    def test_merge_is_exact(self):
-        a = self._populated(3)
-        a.merge(self._populated(5))
-        assert a.counter("c_total", phase="ivsp").value == 8
-        assert a.counter("c_total", phase="sorp").value == 16
-        assert a.gauge("peak", mode="max", location="IS1").value == 5.0
-        assert a.histogram("h", boundaries=(1, 10, 100)).count == 8
-
-    def test_merge_is_associative(self):
-        left = self._populated(2)
-        mid_l = self._populated(3)
-        mid_l.merge(self._populated(4))
-        left.merge(mid_l)
-
-        right = self._populated(2)
-        right.merge(self._populated(3))
-        right.merge(self._populated(4))
-
-        assert left.snapshot() == right.snapshot()
-
-    def test_counter_and_histogram_merge_order_independent(self):
-        ab = self._populated(3)
-        ab.merge(self._populated(7))
-        ba = self._populated(7)
-        ba.merge(self._populated(3))
-        # max-gauges are also symmetric; 'last' gauges would not be, which
-        # is why the pipeline only merges last-gauges in deterministic order
-        assert ab.snapshot() == ba.snapshot()
-
-    def test_merge_null_registry_is_noop(self):
-        a = self._populated(3)
-        before = a.snapshot()
-        a.merge(NULL_REGISTRY)
-        assert a.snapshot() == before
 
 
 class TestSnapshot:
@@ -286,6 +166,3 @@ class TestPickling:
         reg.histogram("h", boundaries=(1, 10)).observe(5)
         clone = pickle.loads(pickle.dumps(reg))
         assert clone.snapshot() == reg.snapshot()
-        # and a merged clone doubles the counters (real merge semantics)
-        reg.merge(clone)
-        assert reg.counter("c_total", phase="ivsp").value == 6

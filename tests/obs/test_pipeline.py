@@ -3,10 +3,8 @@
 The acceptance contract of the obs layer:
 
 * a live handle never changes a bit of any schedule;
-* deterministic metric families and span counts are identical across the
-  serial/thread/process Phase-1 backends for a seeded batch;
-* metrics merged from process workers equal the serial run counter-exact
-  and histogram-bucket-exact.
+* deterministic metric families and span counts are identical across
+  runs of a seeded batch, counter-exact and histogram-bucket-exact.
 """
 
 import json
@@ -15,7 +13,6 @@ import pytest
 
 from repro import (
     Observability,
-    ParallelConfig,
     VideoScheduler,
     VORService,
     WorkloadGenerator,
@@ -24,7 +21,6 @@ from repro import (
     units,
 )
 from repro.core.costmodel import CostModel
-from repro.core.parallel import ParallelIndividualScheduler
 from repro.sim.engine import SimulationEngine
 
 
@@ -42,16 +38,9 @@ def env():
     return topo, catalog, batch
 
 
-def _solve(env, *, obs=None, backend="serial", workers=2):
+def _solve(env, *, obs=None):
     topo, catalog, batch = env
-    parallel = (
-        None
-        if backend == "serial"
-        else ParallelConfig(backend=backend, workers=workers)
-    )
-    return VideoScheduler(
-        topo, catalog, parallel=parallel, obs=obs
-    ).solve(batch)
+    return VideoScheduler(topo, catalog, obs=obs).solve(batch)
 
 
 class TestBitIdenticalSchedules:
@@ -63,97 +52,56 @@ class TestBitIdenticalSchedules:
         assert observed.resolution.victims == plain.resolution.victims
 
 
-class TestCrossBackendDeterminism:
+class TestRunDeterminism:
     @pytest.fixture(scope="class")
     def runs(self, env):
-        out = {}
-        for backend in ("serial", "thread", "process"):
+        out = []
+        for _ in range(2):
             obs = Observability.on()
-            out[backend] = (_solve(env, obs=obs, backend=backend), obs)
+            out.append((_solve(env, obs=obs), obs))
         return out
 
     def test_schedules_identical(self, runs):
-        serial = runs["serial"][0].schedule
-        assert runs["thread"][0].schedule == serial
-        assert runs["process"][0].schedule == serial
+        (first, _), (again, _) = runs
+        assert again.schedule == first.schedule
 
     def test_deterministic_metric_families_identical(self, runs):
-        snaps = {
-            backend: obs.metrics.snapshot(deterministic_only=True)
-            for backend, (_, obs) in runs.items()
-        }
-        assert snaps["thread"] == snaps["serial"]
-        assert snaps["process"] == snaps["serial"]
+        first, again = (
+            obs.metrics.snapshot(deterministic_only=True) for _, obs in runs
+        )
+        assert again == first
 
-    def test_histograms_bucket_exact_across_backends(self, runs):
-        for backend in ("thread", "process"):
-            serial = runs["serial"][1].metrics.snapshot()
-            other = runs[backend][1].metrics.snapshot()
-            assert (
-                other["vor_requests_per_video"]["values"]
-                == serial["vor_requests_per_video"]["values"]
-            )
+    def test_histograms_bucket_exact_across_runs(self, runs):
+        first, again = (obs.metrics.snapshot() for _, obs in runs)
+        assert first["vor_requests_per_video"]["values"]
+        assert (
+            again["vor_requests_per_video"]["values"]
+            == first["vor_requests_per_video"]["values"]
+        )
 
     def test_span_counts_identical(self, runs):
-        counts = {
-            backend: obs.tracer.counts() for backend, (_, obs) in runs.items()
-        }
-        for backend in ("thread", "process"):
-            assert (
-                counts[backend]["ivsp.video"] == counts["serial"]["ivsp.video"]
-            )
-            assert counts[backend]["sorp"] == counts["serial"]["sorp"]
-            assert (
-                counts[backend]["sorp.round"] == counts["serial"]["sorp.round"]
-            )
+        first, again = (obs.tracer.counts() for _, obs in runs)
+        for name in ("ivsp.video", "sorp", "sorp.round"):
+            assert again[name] == first[name]
 
-    def test_last_gauges_identical_across_backends(self, runs):
+    def test_last_gauges_identical_across_runs(self, runs):
         # vor_schedule_cost_dollars is a mode="last" gauge set by the
-        # coordinating facade after the shard merges; the Gauge "last"
-        # contract (last touched shard in deterministic shard order)
-        # makes its value backend-invariant
-        def fam(obs):
-            return obs.metrics.snapshot()["vor_schedule_cost_dollars"]
-
-        serial = fam(runs["serial"][1])
-        assert serial["values"]  # the facade populated it
-        assert fam(runs["thread"][1]) == serial
-        assert fam(runs["process"][1]) == serial
+        # facade once per solve
+        first, again = (
+            obs.metrics.snapshot()["vor_schedule_cost_dollars"]
+            for _, obs in runs
+        )
+        assert first["values"]  # the facade populated it
+        assert again == first
 
     def test_cache_eval_totals_deterministic(self, runs):
-        # hit/miss splits vary with worker layout, but hits+misses per
-        # (cache, phase) counts Ψ evaluations and must match exactly
-        def totals(obs):
-            snap = obs.metrics.snapshot()
-            return snap["vor_psi_evaluations_total"]["values"]
-
-        serial = totals(runs["serial"][1])
-        assert totals(runs["thread"][1]) == serial
-        assert totals(runs["process"][1]) == serial
-
-
-class TestShardStats:
-    def test_thread_shard_stats_sum_to_total(self, env):
-        topo, catalog, batch = env
-        engine = ParallelIndividualScheduler(
-            CostModel(topo, catalog),
-            ParallelConfig(backend="thread", workers=2),
+        # hits+misses per (cache, phase) counts Ψ evaluations and must
+        # match exactly
+        first, again = (
+            obs.metrics.snapshot()["vor_psi_evaluations_total"]["values"]
+            for _, obs in runs
         )
-        result = engine.run(batch, catalog)
-        assert len(result.shard_stats) > 1
-        assert sum(s.hits for s in result.shard_stats) == result.cache_stats.hits
-        assert (
-            sum(s.misses for s in result.shard_stats)
-            == result.cache_stats.misses
-        )
-
-    def test_serial_run_reports_one_shard(self, env):
-        topo, catalog, batch = env
-        result = ParallelIndividualScheduler(CostModel(topo, catalog)).run(
-            batch, catalog
-        )
-        assert result.shard_stats == (result.cache_stats,)
-        assert result.cache_stats.lookups > 0
+        assert again == first
 
 
 class TestSpanTaxonomy:

@@ -73,17 +73,6 @@ class TestTracer:
             pass
         assert tracer.counts() == {"ivsp": 1, "ivsp.video": 3}
 
-    def test_absorb_reparents_roots_only(self):
-        worker = Tracer(FakeClock())
-        with worker.span("ivsp.video"):
-            with worker.span("inner"):
-                pass
-        main = Tracer(FakeClock())
-        main.absorb(worker.records, parent="ivsp")
-        by_name = {r.name: r for r in main.records}
-        assert by_name["ivsp.video"].parent == "ivsp"  # root re-parented
-        assert by_name["inner"].parent == "ivsp.video"  # child kept
-
     def test_span_record_to_dict_round_trips_json(self):
         import json
 

@@ -3,8 +3,7 @@
 The acceptance drill from the replication work: on a two-warehouse chain
 with full-copy replicas, losing one warehouse must *save* requests that
 the paper's single-warehouse topology inevitably loses, and the recovery
-outcome must be bit-identical across the serial / thread / process
-Phase-1 backends.
+outcome must be bit-identical on rerun.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from repro import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    ParallelConfig,
     ReplicaMap,
     Request,
     RequestBatch,
@@ -27,8 +25,6 @@ from repro import (
 from repro.catalog.catalog import VideoCatalog
 from repro.catalog.video import VideoFile
 from repro.sim import validate_schedule
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def _two_warehouse_topology() -> Topology:
@@ -194,35 +190,29 @@ class TestSurvivability:
         assert rec.resolution is None
 
 
-class TestCrossBackendDeterminism:
-    def test_recovery_bit_identical_across_backends(self, catalog, batch):
+class TestRecoveryDeterminism:
+    def test_recovery_bit_identical_on_rerun(self, catalog, batch):
         topo = _two_warehouse_topology()
         sched = VideoScheduler(
             topo, catalog, replicas=ReplicaMap.full_copy(topo, catalog)
         )
         baseline = sched.solve(batch)
-        results = {}
-        for backend in BACKENDS:
-            cs = ContingencyScheduler(
-                sched.cost_model,
-                parallel=ParallelConfig(
-                    backend=backend, workers=2, min_videos=0
-                ),
-            )
-            results[backend] = cs.recover(
+        # the solve's warm model, then a fresh one carrying the same map
+        fresh = CostModel(topo, catalog, replicas=sched.cost_model.replicas)
+        first, again = (
+            ContingencyScheduler(cm).recover(
                 baseline.schedule, _loss("VW1"), batch=batch
             )
-        serial = results["serial"]
-        for backend in ("thread", "process"):
-            rec = results[backend]
-            assert rec.saved == serial.saved
-            assert rec.lost == serial.lost
-            # exact float equality: the recovery must be bit-identical
-            assert rec.cost_after == serial.cost_after
-            assert _canonical(rec.schedule) == _canonical(serial.schedule)
+            for cm in (sched.cost_model, fresh)
+        )
+        assert again.saved == first.saved
+        assert again.lost == first.lost
+        # exact float equality: the recovery must be bit-identical
+        assert again.cost_after == first.cost_after
+        assert _canonical(again.schedule) == _canonical(first.schedule)
 
     def test_larger_drill_bit_identical(self, catalog):
-        """More videos than workers, so work actually fans out."""
+        """A six-video drill replays bit-identically on a fresh model."""
         videos = [
             VideoFile(f"x{i}", size=50.0 + i, playback=10.0)
             for i in range(6)
@@ -239,25 +229,16 @@ class TestCrossBackendDeterminism:
             topo, catalog, replicas=ReplicaMap.full_copy(topo, catalog)
         )
         baseline = sched.solve(batch)
-        canonical = None
-        for backend in BACKENDS:
-            cs = ContingencyScheduler(
-                sched.cost_model,
-                parallel=ParallelConfig(
-                    backend=backend, workers=2, min_videos=0
-                ),
+        fresh = CostModel(topo, catalog, replicas=sched.cost_model.replicas)
+        snapshots = []
+        for cm in (sched.cost_model, fresh):
+            rec = ContingencyScheduler(cm).recover(
+                baseline.schedule, _loss("VW2"), batch=batch
             )
-            rec = cs.recover(baseline.schedule, _loss("VW2"), batch=batch)
-            snapshot = (
-                rec.saved,
-                rec.lost,
-                rec.cost_after,
-                _canonical(rec.schedule),
+            snapshots.append(
+                (rec.saved, rec.lost, rec.cost_after, _canonical(rec.schedule))
             )
-            if canonical is None:
-                canonical = snapshot
-            else:
-                assert snapshot == canonical, backend
+        assert snapshots[0] == snapshots[1]
 
 
 def _masked(topo: Topology, *down: str) -> Topology:

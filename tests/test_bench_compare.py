@@ -1,6 +1,6 @@
 """Tests for the benchmark baseline-comparison gate.
 
-The speedup report lives under ``benchmarks/`` (not collected by the tier-1
+The scheduler report lives under ``benchmarks/`` (not collected by the tier-1
 run), so its pure comparison logic is imported here by file path and pinned
 against the committed ``BENCH_phase1.json`` baseline's shape.
 """
@@ -36,9 +36,7 @@ class TestCompareReports:
 
     def test_timing_changes_do_not_gate(self, bench, baseline):
         current = json.loads(json.dumps(baseline))
-        for row in current["backends"]:
-            row["wall_time_seconds"] *= 100
-            row["speedup"] /= 100
+        current["phase1"]["wall_time_seconds"] *= 100
         current["uncached"]["wall_time_seconds"] *= 100
         assert bench.compare_reports(baseline, current) == []
 
@@ -123,6 +121,26 @@ class TestCompareReports:
         current["horizon"]["wall_time_seconds"] *= 100
         assert bench.compare_reports(baseline, current) == []
 
+    def test_every_gated_key_fails_alone(self, bench, baseline):
+        for path, keys in bench._GATED_SECTIONS:
+            label = ".".join(path)
+            for key in keys:
+                current = json.loads(json.dumps(baseline))
+                section = current
+                for name in path:
+                    section = section[name]
+                section[key] = "drifted"
+                problems = bench.compare_reports(baseline, current)
+                assert len(problems) == 1, (label, key, problems)
+                assert problems[0].startswith(f"{label}.{key} regressed")
+
+    def test_missing_section_fails(self, bench, baseline):
+        current = json.loads(json.dumps(baseline))
+        del current["gateway"]
+        problems = bench.compare_reports(baseline, current)
+        assert len(problems) == len(bench._DETERMINISTIC_GATEWAY_KEYS)
+        assert all(p.startswith("gateway.") for p in problems)
+
 
 class TestCommittedBaseline:
     def test_baseline_has_the_gating_keys(self, bench, baseline):
@@ -153,6 +171,14 @@ class TestCommittedBaseline:
             baseline["online"]["requests_lost_windowed"]
             < baseline["online"]["requests_lost_cycle"]
         )
+
+    def test_baseline_has_every_gated_key(self, bench, baseline):
+        for path, keys in bench._GATED_SECTIONS:
+            section = baseline
+            for name in path:
+                section = section[name]
+            for key in keys:
+                assert key in section, (path, key)
 
     def test_baseline_has_the_horizon_keys(self, bench, baseline):
         for key in bench._DETERMINISTIC_HORIZON_KEYS:

@@ -77,15 +77,6 @@ class TestJournalDeterminism:
         assert j1.read_bytes() == j2.read_bytes()
         assert j1.stat().st_size > 0
 
-    def test_backends_byte_identical(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
-        _, serial = _run_online(path, tmp_path, "serial")
-        _, process = _run_online(
-            path, tmp_path, "process",
-            "--phase1-backend", "process", "--phase1-workers", "2",
-        )
-        assert serial.read_bytes() == process.read_bytes()
-
     def test_journal_off_outcome_identical(self, tmp_path, capsys):
         # journaling must not perturb the run: the deterministic report
         # section matches a run with no journal at all
