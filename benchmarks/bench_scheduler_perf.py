@@ -191,6 +191,14 @@ _DETERMINISTIC_GATEWAY_KEYS = (
     "quote_total_dollars",
     "realized_total_dollars",
 )
+#: Standalone-SORP keys that must match bit-for-bit: the round count and
+#: the trial work counters are pure functions of the workload.
+_DETERMINISTIC_SORP_KEYS = (
+    "iterations",
+    "trials_run",
+    "trials_reused",
+    "trials_revalidated",
+)
 #: Every gated report section -- (path of nested keys, keys that must
 #: match the baseline bit-for-bit).
 _GATED_SECTIONS = (
@@ -200,6 +208,7 @@ _GATED_SECTIONS = (
     (("online", "slo"), _DETERMINISTIC_SLO_KEYS),
     (("horizon",), _DETERMINISTIC_HORIZON_KEYS),
     (("gateway",), _DETERMINISTIC_GATEWAY_KEYS),
+    (("sorp",), _DETERMINISTIC_SORP_KEYS),
 )
 
 
@@ -255,19 +264,26 @@ def _build_env(n_videos: int, users: int):
 
 
 def _time_sorp(topo, catalog, batch, repeats):
-    """Best-of-N wall time of a standalone Phase-2 (SORP) pass."""
+    """Best-of-N wall time of a standalone Phase-2 (SORP) pass, with its
+    round count and trial counts (read from the run's metrics registry)."""
     from repro import resolve_overflows
+    from repro.obs import NULL_TRACER, MetricsRegistry, Observability
 
     best = float("inf")
-    iterations = 0
     for _ in range(repeats):
         cm = CostModel(topo, catalog)
         phase1 = ParallelIndividualScheduler(cm).run(batch).schedule
+        obs = Observability(MetricsRegistry(), NULL_TRACER)
         t0 = time.perf_counter()
-        _, stats = resolve_overflows(phase1, batch, cm)
+        _, stats = resolve_overflows(phase1, batch, cm, obs=obs)
         best = min(best, time.perf_counter() - t0)
-        iterations = stats.iterations
-    return best, iterations
+    trials = {
+        f"trials_{dict(key)['outcome']}": child.value
+        for fam in obs.metrics.families()
+        if fam.name == "vor_sorp_trials_total"
+        for key, child in fam.children.items()
+    }
+    return {"wall_time_seconds": best, "iterations": stats.iterations, **trials}
 
 
 def _recovery_drill(n_videos: int, users: int):
@@ -588,10 +604,12 @@ def main(argv=None) -> int:
         f"SORP share {solve.resolution.cache_stats.lookups} lookups"
     )
 
-    sorp_t, sorp_iterations = _time_sorp(topo, catalog, batch, repeats)
+    sorp = _time_sorp(topo, catalog, batch, repeats)
     print(
-        f"SORP (Phase 2): {sorp_t:.3f}s standalone, "
-        f"{sorp_iterations} overflow iteration(s)"
+        f"SORP (Phase 2): {sorp['wall_time_seconds']:.3f}s standalone, "
+        f"{sorp['iterations']} overflow iteration(s), trials "
+        f"{sorp['trials_run']} run / {sorp['trials_reused']} reused / "
+        f"{sorp['trials_revalidated']} revalidated"
     )
     recovery = _recovery_drill(n_videos, users)
     print(
@@ -655,10 +673,7 @@ def main(argv=None) -> int:
                 "cache_lookups": solve.cache_stats.lookups,
                 "overflow_iterations": solve.resolution.iterations,
             },
-            "sorp": {
-                "wall_time_seconds": sorp_t,
-                "iterations": sorp_iterations,
-            },
+            "sorp": sorp,
             "recovery": recovery,
             "online": online,
             "horizon": horizon,

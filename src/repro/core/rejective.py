@@ -93,8 +93,10 @@ class AvailabilityOracle:
     trial of one SORP run shares them; without an ``index`` the oracle
     builds a private one from ``schedule`` and ``background``.
 
-    :attr:`consulted` maps every location the oracle answered for to its
-    stamp at the time -- exactly what the answers depended on.
+    :attr:`queries` records every residency query the oracle answered,
+    cached answers included, as ``{(location, t_start, t_last): (profile,
+    answer)}`` in the order first asked -- exactly what a greedy run on
+    this oracle depended on.
     """
 
     def __init__(
@@ -112,7 +114,7 @@ class AvailabilityOracle:
         self._index = index
         self._topo = topology
         self._exclude = exclude_video
-        self.consulted: dict[str, int] = {}
+        self.queries: dict[tuple[str, float, float], tuple[SpaceProfile, bool]] = {}
 
     def profile(self, c: ResidencyInfo) -> SpaceProfile:
         """The (memoized) Eq. 6 profile of a candidate residency."""
@@ -133,22 +135,29 @@ class AvailabilityOracle:
         return tl
 
     def fits(self, location: str, profile: SpaceProfile) -> bool:
-        self.consulted[location] = self._index.version(location)
         capacity = self._topo.capacity(location)
         if profile.peak > capacity_slack(capacity):
             return False
         return fits_under(self.timeline(location), profile, capacity)
 
     def fits_residency(self, candidate: ResidencyInfo, profile: SpaceProfile) -> bool:
-        """:meth:`fits` for ``candidate``'s profile, answered once per stamp."""
-        location = candidate.location
+        """:meth:`fits` for ``candidate``'s profile; see :meth:`answer`."""
+        return self.answer(
+            candidate.location, candidate.t_start, candidate.t_last, profile
+        )
+
+    def answer(
+        self, location: str, t_start: float, t_last: float, profile: SpaceProfile
+    ) -> bool:
+        """Does the residency ``[t_start, t_last]`` with ``profile`` fit at
+        ``location``?  Answered once per location stamp, recorded in
+        :attr:`queries` every time."""
         answers = self._index.memo(location).setdefault(("fits", self._exclude), {})
-        key = (candidate.t_start, candidate.t_last)
+        key = (t_start, t_last)
         ok = answers.get(key)
         if ok is None:
             ok = answers[key] = self.fits(location, profile)
-        else:
-            self.consulted[location] = self._index.version(location)
+        self.queries[(location, t_start, t_last)] = (profile, ok)
         return ok
 
 

@@ -17,9 +17,11 @@ rebuilding every trial from scratch.  A :class:`LocationIndex` mirrors the
 working schedule per storage and stamps each storage with a version that
 bumps only where a committed victim's old or new file has residencies.
 Trials share "everyone but video v" timelines and ``fits`` answers per
-``(v, location, stamp)``, and a trial's result is reused in later rounds
-while every location its oracle consulted keeps its stamp: the greedy is
-deterministic, so identical oracle answers replay the identical schedule.
+``(v, location, stamp)``.  The greedy is deterministic given its oracle's
+answers, so identical answers replay the identical schedule: a memoized
+trial is reused in later rounds while every location its oracle consulted
+keeps its stamp, and revalidated -- without running the greedy -- when its
+recorded queries at the re-stamped locations still answer the same.
 Detection re-sweeps only re-stamped storages.
 """
 
@@ -34,6 +36,7 @@ from repro.core.heat import HeatMetric, compute_heat
 from repro.core.overflow import LocationIndex, OverflowSituation, detect_overflows
 from repro.core.rejective import AvailabilityOracle, RejectiveGreedyScheduler
 from repro.core.schedule import FileSchedule, Schedule
+from repro.core.spacefunc import SpaceProfile
 from repro.errors import OverflowResolutionError
 from repro.obs import DOLLAR_BUCKETS, NULL_OBS, Observability
 from repro.workload.requests import RequestBatch
@@ -167,11 +170,16 @@ def resolve_overflows(
             with obs.tracer.span(
                 "sorp.round", iteration=stats.iterations, overflows=len(overflows)
             ) as round_span:
-                ran, reused = selector.trials_run, selector.trials_reused
+                ran, reused, revalidated = (
+                    selector.trials_run,
+                    selector.trials_reused,
+                    selector.trials_revalidated,
+                )
                 victim = selector.select(overflows)
                 round_span.set(
                     trials=selector.trials_run - ran,
                     reused=selector.trials_reused - reused,
+                    revalidated=selector.trials_revalidated - revalidated,
                 )
                 if victim is None:
                     raise OverflowResolutionError(
@@ -214,6 +222,7 @@ def resolve_overflows(
             victims=len(stats.victims),
             trials=selector.trials_run,
             reused=selector.trials_reused,
+            revalidated=selector.trials_revalidated,
         )
 
     metrics = obs.metrics
@@ -234,13 +243,15 @@ def resolve_overflows(
         )
         for record in stats.victims:
             overhead_hist.observe(record.overhead_cost)
-        trials_help = "SORP rejective trial reschedules, run or reused"
-        metrics.counter(
-            "vor_sorp_trials_total", help=trials_help, outcome="run"
-        ).inc(selector.trials_run)
-        metrics.counter(
-            "vor_sorp_trials_total", help=trials_help, outcome="reused"
-        ).inc(selector.trials_reused)
+        trials_help = "SORP rejective trial reschedules, run, reused or revalidated"
+        for outcome, n in (
+            ("run", selector.trials_run),
+            ("reused", selector.trials_reused),
+            ("revalidated", selector.trials_revalidated),
+        ):
+            metrics.counter(
+                "vor_sorp_trials_total", help=trials_help, outcome=outcome
+            ).inc(n)
         metrics.counter(
             "vor_sorp_timeline_builds_total",
             help="Usage timelines SORP built for detection and availability views",
@@ -261,7 +272,10 @@ class _Trial:
 
     new_fs: FileSchedule
     new_cost: float
-    #: ``{location: stamp}`` the trial's oracle consulted.
+    #: Every capacity query the trial's oracle answered, in the order
+    #: first asked (:attr:`AvailabilityOracle.queries`).
+    queries: dict[tuple[str, float, float], tuple[SpaceProfile, bool]]
+    #: ``{location: stamp}`` the queries were answered at.
     stamps: dict[str, int]
 
 
@@ -269,10 +283,11 @@ class _VictimSelector:
     """``SORP_solve``'s victim selection over one run, evaluated incrementally.
 
     Owns the run's :class:`LocationIndex` and a memo of trial reschedules
-    keyed on ``(video, overflow location, overflow interval)``; a memoized
-    trial is reused while every location its oracle consulted keeps its
-    stamp.  Trials that do run go through
-    :meth:`RejectiveGreedyScheduler.reschedule`.
+    keyed on ``(video, overflow location, overflow interval)``.  A memoized
+    trial is reused as is while every location its oracle consulted keeps
+    its stamp, and revalidated when re-asking its recorded queries at the
+    re-stamped locations gives the same answers.  Trials that do run go
+    through :meth:`RejectiveGreedyScheduler.reschedule`.
     """
 
     def __init__(
@@ -296,6 +311,7 @@ class _VictimSelector:
         self._old_costs: dict[str, float] = {}
         self.trials_run = 0
         self.trials_reused = 0
+        self.trials_revalidated = 0
 
     def select(
         self, overflows: list[OverflowSituation]
@@ -326,9 +342,7 @@ class _VictimSelector:
                     continue  # this residency IS the committed carryover itself
                 key = (c.video_id, of.location, of.interval)
                 trial = self._trials.get(key)
-                if trial is not None and self._current(trial):
-                    self.trials_reused += 1
-                else:
+                if trial is None or not self._still_valid(c.video_id, trial):
                     trial = self._run_trial(video, requests, of, tuple(seeds))
                 trials[key] = trial
                 old_cost = self._old_costs.get(c.video_id)
@@ -352,20 +366,42 @@ class _VictimSelector:
         self.index.set_file(new_fs)
         self._old_costs.pop(new_fs.video_id, None)
 
-    def _current(self, trial: _Trial) -> bool:
-        version = self.index.version
-        return all(version(loc) == v for loc, v in trial.stamps.items())
-
-    def _run_trial(self, video, requests, of: OverflowSituation, seeds) -> _Trial:
-        self.trials_run += 1
-        oracle = AvailabilityOracle(
+    def _oracle(self, video_id: str) -> AvailabilityOracle:
+        return AvailabilityOracle(
             self.index.schedule,
             self._cm.catalog,
             self._cm.topology,
-            video.video_id,
+            video_id,
             self._background,
             index=self.index,
         )
+
+    def _still_valid(self, video_id: str, trial: _Trial) -> bool:
+        """Would re-running ``trial`` replay its memoized schedule?
+
+        The greedy's inputs other than its oracle's answers are fixed by the
+        trial key, and it is deterministic, so it replays exactly when every
+        recorded query answers as before.  Only queries at re-stamped
+        locations can answer differently; they are re-asked in the order
+        the greedy first asked them, stopping at the first changed answer,
+        so every answer computed here is one a re-run would compute too.
+        """
+        version = self.index.version
+        moved = {loc for loc, v in trial.stamps.items() if version(loc) != v}
+        if not moved:
+            self.trials_reused += 1
+            return True
+        oracle = self._oracle(video_id)
+        for (loc, t_start, t_last), (profile, ok) in trial.queries.items():
+            if loc in moved and oracle.answer(loc, t_start, t_last, profile) != ok:
+                return False
+        trial.stamps = {loc: version(loc) for loc in trial.stamps}
+        self.trials_revalidated += 1
+        return True
+
+    def _run_trial(self, video, requests, of: OverflowSituation, seeds) -> _Trial:
+        self.trials_run += 1
+        oracle = self._oracle(video.video_id)
         new_fs = self._rejective.reschedule(
             video,
             requests,
@@ -375,7 +411,13 @@ class _VictimSelector:
             initial_residencies=seeds,
             oracle=oracle,
         )
-        return _Trial(new_fs, self._cm.file_cost(new_fs).total, oracle.consulted)
+        version = self.index.version
+        return _Trial(
+            new_fs,
+            self._cm.file_cost(new_fs).total,
+            oracle.queries,
+            {loc: version(loc) for loc, _, _ in oracle.queries},
+        )
 
 
 def _key_greater(a: tuple[float, float, str], b: tuple[float, float, str]) -> bool:

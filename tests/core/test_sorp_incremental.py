@@ -1,7 +1,8 @@
 """Incremental SORP must be bit-identical to from-scratch evaluation.
 
 ``resolve_overflows`` reuses trial reschedules, timelines and ``fits``
-answers across rounds (see :mod:`repro.core.sorp`).  These tests hold it
+answers across rounds, and revalidates a stale trial by re-asking its
+recorded ``fits`` queries (see :mod:`repro.core.sorp`).  These tests hold it
 to the reference in :mod:`tests.core.sorp_reference`, which rebuilds every
 trial from scratch: same schedule, same ``ResolutionStats`` and the same
 ``sorp-placed`` journal sequence, over all heat metrics, rolling cycles
@@ -38,7 +39,7 @@ from repro import (
 )
 from repro.core import sorp as sorp_module
 from repro.core.overflow import LocationIndex
-from repro.core.rejective import fits_under
+from repro.core.rejective import AvailabilityOracle, fits_under
 from repro.core.spacefunc import UsageTimeline, residency_profile
 from repro.extensions import rolling as rolling_module
 from repro.extensions.rolling import RollingScheduler
@@ -46,7 +47,7 @@ from repro.faults import ContingencyScheduler, FaultKind, FaultPlan, FaultSpec
 from repro.faults import contingency as contingency_module
 from repro.obs import Observability
 
-from .sorp_reference import reference_resolve_overflows
+from .sorp_reference import reference_reschedule, reference_resolve_overflows
 
 
 def _instance(capacity_gb, n_videos, users, seed):
@@ -66,9 +67,9 @@ def _placed(journal):
     return [e for e in journal.events if e.kind == "sorp-placed"]
 
 
-def assert_matches_reference(schedule, batch, cost_model, **kwargs):
+def assert_matches_reference(schedule, batch, cost_model, *, obs=None, **kwargs):
     """Run both paths on one SORP input and require identical results."""
-    obs = Observability.on(journal=True)
+    obs = obs if obs is not None else Observability.on(journal=True)
     ref_obs = Observability.on(journal=True)
     got, stats = resolve_overflows(schedule, batch, cost_model, obs=obs, **kwargs)
     want, ref_stats = reference_resolve_overflows(
@@ -81,6 +82,16 @@ def assert_matches_reference(schedule, batch, cost_model, **kwargs):
         e.attrs for e in _placed(ref_obs.journal)
     ]
     return stats
+
+
+def _trial_outcomes(obs):
+    """``{outcome: count}`` of the run's ``vor_sorp_trials_total``."""
+    return {
+        dict(key)["outcome"]: child.value
+        for f in obs.metrics.families()
+        if f.name == "vor_sorp_trials_total"
+        for key, child in f.children.items()
+    }
 
 
 def _capture(module):
@@ -117,8 +128,11 @@ class TestBitIdentity:
         topo, catalog, batch = _instance(1.0, 20, 5, 5)
         cm = CostModel(topo, catalog)
         phase1 = IndividualScheduler(cm).solve(batch)
-        stats = assert_matches_reference(phase1, batch, cm, metric=metric)
+        obs = Observability.on(journal=True)
+        stats = assert_matches_reference(phase1, batch, cm, metric=metric, obs=obs)
         assert stats.iterations >= 5  # the rounds reuse earlier trials
+        # ...and revalidate stale ones, so the identity covers that path
+        assert _trial_outcomes(obs)["revalidated"] > 0
 
     @staticmethod
     def _rolling_calls(inst, metric, cycles):
@@ -210,7 +224,8 @@ def _two_branch_env():
     edge caches, two contended files per branch.  A victim evicted from
     ``ISkb`` falls back to caching at ``ISk``, so each trial's oracle
     consults only its own branch.  File ``e`` is cached at ``IS2`` for
-    users there and takes part in no overflow."""
+    users there and takes part in no overflow.  File ``f`` is never
+    requested; a test installs it to fill ``IS2``."""
     topo = Topology()
     topo.add_warehouse("VW")
     for k in ("1", "2"):
@@ -220,6 +235,7 @@ def _two_branch_env():
         topo.add_edge(f"IS{k}", f"IS{k}b", nrate=1.0)
     catalog = VideoCatalog(
         [VideoFile(v, size=100.0, playback=10.0) for v in "abcde"]
+        + [VideoFile("f", size=850.0, playback=10.0)]
     )
     reqs = []
     for i, (video, loc) in enumerate(
@@ -234,6 +250,7 @@ class TestTrialReuse:
     def _selector(self):
         topo, catalog, cm, batch = _two_branch_env()
         working = IndividualScheduler(cm).solve(batch)
+        working.set_file(FileSchedule("f", [], []))  # unrequested, empty
         selector = sorp_module._VictimSelector(
             working, cm, batch.by_video(), HeatMetric.SPACE_TIME_PER_COST,
             None, {},
@@ -253,7 +270,20 @@ class TestTrialReuse:
         assert selector.trials_run == 4 and selector.trials_reused == 4
         assert all(selector._trials[k] is t for k, t in first.items())
 
-    def test_changed_consulted_location_is_recomputed(self):
+    @staticmethod
+    def _restamp_is2(selector, catalog, topo, fs, overflows):
+        """Install ``fs`` (a file with residencies only at ``IS2``) and
+        re-detect; the overflows must come back unchanged."""
+        assert selector.index.set_file(fs) == {"IS2"}
+        assert selector.index.version("IS2") == 1
+        assert selector.index.version("IS1") == 0
+        again = detect_overflows(
+            selector.index.schedule, catalog, topo, index=selector.index
+        )
+        assert again == overflows
+        return again
+
+    def test_unchanged_restamp_revalidates(self):
         selector, overflows, catalog, topo = self._selector()
         selector.select(overflows)
         first = dict(selector._trials)
@@ -261,47 +291,110 @@ class TestTrialReuse:
         assert consulted == {
             "a": {"IS1"}, "b": {"IS1"}, "c": {"IS2"}, "d": {"IS2"}
         }
+        new_fs = {k: t.new_fs for k, t in first.items()}
         # re-install e's file unchanged: IS2 is re-stamped although its
         # usage is the same -- stamps are per location, never per content
         # or time window
         e_fs = selector.index.schedule.file("e")
-        assert selector.index.set_file(
-            FileSchedule("e", list(e_fs.deliveries), list(e_fs.residencies))
-        ) == {"IS2"}
-        assert selector.index.version("IS2") == 1
-        assert selector.index.version("IS1") == 0
-        again = detect_overflows(
-            selector.index.schedule, catalog, topo, index=selector.index
+        again = self._restamp_is2(
+            selector, catalog, topo,
+            FileSchedule("e", list(e_fs.deliveries), list(e_fs.residencies)),
+            overflows,
         )
-        assert again == overflows
         selector.select(again)
-        assert selector.trials_run == 6 and selector.trials_reused == 2
+        # consulted only IS1: reused; consulted the re-stamped IS2: every
+        # recorded answer holds there, so revalidated without a re-run
+        assert selector.trials_run == 4
+        assert selector.trials_reused == 2
+        assert selector.trials_revalidated == 2
         for key, trial in first.items():
-            if key[0] in "ab":  # consulted only IS1: reused as they were
+            assert selector._trials[key] is trial
+            assert trial.new_fs == new_fs[key]
+            assert trial.stamps == ({"IS1": 0} if key[0] in "ab" else {"IS2": 1})
+
+    def test_flipped_answer_forces_rerun(self):
+        selector, overflows, catalog, topo = self._selector()
+        selector.select(overflows)
+        first = dict(selector._trials)
+        # f fills IS2 without overflowing it: the c/d trials' IS2 caches
+        # no longer fit, so their recorded answers flip
+        again = self._restamp_is2(
+            selector, catalog, topo,
+            FileSchedule("f", [], [ResidencyInfo("f", "IS2", "VW", 0.0, 100.0)]),
+            overflows,
+        )
+        selector.select(again)
+        assert selector.trials_run == 6
+        assert selector.trials_reused == 2
+        assert selector.trials_revalidated == 0
+        working = selector.index.schedule
+        by_video = _two_branch_env()[3].by_video()
+        for key, trial in first.items():
+            if key[0] in "ab":
                 assert selector._trials[key] is trial
-            else:  # consulted the re-stamped IS2: recomputed, same result
-                assert selector._trials[key] is not trial
-                assert selector._trials[key].new_fs == trial.new_fs
+                continue
+            rerun = selector._trials[key]
+            assert rerun is not trial
+            assert rerun.new_fs != trial.new_fs
+            assert rerun.new_fs == reference_reschedule(
+                selector._cm, catalog[key[0]], by_video[key[0]], working,
+                forbidden=[(key[1], key[2])], background=None, seeds=(),
+            )
 
     def test_work_counters_and_round_spans(self):
         topo, catalog, cm, batch = _two_branch_env()
-        obs = Observability.on()
-        phase1 = IndividualScheduler(cm).solve(batch)
-        _, stats = resolve_overflows(phase1, batch, cm, obs=obs)
-        snap = {
-            (f.name, dict(key).get("outcome")): child.value
-            for f in obs.metrics.families()
-            if f.name.startswith("vor_sorp_t")
-            for key, child in f.children.items()
-        }
-        rounds = [r for r in obs.tracer.records if r.name == "sorp.round"]
-        assert len(rounds) == stats.iterations >= 2
-        run = sum(dict(r.attrs)["trials"] for r in rounds)
-        reused = sum(dict(r.attrs)["reused"] for r in rounds)
-        assert snap[("vor_sorp_trials_total", "run")] == run
-        assert snap[("vor_sorp_trials_total", "reused")] == reused
-        assert reused > 0  # the untouched branch's trials are reused
-        assert snap[("vor_sorp_timeline_builds_total", None)] > 0
+        heavy_topo, heavy_catalog, heavy_batch = _instance(1.0, 20, 5, 5)
+        heavy_cm = CostModel(heavy_topo, heavy_catalog)
+        for cm, batch in ((cm, batch), (heavy_cm, heavy_batch)):
+            obs = Observability.on()
+            phase1 = IndividualScheduler(cm).solve(batch)
+            with mock.patch.object(
+                sorp_module, "compute_heat", wraps=sorp_module.compute_heat
+            ) as priced:
+                _, stats = resolve_overflows(phase1, batch, cm, obs=obs)
+            rounds = [r for r in obs.tracer.records if r.name == "sorp.round"]
+            assert len(rounds) == stats.iterations >= 2
+            counts = {
+                outcome: sum(dict(r.attrs)[attr] for r in rounds)
+                for outcome, attr in (
+                    ("run", "trials"),
+                    ("reused", "reused"),
+                    ("revalidated", "revalidated"),
+                )
+            }
+            (sorp_span,) = [r for r in obs.tracer.records if r.name == "sorp"]
+            assert dict(sorp_span.attrs)["revalidated"] == counts["revalidated"]
+            assert _trial_outcomes(obs) == counts
+            # every priced trial is run, reused or revalidated
+            assert sum(counts.values()) == priced.call_count
+            assert counts["reused"] > 0  # the untouched trials are reused
+            builds = obs.metrics.snapshot()["vor_sorp_timeline_builds_total"]
+            assert builds["values"][0]["value"] > 0
+        assert counts["revalidated"] > 0  # the heavy instance revalidates
+
+
+class TestOracleQueries:
+    def test_records_every_answer_cached_ones_included(self):
+        topo, catalog, cm, batch = _two_branch_env()
+        working = IndividualScheduler(cm).solve(batch)
+        index = LocationIndex(working, catalog)
+        fits = ResidencyInfo("c", "IS2", "VW", 2.0, 52.0)
+        too_big = ResidencyInfo("f", "IS2b", "VW", 0.0, 100.0)
+        first = AvailabilityOracle(working, catalog, topo, "c", index=index)
+        assert first.fits_residency(fits, index.profile(fits))
+        with mock.patch(
+            "repro.core.rejective.fits_under", side_effect=AssertionError
+        ):
+            # same victim, same stamp: answered from the shared cache
+            second = AvailabilityOracle(working, catalog, topo, "c", index=index)
+            assert second.fits_residency(fits, index.profile(fits))
+        assert not second.fits_residency(too_big, index.profile(too_big))
+        assert second.fits_residency(fits, index.profile(fits))  # asked again
+        assert first.queries == {("IS2", 2.0, 52.0): (index.profile(fits), True)}
+        assert list(second.queries.items()) == [
+            (("IS2", 2.0, 52.0), (index.profile(fits), True)),
+            (("IS2b", 0.0, 100.0), (index.profile(too_big), False)),
+        ]
 
 
 class TestCapacityTolerance:
