@@ -80,11 +80,13 @@ command and writes a top-N hotspot artifact to ``--profile-out``.
 ``--log-level`` tunes the stderr logging of every ``repro.*`` module
 (default ``info``).
 
-SLOs: ``run-online`` evaluates the run against an SLO policy (``--slo
-policy.json``, or the built-in default), prints the per-SLO burn rates,
-and embeds the indicators in ``--online-report-out``;
-``vor-repro slo-check report.json`` re-gates that report and exits
-non-zero on any breach.  ``vor-repro report --telemetry metrics.json
+SLOs: ``run-online`` and ``run-gateway`` evaluate the run against an SLO
+policy (``--slo policy.json``, or the command's built-in default), print
+the per-SLO burn rates, and embed the indicators and the policy in
+``--online-report-out``/``--gateway-report-out``;
+``vor-repro slo-check report.json`` re-gates that report -- against
+``--slo`` when given, else against the policy the report embeds -- and
+exits non-zero on any breach.  ``vor-repro report --telemetry metrics.json
 [--journal journal.jsonl]`` renders a terminal dashboard (phase wall
 time, critical path, metric series, journal event mix) from previously
 written artifacts.
@@ -124,6 +126,7 @@ _FIGURES = {
     "fig8": fig8,
     "fig9": fig9,
 }
+_ABLATIONS = (ablation_deposit_scope, ablation_heat_metrics, ablation_bandwidth)
 
 _log = logging.getLogger(__name__)
 
@@ -147,13 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "worked-example",
             "all",
             "report",
-            "run-env",
-            "simulate",
-            "run-faults",
-            "run-online",
-            "run-horizon",
-            "run-gateway",
-            "slo-check",
+            *_FILE_COMMANDS,
         ],
         help="which paper artifact to reproduce ('report' writes all of "
         "them to --out, or renders a terminal dashboard with --telemetry; "
@@ -360,8 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--slo",
         default=None,
         metavar="PATH",
-        help="SLO policy JSON for 'run-online'/'slo-check' (default: the "
-        "built-in policy)",
+        help="SLO policy JSON for 'run-online'/'run-gateway'/'slo-check' "
+        "(default: the command's built-in policy; 'slo-check' re-gates "
+        "against the policy the report embeds)",
     )
     parser.add_argument(
         "--profile",
@@ -544,11 +542,7 @@ def _run_one(name: str, args: argparse.Namespace) -> None:
         print(contention_sweep(cfg, users_axis=users).as_table())
     elif name == "ablations":
         runner = _runner(args)
-        for ablation in (
-            ablation_deposit_scope,
-            ablation_heat_metrics,
-            ablation_bandwidth,
-        ):
+        for ablation in _ABLATIONS:
             print(ablation(runner).as_table())
             print()
     else:  # pragma: no cover - argparse restricts choices
@@ -570,14 +564,8 @@ def _write_report(args: argparse.Namespace) -> None:
         artifacts[name] = fn(runner).render()
     artifacts["table5"] = table5(runner).as_table()
     artifacts["optimality_gap"] = optimality_gap().as_table()
-    for ablation in (
-        ablation_deposit_scope,
-        ablation_heat_metrics,
-        ablation_bandwidth,
-    ):
-        result = ablation(runner)
-        key = "ablation_" + ablation.__name__.removeprefix("ablation_")
-        artifacts[key] = result.as_table()
+    for ablation in _ABLATIONS:
+        artifacts[ablation.__name__] = ablation(runner).as_table()
     for name, text in artifacts.items():
         path = out / f"{name}.txt"
         path.write_text(text + "\n")
@@ -639,61 +627,229 @@ def _parse_kinds(spec):
     return tuple(kinds)
 
 
-def _solve_environment(args: argparse.Namespace, command: str):
-    """Load an environment file and solve it: shared by the env commands."""
-    from repro.core.scheduler import VideoScheduler
-    from repro.io import load_environment
-    from repro.obs import NULL_OBS, Observability
+class _EnvRun:
+    """What every environment command shares.
 
-    if not args.env_file:
-        raise SystemExit(f"{command} requires an environment JSON path")
-    topology, catalog, batch = load_environment(args.env_file)
-    if batch is None:
-        raise SystemExit(
-            f"{args.env_file} contains no 'requests' section to schedule"
+    Opening one requires and loads the environment file and builds the
+    observability handle that ``--metrics-out``/``--trace-out``/
+    ``--journal-out``/``--explain`` ask for; its methods place replicas,
+    load or generate a feed, gate an SLO policy and write the telemetry,
+    so each command body keeps only its own logic.
+    """
+
+    def __init__(self, args: argparse.Namespace, *, needs_batch=True) -> None:
+        from repro.io import load_environment
+        from repro.obs import NULL_OBS, Observability
+
+        if not args.env_file:
+            raise SystemExit(
+                f"{args.experiment} requires an environment JSON path"
+            )
+        self.args = args
+        self.topology, self.catalog, self.batch = load_environment(
+            args.env_file
         )
-    replicas = _parse_replicas(
-        getattr(args, "replicas", None), topology, catalog, batch,
-        seed=args.seed,
-    )
-    want_journal = bool(args.journal_out or args.explain)
-    want_telemetry = bool(args.metrics_out or args.trace_out or want_journal)
-    obs = (
-        Observability.on(journal=want_journal) if want_telemetry else NULL_OBS
-    )
-    scheduler = VideoScheduler(topology, catalog, obs=obs, replicas=replicas)
-    result = scheduler.solve(batch)
-    return topology, catalog, batch, scheduler, result, obs, want_telemetry
+        if needs_batch and self.batch is None:
+            raise SystemExit(
+                f"{args.env_file} contains no 'requests' section to schedule"
+            )
+        want_journal = bool(args.journal_out or args.explain)
+        self.telemetry = bool(
+            args.metrics_out or args.trace_out or want_journal
+        )
+        self.obs = (
+            Observability.on(journal=want_journal)
+            if self.telemetry
+            else NULL_OBS
+        )
+
+    @property
+    def horizon(self) -> tuple[float, float]:
+        """The window seeded faults are drawn in: the batch's showings
+        plus the longest playback."""
+        t0, t1 = self.batch.span
+        return (t0, t1 + max(v.playback for v in self.catalog))
+
+    def replicas(self, batch, default=None):
+        """The replica map ``--replicas`` (else the ``default`` spec) asks
+        for; heat placements follow ``batch``."""
+        return _parse_replicas(
+            self.args.replicas or default, self.topology, self.catalog,
+            batch, seed=self.args.seed,
+        )
+
+    def solve(self):
+        """Solve the environment's batch: ``(scheduler, result)``."""
+        from repro.core.scheduler import VideoScheduler
+
+        scheduler = VideoScheduler(
+            self.topology, self.catalog, obs=self.obs,
+            replicas=self.replicas(self.batch),
+        )
+        return scheduler, scheduler.solve(self.batch)
+
+    def feed(self, cls, path, out, *, flag: str, unit: str, generate=None):
+        """Load a ``cls`` feed from ``path`` (the ``flag`` option), else
+        ``generate()`` one; echo it to ``out``.
+
+        Without ``generate`` a missing ``path`` yields ``None``.  Load
+        failures exit with a one-line diagnostic.
+        """
+        if path:
+            try:
+                feed = cls.load(path)
+            except cls.error as exc:
+                raise SystemExit(f"invalid {flag}: {exc}") from exc
+            _log.info("loaded %d %s(s) from %s", len(feed), unit, path)
+        elif generate is None:
+            if out:
+                raise SystemExit(
+                    f"{flag}-out needs {flag}: {self.args.experiment} "
+                    f"does not generate a {cls.noun}"
+                )
+            return None
+        else:
+            feed = generate()
+            _log.info(
+                "generated %d %s(s) from seed %d", len(feed), unit,
+                self.args.seed,
+            )
+        if out:
+            feed.save(out)
+            _log.info("wrote %s to %s", cls.noun, out)
+        return feed
+
+    def gate(self, indicators: dict, default) -> dict:
+        """Evaluate the ``--slo`` policy (else ``default()``) on
+        ``indicators``: record the burn gauges, print the verdict, and
+        return the report's ``slo`` section."""
+        policy = _slo_policy(self.args, default)
+        evaluation = policy.evaluate(indicators)
+        evaluation.record(self.obs.metrics)
+        print(evaluation.format_report())
+        return {
+            "indicators": indicators,
+            "policy": policy.to_dict(),
+            "evaluation": evaluation.to_dict(),
+        }
+
+    def write_telemetry(self) -> None:
+        from repro.obs import (
+            write_journal_jsonl,
+            write_metrics,
+            write_trace_jsonl,
+        )
+
+        args, obs = self.args, self.obs
+        if args.metrics_out:
+            write_metrics(args.metrics_out, obs)
+            _log.info("wrote metrics snapshot to %s", args.metrics_out)
+        if args.trace_out:
+            write_trace_jsonl(args.trace_out, obs.tracer.records)
+            _log.info(
+                "wrote %d span record(s) to %s",
+                len(obs.tracer.records),
+                args.trace_out,
+            )
+        if args.journal_out:
+            write_journal_jsonl(args.journal_out, obs.journal)
+            _log.info(
+                "wrote %d journal event(s) to %s",
+                len(obs.journal),
+                args.journal_out,
+            )
+        if args.explain:
+            print(obs.journal.format_timeline(args.explain))
 
 
-def _print_violations(violations) -> None:
+def _slo_policy(args: argparse.Namespace, default):
+    """The ``--slo`` policy file, else ``default()``; a bad policy exits
+    with a one-line diagnostic."""
+    from repro.obs.slo import SLOError, SLOPolicy
+
+    try:
+        return SLOPolicy.load(args.slo) if args.slo else default()
+    except SLOError as exc:
+        source = "--slo" if args.slo else "embedded slo.policy"
+        raise SystemExit(f"invalid {source}: {exc}") from exc
+
+
+def _read_json(path, flag: str | None = None):
+    """Parse a JSON artifact; unreadable or non-JSON files exit."""
+    import json
+    import pathlib
+
+    try:
+        return json.loads(pathlib.Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        label = f"{flag} {path}" if flag else path
+        raise SystemExit(f"cannot read {label}: {exc}") from exc
+
+
+def _write_json(path, doc: dict, what: str) -> None:
+    """Write ``doc`` as sorted, indented JSON to ``path`` (if given)."""
+    import json
+    import pathlib
+
+    if not path:
+        return
+    pathlib.Path(path).write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    )
+    _log.info("wrote %s to %s", what, path)
+
+
+def _report_violations(violations) -> int:
+    """Print ``violations`` (if any); return the exit code they imply."""
+    if not violations:
+        return 0
     print(f"INFEASIBLE: {len(violations)} violation(s)")
     for v in violations:
         print(f"  {v}")
+    return 1
 
 
-def _write_telemetry(args: argparse.Namespace, obs) -> None:
-    from repro.obs import write_journal_jsonl, write_metrics, write_trace_jsonl
+#: Per-cycle table columns: header -> key of a report's cycle dict.
+_HORIZON_COLUMNS = {
+    "cycle": "index",
+    "requests": "requests",
+    "psi net ($)": "psi_net",
+    "fault events": "fault_events",
+    "carried": "carried_events",
+    "resumed": "resumed",
+    "restarted": "restarted",
+}
+_GATEWAY_COLUMNS = {
+    "cycle": "index",
+    "offered": "offered",
+    "admitted": "admitted",
+    "promoted": "promoted",
+    "rejected": "rejected",
+    "queued": "queued",
+    "shed": "shed",
+    "quoted ($)": "quote_total",
+    "realized ($)": "realized_total",
+    "quote error": "quote_error",
+}
 
-    if args.metrics_out:
-        write_metrics(args.metrics_out, obs)
-        _log.info("wrote metrics snapshot to %s", args.metrics_out)
-    if args.trace_out:
-        write_trace_jsonl(args.trace_out, obs.tracer.records)
-        _log.info(
-            "wrote %d span record(s) to %s",
-            len(obs.tracer.records),
-            args.trace_out,
-        )
-    if args.journal_out:
-        write_journal_jsonl(args.journal_out, obs.journal)
-        _log.info(
-            "wrote %d journal event(s) to %s",
-            len(obs.journal),
-            args.journal_out,
-        )
-    if args.explain:
-        print(obs.journal.format_timeline(args.explain))
+
+def _cycle_table(cycles: list[dict], columns: dict, title: str) -> str:
+    """One row per cycle dict of a horizon or gateway report, plus the
+    feasibility verdict; a per-reason count (``rejected``) is totalled."""
+    from repro.analysis import format_table
+
+    def cell(value):
+        return sum(value.values()) if isinstance(value, dict) else value
+
+    return format_table(
+        [*columns, "feasible"],
+        [
+            [cell(c.get(key)) for key in columns.values()]
+            + ["yes" if c.get("feasible") else "NO"]
+            for c in cycles
+        ],
+        title=title,
+    )
 
 
 def _run_environment(args: argparse.Namespace) -> int:
@@ -706,19 +862,20 @@ def _run_environment(args: argparse.Namespace) -> int:
     from repro.analysis import format_table
     from repro.baselines import network_only_cost
     from repro.core.costmodel import CostModel
-    from repro.obs import NULL_OBS
     from repro.sim.engine import SimulationEngine
     from repro.sim.validate import validate_schedule
 
-    topology, catalog, batch, scheduler, result, obs, want_telemetry = (
-        _solve_environment(args, "run-env")
-    )
-    if want_telemetry:
+    env = _EnvRun(args)
+    batch = env.batch
+    scheduler, result = env.solve()
+    if env.telemetry:
         # replay the schedule so the snapshot carries the simulate span
         # and the per-resource peak gauges
-        SimulationEngine(scheduler.cost_model, obs=obs).run(result.schedule)
-    cm = CostModel(topology, catalog)
-    _write_telemetry(args, obs)
+        SimulationEngine(scheduler.cost_model, obs=env.obs).run(
+            result.schedule
+        )
+    cm = CostModel(env.topology, env.catalog)
+    env.write_telemetry()
     print(
         format_table(
             ["quantity", "value"],
@@ -740,11 +897,9 @@ def _run_environment(args: argparse.Namespace) -> int:
             title=f"schedule for {args.env_file}",
         )
     )
-    violations = validate_schedule(result.schedule, batch, scheduler.cost_model)
-    if violations:
-        _print_violations(violations)
-        return 1
-    return 0
+    return _report_violations(
+        validate_schedule(result.schedule, batch, scheduler.cost_model)
+    )
 
 
 def _simulate_environment(args: argparse.Namespace) -> int:
@@ -758,13 +913,12 @@ def _simulate_environment(args: argparse.Namespace) -> int:
     from repro.sim.engine import SimulationEngine
     from repro.sim.validate import validate_schedule
 
-    _, _, batch, scheduler, result, obs, _ = _solve_environment(
-        args, "simulate"
-    )
-    report = SimulationEngine(scheduler.cost_model, obs=obs).run(
+    env = _EnvRun(args)
+    scheduler, result = env.solve()
+    report = SimulationEngine(scheduler.cost_model, obs=env.obs).run(
         result.schedule
     )
-    _write_telemetry(args, obs)
+    env.write_telemetry()
     t0, t1 = report.makespan
     peak_storage = max(
         (load.reserved_peak for load in report.storages.values()), default=0.0
@@ -774,7 +928,7 @@ def _simulate_environment(args: argparse.Namespace) -> int:
         format_table(
             ["quantity", "value"],
             [
-                ["requests", len(batch)],
+                ["requests", len(env.batch)],
                 ["events replayed", len(report.trace)],
                 ["streams", report.n_streams],
                 ["residencies", report.n_residencies],
@@ -786,9 +940,9 @@ def _simulate_environment(args: argparse.Namespace) -> int:
             title=f"simulation of {args.env_file}",
         )
     )
-    violations = validate_schedule(result.schedule, batch, scheduler.cost_model)
-    if violations:
-        _print_violations(violations)
+    if _report_violations(
+        validate_schedule(result.schedule, env.batch, scheduler.cost_model)
+    ):
         return 1
     print("feasible: no violations")
     return 0
@@ -800,11 +954,9 @@ def _run_faults(args: argparse.Namespace) -> int:
     Returns non-zero when the patched schedule fails validation on the
     fault-masked topology (the recovery contract), printing the violations.
     """
-    import json
-    import pathlib
-
     from repro.analysis import format_table
     from repro.core.costmodel import CostModel
+    from repro.errors import FaultError
     from repro.faults.contingency import ContingencyScheduler
     from repro.faults.inject import masked_topology
     from repro.faults.plan import FaultPlan
@@ -812,19 +964,17 @@ def _run_faults(args: argparse.Namespace) -> int:
     from repro.sim.validate import validate_schedule
     from repro.workload.requests import RequestBatch
 
-    topology, catalog, batch, scheduler, result, obs, _ = _solve_environment(
-        args, "run-faults"
-    )
+    env = _EnvRun(args)
+    topology, catalog, batch = env.topology, env.catalog, env.batch
+    scheduler, result = env.solve()
     if args.scenario:
         plan = FaultPlan.load(args.scenario)
         _log.info("loaded %d fault(s) from %s", len(plan), args.scenario)
     else:
-        t0, t1 = batch.span
-        tail = max(v.playback for v in catalog)
         plan = FaultPlan.generate(
             topology,
             seed=args.seed,
-            horizon=(t0, t1 + tail),
+            horizon=env.horizon,
             n_faults=args.n_faults,
             kinds=_parse_kinds(args.kinds),
         )
@@ -834,12 +984,12 @@ def _run_faults(args: argparse.Namespace) -> int:
         _log.info("wrote fault scenario to %s", args.scenario_out)
 
     degraded = build_degraded_report(
-        result.schedule, scheduler.cost_model, plan, obs=obs
+        result.schedule, scheduler.cost_model, plan, obs=env.obs
     )
-    recovery = ContingencyScheduler(scheduler.cost_model, obs=obs).recover(
+    recovery = ContingencyScheduler(scheduler.cost_model, obs=env.obs).recover(
         result.schedule, plan, batch=batch
     )
-    _write_telemetry(args, obs)
+    env.write_telemetry()
 
     print(
         format_table(
@@ -867,8 +1017,6 @@ def _run_faults(args: argparse.Namespace) -> int:
         )
     )
 
-    from repro.errors import FaultError
-
     replicas = scheduler.cost_model.replicas
     try:
         masked = masked_topology(topology, plan)
@@ -888,21 +1036,19 @@ def _run_faults(args: argparse.Namespace) -> int:
     lost = set(recovery.lost)
     surviving = RequestBatch(r for r in batch if r not in lost)
     violations = validate_schedule(recovery.schedule, surviving, masked_cm)
-    if args.report_out:
-        doc = {
+    _write_json(
+        args.report_out,
+        {
             "environment": str(args.env_file),
             "degraded": degraded.to_json_dict(),
             "recovery": recovery.to_json_dict(),
             "patched_violations": [
                 {"kind": v.kind, "message": v.message} for v in violations
             ],
-        }
-        pathlib.Path(args.report_out).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-        _log.info("wrote fault report to %s", args.report_out)
-    if violations:
-        _print_violations(violations)
+        },
+        "fault report",
+    )
+    if _report_violations(violations):
         return 1
     print("recovery feasible: patched schedule valid on masked topology")
     return 0
@@ -918,14 +1064,10 @@ def _run_online(args: argparse.Namespace) -> int:
     the loop ends without a valid schedule.  Malformed or unreadable
     feeds exit non-zero with a one-line diagnostic.
     """
-    import json
-    import pathlib
-
     from repro.analysis import format_table
-    from repro.errors import FaultError, ReproError, ScheduleError
+    from repro.errors import ReproError, ScheduleError
     from repro.faults.feed import FaultFeed
-    from repro.io import load_environment
-    from repro.obs import NULL_OBS, Observability
+    from repro.obs.slo import SLOPolicy, online_indicators
     from repro.online import (
         OnlineAmendmentLoop,
         OnlineLoopConfig,
@@ -934,44 +1076,23 @@ def _run_online(args: argparse.Namespace) -> int:
     )
     from repro.service import VORService
 
-    if not args.env_file:
-        raise SystemExit("run-online requires an environment JSON path")
-    topology, catalog, batch = load_environment(args.env_file)
-    if batch is None:
+    env = _EnvRun(args)
+    if not 0.0 < args.cycle_fraction <= 1.0:
         raise SystemExit(
-            f"{args.env_file} contains no 'requests' section to schedule"
+            f"--cycle-fraction must be in (0, 1], got {args.cycle_fraction}"
         )
-    replicas = _parse_replicas(
-        args.replicas, topology, catalog, batch, seed=args.seed
-    )
-    want_journal = bool(args.journal_out or args.explain)
-    want_telemetry = bool(args.metrics_out or args.trace_out or want_journal)
-    obs = (
-        Observability.on(journal=want_journal) if want_telemetry else NULL_OBS
-    )
-
-    t0, t1 = batch.span
-    tail = max(v.playback for v in catalog)
-    if args.feed:
-        try:
-            feed = FaultFeed.load(args.feed)
-        except FaultError as exc:
-            raise SystemExit(f"invalid --feed: {exc}") from exc
-        _log.info("loaded %d event(s) from %s", len(feed), args.feed)
-    else:
-        feed = FaultFeed.generate(
-            topology,
+    batch = env.batch
+    replicas = env.replicas(batch)
+    feed = env.feed(
+        FaultFeed, args.feed, args.feed_out, flag="--feed", unit="event",
+        generate=lambda: FaultFeed.generate(
+            env.topology,
             seed=args.seed,
-            horizon=(t0, t1 + tail),
+            horizon=env.horizon,
             n_events=args.feed_events,
             kinds=_parse_kinds(args.kinds),
-        )
-        _log.info(
-            "generated %d event(s) from seed %d", len(feed), args.seed
-        )
-    if args.feed_out:
-        feed.save(args.feed_out)
-        _log.info("wrote fault feed to %s", args.feed_out)
+        ),
+    )
     try:
         config = OnlineLoopConfig(
             debounce=args.debounce,
@@ -992,10 +1113,10 @@ def _run_online(args: argparse.Namespace) -> int:
         raise SystemExit(f"invalid online options: {exc}") from exc
 
     service = VORService(
-        topology,
-        catalog,
+        env.topology,
+        env.catalog,
         lead_time=0.0,
-        obs=obs,
+        obs=env.obs,
         replicas=replicas,
     )
     for r in batch:
@@ -1003,18 +1124,15 @@ def _run_online(args: argparse.Namespace) -> int:
             r.user_id, r.video_id, r.start_time,
             local_storage=r.local_storage, now=0.0,
         )
-    if not 0.0 < args.cycle_fraction <= 1.0:
-        raise SystemExit(
-            f"--cycle-fraction must be in (0, 1], got {args.cycle_fraction}"
-        )
-    cycle_end = t0 + args.cycle_fraction * (t1 - t0)
-    report = service.close_cycle(cycle_end=cycle_end)
+    t0, t1 = batch.span
+    report = service.close_cycle(
+        cycle_end=t0 + args.cycle_fraction * (t1 - t0)
+    )
     if not report.feasible:
-        _print_violations(report.violations)
-        return 1
+        return _report_violations(report.violations)
 
     loop = OnlineAmendmentLoop(
-        service, config, obs=obs, failure_injector=injector
+        service, config, obs=env.obs, failure_injector=injector
     )
     try:
         run = loop.run(feed, report)
@@ -1040,21 +1158,13 @@ def _run_online(args: argparse.Namespace) -> int:
         )
     )
     print(run.summary())
-
-    from repro.obs.slo import SLOError, SLOPolicy, online_indicators
-
-    try:
-        policy = SLOPolicy.load(args.slo) if args.slo else SLOPolicy.default()
-    except SLOError as exc:
-        raise SystemExit(f"invalid --slo: {exc}") from exc
-    indicators = online_indicators(run, reservations=len(batch))
-    slo_report = policy.evaluate(indicators)
-    slo_report.record(obs.metrics)
-    print(slo_report.format_report())
-    _write_telemetry(args, obs)
-
-    if args.online_report_out:
-        doc = {
+    slo = env.gate(
+        online_indicators(run, reservations=len(batch)), SLOPolicy.default
+    )
+    env.write_telemetry()
+    _write_json(
+        args.online_report_out,
+        {
             "environment": str(args.env_file),
             "feed": feed.name,
             "seed": feed.seed,
@@ -1064,16 +1174,10 @@ def _run_online(args: argparse.Namespace) -> int:
             ),
             "deadline_misses": run.deadline_misses,
             "deterministic": run.deterministic_dict(),
-            "slo": {
-                "indicators": indicators,
-                "policy": policy.to_dict(),
-                "evaluation": slo_report.to_dict(),
-            },
-        }
-        pathlib.Path(args.online_report_out).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-        _log.info("wrote online report to %s", args.online_report_out)
+            "slo": slo,
+        },
+        "online report",
+    )
     if run.final is None or not run.final.feasible:
         print("online run ended without a valid schedule")
         return 1
@@ -1091,11 +1195,7 @@ def _run_horizon(args: argparse.Namespace) -> int:
     table and summary, and exits non-zero when any cycle ends
     infeasible.
     """
-    import json
-    import pathlib
-
-    from repro.analysis import format_table
-    from repro.errors import FaultError, ReproError
+    from repro.errors import ReproError
     from repro.faults.feed import FaultFeed
     from repro.horizon import (
         HorizonConfig,
@@ -1103,18 +1203,14 @@ def _run_horizon(args: argparse.Namespace) -> int:
         MigrationConfig,
         generate_drifting_cycles,
     )
-    from repro.io import load_environment
-    from repro.obs import NULL_OBS, Observability
     from repro.online import OnlineLoopConfig
 
-    if not args.env_file:
-        raise SystemExit("run-horizon requires an environment JSON path")
-    topology, catalog, batch = load_environment(args.env_file)
-    if batch is not None:
+    env = _EnvRun(args, needs_batch=False)
+    if env.batch is not None:
         _log.info(
             "ignoring the environment's %d-request batch: run-horizon "
             "generates one drifting batch per cycle from --seed",
-            len(batch),
+            len(env.batch),
         )
     if args.cycles < 1:
         raise SystemExit(f"--cycles must be >= 1, got {args.cycles}")
@@ -1122,40 +1218,22 @@ def _run_horizon(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--cycle-length must be positive, got {args.cycle_length}"
         )
+    feed = env.feed(
+        FaultFeed, args.feed, args.feed_out, flag="--feed", unit="event"
+    )
     cycles = generate_drifting_cycles(
-        topology,
-        catalog,
+        env.topology,
+        env.catalog,
         cycles=args.cycles,
         cycle_length=args.cycle_length,
         seed=args.seed,
         churn=args.churn,
         users_per_neighborhood=args.users,
     )
-    replicas = _parse_replicas(
-        args.replicas, topology, catalog, cycles[0][0], seed=args.seed
-    )
-    if replicas is None and not args.no_migrate:
-        # migration needs explicit homes to move; default to the same
-        # heat placement --replicas heat:K would build
-        replicas = _parse_replicas(
-            f"heat:{args.degree}", topology, catalog, cycles[0][0],
-            seed=args.seed,
-        )
-    feed = None
-    if args.feed:
-        try:
-            feed = FaultFeed.load(args.feed)
-        except FaultError as exc:
-            raise SystemExit(f"invalid --feed: {exc}") from exc
-        _log.info("loaded %d event(s) from %s", len(feed), args.feed)
-    if args.feed_out and feed is not None:
-        feed.save(args.feed_out)
-        _log.info("wrote fault feed to %s", args.feed_out)
-
-    want_journal = bool(args.journal_out or args.explain)
-    want_telemetry = bool(args.metrics_out or args.trace_out or want_journal)
-    obs = (
-        Observability.on(journal=want_journal) if want_telemetry else NULL_OBS
+    # migration needs explicit homes to move; default to the same heat
+    # placement --replicas heat:K would build
+    replicas = env.replicas(
+        cycles[0][0], default=None if args.no_migrate else f"heat:{args.degree}"
     )
     migration = (
         None
@@ -1174,59 +1252,38 @@ def _run_horizon(args: argparse.Namespace) -> int:
     )
     try:
         orchestrator = HorizonOrchestrator(
-            topology,
-            catalog,
+            env.topology,
+            env.catalog,
             replicas=replicas,
-            obs=obs,
+            obs=env.obs,
             config=config,
         )
         report = orchestrator.run(cycles, feed=feed)
     except ReproError as exc:
         raise SystemExit(f"horizon run failed: {exc}") from exc
 
-    rows = [
-        [
-            c.index,
-            c.requests,
-            c.psi_net,
-            c.fault_events,
-            c.carried_events,
-            c.resumed,
-            c.restarted,
-            "yes" if c.feasible else "NO",
-        ]
-        for c in report.cycles
-    ]
+    doc = {
+        "environment": str(args.env_file),
+        "seed": args.seed,
+        "cycles_requested": args.cycles,
+        "cycle_length": args.cycle_length,
+        "churn": args.churn,
+        "migration": not args.no_migrate,
+        "feed": feed.name if feed is not None else None,
+        "deterministic": report.to_json_dict(),
+    }
     print(
-        format_table(
-            [
-                "cycle", "requests", "psi net ($)", "fault events",
-                "carried", "resumed", "restarted", "feasible",
-            ],
-            rows,
+        _cycle_table(
+            doc["deterministic"]["cycles"],
+            _HORIZON_COLUMNS,
             title=f"horizon for {args.env_file} "
             f"[{args.cycles} cycle(s), seed {args.seed}, "
             f"{'frozen' if args.no_migrate else 'migrating'}]",
         )
     )
     print(report.summary())
-    _write_telemetry(args, obs)
-
-    if args.horizon_report_out:
-        doc = {
-            "environment": str(args.env_file),
-            "seed": args.seed,
-            "cycles_requested": args.cycles,
-            "cycle_length": args.cycle_length,
-            "churn": args.churn,
-            "migration": not args.no_migrate,
-            "feed": feed.name if feed is not None else None,
-            "deterministic": report.deterministic_dict(),
-        }
-        pathlib.Path(args.horizon_report_out).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-        _log.info("wrote horizon report to %s", args.horizon_report_out)
+    env.write_telemetry()
+    _write_json(args.horizon_report_out, doc, "horizon report")
     if not report.feasible:
         print("horizon ended with an infeasible cycle")
         return 1
@@ -1244,10 +1301,6 @@ def _run_gateway(args: argparse.Namespace) -> int:
     non-zero when a sealed cycle is infeasible.  Malformed feeds and
     policy specs exit non-zero with a one-line diagnostic.
     """
-    import json
-    import pathlib
-
-    from repro.analysis import format_table
     from repro.errors import GatewayError, ReproError
     from repro.gateway import (
         GatewayConfig,
@@ -1255,58 +1308,38 @@ def _run_gateway(args: argparse.Namespace) -> int:
         ReservationGateway,
         build_policy,
     )
-    from repro.io import load_environment
-    from repro.obs import NULL_OBS, Observability
+    from repro.obs.slo import SLOPolicy, gateway_indicators
     from repro.service import VORService
 
-    if not args.env_file:
-        raise SystemExit("run-gateway requires an environment JSON path")
-    topology, catalog, _ = load_environment(args.env_file)
-
-    if args.request_feed:
-        try:
-            feed = RequestFeed.load(args.request_feed)
-        except GatewayError as exc:
-            raise SystemExit(f"invalid --request-feed: {exc}") from exc
-        _log.info(
-            "loaded %d booking(s) from %s", len(feed), args.request_feed
-        )
-    else:
-        feed = RequestFeed.generate(
-            topology,
-            catalog,
+    env = _EnvRun(args, needs_batch=False)
+    if args.seals < 1:
+        raise SystemExit(f"--seals must be >= 1, got {args.seals}")
+    feed = env.feed(
+        RequestFeed, args.request_feed, args.request_feed_out,
+        flag="--request-feed", unit="booking",
+        generate=lambda: RequestFeed.generate(
+            env.topology,
+            env.catalog,
             seed=args.seed,
             users_per_neighborhood=args.users,
-        )
-        _log.info(
-            "generated %d booking(s) from seed %d", len(feed), args.seed
-        )
+        ),
+    )
     if not feed:
         raise SystemExit("request feed is empty: nothing to gate")
-    if args.request_feed_out:
-        feed.save(args.request_feed_out)
-        _log.info("wrote request feed to %s", args.request_feed_out)
-
-    replicas = _parse_replicas(
-        args.replicas, topology, catalog, feed.batch(), seed=args.seed
-    )
-    want_journal = bool(args.journal_out or args.explain)
-    want_telemetry = bool(args.metrics_out or args.trace_out or want_journal)
-    obs = (
-        Observability.on(journal=want_journal) if want_telemetry else NULL_OBS
-    )
-
+    replicas = env.replicas(feed.batch())
     try:
-        policy = build_policy(args.policy, topology=topology, catalog=catalog)
+        policy = build_policy(
+            args.policy, topology=env.topology, catalog=env.catalog
+        )
         config = GatewayConfig(
             max_batch=args.max_batch, queue_depth=args.queue_depth
         )
     except GatewayError as exc:
         raise SystemExit(f"invalid gateway options: {exc}") from exc
-    if args.seals < 1:
-        raise SystemExit(f"--seals must be >= 1, got {args.seals}")
 
-    service = VORService(topology, catalog, obs=obs, replicas=replicas)
+    service = VORService(
+        env.topology, env.catalog, obs=env.obs, replicas=replicas
+    )
     gateway = ReservationGateway(service, policy=policy, config=config)
 
     # Intermediate boundaries split the booking span; the last one covers
@@ -1323,68 +1356,27 @@ def _run_gateway(args: argparse.Namespace) -> int:
     except ReproError as exc:
         raise SystemExit(f"gateway run failed: {exc}") from exc
 
-    rows = [
-        [
-            c.index,
-            c.offered,
-            c.admitted,
-            c.promoted,
-            c.rejected_total,
-            c.queued,
-            c.shed,
-            c.quote_total,
-            c.realized_total,
-            "yes" if c.feasible else "NO",
-        ]
-        for c in run.cycles
-    ]
+    doc = {
+        "environment": str(args.env_file),
+        "seed": feed.seed,
+        "policy": args.policy,
+        "max_batch": args.max_batch,
+        "queue_depth": args.queue_depth,
+        "seals": args.seals,
+        **run.to_json_dict(),
+    }
     print(
-        format_table(
-            [
-                "cycle", "offered", "admitted", "promoted", "rejected",
-                "queued", "shed", "quoted ($)", "realized ($)", "feasible",
-            ],
-            rows,
+        _cycle_table(
+            doc["deterministic"]["cycles"],
+            _GATEWAY_COLUMNS,
             title=f"gateway for {args.env_file} "
             f"[{feed.name or 'feed'}, policy {args.policy}]",
         )
     )
     print(run.summary())
-
-    from repro.obs.slo import SLOError, SLOPolicy, gateway_indicators
-
-    try:
-        slo_policy = (
-            SLOPolicy.load(args.slo) if args.slo
-            else SLOPolicy.gateway_default()
-        )
-    except SLOError as exc:
-        raise SystemExit(f"invalid --slo: {exc}") from exc
-    indicators = gateway_indicators(run)
-    slo_report = slo_policy.evaluate(indicators)
-    slo_report.record(obs.metrics)
-    print(slo_report.format_report())
-    _write_telemetry(args, obs)
-
-    if args.gateway_report_out:
-        doc = {
-            "environment": str(args.env_file),
-            "seed": feed.seed,
-            "policy": args.policy,
-            "max_batch": args.max_batch,
-            "queue_depth": args.queue_depth,
-            "seals": args.seals,
-            "slo": {
-                "indicators": indicators,
-                "policy": slo_policy.to_dict(),
-                "evaluation": slo_report.to_dict(),
-            },
-            **run.to_json_dict(),
-        }
-        pathlib.Path(args.gateway_report_out).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-        _log.info("wrote gateway report to %s", args.gateway_report_out)
+    doc["slo"] = env.gate(gateway_indicators(run), SLOPolicy.gateway_default)
+    env.write_telemetry()
+    _write_json(args.gateway_report_out, doc, "gateway report")
     if not run.feasible:
         print("gateway run ended with an infeasible cycle")
         return 1
@@ -1393,34 +1385,32 @@ def _run_gateway(args: argparse.Namespace) -> int:
 
 
 def _slo_check(args: argparse.Namespace) -> int:
-    """Gate an online report JSON against an SLO policy (non-zero on breach).
+    """Gate a run report JSON against an SLO policy (non-zero on breach).
 
-    Reads the ``slo.indicators`` section that ``run-online
-    --online-report-out`` embeds, re-evaluates it against ``--slo`` (or
-    the built-in default policy), prints the verdict, and exits 1 when
-    any SLO is breached.
+    Reads the ``slo`` section that ``run-online --online-report-out`` and
+    ``run-gateway --gateway-report-out`` embed and re-evaluates its
+    indicators against ``--slo``, or, without it, against the policy the
+    report embeds (``slo.policy``, the one the run was gated with).
+    Prints the verdict and exits 1 when any SLO is breached.
     """
-    import json
-    import pathlib
-
-    from repro.obs.slo import SLOError, SLOPolicy
+    from repro.obs.slo import SLOPolicy
 
     if not args.env_file:
         raise SystemExit("slo-check requires an online report JSON path")
-    try:
-        doc = json.loads(pathlib.Path(args.env_file).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"cannot read {args.env_file}: {exc}") from exc
-    indicators = (doc.get("slo") or {}).get("indicators")
+    slo = _read_json(args.env_file).get("slo") or {}
+    indicators = slo.get("indicators")
     if not isinstance(indicators, dict):
         raise SystemExit(
             f"{args.env_file} has no 'slo.indicators' section (write one "
-            "with 'run-online --online-report-out')"
+            "with 'run-online --online-report-out' or 'run-gateway "
+            "--gateway-report-out')"
         )
-    try:
-        policy = SLOPolicy.load(args.slo) if args.slo else SLOPolicy.default()
-    except SLOError as exc:
-        raise SystemExit(f"invalid --slo: {exc}") from exc
+    if not args.slo and "policy" not in slo:
+        raise SystemExit(
+            f"{args.env_file} embeds no 'slo.policy' to re-gate against "
+            "(pass --slo POLICY.json)"
+        )
+    policy = _slo_policy(args, lambda: SLOPolicy.from_dict(slo["policy"]))
     report = policy.evaluate(indicators)
     print(report.format_report())
     if not report.ok:
@@ -1441,9 +1431,6 @@ def _report_dashboard(args: argparse.Namespace) -> int:
     deterministic metric families, and (with ``--journal``) the event mix
     and per-request timelines from a journal JSONL.
     """
-    import json
-    import pathlib
-
     from repro.analysis import ascii_chart, format_table
     from repro.analysis.series import Series
     from repro.obs import (
@@ -1453,14 +1440,7 @@ def _report_dashboard(args: argparse.Namespace) -> int:
         load_journal_jsonl,
     )
 
-    doc = {}
-    if args.telemetry:
-        try:
-            doc = json.loads(pathlib.Path(args.telemetry).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(
-                f"cannot read --telemetry {args.telemetry}: {exc}"
-            ) from exc
+    doc = _read_json(args.telemetry, "--telemetry") if args.telemetry else {}
 
     phases = doc.get("phases") or {}
     if phases:
@@ -1535,34 +1515,19 @@ def _report_dashboard(args: argparse.Namespace) -> int:
         )
 
     if args.horizon_report:
-        try:
-            hdoc = json.loads(pathlib.Path(args.horizon_report).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(
-                f"cannot read --horizon-report {args.horizon_report}: {exc}"
-            ) from exc
-        det = hdoc.get("deterministic") or {}
+        det = (
+            _read_json(args.horizon_report, "--horizon-report").get(
+                "deterministic"
+            )
+            or {}
+        )
         cycles = det.get("cycles") or []
         if cycles:
             print()
             print(
-                format_table(
-                    [
-                        "cycle", "requests", "psi net ($)", "fault events",
-                        "resumed", "restarted", "feasible",
-                    ],
-                    [
-                        [
-                            c.get("index"),
-                            c.get("requests"),
-                            c.get("psi_net"),
-                            c.get("fault_events"),
-                            c.get("resumed"),
-                            c.get("restarted"),
-                            "yes" if c.get("feasible") else "NO",
-                        ]
-                        for c in cycles
-                    ],
+                _cycle_table(
+                    cycles,
+                    _HORIZON_COLUMNS,
                     title=f"horizon cycles [{args.horizon_report}]",
                 )
             )
@@ -1600,35 +1565,19 @@ def _report_dashboard(args: argparse.Namespace) -> int:
             )
 
     if args.gateway_report:
-        try:
-            gdoc = json.loads(pathlib.Path(args.gateway_report).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SystemExit(
-                f"cannot read --gateway-report {args.gateway_report}: {exc}"
-            ) from exc
-        det = gdoc.get("deterministic") or {}
+        det = (
+            _read_json(args.gateway_report, "--gateway-report").get(
+                "deterministic"
+            )
+            or {}
+        )
         gcycles = det.get("cycles") or []
         if gcycles:
             print()
             print(
-                format_table(
-                    [
-                        "cycle", "offered", "admitted", "rejected",
-                        "queued", "shed", "quote error", "feasible",
-                    ],
-                    [
-                        [
-                            c.get("index"),
-                            c.get("offered"),
-                            c.get("admitted"),
-                            sum((c.get("rejected") or {}).values()),
-                            c.get("queued"),
-                            c.get("shed"),
-                            c.get("quote_error"),
-                            "yes" if c.get("feasible") else "NO",
-                        ]
-                        for c in gcycles
-                    ],
+                _cycle_table(
+                    gcycles,
+                    _GATEWAY_COLUMNS,
                     title=f"gateway cycles [{args.gateway_report}]",
                 )
             )
@@ -1660,10 +1609,6 @@ def _report_dashboard(args: argparse.Namespace) -> int:
             journal = load_journal_jsonl(args.journal)
         except JournalError as exc:
             raise SystemExit(f"cannot load --journal: {exc}") from exc
-        except OSError as exc:
-            raise SystemExit(
-                f"cannot read --journal {args.journal}: {exc}"
-            ) from exc
         print()
         print(
             format_table(
@@ -1700,9 +1645,6 @@ def _finish_profile(args: argparse.Namespace, state) -> None:
     """Write the top-N hotspot artifact (stable schema, sorted output)."""
     if state is None:
         return
-    import json
-    import pathlib
-
     kind, profiler = state
     if kind == "cprofile":
         import pstats
@@ -1737,13 +1679,25 @@ def _finish_profile(args: argparse.Namespace, state) -> None:
             for stat in snapshot.statistics("lineno")[:25]
         ]
         doc = {"profiler": "tracemalloc", "top": rows}
-    pathlib.Path(args.profile_out).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
-    _log.info("wrote %s hotspot profile to %s", kind, args.profile_out)
+    _write_json(args.profile_out, doc, f"{kind} hotspot profile")
+
+
+#: The commands that take a positional file (an environment JSON, or a
+#: run report for 'slo-check').
+_FILE_COMMANDS = {
+    "run-env": _run_environment,
+    "simulate": _simulate_environment,
+    "run-faults": _run_faults,
+    "run-online": _run_online,
+    "run-horizon": _run_horizon,
+    "run-gateway": _run_gateway,
+    "slo-check": _slo_check,
+}
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.experiment in _FILE_COMMANDS:
+        return _FILE_COMMANDS[args.experiment](args)
     if args.experiment == "all":
         for name in ["worked-example", *sorted(_FIGURES), "table5", "gap", "ablations"]:
             print("=" * 78)
@@ -1753,20 +1707,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.telemetry or args.horizon_report or args.gateway_report or args.journal:
             return _report_dashboard(args)
         _write_report(args)
-    elif args.experiment == "run-env":
-        return _run_environment(args)
-    elif args.experiment == "simulate":
-        return _simulate_environment(args)
-    elif args.experiment == "run-faults":
-        return _run_faults(args)
-    elif args.experiment == "run-online":
-        return _run_online(args)
-    elif args.experiment == "run-horizon":
-        return _run_horizon(args)
-    elif args.experiment == "run-gateway":
-        return _run_gateway(args)
-    elif args.experiment == "slo-check":
-        return _slo_check(args)
     else:
         _run_one(args.experiment, args)
     return 0

@@ -11,9 +11,9 @@ incrementally as events arrive.
 
 Feeds are plain data and fully deterministic:
 
-* a **JSONL file feed** (:meth:`FaultFeed.load` / :meth:`FaultFeed.save`)
-  replays a committed scenario bit-identically -- one header line, one event
-  per subsequent line, so malformed input is diagnosable as ``path:lineno``;
+* a **JSONL file feed** (:meth:`FaultFeed.load` / :meth:`FaultFeed.save`,
+  the codec shared with every feed in :mod:`repro.feed`) replays a
+  committed scenario bit-identically;
 * a **seeded generator feed** (:meth:`FaultFeed.generate`) draws the faults
   through :meth:`FaultPlan.generate` and derives each report's arrival time
   from the same seed, so equal arguments always yield an equal feed.
@@ -21,17 +21,14 @@ Feeds are plain data and fully deterministic:
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 import random
 from dataclasses import dataclass
 
 from repro.errors import FaultError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.feed import EventFeed
 from repro.topology.graph import Topology
-
-_FEED_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -68,44 +65,19 @@ class FaultEvent:
             raise FaultError(f"malformed fault event: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class FaultFeed:
+class FaultFeed(EventFeed[FaultEvent]):
     """An ordered, replayable stream of fault reports.
 
     Events are kept in canonical arrival order (ties broken by the fault's
-    sort key), so two feeds with the same events compare equal and replay
-    identically regardless of construction order.  Unlike
-    :class:`FaultPlan`, duplicate reports are *kept* -- deduplication is the
-    amendment loop's job (it amends with the cumulative
-    :meth:`plan`, whose canonicalization merges same-fault repeats).
+    sort key).  Unlike :class:`FaultPlan`, duplicate reports are *kept* --
+    deduplication is the amendment loop's job (it amends with the
+    cumulative :meth:`plan`, whose canonicalization merges same-fault
+    repeats).
     """
 
-    events: tuple[FaultEvent, ...] = ()
-    name: str = ""
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "events",
-            tuple(sorted(self.events, key=FaultEvent._sort_key)),
-        )
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        """(first arrival, last arrival); raises when empty."""
-        if not self.events:
-            raise FaultError("empty fault feed has no span")
-        return (self.events[0].at, self.events[-1].at)
+    event_type = FaultEvent
+    error = FaultError
+    noun = "fault feed"
 
     def plan(self) -> FaultPlan:
         """The cumulative :class:`FaultPlan` of every reported fault.
@@ -117,83 +89,6 @@ class FaultFeed:
             faults=tuple(e.fault for e in self.events),
             name=self.name,
             seed=self.seed,
-        )
-
-    def until(self, t: float) -> "FaultFeed":
-        """The sub-feed of events reported at or before instant ``t``."""
-        return FaultFeed(
-            events=tuple(e for e in self.events if e.at <= t),
-            name=self.name,
-            seed=self.seed,
-        )
-
-    # -- serialization -----------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write the feed as JSONL: one header line, then one event/line."""
-        header: dict = {
-            "format_version": _FEED_FORMAT_VERSION,
-            "name": self.name,
-        }
-        if self.seed is not None:
-            header["seed"] = self.seed
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(
-            json.dumps(e.to_dict(), sort_keys=True) for e in self.events
-        )
-        pathlib.Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "FaultFeed":
-        """Read a feed written by :meth:`save`.
-
-        Raises :class:`~repro.errors.FaultError` with a ``path:lineno``
-        diagnostic on unreadable files, non-JSON lines, bad header
-        versions, or malformed event records.
-        """
-        try:
-            text = pathlib.Path(path).read_text()
-        except OSError as exc:
-            raise FaultError(f"cannot read fault feed {path}: {exc}") from exc
-        header: dict | None = None
-        events: list[FaultEvent] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FaultError(f"{path}:{lineno}: not JSON: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise FaultError(
-                    f"{path}:{lineno}: expected a JSON object, got "
-                    f"{type(doc).__name__}"
-                )
-            if header is None:
-                if "format_version" not in doc:
-                    raise FaultError(
-                        f"{path}:1: missing feed header (format_version)"
-                    )
-                if doc["format_version"] != _FEED_FORMAT_VERSION:
-                    raise FaultError(
-                        f"{path}:1: unsupported feed format version "
-                        f"{doc['format_version']!r} "
-                        f"(expected {_FEED_FORMAT_VERSION})"
-                    )
-                header = doc
-                continue
-            try:
-                events.append(FaultEvent.from_dict(doc))
-            except FaultError as exc:
-                raise FaultError(f"{path}:{lineno}: {exc}") from exc
-        if header is None:
-            raise FaultError(f"{path}:1: empty feed file (no header line)")
-        seed = header.get("seed")
-        return cls(
-            events=tuple(events),
-            name=str(header.get("name", "")),
-            seed=int(seed) if seed is not None else None,
         )
 
     # -- seeded generation -------------------------------------------------

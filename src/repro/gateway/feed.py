@@ -9,12 +9,12 @@ being: booking by booking, each some lead time before its showing.  The
 reservation gateway (:mod:`repro.gateway.gateway`) consumes feeds and
 quotes/admits/queues/sheds requests as they arrive.
 
-Feeds are plain data and fully deterministic, mirroring
+Feeds are plain data and fully deterministic, like
 :class:`~repro.faults.feed.FaultFeed`:
 
-* a **JSONL file feed** (:meth:`RequestFeed.load` / :meth:`RequestFeed.save`)
-  replays a committed scenario bit-identically -- one header line, one event
-  per subsequent line, so malformed input is diagnosable as ``path:lineno``;
+* a **JSONL file feed** (:meth:`RequestFeed.load` / :meth:`RequestFeed.save`,
+  the codec shared with every feed in :mod:`repro.feed`) replays a
+  committed scenario bit-identically;
 * a **seeded generator feed** (:meth:`RequestFeed.generate`) draws the
   requests through :class:`~repro.workload.generators.WorkloadGenerator`
   (neighborhoods x users x Zipf x an arrival process) and derives each
@@ -24,20 +24,17 @@ Feeds are plain data and fully deterministic, mirroring
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 import random
 from dataclasses import dataclass
 
 from repro.catalog.catalog import VideoCatalog
 from repro.errors import GatewayError
+from repro.feed import EventFeed
 from repro.topology.graph import Topology
 from repro.workload.arrival import ArrivalProcess
 from repro.workload.generators import WorkloadGenerator
 from repro.workload.requests import Request, RequestBatch
-
-_FEED_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -95,44 +92,18 @@ class RequestEvent:
             raise GatewayError(f"malformed request event: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RequestFeed:
+class RequestFeed(EventFeed[RequestEvent]):
     """An ordered, replayable stream of booking requests.
 
     Events are kept in canonical arrival order (ties broken by the
-    request's identifying fields), so two feeds with the same events
-    compare equal and replay identically regardless of construction
-    order.  Duplicate bookings are *kept* -- two identical reservations
-    are two streams of demand, and deduplication (if any) is an
-    admission policy's job.
+    request's identifying fields).  Duplicate bookings are *kept* -- two
+    identical reservations are two streams of demand, and deduplication
+    (if any) is an admission policy's job.
     """
 
-    events: tuple[RequestEvent, ...] = ()
-    name: str = ""
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "events",
-            tuple(sorted(self.events, key=RequestEvent._sort_key)),
-        )
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        """(first arrival, last arrival); raises when empty."""
-        if not self.events:
-            raise GatewayError("empty request feed has no span")
-        return (self.events[0].at, self.events[-1].at)
+    event_type = RequestEvent
+    error = GatewayError
+    noun = "request feed"
 
     @property
     def showing_span(self) -> tuple[float, float]:
@@ -145,83 +116,6 @@ class RequestFeed:
     def batch(self) -> RequestBatch:
         """Every booked request as one frozen batch (the offline view)."""
         return RequestBatch(e.request for e in self.events)
-
-    def until(self, t: float) -> "RequestFeed":
-        """The sub-feed of bookings arriving at or before instant ``t``."""
-        return RequestFeed(
-            events=tuple(e for e in self.events if e.at <= t),
-            name=self.name,
-            seed=self.seed,
-        )
-
-    # -- serialization -----------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write the feed as JSONL: one header line, then one event/line."""
-        header: dict = {
-            "format_version": _FEED_FORMAT_VERSION,
-            "name": self.name,
-        }
-        if self.seed is not None:
-            header["seed"] = self.seed
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(
-            json.dumps(e.to_dict(), sort_keys=True) for e in self.events
-        )
-        pathlib.Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "RequestFeed":
-        """Read a feed written by :meth:`save`.
-
-        Raises :class:`~repro.errors.GatewayError` with a ``path:lineno``
-        diagnostic on unreadable files, non-JSON lines, bad header
-        versions, or malformed event records.
-        """
-        try:
-            text = pathlib.Path(path).read_text()
-        except OSError as exc:
-            raise GatewayError(f"cannot read request feed {path}: {exc}") from exc
-        header: dict | None = None
-        events: list[RequestEvent] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GatewayError(f"{path}:{lineno}: not JSON: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise GatewayError(
-                    f"{path}:{lineno}: expected a JSON object, got "
-                    f"{type(doc).__name__}"
-                )
-            if header is None:
-                if "format_version" not in doc:
-                    raise GatewayError(
-                        f"{path}:1: missing feed header (format_version)"
-                    )
-                if doc["format_version"] != _FEED_FORMAT_VERSION:
-                    raise GatewayError(
-                        f"{path}:1: unsupported feed format version "
-                        f"{doc['format_version']!r} "
-                        f"(expected {_FEED_FORMAT_VERSION})"
-                    )
-                header = doc
-                continue
-            try:
-                events.append(RequestEvent.from_dict(doc))
-            except GatewayError as exc:
-                raise GatewayError(f"{path}:{lineno}: {exc}") from exc
-        if header is None:
-            raise GatewayError(f"{path}:1: empty feed file (no header line)")
-        seed = header.get("seed")
-        return cls(
-            events=tuple(events),
-            name=str(header.get("name", "")),
-            seed=int(seed) if seed is not None else None,
-        )
 
     # -- seeded generation -------------------------------------------------
 

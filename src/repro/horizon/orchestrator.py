@@ -180,6 +180,8 @@ class HorizonReport:
         )
 
     def to_json_dict(self) -> dict:
+        """The whole report; replay-invariant (the horizon records no wall
+        clock), so CI byte-compares it."""
         return {
             "cycles": [c.to_json_dict() for c in self.cycles],
             "migrations": [m.to_json_dict() for m in self.migrations],
@@ -193,11 +195,6 @@ class HorizonReport:
             "psi_trajectory": [round(p, 6) for p in self.psi_trajectory],
             "total_psi": round(self.total_psi, 6),
         }
-
-    def deterministic_dict(self) -> dict:
-        """The replay-invariant slice (everything -- the horizon records
-        no wall clock), for CI byte-compare gates."""
-        return self.to_json_dict()
 
     def summary(self) -> str:
         lines = [

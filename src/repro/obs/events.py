@@ -303,14 +303,19 @@ def write_journal_jsonl(
 def load_journal_jsonl(path: str | Path) -> RequestJournal:
     """Rebuild a journal from a JSONL export (for offline ``explain``).
 
-    Raises :class:`JournalError` (with a ``path:lineno`` diagnostic) on
-    non-JSON lines, malformed events, and events whose kind is not in the
-    current :data:`EVENT_KINDS` taxonomy -- a journal written by a newer
+    Raises :class:`JournalError` on an unreadable path and (with a
+    ``path:lineno`` diagnostic) on non-JSON lines, malformed events, and
+    events whose kind is not in the current :data:`EVENT_KINDS` taxonomy
+    -- a journal written by a newer
     (or incompatible older) version of this library must fail loudly, not
     crash downstream consumers with a raw ``KeyError``.
     """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise JournalError(f"cannot read journal {path}: {exc}") from exc
     journal = RequestJournal()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:

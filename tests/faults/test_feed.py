@@ -1,11 +1,13 @@
-"""Tests for replayable fault feeds: ordering, JSONL round-trips, seeded
-generation, and the one-line load diagnostics the CLI relies on."""
+"""Tests for replayable fault feeds: ordering, the cumulative plan, seeded
+generation, and the shared JSONL codec cases (:mod:`tests.feed_codec`)."""
 
 import pytest
 
 from repro import Topology, units
 from repro.errors import FaultError
 from repro.faults import FaultEvent, FaultFeed, FaultKind, FaultPlan, FaultSpec
+
+from ..feed_codec import FeedCodecCases
 
 
 def _spec(t0=1.0, t1=2.0, target="IS1", kind=FaultKind.IS_OUTAGE):
@@ -75,9 +77,12 @@ class TestFaultFeed:
         assert len(feed.until(10.0)) == 2
 
 
-class TestFeedSerialization:
-    def test_save_load_roundtrip(self, tmp_path):
-        feed = FaultFeed(
+class TestFeedSerialization(FeedCodecCases):
+    feed_cls, error = FaultFeed, FaultError
+
+    @pytest.fixture
+    def feed(self):
+        return FaultFeed(
             events=(
                 FaultEvent(at=1.0, fault=_spec(2.0, 3.0)),
                 FaultEvent(at=5.0, fault=_spec(6.0, 7.0, target="IS2")),
@@ -85,41 +90,6 @@ class TestFeedSerialization:
             name="drill",
             seed=11,
         )
-        path = tmp_path / "feed.jsonl"
-        feed.save(path)
-        assert FaultFeed.load(path) == feed
-
-    def test_unreadable_path_one_line_diagnostic(self, tmp_path):
-        with pytest.raises(FaultError, match="cannot read fault feed"):
-            FaultFeed.load(tmp_path / "missing.jsonl")
-
-    def test_non_json_line_names_path_and_lineno(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"format_version": 1, "name": "x"}\n{"oops\n'
-        )
-        with pytest.raises(FaultError, match=r"bad\.jsonl:2: not JSON"):
-            FaultFeed.load(path)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "headerless.jsonl"
-        path.write_text('{"at": 1.0}\n')
-        with pytest.raises(FaultError, match="header"):
-            FaultFeed.load(path)
-
-    def test_malformed_event_names_lineno(self, tmp_path):
-        path = tmp_path / "event.jsonl"
-        path.write_text(
-            '{"format_version": 1, "name": "x"}\n{"at": 1.0}\n'
-        )
-        with pytest.raises(FaultError, match=r"event\.jsonl:2"):
-            FaultFeed.load(path)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(FaultError, match="empty"):
-            FaultFeed.load(path)
 
 
 class TestGenerate:

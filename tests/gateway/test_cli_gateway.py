@@ -8,26 +8,12 @@ import pytest
 
 from repro.cli import main
 
-
-def _env(tmp_path, *, n_videos=20, users=2, seed=2):
-    from repro import paper_catalog, paper_topology, units
-    from repro.io import save_environment
-
-    topo = paper_topology(
-        nrate=units.per_gb(500),
-        srate=units.per_gb_hour(5),
-        capacity=units.gb(5),
-    )
-    path = tmp_path / "env.json"
-    save_environment(
-        path, topology=topo, catalog=paper_catalog(n_videos, seed=seed)
-    )
-    return path
+from ..cli_env import paper_env
 
 
 class TestRunGateway:
     def test_generated_feed_runs_feasible(self, capsys, tmp_path):
-        env = _env(tmp_path)
+        env = paper_env(tmp_path, requests=False)
         assert main(["run-gateway", str(env), "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "gateway for" in out
@@ -39,7 +25,7 @@ class TestRunGateway:
             main(["run-gateway"])
 
     def test_replay_is_byte_identical(self, capsys, tmp_path):
-        env = _env(tmp_path)
+        env = paper_env(tmp_path, requests=False)
         feed = tmp_path / "feed.jsonl"
         assert (
             main(
@@ -73,7 +59,7 @@ class TestRunGateway:
         assert artifacts[0] == artifacts[1]
 
     def test_report_document_shape(self, capsys, tmp_path):
-        env = _env(tmp_path)
+        env = paper_env(tmp_path, requests=False)
         report = tmp_path / "report.json"
         assert (
             main(
@@ -93,15 +79,33 @@ class TestRunGateway:
         assert len(det["cycles"]) == 1
         assert "gateway_admission_ratio" in doc["slo"]["indicators"]
 
+    def test_slo_check_regates_against_the_embedded_gateway_policy(
+        self, capsys, tmp_path
+    ):
+        # a price ceiling nothing meets admits no booking: the run breaches
+        # the gateway policy, and slo-check without --slo must re-gate
+        # against that policy (embedded in the report), not the online one
+        env = paper_env(tmp_path, requests=False)
+        report = tmp_path / "report.json"
+        assert main([
+            "run-gateway", str(env), "--seed", "2", "--users", "1",
+            "--policy", "price-ceiling:0.0001",
+            "--gateway-report-out", str(report),
+        ]) == 0
+        assert "slo: BREACHED" in capsys.readouterr().out
+        assert main(["slo-check", str(report)]) == 1
+        out = capsys.readouterr().out
+        assert "BREACHED" in out and "gateway-admission-ratio" in out
+
     def test_invalid_feed_diagnosed(self, tmp_path):
-        env = _env(tmp_path)
+        env = paper_env(tmp_path, requests=False)
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
         with pytest.raises(SystemExit, match="invalid --request-feed"):
             main(["run-gateway", str(env), "--request-feed", str(bad)])
 
     def test_invalid_policy_diagnosed(self, tmp_path):
-        env = _env(tmp_path)
+        env = paper_env(tmp_path, requests=False)
         with pytest.raises(SystemExit, match="invalid gateway options"):
             main(
                 [
@@ -111,14 +115,14 @@ class TestRunGateway:
             )
 
     def test_invalid_seals_diagnosed(self, tmp_path):
-        env = _env(tmp_path)
+        env = paper_env(tmp_path, requests=False)
         with pytest.raises(SystemExit, match="--seals"):
             main(["run-gateway", str(env), "--seed", "2", "--seals", "0"])
 
 
 class TestGatewayDashboard:
     def test_report_renders_gateway_sections(self, capsys, tmp_path):
-        env = _env(tmp_path)
+        env = paper_env(tmp_path, requests=False)
         report = tmp_path / "report.json"
         journal = tmp_path / "journal.jsonl"
         assert (

@@ -1,4 +1,5 @@
-"""The replayable booking feed: canonical order, JSONL, seeded generation."""
+"""The replayable booking feed: canonical order, views, seeded generation,
+and the shared JSONL codec cases (:mod:`tests.feed_codec`)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import pytest
 from repro import Request, WorkloadGenerator, units
 from repro.errors import GatewayError
 from repro.gateway import RequestEvent, RequestFeed
+
+from ..feed_codec import FeedCodecCases
 
 
 def _event(at=0.0, start=5 * units.HOUR, video="m0", user="u1", storage="IS1"):
@@ -117,62 +120,9 @@ class TestGenerate:
                 )
 
 
-class TestJsonl:
-    def test_save_load_round_trip(self, gw_feed, tmp_path):
-        path = tmp_path / "feed.jsonl"
-        gw_feed.save(path)
-        assert RequestFeed.load(path) == gw_feed
+class TestJsonl(FeedCodecCases):
+    feed_cls, error = RequestFeed, GatewayError
 
-    def test_resave_is_byte_identical(self, gw_feed, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        gw_feed.save(a)
-        RequestFeed.load(a).save(b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "feed.jsonl"
-        RequestFeed(events=(_event(),), name="f").save(path)
-        path.write_text(path.read_text() + "\n\n")
-        assert len(RequestFeed.load(path)) == 1
-
-    def test_missing_file_diagnosed(self, tmp_path):
-        with pytest.raises(GatewayError, match="cannot read request feed"):
-            RequestFeed.load(tmp_path / "absent.jsonl")
-
-    def test_non_json_line_names_path_and_lineno(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"format_version": 1, "name": "f"}\nnot json\n')
-        with pytest.raises(GatewayError, match=r"bad\.jsonl:2: not JSON"):
-            RequestFeed.load(path)
-
-    def test_non_object_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"format_version": 1, "name": "f"}\n[1, 2]\n')
-        with pytest.raises(GatewayError, match="expected a JSON object"):
-            RequestFeed.load(path)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"at": 0.0}\n')
-        with pytest.raises(GatewayError, match="missing feed header"):
-            RequestFeed.load(path)
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"format_version": 99}\n')
-        with pytest.raises(GatewayError, match="unsupported feed format"):
-            RequestFeed.load(path)
-
-    def test_malformed_event_names_lineno(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"format_version": 1, "name": "f"}\n{"at": 0.0}\n'
-        )
-        with pytest.raises(GatewayError, match=r"bad\.jsonl:2: malformed"):
-            RequestFeed.load(path)
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(GatewayError, match="empty feed file"):
-            RequestFeed.load(path)
+    @pytest.fixture
+    def feed(self, gw_feed):
+        return gw_feed

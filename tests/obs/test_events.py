@@ -160,6 +160,10 @@ class TestJsonl:
         doc = json.loads(line)
         assert list(doc) == sorted(doc)
 
+    def test_load_missing_path_raises_journal_error(self, tmp_path):
+        with pytest.raises(JournalError, match="cannot read journal"):
+            load_journal_jsonl(tmp_path / "absent.jsonl")
+
     def test_load_rejects_non_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")

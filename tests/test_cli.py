@@ -6,23 +6,7 @@ import pytest
 
 from repro.cli import main
 
-
-def _paper_env(tmp_path, *, n_videos=20, users=2, seed=2):
-    from repro import WorkloadGenerator, paper_catalog, paper_topology, units
-    from repro.io import save_environment
-
-    topo = paper_topology(
-        nrate=units.per_gb(500),
-        srate=units.per_gb_hour(5),
-        capacity=units.gb(5),
-    )
-    catalog = paper_catalog(n_videos, seed=seed)
-    batch = WorkloadGenerator(
-        topo, catalog, users_per_neighborhood=users
-    ).generate(seed)
-    path = tmp_path / "env.json"
-    save_environment(path, topology=topo, catalog=catalog, batch=batch)
-    return path
+from .cli_env import paper_env
 
 
 def _tight_link_env(tmp_path):
@@ -98,24 +82,7 @@ class TestCli:
         assert "optimum" in out
 
     def test_run_env(self, capsys, tmp_path):
-        from repro import (
-            WorkloadGenerator,
-            paper_catalog,
-            paper_topology,
-            units,
-        )
-        from repro.io import save_environment
-
-        topo = paper_topology(
-            nrate=units.per_gb(500),
-            srate=units.per_gb_hour(5),
-            capacity=units.gb(5),
-        )
-        catalog = paper_catalog(20, seed=2)
-        batch = WorkloadGenerator(topo, catalog, users_per_neighborhood=2).generate(2)
-        path = tmp_path / "env.json"
-        save_environment(path, topology=topo, catalog=catalog, batch=batch)
-        assert main(["run-env", str(path)]) == 0
+        assert main(["run-env", str(paper_env(tmp_path))]) == 0
         out = capsys.readouterr().out
         assert "total cost" in out
         assert "network-only baseline" in out
@@ -125,16 +92,7 @@ class TestCli:
             main(["run-env"])
 
     def test_run_env_requires_requests(self, tmp_path):
-        from repro import paper_catalog, paper_topology, units
-        from repro.io import save_environment
-
-        topo = paper_topology(
-            nrate=units.per_gb(500),
-            srate=units.per_gb_hour(5),
-            capacity=units.gb(5),
-        )
-        path = tmp_path / "env.json"
-        save_environment(path, topology=topo, catalog=paper_catalog(5, seed=1))
+        path = paper_env(tmp_path, requests=False)
         with pytest.raises(SystemExit, match="requests"):
             main(["run-env", str(path)])
 
@@ -146,7 +104,7 @@ class TestCli:
         assert "[bandwidth]" in out
 
     def test_simulate(self, capsys, tmp_path):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         assert main(["simulate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "events replayed" in out
@@ -160,7 +118,7 @@ class TestCli:
         assert "feasible: no violations" not in out
 
     def test_run_faults_generated_scenario(self, capsys, tmp_path):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         scenario = tmp_path / "scenario.json"
         report = tmp_path / "drill.json"
         assert (
@@ -199,7 +157,7 @@ class TestCli:
     def test_run_faults_from_scenario_file(self, capsys, tmp_path):
         from repro import FaultKind, FaultPlan, FaultSpec, units
 
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         scenario = tmp_path / "outage.json"
         FaultPlan(
             (
@@ -224,7 +182,7 @@ class TestCli:
             main(["run-faults"])
 
     def test_run_online_generated_feed(self, capsys, tmp_path):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         feed_out = tmp_path / "feed.jsonl"
         report_out = tmp_path / "online.json"
         assert (
@@ -256,7 +214,7 @@ class TestCli:
         assert doc["deterministic"]["events_total"] == 3
 
     def test_run_online_replay_is_deterministic(self, tmp_path):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         docs = []
         for i in range(2):
             report_out = tmp_path / f"online{i}.json"
@@ -283,7 +241,7 @@ class TestCli:
     def test_run_online_injected_failures_degrade_not_crash(
         self, capsys, tmp_path
     ):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         assert (
             main(
                 [
@@ -315,7 +273,7 @@ class TestCli:
         from repro import FaultFeed, FaultKind, FaultSpec, units
         from repro.faults import FaultEvent
 
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         feed_path = tmp_path / "feed.jsonl"
         FaultFeed(
             events=(
@@ -336,7 +294,7 @@ class TestCli:
         assert "drill" in out
 
     def test_run_online_malformed_feed_one_line_diagnostic(self, tmp_path):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"format_version": 1, "name": "x"}\n{"oops\n')
         with pytest.raises(SystemExit) as exc:
@@ -347,7 +305,7 @@ class TestCli:
         assert "\n" not in message
 
     def test_run_online_unreadable_feed_one_line_diagnostic(self, tmp_path):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(
                 ["run-online", str(path), "--feed", str(tmp_path / "no.jsonl")]
@@ -361,14 +319,20 @@ class TestCli:
             main(["run-online"])
 
     def test_run_online_bad_injection_spec(self, tmp_path):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         with pytest.raises(SystemExit, match="invalid online options"):
             main(
                 ["run-online", str(path), "--inject-failures", "garbage"]
             )
 
-    def test_run_online_bad_cycle_fraction(self, tmp_path):
-        path = _paper_env(tmp_path)
+    def test_run_online_bad_cycle_fraction(self, tmp_path, monkeypatch):
+        from repro.service import VORService
+
+        def no_booking(*args, **kwargs):
+            raise AssertionError("booked before checking --cycle-fraction")
+
+        monkeypatch.setattr(VORService, "reserve", no_booking)
+        path = paper_env(tmp_path)
         with pytest.raises(SystemExit, match="cycle-fraction"):
             main(["run-online", str(path), "--cycle-fraction", "0"])
 
@@ -477,3 +441,11 @@ class TestRunHorizon:
     def test_requires_environment_path(self):
         with pytest.raises(SystemExit, match="environment"):
             main(["run-horizon"])
+
+    def test_feed_out_without_feed_exits(self, tmp_path):
+        path = _horizon_env(tmp_path)
+        out = tmp_path / "feed.jsonl"
+        with pytest.raises(SystemExit, match="--feed-out needs --feed") as exc:
+            main(["run-horizon", str(path), "--feed-out", str(out)])
+        assert "\n" not in str(exc.value)
+        assert not out.exists()

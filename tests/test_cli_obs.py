@@ -8,7 +8,8 @@ Acceptance contract of the observability surfaces:
 * ``explain`` timelines are complete -- every admitted request either
   reaches a terminal event or is a legitimately still-pending
   reservation beyond the cycle close;
-* ``slo-check`` exits 0/1 on pass/breach;
+* ``slo-check`` exits 0/1 on pass/breach, re-gating against the policy
+  the report embeds unless ``--slo`` names another;
 * ``report --telemetry`` renders the dashboard and ``--profile`` writes
   a stable hotspot artifact.
 """
@@ -20,23 +21,7 @@ import pytest
 from repro.cli import main
 from repro.obs.events import load_journal_jsonl
 
-
-def _paper_env(tmp_path, *, n_videos=20, users=2, seed=2):
-    from repro import WorkloadGenerator, paper_catalog, paper_topology, units
-    from repro.io import save_environment
-
-    topo = paper_topology(
-        nrate=units.per_gb(500),
-        srate=units.per_gb_hour(5),
-        capacity=units.gb(5),
-    )
-    catalog = paper_catalog(n_videos, seed=seed)
-    batch = WorkloadGenerator(
-        topo, catalog, users_per_neighborhood=users
-    ).generate(seed)
-    path = tmp_path / "env.json"
-    save_environment(path, topology=topo, catalog=catalog, batch=batch)
-    return path
+from .cli_env import paper_env
 
 
 def _run_online(path, tmp_path, tag, *extra):
@@ -71,7 +56,7 @@ def _run_online(path, tmp_path, tag, *extra):
 
 class TestJournalDeterminism:
     def test_replay_byte_identical(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         _, j1 = _run_online(path, tmp_path, "a")
         _, j2 = _run_online(path, tmp_path, "b")
         assert j1.read_bytes() == j2.read_bytes()
@@ -80,7 +65,7 @@ class TestJournalDeterminism:
     def test_journal_off_outcome_identical(self, tmp_path, capsys):
         # journaling must not perturb the run: the deterministic report
         # section matches a run with no journal at all
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         with_journal, _ = _run_online(path, tmp_path, "on")
         report_off = tmp_path / "report-off.json"
         assert (
@@ -110,7 +95,7 @@ class TestJournalDeterminism:
         ) == deterministic_slice(off["slo"]["indicators"])
 
     def test_journal_covers_lifecycle(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         _, jpath = _run_online(path, tmp_path, "mix")
         journal = load_journal_jsonl(jpath)
         counts = journal.counts()
@@ -126,7 +111,7 @@ class TestJournalDeterminism:
     def test_explain_timelines_complete(self, tmp_path, capsys):
         # every admitted request reaches phase-1 (scheduled) or shed, or
         # is a still-pending reservation starting beyond the cycle close
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         _, jpath = _run_online(path, tmp_path, "complete")
         journal = load_journal_jsonl(jpath)
         scheduled_starts, pending_starts = [], []
@@ -155,7 +140,7 @@ class TestJournalDeterminism:
 
 class TestExplainFlag:
     def test_prints_timeline_for_request(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         _, jpath = _run_online(path, tmp_path, "seed")
         rid = load_journal_jsonl(jpath).request_ids()[0]
         capsys.readouterr()
@@ -167,14 +152,14 @@ class TestExplainFlag:
 
 class TestSloSurfaces:
     def test_run_online_prints_slo_verdict(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         _run_online(path, tmp_path, "slo")
         out = capsys.readouterr().out
         assert "slo: OK" in out
         assert "deadline-hit-rate" in out
 
     def test_report_embeds_slo_section(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         report, _ = _run_online(path, tmp_path, "embed")
         doc = json.loads(report.read_text())
         slo = doc["slo"]
@@ -183,13 +168,13 @@ class TestSloSurfaces:
         assert slo["evaluation"]["ok"] is True
 
     def test_slo_check_passes_on_healthy_report(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         report, _ = _run_online(path, tmp_path, "gate")
         assert main(["slo-check", str(report)]) == 0
         assert "slo: OK" in capsys.readouterr().out
 
     def test_slo_check_exits_one_on_breach(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         report, _ = _run_online(path, tmp_path, "breach")
         strict = tmp_path / "strict.json"
         strict.write_text(
@@ -210,7 +195,7 @@ class TestSloSurfaces:
         assert "BREACHED" in capsys.readouterr().out
 
     def test_slo_check_with_committed_policy(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         report, _ = _run_online(path, tmp_path, "committed")
         assert (
             main(
@@ -234,8 +219,15 @@ class TestSloSurfaces:
         with pytest.raises(SystemExit, match="slo.indicators"):
             main(["slo-check", str(bare)])
 
+    def test_slo_check_rejects_report_without_embedded_policy(self, tmp_path):
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({"slo": {"indicators": {"shed_rate": 0}}}))
+        with pytest.raises(SystemExit, match="embeds no 'slo.policy'") as exc:
+            main(["slo-check", str(bare)])
+        assert "\n" not in str(exc.value)
+
     def test_slo_check_rejects_bad_policy(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         report, _ = _run_online(path, tmp_path, "badpolicy")
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -245,7 +237,7 @@ class TestSloSurfaces:
 
 class TestDashboard:
     def test_renders_all_sections(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         metrics = tmp_path / "metrics.json"
         journal = tmp_path / "journal.jsonl"
         assert (
@@ -285,7 +277,7 @@ class TestDashboard:
         assert f"timeline for {rid}:" in out
 
     def test_telemetry_only(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         metrics = tmp_path / "metrics.json"
         assert (
             main(["run-env", str(path), "--metrics-out", str(metrics)]) == 0
@@ -296,6 +288,11 @@ class TestDashboard:
         assert "phase wall time" in out
         assert "journal event mix" not in out
 
+    def test_missing_journal_diagnostic(self, tmp_path):
+        with pytest.raises(SystemExit, match="cannot load --journal") as exc:
+            main(["report", "--journal", str(tmp_path / "no.jsonl")])
+        assert "cannot read journal" in str(exc.value)
+
     def test_unreadable_telemetry_diagnostic(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read --telemetry"):
             main(["report", "--telemetry", str(tmp_path / "no.json")])
@@ -303,7 +300,7 @@ class TestDashboard:
 
 class TestProfile:
     def test_cprofile_artifact(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         out = tmp_path / "profile.json"
         assert (
             main(
@@ -328,7 +325,7 @@ class TestProfile:
         assert cums == sorted(cums, reverse=True)
 
     def test_tracemalloc_artifact(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         out = tmp_path / "mem.json"
         assert (
             main(
@@ -350,7 +347,7 @@ class TestProfile:
             assert set(row) == {"location", "size_bytes", "count"}
 
     def test_no_profile_no_artifact(self, tmp_path, capsys):
-        path = _paper_env(tmp_path)
+        path = paper_env(tmp_path)
         out = tmp_path / "profile.json"
         assert (
             main(["run-env", str(path), "--profile-out", str(out)]) == 0
