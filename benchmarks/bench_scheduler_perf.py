@@ -29,6 +29,11 @@ over the greedy schedule) and runs a seeded warehouse-loss drill on a
 replicated two-warehouse copy of the paper topology, recording recovery
 latency plus the deterministic saved/lost/Ψ-delta outcome.
 
+The scale sweep solves 380, 950 and 1,520 requests on the 5 GB paper
+topology, whatever the flags, gating each point's SORP rounds, victims
+and trial work (trials run, reused, revalidated and resumed; requests
+kept and served) and recording its wall time as a non-gating trajectory.
+
 Finally an online amendment drill replays a seeded fault feed (with one
 injected transient failure) through the
 :class:`~repro.online.OnlineAmendmentLoop`, recording amendment latency
@@ -69,6 +74,7 @@ from repro import (
     units,
 )
 from repro.core.overflow import detect_overflows
+from repro.topology.generators import PAPER_STORAGE_COUNT
 from repro.core.spacefunc import UsageTimeline, residency_profile
 
 
@@ -191,14 +197,23 @@ _DETERMINISTIC_GATEWAY_KEYS = (
     "quote_total_dollars",
     "realized_total_dollars",
 )
-#: Standalone-SORP keys that must match bit-for-bit: the round count and
-#: the trial work counters are pure functions of the workload.
-_DETERMINISTIC_SORP_KEYS = (
-    "iterations",
+#: SORP trial work counters: pure functions of the workload.
+_SORP_WORK_KEYS = (
     "trials_run",
     "trials_reused",
     "trials_revalidated",
+    "trials_resumed",
+    "serves_kept",
+    "serves_served",
 )
+#: Standalone-SORP keys that must match bit-for-bit: the round count and
+#: the trial work counters.
+_DETERMINISTIC_SORP_KEYS = ("iterations", *_SORP_WORK_KEYS)
+#: Request counts of the scale sweep: full two-phase solves on the 5 GB
+#: paper topology, whatever ``--quick`` or ``--videos`` say.
+_SCALE_REQUESTS = (380, 950, 1520)
+#: Scale-point keys that must match bit-for-bit; wall times never gate.
+_DETERMINISTIC_SCALE_KEYS = ("rounds", "victims", *_SORP_WORK_KEYS)
 #: Every gated report section -- (path of nested keys, keys that must
 #: match the baseline bit-for-bit).
 _GATED_SECTIONS = (
@@ -209,6 +224,7 @@ _GATED_SECTIONS = (
     (("horizon",), _DETERMINISTIC_HORIZON_KEYS),
     (("gateway",), _DETERMINISTIC_GATEWAY_KEYS),
     (("sorp",), _DETERMINISTIC_SORP_KEYS),
+    *((("scale", str(n)), _DETERMINISTIC_SCALE_KEYS) for n in _SCALE_REQUESTS),
 )
 
 
@@ -263,9 +279,24 @@ def _build_env(n_videos: int, users: int):
     return topo, catalog, batch
 
 
+def _sorp_work(metrics) -> dict:
+    """``trials_<outcome>`` and ``serves_<part>`` counts of a metrics
+    registry that saw one SORP run."""
+    labels = {
+        "vor_sorp_trials_total": ("trials", "outcome"),
+        "vor_sorp_trial_serves_total": ("serves", "part"),
+    }
+    return {
+        f"{labels[fam.name][0]}_{dict(key)[labels[fam.name][1]]}": child.value
+        for fam in metrics.families()
+        if fam.name in labels
+        for key, child in fam.children.items()
+    }
+
+
 def _time_sorp(topo, catalog, batch, repeats):
     """Best-of-N wall time of a standalone Phase-2 (SORP) pass, with its
-    round count and trial counts (read from the run's metrics registry)."""
+    round count and trial work (read from the run's metrics registry)."""
     from repro import resolve_overflows
     from repro.obs import NULL_TRACER, MetricsRegistry, Observability
 
@@ -277,13 +308,35 @@ def _time_sorp(topo, catalog, batch, repeats):
         t0 = time.perf_counter()
         _, stats = resolve_overflows(phase1, batch, cm, obs=obs)
         best = min(best, time.perf_counter() - t0)
-    trials = {
-        f"trials_{dict(key)['outcome']}": child.value
-        for fam in obs.metrics.families()
-        if fam.name == "vor_sorp_trials_total"
-        for key, child in fam.children.items()
+    return {
+        "wall_time_seconds": best,
+        "iterations": stats.iterations,
+        **_sorp_work(obs.metrics),
     }
-    return {"wall_time_seconds": best, "iterations": stats.iterations, **trials}
+
+
+def _scale_sweep() -> dict:
+    """One two-phase solve per :data:`_SCALE_REQUESTS` point on the 5 GB
+    paper topology (500-video catalog): SORP rounds, victims and trial
+    work, which gate, plus the solve's wall time, which does not."""
+    from repro.obs import NULL_TRACER, MetricsRegistry, Observability
+
+    points = {}
+    for n in _SCALE_REQUESTS:
+        users, rest = divmod(n, PAPER_STORAGE_COUNT)
+        assert rest == 0, f"{n} requests do not split over the storages"
+        topo, catalog, batch = _build_env(500, users)
+        obs = Observability(MetricsRegistry(), NULL_TRACER)
+        t0 = time.perf_counter()
+        result = VideoScheduler(topo, catalog, obs=obs).solve(batch)
+        wall = time.perf_counter() - t0
+        points[str(n)] = {
+            "rounds": result.resolution.iterations,
+            "victims": len(result.resolution.victims),
+            **_sorp_work(obs.metrics),
+            "wall_time_seconds": wall,
+        }
+    return points
 
 
 def _recovery_drill(n_videos: int, users: int):
@@ -609,8 +662,18 @@ def main(argv=None) -> int:
         f"SORP (Phase 2): {sorp['wall_time_seconds']:.3f}s standalone, "
         f"{sorp['iterations']} overflow iteration(s), trials "
         f"{sorp['trials_run']} run / {sorp['trials_reused']} reused / "
-        f"{sorp['trials_revalidated']} revalidated"
+        f"{sorp['trials_revalidated']} revalidated / "
+        f"{sorp['trials_resumed']} resumed"
     )
+    scale = _scale_sweep()
+    for n, point in scale.items():
+        print(
+            f"scale {n:>5} requests: {point['wall_time_seconds']:.2f}s, "
+            f"{point['rounds']} SORP round(s), trials "
+            f"{point['trials_run']} run / {point['trials_resumed']} resumed, "
+            f"serves {point['serves_served']} served / "
+            f"{point['serves_kept']} kept"
+        )
     recovery = _recovery_drill(n_videos, users)
     print(
         f"warehouse-loss drill: saved "
@@ -674,6 +737,7 @@ def main(argv=None) -> int:
                 "overflow_iterations": solve.resolution.iterations,
             },
             "sorp": sorp,
+            "scale": scale,
             "recovery": recovery,
             "online": online,
             "horizon": horizon,

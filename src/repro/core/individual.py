@@ -96,7 +96,9 @@ class IndividualScheduler:
         constraints: Optional residency constraints; ``None`` reproduces the
             capacity-ignorant Phase-1 behaviour, a
             :class:`~repro.core.rejective.ResidencyConstraints` instance
-            turns this into the Sec. 4.4 rejective greedy.
+            turns this into the Sec. 4.4 rejective greedy.  The greedy asks
+            ``allows(video, location, t_start, t_last, replacing=...)``
+            of every candidate residency before building it.
         route_policy: Optional :class:`RoutePolicy`; defaults to
             unconditional cheapest-path routing.
         deposit_scope: Where streams open cache candidates: ``"route"``
@@ -202,16 +204,19 @@ class IndividualScheduler:
         video: VideoFile,
         *,
         initial_residencies: tuple[ResidencyInfo, ...] = (),
+        kept: tuple[DeliveryInfo, ...] = (),
     ) -> "FileGreedySession":
         """Incremental per-file greedy: serve requests one at a time.
 
         Lets callers interleave requests of different videos (the
         bandwidth-aware scheduler admits requests in global chronological
-        order) while each video keeps its own cache state.
+        order) while each video keeps its own cache state.  ``kept``
+        resumes a session: the deliveries of the requests already served,
+        with ``initial_residencies`` the cache state they left.
         """
         # fail fast: residency pricing will need the catalog entry later
         self._cm.catalog[video.video_id]
-        return FileGreedySession(self, video, initial_residencies)
+        return FileGreedySession(self, video, initial_residencies, kept)
 
     def serve_into(
         self,
@@ -314,12 +319,16 @@ class IndividualScheduler:
             )
             if best is None or cand.sort_key < best.sort_key:
                 best = cand
+        start = req.start_time
+        constraints = self._constraints
         for idx, c in enumerate(residencies):
-            if c.t_start > req.start_time:
+            if c.t_start > start:
                 continue  # cache not yet filled when the service starts
-            extended = c.extended(req.start_time, req.user_id)
-            if self._constraints is not None and not self._constraints.allows(
-                extended, video, replacing=c
+            # priced as (location, t_start, start): only the winning
+            # candidate is built, in _apply
+            c.check_extension(start)
+            if constraints is not None and not constraints.allows(
+                video, c.location, c.t_start, start, replacing=c
             ):
                 continue
             try:
@@ -331,7 +340,7 @@ class IndividualScheduler:
             if route is None:
                 continue
             ext_cost = self._cm.residency_cost_for(
-                video.video_id, c.location, extended.t_start, extended.t_last
+                video.video_id, c.location, c.t_start, start
             ) - self._cm.residency_cost_for(
                 video.video_id, c.location, c.t_start, c.t_last
             )
@@ -400,11 +409,21 @@ class IndividualScheduler:
             if self._deposit_scope == "route"
             else (delivery.destination,)
         )
+        constraints = self._constraints
         for node in nodes:
             if node not in self._storage_names:
                 continue
             if node == delivery.source:
                 continue  # the serving cache itself lives here already
+            if constraints is not None and not constraints.allows(
+                video, node, t, t, replacing=None
+            ):
+                continue
+            existing_idx = occupied.get(node)
+            if existing_idx is not None:
+                existing = residencies[existing_idx]
+                if existing.t_last != existing.t_start or existing.service_list:
+                    continue
             candidate = ResidencyInfo(
                 video_id=video.video_id,
                 location=node,
@@ -413,17 +432,10 @@ class IndividualScheduler:
                 t_last=t,
                 service_list=(),
             )
-            if self._constraints is not None and not self._constraints.allows(
-                candidate, video, replacing=None
-            ):
-                continue
-            existing_idx = occupied.get(node)
             if existing_idx is None:
                 residencies.append(candidate)
             else:
-                existing = residencies[existing_idx]
-                if existing.t_last == existing.t_start and not existing.service_list:
-                    residencies[existing_idx] = candidate
+                residencies[existing_idx] = candidate
 
 
 class FileGreedySession:
@@ -440,10 +452,13 @@ class FileGreedySession:
         scheduler: IndividualScheduler,
         video: VideoFile,
         initial_residencies: tuple[ResidencyInfo, ...] = (),
+        kept: tuple[DeliveryInfo, ...] = (),
     ):
         self._scheduler = scheduler
         self._video = video
         self._fs = FileSchedule(video.video_id)
+        for d in kept:
+            self._fs.add_delivery(d)
         self._residencies: list[ResidencyInfo] = []
         for c in initial_residencies:
             if c.video_id != video.video_id:
@@ -452,7 +467,7 @@ class FileGreedySession:
                     f"{video.video_id!r}"
                 )
             self._residencies.append(c)
-        self._last_time = -math.inf
+        self._last_time = kept[-1].start_time if kept else -math.inf
 
     def serve(self, req: Request) -> None:
         """Serve one request, updating cache state and the file schedule.

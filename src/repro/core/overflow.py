@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 from repro.catalog.catalog import VideoCatalog
 from repro.core.schedule import FileSchedule, ResidencyInfo, Schedule
-from repro.core.spacefunc import SpaceProfile, UsageTimeline, capacity_slack
+from repro.core.spacefunc import (
+    SpaceProfile,
+    UsageTimeline,
+    capacity_slack,
+    residency_profile,
+)
 from repro.topology.graph import Topology
 
 
@@ -95,12 +100,16 @@ class LocationIndex:
         #: :class:`UsageTimeline` constructions made through this index.
         self.timeline_builds = 0
 
-    def profile(self, c: ResidencyInfo) -> SpaceProfile:
-        """The Eq. 6 profile of ``c`` (memoized)."""
-        key = (c.video_id, c.t_start, c.t_last)
+    def profile(self, video_id: str, t_start: float, t_last: float) -> SpaceProfile:
+        """The Eq. 6 profile of a residency of ``video_id`` over
+        ``[t_start, t_last]`` (memoized)."""
+        key = (video_id, t_start, t_last)
         p = self._profiles.get(key)
         if p is None:
-            p = self._profiles[key] = c.profile(self._catalog[c.video_id])
+            video = self._catalog[video_id]
+            p = self._profiles[key] = residency_profile(
+                video.size, video.playback, t_start, t_last
+            )
         return p
 
     def entries(self, location: str) -> list[tuple[ResidencyInfo, SpaceProfile]]:
@@ -118,7 +127,8 @@ class LocationIndex:
             self._entries.pop(loc, None)
         for c in self.schedule.residencies:
             if stale is None or c.location in stale:
-                self._entries.setdefault(c.location, []).append((c, self.profile(c)))
+                profile = self.profile(c.video_id, c.t_start, c.t_last)
+                self._entries.setdefault(c.location, []).append((c, profile))
         self._stale = set()
 
     def version(self, location: str) -> int:

@@ -14,11 +14,21 @@ Both are expressed as a :class:`ResidencyConstraints` object plugged into the
 shared greedy core (:class:`~repro.core.individual.IndividualScheduler`), so
 Phase 1 and the rejective greedy are literally the same algorithm with and
 without constraints, as in the paper.
+
+Given the video, its requests and its seeds, a run is a deterministic
+function of the ordered answers the constraints give.  Each run therefore
+records them in a :class:`DecisionLog`, with a mark before every request.
+SORP (:mod:`repro.core.sorp`) re-decides a logged run's answers against a
+changed schedule or window, and resumes the greedy at the request that
+made the first one that differs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,8 +37,14 @@ from repro.catalog.video import VideoFile
 from repro.core.costmodel import CostModel
 from repro.core.individual import IndividualScheduler
 from repro.core.overflow import LocationIndex
-from repro.core.schedule import FileSchedule, ResidencyInfo, Schedule
-from repro.core.spacefunc import EPS, SpaceProfile, UsageTimeline, capacity_slack
+from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo, Schedule
+from repro.core.spacefunc import (
+    EPS,
+    SpaceProfile,
+    UsageTimeline,
+    capacity_slack,
+    residency_profile,
+)
 from repro.topology.graph import Topology
 from repro.workload.requests import Request
 
@@ -92,11 +108,6 @@ class AvailabilityOracle:
     ``(victim, location)`` until the location's stamp bumps, so every
     trial of one SORP run shares them; without an ``index`` the oracle
     builds a private one from ``schedule`` and ``background``.
-
-    :attr:`queries` records every residency query the oracle answered,
-    cached answers included, as ``{(location, t_start, t_last): (profile,
-    answer)}`` in the order first asked -- exactly what a greedy run on
-    this oracle depended on.
     """
 
     def __init__(
@@ -114,11 +125,11 @@ class AvailabilityOracle:
         self._index = index
         self._topo = topology
         self._exclude = exclude_video
-        self.queries: dict[tuple[str, float, float], tuple[SpaceProfile, bool]] = {}
+        self._answers_key = ("fits", exclude_video)
 
-    def profile(self, c: ResidencyInfo) -> SpaceProfile:
-        """The (memoized) Eq. 6 profile of a candidate residency."""
-        return self._index.profile(c)
+    def profile(self, video_id: str, t_start: float, t_last: float) -> SpaceProfile:
+        """The (memoized) Eq. 6 profile of a residency over ``[t_start, t_last]``."""
+        return self._index.profile(video_id, t_start, t_last)
 
     def timeline(self, location: str) -> UsageTimeline:
         memo = self._index.memo(location)
@@ -140,25 +151,81 @@ class AvailabilityOracle:
             return False
         return fits_under(self.timeline(location), profile, capacity)
 
-    def fits_residency(self, candidate: ResidencyInfo, profile: SpaceProfile) -> bool:
-        """:meth:`fits` for ``candidate``'s profile; see :meth:`answer`."""
-        return self.answer(
-            candidate.location, candidate.t_start, candidate.t_last, profile
-        )
-
     def answer(
         self, location: str, t_start: float, t_last: float, profile: SpaceProfile
     ) -> bool:
         """Does the residency ``[t_start, t_last]`` with ``profile`` fit at
-        ``location``?  Answered once per location stamp, recorded in
-        :attr:`queries` every time."""
-        answers = self._index.memo(location).setdefault(("fits", self._exclude), {})
+        ``location``?  Answered once per location stamp."""
+        memo = self._index.memo(location)
+        answers = memo.get(self._answers_key)
+        if answers is None:
+            answers = memo[self._answers_key] = {}
         key = (t_start, t_last)
         ok = answers.get(key)
         if ok is None:
             ok = answers[key] = self.fits(location, profile)
-        self.queries[(location, t_start, t_last)] = (profile, ok)
         return ok
+
+
+#: One capacity decision of a rejective greedy run:
+#: ``(location, t_start, t_last, profile, allowed)``.
+Decision = tuple[str, float, float, SpaceProfile, bool]
+
+
+@dataclass
+class DecisionLog:
+    """Every non-zero-extent decision of one rejective greedy run, in order.
+
+    Besides the video, its sorted requests and its seeds, which a run
+    takes as fixed inputs, these ordered answers are all the greedy
+    depends on.  A re-run whose decisions agree up to decision ``i``
+    therefore serves every request before :meth:`owner` ``(i)`` the same
+    way, and it holds the same residencies when it reaches that request.
+    """
+
+    decisions: list[Decision] = field(default_factory=list)
+    #: One ``(len(decisions), residencies)`` per request, taken just
+    #: before the greedy served it.
+    marks: list[tuple[int, tuple[ResidencyInfo, ...]]] = field(
+        default_factory=list
+    )
+    #: ``{location: ascending indexes into decisions}``.
+    at: dict[str, list[int]] = field(default_factory=dict)
+
+    def record(
+        self,
+        location: str,
+        t_start: float,
+        t_last: float,
+        profile: SpaceProfile,
+        allowed: bool,
+    ) -> None:
+        self.at.setdefault(location, []).append(len(self.decisions))
+        self.decisions.append((location, t_start, t_last, profile, allowed))
+
+    def mark(self, residencies: list[ResidencyInfo]) -> None:
+        """Note the state before the next request."""
+        self.marks.append((len(self.decisions), tuple(residencies)))
+
+    def owner(self, i: int) -> int:
+        """Index of the request whose service made decision ``i``."""
+        return bisect_right(self.marks, i, key=itemgetter(0)) - 1
+
+    def in_order(self, locations) -> list[int]:
+        """Indexes of the decisions at ``locations``, in log order."""
+        at = self.at
+        return sorted(chain.from_iterable(at[loc] for loc in locations if loc in at))
+
+    def cut(self, k: int) -> tuple["DecisionLog", tuple[ResidencyInfo, ...]]:
+        """The log of the first ``k`` requests and the residencies the
+        greedy held before request ``k``."""
+        n, residencies = self.marks[k]
+        at = {}
+        for loc, indexes in self.at.items():
+            j = bisect_left(indexes, n)
+            if j:
+                at[loc] = indexes[:j]
+        return DecisionLog(self.decisions[:n], self.marks[:k], at), residencies
 
 
 @dataclass
@@ -172,32 +239,47 @@ class ResidencyConstraints:
         oracle: Optional capacity oracle; when present, any residency whose
             profile does not fit in the location's remaining capacity is
             rejected.
+        log: Receives every decision :meth:`allows` makes on a residency
+            that occupies space.
     """
 
     forbidden: list[tuple[str, tuple[float, float]]] = field(default_factory=list)
     oracle: AvailabilityOracle | None = None
+    log: DecisionLog = field(default_factory=DecisionLog)
 
     def allows(
         self,
-        candidate: ResidencyInfo,
         video: VideoFile,
+        location: str,
+        t_start: float,
+        t_last: float,
         *,
         replacing: ResidencyInfo | None = None,
     ) -> bool:
-        """May ``candidate`` (possibly replacing an earlier interval) exist?"""
+        """May ``video`` reside at ``location`` over ``[t_start, t_last]``
+        (possibly replacing an earlier interval)?"""
         del replacing  # one residency per (file, IS); see IndividualScheduler
         oracle = self.oracle
-        profile = (
-            candidate.profile(video) if oracle is None else oracle.profile(candidate)
-        )
+        if oracle is None:
+            profile = residency_profile(video.size, video.playback, t_start, t_last)
+        else:
+            profile = oracle.profile(video.video_id, t_start, t_last)
         if not profile.segments:
             return True  # zero-extent candidates occupy no space
-        for location, (t0, t1) in self.forbidden:
-            if location == candidate.location and profile.positive_in(t0, t1):
+        allowed = self.decide(location, t_start, t_last, profile)
+        self.log.record(location, t_start, t_last, profile, allowed)
+        return allowed
+
+    def decide(
+        self, location: str, t_start: float, t_last: float, profile: SpaceProfile
+    ) -> bool:
+        """:meth:`allows` for a residency with space ``profile``, unrecorded:
+        the forbidden windows first, then the oracle."""
+        for loc, (t0, t1) in self.forbidden:
+            if loc == location and profile.positive_in(t0, t1):
                 return False
-        if oracle is not None and not oracle.fits_residency(candidate, profile):
-            return False
-        return True
+        oracle = self.oracle
+        return oracle is None or oracle.answer(location, t_start, t_last, profile)
 
 
 class RejectiveGreedyScheduler:
@@ -221,6 +303,8 @@ class RejectiveGreedyScheduler:
         background=None,
         initial_residencies: tuple[ResidencyInfo, ...] = (),
         oracle: AvailabilityOracle | None = None,
+        log: DecisionLog | None = None,
+        kept: tuple[DeliveryInfo, ...] = (),
     ) -> FileSchedule:
         """New ``S_i`` for ``video`` honouring capacity + forbidden windows.
 
@@ -233,6 +317,13 @@ class RejectiveGreedyScheduler:
         and ``background`` excluding ``video`` (SORP passes one that
         shares its run's :class:`LocationIndex`); by default a fresh one
         is built.
+
+        ``log`` (by default a private one) receives a mark before each
+        request and every decision.  To resume an earlier run at request
+        ``k``, pass its first ``k`` deliveries as ``kept``, the residencies
+        it held before request ``k`` as ``initial_residencies`` and its
+        log cut there (:meth:`DecisionLog.cut`); only the requests from
+        ``k`` on are served.  A fresh run is the resume at request 0.
         """
         if oracle is None:
             oracle = AvailabilityOracle(
@@ -242,8 +333,13 @@ class RejectiveGreedyScheduler:
                 video.video_id,
                 background=background,
             )
-        constraints = ResidencyConstraints(forbidden=list(forbidden), oracle=oracle)
-        greedy = IndividualScheduler(self._cm, constraints)
-        return greedy.schedule_file(
-            video, requests, initial_residencies=initial_residencies
+        constraints = ResidencyConstraints(
+            list(forbidden), oracle, DecisionLog() if log is None else log
         )
+        session = IndividualScheduler(self._cm, constraints).session(
+            video, initial_residencies=initial_residencies, kept=kept
+        )
+        for req in sorted(requests)[len(kept):]:
+            constraints.log.mark(session.residencies)
+            session.serve(req)
+        return session.finish()

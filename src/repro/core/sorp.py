@@ -17,26 +17,35 @@ rebuilding every trial from scratch.  A :class:`LocationIndex` mirrors the
 working schedule per storage and stamps each storage with a version that
 bumps only where a committed victim's old or new file has residencies.
 Trials share "everyone but video v" timelines and ``fits`` answers per
-``(v, location, stamp)``.  The greedy is deterministic given its oracle's
-answers, so identical answers replay the identical schedule: a memoized
-trial is reused in later rounds while every location its oracle consulted
-keeps its stamp, and revalidated -- without running the greedy -- when its
-recorded queries at the re-stamped locations still answer the same.
-Detection re-sweeps only re-stamped storages.
+``(v, location, stamp)``.  The rejective greedy is a deterministic function
+of its fixed inputs and of the ordered decisions it receives (see
+:class:`~repro.core.rejective.DecisionLog`), so each trial is priced from
+a predecessor -- the trial of the same video, overflow location and
+interval, else the latest one of the same video and overflow location:
+reused as is while every location in its log keeps its stamp and the
+window is the same; revalidated, without serving a request, when its
+decisions at the re-stamped locations (and at the overflow location, if
+the window changed) come out the same; and otherwise resumed at the
+request that made the first decision that differs, keeping the
+deliveries before it.  Detection re-sweeps only re-stamped storages.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.costmodel import CacheStats, CostModel, record_cache_metrics
 from repro.core.heat import HeatMetric, compute_heat
 from repro.core.overflow import LocationIndex, OverflowSituation, detect_overflows
-from repro.core.rejective import AvailabilityOracle, RejectiveGreedyScheduler
+from repro.core.rejective import (
+    AvailabilityOracle,
+    DecisionLog,
+    RejectiveGreedyScheduler,
+    ResidencyConstraints,
+)
 from repro.core.schedule import FileSchedule, Schedule
-from repro.core.spacefunc import SpaceProfile
 from repro.errors import OverflowResolutionError
 from repro.obs import DOLLAR_BUCKETS, NULL_OBS, Observability
 from repro.workload.requests import RequestBatch
@@ -170,16 +179,10 @@ def resolve_overflows(
             with obs.tracer.span(
                 "sorp.round", iteration=stats.iterations, overflows=len(overflows)
             ) as round_span:
-                ran, reused, revalidated = (
-                    selector.trials_run,
-                    selector.trials_reused,
-                    selector.trials_revalidated,
-                )
+                before = selector.counts()
                 victim = selector.select(overflows)
                 round_span.set(
-                    trials=selector.trials_run - ran,
-                    reused=selector.trials_reused - reused,
-                    revalidated=selector.trials_revalidated - revalidated,
+                    **{k: v - before[k] for k, v in selector.counts().items()}
                 )
                 if victim is None:
                     raise OverflowResolutionError(
@@ -220,9 +223,7 @@ def resolve_overflows(
         sorp_span.set(
             iterations=stats.iterations,
             victims=len(stats.victims),
-            trials=selector.trials_run,
-            reused=selector.trials_reused,
-            revalidated=selector.trials_revalidated,
+            **selector.counts(),
         )
 
     metrics = obs.metrics
@@ -243,14 +244,27 @@ def resolve_overflows(
         )
         for record in stats.victims:
             overhead_hist.observe(record.overhead_cost)
-        trials_help = "SORP rejective trial reschedules, run, reused or revalidated"
+        trials_help = (
+            "SORP rejective trial reschedules, run, reused, revalidated or resumed"
+        )
         for outcome, n in (
             ("run", selector.trials_run),
             ("reused", selector.trials_reused),
             ("revalidated", selector.trials_revalidated),
+            ("resumed", selector.trials_resumed),
         ):
             metrics.counter(
                 "vor_sorp_trials_total", help=trials_help, outcome=outcome
+            ).inc(n)
+        serves_help = (
+            "Requests of SORP trials kept from a predecessor or served by the greedy"
+        )
+        for part, n in (
+            ("kept", selector.serves_kept),
+            ("served", selector.serves_served),
+        ):
+            metrics.counter(
+                "vor_sorp_trial_serves_total", help=serves_help, part=part
             ).inc(n)
         metrics.counter(
             "vor_sorp_timeline_builds_total",
@@ -272,10 +286,12 @@ class _Trial:
 
     new_fs: FileSchedule
     new_cost: float
-    #: Every capacity query the trial's oracle answered, in the order
-    #: first asked (:attr:`AvailabilityOracle.queries`).
-    queries: dict[tuple[str, float, float], tuple[SpaceProfile, bool]]
-    #: ``{location: stamp}`` the queries were answered at.
+    #: The overflow interval the victim was forbidden from.
+    window: tuple[float, float]
+    #: The run's decisions and marks (:class:`DecisionLog`).
+    log: DecisionLog
+    #: ``{location: stamp}`` for every location in ``log``, as of the
+    #: last time its decisions were made or re-decided.
     stamps: dict[str, int]
 
 
@@ -283,11 +299,16 @@ class _VictimSelector:
     """``SORP_solve``'s victim selection over one run, evaluated incrementally.
 
     Owns the run's :class:`LocationIndex` and a memo of trial reschedules
-    keyed on ``(video, overflow location, overflow interval)``.  A memoized
-    trial is reused as is while every location its oracle consulted keeps
-    its stamp, and revalidated when re-asking its recorded queries at the
-    re-stamped locations gives the same answers.  Trials that do run go
-    through :meth:`RejectiveGreedyScheduler.reschedule`.
+    keyed on ``(video, overflow location, overflow interval)``.  Each trial
+    is priced from a predecessor: the trial of the same key, or else the
+    latest one for the same video and overflow location.  The predecessor
+    is reused as is while every location in its decision log keeps its
+    stamp and the window is the same.  Otherwise its decisions at the
+    re-stamped locations, and at the overflow location when the window
+    changed, are re-decided in log order: if none differs the trial is
+    revalidated, and at the first one that differs the greedy resumes at
+    the request that made it.  Trials the greedy serves go through
+    :meth:`RejectiveGreedyScheduler.reschedule`.
     """
 
     def __init__(
@@ -307,11 +328,28 @@ class _VictimSelector:
         self._background = background
         self._committed = committed
         self._trials: dict[tuple, _Trial] = {}
+        #: The latest trial per ``(video, overflow location)``.
+        self._latest: dict[tuple[str, str], _Trial] = {}
         #: The incumbent file cost per video; dropped when a video is victim.
         self._old_costs: dict[str, float] = {}
         self.trials_run = 0
         self.trials_reused = 0
         self.trials_revalidated = 0
+        self.trials_resumed = 0
+        #: Requests resumed trials kept from their predecessor, and
+        #: requests the greedy served in run and resumed trials.
+        self.serves_kept = 0
+        self.serves_served = 0
+
+    def counts(self) -> dict[str, int]:
+        """The work counters, as span attributes."""
+        return {
+            "trials": self.trials_run,
+            "reused": self.trials_reused,
+            "revalidated": self.trials_revalidated,
+            "resumed": self.trials_resumed,
+            "kept": self.serves_kept,
+        }
 
     def select(
         self, overflows: list[OverflowSituation]
@@ -340,11 +378,8 @@ class _VictimSelector:
                     for s in seeds
                 ):
                     continue  # this residency IS the committed carryover itself
-                key = (c.video_id, of.location, of.interval)
-                trial = self._trials.get(key)
-                if trial is None or not self._still_valid(c.video_id, trial):
-                    trial = self._run_trial(video, requests, of, tuple(seeds))
-                trials[key] = trial
+                trial = self._price(video, requests, of, tuple(seeds))
+                trials[(c.video_id, of.location, of.interval)] = trial
                 old_cost = self._old_costs.get(c.video_id)
                 if old_cost is None:
                     old_cost = self._cm.file_cost(working.file(c.video_id)).total
@@ -357,7 +392,8 @@ class _VictimSelector:
                 if best_key is None or _key_greater(rank, best_key):
                     best_key = rank
                     best = (heat, overhead, of, trial.new_fs)
-        # keep only this round's trials: stale overflow keys never recur
+        # keep only this round's trials by key; older ones live on as
+        # predecessors in _latest
         self._trials = trials
         return best
 
@@ -365,6 +401,86 @@ class _VictimSelector:
         """Install the victim's new schedule and re-stamp what it touched."""
         self.index.set_file(new_fs)
         self._old_costs.pop(new_fs.video_id, None)
+
+    def _price(self, video, requests, of: OverflowSituation, seeds) -> _Trial:
+        """The trial of ``video`` forbidden from ``of``, from its predecessor."""
+        place = (video.video_id, of.location)
+        prior = self._trials.get((*place, of.interval)) or self._latest.get(place)
+        if prior is None:
+            trial = self._serve(video, requests, of, DecisionLog(), seeds, ())
+        else:
+            trial = self._replay(prior, video, requests, of)
+        self._latest[place] = trial
+        return trial
+
+    def _replay(self, prior: _Trial, video, requests, of: OverflowSituation) -> _Trial:
+        """Re-decide ``prior``'s decisions that may have changed; resume the
+        greedy at the request that made the first one that did.
+
+        The greedy's inputs other than its decisions are fixed by the video
+        and overflow location, and it is deterministic, so it replays
+        ``prior`` exactly up to its first decision that comes out
+        differently.  Only decisions at re-stamped locations can change
+        their capacity answer, and only those at the overflow location
+        their forbidden-window answer.  They are re-decided in log order,
+        stopping at the first change, so every answer computed here is one
+        a fresh run would compute too.
+        """
+        version = self.index.version
+        moved = {loc for loc, v in prior.stamps.items() if version(loc) != v}
+        if of.interval != prior.window:
+            moved.add(of.location)
+        elif not moved:
+            self.trials_reused += 1
+            return prior
+        oracle = self._oracle(video.video_id)
+        constraints = ResidencyConstraints([(of.location, of.interval)], oracle)
+        log = prior.log
+        for i in log.in_order(moved):
+            location, t_start, t_last, profile, allowed = log.decisions[i]
+            if constraints.decide(location, t_start, t_last, profile) != allowed:
+                k = log.owner(i)
+                prefix, residencies = log.cut(k)
+                kept = tuple(prior.new_fs.deliveries[:k])
+                return self._serve(
+                    video, requests, of, prefix, residencies, kept, oracle
+                )
+        self.trials_revalidated += 1
+        return replace(
+            prior,
+            window=of.interval,
+            stamps={loc: version(loc) for loc in prior.stamps},
+        )
+
+    def _serve(
+        self, video, requests, of, log, residencies, kept, oracle=None
+    ) -> _Trial:
+        """Run the greedy from request ``len(kept)`` on (0: a fresh trial)."""
+        if kept:
+            self.trials_resumed += 1
+            self.serves_kept += len(kept)
+        else:
+            self.trials_run += 1
+        self.serves_served += len(requests) - len(kept)
+        new_fs = self._rejective.reschedule(
+            video,
+            requests,
+            self.index.schedule,
+            forbidden=[(of.location, of.interval)],
+            background=self._background,
+            initial_residencies=residencies,
+            oracle=oracle or self._oracle(video.video_id),
+            log=log,
+            kept=kept,
+        )
+        version = self.index.version
+        return _Trial(
+            new_fs,
+            self._cm.file_cost(new_fs).total,
+            of.interval,
+            log,
+            {loc: version(loc) for loc in log.at},
+        )
 
     def _oracle(self, video_id: str) -> AvailabilityOracle:
         return AvailabilityOracle(
@@ -374,49 +490,6 @@ class _VictimSelector:
             video_id,
             self._background,
             index=self.index,
-        )
-
-    def _still_valid(self, video_id: str, trial: _Trial) -> bool:
-        """Would re-running ``trial`` replay its memoized schedule?
-
-        The greedy's inputs other than its oracle's answers are fixed by the
-        trial key, and it is deterministic, so it replays exactly when every
-        recorded query answers as before.  Only queries at re-stamped
-        locations can answer differently; they are re-asked in the order
-        the greedy first asked them, stopping at the first changed answer,
-        so every answer computed here is one a re-run would compute too.
-        """
-        version = self.index.version
-        moved = {loc for loc, v in trial.stamps.items() if version(loc) != v}
-        if not moved:
-            self.trials_reused += 1
-            return True
-        oracle = self._oracle(video_id)
-        for (loc, t_start, t_last), (profile, ok) in trial.queries.items():
-            if loc in moved and oracle.answer(loc, t_start, t_last, profile) != ok:
-                return False
-        trial.stamps = {loc: version(loc) for loc in trial.stamps}
-        self.trials_revalidated += 1
-        return True
-
-    def _run_trial(self, video, requests, of: OverflowSituation, seeds) -> _Trial:
-        self.trials_run += 1
-        oracle = self._oracle(video.video_id)
-        new_fs = self._rejective.reschedule(
-            video,
-            requests,
-            self.index.schedule,
-            forbidden=[(of.location, of.interval)],
-            background=self._background,
-            initial_residencies=seeds,
-            oracle=oracle,
-        )
-        version = self.index.version
-        return _Trial(
-            new_fs,
-            self._cm.file_cost(new_fs).total,
-            oracle.queries,
-            {loc: version(loc) for loc, _, _ in oracle.queries},
         )
 
 

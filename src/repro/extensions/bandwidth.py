@@ -27,8 +27,10 @@ from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
 from repro.core.individual import IndividualScheduler, RoutePolicy
+from repro.core.rejective import fits_under
 from repro.core.schedule import Schedule
 from repro.core.sorp import ResolutionStats
+from repro.core.spacefunc import UsageTimeline, capacity_slack, residency_profile
 from repro.errors import ScheduleError
 from repro.topology.graph import Topology, edge_key
 from repro.topology.routing import Route, Router
@@ -147,20 +149,17 @@ class LiveCapacityConstraints:
     def register(self, session) -> None:
         self._sessions.append(session)
 
-    def allows(self, candidate, video, *, replacing=None) -> bool:
-        from repro.core.rejective import fits_under
-        from repro.core.spacefunc import EPS, UsageTimeline
-
-        profile = candidate.profile(video)
+    def allows(self, video, location, t_start, t_last, *, replacing=None) -> bool:
+        profile = residency_profile(video.size, video.playback, t_start, t_last)
         if not profile.segments:
             return True  # zero-extent candidates occupy no space
-        capacity = self._topo.capacity(candidate.location)
-        if profile.peak > capacity + EPS:
+        capacity = self._topo.capacity(location)
+        if profile.peak > capacity_slack(capacity):
             return False
         others = []
         for session in self._sessions:
             for c in session.residencies:
-                if c is replacing or c.location != candidate.location:
+                if c is replacing or c.location != location:
                     continue
                 others.append(c.profile(self._catalog[c.video_id]))
         return fits_under(UsageTimeline(others), profile, capacity)

@@ -23,7 +23,7 @@ from repro.core.individual import IndividualScheduler
 from repro.core.overflow import detect_overflows
 from repro.core.rejective import fits_under
 from repro.core.sorp import ResolutionStats, VictimRecord, _key_greater
-from repro.core.spacefunc import UsageTimeline, capacity_slack
+from repro.core.spacefunc import UsageTimeline, capacity_slack, residency_profile
 from repro.errors import OverflowResolutionError
 from repro.obs import NULL_OBS
 
@@ -66,15 +66,15 @@ class ReferenceConstraints:
         self.forbidden = list(forbidden)
         self.oracle = oracle
 
-    def allows(self, candidate, video, *, replacing=None):
+    def allows(self, video, location, t_start, t_last, *, replacing=None):
         del replacing
-        profile = candidate.profile(video)
+        profile = residency_profile(video.size, video.playback, t_start, t_last)
         if not profile.segments:
             return True
-        for location, (t0, t1) in self.forbidden:
-            if location == candidate.location and profile.positive_in(t0, t1):
+        for loc, (t0, t1) in self.forbidden:
+            if loc == location and profile.positive_in(t0, t1):
                 return False
-        return self.oracle.fits(candidate.location, profile)
+        return self.oracle.fits(location, profile)
 
 
 def reference_reschedule(

@@ -144,6 +144,10 @@ class TestAvailabilityOracle:
         assert not oracle.fits("IS1", p)  # peak 200 > capacity alone
 
 
+def _allows(cons, video, c):
+    return cons.allows(video, c.location, c.t_start, c.t_last)
+
+
 class TestResidencyConstraints:
     def test_forbidden_interval_blocks(self, env):
         _, catalog, _ = env
@@ -152,9 +156,9 @@ class TestResidencyConstraints:
         inside = ResidencyInfo("a", "IS1", "VW", 5.0, 30.0)
         outside = ResidencyInfo("a", "IS1", "VW", 50.0, 80.0)
         elsewhere = ResidencyInfo("a", "IS2", "VW", 5.0, 30.0)
-        assert not cons.allows(inside, video)
-        assert cons.allows(outside, video)
-        assert cons.allows(elsewhere, video)
+        assert not _allows(cons, video, inside)
+        assert _allows(cons, video, outside)
+        assert _allows(cons, video, elsewhere)
 
     def test_drain_tail_respects_forbidden_window(self, env):
         """A residency whose drain reaches into Δt still occupies space."""
@@ -163,14 +167,15 @@ class TestResidencyConstraints:
         cons = ResidencyConstraints(forbidden=[("IS1", (32.0, 40.0))])
         # t_last=30, drain spans [30, 40] -> positive inside the window
         tail = ResidencyInfo("a", "IS1", "VW", 0.0, 30.0)
-        assert not cons.allows(tail, video)
+        assert not _allows(cons, video, tail)
 
     def test_zero_extent_always_allowed(self, env):
         _, catalog, _ = env
         video = catalog["a"]
         cons = ResidencyConstraints(forbidden=[("IS1", (0.0, 100.0))])
         candidate = ResidencyInfo("a", "IS1", "VW", 10.0, 10.0)
-        assert cons.allows(candidate, video)
+        assert _allows(cons, video, candidate)
+        assert cons.log.decisions == []  # occupies no space: not a decision
 
     def test_oracle_wired_in(self, env):
         topo, catalog, _ = env
@@ -180,8 +185,8 @@ class TestResidencyConstraints:
         cons = ResidencyConstraints(oracle=oracle)
         clash = ResidencyInfo("a", "IS1", "VW", 10.0, 20.0)
         free = ResidencyInfo("a", "IS2", "VW", 10.0, 20.0)
-        assert not cons.allows(clash, catalog["a"])
-        assert cons.allows(free, catalog["a"])
+        assert not _allows(cons, catalog["a"], clash)
+        assert _allows(cons, catalog["a"], free)
 
 
 class TestRejectiveGreedy:

@@ -1,13 +1,15 @@
 """Incremental SORP must be bit-identical to from-scratch evaluation.
 
 ``resolve_overflows`` reuses trial reschedules, timelines and ``fits``
-answers across rounds, and revalidates a stale trial by re-asking its
-recorded ``fits`` queries (see :mod:`repro.core.sorp`).  These tests hold it
-to the reference in :mod:`tests.core.sorp_reference`, which rebuilds every
-trial from scratch: same schedule, same ``ResolutionStats`` and the same
+answers across rounds, and prices each trial from a predecessor by
+re-deciding its logged decisions, resuming the greedy at the first one
+that differs (see :mod:`repro.core.sorp`).  These tests hold it to the
+reference in :mod:`tests.core.sorp_reference`, which rebuilds every trial
+from scratch: same schedule, same ``ResolutionStats`` and the same
 ``sorp-placed`` journal sequence, over all heat metrics, rolling cycles
-with carryover background and committed seeds, and contingency recovery
-on fault-masked cost models.
+with carryover background and committed seeds, contingency recovery on
+fault-masked cost models, and forced divergence, window changes and full
+replays of single trials.
 """
 
 from __future__ import annotations
@@ -38,8 +40,13 @@ from repro import (
     units,
 )
 from repro.core import sorp as sorp_module
-from repro.core.overflow import LocationIndex
-from repro.core.rejective import AvailabilityOracle, fits_under
+from repro.core.overflow import LocationIndex, OverflowSituation
+from repro.core.rejective import (
+    AvailabilityOracle,
+    DecisionLog,
+    ResidencyConstraints,
+    fits_under,
+)
 from repro.core.spacefunc import UsageTimeline, residency_profile
 from repro.extensions import rolling as rolling_module
 from repro.extensions.rolling import RollingScheduler
@@ -47,7 +54,11 @@ from repro.faults import ContingencyScheduler, FaultKind, FaultPlan, FaultSpec
 from repro.faults import contingency as contingency_module
 from repro.obs import Observability
 
-from .sorp_reference import reference_reschedule, reference_resolve_overflows
+from .sorp_reference import (
+    ReferenceOracle,
+    reference_reschedule,
+    reference_resolve_overflows,
+)
 
 
 def _instance(capacity_gb, n_videos, users, seed):
@@ -131,8 +142,11 @@ class TestBitIdentity:
         obs = Observability.on(journal=True)
         stats = assert_matches_reference(phase1, batch, cm, metric=metric, obs=obs)
         assert stats.iterations >= 5  # the rounds reuse earlier trials
-        # ...and revalidate stale ones, so the identity covers that path
-        assert _trial_outcomes(obs)["revalidated"] > 0
+        # ...revalidate stale ones and resume diverging ones, so the
+        # identity covers every path
+        outcomes = _trial_outcomes(obs)
+        assert set(outcomes) == {"run", "reused", "revalidated", "resumed"}
+        assert all(n > 0 for n in outcomes.values()), outcomes
 
     @staticmethod
     def _rolling_calls(inst, metric, cycles):
@@ -287,10 +301,14 @@ class TestTrialReuse:
         selector, overflows, catalog, topo = self._selector()
         selector.select(overflows)
         first = dict(selector._trials)
-        consulted = {k[0]: set(t.stamps) for k, t in first.items()}
-        assert consulted == {
-            "a": {"IS1"}, "b": {"IS1"}, "c": {"IS2"}, "d": {"IS2"}
+        # each trial decided at its fallback cache and (forbidden) at the
+        # overflowing edge cache
+        decided = {k[0]: set(t.stamps) for k, t in first.items()}
+        assert decided == {
+            "a": {"IS1", "IS1b"}, "b": {"IS1", "IS1b"},
+            "c": {"IS2", "IS2b"}, "d": {"IS2", "IS2b"},
         }
+        assert all(set(t.log.at) == set(t.stamps) for t in first.values())
         new_fs = {k: t.new_fs for k, t in first.items()}
         # re-install e's file unchanged: IS2 is re-stamped although its
         # usage is the same -- stamps are per location, never per content
@@ -302,15 +320,22 @@ class TestTrialReuse:
             overflows,
         )
         selector.select(again)
-        # consulted only IS1: reused; consulted the re-stamped IS2: every
-        # recorded answer holds there, so revalidated without a re-run
+        # decided only on branch 1: reused; decided at the re-stamped IS2:
+        # every decision there comes out the same, so revalidated without
+        # serving a request
         assert selector.trials_run == 4
         assert selector.trials_reused == 2
         assert selector.trials_revalidated == 2
+        assert selector.trials_resumed == selector.serves_kept == 0
+        assert selector.serves_served == 8  # the first round's only
         for key, trial in first.items():
-            assert selector._trials[key] is trial
-            assert trial.new_fs == new_fs[key]
-            assert trial.stamps == ({"IS1": 0} if key[0] in "ab" else {"IS2": 1})
+            now = selector._trials[key]
+            if key[0] in "ab":
+                assert now is trial
+                continue
+            assert now.new_fs is trial.new_fs and now.log is trial.log
+            assert now.new_fs == new_fs[key]
+            assert now.stamps == {"IS2": 1, "IS2b": 0}
 
     def test_flipped_answer_forces_rerun(self):
         selector, overflows, catalog, topo = self._selector()
@@ -324,9 +349,14 @@ class TestTrialReuse:
             overflows,
         )
         selector.select(again)
-        assert selector.trials_run == 6
+        # the flipped decisions belong to each file's second request: the
+        # greedy resumes there and keeps the first delivery
+        assert selector.trials_run == 4
         assert selector.trials_reused == 2
         assert selector.trials_revalidated == 0
+        assert selector.trials_resumed == 2
+        assert selector.serves_kept == 2
+        assert selector.serves_served == 8 + 2
         working = selector.index.schedule
         by_video = _two_branch_env()[3].by_video()
         for key, trial in first.items():
@@ -336,6 +366,7 @@ class TestTrialReuse:
             rerun = selector._trials[key]
             assert rerun is not trial
             assert rerun.new_fs != trial.new_fs
+            assert rerun.new_fs.deliveries[0] is trial.new_fs.deliveries[0]
             assert rerun.new_fs == reference_reschedule(
                 selector._cm, catalog[key[0]], by_video[key[0]], working,
                 forbidden=[(key[1], key[2])], background=None, seeds=(),
@@ -360,17 +391,248 @@ class TestTrialReuse:
                     ("run", "trials"),
                     ("reused", "reused"),
                     ("revalidated", "revalidated"),
+                    ("resumed", "resumed"),
                 )
             }
+            kept = sum(dict(r.attrs)["kept"] for r in rounds)
             (sorp_span,) = [r for r in obs.tracer.records if r.name == "sorp"]
-            assert dict(sorp_span.attrs)["revalidated"] == counts["revalidated"]
+            attrs = dict(sorp_span.attrs)
+            assert attrs["revalidated"] == counts["revalidated"]
+            assert attrs["resumed"] == counts["resumed"]
+            assert attrs["kept"] == kept
             assert _trial_outcomes(obs) == counts
-            # every priced trial is run, reused or revalidated
+            # every priced trial is run, reused, revalidated or resumed
             assert sum(counts.values()) == priced.call_count
             assert counts["reused"] > 0  # the untouched trials are reused
+            serves = {
+                v["labels"]["part"]: v["value"]
+                for v in obs.metrics.snapshot()["vor_sorp_trial_serves_total"][
+                    "values"
+                ]
+            }
+            assert serves["kept"] == kept
+            # a run serves every request of its file, a resume the rest
+            assert serves["served"] >= counts["run"] + counts["resumed"]
             builds = obs.metrics.snapshot()["vor_sorp_timeline_builds_total"]
             assert builds["values"][0]["value"] > 0
-        assert counts["revalidated"] > 0  # the heavy instance revalidates
+        # the heavy instance revalidates and resumes
+        assert counts["revalidated"] > 0 and counts["resumed"] > 0 and kept > 0
+
+
+def _chain_env(n, gap, a_last):
+    """``VW - IS1 - IS1b``: file ``v`` is requested ``n`` times, ``gap``
+    apart, and ``a`` at 0.5 and ``a_last``, all behind the small edge
+    cache ``IS1b``.  Both cache there and overflow it, so each trial falls
+    back to ``IS1`` and decides there once per request after the first,
+    until the edge cache is free again.  File ``f`` is never requested; a
+    test installs it at ``IS1`` to block it."""
+    topo = Topology()
+    topo.add_warehouse("VW")
+    topo.add_storage("IS1", srate=1e-3, capacity=1000.0)
+    topo.add_storage("IS1b", srate=1e-3, capacity=150.0)
+    topo.add_edge("VW", "IS1", nrate=1.0)
+    topo.add_edge("IS1", "IS1b", nrate=1.0)
+    catalog = VideoCatalog(
+        [
+            VideoFile("v", size=100.0, playback=10.0),
+            VideoFile("a", size=100.0, playback=10.0),
+            VideoFile("f", size=950.0, playback=10.0),
+        ]
+    )
+    reqs = [Request(j * gap, "v", f"v{j}", "IS1b") for j in range(n)]
+    reqs += [
+        Request(0.5, "a", "a0", "IS1b"),
+        Request(a_last, "a", "a1", "IS1b"),
+    ]
+    return topo, catalog, CostModel(topo, catalog), RequestBatch(reqs)
+
+
+def _chain_selector(n, gap, a_last=None):
+    a_last = n * gap + 0.5 if a_last is None else a_last
+    topo, catalog, cm, batch = _chain_env(n, gap, a_last)
+    working = IndividualScheduler(cm).solve(batch)
+    working.set_file(FileSchedule("f", [], []))
+    selector = sorp_module._VictimSelector(
+        working, cm, batch.by_video(), HeatMetric.SPACE_TIME_PER_COST, None, {}
+    )
+    (of,) = detect_overflows(working, catalog, topo, index=selector.index)
+    assert of.location == "IS1b"
+    return selector, of, batch
+
+
+def _first_divergence(selector, trial, of):
+    """Owner of ``trial``'s first decision that the from-scratch reference
+    oracle, on the current working schedule, decides differently."""
+    working = selector.index.schedule
+    oracle = ReferenceOracle(
+        working, selector._cm.catalog, selector._cm.topology,
+        trial.new_fs.video_id,
+    )
+    for i, (loc, t_start, t_last, profile, allowed) in enumerate(
+        trial.log.decisions
+    ):
+        forbidden = loc == of.location and profile.positive_in(*of.interval)
+        if (not forbidden and oracle.fits(loc, profile)) != allowed:
+            return trial.log.owner(i)
+    return None
+
+
+def _assert_trials_match_reference(selector, batch):
+    by_video = batch.by_video()
+    catalog = selector._cm.catalog
+    for (vid, loc, window), trial in selector._trials.items():
+        assert trial.window == window
+        assert trial.new_fs == reference_reschedule(
+            selector._cm, catalog[vid], by_video[vid], selector.index.schedule,
+            forbidden=[(loc, window)], background=None, seeds=(),
+        )
+    # the whole SORP run from this state agrees with the reference too
+    assert_matches_reference(selector.index.schedule, batch, selector._cm)
+
+
+class TestReplay:
+    """Trials priced from a predecessor equal from-scratch reschedules."""
+
+    def _block(self, selector, start):
+        """Fill ``IS1`` from ``start`` on with the unrequested ``f``."""
+        blocker = ResidencyInfo("f", "IS1", "VW", start, start + 100.0)
+        assert selector.index.set_file(FileSchedule("f", [], [blocker])) == {
+            "IS1"
+        }
+
+    def test_divergence_at_request_k_keeps_k_serves(self):
+        selector, of, batch = _chain_selector(6, 20.0)
+        selector.select([of])
+        prior = selector._trials[("v", "IS1b", of.interval)]
+        assert {loc for loc, *_ in prior.log.decisions} == {"IS1", "IS1b"}
+        # v's IS1 caches still holding more than 50 past t = 61 no longer
+        # fit beside f; request 2's drains out by t = 50, request 3's
+        # (served at t = 60) does not: its decision flips first
+        self._block(selector, 61.0)
+        kept, served = selector.serves_kept, selector.serves_served
+        selector.select([of])
+        trial = selector._trials[("v", "IS1b", of.interval)]
+        assert _first_divergence(selector, prior, of) == 3
+        assert selector.trials_resumed == 2  # v at request 3, a at 1
+        assert selector.serves_kept - kept == 3 + 1
+        assert selector.serves_served - served == (6 - 3) + (2 - 1)
+        assert trial.new_fs.deliveries[:3] == prior.new_fs.deliveries[:3]
+        assert all(
+            d is p for d, p in zip(trial.new_fs.deliveries[:3], prior.new_fs.deliveries)
+        )
+        assert trial.new_fs.deliveries[3:] != prior.new_fs.deliveries[3:]
+        assert trial.log.decisions[: prior.log.marks[3][0]] == (
+            prior.log.decisions[: prior.log.marks[3][0]]
+        )
+        _assert_trials_match_reference(selector, batch)
+
+    @given(
+        n=st.integers(min_value=3, max_value=8),
+        gap=st.sampled_from([5.0, 12.5, 20.0, 40.0]),
+        at=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_forced_divergence(self, n, gap, at):
+        selector, of, batch = _chain_selector(n, gap)
+        selector.select([of])
+        prior = selector._trials[("v", "IS1b", of.interval)]
+        self._block(selector, at * (n - 1) * gap + 10.0)
+        expected = _first_divergence(selector, prior, of)
+        kept = selector.serves_kept
+        selector.select([of])
+        trial = selector._trials[("v", "IS1b", of.interval)]
+        if expected is None:
+            assert trial.new_fs is prior.new_fs
+        else:
+            assert expected > 0  # request 0 decides nothing
+            assert selector.serves_kept - kept >= expected
+            assert trial.new_fs.deliveries[:expected] == (
+                prior.new_fs.deliveries[:expected]
+            )
+        _assert_trials_match_reference(selector, batch)
+
+    @given(
+        n=st.integers(min_value=3, max_value=8),
+        gap=st.sampled_from([5.0, 12.5, 20.0, 40.0]),
+        a_last=st.floats(min_value=0.0, max_value=1.0),
+        lo=st.floats(min_value=0.0, max_value=1.0),
+        width=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_window_change_replay(self, n, gap, a_last, lo, width):
+        # a caches a full copy (span >= playback) for the overflow to exist
+        selector, of, batch = _chain_selector(n, gap, 10.5 + a_last * n * gap)
+        selector.select([of])
+        span = (n + 1) * gap
+        window = (lo * span, lo * span + width * span + 1e-3)
+        moved = OverflowSituation(
+            of.location, window, of.members, of.peak_usage, of.capacity,
+            of.excess_spacetime,
+        )
+        before = (selector.trials_run, selector.trials_reused)
+        selector.select([moved])
+        # a new key: priced from the predecessor under the old window,
+        # never reused as is and never run from scratch
+        assert (selector.trials_run, selector.trials_reused) == before
+        assert selector.trials_revalidated + selector.trials_resumed == 2
+        _assert_trials_match_reference(selector, batch)
+
+    def test_window_change_covers_both_outcomes(self):
+        # the overflow ends as a drains (t = 35.5), so v caches at the edge
+        # again from its request 3 (t = 60) on
+        selector, of, _ = _chain_selector(6, 20.0, 30.5)
+        selector.select([of])
+        t0, t1 = of.interval
+        assert (t0, t1) == pytest.approx((0.5, 35.5))
+        for window in ((t0 + 1.0, t1), (0.0, 1000.0)):
+            selector.select(
+                [
+                    OverflowSituation(
+                        of.location, window, of.members, of.peak_usage,
+                        of.capacity, of.excess_spacetime,
+                    )
+                ]
+            )
+        # a slightly narrower window forbids the same caches: revalidated;
+        # one over the whole day forbids v's later edge cache: v resumes
+        # at request 3, a (never allowed there) revalidates again
+        assert selector.trials_revalidated == 3
+        assert selector.trials_resumed == 1
+        assert selector.serves_kept == 3
+
+    @given(inst=instances)
+    @settings(max_examples=15, deadline=None)
+    def test_full_replay(self, inst):
+        topo, catalog, batch = _instance(*inst)
+        cm = CostModel(topo, catalog)
+        working = IndividualScheduler(cm).solve(batch)
+        selector = sorp_module._VictimSelector(
+            working, cm, batch.by_video(), HeatMetric.SPACE_TIME_PER_COST,
+            None, {},
+        )
+        overflows = detect_overflows(working, catalog, topo, index=selector.index)
+        selector.select(overflows)
+        first = dict(selector._trials)
+        # re-install every file unchanged: every storage is re-stamped, so
+        # every trial replays all its decisions and none comes out different
+        for fs in list(working):
+            selector.index.set_file(
+                FileSchedule(fs.video_id, list(fs.deliveries), list(fs.residencies))
+            )
+        again = detect_overflows(working, catalog, topo, index=selector.index)
+        assert again == overflows
+        before = selector.counts()
+        served = selector.serves_served
+        selector.select(again)
+        after = selector.counts()
+        assert after["revalidated"] - before["revalidated"] == len(first)
+        assert {k: after[k] for k in ("trials", "resumed", "kept")} == {
+            k: before[k] for k in ("trials", "resumed", "kept")
+        }
+        assert selector.serves_served == served
+        for key, trial in first.items():
+            assert selector._trials[key].new_fs is trial.new_fs
+        _assert_trials_match_reference(selector, batch)
 
 
 class TestOracleQueries:
@@ -378,23 +640,53 @@ class TestOracleQueries:
         topo, catalog, cm, batch = _two_branch_env()
         working = IndividualScheduler(cm).solve(batch)
         index = LocationIndex(working, catalog)
-        fits = ResidencyInfo("c", "IS2", "VW", 2.0, 52.0)
-        too_big = ResidencyInfo("f", "IS2b", "VW", 0.0, 100.0)
-        first = AvailabilityOracle(working, catalog, topo, "c", index=index)
-        assert first.fits_residency(fits, index.profile(fits))
+        video = catalog["c"]
+
+        def constraints(forbidden=()):
+            oracle = AvailabilityOracle(working, catalog, topo, "c", index=index)
+            return ResidencyConstraints(list(forbidden), oracle)
+
+        first = constraints()
+        assert first.allows(video, "IS2", 2.0, 52.0)
         with mock.patch(
             "repro.core.rejective.fits_under", side_effect=AssertionError
         ):
-            # same victim, same stamp: answered from the shared cache
-            second = AvailabilityOracle(working, catalog, topo, "c", index=index)
-            assert second.fits_residency(fits, index.profile(fits))
-        assert not second.fits_residency(too_big, index.profile(too_big))
-        assert second.fits_residency(fits, index.profile(fits))  # asked again
-        assert first.queries == {("IS2", 2.0, 52.0): (index.profile(fits), True)}
-        assert list(second.queries.items()) == [
-            (("IS2", 2.0, 52.0), (index.profile(fits), True)),
-            (("IS2b", 0.0, 100.0), (index.profile(too_big), False)),
+            # same victim, same stamp: answered from the shared cache...
+            second = constraints([("IS2b", (0.0, 1.0))])
+            assert second.allows(video, "IS2", 2.0, 52.0)
+            # ...and a forbidden residency never reaches the oracle
+            assert not second.allows(video, "IS2b", 0.0, 100.0)
+        assert second.allows(video, "IS2", 2.0, 52.0)  # asked again
+        assert second.allows(video, "IS2", 52.0, 52.0)  # zero extent
+        fits = index.profile("c", 2.0, 52.0)
+        assert first.log.decisions == [("IS2", 2.0, 52.0, fits, True)]
+        assert second.log.decisions == [
+            ("IS2", 2.0, 52.0, fits, True),
+            ("IS2b", 0.0, 100.0, index.profile("c", 0.0, 100.0), False),
+            ("IS2", 2.0, 52.0, fits, True),
         ]
+        assert second.log.at == {"IS2": [0, 2], "IS2b": [1]}
+        assert list(second.log.in_order({"IS2", "IS2b"})) == [0, 1, 2]
+        assert list(second.log.in_order({"IS2", "IS7"})) == [0, 2]
+
+    def test_marks_owner_and_cut(self):
+        log = DecisionLog()
+        profile = residency_profile(100.0, 10.0, 0.0, 5.0)
+        seeds = (ResidencyInfo("v", "IS1", "VW", 0.0, 0.0),)
+        log.mark(list(seeds))  # request 0 decides nothing
+        log.mark(list(seeds))
+        log.record("IS1", 0.0, 5.0, profile, True)
+        log.record("IS2", 0.0, 5.0, profile, False)
+        later = (ResidencyInfo("v", "IS1", "VW", 0.0, 5.0, ("u1",)),)
+        log.mark(list(later))
+        log.record("IS1", 0.0, 9.0, profile, True)
+        assert [log.owner(i) for i in range(3)] == [1, 1, 2]
+        prefix, residencies = log.cut(2)
+        assert residencies == later
+        assert prefix.decisions == log.decisions[:2]
+        assert prefix.marks == log.marks[:2]
+        assert prefix.at == {"IS1": [0], "IS2": [1]}
+        assert log.cut(1) == (DecisionLog([], log.marks[:1], {}), seeds)
 
 
 class TestCapacityTolerance:

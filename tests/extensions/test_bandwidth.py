@@ -10,11 +10,13 @@ from repro import (
     VideoCatalog,
     VideoFile,
 )
+from repro.core.spacefunc import EPS, capacity_slack
 from repro.extensions import (
     BandwidthAwareScheduler,
     BandwidthRoutePolicy,
     LinkBandwidthTracker,
 )
+from repro.extensions.bandwidth import LiveCapacityConstraints
 from repro.sim import validate_schedule
 from repro.topology import Router
 
@@ -177,3 +179,42 @@ class TestBandwidthAwareScheduler:
             RequestBatch([Request(0.0, "v", "u1", "IS1")])
         )
         assert r.rejection_rate == 0.0
+
+
+class TestLiveCapacityConstraints:
+    """Placement tolerance: the live oracle accepts what ``fits_under``,
+    the SORP oracle and overflow detection accept."""
+
+    GB = 1e9
+
+    def _tight(self, excess):
+        """One 1 GB storage and a title ``excess`` bytes larger than it."""
+        topo = Topology()
+        topo.add_warehouse("VW")
+        topo.add_storage("IS1", srate=1e-3, capacity=self.GB)
+        topo.add_edge("VW", "IS1", nrate=1.0)
+        catalog = VideoCatalog(
+            [VideoFile("v", size=self.GB + excess, playback=10.0)]
+        )
+        return topo, catalog
+
+    def test_peak_within_capacity_slack_is_cached(self):
+        # capacity + EPS < peak <= capacity_slack(capacity)
+        excess = 5e-4
+        assert EPS < excess
+        assert self.GB + excess <= capacity_slack(self.GB)
+        topo, catalog = self._tight(excess)
+        batch = RequestBatch(
+            [Request(0.0, "v", "u1", "IS1"), Request(30.0, "v", "u2", "IS1")]
+        )
+        r = BandwidthAwareScheduler(topo, catalog).solve(batch)
+        assert [c.location for c in r.schedule.residencies] == ["IS1"]
+        assert [d.route for d in r.schedule.deliveries] == [("VW", "IS1"), ("IS1",)]
+        assert validate_schedule(r.schedule, batch, CostModel(topo, catalog)) == []
+
+    def test_peak_above_capacity_slack_is_refused(self):
+        topo, catalog = self._tight(2e-3)
+        assert self.GB + 2e-3 > capacity_slack(self.GB)
+        live = LiveCapacityConstraints(topo, catalog)
+        assert not live.allows(catalog["v"], "IS1", 0.0, 30.0)
+        assert live.allows(catalog["v"], "IS1", 30.0, 30.0)  # zero extent

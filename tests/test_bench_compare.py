@@ -87,6 +87,22 @@ class TestCompareReports:
         current["sorp"]["wall_time_seconds"] *= 100
         assert bench.compare_reports(baseline, current) == []
 
+    def test_scale_timing_does_not_gate(self, bench, baseline):
+        current = json.loads(json.dumps(baseline))
+        for point in current["scale"].values():
+            point["wall_time_seconds"] *= 100
+        assert bench.compare_reports(baseline, current) == []
+
+    def test_scale_work_drift_fails(self, bench, baseline):
+        current = json.loads(json.dumps(baseline))
+        current["scale"]["1520"]["serves_served"] += 1
+        problems = bench.compare_reports(baseline, current)
+        assert problems == [
+            "scale.1520.serves_served regressed: baseline "
+            f"{baseline['scale']['1520']['serves_served']} vs "
+            f"{baseline['scale']['1520']['serves_served'] + 1}"
+        ]
+
     def test_online_outcome_drift_fails(self, bench, baseline):
         current = json.loads(json.dumps(baseline))
         current["online"]["requests_lost_windowed"] += 1
@@ -179,6 +195,16 @@ class TestCommittedBaseline:
                 section = section[name]
             for key in keys:
                 assert key in section, (path, key)
+
+    def test_baseline_has_the_scale_points(self, bench, baseline):
+        assert sorted(baseline["scale"], key=int) == [
+            str(n) for n in bench._SCALE_REQUESTS
+        ]
+        for point in baseline["scale"].values():
+            assert "wall_time_seconds" in point
+            # one victim per round, and the sweep exercises trial resumes
+            assert point["rounds"] == point["victims"] > 0
+            assert point["trials_resumed"] > 0 and point["serves_kept"] > 0
 
     def test_baseline_has_the_horizon_keys(self, bench, baseline):
         for key in bench._DETERMINISTIC_HORIZON_KEYS:
