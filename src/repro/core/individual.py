@@ -25,7 +25,12 @@ from the final schedule.
 
 The same greedy, parameterized with residency constraints, becomes the
 capacity-aware *rejective greedy* of Sec. 4.4 (see
-:mod:`repro.core.rejective`).
+:mod:`repro.core.rejective`).  Admission is cost-first: the greedy prices
+every cache copy, then asks the constraints only about the copies that
+beat the cheapest warehouse, cheapest first, and serves from the first one
+allowed.  A copy already dearer than the warehouse on the network alone is
+not even priced: its Ψ_C extension cannot be negative.  The pick is the
+cheapest allowed copy, exactly as if every copy had been asked about.
 """
 
 from __future__ import annotations
@@ -77,7 +82,11 @@ class RoutePolicy:
     def select(
         self, src: str, dst: str, t_start: float, t_end: float, bandwidth: float
     ) -> Route | None:
-        """Route to use for a stream, or ``None`` if none is feasible."""
+        """Route to use for a stream, or ``None`` if none is feasible.
+
+        A query without side effects: the greedy routes every candidate
+        copy but commits only the winner's route.
+        """
         del t_start, t_end, bandwidth
         return self._router.route(src, dst)
 
@@ -98,7 +107,11 @@ class IndividualScheduler:
             :class:`~repro.core.rejective.ResidencyConstraints` instance
             turns this into the Sec. 4.4 rejective greedy.  The greedy asks
             ``allows(video, location, t_start, t_last, replacing=...)``
-            of every candidate residency before building it.
+            of the cache candidates that beat the cheapest warehouse,
+            cheapest first, until one is allowed, and of every residency
+            it deposits.  ``allows`` must be a query: whether and in which
+            order candidates are asked about may change what it records,
+            never what it answers.
         route_policy: Optional :class:`RoutePolicy`; defaults to
             unconditional cheapest-path routing.
         deposit_scope: Where streams open cache candidates: ``"route"``
@@ -290,6 +303,8 @@ class IndividualScheduler:
         req: Request,
         residencies: list[ResidencyInfo],
     ) -> _Candidate:
+        """The cheapest feasible copy by :attr:`_Candidate.sort_key`; among
+        equal cache keys the lowest residency index."""
         best: _Candidate | None = None
         if req.local_storage not in self._cm.topology:
             # an unknown destination is a malformed request, not a copy that
@@ -319,18 +334,23 @@ class IndividualScheduler:
             )
             if best is None or cand.sort_key < best.sort_key:
                 best = cand
+        # Price every cache copy first; ask the constraints only about the
+        # ones that beat the cheapest warehouse, cheapest first (DESIGN.md
+        # §4).  A copy dearer on the network alone cannot win: its Ψ_C
+        # extension is >= 0.
         start = req.start_time
-        constraints = self._constraints
+        cm = self._cm
+        video_id = video.video_id
+        best_key = None if best is None else best.sort_key
+        # (sort key, residency index, route, network share): tuple order is
+        # pick order, the lowest index winning equal keys
+        contenders = []
         for idx, c in enumerate(residencies):
             if c.t_start > start:
                 continue  # cache not yet filled when the service starts
             # priced as (location, t_start, start): only the winning
             # candidate is built, in _apply
             c.check_extension(start)
-            if constraints is not None and not constraints.allows(
-                video, c.location, c.t_start, start, replacing=c
-            ):
-                continue
             try:
                 route = self._route_policy.select(
                     c.location, req.local_storage, t0, t1, video.bandwidth
@@ -339,17 +359,34 @@ class IndividualScheduler:
                 continue
             if route is None:
                 continue
-            ext_cost = self._cm.residency_cost_for(
-                video.video_id, c.location, c.t_start, start
-            ) - self._cm.residency_cost_for(
-                video.video_id, c.location, c.t_start, c.t_last
+            network = volume * route.rate
+            if best is not None and network > best.cost:
+                continue
+            ext_cost = cm.residency_cost_for(
+                video_id, c.location, c.t_start, start
+            ) - cm.residency_cost_for(video_id, c.location, c.t_start, c.t_last)
+            # the layout of _Candidate.sort_key, cache kind_rank 0
+            key = (network + ext_cost, route.hops, 0, c.location)
+            if best_key is None or key < best_key:
+                contenders.append((key, idx, route, network))
+        constraints = self._constraints
+        if constraints is None:
+            pick = min(contenders, default=None)
+        else:
+            pick = None
+            contenders.sort()
+            for contender in contenders:
+                c = residencies[contender[1]]
+                if constraints.allows(
+                    video, c.location, c.t_start, start, replacing=c
+                ):
+                    pick = contender
+                    break
+        if pick is not None:
+            (cost, hops, kind_rank, source), idx, route, network = pick
+            best = _Candidate(
+                cost, hops, kind_rank, source, route, idx, network_cost=network
             )
-            cand = _Candidate(
-                volume * route.rate + ext_cost, route.hops, 0, c.location,
-                route, idx, network_cost=volume * route.rate,
-            )
-            if best is None or cand.sort_key < best.sort_key:
-                best = cand
         if best is None:
             # with the default route policy on a healthy topology some home
             # warehouse is always feasible; a restrictive policy (e.g.

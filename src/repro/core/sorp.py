@@ -217,7 +217,10 @@ def resolve_overflows(
                     )
                     detect_span.set(overflows=len(overflows))
 
-        stats.resolved_cost = cost_model.total(working)
+        # no victim committed: working is the input schedule, already priced
+        stats.resolved_cost = (
+            cost_model.total(working) if stats.victims else stats.phase1_cost
+        )
         detail = cost_model.cache_stats_detail - cache_base
         stats.cache_stats = detail.combined
         sorp_span.set(
@@ -265,6 +268,17 @@ def resolve_overflows(
         ):
             metrics.counter(
                 "vor_sorp_trial_serves_total", help=serves_help, part=part
+            ).inc(n)
+        decisions_help = (
+            "Capacity decisions logged by SORP trials the greedy served, "
+            "and logged decisions re-decided to price a trial from its predecessor"
+        )
+        for part, n in (
+            ("logged", selector.decisions_logged),
+            ("redecided", selector.decisions_redecided),
+        ):
+            metrics.counter(
+                "vor_sorp_decisions_total", help=decisions_help, part=part
             ).inc(n)
         metrics.counter(
             "vor_sorp_timeline_builds_total",
@@ -340,6 +354,10 @@ class _VictimSelector:
         #: requests the greedy served in run and resumed trials.
         self.serves_kept = 0
         self.serves_served = 0
+        #: Decisions the greedy logged in run and resumed trials, and
+        #: logged decisions :meth:`_replay` re-decided.
+        self.decisions_logged = 0
+        self.decisions_redecided = 0
 
     def counts(self) -> dict[str, int]:
         """The work counters, as span attributes."""
@@ -349,6 +367,8 @@ class _VictimSelector:
             "revalidated": self.trials_revalidated,
             "resumed": self.trials_resumed,
             "kept": self.serves_kept,
+            "logged": self.decisions_logged,
+            "redecided": self.decisions_redecided,
         }
 
     def select(
@@ -436,15 +456,18 @@ class _VictimSelector:
         oracle = self._oracle(video.video_id)
         constraints = ResidencyConstraints([(of.location, of.interval)], oracle)
         log = prior.log
-        for i in log.in_order(moved):
+        order = log.in_order(moved)
+        for n, i in enumerate(order, 1):
             location, t_start, t_last, profile, allowed = log.decisions[i]
             if constraints.decide(location, t_start, t_last, profile) != allowed:
+                self.decisions_redecided += n
                 k = log.owner(i)
                 prefix, residencies = log.cut(k)
                 kept = tuple(prior.new_fs.deliveries[:k])
                 return self._serve(
                     video, requests, of, prefix, residencies, kept, oracle
                 )
+        self.decisions_redecided += len(order)
         self.trials_revalidated += 1
         return replace(
             prior,
@@ -462,6 +485,7 @@ class _VictimSelector:
         else:
             self.trials_run += 1
         self.serves_served += len(requests) - len(kept)
+        prefix = len(log.decisions)
         new_fs = self._rejective.reschedule(
             video,
             requests,
@@ -473,6 +497,7 @@ class _VictimSelector:
             log=log,
             kept=kept,
         )
+        self.decisions_logged += len(log.decisions) - prefix
         version = self.index.version
         return _Trial(
             new_fs,

@@ -4,14 +4,18 @@ This is the straightforward evaluation of ``SORP_solve`` (paper Table 3)
 that :func:`repro.core.sorp.resolve_overflows` must reproduce bit for bit:
 each round prices every (overflow, member) reschedule with a fresh
 availability oracle whose per-location timelines are rebuilt from the
-working schedule, and every detection sweep covers every storage.  It
-shares only the leaf primitives (``fits_under``, ``detect_overflows``
-without an index, the greedy core, heat and cost model) with the
-production code; the incremental bookkeeping has no counterpart here.
+working schedule, and every detection sweep covers every storage.  Its
+greedy, :class:`EagerIndividualScheduler`, asks the constraints about
+every cache candidate in residency order before pricing it.  It shares
+only the leaf primitives (``fits_under``, ``detect_overflows`` without an
+index, the greedy's apply and deposit steps, heat and cost model) with
+the production code; the incremental bookkeeping and the cost-first
+candidate admission have no counterpart here.
 
 Test-only: the property tests in ``test_sorp_incremental.py`` compare the
 two paths on schedules, ``ResolutionStats`` and the ``sorp-placed``
-journal sequence.
+journal sequence, and ``test_candidate_admission.py`` compares the two
+greedies.
 """
 
 from __future__ import annotations
@@ -19,13 +23,77 @@ from __future__ import annotations
 import math
 
 from repro.core.heat import HeatMetric, compute_heat
-from repro.core.individual import IndividualScheduler
+from repro.core.individual import IndividualScheduler, _Candidate
 from repro.core.overflow import detect_overflows
 from repro.core.rejective import fits_under
 from repro.core.sorp import ResolutionStats, VictimRecord, _key_greater
 from repro.core.spacefunc import UsageTimeline, capacity_slack, residency_profile
-from repro.errors import OverflowResolutionError
+from repro.errors import OverflowResolutionError, RoutingError, ScheduleError
 from repro.obs import NULL_OBS
+
+
+class EagerIndividualScheduler(IndividualScheduler):
+    """The greedy that asks ``allows`` of every cache candidate, in
+    residency order, before routing and pricing it; the pick is the first
+    minimum key over the warehouses, then the allowed caches."""
+
+    def _best_candidate(self, video, req, residencies):
+        best = None
+        if req.local_storage not in self._cm.topology:
+            raise RoutingError(f"unknown destination node {req.local_storage!r}")
+        volume = video.network_volume * self._cm.network_multiplier(
+            req.start_time
+        )
+        t0, t1 = req.start_time, req.start_time + video.playback
+        for w in self._home_warehouses(video.video_id):
+            try:
+                route = self._route_policy.select(
+                    w, req.local_storage, t0, t1, video.bandwidth
+                )
+            except RoutingError:
+                continue
+            if route is None:
+                continue
+            cand = _Candidate(
+                volume * route.rate, route.hops, 1, w, route, -1,
+                network_cost=volume * route.rate,
+            )
+            if best is None or cand.sort_key < best.sort_key:
+                best = cand
+        start = req.start_time
+        constraints = self._constraints
+        for idx, c in enumerate(residencies):
+            if c.t_start > start:
+                continue
+            c.check_extension(start)
+            if constraints is not None and not constraints.allows(
+                video, c.location, c.t_start, start, replacing=c
+            ):
+                continue
+            try:
+                route = self._route_policy.select(
+                    c.location, req.local_storage, t0, t1, video.bandwidth
+                )
+            except RoutingError:
+                continue
+            if route is None:
+                continue
+            ext_cost = self._cm.residency_cost_for(
+                video.video_id, c.location, c.t_start, start
+            ) - self._cm.residency_cost_for(
+                video.video_id, c.location, c.t_start, c.t_last
+            )
+            cand = _Candidate(
+                volume * route.rate + ext_cost, route.hops, 0, c.location,
+                route, idx, network_cost=volume * route.rate,
+            )
+            if best is None or cand.sort_key < best.sort_key:
+                best = cand
+        if best is None:
+            raise ScheduleError(f"no feasible source for request {req}")
+        if not math.isfinite(best.cost):
+            raise ScheduleError(f"non-finite candidate cost for request {req}")
+        return best
 
 
 class ReferenceOracle:
@@ -84,7 +152,7 @@ def reference_reschedule(
         schedule, cost_model.catalog, cost_model.topology, video.video_id,
         background,
     )
-    greedy = IndividualScheduler(
+    greedy = EagerIndividualScheduler(
         cost_model, ReferenceConstraints(forbidden, oracle)
     )
     return greedy.schedule_file(video, requests, initial_residencies=seeds)

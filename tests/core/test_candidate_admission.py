@@ -1,0 +1,267 @@
+"""Cost-first candidate admission picks what asking every candidate picks.
+
+The greedy (:mod:`repro.core.individual`) prices every cache copy first
+and asks its constraints only about the copies that beat the cheapest
+warehouse, cheapest first.  These tests hold it to the eager greedy of
+:mod:`tests.core.sorp_reference`, which asks about every cache candidate
+in residency order before pricing it: equal file schedules in Phase 1, in
+the rejective greedy with the reference constraints, and in the
+bandwidth-aware scheduler with live capacity constraints.  They also pin
+the two facts the exactness argument rests on: copies that cannot beat the
+cheapest warehouse are never asked about, and a Ψ_C extension is never
+negative, also where the span crosses the playback length.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import (
+    CostModel,
+    IndividualScheduler,
+    Request,
+    ResidencyInfo,
+    Topology,
+    VideoCatalog,
+    VideoFile,
+    WorkloadGenerator,
+    chain_topology,
+    detect_overflows,
+    paper_catalog,
+    paper_topology,
+    units,
+)
+from repro.extensions import BandwidthAwareScheduler
+from repro.topology.generators import PAPER_STORAGE_COUNT, PAPER_TOPOLOGY_EDGES
+
+from .sorp_reference import (
+    EagerIndividualScheduler,
+    ReferenceConstraints,
+    ReferenceOracle,
+)
+
+instances = st.tuples(
+    st.sampled_from([1.0, 2.0, 5.0]),  # capacity, GB
+    st.sampled_from([0.5, 5.0, 50.0]),  # srate, $/(GB*hour)
+    st.integers(min_value=12, max_value=40),  # catalog size
+    st.integers(min_value=1, max_value=4),  # users per neighborhood
+    st.integers(min_value=0, max_value=10_000),  # workload seed
+)
+
+
+def _instance(capacity_gb, srate, n_videos, users, seed):
+    topo = paper_topology(
+        nrate=units.per_gb(500),
+        srate=units.per_gb_hour(srate),
+        capacity=units.gb(capacity_gb),
+    )
+    catalog = paper_catalog(n_videos=n_videos, seed=seed % 7)
+    batch = WorkloadGenerator(
+        topo, catalog, alpha=0.271, users_per_neighborhood=users
+    ).generate(seed=seed)
+    return topo, catalog, batch
+
+
+class TestLazyEqualsEager:
+    @given(inst=instances)
+    @settings(max_examples=30, deadline=None)
+    def test_phase1(self, inst):
+        topo, catalog, batch = _instance(*inst)
+        cm = CostModel(topo, catalog)
+        lazy = IndividualScheduler(cm).solve(batch)
+        eager = EagerIndividualScheduler(cm).solve(batch)
+        assert lazy == eager
+
+    @given(inst=instances)
+    @settings(max_examples=20, deadline=None)
+    def test_rejective_reference_constraints(self, inst):
+        topo, catalog, batch = _instance(*inst)
+        cm = CostModel(topo, catalog)
+        working = IndividualScheduler(cm).solve(batch)
+        by_video = batch.by_video()
+        for of in detect_overflows(working, catalog, topo):
+            forbidden = [(of.location, of.interval)]
+            for c in of.members:
+                files = []
+                for greedy in (IndividualScheduler, EagerIndividualScheduler):
+                    oracle = ReferenceOracle(working, catalog, topo, c.video_id)
+                    constraints = ReferenceConstraints(forbidden, oracle)
+                    files.append(
+                        greedy(cm, constraints).schedule_file(
+                            catalog[c.video_id], by_video[c.video_id]
+                        )
+                    )
+                assert files[0] == files[1]
+
+    @given(
+        inst=instances,
+        streams=st.sampled_from([1.0, 1.5, 3.0]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_live_capacity_with_bandwidth_routes(self, inst, streams):
+        _, catalog, batch = _instance(*inst)
+        capacity_gb, srate = inst[:2]
+        # links carry a few streams each: routes divert and requests are
+        # refused, so the route policy's answers matter
+        link = streams * max(v.bandwidth for v in catalog)
+        topo = Topology()
+        topo.add_warehouse("VW")
+        for i in range(1, PAPER_STORAGE_COUNT + 1):
+            topo.add_storage(
+                f"IS{i}",
+                srate=units.per_gb_hour(srate),
+                capacity=units.gb(capacity_gb),
+            )
+        for a, b in PAPER_TOPOLOGY_EDGES:
+            topo.add_edge(a, b, nrate=units.per_gb(500), bandwidth=link)
+        results = []
+        for greedy in (IndividualScheduler, EagerIndividualScheduler):
+            scheduler = BandwidthAwareScheduler(topo, catalog)
+            scheduler._greedy = greedy(
+                scheduler.cost_model,
+                constraints=scheduler._capacity,
+                route_policy=scheduler._policy,
+            )
+            results.append(scheduler.solve(batch))
+        lazy, eager = results
+        assert lazy.schedule == eager.schedule
+        assert lazy.rejected == eager.rejected
+        assert lazy.diverted_streams == eager.diverted_streams
+        assert lazy.total_cost == eager.total_cost
+
+
+class _Recording:
+    """Constraints that log every cache-candidate question and answer from
+    a per-location table (default: allowed)."""
+
+    def __init__(self, answers=None):
+        self.answers = answers or {}
+        self.asked = []
+
+    def allows(self, video, location, t_start, t_last, *, replacing=None):
+        if replacing is None:
+            return True  # a zero-extent deposit, not a cache candidate
+        self.asked.append(location)
+        return self.answers.get(location, True)
+
+
+class TestAskOnlyWhatCanWin:
+    """``VW - IS1 - ... - IS5``, one request at ``IS2`` (2 hops from the
+    warehouse).  Open copies: ``IS2`` and ``IS1`` (cheap extensions, so
+    they beat the warehouse), ``IS3`` (1 hop, but its 100 s extension
+    outprices the warehouse) and ``IS5`` (3 hops: dearer than the
+    warehouse on the network alone)."""
+
+    SEEDS = (
+        ResidencyInfo("v", "IS5", "VW", 99.0, 99.0),
+        ResidencyInfo("v", "IS3", "VW", 0.0, 0.0),
+        ResidencyInfo("v", "IS1", "VW", 99.0, 99.0),
+        ResidencyInfo("v", "IS2", "VW", 99.0, 99.0),
+    )
+
+    def _serve(self, greedy_cls, answers, seeds=SEEDS):
+        topo = chain_topology(5, nrate=1.0, srate=0.1, capacity=1e15)
+        catalog = VideoCatalog([VideoFile("v", size=100.0, playback=10.0)])
+        cm = CostModel(topo, catalog)
+        constraints = _Recording(answers)
+        session = greedy_cls(cm, constraints).session(
+            catalog["v"], initial_residencies=seeds
+        )
+        session.serve(Request(100.0, "v", "u", "IS2"))
+        return constraints.asked, session.schedule.deliveries[0].route
+
+    def test_losers_are_never_asked(self):
+        asked, route = self._serve(IndividualScheduler, {"IS2": False})
+        # cheapest first; the first allowed copy wins
+        assert asked == ["IS2", "IS1"]
+        assert route == ("IS1", "IS2")
+
+    def test_cheapest_allowed_copy_is_the_only_question(self):
+        asked, route = self._serve(IndividualScheduler, {})
+        assert asked == ["IS2"]
+        assert route == ("IS2",)
+
+    def test_no_allowed_copy_falls_back_to_the_warehouse(self):
+        asked, route = self._serve(
+            IndividualScheduler, {"IS1": False, "IS2": False}
+        )
+        assert asked == ["IS2", "IS1"]
+        assert route == ("VW", "IS1", "IS2")
+
+    def test_network_tie_with_the_warehouse_is_asked(self):
+        # IS4 is as far from IS2 as the warehouse and its extension is
+        # free: equal cost and hops, and a cache wins the tie
+        seeds = (ResidencyInfo("v", "IS4", "VW", 100.0, 100.0),)
+        asked, route = self._serve(IndividualScheduler, {}, seeds)
+        assert asked == ["IS4"]
+        assert route == ("IS4", "IS3", "IS2")
+
+    def test_eager_reference_asks_every_copy(self):
+        asked, route = self._serve(EagerIndividualScheduler, {"IS2": False})
+        assert asked == ["IS5", "IS3", "IS1", "IS2"]
+        assert route == ("IS1", "IS2")
+
+    def test_dearer_network_copy_is_not_priced(self, monkeypatch):
+        priced = []
+        real = CostModel.residency_cost_for
+
+        def recording(self, video_id, location, t_start, t_last):
+            priced.append(location)
+            return real(self, video_id, location, t_start, t_last)
+
+        monkeypatch.setattr(CostModel, "residency_cost_for", recording)
+        self._serve(IndividualScheduler, {})
+        assert "IS3" in priced  # priced, then loses to the warehouse
+        assert "IS5" not in priced
+
+
+class TestExtensionIsNonNegative:
+    """A cache copy dearer than the warehouse on the network alone is
+    skipped unpriced; that is exact only because Ψ_C never falls as a
+    residency's span grows, in floats too."""
+
+    @staticmethod
+    def _extension(srate, size, playback, t_start, t_last, start):
+        topo = Topology()
+        topo.add_warehouse("VW")
+        topo.add_storage("IS1", srate=srate, capacity=math.inf)
+        topo.add_edge("VW", "IS1", nrate=1.0)
+        cm = CostModel(topo, VideoCatalog([VideoFile("v", size, playback)]))
+        return cm.residency_cost_for(
+            "v", "IS1", t_start, start
+        ) - cm.residency_cost_for("v", "IS1", t_start, t_last)
+
+    @given(
+        srate=st.floats(min_value=1e-12, max_value=1e3),
+        size=st.floats(min_value=1.0, max_value=1e12),
+        playback=st.floats(min_value=1e-3, max_value=1e5),
+        t_start=st.floats(min_value=0.0, max_value=1e7),
+        before=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        after=st.floats(min_value=1.0, max_value=3.0),
+        network=st.floats(min_value=0.0, max_value=1e12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_spans_crossing_playback(
+        self, srate, size, playback, t_start, before, after, network
+    ):
+        t_last = t_start + before * playback
+        start = max(t_last, t_start + after * playback)
+        ext = self._extension(srate, size, playback, t_start, t_last, start)
+        assert ext >= 0.0
+        # so the candidate's cost is never below its network share
+        assert network + ext >= network
+
+    @pytest.mark.parametrize("playback", [10.0, 5400.0, 0.1])
+    def test_spans_at_the_playback_boundary(self, playback):
+        below = math.nextafter(playback, 0.0)
+        for t_last, start in (
+            (below, playback),
+            (below, math.nextafter(playback, math.inf)),
+            (playback, playback),
+            (0.0, below),
+        ):
+            assert self._extension(1e-3, 100.0, playback, 0.0, t_last, start) >= 0

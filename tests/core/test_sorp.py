@@ -1,5 +1,7 @@
 """Tests for the SORP overflow-resolution loop (Table 3)."""
 
+from unittest import mock
+
 import pytest
 
 from repro import (
@@ -86,6 +88,20 @@ class TestResolveOverflows:
         assert stats.iterations == 0
         assert stats.cost_increase == 0.0
         assert cm.total(resolved) == pytest.approx(cm.total(phase1))
+
+    @pytest.mark.parametrize("capacity, passes", [(1e6, 1), (150.0, 2)])
+    def test_zero_rounds_price_the_schedule_once(self, capacity, passes):
+        topo, catalog, cm = _env(capacity=capacity)
+        batch = _contended_batch()
+        phase1 = IndividualScheduler(cm).solve(batch)
+        with mock.patch.object(cm, "total", wraps=cm.total) as total:
+            resolved, stats = resolve_overflows(phase1, batch, cm)
+        # without a victim the resolved schedule is the input: its Ψ is
+        # the Phase-1 Ψ, not priced again
+        assert total.call_count == passes
+        assert (stats.iterations == 0) == (passes == 1)
+        assert stats.resolved_cost == cm.total(resolved)
+        assert stats.phase1_cost == cm.total(phase1)
 
     @pytest.mark.parametrize("metric", list(HeatMetric))
     def test_all_metrics_resolve(self, metric):

@@ -74,6 +74,11 @@ def _instance(capacity_gb, n_videos, users, seed):
     return topo, catalog, batch
 
 
+#: An overflow-heavy instance whose SORP rounds run, reuse, revalidate and
+#: resume trials under every heat metric.
+HEAVY = (1.0, 20, 4, 5)
+
+
 def _placed(journal):
     return [e for e in journal.events if e.kind == "sorp-placed"]
 
@@ -136,7 +141,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("metric", list(HeatMetric))
     def test_heavy_overflow_every_metric(self, metric):
-        topo, catalog, batch = _instance(1.0, 20, 5, 5)
+        topo, catalog, batch = _instance(*HEAVY)
         cm = CostModel(topo, catalog)
         phase1 = IndividualScheduler(cm).solve(batch)
         obs = Observability.on(journal=True)
@@ -374,7 +379,7 @@ class TestTrialReuse:
 
     def test_work_counters_and_round_spans(self):
         topo, catalog, cm, batch = _two_branch_env()
-        heavy_topo, heavy_catalog, heavy_batch = _instance(1.0, 20, 5, 5)
+        heavy_topo, heavy_catalog, heavy_batch = _instance(*HEAVY)
         heavy_cm = CostModel(heavy_topo, heavy_catalog)
         for cm, batch in ((cm, batch), (heavy_cm, heavy_batch)):
             obs = Observability.on()
@@ -395,11 +400,24 @@ class TestTrialReuse:
                 )
             }
             kept = sum(dict(r.attrs)["kept"] for r in rounds)
+            decisions = {
+                part: sum(dict(r.attrs)[part] for r in rounds)
+                for part in ("logged", "redecided")
+            }
             (sorp_span,) = [r for r in obs.tracer.records if r.name == "sorp"]
             attrs = dict(sorp_span.attrs)
             assert attrs["revalidated"] == counts["revalidated"]
             assert attrs["resumed"] == counts["resumed"]
             assert attrs["kept"] == kept
+            assert {part: attrs[part] for part in decisions} == decisions
+            assert {
+                v["labels"]["part"]: v["value"]
+                for v in obs.metrics.snapshot()["vor_sorp_decisions_total"][
+                    "values"
+                ]
+            } == decisions
+            # every revalidated trial re-decided at least one decision
+            assert decisions["redecided"] >= counts["revalidated"]
             assert _trial_outcomes(obs) == counts
             # every priced trial is run, reused, revalidated or resumed
             assert sum(counts.values()) == priced.call_count
@@ -417,7 +435,38 @@ class TestTrialReuse:
             assert builds["values"][0]["value"] > 0
         # the heavy instance revalidates and resumes
         assert counts["revalidated"] > 0 and counts["resumed"] > 0 and kept > 0
+        assert decisions["logged"] > 0 and decisions["redecided"] > 0
 
+    def test_decision_counters(self):
+        selector, overflows, catalog, topo = self._selector()
+        selector.select(overflows)
+        # each trial's second request asks about the forbidden edge cache,
+        # then the fallback: two logged decisions per trial
+        assert selector.decisions_logged == 4 * 2
+        assert selector.decisions_redecided == 0
+        e_fs = selector.index.schedule.file("e")
+        self._restamp_is2(
+            selector, catalog, topo,
+            FileSchedule("e", list(e_fs.deliveries), list(e_fs.residencies)),
+            overflows,
+        )
+        selector.select(overflows)
+        # the c/d trials re-decide their one IS2 decision and revalidate
+        assert selector.trials_revalidated == 2
+        assert selector.decisions_redecided == 2
+        assert selector.decisions_logged == 8
+        blocker = ResidencyInfo("f", "IS2", "VW", 0.0, 100.0)
+        assert selector.index.set_file(FileSchedule("f", [], [blocker])) == {"IS2"}
+        again = detect_overflows(
+            selector.index.schedule, catalog, topo, index=selector.index
+        )
+        assert again == overflows
+        selector.select(again)
+        # now that decision flips: each resumes at request 1 and logs both
+        # of its decisions again
+        assert selector.trials_resumed == 2
+        assert selector.decisions_redecided == 2 + 2
+        assert selector.decisions_logged == 8 + 2 * 2
 
 def _chain_env(n, gap, a_last):
     """``VW - IS1 - IS1b``: file ``v`` is requested ``n`` times, ``gap``
