@@ -955,17 +955,16 @@ def _run_faults(args: argparse.Namespace) -> int:
     fault-masked topology (the recovery contract), printing the violations.
     """
     from repro.analysis import format_table
-    from repro.core.costmodel import CostModel
     from repro.errors import FaultError
     from repro.faults.contingency import ContingencyScheduler
-    from repro.faults.inject import masked_topology
+    from repro.faults.inject import masked_cost_model, masked_topology
     from repro.faults.plan import FaultPlan
     from repro.faults.report import build_degraded_report
     from repro.sim.validate import validate_schedule
     from repro.workload.requests import RequestBatch
 
     env = _EnvRun(args)
-    topology, catalog, batch = env.topology, env.catalog, env.batch
+    topology, batch = env.topology, env.batch
     scheduler, result = env.solve()
     if args.scenario:
         plan = FaultPlan.load(args.scenario)
@@ -1017,17 +1016,9 @@ def _run_faults(args: argparse.Namespace) -> int:
         )
     )
 
-    replicas = scheduler.cost_model.replicas
     try:
-        masked = masked_topology(topology, plan)
-        masked_cm = CostModel(
-            masked,
-            catalog,
-            replicas=(
-                replicas.restricted_to(masked.node_names)
-                if replicas is not None
-                else None
-            ),
+        masked_cm = masked_cost_model(
+            scheduler.cost_model, masked_topology(topology, plan)
         )
     except FaultError:
         # total warehouse loss: the patched schedule holds only unimpacted

@@ -16,7 +16,9 @@ Phase 2 (overflow resolution) is a sequential victim-selection loop over
 the resulting schedule; see :mod:`repro.core.sorp`.
 """
 
-# Names kept: vorbench/layers.py wraps ParallelIndividualScheduler.run as "ivsp".
+# Names kept: vorbench/layers.py wraps ParallelIndividualScheduler.run as
+# its "ivsp" layer, so the two-phase pipeline (core/scheduler.py) runs
+# Phase 1 through this class rather than IndividualScheduler.solve.
 
 from __future__ import annotations
 

@@ -1,12 +1,17 @@
 """The two-phase video scheduler facade (paper Sec. 3.1).
 
-:class:`VideoScheduler` wires the pieces together:
+:func:`solve_two_phase` is the paper's heuristic as one pipeline:
 
 1. **Individual Video Scheduling** -- per-file greedy schedules assuming
    unbounded intermediate storage (:mod:`repro.core.individual`);
 2. **Integration + Storage Overflow Resolution** -- merge, detect
    over-commitments, and reschedule victims until feasible
    (:mod:`repro.core.sorp`).
+
+:class:`VideoScheduler` runs it for one isolated cycle; the rolling
+scheduler and whole-cycle fault recovery run it with carryover seeds, a
+capacity background or a kept base schedule.  :func:`scheduling_model` is
+how every scheduler gets its cost model.
 
 The returned :class:`ScheduleResult` carries the feasible schedule, its cost
 breakdown, and the Phase-1/Phase-2 statistics the paper reports (overflow
@@ -31,7 +36,7 @@ from repro.core.costmodel import (
 )
 from repro.core.heat import HeatMetric
 from repro.core.parallel import ParallelIndividualScheduler
-from repro.core.schedule import Schedule
+from repro.core.schedule import ResidencyInfo, Schedule
 from repro.core.sorp import ResolutionStats, resolve_overflows
 from repro.core.spacefunc import UsageTimeline
 from repro.errors import ScheduleError
@@ -49,12 +54,10 @@ class ScheduleResult:
 
     schedule: Schedule
     cost: CostBreakdown
-    phase1_cost: CostBreakdown
     resolution: ResolutionStats
-    #: Cost-evaluation cache activity over the whole solve.  Excluded from equality: two runs that produce identical
+    #: Per-cache (Ψ_C vs Ψ_D) cost-evaluation cache activity over the whole
+    #: solve.  Excluded from equality: two runs that produce identical
     #: schedules may reach them with different hit/miss mixes.
-    cache_stats: CacheStats = field(default_factory=CacheStats, compare=False)
-    #: Per-cache (Ψ_C vs Ψ_D) breakdown of :attr:`cache_stats`.
     cache_detail: CacheStatsDetail = field(
         default_factory=CacheStatsDetail, compare=False
     )
@@ -65,9 +68,19 @@ class ScheduleResult:
         return self.cost.total
 
     @property
+    def phase1_cost(self) -> float:
+        """Ψ of the integrated Phase-1 schedule, before SORP."""
+        return self.resolution.phase1_cost
+
+    @property
     def overflow_cost_ratio(self) -> float:
         """Relative cost added by overflow resolution (Sec. 5.5)."""
         return self.resolution.cost_increase_ratio
+
+    @property
+    def cache_stats(self) -> CacheStats:
+        """Cache activity of both caches combined."""
+        return self.cache_detail.combined
 
     @property
     def cache_hit_rate(self) -> float:
@@ -116,6 +129,80 @@ def record_schedule_metrics(
         ).set(value)
 
 
+def scheduling_model(
+    topology: Topology,
+    catalog: VideoCatalog,
+    *,
+    cost_model: CostModel | None = None,
+    replicas=None,
+) -> CostModel:
+    """The cost model a scheduler over ``topology`` prices against.
+
+    ``replicas`` and a ``cost_model`` carrying a different map are
+    rejected; the topology is validated against the map the returned model
+    carries.  Without a ``cost_model`` the flat-rate paper model is built.
+    """
+    if cost_model is not None:
+        if replicas is not None and cost_model.replicas is not replicas:
+            raise ScheduleError(
+                "pass replicas either directly or on the cost model, not both"
+            )
+        replicas = cost_model.replicas
+    validate_topology(topology, replicas=replicas)
+    if cost_model is None:
+        cost_model = CostModel(topology, catalog, replicas=replicas)
+    return cost_model
+
+
+def solve_two_phase(
+    batch: RequestBatch,
+    cost_model: CostModel,
+    *,
+    heat_metric: HeatMetric,
+    obs: Observability,
+    seeds: dict[str, tuple[ResidencyInfo, ...]] | None = None,
+    background=None,
+    base: Schedule | None = None,
+    pricing: CostModel | None = None,
+) -> ScheduleResult:
+    """IVSP per file, integrate, then SORP: the paper's heuristic (Table 3).
+
+    ``seeds`` (carryover residencies per video id) seed the Phase-1 greedy
+    and are committed for SORP; ``background`` is SORP's capacity
+    background.  ``base`` holds files kept verbatim: the Phase-1 files are
+    grafted over it, and SORP resolves the requests the grafted schedule
+    delivers.  The pruned result is priced once on ``pricing`` (default
+    ``cost_model``), recorded as ``phase="costing"``.
+    """
+    pricing = pricing if pricing is not None else cost_model
+    start = cost_model.cache_stats_detail
+    schedule = ParallelIndividualScheduler(cost_model, obs=obs).run(
+        batch, seeds=seeds
+    ).schedule
+    if base is not None:
+        grafted = base.copy()
+        for fs in schedule:
+            grafted.set_file(fs)
+        schedule = grafted
+        batch = RequestBatch(d.request for d in schedule.deliveries)
+    resolved, stats = resolve_overflows(
+        schedule,
+        batch,
+        cost_model,
+        metric=heat_metric,
+        background=background,
+        committed=seeds,
+        obs=obs,
+    )
+    final = resolved.pruned()
+    detail = cost_model.cache_stats_detail - start
+    before = pricing.cache_stats_detail
+    cost = pricing.schedule_cost(final)
+    costing = pricing.cache_stats_detail - before
+    record_cache_metrics(obs.metrics, costing, phase="costing")
+    return ScheduleResult(final, cost, stats, cache_detail=detail + costing)
+
+
 class VideoScheduler:
     """End-to-end scheduler for one cycle of VOR requests.
 
@@ -146,73 +233,26 @@ class VideoScheduler:
         obs: Observability | None = None,
         replicas=None,
     ):
-        if (
-            cost_model is not None
-            and replicas is not None
-            and cost_model.replicas is not replicas
-        ):
-            raise ScheduleError(
-                "pass replicas either directly or on the cost model, not both"
-            )
-        effective_replicas = (
-            replicas
-            if replicas is not None
-            else (cost_model.replicas if cost_model is not None else None)
-        )
-        validate_topology(topology, replicas=effective_replicas)
         self.topology = topology
         self.catalog = catalog
         self.heat_metric = heat_metric
-        self.cost_model = (
-            cost_model
-            if cost_model is not None
-            else CostModel(topology, catalog, replicas=replicas)
+        self.cost_model = scheduling_model(
+            topology, catalog, cost_model=cost_model, replicas=replicas
         )
         self.obs = obs if obs is not None else NULL_OBS
-        self._engine = ParallelIndividualScheduler(self.cost_model, obs=self.obs)
-
-    def solve_individual(self, batch: RequestBatch) -> Schedule:
-        """Phase 1 only: capacity-ignorant per-file schedules (Table 2)."""
-        return self._engine.run(batch, self.catalog).schedule
 
     def solve(self, batch: RequestBatch) -> ScheduleResult:
         """Full two-phase solve: greedy + overflow resolution."""
         with self.obs.tracer.span("solve", requests=len(batch)) as span:
-            phase1_result = self._engine.run(batch, self.catalog)
-            # The post-phase-1 counter delta plus the engine's own delta
-            # covers the whole solve.
-            base_detail = self.cost_model.cache_stats_detail
-            phase1 = phase1_result.schedule
-            phase1_cost = self.cost_model.schedule_cost(phase1)
-            record_cache_metrics(
-                self.obs.metrics,
-                self.cost_model.cache_stats_detail - base_detail,
-                phase="integrate",
+            result = solve_two_phase(
+                batch, self.cost_model, heat_metric=self.heat_metric, obs=self.obs
             )
-            feasible, stats = resolve_overflows(
-                phase1,
-                batch,
-                self.cost_model,
-                metric=self.heat_metric,
-                obs=self.obs,
-            )
-            final = feasible.pruned()
-            pre_costing = self.cost_model.cache_stats_detail
-            final_cost = self.cost_model.schedule_cost(final)
-            record_cache_metrics(
-                self.obs.metrics,
-                self.cost_model.cache_stats_detail - pre_costing,
-                phase="costing",
-            )
+            final = result.schedule
             span.set(
                 deliveries=len(final.deliveries),
                 residencies=len(final.residencies),
-                overflow_fixes=stats.iterations,
+                overflow_fixes=result.resolution.iterations,
             )
-        detail = (
-            phase1_result.detail
-            + (self.cost_model.cache_stats_detail - base_detail)
-        )
         record_schedule_metrics(self.obs, final, self.cost_model, scope="final")
         if self.obs.metrics.enabled:
             self.obs.metrics.gauge(
@@ -221,21 +261,14 @@ class VideoScheduler:
                 help="Ψ of the schedule by resource component",
                 component="total",
                 scope="phase1",
-            ).set(phase1_cost.total)
+            ).set(result.phase1_cost)
         _log.info(
             "solved %d requests: $%.2f (%d deliveries, %d residencies, "
             "%d overflow fixes)",
             len(batch),
-            final_cost.total,
+            result.total_cost,
             len(final.deliveries),
             len(final.residencies),
-            stats.iterations,
+            result.resolution.iterations,
         )
-        return ScheduleResult(
-            schedule=final,
-            cost=final_cost,
-            phase1_cost=phase1_cost,
-            resolution=stats,
-            cache_stats=detail.combined,
-            cache_detail=detail,
-        )
+        return result

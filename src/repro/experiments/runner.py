@@ -216,7 +216,7 @@ class ExperimentRunner:
             total_cost=result.total_cost,
             storage_cost=result.cost.storage,
             network_cost=result.cost.network,
-            phase1_cost=result.phase1_cost.total,
+            phase1_cost=result.phase1_cost,
             overflow_count=result.resolution.initial_overflows,
             resolution_iterations=result.resolution.iterations,
             cost_increase_ratio=result.overflow_cost_ratio,

@@ -23,20 +23,22 @@ state forward.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
-from repro.core.parallel import ParallelIndividualScheduler
 from repro.core.schedule import ResidencyInfo, Schedule
-from repro.core.scheduler import record_schedule_metrics
-from repro.core.sorp import ResolutionStats, resolve_overflows
+from repro.core.scheduler import (
+    record_schedule_metrics,
+    scheduling_model,
+    solve_two_phase,
+)
+from repro.core.sorp import ResolutionStats
 from repro.core.spacefunc import SpaceProfile
 from repro.errors import ScheduleError
 from repro.obs import NULL_OBS, Observability
 from repro.topology.graph import Topology
-from repro.topology.validation import validate_topology
 from repro.workload.requests import RequestBatch
 
 _log = logging.getLogger(__name__)
@@ -85,22 +87,13 @@ class RollingScheduler:
         obs: Observability | None = None,
         replicas=None,
     ):
-        effective_replicas = (
-            replicas
-            if replicas is not None
-            else (cost_model.replicas if cost_model is not None else None)
-        )
-        validate_topology(topology, replicas=effective_replicas)
         self.topology = topology
         self.catalog = catalog
         self.heat_metric = heat_metric
-        self.cost_model = (
-            cost_model
-            if cost_model is not None
-            else CostModel(topology, catalog, replicas=replicas)
+        self.cost_model = scheduling_model(
+            topology, catalog, cost_model=cost_model, replicas=replicas
         )
         self.obs = obs if obs is not None else NULL_OBS
-        self._engine = ParallelIndividualScheduler(self.cost_model, obs=self.obs)
         #: committed residencies whose occupancy outlives their cycle
         self._carryover: dict[str, list[ResidencyInfo]] = {}
         self._cycle_index = 0
@@ -142,34 +135,29 @@ class RollingScheduler:
             requests=len(batch),
             carried_in=carried_in,
         ) as span:
-            # Phase 1 with carryover seeding: requested carried-over titles
-            # may extend their committed caches; the rest become capacity
-            # background.
-            requested = set(batch.video_ids)
+            # Carryover seeding: requested carried-over titles may extend
+            # their committed caches; the rest become capacity background.
             seeds: dict[str, tuple[ResidencyInfo, ...]] = {
                 video_id: tuple(self._carryover.get(video_id, ()))
                 for video_id in batch.video_ids
             }
-            schedule = self._engine.run(batch, self.catalog, seeds=seeds).schedule
             background: dict[str, list[SpaceProfile]] = {}
             for video_id, residencies in self._carryover.items():
-                if video_id in requested:
+                if video_id in seeds:
                     continue  # seeded into the greedy instead
                 for c in residencies:
                     background.setdefault(c.location, []).append(
                         c.profile(self.catalog[c.video_id])
                     )
-
-            resolved, stats = resolve_overflows(
-                schedule,
+            solved = solve_two_phase(
                 batch,
                 self.cost_model,
-                metric=self.heat_metric,
-                background=background,
-                committed=seeds,
+                heat_metric=self.heat_metric,
                 obs=self.obs,
+                seeds=seeds,
+                background=background,
             )
-            final = resolved.pruned()
+            final = solved.schedule
 
             reused = self._count_reused(final, seeds)
             credit = sum(
@@ -182,8 +170,8 @@ class RollingScheduler:
             result = CycleResult(
                 cycle_index=self._cycle_index,
                 schedule=final,
-                cost=self.cost_model.schedule_cost(final),
-                resolution=stats,
+                cost=solved.cost,
+                resolution=solved.resolution,
                 carried_in=carried_in,
                 carried_out=sum(len(v) for v in self._carryover.values()),
                 reused_carryover=reused,
@@ -234,15 +222,14 @@ class RollingScheduler:
         """Swap the scheduling cost model between cycles.
 
         The carryover state, cycle numbering and boundary clock are
-        preserved -- only the model the Phase-1 engine and SORP price
-        against changes.  This is the replica-migration hook: the horizon
-        layer rebinds a model carrying the migrated
-        :class:`~repro.replication.ReplicaMap` and the next
-        :meth:`schedule_cycle` serves from the new homes.
+        preserved -- only the model both phases price against changes.
+        This is the replica-migration hook: the horizon layer rebinds a
+        model carrying the migrated :class:`~repro.replication.ReplicaMap`
+        and the next :meth:`schedule_cycle` serves from the new homes.
         """
-        validate_topology(self.topology, replicas=cost_model.replicas)
-        self.cost_model = cost_model
-        self._engine = ParallelIndividualScheduler(cost_model, obs=self.obs)
+        self.cost_model = scheduling_model(
+            self.topology, self.catalog, cost_model=cost_model
+        )
 
     def amend_cycle(self, result: CycleResult, plan, *, batch=None,
                     masking: str = "cycle"):

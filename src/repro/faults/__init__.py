@@ -19,6 +19,7 @@ from repro.faults.inject import (
     ResourceEffects,
     combined_effects,
     effects_of,
+    masked_cost_model,
     masked_topology,
 )
 from repro.faults.plan import (
@@ -46,6 +47,7 @@ __all__ = [
     "ResourceEffects",
     "effects_of",
     "combined_effects",
+    "masked_cost_model",
     "masked_topology",
     "ServiceImpact",
     "StrandedResidency",

@@ -13,9 +13,10 @@ Given a committed schedule and a :class:`~repro.faults.plan.FaultPlan`, the
    video's replica set -- no schedule can serve them) and **recoverable**;
    without a :class:`~repro.replication.ReplicaMap` on the cost model every
    surviving warehouse counts as a home, the single-warehouse behaviour;
-4. re-solves *only* the recoverable impacted requests through the existing
-   Phase-1 + SORP machinery against the masked model, grafting the
-   fresh per-file schedules over the old ones;
+4. re-solves *only* the recoverable impacted requests through
+   :func:`~repro.core.scheduler.solve_two_phase` against the masked model,
+   grafting the fresh per-file schedules over the unimpacted ones (the
+   pipeline's ``base``) before the SORP pass;
 5. reports the patched schedule together with its cost delta (Ψ before vs
    after, both priced on the *original* model so the delta is
    apples-to-apples) and the SLA outcome (requests saved vs lost).
@@ -61,12 +62,14 @@ from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
 from repro.core.parallel import ParallelIndividualScheduler
 from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo, Schedule
+from repro.core.scheduler import solve_two_phase
 from repro.core.sorp import ResolutionStats, resolve_overflows
 from repro.errors import FaultError
 from repro.faults.inject import (
     ResourceEffects,
     combined_effects,
     effects_of,
+    masked_cost_model,
     masked_topology,
 )
 from repro.faults.plan import FaultPlan
@@ -426,86 +429,53 @@ class ContingencyScheduler:
 
         impacted_set = set(impacted)
         replicas = self._cm.replicas
-        if all(
-            w.name in effects.down_nodes for w in topology.warehouses
-        ):
+        base = Schedule(fs for fs in schedule if fs.video_id not in impacted_set)
+        saved: list[Request] = []
+        lost: list[Request] = []
+        if all(w.name in effects.down_nodes for w in topology.warehouses):
             # Total warehouse loss: no copy of anything survives, so every
             # impacted request is lost.  Unimpacted files keep serving from
             # their already-filled caches verbatim.
-            patched = Schedule(
-                fs for fs in schedule if fs.video_id not in impacted_set
-            )
-            return RecoveryResult(
-                plan=plan,
-                schedule=patched,
-                impacted=impacted,
-                saved=(),
-                lost=tuple(r for r in batch if r.video_id in impacted_set),
-                cost_before=cost_before,
-                cost_after=self._cm.schedule_cost(patched),
-                resolution=None,
-                masking=self._masking,
-            )
+            lost = [r for r in batch if r.video_id in impacted_set]
+        else:
+            masked = masked_topology(topology, plan)
+            router = Router(masked)
+            # reachable set of each surviving warehouse: a request is
+            # servable iff its neighborhood is reachable from a surviving
+            # *home* of its video (all warehouses count as homes without a
+            # replica map)
+            reach = {w.name: router.reachable(w.name) for w in masked.warehouses}
+            for r in batch:
+                if r.video_id not in impacted_set:
+                    continue
+                homes = (
+                    replicas.homes(r.video_id)
+                    if replicas is not None
+                    else tuple(reach)
+                )
+                servable = any(
+                    r.local_storage in reach[h] for h in homes if h in reach
+                )
+                (saved if servable else lost).append(r)
 
-        masked = masked_topology(topology, plan)
-        masked_cm = CostModel(
-            masked,
-            self._cm.catalog,
-            replicas=(
-                replicas.restricted_to(masked.node_names)
-                if replicas is not None
-                else None
-            ),
-        )
-        router = Router(masked)
-        # reachable set of each surviving warehouse: a request is servable
-        # iff its neighborhood is reachable from a surviving *home* of its
-        # video (all warehouses count as homes without a replica map)
-        reach = {w.name: router.reachable(w.name) for w in masked.warehouses}
-
-        def servable(r: Request) -> bool:
-            homes = (
-                replicas.homes(r.video_id)
-                if replicas is not None
-                else tuple(reach)
-            )
-            return any(
-                r.local_storage in reach[h] for h in homes if h in reach
-            )
-
-        saved: list[Request] = []
-        lost: list[Request] = []
-        surviving: list[Request] = []
-        for r in batch:
-            if r.video_id not in impacted_set:
-                surviving.append(r)
-                continue
-            if servable(r):
-                saved.append(r)
-                surviving.append(r)
-            else:
-                lost.append(r)
-
-        patched = Schedule(fs for fs in schedule if fs.video_id not in impacted_set)
-        resolution: ResolutionStats | None = None
         if saved:
-            sub_batch = RequestBatch(saved)
-            engine = ParallelIndividualScheduler(masked_cm, obs=self._obs)
-            phase1 = engine.run(sub_batch, self._cm.catalog)
-            for fs in phase1.schedule:
-                patched.set_file(fs)
             # SORP over the whole grafted schedule: the fresh files must fit
             # in what the shrunk storages have left *alongside* the
-            # unimpacted files' residencies.
-            patched, resolution = resolve_overflows(
-                patched,
-                RequestBatch(surviving),
-                masked_cm,
-                metric=self._metric,
+            # unimpacted files' residencies.  The patched schedule is priced
+            # on the healthy model, like the original.
+            solved = solve_two_phase(
+                RequestBatch(saved),
+                masked_cost_model(self._cm, masked),
+                heat_metric=self._metric,
                 obs=self._obs,
+                base=base,
+                pricing=self._cm,
             )
-            patched = patched.pruned()
-
+            patched, cost_after = solved.schedule, solved.cost
+            resolution = solved.resolution
+        else:
+            patched, cost_after = base, self._cm.schedule_cost(base)
+            resolution = None
         return RecoveryResult(
             plan=plan,
             schedule=patched,
@@ -513,7 +483,7 @@ class ContingencyScheduler:
             saved=tuple(saved),
             lost=tuple(lost),
             cost_before=cost_before,
-            cost_after=self._cm.schedule_cost(patched),
+            cost_after=cost_after,
             resolution=resolution,
             masking=self._masking,
         )
@@ -688,15 +658,7 @@ class ContingencyScheduler:
         for sig in sorted(groups):
             group = groups[sig]
             g_topo = group["view"]["topology"]
-            g_cm = CostModel(
-                g_topo,
-                catalog,
-                replicas=(
-                    replicas.restricted_to(g_topo.node_names)
-                    if replicas is not None
-                    else None
-                ),
-            )
+            g_cm = masked_cost_model(self._cm, g_topo)
             sub_batch = RequestBatch(group["requests"])
             firsts = {
                 video_id: min(

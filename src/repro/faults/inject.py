@@ -6,8 +6,9 @@ Two consumers need to know *what* a fault breaks:
   fault individually and respects its time window;
 * the contingency scheduler (:mod:`repro.faults.contingency`) combines the
   whole plan into one conservative :func:`masked_topology` -- failed
-  resources removed, degraded ones shrunk -- that the existing Phase-1 +
-  SORP machinery can re-solve against without knowing faults exist.
+  resources removed, degraded ones shrunk -- and a
+  :func:`masked_cost_model` over it that the existing Phase-1 + SORP
+  machinery can re-solve against without knowing faults exist.
 
 Severity is the remaining fraction of the resource (see
 :mod:`repro.faults.plan`); a warehouse brownout scales every link incident
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.costmodel import CostModel
 from repro.errors import FaultError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.topology.graph import Topology, edge_key
@@ -228,9 +230,29 @@ def masked_topology(
     return out
 
 
+def masked_cost_model(cost_model: CostModel, masked: Topology) -> CostModel:
+    """A flat-rate model over ``masked`` carrying ``cost_model``'s homes.
+
+    The replica map, if any, is restricted to the nodes the mask keeps.
+    Only the topology, catalog and map carry over: a tariff subclass such
+    as :class:`~repro.extensions.pricing.DiurnalCostModel` does not.
+    """
+    replicas = cost_model.replicas
+    return CostModel(
+        masked,
+        cost_model.catalog,
+        replicas=(
+            replicas.restricted_to(masked.node_names)
+            if replicas is not None
+            else None
+        ),
+    )
+
+
 __all__ = [
     "ResourceEffects",
     "effects_of",
     "combined_effects",
+    "masked_cost_model",
     "masked_topology",
 ]

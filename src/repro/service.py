@@ -30,7 +30,7 @@ from repro.core.heat import HeatMetric
 from repro.errors import ScheduleError, WorkloadError
 from repro.extensions.rolling import CycleResult, RollingScheduler
 from repro.faults.contingency import RecoveryResult
-from repro.faults.inject import masked_topology
+from repro.faults.inject import masked_cost_model, masked_topology
 from repro.faults.plan import FaultPlan
 from repro.sim.validate import Violation, validate_schedule
 from repro.topology.graph import Topology
@@ -137,29 +137,17 @@ class VORService:
     ):
         if lead_time < 0:
             raise ScheduleError(f"lead_time must be >= 0, got {lead_time}")
-        if (
-            cost_model is not None
-            and replicas is not None
-            and cost_model.replicas is not replicas
-        ):
-            raise ScheduleError(
-                "pass replicas either directly or on the cost model, not both"
-            )
         self.topology = topology
         self.catalog = catalog
         self.lead_time = lead_time
         self.obs = obs if obs is not None else NULL_OBS
-        self.cost_model = (
-            cost_model
-            if cost_model is not None
-            else CostModel(topology, catalog, replicas=replicas)
-        )
         self._rolling = RollingScheduler(
             topology,
             catalog,
             heat_metric=heat_metric,
-            cost_model=self.cost_model,
+            cost_model=cost_model,
             obs=self.obs,
+            replicas=replicas,
         )
         self._warehouse = warehouse
         self._staging_planner = (
@@ -168,6 +156,11 @@ class VORService:
         self._pending: list[Request] = []
         self._storage_names = {s.name for s in topology.storages}
         self._clock = 0.0  # last cycle boundary
+
+    @property
+    def cost_model(self) -> CostModel:
+        """The model cycles are scheduled, billed and validated on."""
+        return self._rolling.cost_model
 
     @property
     def pending(self) -> int:
@@ -285,8 +278,7 @@ class VORService:
         delta.
         """
         replicas.validate(self.topology, self.catalog)
-        self.cost_model = self.cost_model.with_replicas(replicas)
-        self._rolling.rebind(self.cost_model)
+        self._rolling.rebind(self.cost_model.with_replicas(replicas))
         metrics = self.obs.metrics
         if metrics.enabled:
             metrics.counter(
@@ -379,16 +371,8 @@ class VORService:
                 validate_cm = self.cost_model
                 validate_faults = plan
             else:
-                masked = masked_topology(self.topology, plan)
-                replicas = self.cost_model.replicas
-                validate_cm = CostModel(
-                    masked,
-                    self.catalog,
-                    replicas=(
-                        replicas.restricted_to(masked.node_names)
-                        if replicas is not None
-                        else None
-                    ),
+                validate_cm = masked_cost_model(
+                    self.cost_model, masked_topology(self.topology, plan)
                 )
                 validate_faults = None
             with self.obs.tracer.span("validate") as vspan:

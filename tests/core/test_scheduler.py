@@ -4,6 +4,7 @@ import pytest
 
 from repro import (
     CostModel,
+    HeatMetric,
     Request,
     RequestBatch,
     Topology,
@@ -17,6 +18,7 @@ from repro import (
     units,
 )
 from repro.errors import TopologyError
+from repro.extensions import RollingScheduler
 
 
 class TestFacade:
@@ -29,8 +31,9 @@ class TestFacade:
     def test_result_structure(self, fig2_topology, fig2_catalog, fig2_batch):
         result = VideoScheduler(fig2_topology, fig2_catalog).solve(fig2_batch)
         assert result.total_cost == pytest.approx(result.cost.total)
-        assert result.cost.total <= result.phase1_cost.total + 1e-9 or True
         assert result.resolution.iterations == 0  # plenty of capacity
+        # no SORP round: the final Ψ is the Phase-1 Ψ
+        assert result.cost.total == result.phase1_cost
         assert result.overflow_cost_ratio == 0.0
 
     def test_result_reports_cache_activity(self, fig2_topology, fig2_catalog, fig2_batch):
@@ -57,6 +60,7 @@ class TestFacade:
         result = VideoScheduler(topo, catalog).solve(RequestBatch(reqs))
         assert detect_overflows(result.schedule, catalog, topo) == []
         assert result.resolution.had_overflow
+        assert result.resolution.resolved_cost >= result.resolution.phase1_cost
 
     def test_pruned_output(self, fig2_topology, fig2_catalog, fig2_batch):
         result = VideoScheduler(fig2_topology, fig2_catalog).solve(fig2_batch)
@@ -106,3 +110,32 @@ class TestPaperScale:
             for r in batch
         )
         assert res.total_cost <= direct_total + 1e-6
+
+
+class TestOnePipeline:
+    """The facade and a fresh rolling scheduler run the same pipeline."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        topo = paper_topology(
+            nrate=units.per_gb(500),
+            srate=units.per_gb_hour(5),
+            capacity=units.gb(1),
+        )
+        catalog = paper_catalog(n_videos=20, seed=5)
+        batch = WorkloadGenerator(
+            topo, catalog, alpha=0.271, users_per_neighborhood=4
+        ).generate(seed=5)
+        return topo, catalog, batch
+
+    @pytest.mark.parametrize("metric", list(HeatMetric))
+    def test_facade_equals_fresh_rolling_cycle(self, instance, metric):
+        topo, catalog, batch = instance
+        solved = VideoScheduler(topo, catalog, heat_metric=metric).solve(batch)
+        cycle = RollingScheduler(
+            topo, catalog, heat_metric=metric
+        ).schedule_cycle(batch, cycle_end=batch.span[1])
+        assert solved.resolution.iterations > 0  # SORP ran rounds
+        assert cycle.schedule == solved.schedule
+        assert cycle.cost == solved.cost
+        assert cycle.resolution == solved.resolution

@@ -14,6 +14,7 @@ replays of single trials.
 
 from __future__ import annotations
 
+import contextlib
 from unittest import mock
 
 import pytest
@@ -39,6 +40,7 @@ from repro import (
     resolve_overflows,
     units,
 )
+from repro.core import scheduler as scheduler_module
 from repro.core import sorp as sorp_module
 from repro.core.overflow import LocationIndex, OverflowSituation
 from repro.core.rejective import (
@@ -48,7 +50,6 @@ from repro.core.rejective import (
     fits_under,
 )
 from repro.core.spacefunc import UsageTimeline, residency_profile
-from repro.extensions import rolling as rolling_module
 from repro.extensions.rolling import RollingScheduler
 from repro.faults import ContingencyScheduler, FaultKind, FaultPlan, FaultSpec
 from repro.faults import contingency as contingency_module
@@ -110,8 +111,9 @@ def _trial_outcomes(obs):
     }
 
 
-def _capture(module):
-    """Patch ``module.resolve_overflows`` to record every call's inputs."""
+def _capture(*modules):
+    """Patch each module's ``resolve_overflows`` to record every call's
+    inputs."""
     calls = []
     real = resolve_overflows
 
@@ -119,7 +121,16 @@ def _capture(module):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    return calls, mock.patch.object(module, "resolve_overflows", recording)
+    @contextlib.contextmanager
+    def patched():
+        with contextlib.ExitStack() as stack:
+            for module in modules:
+                stack.enter_context(
+                    mock.patch.object(module, "resolve_overflows", recording)
+                )
+            yield
+
+    return calls, patched()
 
 
 instances = st.tuples(
@@ -160,7 +171,7 @@ class TestBitIdentity:
         (unrequested titles) and committed seeds (requested ones)."""
         capacity, n_videos, users, seed = inst
         span = 2 * units.HOUR
-        calls, patch = _capture(rolling_module)
+        calls, patch = _capture(scheduler_module)
         topo, catalog, _ = _instance(capacity, 3 * n_videos, users, seed)
         with patch:
             rolling = RollingScheduler(topo, catalog, heat_metric=metric)
@@ -227,7 +238,7 @@ class TestBitIdentity:
                           0.6 * units.DAY),
             )
         )
-        calls, patch = _capture(contingency_module)
+        calls, patch = _capture(contingency_module, scheduler_module)
         with patch:
             ContingencyScheduler(
                 cm, heat_metric=metric, masking=masking

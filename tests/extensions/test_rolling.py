@@ -4,11 +4,14 @@ import pytest
 
 from repro import (
     CostModel,
+    ReplicaMap,
     Request,
     RequestBatch,
     Topology,
     VideoCatalog,
     VideoFile,
+    VideoScheduler,
+    VORService,
     detect_overflows,
     units,
 )
@@ -31,6 +34,48 @@ def _env(capacity=250.0, srate=1e-4, nrate=1.0, n_files=3):
 
 
 CYCLE = 1000.0
+
+
+class TestConstruction:
+    """Every scheduler gets its model the same way."""
+
+    @staticmethod
+    def _two_homes():
+        topo, catalog = _env()
+        topo.add_warehouse("VW2")
+        topo.add_edge("VW2", "IS2", nrate=1.0)
+        at = {
+            home: ReplicaMap({v.video_id: (home,) for v in catalog})
+            for home in ("VW", "VW2")
+        }
+        return topo, catalog, at
+
+    @pytest.mark.parametrize(
+        "make", [RollingScheduler, VideoScheduler, VORService]
+    )
+    def test_replicas_conflicting_with_cost_model_rejected(self, make):
+        topo, catalog, at = self._two_homes()
+        cm = CostModel(topo, catalog, replicas=at["VW"])
+        with pytest.raises(ScheduleError, match="not both"):
+            make(topo, catalog, cost_model=cm, replicas=at["VW2"])
+
+    @pytest.mark.parametrize(
+        "make", [RollingScheduler, VideoScheduler, VORService]
+    )
+    def test_replicas_matching_cost_model_accepted(self, make):
+        topo, catalog, at = self._two_homes()
+        cm = CostModel(topo, catalog, replicas=at["VW2"])
+        assert make(
+            topo, catalog, cost_model=cm, replicas=at["VW2"]
+        ).cost_model is cm
+
+    def test_service_reads_the_rolling_model(self):
+        topo, catalog, at = self._two_homes()
+        service = VORService(topo, catalog, replicas=at["VW"])
+        assert service.cost_model.replicas is at["VW"]
+        service.migrate_replicas(at["VW2"])
+        assert service.cost_model.replicas is at["VW2"]
+        assert service.cost_model is service._rolling.cost_model
 
 
 class TestRollingBasics:
