@@ -34,6 +34,12 @@ topology, whatever the flags, gating each point's SORP rounds, victims
 and trial work (trials run, reused, revalidated and resumed; requests
 kept and served) and recording its wall time as a non-gating trajectory.
 
+The recovery-stance sweep recovers 20 seeded 3-fault plans on the CI
+fault-drill environment under both masking stances, whatever the flags,
+gating per stance the recoveries that raise, the recoveries left with
+degraded-replay violations, the violations by kind, and the requests
+lost.
+
 Finally an online amendment drill replays a seeded fault feed (with one
 injected transient failure) through the
 :class:`~repro.online.OnlineAmendmentLoop`, recording amendment latency
@@ -214,6 +220,11 @@ _DETERMINISTIC_SORP_KEYS = ("iterations", *_SORP_WORK_KEYS)
 _SCALE_REQUESTS = (380, 950, 1520)
 #: Scale-point keys that must match bit-for-bit; wall times never gate.
 _DETERMINISTIC_SCALE_KEYS = ("rounds", "victims", *_SORP_WORK_KEYS)
+#: Plan seeds of the recovery-stance sweep: generated 3-fault plans on the
+#: CI fault-drill environment, whatever ``--quick`` or ``--videos`` say.
+_STANCE_PLAN_SEEDS = range(20)
+#: Stance-sweep keys that must match bit-for-bit, per stance.
+_DETERMINISTIC_STANCE_KEYS = ("raised", "invalid", "violations", "requests_lost")
 #: Every gated report section -- (path of nested keys, keys that must
 #: match the baseline bit-for-bit).
 _GATED_SECTIONS = (
@@ -225,6 +236,10 @@ _GATED_SECTIONS = (
     (("gateway",), _DETERMINISTIC_GATEWAY_KEYS),
     (("sorp",), _DETERMINISTIC_SORP_KEYS),
     *((("scale", str(n)), _DETERMINISTIC_SCALE_KEYS) for n in _SCALE_REQUESTS),
+    *(
+        (("stances", m), _DETERMINISTIC_STANCE_KEYS)
+        for m in ("cycle", "windowed")
+    ),
 )
 
 
@@ -387,6 +402,69 @@ def _recovery_drill(n_videos: int, users: int):
         "psi_delta_dollars": rec.cost_delta,
         "wall_time_seconds": wall,
     }
+
+
+def _stance_sweep() -> dict:
+    """Both recovery stances over :data:`_STANCE_PLAN_SEEDS` on the CI
+    fault-drill environment (60 videos, seed 4, 5 GB caches).
+
+    Per stance: recoveries that raise, recoveries whose patched schedule
+    has a violation under the plan's degraded replay, the violations by
+    kind, and the requests lost -- all of which gate -- plus the sweep's
+    wall time, which does not.
+    """
+    from collections import Counter
+
+    from repro.errors import ReproError
+    from repro.faults import ContingencyScheduler, FaultPlan
+    from repro.sim.validate import validate_schedule
+    from repro.workload.requests import RequestBatch
+
+    topo = paper_topology(
+        nrate=units.per_gb(500),
+        srate=units.per_gb_hour(5),
+        capacity=units.gb(5),
+    )
+    catalog = paper_catalog(60, seed=4)
+    batch = WorkloadGenerator(topo, catalog, alpha=0.271).generate(seed=4)
+    scheduler = VideoScheduler(topo, catalog)
+    schedule = scheduler.solve(batch).schedule
+    cm = scheduler.cost_model
+    t_lo, t_hi = batch.span
+    horizon = (t_lo, t_hi + max(v.playback for v in catalog))
+    plans = [
+        FaultPlan.generate(topo, seed=seed, horizon=horizon, n_faults=3)
+        for seed in _STANCE_PLAN_SEEDS
+    ]
+    stances = {}
+    for masking in ("cycle", "windowed"):
+        raised = invalid = lost = 0
+        kinds: Counter = Counter()
+        t0 = time.perf_counter()
+        for plan in plans:
+            try:
+                rec = ContingencyScheduler(cm, masking=masking).recover(
+                    schedule, plan, batch=batch
+                )
+            except ReproError:
+                raised += 1
+                continue
+            dropped = set(rec.lost)
+            surviving = RequestBatch(r for r in batch if r not in dropped)
+            violations = validate_schedule(
+                rec.schedule, surviving, cm, faults=plan
+            )
+            invalid += bool(violations)
+            kinds.update(v.kind for v in violations)
+            lost += rec.requests_lost
+        stances[masking] = {
+            "raised": raised,
+            "invalid": invalid,
+            "violations": dict(sorted(kinds.items())),
+            "requests_lost": lost,
+            "wall_time_seconds": time.perf_counter() - t0,
+        }
+    return stances
 
 
 def _online_drill(n_videos: int, users: int):
@@ -674,6 +752,14 @@ def main(argv=None) -> int:
             f"serves {point['serves_served']} served / "
             f"{point['serves_kept']} kept"
         )
+    stances = _stance_sweep()
+    for masking, sweep in stances.items():
+        print(
+            f"recovery stance {masking:>8}: {len(_STANCE_PLAN_SEEDS)} plans, "
+            f"{sweep['raised']} raise, {sweep['invalid']} invalid "
+            f"{sweep['violations']}, {sweep['requests_lost']} lost in "
+            f"{sweep['wall_time_seconds']:.2f}s"
+        )
     recovery = _recovery_drill(n_videos, users)
     print(
         f"warehouse-loss drill: saved "
@@ -738,6 +824,7 @@ def main(argv=None) -> int:
             },
             "sorp": sorp,
             "scale": scale,
+            "stances": stances,
             "recovery": recovery,
             "online": online,
             "horizon": horizon,

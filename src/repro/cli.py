@@ -36,7 +36,7 @@ from the surviving homes.
 ``run-online`` replays a fault feed (``--feed`` JSONL, or seeded
 generation via ``--seed``/``--feed-events``/``--feed-out``) through the
 :class:`~repro.online.OnlineAmendmentLoop`: debounced batches amend the
-closed cycle incrementally (``--masking windowed`` by default), transient
+closed cycle incrementally (windowed masking), transient
 failures retry with seeded backoff (``--max-retries``, ``--deadline``),
 and repeated failures open a circuit breaker (``--breaker-threshold``,
 ``--breaker-cooldown``) that degrades to conservative whole-cycle masking
@@ -299,13 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="pending reservations shed per degraded batch (default 1)",
-    )
-    parser.add_argument(
-        "--masking",
-        choices=["cycle", "windowed"],
-        default="windowed",
-        help="recovery stance for normal online operation (default "
-        "windowed; degraded batches always fall back to cycle)",
     )
     parser.add_argument(
         "--cycle-fraction",
@@ -955,9 +948,7 @@ def _run_faults(args: argparse.Namespace) -> int:
     fault-masked topology (the recovery contract), printing the violations.
     """
     from repro.analysis import format_table
-    from repro.errors import FaultError
-    from repro.faults.contingency import ContingencyScheduler
-    from repro.faults.inject import masked_cost_model, masked_topology
+    from repro.faults.contingency import ContingencyScheduler, judging_model
     from repro.faults.plan import FaultPlan
     from repro.faults.report import build_degraded_report
     from repro.sim.validate import validate_schedule
@@ -1016,17 +1007,12 @@ def _run_faults(args: argparse.Namespace) -> int:
         )
     )
 
-    try:
-        masked_cm = masked_cost_model(
-            scheduler.cost_model, masked_topology(topology, plan)
-        )
-    except FaultError:
-        # total warehouse loss: the patched schedule holds only unimpacted
-        # files, which the healthy model can judge
-        masked_cm = scheduler.cost_model
+    judge, faults = judging_model(scheduler.cost_model, plan, recovery.masking)
     lost = set(recovery.lost)
     surviving = RequestBatch(r for r in batch if r not in lost)
-    violations = validate_schedule(recovery.schedule, surviving, masked_cm)
+    violations = validate_schedule(
+        recovery.schedule, surviving, judge, faults=faults
+    )
     _write_json(
         args.report_out,
         {
@@ -1093,7 +1079,6 @@ def _run_online(args: argparse.Namespace) -> int:
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown=args.breaker_cooldown,
             shed_per_degraded_batch=args.shed,
-            masking=args.masking,
         )
         injector = (
             TransientFailureInjector.parse(args.inject_failures)
@@ -1143,7 +1128,6 @@ def _run_online(args: argparse.Namespace) -> int:
                 ["failures injected", run.failures_injected],
                 ["reservations shed", run.shed_total],
                 ["breaker state", loop.breaker.state],
-                ["masking", config.masking],
             ],
             title=f"online drill for {args.env_file} [{feed.name or 'feed'}]",
         )
@@ -1237,9 +1221,7 @@ def _run_horizon(args: argparse.Namespace) -> int:
     )
     config = HorizonConfig(
         migration=migration,
-        online=OnlineLoopConfig(
-            debounce=args.debounce, masking=args.masking, seed=args.seed
-        ),
+        online=OnlineLoopConfig(debounce=args.debounce, seed=args.seed),
     )
     try:
         orchestrator = HorizonOrchestrator(

@@ -259,7 +259,7 @@ class RollingScheduler:
             ``schedule`` is the patched plan for the amended cycle.
         """
         from repro.faults.contingency import ContingencyScheduler
-        from repro.faults.inject import combined_effects
+        from repro.faults.inject import fault_effects, stranding
 
         if self._cycle_index == 0:
             raise ScheduleError("no cycle has been closed yet: nothing to amend")
@@ -270,27 +270,21 @@ class RollingScheduler:
             masking=masking,
         )
         recovery = contingency.recover(result.schedule, plan, batch=batch)
-        effects = combined_effects(self.topology, plan)
+        per_fault = fault_effects(
+            self.topology, plan, whole_cycle=masking == "cycle"
+        )
         impacted = set(recovery.impacted)
         boundary = self._last_boundary
-
-        def stranded(c: ResidencyInfo) -> bool:
-            if c.location not in effects.down_nodes:
-                return False
-            if masking != "windowed":
-                return True  # conservative: ever-down storages lose caches
-            playback = self.catalog[c.video_id].playback
-            down_there = combined_effects(
-                self.topology,
-                plan.overlapping(c.t_start, c.t_last + playback),
-            ).down_nodes
-            return c.location in down_there
 
         new_carry: dict[str, list[ResidencyInfo]] = {}
         for video_id, residencies in self._carryover.items():
             if video_id in impacted:
                 continue  # re-derived from the patched schedule below
-            kept = [c for c in residencies if not stranded(c)]
+            playback = self.catalog[video_id].playback
+            kept = [
+                c for c in residencies
+                if stranding(c, playback, per_fault) is None
+            ]
             if kept:
                 new_carry[video_id] = kept
         for video_id in impacted:

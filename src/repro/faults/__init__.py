@@ -11,8 +11,6 @@ from repro.faults.contingency import (
     MASKING_MODES,
     ContingencyScheduler,
     RecoveryResult,
-    impacted_videos,
-    windowed_impacted_videos,
 )
 from repro.faults.feed import FaultEvent, FaultFeed
 from repro.faults.inject import (
@@ -58,8 +56,6 @@ __all__ = [
     "ContingencyScheduler",
     "MASKING_MODES",
     "RecoveryResult",
-    "impacted_videos",
-    "windowed_impacted_videos",
     "FaultEvent",
     "FaultFeed",
 ]

@@ -3,9 +3,9 @@
 Given a committed schedule and a :class:`~repro.faults.plan.FaultPlan`, the
 :class:`ContingencyScheduler`
 
-1. computes the **impacted video set** -- every file whose deliveries route
-   through a failed node/link or whose residencies sit at a failed or
-   shrunk storage;
+1. computes the **impacted video set** -- every file with a delivery that
+   routes through a failed node/link or a residency at a failed or shrunk
+   storage, while the fault is in effect;
 2. builds a **masked** topology/cost model (failed resources removed,
    degraded ones shrunk, see :func:`repro.faults.inject.masked_topology`);
 3. splits the impacted files' requests into **lost** (the user's local
@@ -25,31 +25,33 @@ Unimpacted files are untouched bit-for-bit: recovery is incremental and
 deterministic -- the same seeded plan always yields the same patched
 schedule.
 
-Two masking stances are supported (``masking=``).  The default ``"cycle"``
-mode is conservative: any resource the plan *ever* fails is treated as
-unusable for the whole cycle, and every request of an impacted video is
-re-solved (or lost) on the union mask.  ``"windowed"`` mode is time-aware
-and surgical: only services whose stream or occupancy interval actually
-intersects a fault window count as hit (:func:`windowed_impacted_videos`
-at the video level, per-delivery/per-residency inside the recovery), so a
-delivery scheduled around an outage keeps its original route verbatim and
-only the genuinely-hit requests are re-solved -- against the conservative
-union mask (seeded with the kept caches), so anything rebuilt avoids every
-faulted resource outright and the patched schedule stays feasible under
-every fault window.  Because windowed recovery loses a request only when a
-*hit* request is unservable on the same union mask, its lost set is always
-a subset of cycle mode's: windowed recovery saves at least as many
-requests, and strictly more whenever a fault window leaves part of the
-cycle untouched.  The windowed overflow pass (Phase 2) runs on the healthy
-model -- window-shrunk capacity violations are surfaced by the degraded
-replay at validation time rather than repaired.
+Two masking stances are supported (``masking=``), and both apply one hit
+rule (``_split_hits``) and one mask view (``_MaskViews``).  The default
+``"cycle"`` mode is conservative: it is the windowed rule with every fault
+in effect for the whole cycle, so any resource the plan *ever* fails is
+unusable, and every request of an impacted video is re-solved (or lost) on
+the union mask.  ``"windowed"`` mode is time-aware and surgical: only
+services whose stream or occupancy interval actually intersects a fault
+window count as hit, per delivery and per residency, so a delivery
+scheduled around an outage keeps its original route verbatim and only the
+genuinely-hit requests are re-solved -- each group on a mask of the faults
+its span can intersect, seeded with the kept caches.  Because windowed
+recovery loses a request only when a *hit* request is unservable on a mask
+with no more faults than the union, its lost set is always a subset of
+cycle mode's: windowed recovery saves at least as many requests, and
+strictly more whenever a fault window leaves part of the cycle untouched.
+The windowed overflow pass (Phase 2) runs on the healthy model, so a
+re-solved file can land on a storage that is shrunk or down during a
+window; the degraded replay surfaces such violations at validation time
+rather than repairing them.
 
 A :attr:`~repro.faults.plan.FaultKind.WAREHOUSE_LOSS` removes a warehouse
 node entirely; with replicated warehouses recovery re-solves every impacted
 request from the surviving homes.  When the plan downs *every* warehouse the
 impacted requests are all lost but recovery still returns gracefully with
 the unimpacted files intact (only :func:`~repro.faults.inject.masked_topology`
-itself insists on a standing warehouse).
+itself insists on a standing warehouse; :func:`judging_model` picks the
+model that validates such a patch).
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
 from repro.core.parallel import ParallelIndividualScheduler
@@ -66,15 +67,15 @@ from repro.core.scheduler import solve_two_phase
 from repro.core.sorp import ResolutionStats, resolve_overflows
 from repro.errors import FaultError
 from repro.faults.inject import (
-    ResourceEffects,
-    combined_effects,
-    effects_of,
+    fault_effects,
+    in_effect,
     masked_cost_model,
     masked_topology,
+    route_failure,
 )
 from repro.faults.plan import FaultPlan
 from repro.obs import NULL_OBS, Observability
-from repro.topology.graph import Topology, edge_key
+from repro.topology.graph import Topology
 from repro.topology.routing import Router
 from repro.workload.requests import Request, RequestBatch
 
@@ -84,90 +85,6 @@ _log = logging.getLogger(__name__)
 MASKING_MODES = ("cycle", "windowed")
 
 
-def impacted_videos(schedule: Schedule, effects: ResourceEffects) -> tuple[str, ...]:
-    """Video ids whose schedules touch a failed or shrunk resource.
-
-    A file is impacted when any of its deliveries routes through a down
-    node or down link, or any of its residencies sits at a down node or a
-    capacity-shrunk storage.  Order follows the schedule's file order, so
-    the result is deterministic for a given schedule.
-    """
-    shrunk = set(effects.capacity_factor_map)
-    out: dict[str, None] = {}
-    for fs in schedule:
-        hit = False
-        for d in fs.deliveries:
-            if any(n in effects.down_nodes for n in d.route) or any(
-                edge_key(a, b) in effects.down_edges
-                for a, b in zip(d.route, d.route[1:])
-            ):
-                hit = True
-                break
-        if not hit:
-            hit = any(
-                c.location in effects.down_nodes or c.location in shrunk
-                for c in fs.residencies
-            )
-        if hit:
-            out.setdefault(fs.video_id)
-    return tuple(out)
-
-
-def windowed_impacted_videos(
-    schedule: Schedule,
-    catalog: VideoCatalog,
-    topology: Topology,
-    plan: FaultPlan,
-) -> tuple[str, ...]:
-    """Video ids whose schedules touch a faulted resource *during* a fault.
-
-    The time-aware counterpart of :func:`impacted_videos`: a delivery is hit
-    only when a fault is active somewhere in its stream interval ``[start,
-    start + playback)`` and its route crosses the failed resource; a
-    residency only when the fault window intersects its occupancy ``[t_start,
-    t_last + playback)`` at a down or shrunk storage.  Services that merely
-    *share a resource* with a fault at a disjoint time survive untouched --
-    which is exactly why windowed recovery saves more requests than the
-    conservative whole-cycle mask.
-    """
-    per_fault = [(f, effects_of(topology, f)) for f in plan]
-    out: dict[str, None] = {}
-    for fs in schedule:
-        playback = catalog[fs.video_id].playback
-        hit = False
-        for d in fs.deliveries:
-            t0, t1 = d.start_time, d.start_time + playback
-            for fault, eff in per_fault:
-                if not fault.overlaps(t0, t1):
-                    continue
-                if any(n in eff.down_nodes for n in d.route) or any(
-                    edge_key(a, b) in eff.down_edges
-                    for a, b in zip(d.route, d.route[1:])
-                ):
-                    hit = True
-                    break
-            if hit:
-                break
-        if not hit:
-            for c in fs.residencies:
-                occ0, occ1 = c.t_start, c.t_last + playback
-                shrunk = False
-                for fault, eff in per_fault:
-                    if not fault.overlaps(occ0, occ1):
-                        continue
-                    if c.location in eff.down_nodes or any(
-                        loc == c.location for loc, _ in eff.capacity_factors
-                    ):
-                        shrunk = True
-                        break
-                if shrunk:
-                    hit = True
-                    break
-        if hit:
-            out.setdefault(fs.video_id)
-    return tuple(out)
-
-
 def _split_hits(
     fs: FileSchedule,
     playback: float,
@@ -175,19 +92,24 @@ def _split_hits(
 ) -> tuple[list[DeliveryInfo], list[DeliveryInfo], list[ResidencyInfo]]:
     """Split one file's schedule into fault-hit and untouched parts.
 
-    Returns ``(hit_deliveries, kept_deliveries, kept_residencies)``.  A
-    residency is hit when a fault window intersects its occupancy at a
-    down or shrunk storage; hits propagate through fill chains (a cache
-    filled from a hit location must refill too) and onto every delivery
-    sourced from a hit location -- conservative over-marking only grows
-    the re-solve set, never breaks the kept part's causality.
+    ``per_fault`` holds :func:`~repro.faults.inject.fault_effects` pairs:
+    one per fault for the windowed stance, or the plan's union active for
+    the whole cycle.  Returns ``(hit_deliveries, kept_deliveries,
+    kept_residencies)``.  A delivery is hit when a fault in effect during
+    its stream ``[start, start + playback)`` downs a node or link of its
+    route; a residency when one in effect during its occupancy ``[t_start,
+    t_last + playback)`` downs or shrinks its storage.  Hits propagate
+    through fill chains (a cache filled from a hit location must refill
+    too) and onto every delivery sourced from a hit location --
+    conservative over-marking only grows the re-solve set, never breaks
+    the kept part's causality.
     """
     res = list(fs.residencies)
     hit = [False] * len(res)
     for i, c in enumerate(res):
         occ0, occ1 = c.t_start, c.t_last + playback
         for fault, eff in per_fault:
-            if not fault.overlaps(occ0, occ1):
+            if not in_effect(fault, occ0, occ1):
                 continue
             if c.location in eff.down_nodes or any(
                 loc == c.location for loc, _ in eff.capacity_factors
@@ -207,20 +129,80 @@ def _split_hits(
     kept_del: list[DeliveryInfo] = []
     for d in fs.deliveries:
         t0, t1 = d.start_time, d.start_time + playback
-        broken = d.source in hit_locs
-        if not broken:
-            for fault, eff in per_fault:
-                if not fault.overlaps(t0, t1):
-                    continue
-                if any(n in eff.down_nodes for n in d.route) or any(
-                    edge_key(a, b) in eff.down_edges
-                    for a, b in zip(d.route, d.route[1:])
-                ):
-                    broken = True
-                    break
+        broken = d.source in hit_locs or any(
+            in_effect(fault, t0, t1) and route_failure(d.route, eff) is not None
+            for fault, eff in per_fault
+        )
         (hit_del if broken else kept_del).append(d)
     kept_res = [c for c, h in zip(res, hit) if not h]
     return hit_del, kept_del, kept_res
+
+
+class _MaskViews:
+    """Masked topologies and warehouse reach, one view per sub-plan.
+
+    A view is ``{"topology": mask, "reach": {warehouse: reachable nodes}}``
+    of the sub-plan's :func:`~repro.faults.inject.masked_topology`; a
+    sub-plan that downs every warehouse has no topology and reaches
+    nothing.  Views are cached per sub-plan signature.
+    """
+
+    def __init__(self, topology: Topology, replicas):
+        self._topology = topology
+        self._replicas = replicas
+        self._cache: dict[tuple, dict] = {}
+
+    def view(self, sub: FaultPlan) -> dict:
+        sig = tuple(f.key for f in sub)
+        entry = self._cache.get(sig)
+        if entry is None:
+            try:
+                m = masked_topology(self._topology, sub)
+            except FaultError:
+                # No warehouse survives this sub-plan.
+                entry = {"topology": None, "reach": {}}
+            else:
+                router = Router(m)
+                entry = {
+                    "topology": m,
+                    "reach": {
+                        w.name: router.reachable(w.name) for w in m.warehouses
+                    },
+                }
+            self._cache[sig] = entry
+        return entry
+
+    def servable(self, r: Request, view: dict) -> bool:
+        """Whether ``r``'s neighborhood is reachable from a standing *home*
+        of its video (every warehouse without a replica map)."""
+        reach = view["reach"]
+        homes = (
+            self._replicas.homes(r.video_id)
+            if self._replicas is not None
+            else tuple(reach)
+        )
+        return any(r.local_storage in reach[h] for h in homes if h in reach)
+
+
+def judging_model(
+    cost_model: CostModel, plan: FaultPlan, masking: str
+) -> tuple[CostModel, FaultPlan | None]:
+    """The model, and the fault plan to replay, that judge a schedule
+    patched under ``masking``.
+
+    A windowed patch may use a faulted resource while the fault is not
+    active, so the healthy model judges it with a window-aware degraded
+    replay.  A whole-cycle patch avoids every faulted resource, so the
+    plan's mask judges it -- unless the plan downs every warehouse: then
+    the patch holds only unimpacted files, which the healthy model judges.
+    """
+    if masking == "windowed":
+        return cost_model, plan
+    try:
+        masked = masked_topology(cost_model.topology, plan)
+    except FaultError:
+        return cost_model, None
+    return masked_cost_model(cost_model, masked), None
 
 
 @dataclass
@@ -363,8 +345,9 @@ class ContingencyScheduler:
         A plan that downs every warehouse does not raise: every impacted
         request is reported lost and the unimpacted files survive verbatim.
         """
-        topology = self._cm.topology
-        effects = combined_effects(topology, plan)
+        per_fault = fault_effects(
+            self._cm.topology, plan, whole_cycle=self._masking == "cycle"
+        )
         if batch is None:
             batch = RequestBatch(d.request for d in schedule.deliveries)
         with self._obs.tracer.span(
@@ -373,7 +356,7 @@ class ContingencyScheduler:
             requests=len(batch),
             masking=self._masking,
         ) as span:
-            result = self._recover(schedule, plan, effects, batch, topology)
+            result = self._recover(schedule, plan, per_fault, batch)
             span.set(
                 impacted=result.videos_resolved,
                 saved=result.requests_saved,
@@ -408,17 +391,19 @@ class ContingencyScheduler:
         self,
         schedule: Schedule,
         plan: FaultPlan,
-        effects: ResourceEffects,
+        per_fault: list,
         batch: RequestBatch,
-        topology: Topology,
     ) -> RecoveryResult:
         cost_before = self._cm.schedule_cost(schedule)
-        if self._masking == "windowed":
-            return self._recover_windowed(
-                schedule, plan, effects, batch, topology, cost_before
-            )
-        impacted = impacted_videos(schedule, effects)
-        if not impacted:
+        catalog = self._cm.catalog
+        # video id -> _split_hits of each file a fault hits, in file order
+        splits = {}
+        for fs in schedule:
+            split = _split_hits(fs, catalog[fs.video_id].playback, per_fault)
+            hit_del, _, kept_res = split
+            if hit_del or len(kept_res) < len(fs.residencies):
+                splits[fs.video_id] = split
+        if not splits:
             return RecoveryResult(
                 plan=plan,
                 schedule=schedule.copy(),
@@ -426,38 +411,21 @@ class ContingencyScheduler:
                 cost_after=cost_before,
                 masking=self._masking,
             )
+        masks = _MaskViews(self._cm.topology, self._cm.replicas)
+        if self._masking == "windowed":
+            return self._recover_windowed(
+                schedule, plan, splits, batch, masks, cost_before
+            )
 
-        impacted_set = set(impacted)
-        replicas = self._cm.replicas
-        base = Schedule(fs for fs in schedule if fs.video_id not in impacted_set)
+        # Whole cycle: every request of an impacted video is re-solved on
+        # the plan's mask, or lost when no standing home reaches it there.
+        view = masks.view(plan)
+        base = Schedule(fs for fs in schedule if fs.video_id not in splits)
         saved: list[Request] = []
         lost: list[Request] = []
-        if all(w.name in effects.down_nodes for w in topology.warehouses):
-            # Total warehouse loss: no copy of anything survives, so every
-            # impacted request is lost.  Unimpacted files keep serving from
-            # their already-filled caches verbatim.
-            lost = [r for r in batch if r.video_id in impacted_set]
-        else:
-            masked = masked_topology(topology, plan)
-            router = Router(masked)
-            # reachable set of each surviving warehouse: a request is
-            # servable iff its neighborhood is reachable from a surviving
-            # *home* of its video (all warehouses count as homes without a
-            # replica map)
-            reach = {w.name: router.reachable(w.name) for w in masked.warehouses}
-            for r in batch:
-                if r.video_id not in impacted_set:
-                    continue
-                homes = (
-                    replicas.homes(r.video_id)
-                    if replicas is not None
-                    else tuple(reach)
-                )
-                servable = any(
-                    r.local_storage in reach[h] for h in homes if h in reach
-                )
-                (saved if servable else lost).append(r)
-
+        for r in batch:
+            if r.video_id in splits:
+                (saved if masks.servable(r, view) else lost).append(r)
         if saved:
             # SORP over the whole grafted schedule: the fresh files must fit
             # in what the shrunk storages have left *alongside* the
@@ -465,7 +433,7 @@ class ContingencyScheduler:
             # on the healthy model, like the original.
             solved = solve_two_phase(
                 RequestBatch(saved),
-                masked_cost_model(self._cm, masked),
+                masked_cost_model(self._cm, view["topology"]),
                 heat_metric=self._metric,
                 obs=self._obs,
                 base=base,
@@ -479,7 +447,7 @@ class ContingencyScheduler:
         return RecoveryResult(
             plan=plan,
             schedule=patched,
-            impacted=impacted,
+            impacted=tuple(splits),
             saved=tuple(saved),
             lost=tuple(lost),
             cost_before=cost_before,
@@ -492,9 +460,9 @@ class ContingencyScheduler:
         self,
         schedule: Schedule,
         plan: FaultPlan,
-        effects: ResourceEffects,
+        splits: dict,
         batch: RequestBatch,
-        topology: Topology,
+        masks: _MaskViews,
         cost_before: CostBreakdown,
     ) -> RecoveryResult:
         """Time-aware surgical recovery (see the module docstring).
@@ -506,33 +474,16 @@ class ContingencyScheduler:
         difference.
         """
         catalog = self._cm.catalog
-        impacted = windowed_impacted_videos(schedule, catalog, topology, plan)
-        if not impacted:
-            return RecoveryResult(
-                plan=plan,
-                schedule=schedule.copy(),
-                cost_before=cost_before,
-                cost_after=cost_before,
-                masking=self._masking,
-            )
-        impacted_set = set(impacted)
-        per_fault = [(f, effects_of(topology, f)) for f in plan]
-        replicas = self._cm.replicas
-
-        if all(w.name in effects.down_nodes for w in topology.warehouses):
+        if masks.view(plan)["topology"] is None:
             # Total warehouse loss: hit services cannot refill from
             # anywhere, but services at disjoint times already streamed --
             # keep them, drop only what a fault actually touches.
             patched = Schedule(
-                fs for fs in schedule if fs.video_id not in impacted_set
+                fs for fs in schedule if fs.video_id not in splits
             )
             saved: list[Request] = []
             lost: list[Request] = []
-            for video_id in impacted:
-                fs = schedule.file(video_id)
-                hit_del, kept_del, kept_res = _split_hits(
-                    fs, catalog[video_id].playback, per_fault
-                )
+            for video_id, (hit_del, kept_del, kept_res) in splits.items():
                 lost.extend(d.request for d in hit_del)
                 saved.extend(d.request for d in kept_del)
                 if kept_del:
@@ -544,7 +495,7 @@ class ContingencyScheduler:
             return RecoveryResult(
                 plan=plan,
                 schedule=patched,
-                impacted=impacted,
+                impacted=tuple(splits),
                 saved=tuple(saved),
                 lost=tuple(lost),
                 cost_before=cost_before,
@@ -556,67 +507,29 @@ class ContingencyScheduler:
         # Per-window reachability: a request is lost only when its
         # neighborhood is unreachable from every surviving home *during its
         # own service window* -- the union mask would also count outages at
-        # disjoint times.  Masks are cached per sub-plan signature.
-        mask_cache: dict[tuple, dict] = {}
-
-        def window_view(sub: FaultPlan) -> dict:
-            sig = tuple(f.key for f in sub)
-            entry = mask_cache.get(sig)
-            if entry is None:
-                try:
-                    m = masked_topology(topology, sub)
-                except FaultError:
-                    # No warehouse survives this window.
-                    entry = {"topology": None, "reach": {}}
-                else:
-                    router = Router(m)
-                    entry = {
-                        "topology": m,
-                        "reach": {
-                            w.name: router.reachable(w.name)
-                            for w in m.warehouses
-                        },
-                    }
-                mask_cache[sig] = entry
-            return entry
-
-        def servable_in(r: Request, view: dict) -> bool:
-            reach = view["reach"]
-            homes = (
-                replicas.homes(r.video_id)
-                if replicas is not None
-                else tuple(reach)
-            )
-            return any(
-                r.local_storage in reach[h] for h in homes if h in reach
-            )
-
+        # disjoint times.
         patched = Schedule(
-            fs for fs in schedule if fs.video_id not in impacted_set
+            fs for fs in schedule if fs.video_id not in splits
         )
         saved = []
         lost = []
-        surviving = [r for r in batch if r.video_id not in impacted_set]
-        kept: dict[str, tuple[list[DeliveryInfo], list[ResidencyInfo]]] = {}
+        surviving = [r for r in batch if r.video_id not in splits]
         pending_resolve: dict[str, list[Request]] = {}
-        for video_id in impacted:
-            fs = schedule.file(video_id)
+        for video_id, (hit_del, kept_del, kept_res) in splits.items():
             playback = catalog[video_id].playback
-            hit_del, kept_del, kept_res = _split_hits(fs, playback, per_fault)
             video_resolve: list[Request] = []
             for d in hit_del:
                 r = d.request
-                view = window_view(
+                view = masks.view(
                     plan.overlapping(r.start_time, r.start_time + playback)
                 )
-                if servable_in(r, view):
+                if masks.servable(r, view):
                     video_resolve.append(r)
                 else:
                     lost.append(r)
             for d in kept_del:
                 saved.append(d.request)
                 surviving.append(d.request)
-            kept[video_id] = (kept_del, kept_res)
             if video_resolve:
                 pending_resolve[video_id] = video_resolve
 
@@ -626,7 +539,7 @@ class ContingencyScheduler:
         # on the very storage that was down earlier.  Requests that stop
         # being servable under their (wider) group mask demote to lost.
         groups: dict[tuple, dict] = {}
-        for video_id in impacted:
+        for video_id in splits:
             video_resolve = pending_resolve.get(video_id)
             if not video_resolve:
                 continue
@@ -634,10 +547,10 @@ class ContingencyScheduler:
             t0 = min(r.start_time for r in video_resolve)
             t1 = max(r.start_time for r in video_resolve) + playback
             sub = plan.overlapping(t0, t1)
-            view = window_view(sub)
+            view = masks.view(sub)
             kept_here: list[Request] = []
             for r in video_resolve:
-                if servable_in(r, view):
+                if masks.servable(r, view):
                     kept_here.append(r)
                     saved.append(r)
                     surviving.append(r)
@@ -672,7 +585,7 @@ class ContingencyScheduler:
             # cache *forward* -- seed just those ending before the video's
             # first re-solved request and surviving the group mask.
             for video_id in group["videos"]:
-                _, kept_res = kept[video_id]
+                kept_res = splits[video_id][2]
                 seeds[video_id] = tuple(
                     c
                     for c in kept_res
@@ -682,8 +595,7 @@ class ContingencyScheduler:
             engine = ParallelIndividualScheduler(g_cm, obs=self._obs)
             phase1 = engine.run(sub_batch, catalog, seeds=seeds)
             solved.update({fs.video_id: fs for fs in phase1.schedule})
-        for video_id in impacted:
-            kept_del, kept_res = kept[video_id]
+        for video_id, (_, kept_del, kept_res) in splits.items():
             new_fs = solved.get(video_id)
             if new_fs is not None:
                 deliveries = list(kept_del) + list(new_fs.deliveries)
@@ -715,7 +627,7 @@ class ContingencyScheduler:
                 metric=self._metric,
                 committed={
                     video_id: tuple(kept_res)
-                    for video_id, (_, kept_res) in kept.items()
+                    for video_id, (_, _, kept_res) in splits.items()
                     if kept_res
                 },
                 obs=self._obs,
@@ -725,7 +637,7 @@ class ContingencyScheduler:
         return RecoveryResult(
             plan=plan,
             schedule=patched,
-            impacted=impacted,
+            impacted=tuple(splits),
             saved=tuple(saved),
             lost=tuple(lost),
             cost_before=cost_before,
@@ -762,6 +674,5 @@ __all__ = [
     "ContingencyScheduler",
     "MASKING_MODES",
     "RecoveryResult",
-    "impacted_videos",
-    "windowed_impacted_videos",
+    "judging_model",
 ]

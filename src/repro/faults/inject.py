@@ -4,11 +4,16 @@ Two consumers need to know *what* a fault breaks:
 
 * the degraded-mode analyzer (:mod:`repro.faults.report`) resolves each
   fault individually and respects its time window;
-* the contingency scheduler (:mod:`repro.faults.contingency`) combines the
-  whole plan into one conservative :func:`masked_topology` -- failed
-  resources removed, degraded ones shrunk -- and a
-  :func:`masked_cost_model` over it that the existing Phase-1 + SORP
-  machinery can re-solve against without knowing faults exist.
+* the contingency scheduler (:mod:`repro.faults.contingency`) asks the
+  same questions of :func:`fault_effects` -- per fault, or the whole plan
+  combined and active for the whole cycle -- and re-solves against a
+  :func:`masked_topology` (failed resources removed, degraded ones shrunk)
+  and a :func:`masked_cost_model` over it that the existing Phase-1 + SORP
+  machinery can use without knowing faults exist.
+
+:func:`route_failure` and :func:`stranding` are the two questions both ask:
+does a route cross a totally failed resource, and is a cached copy lost to
+a storage outage while its blocks are resident.
 
 Severity is the remaining fraction of the resource (see
 :mod:`repro.faults.plan`); a warehouse brownout scales every link incident
@@ -21,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.costmodel import CostModel
+from repro.core.schedule import ResidencyInfo
 from repro.errors import FaultError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.topology.graph import Topology, edge_key
@@ -156,48 +162,84 @@ def effects_of(topology: Topology, fault: FaultSpec) -> ResourceEffects:
 
 
 def combined_effects(
-    topology: Topology,
-    plan: FaultPlan | FaultSpec,
-    *,
-    window: tuple[float, float] | None = None,
+    topology: Topology, plan: FaultPlan | FaultSpec
 ) -> ResourceEffects:
-    """Union of every fault's effects: down sets merge, factors take the min.
-
-    ``window`` optionally restricts the union to faults whose windows
-    intersect the half-open ``[t0, t1)`` -- the *windowed* view a time-aware
-    recovery masks against, as opposed to the default whole-plan union.
-    """
+    """Union of every fault's effects: down sets merge, factors take the min."""
     faults = [plan] if isinstance(plan, FaultSpec) else list(plan)
-    if window is not None:
-        t0, t1 = window
-        faults = [f for f in faults if f.overlaps(t0, t1)]
     builder = _EffectsBuilder()
     for fault in faults:
         _apply(builder, topology, fault)
     return builder.frozen()
 
 
-def masked_topology(
-    topology: Topology,
-    plan: FaultPlan | FaultSpec,
-    *,
-    window: tuple[float, float] | None = None,
-) -> Topology:
+def fault_effects(
+    topology: Topology, plan: FaultPlan, *, whole_cycle: bool = False
+) -> list[tuple[FaultSpec | None, ResourceEffects]]:
+    """What ``plan`` breaks and when, as ``(fault, effects)`` pairs.
+
+    One pair per fault, active over the fault's own window; with
+    ``whole_cycle`` a single pair of the plan's :func:`combined_effects`
+    whose fault is ``None``: active over the whole cycle, the stance of
+    whole-cycle recovery.
+    """
+    if whole_cycle:
+        return [(None, combined_effects(topology, plan))]
+    return [(f, effects_of(topology, f)) for f in plan]
+
+
+def in_effect(fault: FaultSpec | None, t0: float, t1: float) -> bool:
+    """Whether a :func:`fault_effects` pair applies to ``[t0, t1)``."""
+    return fault is None or fault.overlaps(t0, t1)
+
+
+def route_failure(
+    route: tuple[str, ...], effects: ResourceEffects
+) -> str | None:
+    """The first totally-failed resource a route uses, or ``None``."""
+    for node in route:
+        if node in effects.down_nodes:
+            return node
+    for a, b in zip(route, route[1:]):
+        key = edge_key(a, b)
+        if key in effects.down_edges:
+            return f"{key[0]}-{key[1]}"
+    return None
+
+
+def stranding(
+    residency: ResidencyInfo,
+    playback: float,
+    per_fault: list[tuple[FaultSpec | None, ResourceEffects]],
+) -> tuple[FaultSpec | None, ResourceEffects] | None:
+    """The first :func:`fault_effects` pair that downs ``residency``'s
+    storage while its blocks are resident, or ``None``.
+
+    The occupancy is ``[t_start, t_last + playback)``; a copy at a storage
+    that goes down during it is lost.
+    """
+    occ0, occ1 = residency.t_start, residency.t_last + playback
+    for fault, effects in per_fault:
+        if residency.location in effects.down_nodes and in_effect(
+            fault, occ0, occ1
+        ):
+            return fault, effects
+    return None
+
+
+def masked_topology(topology: Topology, plan: FaultPlan | FaultSpec) -> Topology:
     """A copy of ``topology`` with the plan's failed resources removed.
 
     Down nodes disappear (with every incident link), down links disappear,
     degraded links keep ``severity * bandwidth``, shrunk storages keep
     ``severity * capacity``.  Explicit end-to-end pair rates survive for
-    pairs whose endpoints both survive.  By default the mask is
-    *time-agnostic*: any resource the plan ever fails is masked for the
-    whole cycle, the conservative stance of whole-cycle recovery.  With
-    ``window=(t0, t1)`` only faults intersecting the half-open window
-    contribute, so callers can mask per service interval.
+    pairs whose endpoints both survive.  The mask is *time-agnostic*: any
+    resource the plan ever fails is masked for the whole cycle.  Callers
+    mask a time window by passing ``plan.overlapping(t0, t1)``.
 
     Raises :class:`~repro.errors.FaultError` when the mask would leave no
     warehouse, since no schedule can exist without an archive.
     """
-    effects = combined_effects(topology, plan, window=window)
+    effects = combined_effects(topology, plan)
     bw = effects.bandwidth_factor_map
     cap = effects.capacity_factor_map
     out = Topology(charging_basis=topology.charging_basis)
@@ -253,6 +295,10 @@ __all__ = [
     "ResourceEffects",
     "effects_of",
     "combined_effects",
+    "fault_effects",
+    "in_effect",
     "masked_cost_model",
     "masked_topology",
+    "route_failure",
+    "stranding",
 ]

@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
-from repro.faults.inject import ResourceEffects, effects_of
+from repro.faults.inject import fault_effects, route_failure, stranding
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import NULL_OBS, Observability
 from repro.sim.engine import SimulationEngine, SimulationReport
-from repro.topology.graph import edge_key
 
 _log = logging.getLogger(__name__)
 
@@ -177,20 +176,6 @@ def _clip(
     return tuple(out)
 
 
-def _route_failure(
-    route: tuple[str, ...], effects: ResourceEffects
-) -> str | None:
-    """The first totally-failed resource a route uses, or ``None``."""
-    for node in route:
-        if node in effects.down_nodes:
-            return node
-    for a, b in zip(route, route[1:]):
-        key = edge_key(a, b)
-        if key in effects.down_edges:
-            return f"{key[0]}-{key[1]}"
-    return None
-
-
 def build_degraded_report(
     schedule: Schedule,
     cost_model: CostModel,
@@ -205,7 +190,7 @@ def build_degraded_report(
     engine = SimulationEngine(cost_model, obs=obs)
     simulation = engine.run(schedule, faults=plan)
 
-    per_fault = [(f, effects_of(topology, f)) for f in plan]
+    per_fault = fault_effects(topology, plan)
     dropped: list[ServiceImpact] = []
     late: list[ServiceImpact] = []
     stranded: list[StrandedResidency] = []
@@ -219,7 +204,7 @@ def build_degraded_report(
             for fault, effects in per_fault:
                 if not fault.overlaps(t0, t1):
                     continue
-                resource = _route_failure(d.route, effects)
+                resource = route_failure(d.route, effects)
                 if resource is None:
                     continue
                 if fault.active_at(t0):
@@ -247,20 +232,18 @@ def build_degraded_report(
                 impacted.setdefault(fs.video_id)
                 (dropped if verdict.outcome == "dropped" else late).append(verdict)
         for c in fs.residencies:
-            occ0, occ1 = c.t_start, c.t_last + video.playback
-            for fault, effects in per_fault:
-                if c.location in effects.down_nodes and fault.overlaps(occ0, occ1):
-                    impacted.setdefault(fs.video_id)
-                    stranded.append(
-                        StrandedResidency(
-                            video_id=c.video_id,
-                            location=c.location,
-                            t_start=c.t_start,
-                            t_last=c.t_last,
-                            fault=fault.key,
-                        )
+            hit = stranding(c, video.playback, per_fault)
+            if hit is not None:
+                impacted.setdefault(fs.video_id)
+                stranded.append(
+                    StrandedResidency(
+                        video_id=c.video_id,
+                        location=c.location,
+                        t_start=c.t_start,
+                        t_last=c.t_last,
+                        fault=hit[0].key,
                     )
-                    break  # one stranding per residency is enough
+                )
 
     saturated: list[LinkStress] = []
     overflows: list[StorageStress] = []

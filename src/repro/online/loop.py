@@ -76,9 +76,10 @@ class OnlineLoopConfig:
             half-open probe.
         shed_per_degraded_batch: Pending reservations shed on each batch
             processed while the breaker is open.
-        masking: Recovery stance for normal (closed/half-open) operation;
-            degraded batches always use the conservative ``"cycle"``
-            stance.
+
+    Normal (closed/half-open) batches amend with the ``"windowed"``
+    recovery stance; degraded batches use the conservative ``"cycle"``
+    stance.
     """
 
     debounce: float = 0.0
@@ -91,7 +92,6 @@ class OnlineLoopConfig:
     breaker_threshold: int = 3
     breaker_cooldown: float = 0.0
     shed_per_degraded_batch: int = 1
-    masking: str = "windowed"
 
     def __post_init__(self) -> None:
         if self.debounce < 0.0:
@@ -104,12 +104,6 @@ class OnlineLoopConfig:
             raise OnlineError(
                 "shed_per_degraded_batch must be >= 0, got "
                 f"{self.shed_per_degraded_batch}"
-            )
-        from repro.faults.contingency import MASKING_MODES
-
-        if self.masking not in MASKING_MODES:
-            raise OnlineError(
-                f"masking must be one of {MASKING_MODES}, got {self.masking!r}"
             )
 
     def retry_policy(self) -> RetryPolicy:
@@ -357,7 +351,7 @@ class OnlineAmendmentLoop:
         now = batch[-1].at
         state = self.breaker.state_at(now)
         degraded = state == OPEN
-        masking = "cycle" if degraded else self.config.masking
+        masking = "cycle" if degraded else "windowed"
         retries_budget = 0 if degraded else self.config.max_retries
         delays = self._retry.delays(batch_index)
 

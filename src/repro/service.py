@@ -29,8 +29,7 @@ from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
 from repro.errors import ScheduleError, WorkloadError
 from repro.extensions.rolling import CycleResult, RollingScheduler
-from repro.faults.contingency import RecoveryResult
-from repro.faults.inject import masked_cost_model, masked_topology
+from repro.faults.contingency import RecoveryResult, judging_model
 from repro.faults.plan import FaultPlan
 from repro.sim.validate import Violation, validate_schedule
 from repro.topology.graph import Topology
@@ -340,12 +339,10 @@ class VORService:
                 :meth:`close_cycle`.
             plan: The active fault scenario.
             masking: ``"cycle"`` re-solves against the conservative
-                whole-cycle mask and validates on the masked cost model;
-                ``"windowed"`` re-solves only services intersecting a fault
-                window and validates on the *healthy* model with a
-                window-aware degraded replay (``faults=plan``), since the
-                patched schedule may legitimately use faulted resources at
-                times the fault is not active.
+                whole-cycle mask; ``"windowed"`` re-solves only services
+                intersecting a fault window.  The patched schedule is
+                validated on the model
+                :func:`~repro.faults.contingency.judging_model` picks.
 
         Returns:
             A fresh :class:`CycleReport` whose ``cycle.schedule`` is the
@@ -367,14 +364,9 @@ class VORService:
                 for d in report.cycle.schedule.deliveries
                 if d.request not in lost
             )
-            if masking == "windowed":
-                validate_cm = self.cost_model
-                validate_faults = plan
-            else:
-                validate_cm = masked_cost_model(
-                    self.cost_model, masked_topology(self.topology, plan)
-                )
-                validate_faults = None
+            validate_cm, validate_faults = judging_model(
+                self.cost_model, plan, masking
+            )
             with self.obs.tracer.span("validate") as vspan:
                 violations = validate_schedule(
                     patched,

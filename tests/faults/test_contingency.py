@@ -22,7 +22,7 @@ from repro import (
 from repro.core.costmodel import CostModel
 from repro.errors import ScheduleError
 from repro.extensions.rolling import RollingScheduler
-from repro.faults import combined_effects, impacted_videos, masked_topology
+from repro.faults import masked_topology
 from repro.sim.validate import validate_schedule
 from repro.workload.requests import Request, RequestBatch
 
@@ -72,25 +72,25 @@ def _window_plan(kind, target, severity=0.0):
     )
 
 
+def _impacted(topo, catalog, batch, schedule, plan):
+    cm = CostModel(topo, catalog)
+    return ContingencyScheduler(cm).recover(schedule, plan, batch=batch).impacted
+
+
 class TestImpactedVideos:
     def test_delivery_through_down_edge(self, env):
         topo, catalog, batch, schedule = env
-        effects = combined_effects(
-            topo, _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        )
-        assert impacted_videos(schedule, effects) == ("m1",)
+        plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
+        assert _impacted(topo, catalog, batch, schedule, plan) == ("m1",)
 
     def test_down_storage_impacts_its_users(self, env):
         topo, catalog, batch, schedule = env
-        effects = combined_effects(
-            topo, _window_plan(FaultKind.IS_OUTAGE, "IS2")
-        )
-        assert "m1" in impacted_videos(schedule, effects)
+        plan = _window_plan(FaultKind.IS_OUTAGE, "IS2")
+        assert "m1" in _impacted(topo, catalog, batch, schedule, plan)
 
     def test_empty_effects_impact_nothing(self, env):
         topo, catalog, batch, schedule = env
-        effects = combined_effects(topo, FaultPlan())
-        assert impacted_videos(schedule, effects) == ()
+        assert _impacted(topo, catalog, batch, schedule, FaultPlan()) == ()
 
 
 class TestRecover:

@@ -9,6 +9,7 @@ from repro import (
     VORService,
     units,
 )
+from repro.cli import main
 from repro.faults import FaultEvent, FaultFeed, FaultKind, FaultSpec
 from repro.online import (
     CLOSED,
@@ -257,9 +258,15 @@ class TestDegradedMode:
 
 
 class TestConfigValidation:
-    def test_bad_masking_rejected(self):
-        with pytest.raises(Exception, match="masking"):
-            OnlineLoopConfig(masking="nope")
+    def test_masking_is_not_an_option(self, capsys):
+        # Normal batches amend windowed and degraded ones whole-cycle;
+        # neither the config nor the CLI offers a choice.
+        with pytest.raises(TypeError, match="masking"):
+            OnlineLoopConfig(masking="cycle")
+        with pytest.raises(SystemExit) as exc:
+            main(["run-online", "env.json", "--masking", "cycle"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --masking" in capsys.readouterr().err
 
     def test_bad_debounce_rejected(self):
         with pytest.raises(Exception, match="debounce"):

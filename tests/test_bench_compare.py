@@ -103,6 +103,17 @@ class TestCompareReports:
             f"{baseline['scale']['1520']['serves_served'] + 1}"
         ]
 
+    def test_stance_sweep_drift_fails(self, bench, baseline):
+        current = json.loads(json.dumps(baseline))
+        current["stances"]["windowed"]["raised"] -= 1
+        current["stances"]["windowed"]["violations"].pop("fault-capacity")
+        current["stances"]["cycle"]["wall_time_seconds"] *= 100
+        problems = bench.compare_reports(baseline, current)
+        assert [p.split(" regressed")[0] for p in problems] == [
+            "stances.windowed.raised",
+            "stances.windowed.violations",
+        ]
+
     def test_online_outcome_drift_fails(self, bench, baseline):
         current = json.loads(json.dumps(baseline))
         current["online"]["requests_lost_windowed"] += 1
