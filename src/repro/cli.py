@@ -922,7 +922,7 @@ def _simulate_environment(args: argparse.Namespace) -> int:
             ["quantity", "value"],
             [
                 ["requests", len(env.batch)],
-                ["events replayed", len(report.trace)],
+                ["events replayed", report.n_events],
                 ["streams", report.n_streams],
                 ["residencies", report.n_residencies],
                 ["makespan (s)", t1 - t0],

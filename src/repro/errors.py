@@ -31,14 +31,6 @@ class ScheduleError(ReproError):
     """Structurally invalid schedule (negative interval, unknown node, ...)."""
 
 
-class CausalityError(ScheduleError):
-    """A schedule element consumes data before it is available at the source."""
-
-
-class CapacityError(ReproError):
-    """A hard capacity constraint is violated (simulator / validators)."""
-
-
 class OverflowResolutionError(ReproError):
     """SORP could not resolve a storage overflow within its iteration budget."""
 
@@ -48,7 +40,7 @@ class ConfigError(ReproError):
 
 
 class SimulationError(ReproError):
-    """The discrete-event simulator detected an inconsistency while executing."""
+    """Warehouse staging's plan failed its own self-check (its only raiser)."""
 
 
 class FaultError(ReproError):

@@ -1,8 +1,8 @@
 """Degraded-mode analysis: what a fault scenario does to a schedule.
 
-:func:`build_degraded_report` replays a schedule through the simulation
-engine with the fault plan injected (``FAULT_START``/``FAULT_END`` events in
-the trace) and classifies the damage *window-aware*:
+:func:`build_degraded_report` replays a schedule's per-resource loads
+through the simulation engine and classifies the damage a fault plan does
+to it *window-aware*:
 
 * **dropped** requests -- a delivery whose source, route node or route link
   is totally down at the moment the stream starts: the service cannot begin;
@@ -26,7 +26,7 @@ feeds both the CLI's degraded-mode output and
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
@@ -97,9 +97,6 @@ class DegradedModeReport:
     storage_overflows: tuple[StorageStress, ...] = ()
     #: Videos with at least one dropped/late delivery or stranded residency.
     impacted_videos: tuple[str, ...] = ()
-    #: The fault-annotated replay (trace includes FAULT_* events).  Excluded
-    #: from equality: two identical analyses may carry different telemetry.
-    simulation: SimulationReport | None = field(default=None, compare=False)
 
     @property
     def requests_dropped(self) -> int:
@@ -183,13 +180,42 @@ def build_degraded_report(
     *,
     obs: Observability | None = None,
 ) -> DegradedModeReport:
-    """Replay ``schedule`` under ``plan`` and classify the damage."""
+    """Replay ``schedule`` and classify the damage ``plan`` does to it."""
     obs = obs if obs is not None else NULL_OBS
+    simulation = SimulationEngine(cost_model, obs=obs).run(schedule)
+    report = _classify_damage(schedule, cost_model, plan, simulation)
+    metrics = obs.metrics
+    if metrics.enabled:
+        if report.n_faults:
+            metrics.counter(
+                "vor_faults_injected_total",
+                help="Faults injected into simulation replays",
+            ).inc(report.n_faults)
+        for outcome, count in (
+            ("dropped", report.requests_dropped),
+            ("late", report.requests_late),
+        ):
+            metrics.counter(
+                "vor_degraded_requests_total",
+                help="Requests impacted by injected faults, by outcome",
+                outcome=outcome,
+            ).inc(count)
+        metrics.counter(
+            "vor_stranded_residencies_total",
+            help="Cache residencies lost to storage outages",
+        ).inc(len(report.stranded))
+    return report
+
+
+def _classify_damage(
+    schedule: Schedule,
+    cost_model: CostModel,
+    plan: FaultPlan,
+    simulation: SimulationReport,
+) -> DegradedModeReport:
+    """Classify what ``plan`` does to ``schedule``, given its replay."""
     catalog = cost_model.catalog
     topology = cost_model.topology
-    engine = SimulationEngine(cost_model, obs=obs)
-    simulation = engine.run(schedule, faults=plan)
-
     per_fault = fault_effects(topology, plan)
     dropped: list[ServiceImpact] = []
     late: list[ServiceImpact] = []
@@ -301,23 +327,7 @@ def build_degraded_report(
         saturated_links=tuple(saturated),
         storage_overflows=tuple(overflows),
         impacted_videos=tuple(impacted),
-        simulation=simulation,
     )
-    metrics = obs.metrics
-    if metrics.enabled:
-        for outcome, count in (
-            ("dropped", report.requests_dropped),
-            ("late", report.requests_late),
-        ):
-            metrics.counter(
-                "vor_degraded_requests_total",
-                help="Requests impacted by injected faults, by outcome",
-                outcome=outcome,
-            ).inc(count)
-        metrics.counter(
-            "vor_stranded_residencies_total",
-            help="Cache residencies lost to storage outages",
-        ).inc(len(report.stranded))
     _log.info(
         "degraded-mode analysis: %d dropped, %d late, %d stranded under "
         "%d fault(s)",

@@ -91,7 +91,12 @@ class CycleOutcome:
     carried_events: int = 0
     amendment_batches: int = 0
     amendment_outcomes: tuple[str, ...] = ()
+    #: What the cycle's last amendment saved; unlike ``requests_lost``
+    #: it is not summed over the cycle's amendments.
     requests_saved: int = 0
+    #: Requests every amendment of the cycle dropped, summed: each
+    #: amendment loses requests the previous schedule still served, so
+    #: ``deliveries + requests_lost == requests``.
     requests_lost: int = 0
     ledger: CarryoverLedger | None = None
 
@@ -444,6 +449,7 @@ class HorizonOrchestrator:
         arrived_events: int,
     ) -> CycleOutcome:
         recovery = report.recovery
+        records = run_report.records if run_report is not None else ()
         return CycleOutcome(
             index=index,
             cycle_end=cycle_end,
@@ -460,17 +466,11 @@ class HorizonOrchestrator:
             amendment_batches=(
                 run_report.batches_total if run_report is not None else 0
             ),
-            amendment_outcomes=(
-                tuple(r.outcome for r in run_report.records)
-                if run_report is not None
-                else ()
-            ),
+            amendment_outcomes=tuple(r.outcome for r in records),
             requests_saved=(
                 recovery.requests_saved if recovery is not None else 0
             ),
-            requests_lost=(
-                recovery.requests_lost if recovery is not None else 0
-            ),
+            requests_lost=sum(r.lost for r in records),
             ledger=ledger,
         )
 

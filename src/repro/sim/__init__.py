@@ -1,17 +1,16 @@
-"""Discrete-event execution and validation of service schedules.
+"""Replay and validation of service schedules.
 
-The scheduler emits a *plan*; this subpackage provides the substrate that
-actually "runs" it under the paper's fluid-flow semantics (blocks travel at
-playback rate; a block at fraction ``x`` of the file arrives at route nodes
-at ``t_start + x*P`` and is dropped once the chronologically-last service has
-consumed it):
+The scheduler emits a *plan*; this subpackage replays it under the paper's
+fluid-flow semantics (blocks travel at playback rate; a block at fraction
+``x`` of the file arrives at route nodes at ``t_start + x*P`` and is dropped
+once the chronologically-last service has consumed it) and judges it:
 
-* :mod:`repro.sim.events`  -- time-ordered event queue primitives,
 * :mod:`repro.sim.fluid`   -- physical (fluid) cache-occupancy profiles,
-* :mod:`repro.sim.engine`  -- the event-driven engine producing an execution
-  trace and per-resource peaks,
-* :mod:`repro.sim.validate` -- feasibility checks: request coverage,
-  causality, storage capacity, link bandwidth.
+* :mod:`repro.sim.engine`  -- the replay: per-storage and per-link load
+  timelines, counts and makespan,
+* :mod:`repro.sim.validate` -- the verdict: request coverage, causality,
+  storage capacity, link bandwidth, replica homes, and (with a fault plan)
+  degraded-mode damage, all from one replay.
 
 A notable modelling fact surfaced here: for *short* residencies the paper's
 Eq. 6 reserved-space function is slightly optimistic against fluid physics
@@ -20,26 +19,19 @@ begins).  The engine reports both curves; see
 :func:`repro.sim.fluid.fluid_occupancy_profile`.
 """
 
-from repro.sim.events import Event, EventKind, EventQueue, kind_priority
 from repro.sim.fluid import fluid_occupancy_profile
 from repro.sim.engine import SimulationEngine, SimulationReport
 from repro.sim.validate import (
     Violation,
-    assert_valid,
     fault_violations,
     validate_schedule,
 )
 
 __all__ = [
-    "Event",
-    "EventKind",
-    "EventQueue",
-    "kind_priority",
     "fluid_occupancy_profile",
     "SimulationEngine",
     "SimulationReport",
     "Violation",
-    "assert_valid",
     "fault_violations",
     "validate_schedule",
 ]

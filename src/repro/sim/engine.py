@@ -1,13 +1,14 @@
-"""Event-driven execution of a service schedule.
+"""Replay of a service schedule as per-resource loads.
 
-:class:`SimulationEngine` expands a schedule into stream/service/cache
-events, replays them chronologically, and aggregates per-resource usage:
+:class:`SimulationEngine` walks a schedule once and aggregates what it
+puts on each resource:
 
 * per-storage occupancy timelines under both the **fluid** physical model and
   the paper's **Eq. 6 reserved** model,
 * per-link concurrent-bandwidth timelines (each delivery occupies every edge
   of its route at the video's bandwidth for one playback length),
-* an execution trace (the ordered event list) for inspection and reporting.
+* stream and residency counts and the makespan, from which the replayed
+  event counts (4 per stream, 3 per residency) are derived.
 
 The engine observes; it does not judge.  Feasibility checks live in
 :mod:`repro.sim.validate`, which consumes the engine's report.
@@ -17,18 +18,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
 from repro.core.spacefunc import SpaceProfile, UsageTimeline, LinearSegment
 from repro.obs import NULL_OBS, Observability, RunTelemetry
-from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.fluid import fluid_occupancy_profile
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> sim)
-    from repro.faults.plan import FaultPlan
 
 _log = logging.getLogger(__name__)
 
@@ -70,29 +66,43 @@ class StorageLoad:
         return self.reserved.peak
 
 
+#: Each delivery starts and ends a stream and a service; each residency
+#: opens, starts its last service, and releases.
+_STREAM_KINDS = ("stream_start", "stream_end", "service_start", "service_end")
+_CACHE_KINDS = ("cache_open", "cache_last_service", "cache_release")
+
+
 @dataclass
 class SimulationReport:
-    """Everything the engine observed while executing a schedule."""
+    """Per-resource loads of one schedule replay, plus its counts."""
 
-    trace: list[Event] = field(default_factory=list)
     storages: dict[str, StorageLoad] = field(default_factory=dict)
     links: dict[tuple[str, str], LinkLoad] = field(default_factory=dict)
     n_streams: int = 0
-    n_services: int = 0
     n_residencies: int = 0
-    #: Number of injected faults replayed in the trace (each contributes a
-    #: ``FAULT_START``/``FAULT_END`` event pair).
-    n_faults: int = 0
+    #: (first, last) instant the schedule touches: the earliest stream
+    #: start or cache open, the latest stream end or cache release;
+    #: (0, 0) for an empty schedule.
+    makespan: tuple[float, float] = (0.0, 0.0)
     #: Telemetry snapshot taken as the run finished (``None`` when the
     #: engine runs with the default null observability handle).
     telemetry: RunTelemetry | None = None
 
+    def events_by_kind(self) -> dict[str, int]:
+        """Replayed event count per kind, kinds with no event omitted."""
+        out: dict[str, int] = {}
+        for kinds, count in (
+            (_STREAM_KINDS, self.n_streams),
+            (_CACHE_KINDS, self.n_residencies),
+        ):
+            if count:
+                out.update(dict.fromkeys(kinds, count))
+        return out
+
     @property
-    def makespan(self) -> tuple[float, float]:
-        """(first event time, last event time); (0, 0) for an empty trace."""
-        if not self.trace:
-            return (0.0, 0.0)
-        return (self.trace[0].time, self.trace[-1].time)
+    def n_events(self) -> int:
+        """Replayed events: 4 per stream and 3 per residency."""
+        return sum(self.events_by_kind().values())
 
 
 class SimulationEngine:
@@ -111,81 +121,38 @@ class SimulationEngine:
         self._catalog: VideoCatalog = cost_model.catalog
         self._obs = obs if obs is not None else NULL_OBS
 
-    def run(
-        self, schedule: Schedule, *, faults: "FaultPlan | None" = None
-    ) -> SimulationReport:
-        """Execute ``schedule`` and return the full observation report.
-
-        Args:
-            schedule: The plan to replay.
-            faults: Optional :class:`~repro.faults.plan.FaultPlan` to inject.
-                Each fault contributes ``FAULT_START``/``FAULT_END`` events
-                to the trace; same-timestamp ordering guarantees the start
-                event precedes (and the end event follows) any stream or
-                service event at the same instant, so trace consumers see
-                availability change *before* the work it affects.
-        """
+    def run(self, schedule: Schedule) -> SimulationReport:
+        """Replay ``schedule`` and return its per-resource loads."""
         with self._obs.tracer.span(
             "simulate",
             deliveries=len(schedule.deliveries),
             residencies=len(schedule.residencies),
-            faults=0 if faults is None else len(faults),
         ) as span:
-            report = self._run(schedule, faults)
-            span.set(events=len(report.trace))
+            report = self._run(schedule)
+            span.set(events=report.n_events)
         self._record_metrics(report)
         if self._obs.enabled:
             report.telemetry = self._obs.telemetry()
         _log.debug(
-            "simulated %d event(s): %d stream(s), %d residenc(ies), %d fault(s)",
-            len(report.trace), report.n_streams, report.n_residencies,
-            report.n_faults,
+            "simulated %d event(s): %d stream(s), %d residenc(ies)",
+            report.n_events, report.n_streams, report.n_residencies,
         )
         return report
 
-    def _run(
-        self, schedule: Schedule, faults: "FaultPlan | None" = None
-    ) -> SimulationReport:
+    def _run(self, schedule: Schedule) -> SimulationReport:
         report = SimulationReport()
-        queue = EventQueue()
         link_profiles: dict[tuple[str, str], list[SpaceProfile]] = {}
-
-        if faults is not None:
-            for f in faults:
-                payload = {
-                    "fault": f.key,
-                    "kind": f.kind.value,
-                    "target": f.target,
-                    "severity": f.severity,
-                }
-                queue.push(f.t_start, EventKind.FAULT_START, payload)
-                queue.push(f.t_end, EventKind.FAULT_END, payload)
-                report.n_faults += 1
+        by_loc: dict[str, tuple[list[SpaceProfile], list[SpaceProfile]]] = {}
+        firsts: list[float] = []
+        lasts: list[float] = []
 
         for fs in schedule:
             video = self._catalog[fs.video_id]
             for d in fs.deliveries:
                 t0, t1 = d.start_time, d.start_time + video.playback
-                queue.push(
-                    t0,
-                    EventKind.STREAM_START,
-                    {"video": fs.video_id, "route": d.route},
-                )
-                queue.push(
-                    t1, EventKind.STREAM_END, {"video": fs.video_id, "route": d.route}
-                )
-                queue.push(
-                    t0,
-                    EventKind.SERVICE_START,
-                    {"video": fs.video_id, "user": d.request.user_id},
-                )
-                queue.push(
-                    t1,
-                    EventKind.SERVICE_END,
-                    {"video": fs.video_id, "user": d.request.user_id},
-                )
+                firsts.append(t0)
+                lasts.append(t1)
                 report.n_streams += 1
-                report.n_services += 1
                 for a, b in zip(d.route, d.route[1:]):
                     key = (a, b) if a <= b else (b, a)
                     link_profiles.setdefault(key, []).append(
@@ -198,37 +165,19 @@ class SimulationEngine:
                         )
                     )
             for c in fs.residencies:
-                queue.push(
-                    c.t_start,
-                    EventKind.CACHE_OPEN,
-                    {"video": fs.video_id, "location": c.location},
-                )
-                queue.push(
-                    c.t_last,
-                    EventKind.CACHE_LAST_SERVICE,
-                    {"video": fs.video_id, "location": c.location},
-                )
-                queue.push(
-                    c.t_last + video.playback,
-                    EventKind.CACHE_RELEASE,
-                    {"video": fs.video_id, "location": c.location},
-                )
+                firsts.append(c.t_start)
+                lasts.append(c.t_last + video.playback)
                 report.n_residencies += 1
-
-        report.trace = queue.drain()
-
-        # aggregate storage occupancy under both models
-        by_loc: dict[str, tuple[list[SpaceProfile], list[SpaceProfile]]] = {}
-        for fs in schedule:
-            video = self._catalog[fs.video_id]
-            for c in fs.residencies:
-                fluid_p = fluid_occupancy_profile(
-                    video.size, video.playback, c.t_start, c.t_last
-                )
-                reserved_p = c.profile(video)
                 fl, rs = by_loc.setdefault(c.location, ([], []))
-                fl.append(fluid_p)
-                rs.append(reserved_p)
+                fl.append(
+                    fluid_occupancy_profile(
+                        video.size, video.playback, c.t_start, c.t_last
+                    )
+                )
+                rs.append(c.profile(video))
+        if firsts:
+            report.makespan = (min(firsts), max(lasts))
+
         for spec in self._topo.storages:
             fl, rs = by_loc.get(spec.name, ([], []))
             report.storages[spec.name] = StorageLoad(
@@ -250,22 +199,12 @@ class SimulationEngine:
         metrics = self._obs.metrics
         if not metrics.enabled:
             return
-        by_kind: dict[str, int] = {}
-        for event in report.trace:
-            by_kind[event.kind.name.lower()] = (
-                by_kind.get(event.kind.name.lower(), 0) + 1
-            )
-        for kind, count in sorted(by_kind.items()):
+        for kind, count in sorted(report.events_by_kind().items()):
             metrics.counter(
                 "vor_sim_events_total",
                 help="Simulation events replayed, by kind",
                 kind=kind,
             ).inc(count)
-        if report.n_faults:
-            metrics.counter(
-                "vor_faults_injected_total",
-                help="Faults injected into simulation replays",
-            ).inc(report.n_faults)
         for name, load in report.storages.items():
             metrics.gauge(
                 "vor_storage_peak_reserved_bytes",

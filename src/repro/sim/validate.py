@@ -21,8 +21,8 @@ records (empty = feasible):
   delivery and residency fill must come from a *home* warehouse of its
   video: a copy cannot be served from a site that never held it.
 
-With ``faults=`` (a :class:`~repro.faults.plan.FaultPlan`), the schedule is
-additionally replayed in degraded mode and every dropped/late service,
+With ``faults=`` (a :class:`~repro.faults.plan.FaultPlan`), the same replay
+is also classified in degraded mode and every dropped/late service,
 stranded residency, saturated link and shrunk-storage overflow becomes a
 ``fault-*`` violation (see :func:`fault_violations`).
 """
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
 from repro.core.spacefunc import EPS
-from repro.errors import SimulationError
 from repro.obs import NULL_OBS, Observability
 from repro.sim.engine import SimulationEngine, SimulationReport
 from repro.workload.requests import RequestBatch
@@ -56,7 +55,6 @@ def validate_schedule(
     batch: RequestBatch,
     cost_model: CostModel,
     *,
-    check_links: bool = True,
     trusted_residencies=(),
     faults=None,
     replicas=None,
@@ -72,9 +70,9 @@ def validate_schedule(
     validated.
 
     ``faults`` optionally names a :class:`~repro.faults.plan.FaultPlan`;
-    the schedule is then also replayed in degraded mode and every service
-    the plan breaks is reported as a ``fault-*`` violation.  A fault that
-    downs a warehouse surfaces as ``fault-warehouse-loss``.
+    the schedule's replay is then also classified in degraded mode and
+    every service the plan breaks is reported as a ``fault-*`` violation.
+    A fault that downs a warehouse surfaces as ``fault-warehouse-loss``.
 
     ``replicas`` optionally names a :class:`~repro.replication.ReplicaMap`
     (default: the cost model's map); warehouse sources outside a video's
@@ -92,18 +90,17 @@ def validate_schedule(
         violations.extend(
             _check_causality(schedule, cost_model, trusted_residencies)
         )
-        # one replay serves both the storage and the link checks
+        # one replay serves the storage, link and degraded-mode checks
         report = SimulationEngine(cost_model).run(schedule)
         violations.extend(_check_capacity(report))
-        if check_links:
-            violations.extend(_check_links(report))
+        violations.extend(_check_links(report))
         if replicas is None:
             replicas = cost_model.replicas
         if replicas is not None:
             violations.extend(_check_replicas(schedule, cost_model, replicas))
         if faults is not None:
             violations.extend(
-                fault_violations(schedule, cost_model, faults, obs=obs)
+                _fault_violations(schedule, cost_model, faults, report, obs)
             )
         span.set(violations=len(violations))
     metrics = obs.metrics
@@ -128,12 +125,24 @@ def fault_violations(
     :class:`Violation` whose kind carries a ``fault-`` prefix, so callers
     can separate hard infeasibilities from fault-induced degradation.
     """
+    simulation = SimulationEngine(cost_model).run(schedule)
+    return _fault_violations(schedule, cost_model, plan, simulation, obs)
+
+
+def _fault_violations(
+    schedule,
+    cost_model,
+    plan,
+    simulation: SimulationReport,
+    obs: Observability | None,
+) -> list[Violation]:
+    """:func:`fault_violations` against an already made ``simulation``."""
     # Imported lazily: repro.faults.report imports this module's siblings.
-    from repro.faults.report import build_degraded_report
+    from repro.faults.report import _classify_damage
 
     obs = obs if obs is not None else NULL_OBS
     with obs.tracer.span("degraded_replay", faults=len(plan)):
-        report = build_degraded_report(schedule, cost_model, plan)
+        report = _classify_damage(schedule, cost_model, plan, simulation)
     out: list[Violation] = []
     for i in report.dropped:
         out.append(
@@ -224,28 +233,6 @@ def _check_replicas(
                     )
                 )
     return out
-
-
-def assert_valid(
-    schedule: Schedule,
-    batch: RequestBatch,
-    cost_model: CostModel,
-    *,
-    check_links: bool = True,
-    trusted_residencies=(),
-) -> None:
-    """Raise :class:`~repro.errors.SimulationError` on the first violation."""
-    violations = validate_schedule(
-        schedule,
-        batch,
-        cost_model,
-        check_links=check_links,
-        trusted_residencies=trusted_residencies,
-    )
-    if violations:
-        summary = "; ".join(str(v) for v in violations[:5])
-        more = f" (+{len(violations) - 5} more)" if len(violations) > 5 else ""
-        raise SimulationError(f"infeasible schedule: {summary}{more}")
 
 
 def _check_coverage(schedule: Schedule, batch: RequestBatch) -> list[Violation]:

@@ -91,6 +91,11 @@ class TestResidencyInfo:
         with pytest.raises(ScheduleError):
             ResidencyInfo("v", "IS1", "IS1", 0.0, 10.0)
 
+    def test_nonfinite_interval_rejected(self):
+        for t_start, t_last in ((0.0, float("inf")), (float("-inf"), 0.0)):
+            with pytest.raises(ScheduleError, match="finite"):
+                ResidencyInfo("v", "IS1", "VW", t_start, t_last)
+
 
 class TestFileSchedule:
     def test_add_and_query(self):

@@ -7,7 +7,13 @@ and pins the exact outcome.
 
 import pytest
 
-from repro import FaultKind, FaultPlan, FaultSpec, build_degraded_report
+from repro import (
+    FaultKind,
+    FaultPlan,
+    FaultSpec,
+    Observability,
+    build_degraded_report,
+)
 from repro.catalog.catalog import VideoCatalog
 from repro.catalog.video import VideoFile
 from repro.core.costmodel import CostModel
@@ -165,15 +171,27 @@ class TestClassification:
         assert stress.peak >= SIZE
         assert all(0.0 <= a < b <= 15.0 for a, b in stress.intervals)
 
-    def test_trace_carries_fault_events(self, catalog):
+    def test_counts_injected_faults(self, catalog):
+        """The replay carries no faults; the report counts them itself."""
         cm = _cost_model(catalog)
         sched = _schedule((5.0, "u1", "IS1", ("VW", "IS1")))
         plan = _plan(FaultKind.LINK_DOWN, ("VW", "IS1"), 0.0, 20.0)
-        report = build_degraded_report(sched, cm, plan)
-        assert report.simulation is not None
-        assert report.simulation.n_faults == 1
-        kinds = {e.kind.name for e in report.simulation.trace}
-        assert {"FAULT_START", "FAULT_END"} <= kinds
+        obs = Observability.on()
+        build_degraded_report(sched, cm, plan, obs=obs)
+        snap = obs.metrics.snapshot()
+        assert snap["vor_faults_injected_total"]["values"] == [
+            {"labels": {}, "value": 1}
+        ]
+        kinds = {
+            e["labels"]["kind"] for e in snap["vor_sim_events_total"]["values"]
+        }
+        assert kinds == {
+            "stream_start", "stream_end", "service_start", "service_end"
+        }
+        (span,) = [r for r in obs.tracer.records if r.name == "simulate"]
+        assert dict(span.attrs) == {
+            "deliveries": 1, "residencies": 0, "events": 4
+        }
 
     def test_report_is_deterministic_and_json_clean(self, catalog):
         import json
@@ -183,7 +201,7 @@ class TestClassification:
         plan = _plan(FaultKind.LINK_DOWN, ("VW", "IS1"), 0.0, 20.0)
         first = build_degraded_report(sched, cm, plan)
         second = build_degraded_report(sched, cm, plan)
-        assert first == second  # simulation excluded from equality
+        assert first == second
         doc = first.to_json_dict()
         assert json.loads(json.dumps(doc)) == doc
         assert doc["requests_dropped"] == 1

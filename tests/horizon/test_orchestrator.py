@@ -23,6 +23,7 @@ from repro.horizon import (
     split_events,
 )
 from repro.obs.events import write_journal_jsonl
+from repro.online import OnlineLoopConfig
 from repro.service import VORService
 
 from .conftest import brownout_feed, brownout_topology
@@ -109,6 +110,37 @@ class TestDrill:
         )
         assert migrated.feasible and frozen.feasible
         assert migrated.total_psi <= frozen.total_psi + 1e-6
+
+
+class TestLossAccounting:
+    @pytest.mark.parametrize("seed", [2, 5, 10, 11])
+    def test_every_request_is_delivered_or_lost(self, seed):
+        """A cycle amended several times loses requests in more than one
+        amendment; ``requests_lost`` must count all of them, not just the
+        last amendment's."""
+        topo = brownout_topology()
+        catalog = paper_catalog(60, seed=4)
+        cycles = generate_drifting_cycles(
+            topo, catalog, cycles=3, cycle_length=L,
+            seed=seed, churn=0.5, users_per_neighborhood=4,
+        )
+        replicas = ReplicaMap.heat_placement(
+            topo, catalog, cycles[0][0], degree=1, seed=seed
+        )
+        tail = max(v.playback for v in catalog)
+        feed = FaultFeed.generate(
+            topo, seed=seed, n_events=6, horizon=(0.0, 3 * L + tail)
+        )
+        config = HorizonConfig(
+            migration=MigrationConfig(degree=1, seed=seed),
+            online=OnlineLoopConfig(seed=seed, backoff_base=0.0),
+        )
+        report = HorizonOrchestrator(
+            topo, catalog, replicas=replicas, config=config
+        ).run(cycles, feed=feed)
+        assert any(len(c.amendment_outcomes) > 1 for c in report.cycles)
+        for c in report.cycles:
+            assert c.deliveries + c.requests_lost == c.requests, c.index
 
 
 class TestDeterminism:

@@ -123,21 +123,6 @@ class TestViolationKinds:
         assert _kinds(violations) == {"bandwidth"}
         assert "VW" in violations[0].message and "IS1" in violations[0].message
 
-    def test_bandwidth_not_checked_when_disabled(self, catalog):
-        video = catalog["v"]
-        cm = CostModel(
-            _topology(bandwidth=1.5 * video.bandwidth), catalog
-        )
-        r1 = Request(0.0, "v", "u1", "IS1")
-        r2 = Request(0.0, "v", "u2", "IS1")
-        fs = FileSchedule("v")
-        fs.add_delivery(_delivery(r1, ("VW", "IS1")))
-        fs.add_delivery(_delivery(r2, ("VW", "IS1")))
-        violations = validate_schedule(
-            Schedule([fs]), RequestBatch([r1, r2]), cm, check_links=False
-        )
-        assert violations == []
-
     def test_feasible_schedule_is_clean(self, catalog):
         cm = CostModel(_topology(), catalog)
         r = Request(0.0, "v", "u1", "IS1")

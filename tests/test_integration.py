@@ -65,7 +65,7 @@ class TestFullPipeline:
         )
 
         report = SimulationEngine(cm).run(result.schedule)
-        assert report.n_services == len(batch)
+        assert report.n_streams == len(batch)
 
     def test_scheduler_beats_both_baselines(self, paper_env):
         topo, catalog, batch = paper_env
