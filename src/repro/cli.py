@@ -27,7 +27,7 @@ non-zero.  ``run-faults`` injects a fault scenario (``--scenario`` JSON, or
 seeded generation via ``--seed``/``--scenario-out``), prints the
 degraded-mode damage and the contingency recovery, optionally writes the
 machine-readable report (``--report-out``), and exits non-zero when the
-patched schedule fails validation on the fault-masked topology.
+patched schedule fails validation under the plan's degraded replay.
 ``--kinds warehouse_loss`` drills a full warehouse outage; with
 ``--replicas full`` (or ``heat:K``, or a replica-map JSON path) on a
 multi-warehouse environment the recovery re-solves every impacted request
@@ -944,11 +944,11 @@ def _simulate_environment(args: argparse.Namespace) -> int:
 def _run_faults(args: argparse.Namespace) -> int:
     """Fault drill: inject a scenario, report damage, recover, re-validate.
 
-    Returns non-zero when the patched schedule fails validation on the
-    fault-masked topology (the recovery contract), printing the violations.
+    Returns non-zero when the patched schedule fails validation under the
+    plan's degraded replay (the recovery contract), printing the violations.
     """
     from repro.analysis import format_table
-    from repro.faults.contingency import ContingencyScheduler, judging_model
+    from repro.faults.contingency import ContingencyScheduler
     from repro.faults.plan import FaultPlan
     from repro.faults.report import build_degraded_report
     from repro.sim.validate import validate_schedule
@@ -1007,11 +1007,10 @@ def _run_faults(args: argparse.Namespace) -> int:
         )
     )
 
-    judge, faults = judging_model(scheduler.cost_model, plan, recovery.masking)
     lost = set(recovery.lost)
     surviving = RequestBatch(r for r in batch if r not in lost)
     violations = validate_schedule(
-        recovery.schedule, surviving, judge, faults=faults
+        recovery.schedule, surviving, scheduler.cost_model, faults=plan
     )
     _write_json(
         args.report_out,
@@ -1027,7 +1026,7 @@ def _run_faults(args: argparse.Namespace) -> int:
     )
     if _report_violations(violations):
         return 1
-    print("recovery feasible: patched schedule valid on masked topology")
+    print("recovery feasible: patched schedule valid under the fault plan")
     return 0
 
 

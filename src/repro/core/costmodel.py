@@ -227,6 +227,26 @@ class CostModel:
         clone._d_misses = 0
         return clone
 
+    def with_topology(self, topology: Topology) -> "CostModel":
+        """A clone of this model over ``topology``, a fault mask of its own.
+
+        ``topology`` keeps a subset of this model's nodes and links at their
+        rates (only bandwidths and capacities may shrink), so every memoized
+        Ψ_C/Ψ_D value stays exact and the caches stay shared.  The clone is
+        made by :meth:`with_replicas` -- same class, fresh counters -- with
+        the replica map restricted to the nodes ``topology`` keeps, and gets
+        its own router.  Fault recovery re-solves on such clones.
+        """
+        replicas = self._replicas
+        clone = self.with_replicas(
+            replicas.restricted_to(topology.node_names)
+            if replicas is not None
+            else None
+        )
+        clone._topo = topology
+        clone._router = Router(topology)
+        return clone
+
     # -- cache bookkeeping ---------------------------------------------------
 
     @property

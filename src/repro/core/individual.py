@@ -348,9 +348,10 @@ class IndividualScheduler:
         for idx, c in enumerate(residencies):
             if c.t_start > start:
                 continue  # cache not yet filled when the service starts
-            # priced as (location, t_start, start): only the winning
-            # candidate is built, in _apply
-            c.check_extension(start)
+            # priced as (location, t_start, t_last): only the winning
+            # candidate is built, in _apply.  A cache already held past the
+            # start (a seed) serves at a zero Ψ_C extension.
+            t_last = start if start >= c.t_last else c.t_last
             try:
                 route = self._route_policy.select(
                     c.location, req.local_storage, t0, t1, video.bandwidth
@@ -363,7 +364,7 @@ class IndividualScheduler:
             if best is not None and network > best.cost:
                 continue
             ext_cost = cm.residency_cost_for(
-                video_id, c.location, c.t_start, start
+                video_id, c.location, c.t_start, t_last
             ) - cm.residency_cost_for(video_id, c.location, c.t_start, c.t_last)
             # the layout of _Candidate.sort_key, cache kind_rank 0
             key = (network + ext_cost, route.hops, 0, c.location)
@@ -378,7 +379,8 @@ class IndividualScheduler:
             for contender in contenders:
                 c = residencies[contender[1]]
                 if constraints.allows(
-                    video, c.location, c.t_start, start, replacing=c
+                    video, c.location, c.t_start, max(start, c.t_last),
+                    replacing=c,
                 ):
                     pick = contender
                     break
@@ -408,7 +410,7 @@ class IndividualScheduler:
         if choice.cache_index >= 0:
             old = residencies[choice.cache_index]
             residencies[choice.cache_index] = old.extended(
-                req.start_time, req.user_id
+                max(req.start_time, old.t_last), req.user_id
             )
         delivery = DeliveryInfo(
             video_id=video.video_id,

@@ -236,10 +236,9 @@ class RollingScheduler:
         """Re-solve the last closed cycle around an active fault plan.
 
         Runs the :class:`~repro.faults.contingency.ContingencyScheduler`
-        over ``result.schedule`` and re-rolls the carryover state from the
-        patched schedule: entries of re-solved videos are re-derived,
-        entries stranded at failed storages are dropped (their cached copy
-        is gone), everything else carries forward untouched.
+        over ``result.schedule``.  The carryover state is left as it is:
+        :meth:`commit_amendment` re-rolls it from the recovery once the
+        caller accepts the patched schedule.
 
         Args:
             result: The :class:`CycleResult` of the cycle to amend (must be
@@ -250,16 +249,13 @@ class RollingScheduler:
                 schedule's deliveries when omitted.
             masking: Recovery stance -- ``"cycle"`` (conservative,
                 whole-cycle masking) or ``"windowed"`` (time-aware: only
-                services intersecting a fault window are re-solved, and a
-                carried-over cache is dropped only when an outage actually
-                overlaps its occupancy).
+                services intersecting a fault window are re-solved).
 
         Returns:
             The :class:`~repro.faults.contingency.RecoveryResult`; its
             ``schedule`` is the patched plan for the amended cycle.
         """
         from repro.faults.contingency import ContingencyScheduler
-        from repro.faults.inject import fault_effects, stranding
 
         if self._cycle_index == 0:
             raise ScheduleError("no cycle has been closed yet: nothing to amend")
@@ -270,12 +266,28 @@ class RollingScheduler:
             masking=masking,
         )
         recovery = contingency.recover(result.schedule, plan, batch=batch)
-        per_fault = fault_effects(
-            self.topology, plan, whole_cycle=masking == "cycle"
-        )
+        metrics = self.obs.metrics
+        if metrics.enabled:
+            metrics.counter(
+                "vor_cycles_amended_total",
+                help="Cycle schedules amended by contingency re-scheduling",
+            ).inc()
+        return recovery
+
+    def commit_amendment(self, recovery) -> None:
+        """Re-roll the carryover state from an accepted amendment.
+
+        Entries of re-solved videos are re-derived from the patched
+        schedule, entries whose storage a fault downs while they are
+        resident are dropped (their cached copy is gone) -- by the fault
+        effects the recovery itself judged hits by, so a windowed recovery
+        drops a carried-over cache only when an outage overlaps its
+        occupancy -- and everything else carries forward untouched.
+        """
+        from repro.faults.inject import fault_hits
+
         impacted = set(recovery.impacted)
         boundary = self._last_boundary
-
         new_carry: dict[str, list[ResidencyInfo]] = {}
         for video_id, residencies in self._carryover.items():
             if video_id in impacted:
@@ -283,7 +295,10 @@ class RollingScheduler:
             playback = self.catalog[video_id].playback
             kept = [
                 c for c in residencies
-                if stranding(c, playback, per_fault) is None
+                if not fault_hits(
+                    recovery.effects, c.t_start, c.t_last + playback,
+                    storage=c.location,
+                )
             ]
             if kept:
                 new_carry[video_id] = kept
@@ -295,19 +310,12 @@ class RollingScheduler:
                 if c.t_last + video.playback > boundary:
                     new_carry.setdefault(video_id, []).append(c)
         self._carryover = new_carry
-        metrics = self.obs.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "vor_cycles_amended_total",
-                help="Cycle schedules amended by contingency re-scheduling",
-            ).inc()
         _log.info(
             "amended cycle %d: %d video(s) re-solved, carryover now %d",
-            result.cycle_index,
+            self._cycle_index - 1,
             recovery.videos_resolved,
             sum(len(v) for v in new_carry.values()),
         )
-        return recovery
 
     # -- internals -------------------------------------------------------------
 

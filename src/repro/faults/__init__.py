@@ -17,7 +17,6 @@ from repro.faults.inject import (
     ResourceEffects,
     combined_effects,
     effects_of,
-    masked_cost_model,
     masked_topology,
 )
 from repro.faults.plan import (
@@ -45,7 +44,6 @@ __all__ = [
     "ResourceEffects",
     "effects_of",
     "combined_effects",
-    "masked_cost_model",
     "masked_topology",
     "ServiceImpact",
     "StrandedResidency",

@@ -6,8 +6,11 @@ Given a committed schedule and a :class:`~repro.faults.plan.FaultPlan`, the
 1. computes the **impacted video set** -- every file with a delivery that
    routes through a failed node/link or a residency at a failed or shrunk
    storage, while the fault is in effect;
-2. builds a **masked** topology/cost model (failed resources removed,
-   degraded ones shrunk, see :func:`repro.faults.inject.masked_topology`);
+2. clones the healthy cost model over a **masked** topology (failed
+   resources removed, degraded ones shrunk, see
+   :func:`repro.faults.inject.masked_topology` and
+   :meth:`~repro.core.costmodel.CostModel.with_topology`), so a tariff
+   subclass re-solves under its tariff;
 3. splits the impacted files' requests into **lost** (the user's local
    storage is down or unreachable from every surviving *home* of the
    video's replica set -- no schedule can serve them) and **recoverable**;
@@ -25,8 +28,11 @@ Unimpacted files are untouched bit-for-bit: recovery is incremental and
 deterministic -- the same seeded plan always yields the same patched
 schedule.
 
-Two masking stances are supported (``masking=``), and both apply one hit
-rule (``_split_hits``) and one mask view (``_MaskViews``).  The default
+Two masking stances are supported (``masking=``).  They differ only in how
+they re-solve: both apply one hit rule (``_split_hits`` over
+:func:`~repro.faults.inject.fault_hits`), re-solve on one masked model per
+sub-plan (``_MaskViews``), and their patches are judged one way -- on the
+healthy model plus the plan's degraded replay.  The default
 ``"cycle"`` mode is conservative: it is the windowed rule with every fault
 in effect for the whole cycle, so any resource the plan *ever* fails is
 unusable, and every request of an impacted video is re-solved (or lost) on
@@ -50,8 +56,7 @@ node entirely; with replicated warehouses recovery re-solves every impacted
 request from the surviving homes.  When the plan downs *every* warehouse the
 impacted requests are all lost but recovery still returns gracefully with
 the unimpacted files intact (only :func:`~repro.faults.inject.masked_topology`
-itself insists on a standing warehouse; :func:`judging_model` picks the
-model that validates such a patch).
+itself insists on a standing warehouse).
 """
 
 from __future__ import annotations
@@ -66,17 +71,9 @@ from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo, Sched
 from repro.core.scheduler import solve_two_phase
 from repro.core.sorp import ResolutionStats, resolve_overflows
 from repro.errors import FaultError
-from repro.faults.inject import (
-    fault_effects,
-    in_effect,
-    masked_cost_model,
-    masked_topology,
-    route_failure,
-)
+from repro.faults.inject import fault_effects, fault_hits, masked_topology
 from repro.faults.plan import FaultPlan
 from repro.obs import NULL_OBS, Observability
-from repro.topology.graph import Topology
-from repro.topology.routing import Router
 from repro.workload.requests import Request, RequestBatch
 
 _log = logging.getLogger(__name__)
@@ -105,17 +102,15 @@ def _split_hits(
     the kept part's causality.
     """
     res = list(fs.residencies)
-    hit = [False] * len(res)
-    for i, c in enumerate(res):
-        occ0, occ1 = c.t_start, c.t_last + playback
-        for fault, eff in per_fault:
-            if not in_effect(fault, occ0, occ1):
-                continue
-            if c.location in eff.down_nodes or any(
-                loc == c.location for loc, _ in eff.capacity_factors
-            ):
-                hit[i] = True
-                break
+    hit = [
+        bool(
+            fault_hits(
+                per_fault, c.t_start, c.t_last + playback,
+                storage=c.location, shrink=True,
+            )
+        )
+        for c in res
+    ]
     changed = True
     while changed:
         changed = False
@@ -128,10 +123,10 @@ def _split_hits(
     hit_del: list[DeliveryInfo] = []
     kept_del: list[DeliveryInfo] = []
     for d in fs.deliveries:
-        t0, t1 = d.start_time, d.start_time + playback
-        broken = d.source in hit_locs or any(
-            in_effect(fault, t0, t1) and route_failure(d.route, eff) is not None
-            for fault, eff in per_fault
+        broken = d.source in hit_locs or bool(
+            fault_hits(
+                per_fault, d.start_time, d.start_time + playback, route=d.route
+            )
         )
         (hit_del if broken else kept_del).append(d)
     kept_res = [c for c, h in zip(res, hit) if not h]
@@ -139,17 +134,19 @@ def _split_hits(
 
 
 class _MaskViews:
-    """Masked topologies and warehouse reach, one view per sub-plan.
+    """Masked cost models and warehouse reach, one view per sub-plan.
 
-    A view is ``{"topology": mask, "reach": {warehouse: reachable nodes}}``
-    of the sub-plan's :func:`~repro.faults.inject.masked_topology`; a
-    sub-plan that downs every warehouse has no topology and reaches
-    nothing.  Views are cached per sub-plan signature.
+    A view is ``{"model": clone, "reach": {warehouse: reachable nodes}}``:
+    the healthy model cloned over the sub-plan's
+    :func:`~repro.faults.inject.masked_topology`
+    (:meth:`~repro.core.costmodel.CostModel.with_topology`), and what each
+    standing warehouse reaches on the clone's router.  A sub-plan that
+    downs every warehouse has no model and reaches nothing.  Views are
+    cached per sub-plan signature.
     """
 
-    def __init__(self, topology: Topology, replicas):
-        self._topology = topology
-        self._replicas = replicas
+    def __init__(self, cost_model: CostModel):
+        self._cm = cost_model
         self._cache: dict[tuple, dict] = {}
 
     def view(self, sub: FaultPlan) -> dict:
@@ -157,16 +154,17 @@ class _MaskViews:
         entry = self._cache.get(sig)
         if entry is None:
             try:
-                m = masked_topology(self._topology, sub)
+                masked = masked_topology(self._cm.topology, sub)
             except FaultError:
                 # No warehouse survives this sub-plan.
-                entry = {"topology": None, "reach": {}}
+                entry = {"model": None, "reach": {}}
             else:
-                router = Router(m)
+                model = self._cm.with_topology(masked)
                 entry = {
-                    "topology": m,
+                    "model": model,
                     "reach": {
-                        w.name: router.reachable(w.name) for w in m.warehouses
+                        w.name: model.router.reachable(w.name)
+                        for w in masked.warehouses
                     },
                 }
             self._cache[sig] = entry
@@ -176,33 +174,11 @@ class _MaskViews:
         """Whether ``r``'s neighborhood is reachable from a standing *home*
         of its video (every warehouse without a replica map)."""
         reach = view["reach"]
+        replicas = self._cm.replicas
         homes = (
-            self._replicas.homes(r.video_id)
-            if self._replicas is not None
-            else tuple(reach)
+            replicas.homes(r.video_id) if replicas is not None else tuple(reach)
         )
         return any(r.local_storage in reach[h] for h in homes if h in reach)
-
-
-def judging_model(
-    cost_model: CostModel, plan: FaultPlan, masking: str
-) -> tuple[CostModel, FaultPlan | None]:
-    """The model, and the fault plan to replay, that judge a schedule
-    patched under ``masking``.
-
-    A windowed patch may use a faulted resource while the fault is not
-    active, so the healthy model judges it with a window-aware degraded
-    replay.  A whole-cycle patch avoids every faulted resource, so the
-    plan's mask judges it -- unless the plan downs every warehouse: then
-    the patch holds only unimpacted files, which the healthy model judges.
-    """
-    if masking == "windowed":
-        return cost_model, plan
-    try:
-        masked = masked_topology(cost_model.topology, plan)
-    except FaultError:
-        return cost_model, None
-    return masked_cost_model(cost_model, masked), None
 
 
 @dataclass
@@ -231,6 +207,9 @@ class RecoveryResult:
     #: ``"windowed"`` (only services actually intersecting a fault window
     #: were re-solved).
     masking: str = "cycle"
+    #: The :func:`~repro.faults.inject.fault_effects` pairs the recovery
+    #: judged hits by, for callers that ask the same question afterwards.
+    effects: tuple = ()
 
     @property
     def videos_resolved(self) -> int:
@@ -357,6 +336,7 @@ class ContingencyScheduler:
             masking=self._masking,
         ) as span:
             result = self._recover(schedule, plan, per_fault, batch)
+            result.effects = tuple(per_fault)
             span.set(
                 impacted=result.videos_resolved,
                 saved=result.requests_saved,
@@ -411,7 +391,7 @@ class ContingencyScheduler:
                 cost_after=cost_before,
                 masking=self._masking,
             )
-        masks = _MaskViews(self._cm.topology, self._cm.replicas)
+        masks = _MaskViews(self._cm)
         if self._masking == "windowed":
             return self._recover_windowed(
                 schedule, plan, splits, batch, masks, cost_before
@@ -433,7 +413,7 @@ class ContingencyScheduler:
             # on the healthy model, like the original.
             solved = solve_two_phase(
                 RequestBatch(saved),
-                masked_cost_model(self._cm, view["topology"]),
+                view["model"],
                 heat_metric=self._metric,
                 obs=self._obs,
                 base=base,
@@ -474,7 +454,7 @@ class ContingencyScheduler:
         difference.
         """
         catalog = self._cm.catalog
-        if masks.view(plan)["topology"] is None:
+        if masks.view(plan)["model"] is None:
             # Total warehouse loss: hit services cannot refill from
             # anywhere, but services at disjoint times already streamed --
             # keep them, drop only what a fault actually touches.
@@ -570,8 +550,7 @@ class ContingencyScheduler:
         seeds: dict[str, tuple[ResidencyInfo, ...]] = {}
         for sig in sorted(groups):
             group = groups[sig]
-            g_topo = group["view"]["topology"]
-            g_cm = masked_cost_model(self._cm, g_topo)
+            g_cm = group["view"]["model"]
             sub_batch = RequestBatch(group["requests"])
             firsts = {
                 video_id: min(
@@ -589,7 +568,7 @@ class ContingencyScheduler:
                 seeds[video_id] = tuple(
                     c
                     for c in kept_res
-                    if c.location in g_topo
+                    if c.location in g_cm.topology
                     and c.t_last <= firsts[video_id]
                 )
             engine = ParallelIndividualScheduler(g_cm, obs=self._obs)
@@ -674,5 +653,4 @@ __all__ = [
     "ContingencyScheduler",
     "MASKING_MODES",
     "RecoveryResult",
-    "judging_model",
 ]

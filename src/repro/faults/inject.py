@@ -1,19 +1,17 @@
 """Mapping fault scenarios onto concrete resource effects.
 
-Two consumers need to know *what* a fault breaks:
+:func:`fault_effects` says what a plan breaks and when -- one pair per
+fault over its own window, or the whole plan combined and in effect for the
+whole cycle -- and :func:`fault_hits` asks those pairs the one question
+every consumer has: which faults break this route or this storage during
+this interval.  The degraded-mode analyzer (:mod:`repro.faults.report`),
+the contingency scheduler (:mod:`repro.faults.contingency`), the rolling
+scheduler's carryover re-roll and the horizon's resume ledger all ask it.
 
-* the degraded-mode analyzer (:mod:`repro.faults.report`) resolves each
-  fault individually and respects its time window;
-* the contingency scheduler (:mod:`repro.faults.contingency`) asks the
-  same questions of :func:`fault_effects` -- per fault, or the whole plan
-  combined and active for the whole cycle -- and re-solves against a
-  :func:`masked_topology` (failed resources removed, degraded ones shrunk)
-  and a :func:`masked_cost_model` over it that the existing Phase-1 + SORP
-  machinery can use without knowing faults exist.
-
-:func:`route_failure` and :func:`stranding` are the two questions both ask:
-does a route cross a totally failed resource, and is a cached copy lost to
-a storage outage while its blocks are resident.
+The contingency scheduler re-solves on the healthy cost model cloned over a
+:func:`masked_topology` (failed resources removed, degraded ones shrunk;
+see :meth:`~repro.core.costmodel.CostModel.with_topology`), which the
+existing Phase-1 + SORP machinery uses without knowing faults exist.
 
 Severity is the remaining fraction of the resource (see
 :mod:`repro.faults.plan`); a warehouse brownout scales every link incident
@@ -25,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.costmodel import CostModel
-from repro.core.schedule import ResidencyInfo
 from repro.errors import FaultError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.topology.graph import Topology, edge_key
@@ -187,11 +183,6 @@ def fault_effects(
     return [(f, effects_of(topology, f)) for f in plan]
 
 
-def in_effect(fault: FaultSpec | None, t0: float, t1: float) -> bool:
-    """Whether a :func:`fault_effects` pair applies to ``[t0, t1)``."""
-    return fault is None or fault.overlaps(t0, t1)
-
-
 def route_failure(
     route: tuple[str, ...], effects: ResourceEffects
 ) -> str | None:
@@ -206,24 +197,40 @@ def route_failure(
     return None
 
 
-def stranding(
-    residency: ResidencyInfo,
-    playback: float,
+def fault_hits(
     per_fault: list[tuple[FaultSpec | None, ResourceEffects]],
-) -> tuple[FaultSpec | None, ResourceEffects] | None:
-    """The first :func:`fault_effects` pair that downs ``residency``'s
-    storage while its blocks are resident, or ``None``.
+    t0: float,
+    t1: float,
+    *,
+    route: tuple[str, ...] = (),
+    storage: str | None = None,
+    shrink: bool = False,
+) -> list[tuple[FaultSpec | None, str]]:
+    """Which :func:`fault_effects` pairs break ``route`` or ``storage``
+    during ``[t0, t1)``, and the resource each one breaks.
 
-    The occupancy is ``[t_start, t_last + playback)``; a copy at a storage
-    that goes down during it is lost.
+    A pair counts when it is in effect over the interval and either downs
+    a node or link of ``route`` (the resource :func:`route_failure` names)
+    or downs ``storage`` -- with ``shrink``, also when it shrinks it.
+    Returns ``(fault, resource)`` pairs in ``per_fault`` order, which for a
+    plan is the canonical order, so the first hit is the earliest fault.
     """
-    occ0, occ1 = residency.t_start, residency.t_last + playback
+    hits = []
     for fault, effects in per_fault:
-        if residency.location in effects.down_nodes and in_effect(
-            fault, occ0, occ1
+        if fault is not None and not fault.overlaps(t0, t1):
+            continue  # not in effect over the interval
+        resource = route_failure(route, effects)
+        if resource is None and storage is not None and (
+            storage in effects.down_nodes
+            or (
+                shrink
+                and any(loc == storage for loc, _ in effects.capacity_factors)
+            )
         ):
-            return fault, effects
-    return None
+            resource = storage
+        if resource is not None:
+            hits.append((fault, resource))
+    return hits
 
 
 def masked_topology(topology: Topology, plan: FaultPlan | FaultSpec) -> Topology:
@@ -272,33 +279,12 @@ def masked_topology(topology: Topology, plan: FaultPlan | FaultSpec) -> Topology
     return out
 
 
-def masked_cost_model(cost_model: CostModel, masked: Topology) -> CostModel:
-    """A flat-rate model over ``masked`` carrying ``cost_model``'s homes.
-
-    The replica map, if any, is restricted to the nodes the mask keeps.
-    Only the topology, catalog and map carry over: a tariff subclass such
-    as :class:`~repro.extensions.pricing.DiurnalCostModel` does not.
-    """
-    replicas = cost_model.replicas
-    return CostModel(
-        masked,
-        cost_model.catalog,
-        replicas=(
-            replicas.restricted_to(masked.node_names)
-            if replicas is not None
-            else None
-        ),
-    )
-
-
 __all__ = [
     "ResourceEffects",
     "effects_of",
     "combined_effects",
     "fault_effects",
-    "in_effect",
-    "masked_cost_model",
     "masked_topology",
     "route_failure",
-    "stranding",
+    "fault_hits",
 ]

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
-from repro.faults.inject import fault_effects, route_failure, stranding
+from repro.core.spacefunc import capacity_slack
+from repro.faults.inject import fault_effects, fault_hits
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import NULL_OBS, Observability
 from repro.sim.engine import SimulationEngine, SimulationReport
@@ -225,14 +226,11 @@ def _classify_damage(
     for fs in schedule:
         video = catalog[fs.video_id]
         for d in fs.deliveries:
-            t0, t1 = d.start_time, d.start_time + video.playback
+            t0 = d.start_time
             verdict: ServiceImpact | None = None
-            for fault, effects in per_fault:
-                if not fault.overlaps(t0, t1):
-                    continue
-                resource = route_failure(d.route, effects)
-                if resource is None:
-                    continue
+            for fault, resource in fault_hits(
+                per_fault, t0, t0 + video.playback, route=d.route
+            ):
                 if fault.active_at(t0):
                     verdict = ServiceImpact(
                         user_id=d.request.user_id,
@@ -258,8 +256,12 @@ def _classify_damage(
                 impacted.setdefault(fs.video_id)
                 (dropped if verdict.outcome == "dropped" else late).append(verdict)
         for c in fs.residencies:
-            hit = stranding(c, video.playback, per_fault)
-            if hit is not None:
+            # a copy at a storage that goes down while resident is lost
+            hits = fault_hits(
+                per_fault, c.t_start, c.t_last + video.playback,
+                storage=c.location,
+            )
+            if hits:
                 impacted.setdefault(fs.video_id)
                 stranded.append(
                     StrandedResidency(
@@ -267,7 +269,7 @@ def _classify_damage(
                         location=c.location,
                         t_start=c.t_start,
                         t_last=c.t_last,
-                        fault=hit[0].key,
+                        fault=hits[0][0].key,
                     )
                 )
 
@@ -307,13 +309,17 @@ def _classify_damage(
                 fault.t_start,
                 fault.t_end,
             )
-            if intervals:
+            if not intervals:
+                continue
+            peak = load.reserved.max_over(fault.t_start, fault.t_end)
+            # the tolerance SORP places under, as in the capacity check
+            if peak > capacity_slack(remaining):
                 overflows.append(
                     StorageStress(
                         location=location,
                         fault=fault.key,
                         effective_capacity=remaining,
-                        peak=load.reserved.max_over(fault.t_start, fault.t_end),
+                        peak=peak,
                         intervals=intervals,
                     )
                 )

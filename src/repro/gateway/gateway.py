@@ -42,7 +42,6 @@ from repro.gateway.quote import Quote, QuoteEngine
 from repro.obs.events import request_key
 from repro.obs.metrics import DOLLAR_BUCKETS
 from repro.service import CycleReport, VORService
-from repro.workload.requests import RequestBatch
 
 _log = logging.getLogger(__name__)
 
@@ -140,10 +139,9 @@ class GatewayCycleReport:
     shed: int
     quote_total: float
     realized_total: float
+    #: The solver-side report of the sealed cycle.
+    report: CycleReport
     reconciliation: tuple[Reconciliation, ...] = ()
-    #: The solver-side report; ``None`` for intake-only sealing (the
-    #: horizon chaining path, where the orchestrator runs the solve).
-    report: CycleReport | None = None
 
     @property
     def rejected_total(self) -> int:
@@ -171,7 +169,7 @@ class GatewayCycleReport:
 
     @property
     def feasible(self) -> bool:
-        return self.report is None or self.report.feasible
+        return self.report.feasible
 
     def to_json_dict(self) -> dict:
         return {
@@ -528,38 +526,6 @@ class ReservationGateway:
             report=report,
         )
 
-    def intake_cycles(
-        self, feed: RequestFeed, boundaries: list[float]
-    ) -> list[tuple[RequestBatch, float]]:
-        """Run intake only, returning ``(batch, cycle_end)`` pairs.
-
-        This is the :class:`~repro.horizon.orchestrator.HorizonOrchestrator`
-        chaining path: the gateway gates and journals the intake
-        lifecycle, the orchestrator reserves/solves the returned cycles.
-        The last boundary sheds the leftover queue (``"final-seal"``).
-        """
-        cycles: list[tuple[RequestBatch, float]] = []
-        events = list(feed)
-        cursor = 0
-        for i, end in enumerate(_checked_boundaries(boundaries)):
-            self._promote()
-            while cursor < len(events) and events[cursor].at <= end:
-                self.intake(events[cursor])
-                cursor += 1
-            batch = RequestBatch(intake.event.request for intake in self._batch)
-            if i == len(boundaries) - 1:
-                self._shed_queue("final-seal")
-            else:
-                self._expire_queue(end)
-            self._sealed_report(end, report=None)
-            cycles.append((batch, end))
-        if cursor < len(events):
-            _log.warning(
-                "%d booking(s) arrived after the last cycle boundary",
-                len(events) - cursor,
-            )
-        return cycles
-
     def run(self, feed: RequestFeed, boundaries: list[float]) -> GatewayRunReport:
         """Gate a whole feed through the service, sealing at each boundary."""
         run = GatewayRunReport(feed_name=feed.name)
@@ -608,10 +574,10 @@ class ReservationGateway:
         self,
         cycle_end: float,
         *,
-        quote_total: float = 0.0,
-        realized_total: float = 0.0,
-        reconciliation: tuple[Reconciliation, ...] = (),
-        report: CycleReport | None,
+        quote_total: float,
+        realized_total: float,
+        reconciliation: tuple[Reconciliation, ...],
+        report: CycleReport,
     ) -> GatewayCycleReport:
         c = self._counters
         cycle = GatewayCycleReport(
@@ -640,7 +606,7 @@ class ReservationGateway:
             shed=cycle.shed,
             quote_total=quote_total,
             realized_total=realized_total,
-            solved=report is not None,
+            solved=True,
         )
         metrics = self.obs.metrics
         if metrics.enabled:

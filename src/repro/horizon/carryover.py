@@ -19,6 +19,10 @@ recovery pass:
 * Saved requests whose original delivery never intersected a total fault
   were merely re-routed, not interrupted; they do not enter the ledger.
 
+Which fault strikes a stream, and whether it downs the neighborhood
+storage, is :func:`~repro.faults.inject.fault_hits` over the plan's
+per-fault effects: the rule recovery and the degraded replay apply.
+
 Credits are pure accounting: the schedule and its billing stay as the
 recovery produced them, and the horizon layer subtracts the ledger's
 credit total when reporting horizon-wide Ψ.  Everything is derived from
@@ -34,7 +38,8 @@ from dataclasses import dataclass
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostModel
 from repro.core.schedule import DeliveryInfo, Schedule
-from repro.faults.plan import FaultPlan, FaultSpec, LINK_KINDS
+from repro.faults.inject import fault_effects, fault_hits
+from repro.faults.plan import FaultPlan
 from repro.workload.requests import Request
 
 #: Ledger outcomes.
@@ -96,49 +101,6 @@ class CarryoverLedger:
         }
 
 
-def _route_edges(route: tuple[str, ...]) -> set[tuple[str, str]]:
-    edges: set[tuple[str, str]] = set()
-    for a, b in zip(route, route[1:]):
-        edges.add((a, b))
-        edges.add((b, a))
-    return edges
-
-
-def _first_hit(
-    delivery: DeliveryInfo, playback: float, plan: FaultPlan
-) -> FaultSpec | None:
-    """Earliest *total* fault striking the delivery's stream window."""
-    t0 = delivery.start_time
-    t1 = t0 + playback
-    edges = _route_edges(delivery.route)
-    hits = []
-    for f in plan:
-        if not f.is_total or not f.overlaps(t0, t1):
-            continue
-        if f.kind in LINK_KINDS:
-            a, b = f.target
-            if (a, b) in edges:
-                hits.append(f)
-        elif f.target in delivery.route:
-            hits.append(f)
-    if not hits:
-        return None
-    return min(hits, key=lambda f: (f.t_start, f._sort_key()))
-
-
-def _storage_lost(
-    request: Request, t0: float, t1: float, plan: FaultPlan
-) -> bool:
-    """Did the requester's neighborhood storage itself go down mid-stream?"""
-    return any(
-        f.is_total
-        and f.kind not in LINK_KINDS
-        and f.target == request.local_storage
-        and f.overlaps(t0, t1)
-        for f in plan
-    )
-
-
 def build_resume_ledger(
     original: Schedule,
     amended: Schedule,
@@ -162,23 +124,30 @@ def build_resume_ledger(
         cost_model: Prices the replacement deliveries' Ψ_D.
         catalog: Supplies playback durations.
     """
+    per_fault = fault_effects(cost_model.topology, plan)
     entries: list[ResumeEntry] = []
     hit_deliveries = []
     for fs in original:
         video = catalog[fs.video_id]
         for old_d in fs.deliveries:
-            hit = _first_hit(old_d, video.playback, plan)
-            if hit is not None:
-                hit_deliveries.append((old_d, hit, video))
+            t0 = old_d.start_time
+            hits = fault_hits(
+                per_fault, t0, t0 + video.playback, route=old_d.route
+            )
+            if hits:
+                # the earliest fault that cuts the stream
+                hit_deliveries.append((old_d, hits[0][0], video))
     hit_deliveries.sort(key=lambda t: t[0].request)
     for old_d, hit, video in hit_deliveries:
         request = old_d.request
         new_d = _find_delivery(amended, request)
         if new_d is None:
             continue  # lost, not resumed: the journal already records it
-        if _storage_lost(
-            request, old_d.start_time, old_d.start_time + video.playback, plan
+        t0 = old_d.start_time
+        if fault_hits(
+            per_fault, t0, t0 + video.playback, storage=request.local_storage
         ):
+            # the neighborhood storage itself went down mid-stream
             entries.append(ResumeEntry(request, "restarted", reason="is-lost"))
             continue
         fraction = (hit.t_start - old_d.start_time) / video.playback

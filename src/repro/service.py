@@ -29,7 +29,7 @@ from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
 from repro.errors import ScheduleError, WorkloadError
 from repro.extensions.rolling import CycleResult, RollingScheduler
-from repro.faults.contingency import RecoveryResult, judging_model
+from repro.faults.contingency import RecoveryResult
 from repro.faults.plan import FaultPlan
 from repro.sim.validate import Violation, validate_schedule
 from repro.topology.graph import Topology
@@ -330,9 +330,11 @@ class VORService:
 
         Re-solves the impacted videos through the contingency scheduler
         (masked topology, Phase 1 + SORP), re-bills, and re-validates the
-        patched schedule with the plan's lost requests excused.  The
-        rolling carryover state is re-rolled from the patched schedule, so
-        the next :meth:`close_cycle` inherits the post-fault reality.
+        patched schedule with the plan's lost requests excused, on the
+        healthy model plus the plan's degraded replay whatever the stance.
+        Only a patched schedule that validates re-rolls the carryover
+        state, so the next :meth:`close_cycle` inherits the post-fault
+        reality -- and a rejected amendment leaves it untouched.
 
         Args:
             report: The :class:`CycleReport` returned by the most recent
@@ -340,9 +342,7 @@ class VORService:
             plan: The active fault scenario.
             masking: ``"cycle"`` re-solves against the conservative
                 whole-cycle mask; ``"windowed"`` re-solves only services
-                intersecting a fault window.  The patched schedule is
-                validated on the model
-                :func:`~repro.faults.contingency.judging_model` picks.
+                intersecting a fault window.
 
         Returns:
             A fresh :class:`CycleReport` whose ``cycle.schedule`` is the
@@ -364,19 +364,18 @@ class VORService:
                 for d in report.cycle.schedule.deliveries
                 if d.request not in lost
             )
-            validate_cm, validate_faults = judging_model(
-                self.cost_model, plan, masking
-            )
             with self.obs.tracer.span("validate") as vspan:
                 violations = validate_schedule(
                     patched,
                     surviving,
-                    validate_cm,
+                    self.cost_model,
                     trusted_residencies=report.cycle.inherited,
-                    faults=validate_faults,
+                    faults=plan,
                     obs=self.obs,
                 )
                 vspan.set(violations=len(violations))
+            if not violations:
+                self._rolling.commit_amendment(recovery)
             staging = None
             if self._staging_planner is not None:
                 with self.obs.tracer.span("staging"):

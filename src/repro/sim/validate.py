@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
-from repro.core.spacefunc import EPS
+from repro.core.spacefunc import EPS, capacity_slack
 from repro.obs import NULL_OBS, Observability
 from repro.sim.engine import SimulationEngine, SimulationReport
 from repro.workload.requests import RequestBatch
@@ -320,8 +320,8 @@ def _check_causality(
 def _check_capacity(report: SimulationReport) -> list[Violation]:
     out: list[Violation] = []
     for loc, load in report.storages.items():
-        slack = load.capacity + EPS + 1e-9 * max(load.capacity, 1.0)
-        if load.reserved_peak > slack:
+        # the tolerance SORP places under
+        if load.reserved_peak > capacity_slack(load.capacity):
             intervals = load.reserved.intervals_above(load.capacity)
             out.append(
                 Violation(

@@ -19,10 +19,12 @@ from repro import (
     VORService,
     units,
 )
-from repro.core.costmodel import CostModel
+from repro.core.costmodel import CacheStats, CostModel
 from repro.errors import ScheduleError
+from repro.extensions.pricing import DiurnalCostModel, TimeOfDayTariff
 from repro.extensions.rolling import RollingScheduler
 from repro.faults import masked_topology
+from repro.replication import ReplicaMap
 from repro.sim.validate import validate_schedule
 from repro.workload.requests import Request, RequestBatch
 
@@ -87,6 +89,25 @@ class TestImpactedVideos:
         topo, catalog, batch, schedule = env
         plan = _window_plan(FaultKind.IS_OUTAGE, "IS2")
         assert "m1" in _impacted(topo, catalog, batch, schedule, plan)
+
+    def test_shrunk_storage_impacts_its_caches(self):
+        topo = Topology()
+        topo.add_warehouse("VW")
+        topo.add_storage("IS1", srate=1e-15, capacity=units.gb(50))
+        topo.add_edge("VW", "IS1", nrate=1e-9)
+        catalog = VideoCatalog(
+            [VideoFile("m0", size=units.gb(2.5), playback=units.minutes(90))]
+        )
+        batch = RequestBatch(
+            [
+                Request(1 * units.HOUR, "m0", "a", "IS1"),
+                Request(2 * units.HOUR, "m0", "b", "IS1"),
+            ]
+        )
+        schedule = VideoScheduler(topo, catalog).solve(batch).schedule
+        assert schedule.residencies  # the second showing plays from IS1
+        plan = _window_plan(FaultKind.CAPACITY_SHRINK, "IS1", severity=0.5)
+        assert _impacted(topo, catalog, batch, schedule, plan) == ("m0",)
 
     def test_empty_effects_impact_nothing(self, env):
         topo, catalog, batch, schedule = env
@@ -195,6 +216,70 @@ class TestRecover:
         assert "recovery" in rec.sla_summary()
 
 
+class TestMaskedModel:
+    """Both stances re-solve on the healthy model cloned over the mask."""
+
+    def test_clone_keeps_class_and_shares_psi_caches(self, env):
+        topo, catalog, batch, schedule = env
+        topo.add_warehouse("VW2")
+        topo.add_edge("VW2", "IS2", nrate=1e-8)
+        tariff = TimeOfDayTariff.evening_peak()
+        cm = DiurnalCostModel(topo, catalog, tariff).with_replicas(
+            ReplicaMap.full_copy(topo, catalog)
+        )
+        cm.total(schedule)  # warm the memo caches
+        plan = _window_plan(FaultKind.WAREHOUSE_LOSS, "VW2")
+        masked = masked_topology(topo, plan)
+        clone = cm.with_topology(masked)
+        assert type(clone) is DiurnalCostModel and clone.tariff is tariff
+        assert clone.topology is masked and clone.router.topology is masked
+        assert clone._psi_c_cache is cm._psi_c_cache
+        assert clone._psi_d_cache is cm._psi_d_cache
+        assert clone.cache_stats == CacheStats()
+        assert all(clone.replicas.homes(v) == ("VW",) for v in ("m0", "m1"))
+        assert clone.total(schedule) == cm.total(schedule)
+
+    def test_recovery_resolves_under_the_tariff(self):
+        # Two evening-peak requests at IS2.  The cheap route crosses IS1,
+        # which is down all day; on the VW-IS2 link a flat-rate re-solve
+        # streams twice ($100 each, less than the $129.60 cache extension)
+        # while a peak-rate one ($300 a stream) caches at IS2.
+        topo = Topology()
+        topo.add_warehouse("VW")
+        topo.add_storage("IS1", srate=2.4e-4, capacity=1e12)
+        topo.add_storage("IS2", srate=2.4e-4, capacity=1e12)
+        topo.add_edge("VW", "IS1", nrate=0.4)
+        topo.add_edge("IS1", "IS2", nrate=0.4)
+        topo.add_edge("VW", "IS2", nrate=1.0)
+        catalog = VideoCatalog(
+            [VideoFile("v", size=100.0, playback=units.HOUR)]
+        )
+        batch = RequestBatch(
+            [
+                Request(19.0 * units.HOUR, "v", "u1", "IS2"),
+                Request(20.0 * units.HOUR, "v", "u2", "IS2"),
+            ]
+        )
+        tariff = TimeOfDayTariff.evening_peak(peak_multiplier=3.0)
+        cm = DiurnalCostModel(topo, catalog, tariff)
+        schedule = VideoScheduler(topo, catalog, cost_model=cm).solve(batch)
+        plan = FaultPlan((
+            FaultSpec(FaultKind.IS_OUTAGE, "IS1", 0.0, units.DAY),
+        ))
+        rec = ContingencyScheduler(cm).recover(
+            schedule.schedule, plan, batch=batch
+        )
+        assert rec.saved == tuple(batch)
+        masked = masked_topology(topo, plan)
+        peak = VideoScheduler(
+            masked, catalog, cost_model=DiurnalCostModel(masked, catalog, tariff)
+        ).solve(batch).schedule
+        flat = VideoScheduler(masked, catalog).solve(batch).schedule
+        assert peak.residencies and not flat.residencies
+        assert rec.schedule.deliveries == peak.deliveries
+        assert rec.schedule.residencies == peak.residencies
+
+
 class TestRollingAmend:
     def test_amend_before_any_cycle_rejected(self):
         topo = _triangle()
@@ -222,6 +307,7 @@ class TestRollingAmend:
         plan = _window_plan(FaultKind.IS_OUTAGE, "IS2")
         recovery = rolling.amend_cycle(result, plan, batch=batch)
         assert recovery.requests_lost == 2
+        rolling.commit_amendment(recovery)
         # IS2's cached copy is gone; nothing at a down node may carry over
         assert all(
             c.location != "IS2" for c in rolling.carryover

@@ -5,6 +5,7 @@ import pytest
 from repro import FaultKind, FaultPlan, FaultSpec, Topology, masked_topology
 from repro.errors import FaultError
 from repro.faults import combined_effects, effects_of
+from repro.faults.inject import fault_effects, fault_hits
 
 
 def _topo() -> Topology:
@@ -129,6 +130,52 @@ class TestCombinedEffects:
     def test_accepts_a_bare_spec(self):
         eff = combined_effects(_topo(), _fault(FaultKind.IS_OUTAGE, "IS1"))
         assert eff.down_nodes == {"IS1"}
+
+
+class TestFaultHits:
+    """Which faults break a route or a storage, and when."""
+
+    PLAN = FaultPlan((
+        FaultSpec(FaultKind.LINK_DOWN, ("IS1", "IS2"), 10.0, 20.0),
+        FaultSpec(FaultKind.IS_OUTAGE, "IS2", 15.0, 30.0),
+        FaultSpec(FaultKind.CAPACITY_SHRINK, "IS1", 0.0, 40.0, severity=0.5),
+    ))
+
+    def _hits(self, t0, t1, *, whole_cycle=False, **kw):
+        per_fault = fault_effects(_topo(), self.PLAN, whole_cycle=whole_cycle)
+        return [
+            (None if f is None else f.kind, resource)
+            for f, resource in fault_hits(per_fault, t0, t1, **kw)
+        ]
+
+    def test_route_hits_name_the_broken_resource_in_plan_order(self):
+        route = ("VW", "IS1", "IS2")
+        assert self._hits(0.0, 50.0, route=route) == [
+            (FaultKind.LINK_DOWN, "IS1-IS2"),
+            (FaultKind.IS_OUTAGE, "IS2"),
+        ]
+
+    def test_only_faults_in_effect_over_the_interval_hit(self):
+        route = ("VW", "IS1", "IS2")
+        assert self._hits(0.0, 10.0, route=route) == []
+        assert self._hits(20.0, 25.0, route=route) == [
+            (FaultKind.IS_OUTAGE, "IS2"),
+        ]
+
+    def test_shrunk_storage_hits_only_when_asked(self):
+        assert self._hits(0.0, 5.0, storage="IS1") == []
+        assert self._hits(0.0, 5.0, storage="IS1", shrink=True) == [
+            (FaultKind.CAPACITY_SHRINK, "IS1"),
+        ]
+        assert self._hits(16.0, 17.0, storage="IS2") == [
+            (FaultKind.IS_OUTAGE, "IS2"),
+        ]
+
+    def test_whole_cycle_pair_is_always_in_effect(self):
+        assert self._hits(100.0, 101.0, whole_cycle=True, storage="IS2") == [
+            (None, "IS2"),
+        ]
+        assert self._hits(100.0, 101.0, storage="IS2") == []
 
 
 class TestMaskedTopology:

@@ -8,7 +8,6 @@ import pytest
 
 from repro import (
     Request,
-    RequestBatch,
     Topology,
     VideoCatalog,
     VideoFile,
@@ -24,7 +23,6 @@ from repro.gateway import (
     ReservationGateway,
     TokenBucketPolicy,
 )
-from repro.horizon import HorizonConfig, HorizonOrchestrator
 from repro.obs.events import write_journal_jsonl
 
 from .conftest import make_service
@@ -316,38 +314,3 @@ class TestDirectBatchEquivalence:
         assert sealed.report.cycle.schedule == baseline.cycle.schedule
         assert sealed.report.cycle.total_cost == baseline.cycle.total_cost
         assert sealed.feasible and baseline.feasible
-
-
-class TestHorizonChaining:
-    def test_intake_cycles_feed_the_orchestrator(
-        self, gw_topology, gw_catalog, gw_feed
-    ):
-        service = make_service(gw_topology, gw_catalog)
-        gateway = ReservationGateway(service)
-        a0, a1 = gw_feed.span
-        boundaries = [(a0 + a1) / 2, max(a1, gw_feed.showing_span[1])]
-        cycles = gateway.intake_cycles(gw_feed, boundaries)
-        assert [end for _, end in cycles] == boundaries
-        assert all(isinstance(batch, RequestBatch) for batch, _ in cycles)
-        assert sum(len(batch) for batch, _ in cycles) > 0
-
-        orch = HorizonOrchestrator(
-            gw_topology, gw_catalog, config=HorizonConfig(migration=None)
-        )
-        report = orch.run(cycles)
-        assert report.feasible
-
-    def test_intake_only_sealing_skips_the_solver(
-        self, gw_topology, gw_catalog, gw_feed
-    ):
-        service = make_service(gw_topology, gw_catalog)
-        gateway = ReservationGateway(service)
-        gateway.intake_cycles(
-            gw_feed, [max(gw_feed.span[1], gw_feed.showing_span[1])]
-        )
-        sealed = [
-            e for e in service.obs.journal if e.kind == "cycle-sealed"
-        ]
-        assert len(sealed) == 1
-        assert dict(sealed[0].attrs)["solved"] is False
-        assert service.pending == 0  # intake never reserved anything

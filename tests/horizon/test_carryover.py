@@ -6,10 +6,17 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import VORService, WorkloadGenerator, paper_catalog, units
+from repro import (
+    VideoScheduler,
+    VORService,
+    WorkloadGenerator,
+    paper_catalog,
+    units,
+)
 from repro.core.schedule import Schedule
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.faults.plan import LINK_KINDS, FaultKind, FaultPlan, FaultSpec
 from repro.horizon import build_resume_ledger
+from repro.horizon.carryover import CarryoverLedger, ResumeEntry
 from repro.topology import paper_topology
 
 
@@ -206,3 +213,112 @@ class TestAggregation:
         assert len(doc["entries"]) == len(ledger.entries)
         for entry_doc in doc["entries"]:
             assert entry_doc["outcome"] in ("resumed", "restarted")
+
+
+# -- the carryover's own fault-hit rule, before it asked fault_hits ----------
+
+
+def _reference_earliest_fault(delivery, playback, plan):
+    """Earliest *total* fault striking the delivery's stream window."""
+    t0, t1 = delivery.start_time, delivery.start_time + playback
+    edges = set()
+    for a, b in zip(delivery.route, delivery.route[1:]):
+        edges |= {(a, b), (b, a)}
+    hits = []
+    for f in plan:
+        if not f.is_total or not f.overlaps(t0, t1):
+            continue
+        if f.kind in LINK_KINDS:
+            if tuple(f.target) in edges:
+                hits.append(f)
+        elif f.target in delivery.route:
+            hits.append(f)
+    if not hits:
+        return None
+    return min(hits, key=lambda f: (f.t_start, f._sort_key()))
+
+
+def _reference_neighborhood_down(request, t0, t1, plan):
+    return any(
+        f.is_total
+        and f.kind not in LINK_KINDS
+        and f.target == request.local_storage
+        and f.overlaps(t0, t1)
+        for f in plan
+    )
+
+
+def _reference_ledger(schedule, plan, cost_model, catalog):
+    """:func:`build_resume_ledger` of a schedule amended to itself, by the
+    carryover's former private rule."""
+    hit = []
+    for fs in schedule:
+        video = catalog[fs.video_id]
+        for d in fs.deliveries:
+            f = _reference_earliest_fault(d, video.playback, plan)
+            if f is not None:
+                hit.append((d, f, video))
+    hit.sort(key=lambda t: t[0].request)
+    entries = []
+    for d, f, video in hit:
+        request = d.request
+        t0 = d.start_time
+        if _reference_neighborhood_down(request, t0, t0 + video.playback, plan):
+            entries.append(ResumeEntry(request, "restarted", reason="is-lost"))
+            continue
+        fraction = max(0.0, min(1.0, (f.t_start - t0) / video.playback))
+        if fraction <= 0.0:
+            entries.append(
+                ResumeEntry(request, "restarted", reason="not-started")
+            )
+            continue
+        credit = fraction * cost_model.delivery_cost(d)
+        entries.append(
+            ResumeEntry(request, "resumed", fraction=fraction, credit=credit)
+        )
+    return CarryoverLedger(entries=tuple(entries))
+
+
+def _drill_env(replicated):
+    """The CI fault-drill environment, or its two-warehouse variant."""
+    topo = paper_topology(
+        nrate=units.per_gb(500),
+        srate=units.per_gb_hour(5),
+        capacity=units.gb(5),
+    )
+    if replicated:
+        topo.add_warehouse("VW2")
+        topo.add_edge("IS7", "VW2", nrate=units.per_gb(500))
+    catalog = paper_catalog(60, seed=4)
+    batch = WorkloadGenerator(topo, catalog, alpha=0.271).generate(seed=4)
+    scheduler = VideoScheduler(topo, catalog)
+    schedule = scheduler.solve(batch).schedule
+    t0, t1 = batch.span
+    horizon = (t0, t1 + max(v.playback for v in catalog))
+    return topo, catalog, schedule, scheduler.cost_model, horizon
+
+
+class TestSharedHitRule:
+    """The ledger asks :func:`~repro.faults.inject.fault_hits`, the rule
+    recovery uses; its former private rule is the reference."""
+
+    @pytest.mark.parametrize(
+        "replicated,kinds",
+        [
+            (False, None),
+            (True, None),
+            (True, (FaultKind.WAREHOUSE_LOSS,)),
+        ],
+    )
+    def test_ledger_matches_the_former_rule(self, replicated, kinds):
+        topo, catalog, schedule, cm, horizon = _drill_env(replicated)
+        for n_faults in (1, 3, 6):
+            for seed in range(40):
+                plan = FaultPlan.generate(
+                    topo, seed=seed, horizon=horizon,
+                    n_faults=n_faults, kinds=kinds,
+                )
+                got = build_resume_ledger(schedule, schedule, plan, cm, catalog)
+                assert got == _reference_ledger(schedule, plan, cm, catalog), (
+                    n_faults, seed,
+                )

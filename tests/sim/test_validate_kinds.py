@@ -16,6 +16,8 @@ from repro.core.schedule import (
     ResidencyInfo,
     Schedule,
 )
+from repro.core.spacefunc import capacity_slack
+from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.sim.validate import validate_schedule
 from repro.topology.graph import Topology
 from repro.workload.requests import Request, RequestBatch
@@ -240,3 +242,43 @@ class TestViolationKinds:
             replicas=ReplicaMap({"v": ("VW",)}),
         )
         assert violations == []
+
+
+class TestCapacityTolerance:
+    """The storage check and the degraded replay's shrunk-capacity check
+    allow usage up to ``capacity_slack``, the tolerance SORP places under."""
+
+    def _cached(self):
+        """A long residency at IS1: its reserved peak is ``SIZE``."""
+        r = Request(0.0, "v", "u1", "IS1")
+        fs = FileSchedule("v")
+        fs.add_delivery(_delivery(r, ("VW", "IS1")))
+        fs.add_residency(
+            ResidencyInfo(
+                "v", "IS1", "VW", t_start=0.0, t_last=5 * PLAYBACK,
+                service_list=("u1",),
+            )
+        )
+        return Schedule([fs]), RequestBatch([r])
+
+    @pytest.mark.parametrize("excess", [5e-10, 1.05e-9, 1e-8])
+    def test_storage_check(self, catalog, excess):
+        capacity = SIZE - excess
+        cm = CostModel(_topology(capacity=capacity), catalog)
+        violations = validate_schedule(*self._cached(), cm)
+        assert bool(violations) == (SIZE > capacity_slack(capacity))
+        assert _kinds(violations) <= {"capacity"}
+
+    @pytest.mark.parametrize("excess", [5e-10, 1.05e-9, 1e-8])
+    def test_shrunk_capacity_replay(self, catalog, excess):
+        remaining = SIZE - excess
+        cm = CostModel(_topology(capacity=2 * remaining), catalog)
+        plan = FaultPlan((
+            FaultSpec(
+                FaultKind.CAPACITY_SHRINK, "IS1", 0.0, 6 * PLAYBACK,
+                severity=0.5,
+            ),
+        ))
+        violations = validate_schedule(*self._cached(), cm, faults=plan)
+        assert bool(violations) == (SIZE > capacity_slack(remaining))
+        assert _kinds(violations) <= {"fault-capacity"}

@@ -125,6 +125,7 @@ class TestRollingIdempotency:
         rolling, batch, result = self._closed_cycle()
         plan = _plan()
         rec1 = rolling.amend_cycle(result, plan, batch=batch, masking=masking)
+        rolling.commit_amendment(rec1)
         carry_once = tuple(rolling.carryover)
         lost1 = set(rec1.lost)
         surviving = RequestBatch([r for r in batch if r not in lost1])
@@ -132,6 +133,7 @@ class TestRollingIdempotency:
         rec2 = rolling.amend_cycle(
             amended, plan, batch=surviving, masking=masking
         )
+        rolling.commit_amendment(rec2)
         assert _schedule_key(rec2.schedule) == _schedule_key(rec1.schedule)
         assert tuple(rolling.carryover) == carry_once
         assert rec2.lost == ()
