@@ -18,6 +18,11 @@ to it *window-aware*:
 * **storage overflows** -- shrunk storages whose Eq. 6 reserved usage
   exceeds the remaining capacity during the window.
 
+Both stresses judge against ``capacity_slack`` of the remaining capacity,
+the tolerance of the healthy storage and link checks.  Only links that a
+fault downs, or degrades while they have a finite bandwidth, read their
+load timeline, so the replay builds no other link timeline.
+
 The report is pure data (deterministic for a given schedule + plan) and
 feeds both the CLI's degraded-mode output and
 :func:`repro.sim.validate.fault_violations`.
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
-from repro.core.spacefunc import capacity_slack
+from repro.core.spacefunc import UsageTimeline, capacity_slack
 from repro.faults.inject import fault_effects, fault_hits
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import NULL_OBS, Observability
@@ -174,6 +179,26 @@ def _clip(
     return tuple(out)
 
 
+def _stress(
+    timeline: UsageTimeline, remaining: float, fault: FaultSpec
+) -> tuple[float, tuple[tuple[float, float], ...]] | None:
+    """``(peak, intervals)`` of usage above ``remaining`` during ``fault``.
+
+    ``None`` unless the peak over the fault window exceeds
+    ``capacity_slack(remaining)``: the tolerance SORP places under and the
+    bandwidth tracker admits within, as in the healthy capacity checks.
+    """
+    intervals = _clip(
+        timeline.intervals_above(remaining), fault.t_start, fault.t_end
+    )
+    if not intervals:
+        return None
+    peak = timeline.max_over(fault.t_start, fault.t_end)
+    if peak <= capacity_slack(remaining):
+        return None
+    return peak, intervals
+
+
 def build_degraded_report(
     schedule: Schedule,
     cost_model: CostModel,
@@ -284,44 +309,20 @@ def _classify_damage(
                 remaining = load.capacity * bw[key]
             else:
                 continue
-            intervals = _clip(
-                load.timeline.intervals_above(remaining),
-                fault.t_start,
-                fault.t_end,
-            )
-            if intervals:
+            stress = _stress(load.timeline, remaining, fault)
+            if stress is not None:
                 saturated.append(
-                    LinkStress(
-                        edge=key,
-                        fault=fault.key,
-                        effective_bandwidth=remaining,
-                        peak=load.timeline.max_over(fault.t_start, fault.t_end),
-                        intervals=intervals,
-                    )
+                    LinkStress(key, fault.key, remaining, *stress)
                 )
         for location, factor in effects.capacity_factors:
             load = simulation.storages.get(location)
             if load is None or load.capacity == float("inf"):
                 continue
             remaining = load.capacity * factor
-            intervals = _clip(
-                load.reserved.intervals_above(remaining),
-                fault.t_start,
-                fault.t_end,
-            )
-            if not intervals:
-                continue
-            peak = load.reserved.max_over(fault.t_start, fault.t_end)
-            # the tolerance SORP places under, as in the capacity check
-            if peak > capacity_slack(remaining):
+            stress = _stress(load.reserved, remaining, fault)
+            if stress is not None:
                 overflows.append(
-                    StorageStress(
-                        location=location,
-                        fault=fault.key,
-                        effective_capacity=remaining,
-                        peak=peak,
-                        intervals=intervals,
-                    )
+                    StorageStress(location, fault.key, remaining, *stress)
                 )
 
     report = DegradedModeReport(

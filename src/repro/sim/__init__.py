@@ -7,7 +7,8 @@ once the chronologically-last service has consumed it) and judges it:
 
 * :mod:`repro.sim.fluid`   -- physical (fluid) cache-occupancy profiles,
 * :mod:`repro.sim.engine`  -- the replay: per-storage and per-link load
-  timelines, counts and makespan,
+  timelines (fluid and link timelines built on first read), counts and
+  makespan,
 * :mod:`repro.sim.validate` -- the verdict: request coverage, causality,
   storage capacity, link bandwidth, replica homes, and (with a fault plan)
   degraded-mode damage, all from one replay.

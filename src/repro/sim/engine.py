@@ -3,12 +3,20 @@
 :class:`SimulationEngine` walks a schedule once and aggregates what it
 puts on each resource:
 
-* per-storage occupancy timelines under both the **fluid** physical model and
-  the paper's **Eq. 6 reserved** model,
-* per-link concurrent-bandwidth timelines (each delivery occupies every edge
-  of its route at the video's bandwidth for one playback length),
+* per-storage occupancy timelines under the paper's **Eq. 6 reserved**
+  model (built by the replay: every validation's capacity check reads
+  them) and the **fluid** physical model (built on first read),
+* per-link concurrent-bandwidth timelines, built on first read (each
+  delivery occupies every edge of its route at the video's bandwidth for
+  one playback length),
 * stream and residency counts and the makespan, from which the replayed
   event counts (4 per stream, 3 per residency) are derived.
+
+A lazy load keeps its inputs as plain tuples in replay order and builds
+its timeline from the same profiles in the same order the first time it
+is read, so every reader gets the timeline an eager replay would build.
+A validation on a topology without link capacities therefore builds one
+timeline per storage and nothing else.
 
 The engine observes; it does not judge.  Feasibility checks live in
 :mod:`repro.sim.validate`, which consumes the engine's report.
@@ -18,11 +26,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.catalog.catalog import VideoCatalog
+from repro.catalog.video import VideoFile
 from repro.core.costmodel import CostModel
-from repro.core.schedule import Schedule
-from repro.core.spacefunc import SpaceProfile, UsageTimeline, LinearSegment
+from repro.core.schedule import ResidencyInfo, Schedule
+from repro.core.spacefunc import (
+    LinearSegment,
+    SpaceProfile,
+    UsageTimeline,
+    capacity_slack,
+)
 from repro.obs import NULL_OBS, Observability, RunTelemetry
 from repro.sim.fluid import fluid_occupancy_profile
 
@@ -34,16 +49,33 @@ class LinkLoad:
     """Bandwidth usage on one undirected link."""
 
     edge: tuple[str, str]
-    timeline: UsageTimeline
     capacity: float
+    #: ``(t0, t1, bandwidth)`` of every stream over the link, in replay order.
+    streams: list[tuple[float, float, float]] = field(
+        default_factory=list, repr=False
+    )
+
+    @cached_property
+    def timeline(self) -> UsageTimeline:
+        return UsageTimeline(
+            SpaceProfile((LinearSegment(t0, t1, bw, bw),))
+            for t0, t1, bw in self.streams
+        )
 
     @property
     def peak(self) -> float:
         return self.timeline.peak
 
     @property
-    def saturated_intervals(self) -> list[tuple[float, float]]:
+    def saturated(self) -> bool:
+        """Whether the load peaks above ``capacity_slack`` of the capacity."""
         if self.capacity == float("inf"):
+            return False
+        return self.peak > capacity_slack(self.capacity)
+
+    @property
+    def saturated_intervals(self) -> list[tuple[float, float]]:
+        if not self.saturated:
             return []
         return self.timeline.intervals_above(self.capacity)
 
@@ -53,9 +85,19 @@ class StorageLoad:
     """Occupancy at one storage under both space models."""
 
     location: str
-    fluid: UsageTimeline
     reserved: UsageTimeline
     capacity: float
+    #: ``(video, residency)`` of every residency here, in replay order.
+    residencies: list[tuple[VideoFile, ResidencyInfo]] = field(
+        default_factory=list, repr=False
+    )
+
+    @cached_property
+    def fluid(self) -> UsageTimeline:
+        return UsageTimeline(
+            fluid_occupancy_profile(v.size, v.playback, c.t_start, c.t_last)
+            for v, c in self.residencies
+        )
 
     @property
     def fluid_peak(self) -> float:
@@ -141,8 +183,10 @@ class SimulationEngine:
 
     def _run(self, schedule: Schedule) -> SimulationReport:
         report = SimulationReport()
-        link_profiles: dict[tuple[str, str], list[SpaceProfile]] = {}
-        by_loc: dict[str, tuple[list[SpaceProfile], list[SpaceProfile]]] = {}
+        links = report.links
+        by_loc: dict[
+            str, tuple[list[tuple[VideoFile, ResidencyInfo]], list[SpaceProfile]]
+        ] = {}
         firsts: list[float] = []
         lasts: list[float] = []
 
@@ -155,43 +199,29 @@ class SimulationEngine:
                 report.n_streams += 1
                 for a, b in zip(d.route, d.route[1:]):
                     key = (a, b) if a <= b else (b, a)
-                    link_profiles.setdefault(key, []).append(
-                        SpaceProfile(
-                            (
-                                LinearSegment(
-                                    t0, t1, video.bandwidth, video.bandwidth
-                                ),
-                            )
+                    load = links.get(key)
+                    if load is None:
+                        load = links[key] = LinkLoad(
+                            key, self._topo.edge(a, b).bandwidth
                         )
-                    )
+                    load.streams.append((t0, t1, video.bandwidth))
             for c in fs.residencies:
                 firsts.append(c.t_start)
                 lasts.append(c.t_last + video.playback)
                 report.n_residencies += 1
-                fl, rs = by_loc.setdefault(c.location, ([], []))
-                fl.append(
-                    fluid_occupancy_profile(
-                        video.size, video.playback, c.t_start, c.t_last
-                    )
-                )
-                rs.append(c.profile(video))
+                residencies, profiles = by_loc.setdefault(c.location, ([], []))
+                residencies.append((video, c))
+                profiles.append(c.profile(video))
         if firsts:
             report.makespan = (min(firsts), max(lasts))
 
         for spec in self._topo.storages:
-            fl, rs = by_loc.get(spec.name, ([], []))
+            residencies, profiles = by_loc.get(spec.name, ([], []))
             report.storages[spec.name] = StorageLoad(
                 location=spec.name,
-                fluid=UsageTimeline(fl),
-                reserved=UsageTimeline(rs),
+                reserved=UsageTimeline(profiles),
                 capacity=spec.capacity,
-            )
-
-        for key, profiles in link_profiles.items():
-            report.links[key] = LinkLoad(
-                edge=key,
-                timeline=UsageTimeline(profiles),
-                capacity=self._topo.edge(*key).bandwidth,
+                residencies=residencies,
             )
         return report
 

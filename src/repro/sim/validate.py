@@ -14,8 +14,9 @@ records (empty = feasible):
 * **storage capacity** -- the Eq. 6 reserved usage stays within capacity at
   every storage (the scheduler's own model);
 * **link bandwidth** -- concurrent streams on a link stay within its
-  bandwidth, when finite (the base paper leaves links uncapacitated; the
-  bandwidth extension uses this check);
+  bandwidth, when finite, with the storage check's tolerance (the base
+  paper leaves links uncapacitated; the bandwidth extension uses this
+  check);
 * **replica coverage** -- with a :class:`~repro.replication.ReplicaMap`
   (passed explicitly or carried by the cost model), every warehouse-sourced
   delivery and residency fill must come from a *home* warehouse of its
@@ -337,10 +338,8 @@ def _check_capacity(report: SimulationReport) -> list[Violation]:
 def _check_links(report: SimulationReport) -> list[Violation]:
     out: list[Violation] = []
     for key, load in report.links.items():
-        if load.capacity == float("inf"):
-            continue
-        slack = load.capacity * (1.0 + 1e-9) + EPS
-        if load.peak > slack:
+        # capacity_slack, the tolerance of the storage check
+        if load.saturated:
             out.append(
                 Violation(
                     "bandwidth",

@@ -18,6 +18,8 @@ from repro.core.schedule import (
 )
 from repro.core.spacefunc import capacity_slack
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.faults.report import build_degraded_report
+from repro.sim.engine import SimulationEngine
 from repro.sim.validate import validate_schedule
 from repro.topology.graph import Topology
 from repro.workload.requests import Request, RequestBatch
@@ -282,3 +284,51 @@ class TestCapacityTolerance:
         violations = validate_schedule(*self._cached(), cm, faults=plan)
         assert bool(violations) == (SIZE > capacity_slack(remaining))
         assert _kinds(violations) <= {"fault-capacity"}
+
+
+class TestLinkTolerance:
+    """Links are judged with ``capacity_slack`` too: a load the bandwidth
+    tracker admits (up to ``cap·(1+1e-12)``) is never flagged, a load
+    ``1e-6`` above the bound always is, healthy or degraded."""
+
+    BOUND = 1e7  # B/s; above ~1e3 the ``1e-12`` band exceeds ``EPS``
+
+    def _streamed(self, bandwidth: float, link_bandwidth: float):
+        """One stream of ``bandwidth`` over a ``link_bandwidth`` link."""
+        catalog = VideoCatalog(
+            [VideoFile("v", size=SIZE, playback=PLAYBACK, bandwidth=bandwidth)]
+        )
+        cm = CostModel(_topology(bandwidth=link_bandwidth), catalog)
+        r = Request(0.0, "v", "u1", "IS1")
+        fs = FileSchedule("v")
+        fs.add_delivery(_delivery(r, ("VW", "IS1")))
+        return Schedule([fs]), RequestBatch([r]), cm
+
+    @pytest.mark.parametrize("rel, flagged", [(1e-12, False), (1e-6, True)])
+    def test_link_check(self, rel, flagged):
+        schedule, batch, cm = self._streamed(
+            self.BOUND * (1 + rel), self.BOUND
+        )
+        violations = validate_schedule(schedule, batch, cm)
+        assert _kinds(violations) == ({"bandwidth"} if flagged else set())
+        load = SimulationEngine(cm).run(schedule).links[("IS1", "VW")]
+        assert load.saturated is flagged
+        assert bool(load.saturated_intervals) is flagged
+
+    @pytest.mark.parametrize("rel, flagged", [(1e-12, False), (1e-6, True)])
+    def test_degraded_link_replay(self, rel, flagged):
+        schedule, batch, cm = self._streamed(
+            self.BOUND * (1 + rel), 2 * self.BOUND
+        )
+        plan = FaultPlan((
+            FaultSpec(
+                FaultKind.LINK_DEGRADED, ("VW", "IS1"), 0.0, 2 * PLAYBACK,
+                severity=0.5,
+            ),
+        ))
+        violations = validate_schedule(schedule, batch, cm, faults=plan)
+        assert _kinds(violations) == (
+            {"fault-bandwidth"} if flagged else set()
+        )
+        report = build_degraded_report(schedule, cm, plan)
+        assert len(report.saturated_links) == int(flagged)
