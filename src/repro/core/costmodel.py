@@ -27,10 +27,22 @@ from dataclasses import dataclass
 
 from repro.catalog.catalog import VideoCatalog
 from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo, Schedule
-from repro.core.spacefunc import gamma_coefficient
 from repro.errors import ScheduleError
 from repro.topology.graph import ChargingBasis, Topology
 from repro.topology.routing import Router
+
+
+def storage_cost(srate: float, size: float, playback: float, span: float) -> float:
+    """Ψ_C of a residency ``span`` seconds long (Eqs. 2-3, Eq. 7 ``gamma``).
+
+    The one copy of the formula: :class:`CostModel` memoizes it and the
+    greedy prices cache extensions with it directly.  The product keeps the
+    historical operand order, so both get bit-identical floats;
+    :func:`~repro.core.spacefunc.charged_space_time` is the same quantity
+    modulo association and is what the invariant tests check against.
+    """
+    g = 1.0 if span >= playback else span / playback
+    return srate * size * g * (span + 0.5 * playback)
 
 
 @dataclass(frozen=True)
@@ -145,9 +157,10 @@ class CostModel:
             Ψ_C values are keyed on ``(srate, size, span, P)`` -- the full
             set of inputs Eq. 2/3 depends on -- and per-route Ψ_D rates on
             the route's node tuple, so cached evaluation is exactly equal to
-            uncached evaluation.  Greedy placement and SORP victim
-            rescheduling reprice the same residency intervals and routes
-            millions of times; the cache turns those into dict lookups.
+            uncached evaluation.  Costing, billing, quotes and the optimal
+            baseline reprice the same residency intervals and routes many
+            times; the cache turns those into dict lookups.  The greedy
+            prices cache extensions with :func:`storage_cost` directly.
         cache_limit: Entry count at which a cache is wiped and restarted
             (bounds memory; correctness is unaffected).
         replicas: Optional :class:`~repro.replication.ReplicaMap` naming the
@@ -281,20 +294,15 @@ class CostModel:
         self._psi_d_cache.clear()
 
     def _psi_c(self, srate: float, size: float, playback: float, span: float) -> float:
-        # NB: the product keeps the historical operand order (and therefore
-        # bit-identical floats); `charged_space_time` is the same quantity
-        # modulo association and is what the invariant tests check against.
         if not self._cache_enabled:
-            g = gamma_coefficient(0.0, span, playback)
-            return srate * size * g * (span + 0.5 * playback)
+            return storage_cost(srate, size, playback, span)
         key = (srate, size, playback, span)
         value = self._psi_c_cache.get(key)
         if value is not None:
             self._c_hits += 1
             return value
         self._c_misses += 1
-        g = gamma_coefficient(0.0, span, playback)
-        value = srate * size * g * (span + 0.5 * playback)
+        value = storage_cost(srate, size, playback, span)
         if len(self._psi_c_cache) >= self._cache_limit:
             self._psi_c_cache.clear()
         self._psi_c_cache[key] = value

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 from repro.catalog.catalog import VideoCatalog
 from repro.catalog.video import VideoFile
-from repro.core.costmodel import CostModel
+from repro.core.costmodel import CostModel, storage_cost
 from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo, Schedule
 from repro.errors import RoutingError, ScheduleError
 from repro.obs import COUNT_BUCKETS, NULL_OBS, Observability
@@ -101,7 +101,10 @@ class IndividualScheduler:
     """Greedy per-file scheduler (``find_video_schedule`` of Table 2).
 
     Args:
-        cost_model: Supplies the topology, catalog, router and Ψ pricing.
+        cost_model: Supplies the topology, catalog, router and tariff.
+            Cache extensions are priced with
+            :func:`~repro.core.costmodel.storage_cost` from the storage
+            rates read here, once, so the greedy makes no memo lookups.
         constraints: Optional residency constraints; ``None`` reproduces the
             capacity-ignorant Phase-1 behaviour, a
             :class:`~repro.core.rejective.ResidencyConstraints` instance
@@ -165,6 +168,7 @@ class IndividualScheduler:
             raise ScheduleError("topology has no warehouse to serve from")
         self._warehouse_set = frozenset(self._warehouses)
         self._storage_names = frozenset(s.name for s in self._topo.storages)
+        self._srates = {n.name: n.srate for n in self._topo.nodes}
         self._replicas = replicas if replicas is not None else cost_model.replicas
 
     # -- public API ----------------------------------------------------------
@@ -339,8 +343,10 @@ class IndividualScheduler:
         # §4).  A copy dearer on the network alone cannot win: its Ψ_C
         # extension is >= 0.
         start = req.start_time
-        cm = self._cm
-        video_id = video.video_id
+        # size and P from the model's catalog, as every Ψ_C evaluation reads them
+        entry = self._cm.catalog[video.video_id]
+        size, playback = entry.size, entry.playback
+        srates = self._srates
         best_key = None if best is None else best.sort_key
         # (sort key, residency index, route, network share): tuple order is
         # pick order, the lowest index winning equal keys
@@ -363,9 +369,10 @@ class IndividualScheduler:
             network = volume * route.rate
             if best is not None and network > best.cost:
                 continue
-            ext_cost = cm.residency_cost_for(
-                video_id, c.location, c.t_start, t_last
-            ) - cm.residency_cost_for(video_id, c.location, c.t_start, c.t_last)
+            srate = srates[c.location]
+            ext_cost = storage_cost(
+                srate, size, playback, t_last - c.t_start
+            ) - storage_cost(srate, size, playback, c.t_last - c.t_start)
             # the layout of _Candidate.sort_key, cache kind_rank 0
             key = (network + ext_cost, route.hops, 0, c.location)
             if best_key is None or key < best_key:

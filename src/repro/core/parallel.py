@@ -4,8 +4,9 @@ Individual Video Scheduling (paper Sec. 3.2) partitions the cycle's
 requests into per-video sets ``R_i`` and computes each file's schedule
 independently.  :class:`ParallelIndividualScheduler` runs that loop in the
 deterministic ``RequestBatch.by_video()`` order (first-request order),
-seeding each video's greedy with its carryover residencies, and reports
-the cost-cache activity the run caused.
+seeding each video's greedy with its carryover residencies.  The greedy
+prices with :func:`repro.core.costmodel.storage_cost`, so a run makes no
+cost-cache lookups.
 
 Observability: every run is wrapped in an ``ivsp`` span and each per-video
 solve records an ``ivsp.video`` span (see :mod:`repro.core.individual`).
@@ -22,15 +23,10 @@ the resulting schedule; see :mod:`repro.core.sorp`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.catalog.catalog import VideoCatalog
-from repro.core.costmodel import (
-    CacheStats,
-    CacheStatsDetail,
-    CostModel,
-    record_cache_metrics,
-)
+from repro.core.costmodel import CostModel
 from repro.core.individual import IndividualScheduler
 from repro.core.schedule import ResidencyInfo, Schedule
 from repro.obs import NULL_OBS, Observability
@@ -42,10 +38,6 @@ class Phase1Result:
     """Outcome of one Phase-1 run."""
 
     schedule: Schedule
-    #: Cost-cache activity of this run (the cost model's counter delta).
-    cache_stats: CacheStats = field(default_factory=CacheStats)
-    #: Per-cache (Ψ_C vs Ψ_D) breakdown of :attr:`cache_stats`.
-    detail: CacheStatsDetail = field(default_factory=CacheStatsDetail)
 
 
 class ParallelIndividualScheduler:
@@ -65,7 +57,6 @@ class ParallelIndividualScheduler:
         *,
         obs: Observability | None = None,
     ):
-        self._cm = cost_model
         self._obs = obs if obs is not None else NULL_OBS
         self._scheduler = IndividualScheduler(cost_model, obs=self._obs)
 
@@ -87,8 +78,5 @@ class ParallelIndividualScheduler:
         with self._obs.tracer.span(
             "ivsp", videos=len(batch.video_ids), requests=len(batch)
         ):
-            before = self._cm.cache_stats_detail
             schedule = self._scheduler.solve(batch, catalog, seeds=seeds)
-            detail = self._cm.cache_stats_detail - before
-        record_cache_metrics(self._obs.metrics, detail, phase="ivsp")
-        return Phase1Result(schedule, cache_stats=detail.combined, detail=detail)
+        return Phase1Result(schedule)

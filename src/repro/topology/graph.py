@@ -112,6 +112,11 @@ class Topology:
     _edges: dict[tuple[str, str], Edge] = field(default_factory=dict)
     _adjacency: dict[str, list[str]] = field(default_factory=dict)
     _pair_rates: dict[tuple[str, str], float] = field(default_factory=dict)
+    # warehouse nodes in insertion order, kept by _add_node: every gateway
+    # quote asks for them, so they are not re-found by a scan of _nodes
+    _warehouses: list[NodeSpec] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
     # -- construction -----------------------------------------------------
 
@@ -132,6 +137,8 @@ class Topology:
             raise TopologyError(f"duplicate node {spec.name!r}")
         self._nodes[spec.name] = spec
         self._adjacency[spec.name] = []
+        if spec.is_warehouse:
+            self._warehouses.append(spec)
         return spec
 
     def add_edge(self, a: str, b: str, *, nrate: float, bandwidth: float = math.inf) -> Edge:
@@ -182,7 +189,7 @@ class Topology:
 
     @property
     def warehouses(self) -> list[NodeSpec]:
-        return [n for n in self._nodes.values() if n.is_warehouse]
+        return list(self._warehouses)
 
     @property
     def storages(self) -> list[NodeSpec]:

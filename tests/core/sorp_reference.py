@@ -65,9 +65,11 @@ class EagerIndividualScheduler(IndividualScheduler):
         for idx, c in enumerate(residencies):
             if c.t_start > start:
                 continue
-            c.check_extension(start)
+            # a cache already held past the start (a seed) serves at a zero
+            # Ψ_C extension
+            t_last = max(start, c.t_last)
             if constraints is not None and not constraints.allows(
-                video, c.location, c.t_start, start, replacing=c
+                video, c.location, c.t_start, t_last, replacing=c
             ):
                 continue
             try:
@@ -79,7 +81,7 @@ class EagerIndividualScheduler(IndividualScheduler):
             if route is None:
                 continue
             ext_cost = self._cm.residency_cost_for(
-                video.video_id, c.location, c.t_start, start
+                video.video_id, c.location, c.t_start, t_last
             ) - self._cm.residency_cost_for(
                 video.video_id, c.location, c.t_start, c.t_last
             )

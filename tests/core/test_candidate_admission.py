@@ -4,12 +4,15 @@ The greedy (:mod:`repro.core.individual`) prices every cache copy first
 and asks its constraints only about the copies that beat the cheapest
 warehouse, cheapest first.  These tests hold it to the eager greedy of
 :mod:`tests.core.sorp_reference`, which asks about every cache candidate
-in residency order before pricing it: equal file schedules in Phase 1, in
-the rejective greedy with the reference constraints, and in the
-bandwidth-aware scheduler with live capacity constraints.  They also pin
-the two facts the exactness argument rests on: copies that cannot beat the
-cheapest warehouse are never asked about, and a Ψ_C extension is never
-negative, also where the span crosses the playback length.
+in residency order before pricing it through
+:meth:`~repro.core.costmodel.CostModel.residency_cost_for`: equal file
+schedules in Phase 1 (also under a diurnal tariff, on an uncached model,
+with carryover seeds held past a request's start and over a two-warehouse
+replica map), in the rejective greedy with the reference constraints, and
+in the bandwidth-aware scheduler with live capacity constraints.  They
+also pin the two facts the exactness argument rests on: copies that cannot
+beat the cheapest warehouse are never asked about, and a Ψ_C extension is
+never negative, also where the span crosses the playback length.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from hypothesis import strategies as st
 from repro import (
     CostModel,
     IndividualScheduler,
+    ReplicaMap,
     Request,
     ResidencyInfo,
     Topology,
@@ -35,7 +39,13 @@ from repro import (
     paper_topology,
     units,
 )
-from repro.extensions import BandwidthAwareScheduler
+from repro.core import individual
+from repro.core.costmodel import storage_cost
+from repro.extensions import (
+    BandwidthAwareScheduler,
+    DiurnalCostModel,
+    TimeOfDayTariff,
+)
 from repro.topology.generators import PAPER_STORAGE_COUNT, PAPER_TOPOLOGY_EDGES
 
 from .sorp_reference import (
@@ -72,6 +82,72 @@ class TestLazyEqualsEager:
     def test_phase1(self, inst):
         topo, catalog, batch = _instance(*inst)
         cm = CostModel(topo, catalog)
+        lazy = IndividualScheduler(cm).solve(batch)
+        eager = EagerIndividualScheduler(cm).solve(batch)
+        assert lazy == eager
+
+    @given(inst=instances)
+    @settings(max_examples=15, deadline=None)
+    def test_phase1_diurnal_tariff(self, inst):
+        topo, catalog, batch = _instance(*inst)
+        cm = DiurnalCostModel(topo, catalog, TimeOfDayTariff.evening_peak())
+        lazy = IndividualScheduler(cm).solve(batch)
+        eager = EagerIndividualScheduler(cm).solve(batch)
+        assert lazy == eager
+
+    @given(inst=instances)
+    @settings(max_examples=15, deadline=None)
+    def test_phase1_uncached_model(self, inst):
+        topo, catalog, batch = _instance(*inst)
+        cm = CostModel(topo, catalog, cache=False)
+        lazy = IndividualScheduler(cm).solve(batch)
+        eager = EagerIndividualScheduler(cm).solve(batch)
+        assert lazy == eager
+
+    @given(inst=instances)
+    @settings(max_examples=15, deadline=None)
+    def test_phase1_seeds_held_past_the_start(self, inst):
+        # every video carries two caches over, held to the middle of its
+        # requests: one at its first requester's storage (so that request
+        # is served from it at a zero Ψ_C extension) and one elsewhere
+        topo, catalog, batch = _instance(*inst)
+        cm = CostModel(topo, catalog)
+        storages = [s.name for s in topo.storages]
+        seeds = {}
+        for i, (video_id, requests) in enumerate(batch.by_video().items()):
+            first = min(requests)
+            last = max(requests)
+            held = first.start_time + 0.5 * (last.start_time - first.start_time)
+            other = [s for s in storages if s != first.local_storage]
+            seeds[video_id] = tuple(
+                ResidencyInfo(
+                    video_id, location, "VW", first.start_time - 600.0,
+                    held + 1.0,
+                )
+                for location in (first.local_storage, other[i % len(other)])
+            )
+        lazy = IndividualScheduler(cm).solve(batch, seeds=seeds)
+        eager = EagerIndividualScheduler(cm).solve(batch, seeds=seeds)
+        assert lazy == eager
+        for fs in lazy:
+            local = seeds[fs.video_id][0]
+            first = min(fs.deliveries, key=lambda d: d.start_time)
+            assert first.route == (local.location,)
+            assert first.start_time < local.t_last
+
+    @given(inst=instances)
+    @settings(max_examples=15, deadline=None)
+    def test_phase1_two_warehouse_replicas(self, inst):
+        topo, catalog, batch = _instance(*inst)
+        topo.add_warehouse("VW2")
+        topo.add_edge(
+            "VW2", f"IS{PAPER_STORAGE_COUNT}", nrate=units.per_gb(500)
+        )
+        homes = (("VW",), ("VW2",), ("VW", "VW2"))
+        replicas = ReplicaMap(
+            {v.video_id: homes[i % 3] for i, v in enumerate(catalog)}
+        )
+        cm = CostModel(topo, catalog, replicas=replicas)
         lazy = IndividualScheduler(cm).solve(batch)
         eager = EagerIndividualScheduler(cm).solve(batch)
         assert lazy == eager
@@ -206,15 +282,25 @@ class TestAskOnlyWhatCanWin:
         assert route == ("IS1", "IS2")
 
     def test_dearer_network_copy_is_not_priced(self, monkeypatch):
+        # SEEDS with distinct fill times, so the span a copy is extended to
+        # names the copy
+        seeds = (
+            ResidencyInfo("v", "IS5", "VW", 98.0, 98.0),
+            ResidencyInfo("v", "IS3", "VW", 0.0, 0.0),
+            ResidencyInfo("v", "IS1", "VW", 97.0, 97.0),
+            ResidencyInfo("v", "IS2", "VW", 99.0, 99.0),
+        )
+        extended_to = {100.0 - c.t_start: c.location for c in seeds}
         priced = []
-        real = CostModel.residency_cost_for
+        real = individual.storage_cost
 
-        def recording(self, video_id, location, t_start, t_last):
-            priced.append(location)
-            return real(self, video_id, location, t_start, t_last)
+        def recording(srate, size, playback, span):
+            if span in extended_to:
+                priced.append(extended_to[span])
+            return real(srate, size, playback, span)
 
-        monkeypatch.setattr(CostModel, "residency_cost_for", recording)
-        self._serve(IndividualScheduler, {})
+        monkeypatch.setattr(individual, "storage_cost", recording)
+        self._serve(IndividualScheduler, {}, seeds)
         assert "IS3" in priced  # priced, then loses to the warehouse
         assert "IS5" not in priced
 
@@ -231,9 +317,15 @@ class TestExtensionIsNonNegative:
         topo.add_storage("IS1", srate=srate, capacity=math.inf)
         topo.add_edge("VW", "IS1", nrate=1.0)
         cm = CostModel(topo, VideoCatalog([VideoFile("v", size, playback)]))
-        return cm.residency_cost_for(
+        priced = cm.residency_cost_for(
             "v", "IS1", t_start, start
         ) - cm.residency_cost_for("v", "IS1", t_start, t_last)
+        # the greedy's own pricing: the same floats, so the same sign
+        direct = storage_cost(
+            srate, size, playback, start - t_start
+        ) - storage_cost(srate, size, playback, t_last - t_start)
+        assert direct == priced
+        return direct
 
     @given(
         srate=st.floats(min_value=1e-12, max_value=1e3),

@@ -1,6 +1,6 @@
-"""Property-based invariants of the cost model (seeded ``random``, no deps).
+"""Property-based invariants of the cost model.
 
-Each property fuzzes ~200 parameter tuples:
+Each seeded-``random`` property fuzzes ~200 parameter tuples:
 
 * **Ψ_C continuity** at the long/short residency boundary ``t_f - t_s = P``
   (where Eq. 3 hands over to the Eq. 6-7 gamma form);
@@ -8,6 +8,10 @@ Each property fuzzes ~200 parameter tuples:
 * **Ψ_D additivity** over hops (per-hop charging is a sum of edge rates);
 * **cache transparency**: memoized evaluation equals uncached evaluation
   bit-for-bit on random evaluation sequences.
+
+A Hypothesis property pins :func:`~repro.core.costmodel.storage_cost`, the
+one Eq. 2/3 expression the greedy and the memo share, bit-for-bit to the
+formula and to ``residency_cost_for`` with and without the memo.
 """
 
 from __future__ import annotations
@@ -16,8 +20,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CostModel, Request, Topology, VideoCatalog, VideoFile
+from repro.core.costmodel import storage_cost
 from repro.core.schedule import DeliveryInfo, ResidencyInfo
 from repro.core.spacefunc import charged_space_time, gamma_coefficient
 
@@ -195,3 +202,47 @@ class TestCacheTransparency:
         for i in range(200):
             cm.residency_cost_for("v", "IS1", 0.0, float(i))
         assert len(cm._psi_c_cache) <= 16
+
+
+@st.composite
+def _storage_cost_inputs(draw):
+    """(srate, size, P, span), the span at 0, tiny, around P or huge."""
+    srate = draw(st.floats(min_value=1e-12, max_value=1e3))
+    size = draw(st.floats(min_value=1.0, max_value=1e12))
+    playback = draw(st.floats(min_value=1e-3, max_value=1e5))
+    span = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=5e-324, max_value=1e-300),
+            st.sampled_from(
+                (
+                    math.nextafter(playback, 0.0),
+                    playback,
+                    math.nextafter(playback, math.inf),
+                )
+            ),
+            st.floats(min_value=0.0, max_value=3.0 * playback),
+            st.floats(min_value=1e15, max_value=1e200),
+        )
+    )
+    return srate, size, playback, span
+
+
+class TestStorageCost:
+    @given(inputs=_storage_cost_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_formula_and_both_model_paths(self, inputs):
+        srate, size, playback, span = inputs
+        got = storage_cost(srate, size, playback, span)
+        g = gamma_coefficient(0.0, span, playback)
+        assert got.hex() == (srate * size * g * (span + 0.5 * playback)).hex()
+        topo = Topology()
+        topo.add_warehouse("VW")
+        topo.add_storage("IS1", srate=srate)
+        topo.add_edge("VW", "IS1", nrate=1.0)
+        catalog = VideoCatalog([VideoFile("v", size, playback)])
+        for cache in (True, False):
+            cm = CostModel(topo, catalog, cache=cache)
+            for _ in range(2):  # a miss, then (when cached) a hit
+                via_model = cm.residency_cost_for("v", "IS1", 0.0, span)
+                assert via_model.hex() == got.hex()

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.errors import TopologyError
+from repro.faults import FaultKind, FaultSpec
+from repro.faults.inject import masked_topology
 from repro.topology import ChargingBasis, NodeKind, Topology
 
 
@@ -137,3 +139,61 @@ class TestCopies:
     def test_charging_basis_preserved(self, small_topo):
         small_topo.charging_basis = ChargingBasis.END_TO_END
         assert small_topo.with_srate(1.0).charging_basis is ChargingBasis.END_TO_END
+
+
+class TestWarehouseList:
+    """``warehouses`` is kept as nodes are added, not re-scanned."""
+
+    @staticmethod
+    def _interleaved() -> Topology:
+        t = Topology()
+        t.add_storage("IS1", srate=1e-12, capacity=5e9)
+        t.add_warehouse("VW2")
+        t.add_storage("IS2", srate=2e-12, capacity=8e9)
+        t.add_warehouse("VW1")
+        t.add_warehouse("VW3")
+        t.add_edge("VW2", "IS1", nrate=1e-7)
+        t.add_edge("IS1", "IS2", nrate=1e-7)
+        t.add_edge("IS2", "VW1", nrate=1e-7)
+        t.add_edge("IS2", "VW3", nrate=1e-7)
+        return t
+
+    def test_insertion_order(self):
+        t = self._interleaved()
+        assert [w.name for w in t.warehouses] == ["VW2", "VW1", "VW3"]
+        assert t.warehouses == [n for n in t.nodes if n.is_warehouse]
+
+    def test_returns_a_copy(self):
+        t = self._interleaved()
+        t.warehouses.clear()
+        assert len(t.warehouses) == 3
+
+    def test_order_survives_copies_and_masks(self):
+        t = self._interleaved()
+        outage = FaultSpec(
+            kind=FaultKind.WAREHOUSE_LOSS, target="VW1", t_start=0.0, t_end=1.0
+        )
+        for copy, names in (
+            (t.with_srate(3e-12), ["VW2", "VW1", "VW3"]),
+            (t.with_nrate(3e-7), ["VW2", "VW1", "VW3"]),
+            (t.with_capacity(11e9), ["VW2", "VW1", "VW3"]),
+            (masked_topology(t, outage), ["VW2", "VW3"]),
+        ):
+            assert [w.name for w in copy.warehouses] == names
+            assert copy.warehouses == [n for n in copy.nodes if n.is_warehouse]
+
+    def test_equality_unchanged(self):
+        a, b = self._interleaved(), self._interleaved()
+        assert a == b
+        b.add_warehouse("VW4")
+        assert a != b
+        # node order never entered equality; the kept list does not either
+        c = Topology()
+        for name in ("VW3", "VW1", "VW2"):
+            c.add_warehouse(name)
+        c.add_storage("IS2", srate=2e-12, capacity=8e9)
+        c.add_storage("IS1", srate=1e-12, capacity=5e9)
+        for x, y in (("VW2", "IS1"), ("IS1", "IS2"), ("IS2", "VW1"), ("IS2", "VW3")):
+            c.add_edge(x, y, nrate=1e-7)
+        assert [w.name for w in c.warehouses] == ["VW3", "VW1", "VW2"]
+        assert a == c
