@@ -10,12 +10,11 @@ Also runs standalone as the scheduler report::
     PYTHONPATH=src python benchmarks/bench_scheduler_perf.py [--quick]
         [--videos N] [--json-out BENCH_phase1.json]
 
-which times Phase 1 over a 500-video batch (``--quick``: 60 videos) with
-and without the cost cache, verifies the cache leaves the schedule
-bit-identical, and reports cost-cache hit rates.  ``--json-out``
+which times Phase 1 over a 500-video batch (``--quick``: 60 videos) and
+reports the route-table hit rate of a full solve.  ``--json-out``
 additionally writes the whole report as machine-readable JSON (wall
-times, cache hit rates, schedule Ψ) so CI can archive it as an artifact
-and diff runs over time.
+times, route-table hit rates, schedule Ψ) so CI can archive it as an
+artifact and diff runs over time.
 
 ``--compare BASELINE.json`` checks the run against a committed baseline
 report (see ``benchmarks/BENCH_phase1.json``): the deterministic outputs
@@ -107,13 +106,6 @@ def test_bench_phase1_only(benchmark, env):
     topo, catalog, batch = env
     cm = CostModel(topo, catalog)
     greedy = IndividualScheduler(cm)
-    schedule = benchmark(lambda: greedy.solve(batch))
-    assert len(schedule.deliveries) == len(batch)
-
-
-def test_bench_phase1_uncached(benchmark, env):
-    topo, catalog, batch = env
-    greedy = IndividualScheduler(CostModel(topo, catalog, cache=False))
     schedule = benchmark(lambda: greedy.solve(batch))
     assert len(schedule.deliveries) == len(batch)
 
@@ -665,20 +657,19 @@ def _gateway_drill():
 
 
 def _time_phase1(topo, catalog, batch, repeats):
-    """Best-of-N wall time of one Phase-1 run plus its result."""
+    """Best-of-N wall time of one Phase-1 run."""
     best = float("inf")
-    result = None
     for _ in range(repeats):
         engine = ParallelIndividualScheduler(CostModel(topo, catalog))
         t0 = time.perf_counter()
-        result = engine.run(batch)
+        engine.run(batch)
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Phase-1 timing, cache and drill report"
+        description="Phase-1 timing, route-table and drill report"
     )
     parser.add_argument(
         "--quick", action="store_true", help="60-video smoke run (CI-sized)"
@@ -712,24 +703,13 @@ def main(argv=None) -> int:
         f"best of {repeats}"
     )
 
-    phase1_t, phase1 = _time_phase1(topo, catalog, batch, repeats)
-    # time the uncached model separately for the cache-win line
-    t0 = time.perf_counter()
-    uncached_schedule = ParallelIndividualScheduler(
-        CostModel(topo, catalog, cache=False)
-    ).run(batch).schedule
-    uncached_t = time.perf_counter() - t0
-    assert uncached_schedule == phase1.schedule, "cache changed the schedule!"
-
-    # cache hit rate of a full two-phase solve (greedy + SORP repricing)
+    phase1_t = _time_phase1(topo, catalog, batch, repeats)
+    # route-table hit rate of a full two-phase solve (SORP and costing)
     solve = VideoScheduler(topo, catalog).solve(batch)
 
+    print(f"\nPhase 1: {phase1_t:.3f}s")
     print(
-        f"\nPhase 1: {phase1_t:.3f}s cached, {uncached_t:.3f}s uncached "
-        f"(cache win {uncached_t / phase1_t:.2f}x, bit-identical)"
-    )
-    print(
-        f"full solve cache: {solve.cache_stats.hits}/"
+        f"full solve route table: {solve.cache_stats.hits}/"
         f"{solve.cache_stats.lookups} hits "
         f"({100 * solve.cache_hit_rate:.1f}%), "
         f"SORP share {solve.resolution.cache_stats.lookups} lookups"
@@ -810,10 +790,6 @@ def main(argv=None) -> int:
                 "quick": args.quick,
             },
             "phase1": {"wall_time_seconds": phase1_t},
-            "uncached": {
-                "wall_time_seconds": uncached_t,
-                "cache_win": uncached_t / phase1_t,
-            },
             "solve": {
                 "psi_total_dollars": solve.total_cost,
                 "psi_network_dollars": solve.cost.network,

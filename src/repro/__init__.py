@@ -27,7 +27,6 @@ from repro.billing import BillingStatement, Invoice, allocate_costs
 from repro.catalog import VideoCatalog, VideoFile, paper_catalog, uniform_catalog
 from repro.core import (
     CacheStats,
-    CacheStatsDetail,
     CostBreakdown,
     CostModel,
     DeliveryInfo,
@@ -133,7 +132,6 @@ __all__ = [
     "paper_catalog",
     "uniform_catalog",
     "CacheStats",
-    "CacheStatsDetail",
     "CostBreakdown",
     "CostModel",
     "DeliveryInfo",

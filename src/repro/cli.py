@@ -882,7 +882,7 @@ def _run_environment(args: argparse.Namespace) -> int:
                 ["network-only baseline ($)", network_only_cost(batch, cm)],
                 ["overflow fixes", result.resolution.iterations],
                 [
-                    "cost-cache hit rate",
+                    "route-table hit rate",
                     f"{100 * result.cache_hit_rate:.1f} % "
                     f"({result.cache_stats.hits}/{result.cache_stats.lookups})",
                 ],

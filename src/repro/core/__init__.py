@@ -29,7 +29,6 @@ from repro.core.spacefunc import (
 )
 from repro.core.costmodel import (
     CacheStats,
-    CacheStatsDetail,
     CostBreakdown,
     CostModel,
     record_cache_metrics,
@@ -57,7 +56,6 @@ __all__ = [
     "gamma_coefficient",
     "residency_profile",
     "CacheStats",
-    "CacheStatsDetail",
     "CostBreakdown",
     "CostModel",
     "record_cache_metrics",

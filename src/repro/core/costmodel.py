@@ -19,6 +19,10 @@ each link), which is why the model reads them from the topology rather than
 taking global constants.
 """
 
+# Names kept: vorbench/layers.py reads CostModel.cache_stats_detail.combined
+# (lookups, hits) for its costmodel.* counts, so cache_stats_detail and
+# CacheStats.combined stay as one-line aliases of the route-table counters.
+
 from __future__ import annotations
 
 import copy
@@ -35,9 +39,10 @@ from repro.topology.routing import Router
 def storage_cost(srate: float, size: float, playback: float, span: float) -> float:
     """Ψ_C of a residency ``span`` seconds long (Eqs. 2-3, Eq. 7 ``gamma``).
 
-    The one copy of the formula: :class:`CostModel` memoizes it and the
-    greedy prices cache extensions with it directly.  The product keeps the
-    historical operand order, so both get bit-identical floats;
+    The one copy of the formula: :class:`CostModel` prices every residency
+    with it and the greedy prices cache extensions with it directly.  The
+    product keeps the historical operand order, so both get bit-identical
+    floats;
     :func:`~repro.core.spacefunc.charged_space_time` is the same quantity
     modulo association and is what the invariant tests check against.
     """
@@ -47,7 +52,7 @@ def storage_cost(srate: float, size: float, playback: float, span: float) -> flo
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss counters of the memoized cost-evaluation cache.
+    """Hit/miss counters of the cost model's route-rate table.
 
     Instances are immutable snapshots; subtract two snapshots to get the
     activity between them, add several to aggregate across models.
@@ -62,10 +67,15 @@ class CacheStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups answered from the cache (0.0 when idle)."""
+        """Fraction of lookups answered from the table (0.0 when idle)."""
         if not self.lookups:
             return 0.0
         return self.hits / self.lookups
+
+    @property
+    def combined(self) -> "CacheStats":
+        """These counters (kept for vorbench; see the module comment)."""
+        return self
 
     def __add__(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(self.hits + other.hits, self.misses + other.misses)
@@ -74,62 +84,33 @@ class CacheStats:
         return CacheStats(self.hits - other.hits, self.misses - other.misses)
 
 
-@dataclass(frozen=True)
-class CacheStatsDetail:
-    """Per-cache breakdown of the memoization counters.
+def record_cache_metrics(metrics, stats: CacheStats, *, phase: str) -> None:
+    """Fold route-table counters into a metrics registry under a phase label.
 
-    ``psi_c`` covers the Eq. 2/3 storage-cost cache, ``psi_d`` the
-    per-route network-rate cache.  Lookup *totals* per cache are
-    deterministic for a seeded batch (they count Ψ evaluations); the
-    hit/miss split depends on cache temperature.
-    """
-
-    psi_c: CacheStats = CacheStats()
-    psi_d: CacheStats = CacheStats()
-
-    @property
-    def combined(self) -> CacheStats:
-        return self.psi_c + self.psi_d
-
-    def __add__(self, other: "CacheStatsDetail") -> "CacheStatsDetail":
-        return CacheStatsDetail(self.psi_c + other.psi_c, self.psi_d + other.psi_d)
-
-    def __sub__(self, other: "CacheStatsDetail") -> "CacheStatsDetail":
-        return CacheStatsDetail(self.psi_c - other.psi_c, self.psi_d - other.psi_d)
-
-
-def record_cache_metrics(metrics, detail: CacheStatsDetail, *, phase: str) -> None:
-    """Fold cache counters into a metrics registry under a phase label.
-
-    Ψ *evaluation* totals (``hits + misses`` per cache) are deterministic
-    for a seeded batch -- the greedy performs the same pricing sequence on
-    every run -- so they register as comparable counters; the hit/miss
-    split depends on cache temperature and is flagged
-    ``deterministic=False``.
+    Lookup totals are deterministic for a seeded batch -- a pass prices
+    the same deliveries in the same order on every run -- so they register
+    as comparable counters; the hit/miss split depends on table
+    temperature and is flagged ``deterministic=False``.
     """
     if not metrics.enabled:
         return
-    for cache, stats in (("psi_c", detail.psi_c), ("psi_d", detail.psi_d)):
-        metrics.counter(
-            "vor_psi_evaluations_total",
-            help="Ψ cost-term evaluations (memoization-cache lookups)",
-            cache=cache,
-            phase=phase,
-        ).inc(stats.lookups)
-        metrics.counter(
-            "vor_cost_cache_hits_total",
-            help="Cost-evaluation cache hits",
-            deterministic=False,
-            cache=cache,
-            phase=phase,
-        ).inc(stats.hits)
-        metrics.counter(
-            "vor_cost_cache_misses_total",
-            help="Cost-evaluation cache misses",
-            deterministic=False,
-            cache=cache,
-            phase=phase,
-        ).inc(stats.misses)
+    metrics.counter(
+        "vor_psi_evaluations_total",
+        help="Ψ_D route-rate evaluations (route-table lookups)",
+        phase=phase,
+    ).inc(stats.lookups)
+    metrics.counter(
+        "vor_cost_cache_hits_total",
+        help="Route-table hits",
+        deterministic=False,
+        phase=phase,
+    ).inc(stats.hits)
+    metrics.counter(
+        "vor_cost_cache_misses_total",
+        help="Route-table misses",
+        deterministic=False,
+        phase=phase,
+    ).inc(stats.misses)
 
 
 @dataclass(frozen=True)
@@ -153,16 +134,14 @@ class CostModel:
     Args:
         topology: Priced delivery infrastructure.
         catalog: Schedulable videos.
-        cache: Enable the memoized cost-evaluation cache (on by default).
-            Ψ_C values are keyed on ``(srate, size, span, P)`` -- the full
-            set of inputs Eq. 2/3 depends on -- and per-route Ψ_D rates on
-            the route's node tuple, so cached evaluation is exactly equal to
-            uncached evaluation.  Costing, billing, quotes and the optimal
-            baseline reprice the same residency intervals and routes many
-            times; the cache turns those into dict lookups.  The greedy
-            prices cache extensions with :func:`storage_cost` directly.
-        cache_limit: Entry count at which a cache is wiped and restarted
-            (bounds memory; correctness is unaffected).
+        cache: Keep the route-rate table (on by default): the effective
+            Ψ_D rate of each route, keyed on its node tuple, so cached
+            evaluation is exactly equal to uncached evaluation.  Costing,
+            billing, quotes and the optimal baseline reprice the same routes
+            many times; the table turns the per-hop sums into dict lookups.
+            It holds one entry per distinct route the model prices, so it
+            needs no size limit.  Ψ_C is computed by :func:`storage_cost`
+            on every call.
         replicas: Optional :class:`~repro.replication.ReplicaMap` naming the
             home warehouses of each video.  Pricing is unaffected -- the map
             rides on the model so every scheduler built over it (Phase-1
@@ -171,7 +150,7 @@ class CostModel:
             same homes.  ``None`` means every warehouse holds every video
             (the single-warehouse paper model).
 
-    The cache is transparent to subclasses: :meth:`network_multiplier` is
+    The table is transparent to subclasses: :meth:`network_multiplier` is
     applied *outside* the cached route rate, so time-of-day tariffs stay
     exact.
     """
@@ -182,28 +161,19 @@ class CostModel:
         catalog: VideoCatalog,
         *,
         cache: bool = True,
-        cache_limit: int = 1 << 18,
         replicas=None,
     ):
-        if cache_limit < 1:
-            raise ScheduleError(f"cache_limit must be >= 1, got {cache_limit}")
         self._topo = topology
         self._catalog = catalog
         self._replicas = replicas
         self._router = Router(topology)
         self._cache_enabled = bool(cache)
-        self._cache_limit = cache_limit
-        #: (srate, size, playback, span) -> Ψ_C
-        self._psi_c_cache: dict[tuple[float, float, float, float], float] = {}
         #: route node tuple -> effective $/byte rate (before tariff)
-        self._psi_d_cache: dict[tuple[str, ...], float] = {}
-        # Plain ints, one pair per cache: the Ψ_C path runs millions of
-        # times per solve, so the observability layer reads these as a
-        # view instead of putting registry calls on the hot path.
-        self._c_hits = 0
-        self._c_misses = 0
-        self._d_hits = 0
-        self._d_misses = 0
+        self._route_rates: dict[tuple[str, ...], float] = {}
+        # Plain ints: the observability layer reads them as a view instead
+        # of putting registry calls on the pricing path.
+        self._hits = 0
+        self._misses = 0
 
     @property
     def topology(self) -> Topology:
@@ -226,29 +196,27 @@ class CostModel:
         """A clone of this model carrying a different replica map.
 
         Pricing is placement-independent (the map only restricts which
-        warehouses are *candidates*), so the memoized Ψ_C/Ψ_D caches stay
-        shared with the original; counters start fresh.  Subclasses (e.g.
-        diurnal tariffs) are preserved by the shallow copy.  This is how
-        the horizon layer swaps replica maps between cycles without
-        rebuilding the model.
+        warehouses are *candidates*), so the route table stays shared with
+        the original; counters start fresh.  Subclasses (e.g. diurnal
+        tariffs) are preserved by the shallow copy.  This is how the
+        horizon layer swaps replica maps between cycles without rebuilding
+        the model.
         """
         clone = copy.copy(self)
         clone._replicas = replicas
-        clone._c_hits = 0
-        clone._c_misses = 0
-        clone._d_hits = 0
-        clone._d_misses = 0
+        clone._hits = 0
+        clone._misses = 0
         return clone
 
     def with_topology(self, topology: Topology) -> "CostModel":
         """A clone of this model over ``topology``, a fault mask of its own.
 
         ``topology`` keeps a subset of this model's nodes and links at their
-        rates (only bandwidths and capacities may shrink), so every memoized
-        Ψ_C/Ψ_D value stays exact and the caches stay shared.  The clone is
-        made by :meth:`with_replicas` -- same class, fresh counters -- with
-        the replica map restricted to the nodes ``topology`` keeps, and gets
-        its own router.  Fault recovery re-solves on such clones.
+        rates (only bandwidths and capacities may shrink), so every route
+        rate in the table stays exact and the table stays shared.  The clone
+        is made by :meth:`with_replicas` -- same class, fresh counters --
+        with the replica map restricted to the nodes ``topology`` keeps, and
+        gets its own router.  Fault recovery re-solves on such clones.
         """
         replicas = self._replicas
         clone = self.with_replicas(
@@ -260,62 +228,26 @@ class CostModel:
         clone._router = Router(topology)
         return clone
 
-    # -- cache bookkeeping ---------------------------------------------------
-
-    @property
-    def cache_enabled(self) -> bool:
-        return self._cache_enabled
+    # -- route table ---------------------------------------------------------
 
     @property
     def cache_stats(self) -> CacheStats:
-        """Combined hit/miss counters since the last reset (both caches)."""
-        return CacheStats(
-            self._c_hits + self._d_hits, self._c_misses + self._d_misses
-        )
+        """Route-table hit/miss counters since construction or cloning."""
+        return CacheStats(self._hits, self._misses)
 
     @property
-    def cache_stats_detail(self) -> CacheStatsDetail:
-        """Per-cache (Ψ_C vs Ψ_D) hit/miss snapshot since the last reset."""
-        return CacheStatsDetail(
-            psi_c=CacheStats(self._c_hits, self._c_misses),
-            psi_d=CacheStats(self._d_hits, self._d_misses),
-        )
-
-    def reset_cache_stats(self) -> None:
-        """Zero the hit/miss counters (cached values are kept)."""
-        self._c_hits = 0
-        self._c_misses = 0
-        self._d_hits = 0
-        self._d_misses = 0
-
-    def clear_cache(self) -> None:
-        """Drop every memoized value (counters are kept)."""
-        self._psi_c_cache.clear()
-        self._psi_d_cache.clear()
-
-    def _psi_c(self, srate: float, size: float, playback: float, span: float) -> float:
-        if not self._cache_enabled:
-            return storage_cost(srate, size, playback, span)
-        key = (srate, size, playback, span)
-        value = self._psi_c_cache.get(key)
-        if value is not None:
-            self._c_hits += 1
-            return value
-        self._c_misses += 1
-        value = storage_cost(srate, size, playback, span)
-        if len(self._psi_c_cache) >= self._cache_limit:
-            self._psi_c_cache.clear()
-        self._psi_c_cache[key] = value
-        return value
+    def cache_stats_detail(self) -> CacheStats:
+        """:attr:`cache_stats` (kept for vorbench; see the module comment)."""
+        return self.cache_stats
 
     def _route_rate(self, route: tuple[str, ...]) -> float:
         """Effective $/byte rate of a concrete route (tariff applied later)."""
         if self._cache_enabled:
-            value = self._psi_d_cache.get(route)
+            value = self._route_rates.get(route)
             if value is not None:
-                self._d_hits += 1
+                self._hits += 1
                 return value
-            self._d_misses += 1
+            self._misses += 1
         if (
             self._topo.charging_basis is ChargingBasis.END_TO_END
             and (explicit := self._topo.pair_rate(route[0], route[-1])) is not None
@@ -326,9 +258,7 @@ class CostModel:
                 self._topo.edge(a, b).nrate for a, b in zip(route, route[1:])
             )
         if self._cache_enabled:
-            if len(self._psi_d_cache) >= self._cache_limit:
-                self._psi_d_cache.clear()
-            self._psi_d_cache[route] = value
+            self._route_rates[route] = value
         return value
 
     # -- storage: Ψ_C -------------------------------------------------------
@@ -336,8 +266,9 @@ class CostModel:
     def residency_cost(self, c: ResidencyInfo) -> float:
         """Ψ_C(c) per Eqs. 2-3 (unified with the Eq. 7 gamma)."""
         video = self._catalog[c.video_id]
-        srate = self._topo.srate(c.location)
-        return self._psi_c(srate, video.size, video.playback, c.span)
+        return storage_cost(
+            self._topo.srate(c.location), video.size, video.playback, c.span
+        )
 
     # -- network: Ψ_D -------------------------------------------------------
 
@@ -396,5 +327,7 @@ class CostModel:
                 f"residency interval reversed: [{t_start}, {t_last}]"
             )
         video = self._catalog[video_id]
-        srate = self._topo.srate(location)
-        return self._psi_c(srate, video.size, video.playback, t_last - t_start)
+        return storage_cost(
+            self._topo.srate(location), video.size, video.playback,
+            t_last - t_start,
+        )

@@ -6,7 +6,7 @@ independently.  :class:`ParallelIndividualScheduler` runs that loop in the
 deterministic ``RequestBatch.by_video()`` order (first-request order),
 seeding each video's greedy with its carryover residencies.  The greedy
 prices with :func:`repro.core.costmodel.storage_cost`, so a run makes no
-cost-cache lookups.
+route-table lookups.
 
 Observability: every run is wrapped in an ``ivsp`` span and each per-video
 solve records an ``ivsp.video`` span (see :mod:`repro.core.individual`).

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import (
     CacheStats,
-    CacheStatsDetail,
     CostBreakdown,
     CostModel,
     record_cache_metrics,
@@ -55,12 +54,10 @@ class ScheduleResult:
     schedule: Schedule
     cost: CostBreakdown
     resolution: ResolutionStats
-    #: Per-cache (Ψ_C vs Ψ_D) cost-evaluation cache activity over the whole
-    #: solve.  Excluded from equality: two runs that produce identical
-    #: schedules may reach them with different hit/miss mixes.
-    cache_detail: CacheStatsDetail = field(
-        default_factory=CacheStatsDetail, compare=False
-    )
+    #: Route-table activity over the whole solve.  Excluded from equality:
+    #: two runs that produce identical schedules may reach them with
+    #: different hit/miss mixes.
+    cache_stats: CacheStats = field(default_factory=CacheStats, compare=False)
 
     @property
     def total_cost(self) -> float:
@@ -78,13 +75,8 @@ class ScheduleResult:
         return self.resolution.cost_increase_ratio
 
     @property
-    def cache_stats(self) -> CacheStats:
-        """Cache activity of both caches combined."""
-        return self.cache_detail.combined
-
-    @property
     def cache_hit_rate(self) -> float:
-        """Fraction of Ψ evaluations served from the memoization cache."""
+        """Fraction of route-rate lookups served from the route table."""
         return self.cache_stats.hit_rate
 
 
@@ -175,7 +167,7 @@ def solve_two_phase(
     ``cost_model``), recorded as ``phase="costing"``.
     """
     pricing = pricing if pricing is not None else cost_model
-    start = cost_model.cache_stats_detail
+    start = cost_model.cache_stats
     schedule = ParallelIndividualScheduler(cost_model, obs=obs).run(
         batch, seeds=seeds
     ).schedule
@@ -195,12 +187,12 @@ def solve_two_phase(
         obs=obs,
     )
     final = resolved.pruned()
-    detail = cost_model.cache_stats_detail - start
-    before = pricing.cache_stats_detail
+    solving = cost_model.cache_stats - start
+    before = pricing.cache_stats
     cost = pricing.schedule_cost(final)
-    costing = pricing.cache_stats_detail - before
+    costing = pricing.cache_stats - before
     record_cache_metrics(obs.metrics, costing, phase="costing")
-    return ScheduleResult(final, cost, stats, cache_detail=detail + costing)
+    return ScheduleResult(final, cost, stats, cache_stats=solving + costing)
 
 
 class VideoScheduler:

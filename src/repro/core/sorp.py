@@ -73,7 +73,7 @@ class ResolutionStats:
     victims: list[VictimRecord] = field(default_factory=list)
     phase1_cost: float = 0.0
     resolved_cost: float = 0.0
-    #: Cost-cache activity during resolution.  Excluded from equality so
+    #: Route-table activity during resolution.  Excluded from equality so
     #: that determinism checks compare the *decisions*, not the cache
     #: temperature they were computed under.
     cache_stats: CacheStats = field(default_factory=CacheStats, compare=False)
@@ -136,7 +136,7 @@ def resolve_overflows(
     topology = cost_model.topology
     obs = obs if obs is not None else NULL_OBS
     working = schedule.copy()
-    cache_base = cost_model.cache_stats_detail
+    cache_base = cost_model.cache_stats
     stats = ResolutionStats(phase1_cost=cost_model.total(working))
     cap = (
         max_iterations
@@ -221,8 +221,7 @@ def resolve_overflows(
         stats.resolved_cost = (
             cost_model.total(working) if stats.victims else stats.phase1_cost
         )
-        detail = cost_model.cache_stats_detail - cache_base
-        stats.cache_stats = detail.combined
+        stats.cache_stats = cost_model.cache_stats - cache_base
         sorp_span.set(
             iterations=stats.iterations,
             victims=len(stats.victims),
@@ -231,7 +230,7 @@ def resolve_overflows(
 
     metrics = obs.metrics
     if metrics.enabled:
-        record_cache_metrics(metrics, detail, phase="sorp")
+        record_cache_metrics(metrics, stats.cache_stats, phase="sorp")
         metrics.counter(
             "vor_sorp_iterations_total",
             help="SORP victim-selection rounds",

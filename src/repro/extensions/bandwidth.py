@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
-from repro.core.heat import HeatMetric
 from repro.core.individual import IndividualScheduler, RoutePolicy
 from repro.core.rejective import fits_under
 from repro.core.schedule import Schedule
@@ -77,7 +76,7 @@ class LinkBandwidthTracker:
             cap = self._topo.edge(a, b).bandwidth
             if cap == float("inf"):
                 continue
-            if self.usage_max(a, b, t0, t1) + bandwidth > cap * (1 + 1e-12):
+            if self.usage_max(a, b, t0, t1) + bandwidth > capacity_slack(cap):
                 return False
         return True
 
@@ -212,13 +211,11 @@ class BandwidthAwareScheduler:
         topology: Topology,
         catalog: VideoCatalog,
         *,
-        heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
         k_routes: int = 4,
     ):
         validate_topology(topology)
         self.topology = topology
         self.catalog = catalog
-        self.heat_metric = heat_metric
         self.cost_model = CostModel(topology, catalog)
         self.tracker = LinkBandwidthTracker(topology)
         self._policy = BandwidthRoutePolicy(

@@ -287,7 +287,7 @@ class ReservationGateway:
         service: The service whose cycles this gateway feeds.  The
             gateway shares its observability handle (journal + metrics)
             and its cost model (through the quote engine), so intake
-            pricing and solver billing use the same memoized caches.
+            pricing and solver billing share one route table.
         policy: Admission policy (default accept-all).
         config: Backpressure envelope (default: unbounded batch).
     """

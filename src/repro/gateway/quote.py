@@ -2,8 +2,8 @@
 
 The gateway must price a reservation *before* the Phase-1/SORP solver has
 seen the batch, so the quote is a marginal-cost estimate built from the
-same memoized :class:`~repro.core.costmodel.CostModel` the solver will
-bill against:
+same :class:`~repro.core.costmodel.CostModel` the solver will bill
+against:
 
 * **Fresh delivery** (always available): the cheapest-copy Ψ_D of an
   independent stream from a home warehouse to the request's neighborhood
@@ -68,8 +68,9 @@ class QuoteEngine:
     a candidate against that state and :meth:`admit` folds an accepted
     request into it.  Quoting never mutates state, so reject/shed paths
     need no compensation.  All arithmetic goes through the shared cost
-    model's memoized caches and the deterministic cheapest-home route, so
-    equal intake orders produce bit-equal quotes.
+    model (its Eq. 2/3 :func:`~repro.core.costmodel.storage_cost` and its
+    route table) and the deterministic cheapest-home route, so equal intake
+    orders produce bit-equal quotes.
     """
 
     def __init__(self, cost_model: CostModel):

@@ -562,7 +562,7 @@ class MigrationPlanner:
         what-if evaluations, not service decisions, so they must not leak
         events into the journal or counters into the registry.  Each
         solve prices through its own :meth:`CostModel.with_replicas`
-        clone: shared memoized values, private hit/miss counters.
+        clone: a shared route table, private hit/miss counters.
         """
         psi = []
         for replicas in (cost_model.replicas, pruned):

@@ -3,7 +3,7 @@
 Classic three-state breaker, driven entirely by the caller's clock (the
 loop passes the *virtual* feed time, so replays are deterministic):
 
-* ``closed`` -- amendments run normally; consecutive exhausted batches
+* ``closed`` -- amendments run normally; consecutive failed batches
   count toward ``failure_threshold``.
 * ``open``   -- re-solves keep failing; the loop degrades (conservative
   whole-cycle stance, shed low-priority pending work) until ``cooldown``
@@ -86,7 +86,7 @@ class CircuitBreaker:
             self._move(CLOSED, now)
 
     def record_failure(self, now: float) -> None:
-        """A batch exhausted its retries."""
+        """A batch failed (retries exhausted, or a deterministic failure)."""
         self._failures += 1
         if self._state == HALF_OPEN:
             # The probe failed: back to open, restart the cooldown.

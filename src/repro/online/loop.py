@@ -11,10 +11,13 @@ into a sequence of cycle amendments against a running
    every fault reported so far.  Amendments are idempotent (amending twice
    with the same plan equals amending once), so a batch that ultimately
    fails is healed by the next successful one.
-3. **Retry** -- transient failures (injected, scheduler errors, deadline
-   overruns) back off under the seeded
-   :class:`~repro.online.retry.RetryPolicy` and try again.
-4. **Break** -- batches that exhaust their retries feed the
+3. **Retry** -- transient failures (injected, deadline overruns) back off
+   under the seeded :class:`~repro.online.retry.RetryPolicy` and try
+   again.  Any other error (a scheduler error, an amendment that fails
+   validation) would fail the same way again, so it fails the batch at
+   once.
+4. **Break** -- failed batches (retries exhausted, or a deterministic
+   failure) feed the
    :class:`~repro.online.breaker.CircuitBreaker`; once it opens the loop
    degrades to the conservative whole-cycle stance and sheds the
    lowest-priority pending reservations instead of risking further
@@ -65,7 +68,7 @@ class OnlineLoopConfig:
             attempt; an overrun counts as a transient failure and is
             retried.  ``None`` disables the deadline (the deterministic
             default).
-        max_retries: Re-attempts per batch after the first try.
+        max_retries: Re-attempts per batch after transient failures.
         backoff_base: First retry delay in seconds.
         backoff_cap: Upper bound on any retry delay (before jitter).
         jitter: Relative jitter amplitude in [0, 1].
@@ -390,6 +393,8 @@ class OnlineAmendmentLoop:
                         "batch %d attempt %d failed: %s",
                         batch_index, attempts, error,
                     )
+                    if not isinstance(exc, TransientResolveError):
+                        break
             shed = 0
             if degraded and self.config.shed_per_degraded_batch > 0:
                 shed = len(

@@ -269,8 +269,8 @@ class VORService:
     def migrate_replicas(self, replicas) -> None:
         """Adopt a migrated replica map for the coming cycles.
 
-        Validates the map, rebinds the cost model (shared caches, fresh
-        counters) and the rolling engine; carryover residencies and
+        Validates the map, rebinds the cost model (shared route table,
+        fresh counters) and the rolling engine; carryover residencies and
         pending reservations are untouched.  Call between cycles -- the
         horizon orchestrator does, after its
         :class:`~repro.horizon.migration.MigrationPlanner` accepts a

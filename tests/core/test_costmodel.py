@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    CacheStats,
     ChargingBasis,
     CostModel,
     DeliveryInfo,
@@ -190,20 +191,30 @@ class TestAggregation:
 
 
 class TestReplicaClone:
-    """``with_replicas`` clones share the memoized Ψ_C/Ψ_D values."""
+    """Clones share the route table and keep their own counters."""
 
     def test_clone_hits_the_warm_cache(self, fig2_cm):
         s2 = fig2_schedule_s2()
-        fig2_cm.total(s2)  # warm both caches
+        fig2_cm.total(s2)  # warm the route table
         clone = fig2_cm.with_replicas(fig2_cm.replicas)
         assert clone.cache_stats.lookups == 0  # counters start fresh
-        (residency,) = s2.residencies
-        clone.residency_cost(residency)
-        assert clone.cache_stats_detail.psi_c.hits == 1
-        assert clone.cache_stats_detail.psi_c.misses == 0
         clone.delivery_cost(s2.deliveries[0])
-        assert clone.cache_stats_detail.psi_d.hits == 1
-        assert clone.cache_stats_detail.psi_d.misses == 0
+        assert clone.cache_stats.hits == 1
+        assert clone.cache_stats.misses == 0
+
+    def test_clones_share_the_route_table_not_the_counters(self, fig2_cm):
+        s1 = fig2_schedule_s1()
+        by_replicas = fig2_cm.with_replicas(fig2_cm.replicas)
+        by_topology = fig2_cm.with_topology(fig2_cm.topology)
+        for clone in (by_replicas, by_topology):
+            assert clone._route_rates is fig2_cm._route_rates
+        by_topology.total(s1)  # two distinct routes: two misses, one hit
+        assert by_topology.cache_stats == CacheStats(hits=1, misses=2)
+        assert fig2_cm.cache_stats == CacheStats()
+        by_replicas.total(s1)  # the shared table is warm now
+        assert by_replicas.cache_stats == CacheStats(hits=3, misses=0)
+        assert by_topology.cache_stats == CacheStats(hits=1, misses=2)
+        assert fig2_cm.cache_stats == CacheStats()
 
     def test_clone_prices_like_the_original(self, fig2_cm):
         s2 = fig2_schedule_s2()
@@ -211,6 +222,22 @@ class TestReplicaClone:
         clone = fig2_cm.with_replicas(fig2_cm.replicas)
         assert clone.total(s2) == want
         assert fig2_cm.cache_stats.lookups > 0  # original counters kept
+
+
+class TestRouteTableCounters:
+    def test_one_lookup_per_multi_hop_delivery_none_per_residency(self, fig2_cm):
+        s2 = fig2_schedule_s2()
+        (fs,) = s2
+        fs.add_delivery(_fig2_delivery(("IS1",), FOUR_PM, "U4"))  # local copy
+        multi_hop = sum(1 for d in s2.deliveries if len(d.route) > 1)
+        assert (multi_hop, len(s2.residencies)) == (3, 1)
+        before = fig2_cm.cache_stats
+        fig2_cm.schedule_cost(s2)
+        assert (fig2_cm.cache_stats - before).lookups == multi_hop
+        before = fig2_cm.cache_stats
+        fig2_cm.residency_cost(s2.residencies[0])
+        fig2_cm.residency_cost_for("movie", "IS1", ONE_PM, FOUR_PM)
+        assert fig2_cm.cache_stats == before
 
 
 class TestCostModelProperties:

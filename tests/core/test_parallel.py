@@ -65,8 +65,8 @@ class TestDeterminism:
         cm = CostModel(topo, catalog)
         result = ParallelIndividualScheduler(cm).run(batch)
         assert result.schedule == want
-        # the greedy prices with storage_cost, never through the memo
-        assert cm.cache_stats_detail.combined.lookups == 0
+        # the greedy prices with storage_cost and routes with the router
+        assert cm.cache_stats.lookups == 0
 
     def test_two_phase_solve_identical(self, workload):
         topo, catalog, batch = workload

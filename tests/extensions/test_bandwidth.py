@@ -62,6 +62,18 @@ class TestLinkBandwidthTracker:
         assert tr.fits(route, 10.0, 20.0, 10.0)
         assert tr.fits(route, 0.0, 10.0, 5.0)
 
+    def test_fits_uses_the_replay_link_tolerance(self):
+        # the tracker admits exactly what the validation replay's link
+        # check (usage <= capacity_slack(cap)) accepts
+        topo, _ = _diamond(link_bw=15.0)
+        tr = LinkBandwidthTracker(topo)
+        route = Router(topo).route("VW", "IS1")
+        tr.book(route, 0.0, 10.0, 10.0)
+        inside, outside = 5.0 + 5e-10, 5.0 + 2e-9
+        assert 10.0 + inside <= capacity_slack(15.0) < 10.0 + outside
+        assert tr.fits(route, 0.0, 10.0, inside)
+        assert not tr.fits(route, 0.0, 10.0, outside)
+
     def test_infinite_links_always_fit(self):
         topo = Topology()
         topo.add_warehouse("VW")

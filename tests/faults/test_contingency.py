@@ -227,14 +227,13 @@ class TestMaskedModel:
         cm = DiurnalCostModel(topo, catalog, tariff).with_replicas(
             ReplicaMap.full_copy(topo, catalog)
         )
-        cm.total(schedule)  # warm the memo caches
+        cm.total(schedule)  # warm the route table
         plan = _window_plan(FaultKind.WAREHOUSE_LOSS, "VW2")
         masked = masked_topology(topo, plan)
         clone = cm.with_topology(masked)
         assert type(clone) is DiurnalCostModel and clone.tariff is tariff
         assert clone.topology is masked and clone.router.topology is masked
-        assert clone._psi_c_cache is cm._psi_c_cache
-        assert clone._psi_d_cache is cm._psi_d_cache
+        assert clone._route_rates is cm._route_rates
         assert clone.cache_stats == CacheStats()
         assert all(clone.replicas.homes(v) == ("VW",) for v in ("m0", "m1"))
         assert clone.total(schedule) == cm.total(schedule)

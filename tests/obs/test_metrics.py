@@ -29,10 +29,10 @@ class TestCounter:
 
     def test_labelled_children_are_independent(self):
         reg = MetricsRegistry()
-        reg.counter("evals_total", cache="psi_c").inc(3)
-        reg.counter("evals_total", cache="psi_d").inc(7)
-        assert reg.counter("evals_total", cache="psi_c").value == 3
-        assert reg.counter("evals_total", cache="psi_d").value == 7
+        reg.counter("evals_total", phase="sorp").inc(3)
+        reg.counter("evals_total", phase="costing").inc(7)
+        assert reg.counter("evals_total", phase="sorp").value == 3
+        assert reg.counter("evals_total", phase="costing").value == 7
 
     def test_label_order_is_irrelevant(self):
         reg = MetricsRegistry()

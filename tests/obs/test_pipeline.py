@@ -201,13 +201,14 @@ class TestCliTelemetry:
         for phase in ("ivsp", "sorp", "overflow", "simulate", "solve"):
             assert phase in doc["phases"], phase
             assert doc["phases"][phase]["total_seconds"] >= 0.0
-        # Ψ evaluation counters split by cache, cache hit/miss series
+        # route-table lookup counters per phase, table hit/miss series
         assert "vor_psi_evaluations_total" in doc["metrics"]
-        caches = {
-            entry["labels"]["cache"]
+        labels = [
+            entry["labels"]
             for entry in doc["metrics"]["vor_psi_evaluations_total"]["values"]
-        }
-        assert caches == {"psi_c", "psi_d"}
+        ]
+        assert all("cache" not in lab for lab in labels)
+        assert {lab["phase"] for lab in labels} == {"sorp", "costing"}
         assert "vor_cost_cache_hits_total" in doc["metrics"]
         assert "vor_cost_cache_misses_total" in doc["metrics"]
         # per-IS peak storage gauges

@@ -1,5 +1,7 @@
 """End-to-end tests for the online fault-feed amendment loop."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -175,6 +177,36 @@ class TestRetries:
         assert run.deadline_misses == 2
         assert run.records[0].outcome == "failed"
         assert "deadline" in run.records[0].error
+
+    def test_deterministic_failure_is_not_retried(self):
+        svc, report = _service()
+        feed = _feed(FaultEvent(at=1 * H, fault=_outage(4 * H, 8 * H)))
+        calls = []
+
+        def invalid_amendment(current, plan, **kwargs):
+            calls.append(plan)
+            amended = VORService.amend_cycle(svc, current, plan, **kwargs)
+            return dataclasses.replace(
+                amended, violations=["storage IS1 over capacity"]
+            )
+
+        svc.amend_cycle = invalid_amendment
+        slept = []
+        loop = OnlineAmendmentLoop(
+            svc,
+            OnlineLoopConfig(max_retries=3, backoff_base=0.01),
+            sleep=slept.append,
+        )
+        run = loop.run(feed, report)
+        (record,) = run.records
+        assert len(calls) == 1 and slept == []
+        assert (record.outcome, record.attempts, record.retries) == (
+            "failed", 1, 0,
+        )
+        assert "failed validation" in record.error
+        assert run.retries_total == 0
+        assert loop.breaker.consecutive_failures == 1
+        assert run.final is report
 
 
 class TestDegradedMode:

@@ -37,7 +37,7 @@ class TestCompareReports:
     def test_timing_changes_do_not_gate(self, bench, baseline):
         current = json.loads(json.dumps(baseline))
         current["phase1"]["wall_time_seconds"] *= 100
-        current["uncached"]["wall_time_seconds"] *= 100
+        current["sorp"]["wall_time_seconds"] *= 100
         assert bench.compare_reports(baseline, current) == []
 
     def test_psi_drift_fails(self, bench, baseline):
