@@ -704,7 +704,8 @@ def main(argv=None) -> int:
     )
 
     phase1_t = _time_phase1(topo, catalog, batch, repeats)
-    # route-table hit rate of a full two-phase solve (SORP and costing)
+    # route-table hit rate of a full two-phase solve (Phase 1 and SORP;
+    # the result is not priced again)
     solve = VideoScheduler(topo, catalog).solve(batch)
 
     print(f"\nPhase 1: {phase1_t:.3f}s")

@@ -12,6 +12,10 @@ closes the loop by allocating schedule cost to the users it serves:
 * a residency nobody consumed (committed carryover, pruned candidates)
   falls into an ``overhead`` bucket the operator absorbs or amortizes.
 
+The same pass bills each delivered request, which the admission gateway
+reconciles its quotes against: a user's residency share splits evenly
+across that user's delivered requests of the video.
+
 The allocation is *exact*: the sum of all invoices plus the overhead bucket
 equals Ψ(S) to floating-point accuracy, which the tests assert.
 """
@@ -23,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
 from repro.errors import ScheduleError
+from repro.obs.events import request_key
 
 
 @dataclass
@@ -45,6 +50,8 @@ class BillingStatement:
 
     invoices: dict[str, Invoice] = field(default_factory=dict)
     overhead: float = 0.0  # storage cost with no consuming service
+    #: Billed Ψ per delivered request key; overhead is not attributed.
+    requests: dict[str, float] = field(default_factory=dict)
 
     @property
     def billed_total(self) -> float:
@@ -82,11 +89,17 @@ def allocate_costs(schedule: Schedule, cost_model: CostModel) -> BillingStatemen
             statement.invoices[user_id] = existing
         return existing
 
+    requests = statement.requests
     for fs in schedule:
+        by_user: dict[str, list[str]] = {}  # request keys per user
         for d in fs.deliveries:
+            cost = cost_model.delivery_cost(d)
             invoice = inv(d.request.user_id)
-            invoice.network += cost_model.delivery_cost(d)
+            invoice.network += cost
             invoice.services += 1
+            rid = request_key(d.request)
+            requests[rid] = requests.get(rid, 0.0) + cost
+            by_user.setdefault(d.request.user_id, []).append(rid)
         for c in fs.residencies:
             cost = cost_model.residency_cost(c)
             if not c.service_list:
@@ -95,4 +108,9 @@ def allocate_costs(schedule: Schedule, cost_model: CostModel) -> BillingStatemen
             share = cost / len(c.service_list)
             for user_id in c.service_list:
                 inv(user_id).storage += share
+                rids = by_user.get(user_id)
+                if rids:
+                    per_request = share / len(rids)
+                    for rid in rids:
+                        requests[rid] += per_request
     return statement

@@ -105,6 +105,9 @@ class IndividualScheduler:
             Cache extensions are priced with
             :func:`~repro.core.costmodel.storage_cost` from the storage
             rates read here, once, so the greedy makes no memo lookups.
+            Its replica map, if any, restricts a video's warehouse
+            candidates to its homes in the topology; without one every
+            warehouse holds everything, as in the paper.
         constraints: Optional residency constraints; ``None`` reproduces the
             capacity-ignorant Phase-1 behaviour, a
             :class:`~repro.core.rejective.ResidencyConstraints` instance
@@ -121,12 +124,6 @@ class IndividualScheduler:
             (every traversed storage, the default) or ``"destination"``
             (only the user's local storage).  The destination-only variant
             exists for the ablation study -- it is strictly weaker.
-        replicas: Optional :class:`~repro.replication.ReplicaMap`; defaults
-            to the cost model's map.  When set, warehouse candidates for a
-            video are restricted to its *home* warehouses present in the
-            topology -- the replica-aware IVSP picks the cheapest reachable
-            copy among homes and open caches.  ``None`` keeps the paper's
-            behaviour: every warehouse holds everything.
         obs: Observability handle (:class:`repro.obs.Observability`);
             defaults to the inert :data:`repro.obs.NULL_OBS`.  When live,
             every :meth:`schedule_file` call records an ``ivsp.video``
@@ -145,7 +142,6 @@ class IndividualScheduler:
         *,
         deposit_scope: str = "route",
         obs: Observability | None = None,
-        replicas=None,
     ):
         if deposit_scope not in ("route", "destination"):
             raise ScheduleError(
@@ -169,7 +165,7 @@ class IndividualScheduler:
         self._warehouse_set = frozenset(self._warehouses)
         self._storage_names = frozenset(s.name for s in self._topo.storages)
         self._srates = {n.name: n.srate for n in self._topo.nodes}
-        self._replicas = replicas if replicas is not None else cost_model.replicas
+        self._replicas = cost_model.replicas
 
     # -- public API ----------------------------------------------------------
 

@@ -244,18 +244,6 @@ def _overflows_at(spec, index: LocationIndex) -> list[OverflowSituation]:
     return found
 
 
-def total_excess(schedule: Schedule, catalog: VideoCatalog, topology: Topology) -> float:
-    """Summed over-capacity space-time across all storages.
-
-    SORP's monotone progress measure: zero iff the schedule is feasible.
-    """
-    total = 0.0
-    for spec in topology.storages:
-        timeline = storage_usage(schedule, catalog, spec.name)
-        total += timeline.integral_above(spec.capacity)
-    return total
-
-
 def _excess_between(
     timeline: UsageTimeline, capacity: float, t0: float, t1: float
 ) -> float:

@@ -84,15 +84,15 @@ def record_schedule_metrics(
     obs: Observability,
     schedule: Schedule,
     cost_model: CostModel,
-    *,
-    scope: str = "final",
+    cost: CostBreakdown,
 ) -> None:
-    """Record schedule-derived gauges: per-IS peak storage and Ψ split.
+    """Record the final schedule's gauges: per-IS peak storage and Ψ split.
 
     Every intermediate storage gets a ``vor_storage_peak_reserved_bytes``
     gauge (Eq. 6 reserved model, zero when unused), so capacity pressure
-    is visible per site.  All values are pure functions of the schedule,
-    so they are deterministic for a seeded batch.
+    is visible per site.  ``cost`` is the Ψ its solve reported.  All
+    values are pure functions of the schedule, so they are deterministic
+    for a seeded batch.
     """
     metrics = obs.metrics
     if not metrics.enabled:
@@ -110,14 +110,13 @@ def record_schedule_metrics(
             help="Peak reserved (Eq. 6) occupancy per intermediate storage",
             location=spec.name,
         ).set(UsageTimeline(by_loc.get(spec.name, [])).peak)
-    cost = cost_model.schedule_cost(schedule)
     for component, value in (("storage", cost.storage), ("network", cost.network)):
         metrics.gauge(
             "vor_schedule_cost_dollars",
             mode="last",
             help="Ψ of the schedule by resource component",
             component=component,
-            scope=scope,
+            scope="final",
         ).set(value)
 
 
@@ -163,10 +162,11 @@ def solve_two_phase(
     and are committed for SORP; ``background`` is SORP's capacity
     background.  ``base`` holds files kept verbatim: the Phase-1 files are
     grafted over it, and SORP resolves the requests the grafted schedule
-    delivers.  The pruned result is priced once on ``pricing`` (default
-    ``cost_model``), recorded as ``phase="costing"``.
+    delivers.  The result's cost is SORP's ledger sum (pruning drops only
+    unused zero-span residencies, whose Ψ_C is 0.0); only a ``pricing``
+    model other than ``cost_model`` prices the result again, recorded as
+    ``phase="costing"``.
     """
-    pricing = pricing if pricing is not None else cost_model
     start = cost_model.cache_stats
     schedule = ParallelIndividualScheduler(cost_model, obs=obs).run(
         batch, seeds=seeds
@@ -187,12 +187,15 @@ def solve_two_phase(
         obs=obs,
     )
     final = resolved.pruned()
-    solving = cost_model.cache_stats - start
-    before = pricing.cache_stats
-    cost = pricing.schedule_cost(final)
-    costing = pricing.cache_stats - before
-    record_cache_metrics(obs.metrics, costing, phase="costing")
-    return ScheduleResult(final, cost, stats, cache_stats=solving + costing)
+    cache_stats = cost_model.cache_stats - start
+    cost = stats.resolved
+    if pricing is not None and pricing is not cost_model:
+        before = pricing.cache_stats
+        cost = pricing.schedule_cost(final)
+        costing = pricing.cache_stats - before
+        record_cache_metrics(obs.metrics, costing, phase="costing")
+        cache_stats = cache_stats + costing
+    return ScheduleResult(final, cost, stats, cache_stats=cache_stats)
 
 
 class VideoScheduler:
@@ -245,7 +248,7 @@ class VideoScheduler:
                 residencies=len(final.residencies),
                 overflow_fixes=result.resolution.iterations,
             )
-        record_schedule_metrics(self.obs, final, self.cost_model, scope="final")
+        record_schedule_metrics(self.obs, final, self.cost_model, result.cost)
         if self.obs.metrics.enabled:
             self.obs.metrics.gauge(
                 "vor_schedule_cost_dollars",

@@ -36,7 +36,12 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 
-from repro.core.costmodel import CacheStats, CostModel, record_cache_metrics
+from repro.core.costmodel import (
+    CacheStats,
+    CostBreakdown,
+    CostModel,
+    record_cache_metrics,
+)
 from repro.core.heat import HeatMetric, compute_heat
 from repro.core.overflow import LocationIndex, OverflowSituation, detect_overflows
 from repro.core.rejective import (
@@ -72,7 +77,8 @@ class ResolutionStats:
     initial_overflows: int = 0
     victims: list[VictimRecord] = field(default_factory=list)
     phase1_cost: float = 0.0
-    resolved_cost: float = 0.0
+    #: Ψ of the resolved schedule, split by resource.
+    resolved: CostBreakdown = CostBreakdown(0.0, 0.0)
     #: Route-table activity during resolution.  Excluded from equality so
     #: that determinism checks compare the *decisions*, not the cache
     #: temperature they were computed under.
@@ -81,6 +87,10 @@ class ResolutionStats:
     @property
     def had_overflow(self) -> bool:
         return self.initial_overflows > 0
+
+    @property
+    def resolved_cost(self) -> float:
+        return self.resolved.total
 
     @property
     def cost_increase(self) -> float:
@@ -137,7 +147,6 @@ def resolve_overflows(
     obs = obs if obs is not None else NULL_OBS
     working = schedule.copy()
     cache_base = cost_model.cache_stats
-    stats = ResolutionStats(phase1_cost=cost_model.total(working))
     cap = (
         max_iterations
         if max_iterations is not None
@@ -151,6 +160,7 @@ def resolve_overflows(
         background,
         committed or {},
     )
+    stats = ResolutionStats(phase1_cost=selector.cost().total)
     index = selector.index
 
     with obs.tracer.span("sorp", residencies=len(working.residencies)) as sorp_span:
@@ -188,8 +198,9 @@ def resolve_overflows(
                     raise OverflowResolutionError(
                         "no reschedulable member in any overflow set"
                     )
-                heat, overhead, overflow, new_fs = victim
-                selector.commit(new_fs)
+                heat, overhead, overflow, trial = victim
+                selector.commit(trial)
+                new_fs = trial.new_fs
                 stats.victims.append(
                     VictimRecord(
                         video_id=new_fs.video_id,
@@ -217,10 +228,7 @@ def resolve_overflows(
                     )
                     detect_span.set(overflows=len(overflows))
 
-        # no victim committed: working is the input schedule, already priced
-        stats.resolved_cost = (
-            cost_model.total(working) if stats.victims else stats.phase1_cost
-        )
+        stats.resolved = selector.cost()
         stats.cache_stats = cost_model.cache_stats - cache_base
         sorp_span.set(
             iterations=stats.iterations,
@@ -298,7 +306,7 @@ class _Trial:
     """A memoized rejective reschedule and what its result depended on."""
 
     new_fs: FileSchedule
-    new_cost: float
+    cost: CostBreakdown
     #: The overflow interval the victim was forbidden from.
     window: tuple[float, float]
     #: The run's decisions and marks (:class:`DecisionLog`).
@@ -311,8 +319,9 @@ class _Trial:
 class _VictimSelector:
     """``SORP_solve``'s victim selection over one run, evaluated incrementally.
 
-    Owns the run's :class:`LocationIndex` and a memo of trial reschedules
-    keyed on ``(video, overflow location, overflow interval)``.  Each trial
+    Owns the run's :class:`LocationIndex`, a memo of trial reschedules
+    keyed on ``(video, overflow location, overflow interval)``, and the
+    ledger of per-file costs Ψ(S_i) of the working schedule.  Each trial
     is priced from a predecessor: the trial of the same key, or else the
     latest one for the same video and overflow location.  The predecessor
     is reused as is while every location in its decision log keeps its
@@ -322,6 +331,10 @@ class _VictimSelector:
     revalidated, and at the first one that differs the greedy resumes at
     the request that made it.  Trials the greedy serves go through
     :meth:`RejectiveGreedyScheduler.reschedule`.
+
+    Ψ is additive over files (Eq. 1): each file is priced once and a
+    commit writes in the victim trial's breakdown, so the ledger summed
+    in schedule order gives the floats :meth:`CostModel.schedule_cost` would.
     """
 
     def __init__(
@@ -334,6 +347,8 @@ class _VictimSelector:
         committed: dict,
     ):
         self.index = LocationIndex(working, cost_model.catalog, background)
+        #: Ψ(S_i) per video of the working schedule, in schedule order.
+        self.ledger = {fs.video_id: cost_model.file_cost(fs) for fs in working}
         self._cm = cost_model
         self._rejective = RejectiveGreedyScheduler(cost_model)
         self._requests = requests_by_video
@@ -343,8 +358,6 @@ class _VictimSelector:
         self._trials: dict[tuple, _Trial] = {}
         #: The latest trial per ``(video, overflow location)``.
         self._latest: dict[tuple[str, str], _Trial] = {}
-        #: The incumbent file cost per video; dropped when a video is victim.
-        self._old_costs: dict[str, float] = {}
         self.trials_run = 0
         self.trials_reused = 0
         self.trials_revalidated = 0
@@ -357,6 +370,10 @@ class _VictimSelector:
         #: logged decisions :meth:`_replay` re-decided.
         self.decisions_logged = 0
         self.decisions_redecided = 0
+
+    def cost(self) -> CostBreakdown:
+        """Ψ of the working schedule: the ledger summed in schedule order."""
+        return sum(self.ledger.values(), CostBreakdown(0.0, 0.0))
 
     def counts(self) -> dict[str, int]:
         """The work counters, as span attributes."""
@@ -372,16 +389,15 @@ class _VictimSelector:
 
     def select(
         self, overflows: list[OverflowSituation]
-    ) -> tuple[float, float, OverflowSituation, FileSchedule] | None:
+    ) -> tuple[float, float, OverflowSituation, _Trial] | None:
         """Price every (overflow, member) reschedule and return the hottest.
 
         Ties break toward the lower overhead, then lexicographic video id, so
         runs are fully deterministic.
         """
         catalog = self._cm.catalog
-        working = self.index.schedule
         best_key: tuple[float, float, str] | None = None
-        best: tuple[float, float, OverflowSituation, FileSchedule] | None = None
+        best: tuple[float, float, OverflowSituation, _Trial] | None = None
         trials: dict[tuple, _Trial] = {}
         for of in overflows:
             for c in of.members:
@@ -399,27 +415,23 @@ class _VictimSelector:
                     continue  # this residency IS the committed carryover itself
                 trial = self._price(video, requests, of, tuple(seeds))
                 trials[(c.video_id, of.location, of.interval)] = trial
-                old_cost = self._old_costs.get(c.video_id)
-                if old_cost is None:
-                    old_cost = self._cm.file_cost(working.file(c.video_id)).total
-                    self._old_costs[c.video_id] = old_cost
-                overhead = trial.new_cost - old_cost
+                overhead = trial.cost.total - self.ledger[c.video_id].total
                 heat = compute_heat(self._metric, c, video, of, overhead)
                 if math.isnan(heat):  # pragma: no cover - defensive
                     continue
                 rank = (heat, -overhead, c.video_id)
                 if best_key is None or _key_greater(rank, best_key):
                     best_key = rank
-                    best = (heat, overhead, of, trial.new_fs)
+                    best = (heat, overhead, of, trial)
         # keep only this round's trials by key; older ones live on as
         # predecessors in _latest
         self._trials = trials
         return best
 
-    def commit(self, new_fs: FileSchedule) -> None:
-        """Install the victim's new schedule and re-stamp what it touched."""
-        self.index.set_file(new_fs)
-        self._old_costs.pop(new_fs.video_id, None)
+    def commit(self, trial: _Trial) -> None:
+        """Install the victim's new schedule and cost; re-stamp what it touched."""
+        self.index.set_file(trial.new_fs)
+        self.ledger[trial.new_fs.video_id] = trial.cost
 
     def _price(self, video, requests, of: OverflowSituation, seeds) -> _Trial:
         """The trial of ``video`` forbidden from ``of``, from its predecessor."""
@@ -500,7 +512,7 @@ class _VictimSelector:
         version = self.index.version
         return _Trial(
             new_fs,
-            self._cm.file_cost(new_fs).total,
+            self._cm.file_cost(new_fs),
             of.interval,
             log,
             {loc: version(loc) for loc in log.at},

@@ -67,13 +67,13 @@ def ablation_deposit_scope(runner: ExperimentRunner) -> AblationResult:
     for scope in ("route", "destination"):
         greedy = IndividualScheduler(cm, deposit_scope=scope)
         schedule = greedy.solve(batch)
-        resolved, stats = resolve_overflows(
+        _, stats = resolve_overflows(
             schedule, batch, cm, metric=cfg.heat_metric
         )
         out.rows.append(
             AblationRow(
                 scope,
-                cm.total(resolved.pruned()),
+                stats.resolved_cost,
                 extra={
                     "phase1 ($)": round(stats.phase1_cost, 2),
                     "overflow iters": stats.iterations,

@@ -249,7 +249,7 @@ class BandwidthAwareScheduler:
             admitted.append(req)
         final = Schedule(s.finish() for s in sessions.values()).pruned()
         cost = self.cost_model.schedule_cost(final)
-        stats = ResolutionStats(phase1_cost=cost.total, resolved_cost=cost.total)
+        stats = ResolutionStats(phase1_cost=cost.total, resolved=cost)
         return BandwidthAwareResult(
             schedule=final,
             cost=cost,

@@ -189,7 +189,7 @@ class RollingScheduler:
                 deliveries=len(final.deliveries),
                 residencies=len(final.residencies),
             )
-        record_schedule_metrics(self.obs, final, self.cost_model, scope="final")
+        record_schedule_metrics(self.obs, final, self.cost_model, result.cost)
         metrics = self.obs.metrics
         if metrics.enabled:
             metrics.counter(

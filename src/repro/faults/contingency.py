@@ -620,7 +620,9 @@ class ContingencyScheduler:
             saved=tuple(saved),
             lost=tuple(lost),
             cost_before=cost_before,
-            cost_after=self._cm.schedule_cost(patched),
+            cost_after=(
+                resolution.resolved if solved else self._cm.schedule_cost(patched)
+            ),
             resolution=resolution,
             masking=self._masking,
         )

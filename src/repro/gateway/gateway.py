@@ -19,7 +19,7 @@ For every arriving booking it
 
 At each cycle boundary :meth:`seal` books the batch into the service,
 closes the cycle, reconciles quoted vs. realized Ψ per delivered request
-(deliveries billed directly, residency cost via the billing split), and
+(the per-request shares of the cycle's billing statement), and
 journals the whole intake lifecycle (``quoted``, ``gate-admitted``,
 ``gate-rejected``, ``gate-queued``, ``gate-shed``, ``cycle-sealed``)
 with ``vor_gateway_*`` metric families.  Queued reservations carry over
@@ -502,7 +502,7 @@ class ReservationGateway:
         }
         for intake in self._batch:
             quoted[request_key(intake.event.request)] += intake.quote.price
-        realized = _realized_psi(report, self.service.cost_model)
+        realized = report.billing.requests
         reconciliation = tuple(
             Reconciliation(
                 request_id=rid,
@@ -511,8 +511,7 @@ class ReservationGateway:
             )
             for rid, psi in sorted(realized.items())
         )
-        delivered = set(realized)
-        quote_total = math.fsum(q for rid, q in quoted.items() if rid in delivered)
+        quote_total = math.fsum(q for rid, q in quoted.items() if rid in realized)
         realized_total = math.fsum(realized.values())
         if final:
             self._shed_queue("final-seal")
@@ -606,7 +605,6 @@ class ReservationGateway:
             shed=cycle.shed,
             quote_total=quote_total,
             realized_total=realized_total,
-            solved=True,
         )
         metrics = self.obs.metrics
         if metrics.enabled:
@@ -644,37 +642,6 @@ def _checked_boundaries(boundaries: list[float]) -> list[float]:
     if out != sorted(out):
         raise GatewayError(f"cycle boundaries must be ascending: {out}")
     return out
-
-
-def _realized_psi(report: CycleReport, cost_model) -> dict[str, float]:
-    """Billed Ψ per request key: own deliveries + residency-cost shares.
-
-    Mirrors :func:`repro.billing.allocate_costs`: each delivery's network
-    cost goes to its request; each consumed residency's storage cost is
-    split evenly across its ``service_list`` user entries, and a user's
-    share is split evenly across that user's delivered requests of the
-    video.  Unconsumed residencies (overhead) are not attributed, exactly
-    as billing absorbs them.
-    """
-    realized: dict[str, float] = {}
-    for fs in report.cycle.schedule:
-        by_user: dict[str, list[str]] = {}
-        for d in fs.deliveries:
-            rid = request_key(d.request)
-            realized[rid] = realized.get(rid, 0.0) + cost_model.delivery_cost(d)
-            by_user.setdefault(d.request.user_id, []).append(rid)
-        for c in fs.residencies:
-            if not c.service_list:
-                continue
-            share = cost_model.residency_cost(c) / len(c.service_list)
-            for user_id in c.service_list:
-                rids = by_user.get(user_id)
-                if not rids:
-                    continue
-                per_request = share / len(rids)
-                for rid in rids:
-                    realized[rid] = realized.get(rid, 0.0) + per_request
-    return realized
 
 
 __all__ = [

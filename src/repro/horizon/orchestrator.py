@@ -61,13 +61,10 @@ class HorizonConfig:
         migration: Between-cycle migration tuning; ``None`` freezes the
             initial replica map for the whole horizon.
         online: Amendment-loop tuning for cycles that faults touch.
-        resume_credits: Build the carryover ledger after each amended
-            cycle and credit the already-delivered stream fractions.
     """
 
     migration: MigrationConfig | None = field(default_factory=MigrationConfig)
     online: OnlineLoopConfig = field(default_factory=OnlineLoopConfig)
-    resume_credits: bool = True
 
 
 @dataclass(frozen=True)
@@ -382,7 +379,7 @@ class HorizonOrchestrator:
                 )
                 run_report = loop.run(cycle_feed, report)
                 amended = run_report.final
-                if self.config.resume_credits and run_report.plan is not None:
+                if run_report.plan is not None:
                     ledger = build_resume_ledger(
                         report.cycle.schedule,
                         amended.cycle.schedule,

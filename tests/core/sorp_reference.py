@@ -254,5 +254,5 @@ def reference_resolve_overflows(
         overflows = detect_overflows(
             working, catalog, topology, background=background
         )
-    stats.resolved_cost = cost_model.total(working)
+    stats.resolved = cost_model.schedule_cost(working)
     return working, stats

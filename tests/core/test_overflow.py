@@ -11,7 +11,7 @@ from repro import (
     VideoFile,
     detect_overflows,
 )
-from repro.core.overflow import storage_usage, total_excess
+from repro.core.overflow import storage_usage
 
 
 @pytest.fixture
@@ -144,7 +144,9 @@ class TestExcessMeasures:
     def test_total_excess_zero_when_feasible(self, env):
         topo, catalog = env
         s = _schedule([ResidencyInfo("a", "IS1", "VW", 0.0, 30.0)])
-        assert total_excess(s, catalog, topo) == 0.0
+        for spec in topo.storages:
+            usage = storage_usage(s, catalog, spec.name)
+            assert usage.integral_above(spec.capacity) == 0.0
 
     def test_total_excess_positive_and_localized(self, env):
         topo, catalog = env
@@ -154,9 +156,10 @@ class TestExcessMeasures:
                 ResidencyInfo("b", "IS1", "VW", 10.0, 40.0),
             ]
         )
-        excess = total_excess(s, catalog, topo)
+        excess = storage_usage(s, catalog, "IS1").integral_above(150.0)
         # 50 over capacity during [10,30] plus the drain-overlap triangle
         assert excess == pytest.approx(50 * 20 + 0.5 * 50 * 5, rel=1e-6)
+        assert storage_usage(s, catalog, "IS2").integral_above(150.0) == 0.0
 
     def test_overflow_excess_matches_total(self, env):
         topo, catalog = env
@@ -168,7 +171,7 @@ class TestExcessMeasures:
         )
         ofs = detect_overflows(s, catalog, topo)
         assert sum(o.excess_spacetime for o in ofs) == pytest.approx(
-            total_excess(s, catalog, topo), rel=1e-6
+            storage_usage(s, catalog, "IS1").integral_above(150.0), rel=1e-6
         )
 
     def test_storage_usage_timeline(self, env):

@@ -8,6 +8,7 @@ from repro import (
     CostModel,
     HeatMetric,
     IndividualScheduler,
+    Observability,
     Request,
     RequestBatch,
     Topology,
@@ -16,7 +17,8 @@ from repro import (
     detect_overflows,
     resolve_overflows,
 )
-from repro.core.overflow import total_excess
+
+from .test_sorp_incremental import _trial_outcomes
 
 
 def _env(capacity=150.0, srate=1e-3, nrate=1.0, n_files=2):
@@ -48,7 +50,6 @@ class TestResolveOverflows:
         assert detect_overflows(phase1, catalog, topo)
         resolved, stats = resolve_overflows(phase1, batch, cm)
         assert detect_overflows(resolved, catalog, topo) == []
-        assert total_excess(resolved, catalog, topo) == 0.0
         assert stats.had_overflow
         assert stats.iterations >= 1
         assert stats.victims
@@ -89,19 +90,28 @@ class TestResolveOverflows:
         assert stats.cost_increase == 0.0
         assert cm.total(resolved) == pytest.approx(cm.total(phase1))
 
-    @pytest.mark.parametrize("capacity, passes", [(1e6, 1), (150.0, 2)])
-    def test_zero_rounds_price_the_schedule_once(self, capacity, passes):
+    @pytest.mark.parametrize("capacity, overflows", [(1e6, False), (150.0, True)])
+    def test_zero_rounds_price_the_schedule_once(self, capacity, overflows):
         topo, catalog, cm = _env(capacity=capacity)
         batch = _contended_batch()
         phase1 = IndividualScheduler(cm).solve(batch)
-        with mock.patch.object(cm, "total", wraps=cm.total) as total:
-            resolved, stats = resolve_overflows(phase1, batch, cm)
-        # without a victim the resolved schedule is the input: its Ψ is
-        # the Phase-1 Ψ, not priced again
-        assert total.call_count == passes
-        assert (stats.iterations == 0) == (passes == 1)
-        assert stats.resolved_cost == cm.total(resolved)
-        assert stats.phase1_cost == cm.total(phase1)
+        obs = Observability.on()
+        with mock.patch.object(
+            cm, "file_cost", wraps=cm.file_cost
+        ) as file_cost, mock.patch.object(
+            cm, "schedule_cost", wraps=cm.schedule_cost
+        ) as schedule_cost:
+            resolved, stats = resolve_overflows(phase1, batch, cm, obs=obs)
+        trials = _trial_outcomes(obs)
+        served = trials["run"] + trials["resumed"]
+        # each Phase-1 file is priced once, each served trial once; the
+        # ledger sums to Ψ without pricing the schedule again
+        assert schedule_cost.call_count == 0
+        assert file_cost.call_count == len(phase1) + served
+        assert (stats.iterations > 0) == overflows == (served > 0)
+        assert stats.resolved.total.hex() == cm.total(resolved).hex()
+        assert stats.resolved == cm.schedule_cost(resolved)
+        assert stats.phase1_cost.hex() == cm.total(phase1).hex()
 
     @pytest.mark.parametrize("metric", list(HeatMetric))
     def test_all_metrics_resolve(self, metric):

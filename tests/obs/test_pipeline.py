@@ -208,7 +208,8 @@ class TestCliTelemetry:
             for entry in doc["metrics"]["vor_psi_evaluations_total"]["values"]
         ]
         assert all("cache" not in lab for lab in labels)
-        assert {lab["phase"] for lab in labels} == {"sorp", "costing"}
+        # the solving model's result is not priced again: no costing pass
+        assert {lab["phase"] for lab in labels} == {"sorp"}
         assert "vor_cost_cache_hits_total" in doc["metrics"]
         assert "vor_cost_cache_misses_total" in doc["metrics"]
         # per-IS peak storage gauges
