@@ -37,7 +37,9 @@ The recovery-stance sweep recovers 20 seeded 3-fault plans on the CI
 fault-drill environment under both masking stances, whatever the flags,
 gating per stance the recoveries that raise, the recoveries left with
 degraded-replay violations, the violations by kind, and the requests
-lost.
+lost.  A second sweep gates the same keys on 20 seeded 6-fault plans of
+warehouse losses, outages and shrinks, on the environment with a second
+warehouse and heat-placed replicas.
 
 Finally an online amendment drill replays a seeded fault feed (with one
 injected transient failure) through the
@@ -229,7 +231,8 @@ _GATED_SECTIONS = (
     (("sorp",), _DETERMINISTIC_SORP_KEYS),
     *((("scale", str(n)), _DETERMINISTIC_SCALE_KEYS) for n in _SCALE_REQUESTS),
     *(
-        (("stances", m), _DETERMINISTIC_STANCE_KEYS)
+        ((section, m), _DETERMINISTIC_STANCE_KEYS)
+        for section in ("stances", "stances_replicated")
         for m in ("cycle", "windowed")
     ),
 )
@@ -384,7 +387,7 @@ def _recovery_drill(n_videos: int, users: int):
     )
     t0 = time.perf_counter()
     rec = ContingencyScheduler(scheduler.cost_model).recover(
-        result.schedule, plan, batch=batch
+        result, plan, batch=batch
     )
     wall = time.perf_counter() - t0
     return {
@@ -396,9 +399,12 @@ def _recovery_drill(n_videos: int, users: int):
     }
 
 
-def _stance_sweep() -> dict:
+def _stance_sweep(replicated: bool = False) -> dict:
     """Both recovery stances over :data:`_STANCE_PLAN_SEEDS` on the CI
-    fault-drill environment (60 videos, seed 4, 5 GB caches).
+    fault-drill environment (60 videos, seed 4, 5 GB caches): generated
+    3-fault plans, or with ``replicated`` 6-fault plans of warehouse
+    losses, outages and shrinks on the environment with a second
+    warehouse behind IS7 and heat-placed replicas.
 
     Per stance: recoveries that raise, recoveries whose patched schedule
     has a violation under the plan's degraded replay, the violations by
@@ -407,8 +413,9 @@ def _stance_sweep() -> dict:
     """
     from collections import Counter
 
+    from repro import ReplicaMap
     from repro.errors import ReproError
-    from repro.faults import ContingencyScheduler, FaultPlan
+    from repro.faults import ContingencyScheduler, FaultKind, FaultPlan
     from repro.sim.validate import validate_schedule
     from repro.workload.requests import RequestBatch
 
@@ -417,15 +424,29 @@ def _stance_sweep() -> dict:
         srate=units.per_gb_hour(5),
         capacity=units.gb(5),
     )
+    if replicated:
+        topo.add_warehouse("VW2")
+        topo.add_edge("IS7", "VW2", nrate=units.per_gb(500))
     catalog = paper_catalog(60, seed=4)
     batch = WorkloadGenerator(topo, catalog, alpha=0.271).generate(seed=4)
-    scheduler = VideoScheduler(topo, catalog)
-    schedule = scheduler.solve(batch).schedule
+    replicas = (
+        ReplicaMap.heat_placement(topo, catalog, batch) if replicated else None
+    )
+    scheduler = VideoScheduler(topo, catalog, replicas=replicas)
+    solved = scheduler.solve(batch)
     cm = scheduler.cost_model
     t_lo, t_hi = batch.span
     horizon = (t_lo, t_hi + max(v.playback for v in catalog))
+    kinds = (
+        (FaultKind.WAREHOUSE_LOSS, FaultKind.IS_OUTAGE, FaultKind.CAPACITY_SHRINK)
+        if replicated
+        else None
+    )
     plans = [
-        FaultPlan.generate(topo, seed=seed, horizon=horizon, n_faults=3)
+        FaultPlan.generate(
+            topo, seed=seed, horizon=horizon, n_faults=6 if replicated else 3,
+            kinds=kinds,
+        )
         for seed in _STANCE_PLAN_SEEDS
     ]
     stances = {}
@@ -436,7 +457,7 @@ def _stance_sweep() -> dict:
         for plan in plans:
             try:
                 rec = ContingencyScheduler(cm, masking=masking).recover(
-                    schedule, plan, batch=batch
+                    solved, plan, batch=batch
                 )
             except ReproError:
                 raised += 1
@@ -505,12 +526,11 @@ def _online_drill(n_videos: int, users: int):
     amend_times = [rec.duration_s for rec in run.records if rec.duration_s]
 
     cm = CostModel(topo, catalog)
-    schedule = report.cycle.schedule
     plan = run.plan
     lost = {}
     for masking in ("cycle", "windowed"):
         rec = ContingencyScheduler(cm, masking=masking).recover(
-            schedule, plan, batch=batch
+            report.cycle, plan, batch=batch
         )
         lost[masking] = rec.requests_lost
     return {
@@ -734,13 +754,16 @@ def main(argv=None) -> int:
             f"{point['serves_kept']} kept"
         )
     stances = _stance_sweep()
-    for masking, sweep in stances.items():
-        print(
-            f"recovery stance {masking:>8}: {len(_STANCE_PLAN_SEEDS)} plans, "
-            f"{sweep['raised']} raise, {sweep['invalid']} invalid "
-            f"{sweep['violations']}, {sweep['requests_lost']} lost in "
-            f"{sweep['wall_time_seconds']:.2f}s"
-        )
+    stances_replicated = _stance_sweep(replicated=True)
+    for label, sweeps in (("", stances), (" replicated", stances_replicated)):
+        for masking, sweep in sweeps.items():
+            print(
+                f"recovery stance{label} {masking:>8}: "
+                f"{len(_STANCE_PLAN_SEEDS)} plans, "
+                f"{sweep['raised']} raise, {sweep['invalid']} invalid "
+                f"{sweep['violations']}, {sweep['requests_lost']} lost in "
+                f"{sweep['wall_time_seconds']:.2f}s"
+            )
     recovery = _recovery_drill(n_videos, users)
     print(
         f"warehouse-loss drill: saved "
@@ -802,6 +825,7 @@ def main(argv=None) -> int:
             "sorp": sorp,
             "scale": scale,
             "stances": stances,
+            "stances_replicated": stances_replicated,
             "recovery": recovery,
             "online": online,
             "horizon": horizon,

@@ -977,7 +977,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         result.schedule, scheduler.cost_model, plan, obs=env.obs
     )
     recovery = ContingencyScheduler(scheduler.cost_model, obs=env.obs).recover(
-        result.schedule, plan, batch=batch
+        result, plan, batch=batch
     )
     env.write_telemetry()
 

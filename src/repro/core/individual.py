@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.catalog.catalog import VideoCatalog
 from repro.catalog.video import VideoFile
 from repro.core.costmodel import CostModel, storage_cost
 from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo, Schedule
@@ -262,7 +261,6 @@ class IndividualScheduler:
     def solve(
         self,
         batch: RequestBatch,
-        catalog: VideoCatalog | None = None,
         *,
         seeds: dict[str, tuple[ResidencyInfo, ...]] | None = None,
     ) -> Schedule:
@@ -272,7 +270,7 @@ class IndividualScheduler:
         ``seeds`` maps a video id to the carryover residencies seeding its
         greedy (rolling cycles), missing ids seed empty.
         """
-        catalog = catalog if catalog is not None else self._cm.catalog
+        catalog = self._cm.catalog
         seeds = seeds or {}
         schedule = Schedule()
         for video_id, requests in batch.by_video().items():

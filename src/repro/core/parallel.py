@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostModel
 from repro.core.individual import IndividualScheduler
 from repro.core.schedule import ResidencyInfo, Schedule
@@ -47,6 +46,8 @@ class ParallelIndividualScheduler:
         cost_model: Pricing + topology + catalog.
         obs: Observability handle; defaults to the inert
             :data:`repro.obs.NULL_OBS`.
+        route_policy: Optional :class:`~repro.core.individual.RoutePolicy`;
+            defaults to cheapest-path routing.
 
     The engine is stateless between runs and safe to reuse across batches.
     """
@@ -56,14 +57,16 @@ class ParallelIndividualScheduler:
         cost_model: CostModel,
         *,
         obs: Observability | None = None,
+        route_policy=None,
     ):
         self._obs = obs if obs is not None else NULL_OBS
-        self._scheduler = IndividualScheduler(cost_model, obs=self._obs)
+        self._scheduler = IndividualScheduler(
+            cost_model, route_policy=route_policy, obs=self._obs
+        )
 
     def run(
         self,
         batch: RequestBatch,
-        catalog: VideoCatalog | None = None,
         *,
         seeds: dict[str, tuple[ResidencyInfo, ...]] | None = None,
     ) -> Phase1Result:
@@ -71,12 +74,11 @@ class ParallelIndividualScheduler:
 
         Args:
             batch: The cycle's requests.
-            catalog: Video lookup; defaults to the cost model's catalog.
             seeds: Optional carryover residencies per video id (rolling
                 cycles); missing ids seed empty.
         """
         with self._obs.tracer.span(
             "ivsp", videos=len(batch.video_ids), requests=len(batch)
         ):
-            schedule = self._scheduler.solve(batch, catalog, seeds=seeds)
+            schedule = self._scheduler.solve(batch, seeds=seeds)
         return Phase1Result(schedule)

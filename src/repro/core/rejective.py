@@ -287,11 +287,13 @@ class RejectiveGreedyScheduler:
 
     Reschedules one victim file against the current integrated schedule,
     forbidding it from the overflowing ``(Δt, IS_j)`` and from any placement
-    that would not fit in the currently available space.
+    that would not fit in the currently available space, routed by
+    ``route_policy`` (default: cheapest path).
     """
 
-    def __init__(self, cost_model: CostModel):
+    def __init__(self, cost_model: CostModel, route_policy=None):
         self._cm = cost_model
+        self._route_policy = route_policy
 
     def reschedule(
         self,
@@ -336,7 +338,8 @@ class RejectiveGreedyScheduler:
         constraints = ResidencyConstraints(
             list(forbidden), oracle, DecisionLog() if log is None else log
         )
-        session = IndividualScheduler(self._cm, constraints).session(
+        greedy = IndividualScheduler(self._cm, constraints, self._route_policy)
+        session = greedy.session(
             video, initial_residencies=initial_residencies, kept=kept
         )
         for req in sorted(requests)[len(kept):]:

@@ -155,26 +155,34 @@ def solve_two_phase(
     background=None,
     base: Schedule | None = None,
     pricing: CostModel | None = None,
+    route_policy=None,
 ) -> ScheduleResult:
     """IVSP per file, integrate, then SORP: the paper's heuristic (Table 3).
 
     ``seeds`` (carryover residencies per video id) seed the Phase-1 greedy
     and are committed for SORP; ``background`` is SORP's capacity
-    background.  ``base`` holds files kept verbatim: the Phase-1 files are
-    grafted over it, and SORP resolves the requests the grafted schedule
-    delivers.  The result's cost is SORP's ledger sum (pruning drops only
+    background.  ``base`` holds files kept verbatim: each Phase-1 file is
+    grafted onto it, appended to the file of its video if ``base`` holds
+    one, and SORP resolves the requests the grafted schedule delivers.
+    ``route_policy`` routes Phase 1 and SORP's trials (default: cheapest
+    path).  The result's cost is SORP's ledger sum (pruning drops only
     unused zero-span residencies, whose Ψ_C is 0.0); only a ``pricing``
     model other than ``cost_model`` prices the result again, recorded as
     ``phase="costing"``.
     """
     start = cost_model.cache_stats
-    schedule = ParallelIndividualScheduler(cost_model, obs=obs).run(
-        batch, seeds=seeds
-    ).schedule
+    schedule = ParallelIndividualScheduler(
+        cost_model, obs=obs, route_policy=route_policy
+    ).run(batch, seeds=seeds).schedule
     if base is not None:
         grafted = base.copy()
         for fs in schedule:
-            grafted.set_file(fs)
+            if fs.video_id in grafted:
+                kept = grafted.file(fs.video_id)
+                kept.deliveries.extend(fs.deliveries)
+                kept.residencies.extend(fs.residencies)
+            else:
+                grafted.set_file(fs)
         schedule = grafted
         batch = RequestBatch(d.request for d in schedule.deliveries)
     resolved, stats = resolve_overflows(
@@ -185,6 +193,7 @@ def solve_two_phase(
         background=background,
         committed=seeds,
         obs=obs,
+        route_policy=route_policy,
     )
     final = resolved.pruned()
     cache_stats = cost_model.cache_stats - start

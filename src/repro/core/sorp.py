@@ -51,7 +51,7 @@ from repro.core.rejective import (
     ResidencyConstraints,
 )
 from repro.core.schedule import FileSchedule, Schedule
-from repro.errors import OverflowResolutionError
+from repro.errors import OverflowResolutionError, ScheduleError
 from repro.obs import DOLLAR_BUCKETS, NULL_OBS, Observability
 from repro.workload.requests import RequestBatch
 
@@ -115,6 +115,7 @@ def resolve_overflows(
     background=None,
     committed=None,
     obs: Observability | None = None,
+    route_policy=None,
 ) -> tuple[Schedule, ResolutionStats]:
     """Run ``SORP_solve`` on an integrated Phase-1 schedule.
 
@@ -134,6 +135,8 @@ def resolve_overflows(
             span, one ``sorp.round`` span per iteration, ``overflow``
             spans around each detection sweep, and victim/iteration
             counters.  Defaults to the inert :data:`repro.obs.NULL_OBS`.
+        route_policy: Optional :class:`~repro.core.individual.RoutePolicy`
+            the trials route by; defaults to cheapest-path routing.
 
     Returns:
         ``(feasible_schedule, stats)``.  The input schedule is left intact.
@@ -159,6 +162,7 @@ def resolve_overflows(
         metric,
         background,
         committed or {},
+        route_policy,
     )
     stats = ResolutionStats(phase1_cost=selector.cost().total)
     index = selector.index
@@ -345,12 +349,13 @@ class _VictimSelector:
         metric: HeatMetric,
         background,
         committed: dict,
+        route_policy=None,
     ):
         self.index = LocationIndex(working, cost_model.catalog, background)
         #: Ψ(S_i) per video of the working schedule, in schedule order.
         self.ledger = {fs.video_id: cost_model.file_cost(fs) for fs in working}
         self._cm = cost_model
-        self._rejective = RejectiveGreedyScheduler(cost_model)
+        self._rejective = RejectiveGreedyScheduler(cost_model, route_policy)
         self._requests = requests_by_video
         self._metric = metric
         self._background = background
@@ -393,7 +398,10 @@ class _VictimSelector:
         """Price every (overflow, member) reschedule and return the hottest.
 
         Ties break toward the lower overhead, then lexicographic video id, so
-        runs are fully deterministic.
+        runs are fully deterministic.  Members that cannot be victimized are
+        skipped: pure-carryover files, committed carryover residencies, and
+        files whose trial finds no feasible source under the route policy
+        (never the case for the default policy on a healthy topology).
         """
         catalog = self._cm.catalog
         best_key: tuple[float, float, str] | None = None
@@ -413,7 +421,10 @@ class _VictimSelector:
                     for s in seeds
                 ):
                     continue  # this residency IS the committed carryover itself
-                trial = self._price(video, requests, of, tuple(seeds))
+                try:
+                    trial = self._price(video, requests, of, tuple(seeds))
+                except ScheduleError:
+                    continue  # no feasible source under the route policy
                 trials[(c.video_id, of.location, of.interval)] = trial
                 overhead = trial.cost.total - self.ledger[c.video_id].total
                 heat = compute_heat(self._metric, c, video, of, overhead)

@@ -265,7 +265,7 @@ class RollingScheduler:
             obs=self.obs,
             masking=masking,
         )
-        recovery = contingency.recover(result.schedule, plan, batch=batch)
+        recovery = contingency.recover(result, plan, batch=batch)
         metrics = self.obs.metrics
         if metrics.enabled:
             metrics.counter(

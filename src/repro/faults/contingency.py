@@ -1,62 +1,50 @@
 """Contingency re-scheduling: patch a schedule around an active fault plan.
 
-Given a committed schedule and a :class:`~repro.faults.plan.FaultPlan`, the
+Given a solved cycle and a :class:`~repro.faults.plan.FaultPlan`, the
 :class:`ContingencyScheduler`
 
 1. computes the **impacted video set** -- every file with a delivery that
    routes through a failed node/link or a residency at a failed or shrunk
-   storage, while the fault is in effect;
-2. clones the healthy cost model over a **masked** topology (failed
-   resources removed, degraded ones shrunk, see
-   :func:`repro.faults.inject.masked_topology` and
-   :meth:`~repro.core.costmodel.CostModel.with_topology`), so a tariff
-   subclass re-solves under its tariff;
-3. splits the impacted files' requests into **lost** (the user's local
-   storage is down or unreachable from every surviving *home* of the
-   video's replica set -- no schedule can serve them) and **recoverable**;
-   without a :class:`~repro.replication.ReplicaMap` on the cost model every
-   surviving warehouse counts as a home, the single-warehouse behaviour;
-4. re-solves *only* the recoverable impacted requests through
-   :func:`~repro.core.scheduler.solve_two_phase` against the masked model,
-   grafting the fresh per-file schedules over the unimpacted ones (the
-   pipeline's ``base``) before the SORP pass;
-5. reports the patched schedule together with its cost delta (Ψ before vs
-   after, both priced on the *original* model so the delta is
-   apples-to-apples) and the SLA outcome (requests saved vs lost).
+   storage, while the fault is in effect (``_split_hits`` over
+   :func:`~repro.faults.inject.fault_hits`);
+2. splits the hit requests into **lost** (the user's local storage is down
+   or unreachable from every standing *home* of the video -- every
+   warehouse without a :class:`~repro.replication.ReplicaMap`) and
+   **recoverable**;
+3. re-solves *only* the recoverable requests with one
+   :func:`~repro.core.scheduler.solve_two_phase` call, grafted onto the
+   kept files (the pipeline's ``base``) before the SORP pass;
+4. reports the patched schedule with its cost delta (Ψ before vs after,
+   both on the *healthy* model) and the SLA outcome (requests saved vs
+   lost).
 
-Unimpacted files are untouched bit-for-bit: recovery is incremental and
-deterministic -- the same seeded plan always yields the same patched
-schedule.
+Unimpacted files are untouched bit-for-bit, and the same seeded plan always
+yields the same patched schedule.  Every patch is judged one way: on the
+healthy model plus the plan's degraded replay.
 
-Two masking stances are supported (``masking=``).  They differ only in how
-they re-solve: both apply one hit rule (``_split_hits`` over
-:func:`~repro.faults.inject.fault_hits`), re-solve on one masked model per
-sub-plan (``_MaskViews``), and their patches are judged one way -- on the
-healthy model plus the plan's degraded replay.  The default
-``"cycle"`` mode is conservative: it is the windowed rule with every fault
-in effect for the whole cycle, so any resource the plan *ever* fails is
-unusable, and every request of an impacted video is re-solved (or lost) on
-the union mask.  ``"windowed"`` mode is time-aware and surgical: only
-services whose stream or occupancy interval actually intersects a fault
-window count as hit, per delivery and per residency, so a delivery
-scheduled around an outage keeps its original route verbatim and only the
-genuinely-hit requests are re-solved -- each group on a mask of the faults
-its span can intersect, seeded with the kept caches.  Because windowed
-recovery loses a request only when a *hit* request is unservable on a mask
-with no more faults than the union, its lost set is always a subset of
-cycle mode's: windowed recovery saves at least as many requests, and
-strictly more whenever a fault window leaves part of the cycle untouched.
-The windowed overflow pass (Phase 2) runs on the healthy model, so a
-re-solved file can land on a storage that is shrunk or down during a
-window; the degraded replay surfaces such violations at validation time
-rather than repairing them.
+The two masking stances (``masking=``) differ only in what counts as hit
+and how the re-solve sees the faults:
 
-A :attr:`~repro.faults.plan.FaultKind.WAREHOUSE_LOSS` removes a warehouse
-node entirely; with replicated warehouses recovery re-solves every impacted
-request from the surviving homes.  When the plan downs *every* warehouse the
-impacted requests are all lost but recovery still returns gracefully with
-the unimpacted files intact (only :func:`~repro.faults.inject.masked_topology`
-itself insists on a standing warehouse).
+* ``"cycle"`` (default, conservative) holds every fault in effect for the
+  whole cycle: every request of an impacted video is re-solved on the
+  healthy model cloned over the plan's
+  :func:`~repro.faults.inject.masked_topology`
+  (:meth:`~repro.core.costmodel.CostModel.with_topology`, so a tariff
+  subclass re-solves under its tariff), or lost.
+* ``"windowed"`` counts a delivery or residency as hit only when its own
+  interval meets a fault window, keeps everything else verbatim, and
+  re-solves a hit request when it is servable on the mask of the faults
+  in effect during its stream.  The solve runs on the healthy model,
+  seeded with the kept caches; the windows reach it as SORP background
+  (:func:`~repro.faults.inject.fault_background`: outages and shrinks
+  take their storage's space) and as a route policy that routes each
+  stream on its window's mask.  Its lost set is a subset of the cycle
+  stance's.  A SORP pass can still fail to find a reschedulable victim
+  when every member's trial has no source under the policy (seen with
+  replicated warehouses and warehouse-loss plans).
+
+A plan that downs *every* warehouse loses the impacted requests it cuts off
+but still returns, with the unimpacted files intact.
 """
 
 from __future__ import annotations
@@ -66,14 +54,20 @@ from dataclasses import dataclass, field
 
 from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
-from repro.core.parallel import ParallelIndividualScheduler
+from repro.core.individual import RoutePolicy
 from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo, Schedule
 from repro.core.scheduler import solve_two_phase
-from repro.core.sorp import ResolutionStats, resolve_overflows
-from repro.errors import FaultError
-from repro.faults.inject import fault_effects, fault_hits, masked_topology
+from repro.core.sorp import ResolutionStats
+from repro.errors import FaultError, RoutingError
+from repro.faults.inject import (
+    fault_background,
+    fault_effects,
+    fault_hits,
+    masked_graph,
+)
 from repro.faults.plan import FaultPlan
 from repro.obs import NULL_OBS, Observability
+from repro.topology.routing import Route, Router
 from repro.workload.requests import Request, RequestBatch
 
 _log = logging.getLogger(__name__)
@@ -133,41 +127,56 @@ def _split_hits(
     return hit_del, kept_del, kept_res
 
 
-class _MaskViews:
-    """Masked cost models and warehouse reach, one view per sub-plan.
+class _MaskViews(RoutePolicy):
+    """Masked cost models, routers and warehouse reach, one view per sub-plan
+    of ``plan``.
 
-    A view is ``{"model": clone, "reach": {warehouse: reachable nodes}}``:
-    the healthy model cloned over the sub-plan's
+    A view is ``{"model": clone, "router": router, "reach": {warehouse:
+    reachable nodes}}``: the healthy model cloned over the sub-plan's
     :func:`~repro.faults.inject.masked_topology`
-    (:meth:`~repro.core.costmodel.CostModel.with_topology`), and what each
-    standing warehouse reaches on the clone's router.  A sub-plan that
-    downs every warehouse has no model and reaches nothing.  Views are
-    cached per sub-plan signature.
+    (:meth:`~repro.core.costmodel.CostModel.with_topology`), its router,
+    and what each standing warehouse reaches on it.  A sub-plan that downs
+    every warehouse has no model and reaches nothing, but its router still
+    routes between the surviving storages.  Views are cached per sub-plan
+    and per time window.
+
+    As a route policy it routes each stream on the view of the faults in
+    effect during it, and answers ``None`` when that view downs an end or
+    disconnects the two: never the healthy route, which could serve from a
+    lost warehouse.
     """
 
-    def __init__(self, cost_model: CostModel):
+    def __init__(self, cost_model: CostModel, plan: FaultPlan):
         self._cm = cost_model
+        self._plan = plan
         self._cache: dict[tuple, dict] = {}
+        self._windows: dict[tuple[float, float], dict] = {}
 
     def view(self, sub: FaultPlan) -> dict:
         sig = tuple(f.key for f in sub)
         entry = self._cache.get(sig)
         if entry is None:
-            try:
-                masked = masked_topology(self._cm.topology, sub)
-            except FaultError:
-                # No warehouse survives this sub-plan.
-                entry = {"model": None, "reach": {}}
-            else:
+            masked = masked_graph(self._cm.topology, sub)
+            if masked.warehouses:
                 model = self._cm.with_topology(masked)
-                entry = {
-                    "model": model,
-                    "reach": {
-                        w.name: model.router.reachable(w.name)
-                        for w in masked.warehouses
-                    },
-                }
+                router = model.router
+            else:
+                model, router = None, Router(masked)
+            entry = {
+                "model": model,
+                "router": router,
+                "reach": {
+                    w.name: router.reachable(w.name) for w in masked.warehouses
+                },
+            }
             self._cache[sig] = entry
+        return entry
+
+    def window(self, t0: float, t1: float) -> dict:
+        """The view of the faults in effect during ``[t0, t1)``."""
+        entry = self._windows.get((t0, t1))
+        if entry is None:
+            entry = self._windows[t0, t1] = self.view(self._plan.overlapping(t0, t1))
         return entry
 
     def servable(self, r: Request, view: dict) -> bool:
@@ -180,6 +189,15 @@ class _MaskViews:
         )
         return any(r.local_storage in reach[h] for h in homes if h in reach)
 
+    def select(
+        self, src: str, dst: str, t_start: float, t_end: float, bandwidth: float
+    ) -> Route | None:
+        del bandwidth
+        try:
+            return self.window(t_start, t_end)["router"].route(src, dst)
+        except RoutingError:
+            return None
+
 
 @dataclass
 class RecoveryResult:
@@ -187,7 +205,7 @@ class RecoveryResult:
 
     plan: FaultPlan
     #: The amended schedule: unimpacted files verbatim, impacted files
-    #: re-solved on the masked model (files whose every request is lost
+    #: re-solved around the faults (files whose every request is lost
     #: disappear entirely).
     schedule: Schedule
     impacted: tuple[str, ...] = ()
@@ -283,9 +301,8 @@ class ContingencyScheduler:
         masking: ``"cycle"`` (default) treats any resource the plan ever
             fails as unusable for the whole cycle -- the conservative
             stance.  ``"windowed"`` re-solves only the services whose time
-            interval actually intersects a fault window, so deliveries at
-            disjoint times keep their original (cheaper) routes and
-            strictly fewer requests are lost.
+            interval intersects a fault window, so deliveries at disjoint
+            times keep their original (cheaper) routes.
     """
 
     def __init__(
@@ -308,15 +325,19 @@ class ContingencyScheduler:
 
     def recover(
         self,
-        schedule: Schedule,
+        solved,
         plan: FaultPlan,
         *,
         batch: RequestBatch | None = None,
     ) -> RecoveryResult:
-        """Patch ``schedule`` around ``plan``; the input is not mutated.
+        """Patch ``solved.schedule`` around ``plan``; the input is not mutated.
 
         Args:
-            schedule: The committed schedule to amend.
+            solved: The solved cycle to amend: a
+                :class:`~repro.core.scheduler.ScheduleResult` or a rolling
+                :class:`~repro.extensions.rolling.CycleResult`.  Its
+                ``cost``, Ψ of its schedule on the healthy model, is the
+                recovery's ``cost_before``.
             plan: The active fault scenario.
             batch: The cycle's request batch; when omitted it is
                 reconstructed from the schedule's own deliveries.
@@ -328,14 +349,14 @@ class ContingencyScheduler:
             self._cm.topology, plan, whole_cycle=self._masking == "cycle"
         )
         if batch is None:
-            batch = RequestBatch(d.request for d in schedule.deliveries)
+            batch = RequestBatch(d.request for d in solved.schedule.deliveries)
         with self._obs.tracer.span(
             "recover",
             faults=len(plan),
             requests=len(batch),
             masking=self._masking,
         ) as span:
-            result = self._recover(schedule, plan, per_fault, batch)
+            result = self._recover(solved, plan, per_fault, batch)
             result.effects = tuple(per_fault)
             span.set(
                 impacted=result.videos_resolved,
@@ -369,12 +390,12 @@ class ContingencyScheduler:
 
     def _recover(
         self,
-        schedule: Schedule,
+        solved,
         plan: FaultPlan,
         per_fault: list,
         batch: RequestBatch,
     ) -> RecoveryResult:
-        cost_before = self._cm.schedule_cost(schedule)
+        schedule, cost_before = solved.schedule, solved.cost
         catalog = self._cm.catalog
         # video id -> _split_hits of each file a fault hits, in file order
         splits = {}
@@ -391,36 +412,62 @@ class ContingencyScheduler:
                 cost_after=cost_before,
                 masking=self._masking,
             )
-        masks = _MaskViews(self._cm)
-        if self._masking == "windowed":
-            return self._recover_windowed(
-                schedule, plan, splits, batch, masks, cost_before
-            )
-
-        # Whole cycle: every request of an impacted video is re-solved on
-        # the plan's mask, or lost when no standing home reaches it there.
-        view = masks.view(plan)
+        masks = _MaskViews(self._cm, plan)
         base = Schedule(fs for fs in schedule if fs.video_id not in splits)
         saved: list[Request] = []
         lost: list[Request] = []
-        for r in batch:
-            if r.video_id in splits:
-                (saved if masks.servable(r, view) else lost).append(r)
-        if saved:
-            # SORP over the whole grafted schedule: the fresh files must fit
-            # in what the shrunk storages have left *alongside* the
-            # unimpacted files' residencies.  The patched schedule is priced
-            # on the healthy model, like the original.
-            solved = solve_two_phase(
-                RequestBatch(saved),
-                view["model"],
+        if self._masking == "windowed":
+            # Hit requests servable on the mask of the faults in effect
+            # during their own stream are re-solved on the healthy model,
+            # the windows reaching it as SORP background and route policy,
+            # seeded with the kept caches; the rest of each file is kept.
+            resolve: list[Request] = []
+            for video_id, (hit_del, kept_del, kept_res) in splits.items():
+                playback = catalog[video_id].playback
+                redo: list[Request] = []
+                for d in hit_del:
+                    r = d.request
+                    view = masks.window(r.start_time, r.start_time + playback)
+                    (redo if masks.servable(r, view) else lost).append(r)
+                saved.extend(d.request for d in kept_del)
+                saved.extend(redo)
+                resolve.extend(redo)
+                if kept_del:
+                    kept = [] if redo else list(kept_res)
+                    base.set_file(FileSchedule(video_id, kept_del, kept).pruned())
+            model = self._cm
+            options = {
+                "seeds": {v: tuple(k) for v, (_, _, k) in splits.items() if k},
+                "background": fault_background(self._cm.topology, plan),
+                "route_policy": masks,
+            }
+        else:
+            # Whole cycle: every request of an impacted video is re-solved
+            # on the plan's mask, or lost when no standing home reaches it
+            # there.  SORP runs over the whole grafted schedule, so the
+            # fresh files fit in what the shrunk storages have left
+            # alongside the unimpacted files' residencies.
+            view = masks.view(plan)
+            for r in batch:
+                if r.video_id in splits:
+                    (saved if masks.servable(r, view) else lost).append(r)
+            resolve = saved
+            model = view["model"]
+            options = {}
+        if resolve:
+            # The patched schedule is priced on the healthy model, like the
+            # original.
+            fresh = solve_two_phase(
+                RequestBatch(resolve),
+                model,
                 heat_metric=self._metric,
                 obs=self._obs,
                 base=base,
                 pricing=self._cm,
+                **options,
             )
-            patched, cost_after = solved.schedule, solved.cost
-            resolution = solved.resolution
+            patched, cost_after = fresh.schedule, fresh.cost
+            resolution = fresh.resolution
         else:
             patched, cost_after = base, self._cm.schedule_cost(base)
             resolution = None
@@ -432,197 +479,6 @@ class ContingencyScheduler:
             lost=tuple(lost),
             cost_before=cost_before,
             cost_after=cost_after,
-            resolution=resolution,
-            masking=self._masking,
-        )
-
-    def _recover_windowed(
-        self,
-        schedule: Schedule,
-        plan: FaultPlan,
-        splits: dict,
-        batch: RequestBatch,
-        masks: _MaskViews,
-        cost_before: CostBreakdown,
-    ) -> RecoveryResult:
-        """Time-aware surgical recovery (see the module docstring).
-
-        Deliveries and residencies never touched *during* a fault window
-        carry over verbatim; only the genuinely-hit requests are re-solved
-        on the conservative union mask, seeded with the kept caches of
-        their video so the rebuild pays just the incremental Eq. 2/3
-        difference.
-        """
-        catalog = self._cm.catalog
-        if masks.view(plan)["model"] is None:
-            # Total warehouse loss: hit services cannot refill from
-            # anywhere, but services at disjoint times already streamed --
-            # keep them, drop only what a fault actually touches.
-            patched = Schedule(
-                fs for fs in schedule if fs.video_id not in splits
-            )
-            saved: list[Request] = []
-            lost: list[Request] = []
-            for video_id, (hit_del, kept_del, kept_res) in splits.items():
-                lost.extend(d.request for d in hit_del)
-                saved.extend(d.request for d in kept_del)
-                if kept_del:
-                    patched.set_file(
-                        FileSchedule(
-                            video_id, list(kept_del), list(kept_res)
-                        ).pruned()
-                    )
-            return RecoveryResult(
-                plan=plan,
-                schedule=patched,
-                impacted=tuple(splits),
-                saved=tuple(saved),
-                lost=tuple(lost),
-                cost_before=cost_before,
-                cost_after=self._cm.schedule_cost(patched),
-                resolution=None,
-                masking=self._masking,
-            )
-
-        # Per-window reachability: a request is lost only when its
-        # neighborhood is unreachable from every surviving home *during its
-        # own service window* -- the union mask would also count outages at
-        # disjoint times.
-        patched = Schedule(
-            fs for fs in schedule if fs.video_id not in splits
-        )
-        saved = []
-        lost = []
-        surviving = [r for r in batch if r.video_id not in splits]
-        pending_resolve: dict[str, list[Request]] = {}
-        for video_id, (hit_del, kept_del, kept_res) in splits.items():
-            playback = catalog[video_id].playback
-            video_resolve: list[Request] = []
-            for d in hit_del:
-                r = d.request
-                view = masks.view(
-                    plan.overlapping(r.start_time, r.start_time + playback)
-                )
-                if masks.servable(r, view):
-                    video_resolve.append(r)
-                else:
-                    lost.append(r)
-            for d in kept_del:
-                saved.append(d.request)
-                surviving.append(d.request)
-            if video_resolve:
-                pending_resolve[video_id] = video_resolve
-
-        # Group the re-solves by the sub-plan active over each video's
-        # resolve span: every group re-solves on a mask of exactly the
-        # faults it can intersect, so a request after an outage may rebuild
-        # on the very storage that was down earlier.  Requests that stop
-        # being servable under their (wider) group mask demote to lost.
-        groups: dict[tuple, dict] = {}
-        for video_id in splits:
-            video_resolve = pending_resolve.get(video_id)
-            if not video_resolve:
-                continue
-            playback = catalog[video_id].playback
-            t0 = min(r.start_time for r in video_resolve)
-            t1 = max(r.start_time for r in video_resolve) + playback
-            sub = plan.overlapping(t0, t1)
-            view = masks.view(sub)
-            kept_here: list[Request] = []
-            for r in video_resolve:
-                if masks.servable(r, view):
-                    kept_here.append(r)
-                    saved.append(r)
-                    surviving.append(r)
-                else:
-                    lost.append(r)
-            if not kept_here:
-                continue
-            sig = tuple(f.key for f in sub)
-            group = groups.setdefault(
-                sig, {"view": view, "requests": [], "videos": []}
-            )
-            group["requests"].extend(kept_here)
-            group["videos"].append(video_id)
-
-        resolution: ResolutionStats | None = None
-        solved: dict[str, FileSchedule] = {}
-        seeds: dict[str, tuple[ResidencyInfo, ...]] = {}
-        for sig in sorted(groups):
-            group = groups[sig]
-            g_cm = group["view"]["model"]
-            sub_batch = RequestBatch(group["requests"])
-            firsts = {
-                video_id: min(
-                    r.start_time
-                    for r in group["requests"]
-                    if r.video_id == video_id
-                )
-                for video_id in group["videos"]
-            }
-            # Kept caches seed the re-solve, but the greedy only extends a
-            # cache *forward* -- seed just those ending before the video's
-            # first re-solved request and surviving the group mask.
-            for video_id in group["videos"]:
-                kept_res = splits[video_id][2]
-                seeds[video_id] = tuple(
-                    c
-                    for c in kept_res
-                    if c.location in g_cm.topology
-                    and c.t_last <= firsts[video_id]
-                )
-            engine = ParallelIndividualScheduler(g_cm, obs=self._obs)
-            phase1 = engine.run(sub_batch, catalog, seeds=seeds)
-            solved.update({fs.video_id: fs for fs in phase1.schedule})
-        for video_id, (_, kept_del, kept_res) in splits.items():
-            new_fs = solved.get(video_id)
-            if new_fs is not None:
-                deliveries = list(kept_del) + list(new_fs.deliveries)
-                # The re-solve's residencies include the (possibly
-                # extended) seeded caches; add back only the unseeded ones.
-                seeded = {
-                    (c.location, c.t_start) for c in seeds.get(video_id, ())
-                }
-                residencies = list(new_fs.residencies) + [
-                    c
-                    for c in kept_res
-                    if (c.location, c.t_start) not in seeded
-                ]
-            else:
-                deliveries = list(kept_del)
-                residencies = list(kept_res)
-            if deliveries:
-                patched.set_file(
-                    FileSchedule(video_id, deliveries, residencies).pruned()
-                )
-        if solved:
-            # Phase 2 on the healthy model: the grafted files must fit
-            # alongside everything kept.  Kept caches are committed --
-            # victim rebuilds may extend but never shrink them.
-            patched, resolution = resolve_overflows(
-                patched,
-                RequestBatch(surviving),
-                self._cm,
-                metric=self._metric,
-                committed={
-                    video_id: tuple(kept_res)
-                    for video_id, (_, _, kept_res) in splits.items()
-                    if kept_res
-                },
-                obs=self._obs,
-            )
-            patched = patched.pruned()
-
-        return RecoveryResult(
-            plan=plan,
-            schedule=patched,
-            impacted=tuple(splits),
-            saved=tuple(saved),
-            lost=tuple(lost),
-            cost_before=cost_before,
-            cost_after=(
-                resolution.resolved if solved else self._cm.schedule_cost(patched)
-            ),
             resolution=resolution,
             masking=self._masking,
         )

@@ -8,10 +8,12 @@ this interval.  The degraded-mode analyzer (:mod:`repro.faults.report`),
 the contingency scheduler (:mod:`repro.faults.contingency`), the rolling
 scheduler's carryover re-roll and the horizon's resume ledger all ask it.
 
-The contingency scheduler re-solves on the healthy cost model cloned over a
+Whole-cycle recovery re-solves on the healthy cost model cloned over a
 :func:`masked_topology` (failed resources removed, degraded ones shrunk;
-see :meth:`~repro.core.costmodel.CostModel.with_topology`), which the
-existing Phase-1 + SORP machinery uses without knowing faults exist.
+see :meth:`~repro.core.costmodel.CostModel.with_topology`); windowed
+recovery re-solves on the healthy model with :func:`fault_background` as
+SORP's capacity background.  Either way the Phase-1 + SORP machinery runs
+without knowing faults exist.
 
 Severity is the remaining fraction of the resource (see
 :mod:`repro.faults.plan`); a warehouse brownout scales every link incident
@@ -21,8 +23,10 @@ is expressed in a model whose warehouses are otherwise infinite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from repro.core.spacefunc import LinearSegment, SpaceProfile
 from repro.errors import FaultError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.topology.graph import Topology, edge_key
@@ -233,6 +237,33 @@ def fault_hits(
     return hits
 
 
+def fault_background(
+    topology: Topology, plan: FaultPlan
+) -> dict[str, list[SpaceProfile]]:
+    """The space ``plan``'s outages and shrinks take, as SORP background.
+
+    Each outage or capacity shrink adds one flat ``SpaceProfile`` over its
+    window at its storage: the whole capacity for an outage, ``(1 -
+    severity) * capacity`` for a shrink.  Unbounded storages get none;
+    overlapping faults add up (conservative: the replay judges the least
+    remaining fraction).
+    """
+    background: dict[str, list[SpaceProfile]] = {}
+    for fault in plan:
+        if fault.kind is FaultKind.IS_OUTAGE:
+            taken = 1.0
+        elif fault.kind is FaultKind.CAPACITY_SHRINK:
+            taken = 1.0 - fault.severity
+        else:
+            continue
+        capacity = topology.capacity(_require_node(topology, fault))
+        if taken > 0.0 and not math.isinf(capacity):
+            height = taken * capacity
+            segment = LinearSegment(fault.t_start, fault.t_end, height, height)
+            background.setdefault(fault.target, []).append(SpaceProfile((segment,)))
+    return background
+
+
 def masked_topology(topology: Topology, plan: FaultPlan | FaultSpec) -> Topology:
     """A copy of ``topology`` with the plan's failed resources removed.
 
@@ -246,6 +277,17 @@ def masked_topology(topology: Topology, plan: FaultPlan | FaultSpec) -> Topology
     Raises :class:`~repro.errors.FaultError` when the mask would leave no
     warehouse, since no schedule can exist without an archive.
     """
+    out = masked_graph(topology, plan)
+    if not out.warehouses:
+        raise FaultError(
+            "fault plan leaves no warehouse standing: recovery impossible"
+        )
+    return out
+
+
+def masked_graph(topology: Topology, plan: FaultPlan | FaultSpec) -> Topology:
+    """:func:`masked_topology` without the standing-warehouse check: caches
+    still stream to their neighbours while every warehouse is down."""
     effects = combined_effects(topology, plan)
     bw = effects.bandwidth_factor_map
     cap = effects.capacity_factor_map
@@ -261,10 +303,6 @@ def masked_topology(topology: Topology, plan: FaultPlan | FaultSpec) -> Topology
                 srate=spec.srate,
                 capacity=spec.capacity * cap.get(spec.name, 1.0),
             )
-    if not out.warehouses:
-        raise FaultError(
-            "fault plan leaves no warehouse standing: recovery impossible"
-        )
     for e in topology.edges:
         if e.key in effects.down_edges:
             continue
@@ -284,6 +322,7 @@ __all__ = [
     "effects_of",
     "combined_effects",
     "fault_effects",
+    "fault_background",
     "masked_topology",
     "route_failure",
     "fault_hits",

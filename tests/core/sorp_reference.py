@@ -148,21 +148,22 @@ class ReferenceConstraints:
 
 
 def reference_reschedule(
-    cost_model, video, requests, schedule, *, forbidden, background, seeds
+    cost_model, video, requests, schedule, *, forbidden, background, seeds,
+    route_policy=None,
 ):
     oracle = ReferenceOracle(
         schedule, cost_model.catalog, cost_model.topology, video.video_id,
         background,
     )
     greedy = EagerIndividualScheduler(
-        cost_model, ReferenceConstraints(forbidden, oracle)
+        cost_model, ReferenceConstraints(forbidden, oracle), route_policy
     )
     return greedy.schedule_file(video, requests, initial_residencies=seeds)
 
 
 def reference_select_victim(
     overflows, working, cost_model, requests_by_video, metric, background,
-    committed,
+    committed, route_policy=None,
 ):
     catalog = cost_model.catalog
     best_key = None
@@ -182,11 +183,15 @@ def reference_select_victim(
                 for s in seeds
             ):
                 continue
-            new_fs = reference_reschedule(
-                cost_model, video, requests, working,
-                forbidden=[(of.location, of.interval)],
-                background=background, seeds=tuple(seeds),
-            )
+            try:
+                new_fs = reference_reschedule(
+                    cost_model, video, requests, working,
+                    forbidden=[(of.location, of.interval)],
+                    background=background, seeds=tuple(seeds),
+                    route_policy=route_policy,
+                )
+            except ScheduleError:
+                continue  # no feasible source under the route policy
             old_cost = old_costs.get(c.video_id)
             if old_cost is None:
                 old_cost = cost_model.file_cost(working.file(c.video_id)).total
@@ -211,6 +216,7 @@ def reference_resolve_overflows(
     background=None,
     committed=None,
     obs=None,
+    route_policy=None,
 ):
     """``SORP_solve`` with from-scratch trials; mirrors ``resolve_overflows``."""
     obs = obs if obs is not None else NULL_OBS
@@ -228,7 +234,7 @@ def reference_resolve_overflows(
             raise OverflowResolutionError("reference SORP hit its iteration cap")
         victim = reference_select_victim(
             overflows, working, cost_model, requests_by_video, metric,
-            background, committed,
+            background, committed, route_policy,
         )
         if victim is None:
             raise OverflowResolutionError("no reschedulable member")

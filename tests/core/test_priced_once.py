@@ -120,13 +120,14 @@ class TestRecoveryCost:
     def test_cost_after_is_the_patched_schedules_psi(self, drill, masking, seed):
         topo, catalog, batch = drill
         scheduler = VideoScheduler(topo, catalog)
-        schedule = scheduler.solve(batch).schedule
+        solved = scheduler.solve(batch)
+        schedule = solved.schedule
         t0, t1 = batch.span
         horizon = (t0, t1 + max(v.playback for v in catalog))
         plan = FaultPlan.generate(topo, seed=seed, horizon=horizon, n_faults=3)
         cm = scheduler.cost_model
         result = ContingencyScheduler(cm, masking=masking).recover(
-            schedule, plan, batch=batch
+            solved, plan, batch=batch
         )
         # seed 2 re-solves through SORP with victims in both stances;
         # seed 7's windowed re-solve needs no SORP run
@@ -136,6 +137,35 @@ class TestRecoveryCost:
             assert result.resolution.victims
         assert_bit_identical(result.cost_after, cm, result.schedule)
         assert_bit_identical(result.cost_before, cm, schedule)
+
+    @pytest.mark.parametrize("masking", ["cycle", "windowed"])
+    def test_cost_before_is_the_solved_cycles_psi(self, drill, masking):
+        """Recovery takes Ψ before from the cycle it amends, unpriced: for
+        a fresh close and for an amended cycle it is the schedule's Ψ."""
+        topo, catalog, batch = drill
+        svc = VORService(topo, catalog, lead_time=0.0)
+        for r in batch:
+            svc.reserve(
+                r.user_id, r.video_id, r.start_time,
+                local_storage=r.local_storage, now=0.0,
+            )
+        t0, t1 = batch.span
+        report = svc.close_cycle(cycle_end=t1)
+        horizon = (t0, t1 + max(v.playback for v in catalog))
+        first, second = (
+            FaultPlan.generate(topo, seed=seed, horizon=horizon, n_faults=3)
+            for seed in (2, 7)
+        )
+        amended = svc.amend_cycle(report, first, masking=masking)
+        assert amended.recovery.resolution is not None  # a re-solved cycle
+        contingency = ContingencyScheduler(svc.cost_model, masking=masking)
+        for cycle in (report.cycle, amended.cycle):
+            with mock.patch.object(
+                svc.cost_model, "schedule_cost", wraps=svc.cost_model.schedule_cost
+            ) as priced:
+                rec = contingency.recover(cycle, second)
+            assert cycle.schedule not in [c.args[0] for c in priced.call_args_list]
+            assert_bit_identical(rec.cost_before, svc.cost_model, cycle.schedule)
 
 
 class TestPricingPasses:

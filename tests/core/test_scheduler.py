@@ -17,7 +17,9 @@ from repro import (
     paper_topology,
     units,
 )
+from repro.core.scheduler import solve_two_phase
 from repro.errors import TopologyError
+from repro.obs import NULL_OBS
 from repro.extensions import RollingScheduler
 
 
@@ -139,3 +141,32 @@ class TestOnePipeline:
         assert cycle.schedule == solved.schedule
         assert cycle.cost == solved.cost
         assert cycle.resolution == solved.resolution
+
+
+class TestGraft:
+    def test_phase1_file_appends_to_the_base_file_of_its_video(self):
+        topo = Topology()
+        topo.add_warehouse("VW")
+        topo.add_storage("IS1", srate=1e-3, capacity=1e6)
+        topo.add_edge("VW", "IS1", nrate=1.0)
+        catalog = VideoCatalog([VideoFile("v", size=100.0, playback=10.0)])
+        cm = CostModel(topo, catalog)
+        first = Request(0.0, "v", "a", "IS1")
+        second = Request(50.0, "v", "b", "IS1")
+        base = solve_two_phase(
+            RequestBatch([first]), cm, heat_metric=HeatMetric.SPACE_TIME_PER_COST,
+            obs=NULL_OBS,
+        ).schedule
+        fresh = solve_two_phase(
+            RequestBatch([second]), cm, heat_metric=HeatMetric.SPACE_TIME_PER_COST,
+            obs=NULL_OBS,
+        ).schedule.file("v")
+        grafted = solve_two_phase(
+            RequestBatch([second]), cm, heat_metric=HeatMetric.SPACE_TIME_PER_COST,
+            obs=NULL_OBS, base=base,
+        )
+        fs = grafted.schedule.file("v")
+        assert fs.deliveries == base.file("v").deliveries + fresh.deliveries
+        assert fs.residencies == base.file("v").residencies + fresh.residencies
+        assert [d.request for d in fs.deliveries] == [first, second]
+        assert grafted.cost == cm.schedule_cost(grafted.schedule)

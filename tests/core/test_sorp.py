@@ -18,7 +18,10 @@ from repro import (
     resolve_overflows,
 )
 
-from .test_sorp_incremental import _trial_outcomes
+from repro.core.individual import RoutePolicy
+from repro.errors import OverflowResolutionError
+
+from .test_sorp_incremental import _trial_outcomes, assert_matches_reference
 
 
 def _env(capacity=150.0, srate=1e-3, nrate=1.0, n_files=2):
@@ -170,3 +173,46 @@ class TestResolveOverflows:
         r2, s2 = resolve_overflows(phase1, batch, cm)
         assert [v.video_id for v in s1.victims] == [v.video_id for v in s2.victims]
         assert cm.total(r1) == cm.total(r2)
+
+
+class _RefuseStartingAt(RoutePolicy):
+    """Cheapest-path routing that refuses every stream starting at one of
+    ``times``."""
+
+    def __init__(self, router, times):
+        super().__init__(router)
+        self._times = set(times)
+
+    def select(self, src, dst, t_start, t_end, bandwidth):
+        if t_start in self._times:
+            return None
+        return super().select(src, dst, t_start, t_end, bandwidth)
+
+
+class TestRoutePolicySkip:
+    """A member whose trial finds no feasible source under the route
+    policy is not a candidate victim."""
+
+    def test_member_without_a_source_is_skipped(self):
+        topo, catalog, cm = _env()
+        batch = _contended_batch()
+        phase1 = IndividualScheduler(cm).solve(batch)
+        _, free = resolve_overflows(phase1, batch, cm)
+        hot = free.victims[0].video_id
+        cold = ({"v0", "v1"} - {hot}).pop()
+        # the hot file's second showing has no route: its trial raises
+        policy = _RefuseStartingAt(
+            cm.router, [max(r.start_time for r in batch if r.video_id == hot)]
+        )
+        resolved, stats = resolve_overflows(phase1, batch, cm, route_policy=policy)
+        assert [v.video_id for v in stats.victims] == [cold]
+        assert detect_overflows(resolved, catalog, topo) == []
+        assert_matches_reference(phase1, batch, cm, route_policy=policy)
+
+    def test_no_member_with_a_source_raises(self):
+        topo, catalog, cm = _env()
+        batch = _contended_batch()
+        phase1 = IndividualScheduler(cm).solve(batch)
+        policy = _RefuseStartingAt(cm.router, [r.start_time for r in batch])
+        with pytest.raises(OverflowResolutionError, match="no reschedulable"):
+            resolve_overflows(phase1, batch, cm, route_policy=policy)

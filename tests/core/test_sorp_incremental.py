@@ -33,6 +33,7 @@ from repro import (
     Topology,
     VideoCatalog,
     VideoFile,
+    VideoScheduler,
     WorkloadGenerator,
     detect_overflows,
     paper_catalog,
@@ -52,7 +53,6 @@ from repro.core.rejective import (
 from repro.core.spacefunc import UsageTimeline, residency_profile
 from repro.extensions.rolling import RollingScheduler
 from repro.faults import ContingencyScheduler, FaultKind, FaultPlan, FaultSpec
-from repro.faults import contingency as contingency_module
 from repro.obs import Observability
 
 from .sorp_reference import (
@@ -225,9 +225,9 @@ class TestBitIdentity:
     def test_contingency_masked_cost_models(self, inst, metric, target, masking):
         topo, catalog, batch = _instance(*inst)
         cm = CostModel(topo, catalog)
-        schedule, _ = resolve_overflows(
-            IndividualScheduler(cm).solve(batch), batch, cm, metric=metric
-        )
+        solved = VideoScheduler(
+            topo, catalog, heat_metric=metric, cost_model=cm
+        ).solve(batch)
         plan = FaultPlan(
             (
                 FaultSpec(
@@ -238,11 +238,11 @@ class TestBitIdentity:
                           0.6 * units.DAY),
             )
         )
-        calls, patch = _capture(contingency_module, scheduler_module)
+        calls, patch = _capture(scheduler_module)
         with patch:
             ContingencyScheduler(
                 cm, heat_metric=metric, masking=masking
-            ).recover(schedule, plan, batch=batch)
+            ).recover(solved, plan, batch=batch)
         for args, kwargs in calls:
             kwargs = dict(kwargs)
             kwargs.pop("obs", None)

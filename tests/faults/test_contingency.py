@@ -24,6 +24,7 @@ from repro.errors import ScheduleError
 from repro.extensions.pricing import DiurnalCostModel, TimeOfDayTariff
 from repro.extensions.rolling import RollingScheduler
 from repro.faults import masked_topology
+from repro.faults.contingency import _MaskViews
 from repro.replication import ReplicaMap
 from repro.sim.validate import validate_schedule
 from repro.workload.requests import Request, RequestBatch
@@ -56,8 +57,7 @@ def env():
             Request(2 * units.HOUR, "m1", "c", "IS2"),
         ]
     )
-    result = VideoScheduler(topo, catalog).solve(batch)
-    return topo, catalog, batch, result.schedule
+    return topo, catalog, batch, VideoScheduler(topo, catalog).solve(batch)
 
 
 def _window_plan(kind, target, severity=0.0):
@@ -74,21 +74,21 @@ def _window_plan(kind, target, severity=0.0):
     )
 
 
-def _impacted(topo, catalog, batch, schedule, plan):
+def _impacted(topo, catalog, batch, solved, plan):
     cm = CostModel(topo, catalog)
-    return ContingencyScheduler(cm).recover(schedule, plan, batch=batch).impacted
+    return ContingencyScheduler(cm).recover(solved, plan, batch=batch).impacted
 
 
 class TestImpactedVideos:
     def test_delivery_through_down_edge(self, env):
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
         plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        assert _impacted(topo, catalog, batch, schedule, plan) == ("m1",)
+        assert _impacted(topo, catalog, batch, solved, plan) == ("m1",)
 
     def test_down_storage_impacts_its_users(self, env):
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
         plan = _window_plan(FaultKind.IS_OUTAGE, "IS2")
-        assert "m1" in _impacted(topo, catalog, batch, schedule, plan)
+        assert "m1" in _impacted(topo, catalog, batch, solved, plan)
 
     def test_shrunk_storage_impacts_its_caches(self):
         topo = Topology()
@@ -104,21 +104,22 @@ class TestImpactedVideos:
                 Request(2 * units.HOUR, "m0", "b", "IS1"),
             ]
         )
-        schedule = VideoScheduler(topo, catalog).solve(batch).schedule
-        assert schedule.residencies  # the second showing plays from IS1
+        solved = VideoScheduler(topo, catalog).solve(batch)
+        assert solved.schedule.residencies  # the second showing plays from IS1
         plan = _window_plan(FaultKind.CAPACITY_SHRINK, "IS1", severity=0.5)
-        assert _impacted(topo, catalog, batch, schedule, plan) == ("m0",)
+        assert _impacted(topo, catalog, batch, solved, plan) == ("m0",)
 
     def test_empty_effects_impact_nothing(self, env):
-        topo, catalog, batch, schedule = env
-        assert _impacted(topo, catalog, batch, schedule, FaultPlan()) == ()
+        topo, catalog, batch, solved = env
+        assert _impacted(topo, catalog, batch, solved, FaultPlan()) == ()
 
 
 class TestRecover:
     def test_empty_plan_is_a_noop(self, env):
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
+        schedule = solved.schedule
         cm = CostModel(topo, catalog)
-        rec = ContingencyScheduler(cm).recover(schedule, FaultPlan(), batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, FaultPlan(), batch=batch)
         assert rec.schedule == schedule
         assert rec.schedule is not schedule  # input never mutated
         assert rec.impacted == () and rec.resolution is None
@@ -126,10 +127,11 @@ class TestRecover:
         assert rec.requests_saved == 0 and rec.requests_lost == 0
 
     def test_link_down_reroutes_impacted_video(self, env):
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
+        schedule = solved.schedule
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        rec = ContingencyScheduler(cm).recover(schedule, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
         assert rec.impacted == ("m1",)
         # the direct VW--IS2 link keeps everyone reachable: nothing lost
         assert rec.requests_lost == 0 and rec.requests_saved == 2
@@ -143,19 +145,19 @@ class TestRecover:
         assert rec.cost_delta > 0.0
 
     def test_patched_schedule_valid_on_masked_model(self, env):
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        rec = ContingencyScheduler(cm).recover(schedule, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
         masked_cm = CostModel(masked_topology(topo, plan), catalog)
         surviving = RequestBatch(r for r in batch if r not in set(rec.lost))
         assert validate_schedule(rec.schedule, surviving, masked_cm) == []
 
     def test_outage_loses_unreachable_requests(self, env):
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.IS_OUTAGE, "IS2")
-        rec = ContingencyScheduler(cm).recover(schedule, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
         assert {r.user_id for r in rec.lost} == {"b", "c"}
         assert "m1" not in rec.schedule
         # dropped deliveries take their cost with them
@@ -165,10 +167,11 @@ class TestRecover:
         assert validate_schedule(rec.schedule, surviving, masked_cm) == []
 
     def test_costs_priced_on_the_original_model(self, env):
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
+        schedule = solved.schedule
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        rec = ContingencyScheduler(cm).recover(schedule, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
         assert rec.cost_before.total == pytest.approx(
             cm.schedule_cost(schedule).total
         )
@@ -180,22 +183,22 @@ class TestRecover:
         )
 
     def test_batch_reconstructed_from_schedule_when_omitted(self, env):
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        explicit = ContingencyScheduler(cm).recover(schedule, plan, batch=batch)
-        implicit = ContingencyScheduler(cm).recover(schedule, plan)
+        explicit = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        implicit = ContingencyScheduler(cm).recover(solved, plan)
         assert implicit.schedule == explicit.schedule
         assert implicit.saved == explicit.saved
 
     def test_recovery_bit_identical_on_rerun(self, env):
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
         plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
         first = ContingencyScheduler(CostModel(topo, catalog)).recover(
-            schedule, plan, batch=batch
+            solved, plan, batch=batch
         )
         again = ContingencyScheduler(CostModel(topo, catalog)).recover(
-            schedule, plan, batch=batch
+            solved, plan, batch=batch
         )
         assert again.schedule == first.schedule
         assert again.saved == first.saved
@@ -205,10 +208,10 @@ class TestRecover:
     def test_json_dict_round_trips(self, env):
         import json
 
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.IS_OUTAGE, "IS2")
-        rec = ContingencyScheduler(cm).recover(schedule, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
         doc = rec.to_json_dict()
         assert json.loads(json.dumps(doc)) == doc
         assert doc["requests_lost"] == 2
@@ -220,7 +223,8 @@ class TestMaskedModel:
     """Both stances re-solve on the healthy model cloned over the mask."""
 
     def test_clone_keeps_class_and_shares_psi_caches(self, env):
-        topo, catalog, batch, schedule = env
+        topo, catalog, batch, solved = env
+        schedule = solved.schedule
         topo.add_warehouse("VW2")
         topo.add_edge("VW2", "IS2", nrate=1e-8)
         tariff = TimeOfDayTariff.evening_peak()
@@ -261,13 +265,11 @@ class TestMaskedModel:
         )
         tariff = TimeOfDayTariff.evening_peak(peak_multiplier=3.0)
         cm = DiurnalCostModel(topo, catalog, tariff)
-        schedule = VideoScheduler(topo, catalog, cost_model=cm).solve(batch)
+        solved = VideoScheduler(topo, catalog, cost_model=cm).solve(batch)
         plan = FaultPlan((
             FaultSpec(FaultKind.IS_OUTAGE, "IS1", 0.0, units.DAY),
         ))
-        rec = ContingencyScheduler(cm).recover(
-            schedule.schedule, plan, batch=batch
-        )
+        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
         assert rec.saved == tuple(batch)
         masked = masked_topology(topo, plan)
         peak = VideoScheduler(
@@ -362,3 +364,33 @@ class TestServiceAmend:
         assert amended.recovery.requests_lost == 0
         assert amended.feasible
         assert len(amended.cycle.schedule.deliveries) == 2
+
+
+class TestWindowRoutes:
+    """Windowed recovery routes each stream on the mask of the faults in
+    effect during it, and never falls back to the healthy route."""
+
+    @staticmethod
+    def _route(plan, src, dst, t0, t1):
+        cm = CostModel(_triangle(), VideoCatalog([]))
+        route = _MaskViews(cm, plan).select(src, dst, t0, t1, 1.0)
+        return None if route is None else route.nodes
+
+    def test_node_down_inside_the_stream_window(self):
+        plan = FaultPlan(
+            (FaultSpec(FaultKind.IS_OUTAGE, "IS1", 4 * units.HOUR, 8 * units.HOUR),)
+        )
+        h = units.HOUR
+        # the cheap chain crosses IS1: down during the stream, so the
+        # pricey direct link carries it
+        assert self._route(plan, "VW", "IS2", 5 * h, 6 * h) == ("VW", "IS2")
+        assert self._route(plan, "VW", "IS2", 7 * h, 9 * h) == ("VW", "IS2")
+        assert self._route(plan, "IS1", "IS2", 5 * h, 6 * h) is None
+        # outside the window the healthy route stands
+        assert self._route(plan, "VW", "IS2", 8 * h, 9 * h) == ("VW", "IS1", "IS2")
+        assert self._route(plan, "VW", "IS2", 2 * h, 4 * h) == ("VW", "IS1", "IS2")
+
+    def test_caches_stream_while_every_warehouse_is_down(self):
+        plan = _window_plan(FaultKind.WAREHOUSE_LOSS, "VW")
+        assert self._route(plan, "VW", "IS2", 0.0, units.HOUR) is None
+        assert self._route(plan, "IS1", "IS2", 0.0, units.HOUR) == ("IS1", "IS2")

@@ -5,7 +5,7 @@ import pytest
 from repro import FaultKind, FaultPlan, FaultSpec, Topology, masked_topology
 from repro.errors import FaultError
 from repro.faults import combined_effects, effects_of
-from repro.faults.inject import fault_effects, fault_hits
+from repro.faults.inject import fault_background, fault_effects, fault_hits
 
 
 def _topo() -> Topology:
@@ -242,3 +242,32 @@ class TestMaskedTopology:
             masked_topology(
                 topo, _fault(FaultKind.CAPACITY_SHRINK, "IS1", 0.5)
             )
+
+
+class TestFaultBackground:
+    """Outages and shrinks take their storage's space over their window."""
+
+    def test_outage_takes_all_shrink_takes_the_lost_fraction(self):
+        topo = _topo()
+        topo.add_storage("IS3", srate=0.01)  # unbounded
+        plan = FaultPlan(
+            (
+                FaultSpec(FaultKind.IS_OUTAGE, "IS1", 10.0, 20.0),
+                FaultSpec(FaultKind.CAPACITY_SHRINK, "IS1", 30.0, 40.0, 0.25),
+                FaultSpec(FaultKind.CAPACITY_SHRINK, "IS3", 30.0, 40.0, 0.5),
+                FaultSpec(FaultKind.LINK_DOWN, ("VW", "IS2"), 0.0, 50.0),
+                FaultSpec(FaultKind.WAREHOUSE_LOSS, "VW", 60.0, 70.0),
+            )
+        )
+        background = fault_background(topo, plan)
+        assert set(background) == {"IS1"}
+        outage, shrink = background["IS1"]
+        assert [(s.start, s.end, s.y0, s.y1) for s in outage.segments] == [
+            (10.0, 20.0, 100.0, 100.0)
+        ]
+        assert [(s.start, s.end, s.y0, s.y1) for s in shrink.segments] == [
+            (30.0, 40.0, 75.0, 75.0)
+        ]
+
+    def test_empty_plan_takes_nothing(self):
+        assert fault_background(_topo(), FaultPlan()) == {}

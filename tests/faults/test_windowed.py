@@ -7,8 +7,10 @@ and its output is bit-identical on rerun.
 
 Both stances apply one hit rule: whole-cycle recovery is windowed recovery
 with every fault in effect for the whole cycle.  The drill-environment
-cases pin that identity, the known windowed defects (as strict xfails),
-and the whole-cycle amendment of a plan that downs every warehouse.
+cases pin that identity, the windowed patches that once failed (Defect A's
+raise, plan 17's capacity violation), that windowed patches validate on
+the generated drill plans, and the amendment of a plan that downs every
+warehouse.
 """
 
 import dataclasses
@@ -35,6 +37,7 @@ from repro.faults import (
     FaultSpec,
     masked_topology,
 )
+from repro.sim.engine import SimulationEngine
 from repro.sim.validate import validate_schedule
 from repro.workload import RequestBatch
 
@@ -131,7 +134,7 @@ class TestWindowedImpacted:
         report = svc.close_cycle(cycle_end=units.DAY)
         impacted = ContingencyScheduler(
             svc.cost_model, masking="windowed"
-        ).recover(report.cycle.schedule, OUTAGE).impacted
+        ).recover(report.cycle, OUTAGE).impacted
         # m0 caches at IS1 across the window, m1 routes through IS1
         # during it; m2/m3 only touch IS1 at disjoint times.
         assert impacted == ("m0", "m1")
@@ -164,10 +167,10 @@ class TestWindowedDominatesProperty:
     def test_windowed_dominates_cycle(self, seed):
         topo, catalog, batch, result, plan, cm = self._environment(seed)
         rec_c = ContingencyScheduler(cm, masking="cycle").recover(
-            result.schedule, plan, batch=batch
+            result, plan, batch=batch
         )
         rec_w = ContingencyScheduler(cm, masking="windowed").recover(
-            result.schedule, plan, batch=batch
+            result, plan, batch=batch
         )
         # ``saved`` only counts requests of *impacted* videos, and the
         # windowed impacted set is smaller by design -- the comparable
@@ -184,7 +187,7 @@ class TestWindowedDominatesProperty:
     def test_windowed_patch_validates_under_degraded_replay(self, seed):
         topo, catalog, batch, result, plan, cm = self._environment(seed)
         rec_w = ContingencyScheduler(cm, masking="windowed").recover(
-            result.schedule, plan, batch=batch
+            result, plan, batch=batch
         )
         lost = set(rec_w.lost)
         surviving = RequestBatch([r for r in batch if r not in lost])
@@ -201,7 +204,7 @@ class TestWindowedDominatesProperty:
         topo, catalog, batch, result, plan, cm = self._environment(seed)
         a, b = (
             ContingencyScheduler(model, masking="windowed").recover(
-                result.schedule, plan, batch=batch
+                result, plan, batch=batch
             )
             for model in (cm, CostModel(topo, catalog))
         )
@@ -222,10 +225,10 @@ def drill():
     catalog = paper_catalog(60, seed=4)
     batch = WorkloadGenerator(topo, catalog, alpha=0.271).generate(seed=4)
     scheduler = VideoScheduler(topo, catalog)
-    schedule = scheduler.solve(batch).schedule
+    solved = scheduler.solve(batch)
     t0, t1 = batch.span
     horizon = (t0, t1 + max(v.playback for v in catalog))
-    return topo, catalog, batch, schedule, scheduler.cost_model, horizon
+    return topo, catalog, batch, solved, scheduler.cost_model, horizon
 
 
 LOSS_MIX = (FaultKind.WAREHOUSE_LOSS, FaultKind.IS_OUTAGE, FaultKind.CAPACITY_SHRINK)
@@ -239,9 +242,9 @@ def _drill_plan(drill, seed, kinds=None):
 
 
 def _recover(drill, plan, masking):
-    _, _, batch, schedule, cm, _ = drill
+    _, _, batch, solved, cm, _ = drill
     return ContingencyScheduler(cm, masking=masking).recover(
-        schedule, plan, batch=batch
+        solved, plan, batch=batch
     )
 
 
@@ -259,8 +262,8 @@ def _whole_cycle(plan, horizon):
 #: Plan seeds (0-19) whose windowed recovery on the drill environment
 #: raised ``cannot shrink residency`` before Defect A was fixed, per
 #: fault-kind mix, as generated and with every fault window widened to the
-#: whole cycle.  The parametrized cases keep their ids by covering the
-#: other seeds; ``TestOneHitRule`` covers these separately.
+#: whole cycle.  None of them raises today; they stay a separate case as
+#: regression pins, and so that every parametrized case keeps its id.
 DEFECT_A = {None: {3, 6, 11, 12}, LOSS_MIX: {9, 10, 11}}
 DEFECT_A_WIDENED = {None: {0, 3, 4, 6, 11, 13, 14, 18, 19}, LOSS_MIX: {5, 10, 11}}
 
@@ -310,8 +313,9 @@ class TestOneHitRule:
 
 class TestKnownWindowedDefects:
     """Windowed recovery on the drill environment: plan 3 pins the fixed
-    Defect A, plan 17 an open defect; the cycle stance recovers both
-    plans cleanly."""
+    Defect A; plan 17 pins a re-solved file once placed in a storage
+    during its shrink window, which SORP's fault background now keeps
+    out."""
 
     def test_plan_seed_3_recovers(self, drill):
         # Defect A: the healthy-model SORP pass offers a committed kept
@@ -319,13 +323,6 @@ class TestKnownWindowedDefects:
         # at a zero Ψ_C extension instead of raising "cannot shrink".
         _recover(drill, _drill_plan(drill, 3), "windowed")
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the windowed SORP pass runs on the healthy model, so a "
-        "re-solved file can land in a storage during its shrink window "
-        "(fault-capacity)",
-    )
     def test_plan_seed_17_validates_under_degraded_replay(self, drill):
         _, _, batch, _, cm, _ = drill
         plan = _drill_plan(drill, 17)
@@ -333,6 +330,28 @@ class TestKnownWindowedDefects:
         lost = set(rec.lost)
         surviving = RequestBatch([r for r in batch if r not in lost])
         assert validate_schedule(rec.schedule, surviving, cm, faults=plan) == []
+
+
+class TestWindowedRepairs:
+    """On the drill environment's 120 generated plans (seeds 0-39 with 1, 3
+    and 6 faults) the windowed patch validates under the plan's degraded
+    replay, and loses only requests the whole-cycle stance loses too."""
+
+    @pytest.mark.parametrize("n_faults", [1, 3, 6])
+    def test_validates_and_loses_within_cycle(self, drill, n_faults):
+        topo, _, batch, _, cm, horizon = drill
+        for seed in range(40):
+            plan = FaultPlan.generate(
+                topo, seed=seed, horizon=horizon, n_faults=n_faults
+            )
+            windowed = _recover(drill, plan, "windowed")
+            lost = set(windowed.lost)
+            assert lost <= set(_recover(drill, plan, "cycle").lost), seed
+            surviving = RequestBatch(r for r in batch if r not in lost)
+            violations = validate_schedule(
+                windowed.schedule, surviving, cm, faults=plan
+            )
+            assert violations == [], (seed, violations)
 
 
 class TestTotalWarehouseLoss:
@@ -398,14 +417,41 @@ class TestOneJudge:
         assert bool(judged) == bool(reference)
 
 
+def _tight_links(topo, catalog, schedule):
+    """A copy of ``topo`` whose every busy link is capped at the peak
+    bandwidth ``schedule`` puts on it."""
+    links = SimulationEngine(CostModel(topo, catalog)).run(schedule).links
+    tight = Topology()
+    for spec in topo.nodes:
+        if spec.is_warehouse:
+            tight.add_warehouse(spec.name)
+        else:
+            tight.add_storage(spec.name, srate=spec.srate, capacity=spec.capacity)
+    for e in topo.edges:
+        load = links.get(e.key)
+        tight.add_edge(
+            e.a, e.b, nrate=e.nrate,
+            bandwidth=e.bandwidth if load is None else load.peak,
+        )
+    return tight, max(links, key=lambda key: links[key].peak)
+
+
 class TestRejectedAmendment:
     """A windowed amendment the judge rejects leaves the carryover the next
-    cycle inherits as it was."""
+    cycle inherits as it was.
+
+    Recovery does not model bandwidth.  On the drill topology with every
+    busy link capped at its healthy peak load, a plan that also halves the
+    busiest link's bandwidth fails the degraded replay
+    (``fault-bandwidth``), while on the uncapped topology the generated
+    plan's amendment validates and moves the carryover.
+    """
 
     @pytest.mark.parametrize("seed", (5, 17, 41, 56))
     def test_carryover_unmoved(self, drill, seed):
-        topo, catalog, batch, *_, horizon = drill
-        svc = VORService(topo, catalog, lead_time=0.0)
+        topo, catalog, batch, solved, *_, horizon = drill
+        tight, busiest = _tight_links(topo, catalog, solved.schedule)
+        svc = VORService(tight, catalog, lead_time=0.0)
         for r in batch:
             svc.reserve(
                 r.user_id, r.video_id, r.start_time,
@@ -413,7 +459,12 @@ class TestRejectedAmendment:
             )
         report = svc.close_cycle(cycle_end=batch.span[1])
         before = svc._rolling.carryover
-        plan = FaultPlan.generate(topo, seed=seed, horizon=horizon, n_faults=3)
+        cut = FaultSpec(
+            FaultKind.LINK_DEGRADED, busiest, *horizon, severity=0.5
+        )
+        plan = FaultPlan(
+            (*FaultPlan.generate(topo, seed=seed, horizon=horizon, n_faults=3), cut)
+        )
         amended = svc.amend_cycle(report, plan, masking="windowed")
         assert not amended.feasible
         assert svc._rolling.carryover == before

@@ -106,7 +106,7 @@ class TestCompareReports:
     def test_stance_sweep_drift_fails(self, bench, baseline):
         current = json.loads(json.dumps(baseline))
         current["stances"]["windowed"]["raised"] -= 1
-        current["stances"]["windowed"]["violations"].pop("fault-capacity")
+        current["stances"]["windowed"]["violations"]["fault-capacity"] = 1
         current["stances"]["cycle"]["wall_time_seconds"] *= 100
         problems = bench.compare_reports(baseline, current)
         assert [p.split(" regressed")[0] for p in problems] == [
