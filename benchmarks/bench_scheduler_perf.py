@@ -33,20 +33,18 @@ topology, whatever the flags, gating each point's SORP rounds, victims
 and trial work (trials run, reused, revalidated and resumed; requests
 kept and served) and recording its wall time as a non-gating trajectory.
 
-The recovery-stance sweep recovers 20 seeded 3-fault plans on the CI
-fault-drill environment under both masking stances, whatever the flags,
-gating per stance the recoveries that raise, the recoveries left with
-degraded-replay violations, the violations by kind, and the requests
-lost.  A second sweep gates the same keys on 20 seeded 6-fault plans of
-warehouse losses, outages and shrinks, on the environment with a second
-warehouse and heat-placed replicas.
+The recovery sweep recovers 20 seeded 3-fault plans on the CI
+fault-drill environment, whatever the flags, gating the recoveries that
+raise, the recoveries left with degraded-replay violations, the
+violations by kind, and the requests lost.  A second sweep gates the same
+keys on 20 seeded 6-fault plans of warehouse losses, outages and shrinks,
+on the environment with a second warehouse and heat-placed replicas.
 
 Finally an online amendment drill replays a seeded fault feed (with one
 injected transient failure) through the
 :class:`~repro.online.OnlineAmendmentLoop`, recording amendment latency
-plus the deterministic batch/retry/shed counters and the windowed-vs-cycle
-lost-request comparison -- the windowed stance must never lose a request
-cycle masking would save.
+plus the deterministic batch/retry/shed counters and the requests a
+recovery of the feed's whole plan loses.
 
 The multi-cycle horizon drill replays the committed
 ``benchmarks/scenarios/rush_hour_brownout.jsonl`` feed through a 3-cycle
@@ -158,7 +156,6 @@ _DETERMINISTIC_ONLINE_KEYS = (
     "retries",
     "failures_injected",
     "requests_lost_windowed",
-    "requests_lost_cycle",
 )
 #: SLO indicators that must match bit-for-bit: ratios of deterministic
 #: counters (latency indicators stay outside the gate).
@@ -214,10 +211,10 @@ _DETERMINISTIC_SORP_KEYS = ("iterations", *_SORP_WORK_KEYS)
 _SCALE_REQUESTS = (380, 950, 1520)
 #: Scale-point keys that must match bit-for-bit; wall times never gate.
 _DETERMINISTIC_SCALE_KEYS = ("rounds", "victims", *_SORP_WORK_KEYS)
-#: Plan seeds of the recovery-stance sweep: generated 3-fault plans on the
+#: Plan seeds of the recovery sweep: generated 3-fault plans on the
 #: CI fault-drill environment, whatever ``--quick`` or ``--videos`` say.
 _STANCE_PLAN_SEEDS = range(20)
-#: Stance-sweep keys that must match bit-for-bit, per stance.
+#: Stance-sweep keys that must match bit-for-bit.
 _DETERMINISTIC_STANCE_KEYS = ("raised", "invalid", "violations", "requests_lost")
 #: Every gated report section -- (path of nested keys, keys that must
 #: match the baseline bit-for-bit).
@@ -231,9 +228,8 @@ _GATED_SECTIONS = (
     (("sorp",), _DETERMINISTIC_SORP_KEYS),
     *((("scale", str(n)), _DETERMINISTIC_SCALE_KEYS) for n in _SCALE_REQUESTS),
     *(
-        ((section, m), _DETERMINISTIC_STANCE_KEYS)
+        ((section, "windowed"), _DETERMINISTIC_STANCE_KEYS)
         for section in ("stances", "stances_replicated")
-        for m in ("cycle", "windowed")
     ),
 )
 
@@ -400,16 +396,16 @@ def _recovery_drill(n_videos: int, users: int):
 
 
 def _stance_sweep(replicated: bool = False) -> dict:
-    """Both recovery stances over :data:`_STANCE_PLAN_SEEDS` on the CI
-    fault-drill environment (60 videos, seed 4, 5 GB caches): generated
+    """Recovery over :data:`_STANCE_PLAN_SEEDS` on the CI fault-drill
+    environment (60 videos, seed 4, 5 GB caches): generated
     3-fault plans, or with ``replicated`` 6-fault plans of warehouse
     losses, outages and shrinks on the environment with a second
     warehouse behind IS7 and heat-placed replicas.
 
-    Per stance: recoveries that raise, recoveries whose patched schedule
-    has a violation under the plan's degraded replay, the violations by
-    kind, and the requests lost -- all of which gate -- plus the sweep's
-    wall time, which does not.
+    Under ``"windowed"``: recoveries that raise, recoveries whose patched
+    schedule has a violation under the plan's degraded replay, the
+    violations by kind, and the requests lost -- all of which gate -- plus
+    the sweep's wall time, which does not.
     """
     from collections import Counter
 
@@ -449,47 +445,40 @@ def _stance_sweep(replicated: bool = False) -> dict:
         )
         for seed in _STANCE_PLAN_SEEDS
     ]
-    stances = {}
-    for masking in ("cycle", "windowed"):
-        raised = invalid = lost = 0
-        kinds: Counter = Counter()
-        t0 = time.perf_counter()
-        for plan in plans:
-            try:
-                rec = ContingencyScheduler(cm, masking=masking).recover(
-                    solved, plan, batch=batch
-                )
-            except ReproError:
-                raised += 1
-                continue
-            dropped = set(rec.lost)
-            surviving = RequestBatch(r for r in batch if r not in dropped)
-            violations = validate_schedule(
-                rec.schedule, surviving, cm, faults=plan
-            )
-            invalid += bool(violations)
-            kinds.update(v.kind for v in violations)
-            lost += rec.requests_lost
-        stances[masking] = {
+    raised = invalid = lost = 0
+    kinds: Counter = Counter()
+    t0 = time.perf_counter()
+    for plan in plans:
+        try:
+            rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        except ReproError:
+            raised += 1
+            continue
+        dropped = set(rec.lost)
+        surviving = RequestBatch(r for r in batch if r not in dropped)
+        violations = validate_schedule(rec.schedule, surviving, cm, faults=plan)
+        invalid += bool(violations)
+        kinds.update(v.kind for v in violations)
+        lost += rec.requests_lost
+    return {
+        "windowed": {
             "raised": raised,
             "invalid": invalid,
             "violations": dict(sorted(kinds.items())),
             "requests_lost": lost,
             "wall_time_seconds": time.perf_counter() - t0,
         }
-    return stances
+    }
 
 
 def _online_drill(n_videos: int, users: int):
     """Seeded online-amendment drill on the paper topology.
 
-    Replays a generated fault feed (feed seed 7: its IS outage makes the
-    windowed-vs-cycle gap visible) through the online loop with one
-    injected transient failure.  The loop trajectory and the recovered
-    schedule are deterministic; the amendment wall time is the latency
-    metric.  Also recovers the original schedule under both masking
-    stances to record the lost-request comparison the windowed mode must
-    dominate.
+    Replays a generated fault feed (feed seed 7, with an IS outage)
+    through the online loop with one injected transient failure.  The loop
+    trajectory and the recovered schedule are deterministic; the amendment
+    wall time is the latency metric.  Also recovers the original schedule
+    around the feed's whole plan to record the requests it loses.
     """
     from repro import VORService
     from repro.faults import ContingencyScheduler, FaultFeed
@@ -525,22 +514,16 @@ def _online_drill(n_videos: int, users: int):
     wall = time.perf_counter() - t0
     amend_times = [rec.duration_s for rec in run.records if rec.duration_s]
 
-    cm = CostModel(topo, catalog)
-    plan = run.plan
-    lost = {}
-    for masking in ("cycle", "windowed"):
-        rec = ContingencyScheduler(cm, masking=masking).recover(
-            report.cycle, plan, batch=batch
-        )
-        lost[masking] = rec.requests_lost
+    rec = ContingencyScheduler(CostModel(topo, catalog)).recover(
+        report.cycle, run.plan, batch=batch
+    )
     return {
         "feed_events": run.events_total,
         "batches": run.batches_total,
         "batches_amended": run.amended,
         "retries": run.retries_total,
         "failures_injected": run.failures_injected,
-        "requests_lost_windowed": lost["windowed"],
-        "requests_lost_cycle": lost["cycle"],
+        "requests_lost_windowed": rec.requests_lost,
         "wall_time_seconds": wall,
         "amendment_seconds_max": max(amend_times, default=0.0),
         "amendment_seconds_mean": (
@@ -756,14 +739,13 @@ def main(argv=None) -> int:
     stances = _stance_sweep()
     stances_replicated = _stance_sweep(replicated=True)
     for label, sweeps in (("", stances), (" replicated", stances_replicated)):
-        for masking, sweep in sweeps.items():
-            print(
-                f"recovery stance{label} {masking:>8}: "
-                f"{len(_STANCE_PLAN_SEEDS)} plans, "
-                f"{sweep['raised']} raise, {sweep['invalid']} invalid "
-                f"{sweep['violations']}, {sweep['requests_lost']} lost in "
-                f"{sweep['wall_time_seconds']:.2f}s"
-            )
+        sweep = sweeps["windowed"]
+        print(
+            f"recovery sweep{label}: {len(_STANCE_PLAN_SEEDS)} plans, "
+            f"{sweep['raised']} raise, {sweep['invalid']} invalid "
+            f"{sweep['violations']}, {sweep['requests_lost']} lost in "
+            f"{sweep['wall_time_seconds']:.2f}s"
+        )
     recovery = _recovery_drill(n_videos, users)
     print(
         f"warehouse-loss drill: saved "
@@ -779,8 +761,8 @@ def main(argv=None) -> int:
         f"{online['batches_amended']}/{online['batches']} batch(es) amended, "
         f"{online['retries']} retry(ies) in {online['wall_time_seconds']:.3f}s "
         f"(max amendment {online['amendment_seconds_max']:.3f}s); "
-        f"windowed loses {online['requests_lost_windowed']} vs "
-        f"{online['requests_lost_cycle']} whole-cycle"
+        f"recovery of the whole feed loses "
+        f"{online['requests_lost_windowed']}"
     )
     horizon = _horizon_drill(n_videos, users)
     print(

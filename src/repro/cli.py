@@ -36,11 +36,12 @@ from the surviving homes.
 ``run-online`` replays a fault feed (``--feed`` JSONL, or seeded
 generation via ``--seed``/``--feed-events``/``--feed-out``) through the
 :class:`~repro.online.OnlineAmendmentLoop`: debounced batches amend the
-closed cycle incrementally (windowed masking), transient
-failures retry with seeded backoff (``--max-retries``, ``--deadline``),
-and repeated failures open a circuit breaker (``--breaker-threshold``,
-``--breaker-cooldown``) that degrades to conservative whole-cycle masking
-and sheds pending reservations (``--shed``, ``--cycle-fraction``).
+closed cycle incrementally (only the services a fault window meets are
+re-solved), transient failures retry with seeded backoff
+(``--max-retries``, ``--deadline``), and repeated failures open a circuit
+breaker (``--breaker-threshold``, ``--breaker-cooldown``); while it is open
+each batch is amended once, without retries, and pending reservations are
+shed (``--shed``, ``--cycle-fraction``).
 ``--inject-failures 0:2,3:1`` injects deterministic transient failures for
 drills; ``--online-report-out`` writes the machine-readable run report.
 The process exits non-zero when the loop ends without a valid schedule.

@@ -208,26 +208,6 @@ class CostModel:
         clone._misses = 0
         return clone
 
-    def with_topology(self, topology: Topology) -> "CostModel":
-        """A clone of this model over ``topology``, a fault mask of its own.
-
-        ``topology`` keeps a subset of this model's nodes and links at their
-        rates (only bandwidths and capacities may shrink), so every route
-        rate in the table stays exact and the table stays shared.  The clone
-        is made by :meth:`with_replicas` -- same class, fresh counters --
-        with the replica map restricted to the nodes ``topology`` keeps, and
-        gets its own router.  Fault recovery re-solves on such clones.
-        """
-        replicas = self._replicas
-        clone = self.with_replicas(
-            replicas.restricted_to(topology.node_names)
-            if replicas is not None
-            else None
-        )
-        clone._topo = topology
-        clone._router = Router(topology)
-        return clone
-
     # -- route table ---------------------------------------------------------
 
     @property

@@ -9,8 +9,8 @@
    (:mod:`repro.core.sorp`).
 
 :class:`VideoScheduler` runs it for one isolated cycle; the rolling
-scheduler and whole-cycle fault recovery run it with carryover seeds, a
-capacity background or a kept base schedule.  :func:`scheduling_model` is
+scheduler and fault recovery run it with carryover seeds, a capacity
+background or a kept base schedule.  :func:`scheduling_model` is
 how every scheduler gets its cost model.
 
 The returned :class:`ScheduleResult` carries the feasible schedule, its cost
@@ -27,12 +27,7 @@ import logging
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import VideoCatalog
-from repro.core.costmodel import (
-    CacheStats,
-    CostBreakdown,
-    CostModel,
-    record_cache_metrics,
-)
+from repro.core.costmodel import CacheStats, CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
 from repro.core.parallel import ParallelIndividualScheduler
 from repro.core.schedule import ResidencyInfo, Schedule
@@ -154,7 +149,6 @@ def solve_two_phase(
     seeds: dict[str, tuple[ResidencyInfo, ...]] | None = None,
     background=None,
     base: Schedule | None = None,
-    pricing: CostModel | None = None,
     route_policy=None,
 ) -> ScheduleResult:
     """IVSP per file, integrate, then SORP: the paper's heuristic (Table 3).
@@ -166,9 +160,7 @@ def solve_two_phase(
     one, and SORP resolves the requests the grafted schedule delivers.
     ``route_policy`` routes Phase 1 and SORP's trials (default: cheapest
     path).  The result's cost is SORP's ledger sum (pruning drops only
-    unused zero-span residencies, whose Ψ_C is 0.0); only a ``pricing``
-    model other than ``cost_model`` prices the result again, recorded as
-    ``phase="costing"``.
+    unused zero-span residencies, whose Ψ_C is 0.0).
     """
     start = cost_model.cache_stats
     schedule = ParallelIndividualScheduler(
@@ -195,16 +187,12 @@ def solve_two_phase(
         obs=obs,
         route_policy=route_policy,
     )
-    final = resolved.pruned()
-    cache_stats = cost_model.cache_stats - start
-    cost = stats.resolved
-    if pricing is not None and pricing is not cost_model:
-        before = pricing.cache_stats
-        cost = pricing.schedule_cost(final)
-        costing = pricing.cache_stats - before
-        record_cache_metrics(obs.metrics, costing, phase="costing")
-        cache_stats = cache_stats + costing
-    return ScheduleResult(final, cost, stats, cache_stats=cache_stats)
+    return ScheduleResult(
+        resolved.pruned(),
+        stats.resolved,
+        stats,
+        cache_stats=cost_model.cache_stats - start,
+    )
 
 
 class VideoScheduler:

@@ -231,8 +231,7 @@ class RollingScheduler:
             self.topology, self.catalog, cost_model=cost_model
         )
 
-    def amend_cycle(self, result: CycleResult, plan, *, batch=None,
-                    masking: str = "cycle"):
+    def amend_cycle(self, result: CycleResult, plan, *, batch=None):
         """Re-solve the last closed cycle around an active fault plan.
 
         Runs the :class:`~repro.faults.contingency.ContingencyScheduler`
@@ -247,9 +246,6 @@ class RollingScheduler:
             plan: The active :class:`~repro.faults.plan.FaultPlan`.
             batch: The cycle's request batch; reconstructed from the
                 schedule's deliveries when omitted.
-            masking: Recovery stance -- ``"cycle"`` (conservative,
-                whole-cycle masking) or ``"windowed"`` (time-aware: only
-                services intersecting a fault window are re-solved).
 
         Returns:
             The :class:`~repro.faults.contingency.RecoveryResult`; its
@@ -260,10 +256,7 @@ class RollingScheduler:
         if self._cycle_index == 0:
             raise ScheduleError("no cycle has been closed yet: nothing to amend")
         contingency = ContingencyScheduler(
-            self.cost_model,
-            heat_metric=self.heat_metric,
-            obs=self.obs,
-            masking=masking,
+            self.cost_model, heat_metric=self.heat_metric, obs=self.obs
         )
         recovery = contingency.recover(result, plan, batch=batch)
         metrics = self.obs.metrics
@@ -278,14 +271,14 @@ class RollingScheduler:
         """Re-roll the carryover state from an accepted amendment.
 
         Entries of re-solved videos are re-derived from the patched
-        schedule, entries whose storage a fault downs while they are
-        resident are dropped (their cached copy is gone) -- by the fault
-        effects the recovery itself judged hits by, so a windowed recovery
-        drops a carried-over cache only when an outage overlaps its
-        occupancy -- and everything else carries forward untouched.
+        schedule, entries whose storage an outage downs while they are
+        resident are dropped (their cached copy is gone; recovery's hit
+        rule, each fault over its own window), and everything else carries
+        forward untouched.
         """
-        from repro.faults.inject import fault_hits
+        from repro.faults.inject import fault_effects, fault_hits
 
+        per_fault = fault_effects(self.topology, recovery.plan)
         impacted = set(recovery.impacted)
         boundary = self._last_boundary
         new_carry: dict[str, list[ResidencyInfo]] = {}
@@ -296,7 +289,7 @@ class RollingScheduler:
             kept = [
                 c for c in residencies
                 if not fault_hits(
-                    recovery.effects, c.t_start, c.t_last + playback,
+                    per_fault, c.t_start, c.t_last + playback,
                     storage=c.location,
                 )
             ]

@@ -7,11 +7,7 @@ analysis (:mod:`repro.faults.report`), and incremental recovery through the
 existing two-phase machinery (:mod:`repro.faults.contingency`).
 """
 
-from repro.faults.contingency import (
-    MASKING_MODES,
-    ContingencyScheduler,
-    RecoveryResult,
-)
+from repro.faults.contingency import ContingencyScheduler, RecoveryResult
 from repro.faults.feed import FaultEvent, FaultFeed
 from repro.faults.inject import (
     ResourceEffects,
@@ -52,7 +48,6 @@ __all__ = [
     "DegradedModeReport",
     "build_degraded_report",
     "ContingencyScheduler",
-    "MASKING_MODES",
     "RecoveryResult",
     "FaultEvent",
     "FaultFeed",

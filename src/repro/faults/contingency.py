@@ -9,11 +9,13 @@ Given a solved cycle and a :class:`~repro.faults.plan.FaultPlan`, the
    :func:`~repro.faults.inject.fault_hits`);
 2. splits the hit requests into **lost** (the user's local storage is down
    or unreachable from every standing *home* of the video -- every
-   warehouse without a :class:`~repro.replication.ReplicaMap`) and
+   warehouse without a :class:`~repro.replication.ReplicaMap` -- on the
+   mask of the faults in effect during the request's own stream) and
    **recoverable**;
 3. re-solves *only* the recoverable requests with one
-   :func:`~repro.core.scheduler.solve_two_phase` call, grafted onto the
-   kept files (the pipeline's ``base``) before the SORP pass;
+   :func:`~repro.core.scheduler.solve_two_phase` call on the healthy model,
+   grafted onto the kept files (the pipeline's ``base``) before the SORP
+   pass;
 4. reports the patched schedule with its cost delta (Ψ before vs after,
    both on the *healthy* model) and the SLA outcome (requests saved vs
    lost).
@@ -22,26 +24,15 @@ Unimpacted files are untouched bit-for-bit, and the same seeded plan always
 yields the same patched schedule.  Every patch is judged one way: on the
 healthy model plus the plan's degraded replay.
 
-The two masking stances (``masking=``) differ only in what counts as hit
-and how the re-solve sees the faults:
-
-* ``"cycle"`` (default, conservative) holds every fault in effect for the
-  whole cycle: every request of an impacted video is re-solved on the
-  healthy model cloned over the plan's
-  :func:`~repro.faults.inject.masked_topology`
-  (:meth:`~repro.core.costmodel.CostModel.with_topology`, so a tariff
-  subclass re-solves under its tariff), or lost.
-* ``"windowed"`` counts a delivery or residency as hit only when its own
-  interval meets a fault window, keeps everything else verbatim, and
-  re-solves a hit request when it is servable on the mask of the faults
-  in effect during its stream.  The solve runs on the healthy model,
-  seeded with the kept caches; the windows reach it as SORP background
-  (:func:`~repro.faults.inject.fault_background`: outages and shrinks
-  take their storage's space) and as a route policy that routes each
-  stream on its window's mask.  Its lost set is a subset of the cycle
-  stance's.  A SORP pass can still fail to find a reschedulable victim
-  when every member's trial has no source under the policy (seen with
-  replicated warehouses and warehouse-loss plans).
+Recovery is time-aware: a delivery or residency is hit only when its own
+interval meets a fault window, and everything else is kept verbatim.  The
+re-solve is seeded with the kept caches; the fault windows reach it as
+SORP background (:func:`~repro.faults.inject.fault_background`: at each
+instant a storage loses the share its tightest outage or shrink takes) and
+as a route policy that routes each stream on its window's mask.  Its lost
+set is therefore a subset of what holding every fault for the whole cycle
+would lose: a request unreachable on its stream's mask is unreachable on
+the whole plan's mask too.
 
 A plan that downs *every* warehouse loses the impacted requests it cuts off
 but still returns, with the unimpacted files intact.
@@ -58,7 +49,7 @@ from repro.core.individual import RoutePolicy
 from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo, Schedule
 from repro.core.scheduler import solve_two_phase
 from repro.core.sorp import ResolutionStats
-from repro.errors import FaultError, RoutingError
+from repro.errors import RoutingError
 from repro.faults.inject import (
     fault_background,
     fault_effects,
@@ -72,9 +63,6 @@ from repro.workload.requests import Request, RequestBatch
 
 _log = logging.getLogger(__name__)
 
-#: Recognized masking modes for contingency recovery.
-MASKING_MODES = ("cycle", "windowed")
-
 
 def _split_hits(
     fs: FileSchedule,
@@ -83,13 +71,14 @@ def _split_hits(
 ) -> tuple[list[DeliveryInfo], list[DeliveryInfo], list[ResidencyInfo]]:
     """Split one file's schedule into fault-hit and untouched parts.
 
-    ``per_fault`` holds :func:`~repro.faults.inject.fault_effects` pairs:
-    one per fault for the windowed stance, or the plan's union active for
-    the whole cycle.  Returns ``(hit_deliveries, kept_deliveries,
-    kept_residencies)``.  A delivery is hit when a fault in effect during
-    its stream ``[start, start + playback)`` downs a node or link of its
-    route; a residency when one in effect during its occupancy ``[t_start,
-    t_last + playback)`` downs or shrinks its storage.  Hits propagate
+    ``per_fault`` holds :func:`~repro.faults.inject.fault_effects` pairs,
+    one per fault over its own window.  Returns ``(hit_deliveries,
+    kept_deliveries, kept_residencies)``.  A delivery is hit when a fault in
+    effect during its stream ``[start, start + playback)`` downs a node or
+    link of its route; a residency when one in effect during its occupancy
+    ``[t_start, t_last + playback)`` downs or shrinks its storage, or one
+    in effect during its fill ``[t_start, t_start + playback)`` downs its
+    source (a cache cannot fill from a lost warehouse).  Hits propagate
     through fill chains (a cache filled from a hit location must refill
     too) and onto every delivery sourced from a hit location --
     conservative over-marking only grows the re-solve set, never breaks
@@ -101,6 +90,9 @@ def _split_hits(
             fault_hits(
                 per_fault, c.t_start, c.t_last + playback,
                 storage=c.location, shrink=True,
+            )
+            or fault_hits(
+                per_fault, c.t_start, c.t_start + playback, storage=c.source
             )
         )
         for c in res
@@ -128,17 +120,14 @@ def _split_hits(
 
 
 class _MaskViews(RoutePolicy):
-    """Masked cost models, routers and warehouse reach, one view per sub-plan
-    of ``plan``.
+    """Masked routers and warehouse reach, one view per sub-plan of ``plan``.
 
-    A view is ``{"model": clone, "router": router, "reach": {warehouse:
-    reachable nodes}}``: the healthy model cloned over the sub-plan's
-    :func:`~repro.faults.inject.masked_topology`
-    (:meth:`~repro.core.costmodel.CostModel.with_topology`), its router,
+    A view is ``{"router": router, "reach": {warehouse: reachable nodes}}``:
+    a router over the sub-plan's :func:`~repro.faults.inject.masked_graph`
     and what each standing warehouse reaches on it.  A sub-plan that downs
-    every warehouse has no model and reaches nothing, but its router still
-    routes between the surviving storages.  Views are cached per sub-plan
-    and per time window.
+    every warehouse reaches nothing, but its router still routes between
+    the surviving storages.  Views are cached per sub-plan and per time
+    window.
 
     As a route policy it routes each stream on the view of the faults in
     effect during it, and answers ``None`` when that view downs an end or
@@ -157,13 +146,8 @@ class _MaskViews(RoutePolicy):
         entry = self._cache.get(sig)
         if entry is None:
             masked = masked_graph(self._cm.topology, sub)
-            if masked.warehouses:
-                model = self._cm.with_topology(masked)
-                router = model.router
-            else:
-                model, router = None, Router(masked)
+            router = Router(masked)
             entry = {
-                "model": model,
                 "router": router,
                 "reach": {
                     w.name: router.reachable(w.name) for w in masked.warehouses
@@ -220,14 +204,6 @@ class RecoveryResult:
     #: Phase-2 statistics of the recovery solve (None when nothing was
     #: impacted and the schedule is returned unchanged).
     resolution: ResolutionStats | None = None
-    #: Which masking stance produced this recovery: ``"cycle"`` (any
-    #: resource the plan ever fails is avoided for the whole cycle) or
-    #: ``"windowed"`` (only services actually intersecting a fault window
-    #: were re-solved).
-    masking: str = "cycle"
-    #: The :func:`~repro.faults.inject.fault_effects` pairs the recovery
-    #: judged hits by, for callers that ask the same question afterwards.
-    effects: tuple = ()
 
     @property
     def videos_resolved(self) -> int:
@@ -284,7 +260,6 @@ class RecoveryResult:
             "overflow_iterations": (
                 0 if self.resolution is None else self.resolution.iterations
             ),
-            "masking": self.masking,
         }
 
 
@@ -298,11 +273,6 @@ class ContingencyScheduler:
         heat_metric: Victim-selection metric for the recovery SORP pass.
         obs: Observability handle; a live handle records a ``recover`` span
             plus ``vor_recovery_*`` metrics.
-        masking: ``"cycle"`` (default) treats any resource the plan ever
-            fails as unusable for the whole cycle -- the conservative
-            stance.  ``"windowed"`` re-solves only the services whose time
-            interval intersects a fault window, so deliveries at disjoint
-            times keep their original (cheaper) routes.
     """
 
     def __init__(
@@ -311,17 +281,10 @@ class ContingencyScheduler:
         *,
         heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
         obs: Observability | None = None,
-        masking: str = "cycle",
     ):
-        if masking not in MASKING_MODES:
-            raise FaultError(
-                f"unknown masking mode {masking!r} (expected one of "
-                f"{MASKING_MODES})"
-            )
         self._cm = cost_model
         self._metric = heat_metric
         self._obs = obs if obs is not None else NULL_OBS
-        self._masking = masking
 
     def recover(
         self,
@@ -342,22 +305,17 @@ class ContingencyScheduler:
             batch: The cycle's request batch; when omitted it is
                 reconstructed from the schedule's own deliveries.
 
-        A plan that downs every warehouse does not raise: every impacted
-        request is reported lost and the unimpacted files survive verbatim.
+        A plan that downs every warehouse does not raise: every hit request
+        it cuts off is reported lost and the unimpacted files survive
+        verbatim.
         """
-        per_fault = fault_effects(
-            self._cm.topology, plan, whole_cycle=self._masking == "cycle"
-        )
+        per_fault = fault_effects(self._cm.topology, plan)
         if batch is None:
             batch = RequestBatch(d.request for d in solved.schedule.deliveries)
         with self._obs.tracer.span(
-            "recover",
-            faults=len(plan),
-            requests=len(batch),
-            masking=self._masking,
+            "recover", faults=len(plan), requests=len(batch)
         ) as span:
-            result = self._recover(solved, plan, per_fault, batch)
-            result.effects = tuple(per_fault)
+            result = self._recover(solved, plan, per_fault)
             span.set(
                 impacted=result.videos_resolved,
                 saved=result.requests_saved,
@@ -366,16 +324,10 @@ class ContingencyScheduler:
         journal = self._obs.journal
         if journal.enabled:
             for request in result.saved:
-                journal.emit(
-                    "fault-hit", request=request,
-                    faults=len(plan), masking=self._masking,
-                )
+                journal.emit("fault-hit", request=request, faults=len(plan))
                 journal.emit("saved", request=request)
             for request in result.lost:
-                journal.emit(
-                    "fault-hit", request=request,
-                    faults=len(plan), masking=self._masking,
-                )
+                journal.emit("fault-hit", request=request, faults=len(plan))
                 journal.emit("lost", request=request)
         self._record_metrics(result)
         _log.info(
@@ -393,7 +345,6 @@ class ContingencyScheduler:
         solved,
         plan: FaultPlan,
         per_fault: list,
-        batch: RequestBatch,
     ) -> RecoveryResult:
         schedule, cost_before = solved.schedule, solved.cost
         catalog = self._cm.catalog
@@ -410,61 +361,39 @@ class ContingencyScheduler:
                 schedule=schedule.copy(),
                 cost_before=cost_before,
                 cost_after=cost_before,
-                masking=self._masking,
             )
         masks = _MaskViews(self._cm, plan)
         base = Schedule(fs for fs in schedule if fs.video_id not in splits)
         saved: list[Request] = []
         lost: list[Request] = []
-        if self._masking == "windowed":
-            # Hit requests servable on the mask of the faults in effect
-            # during their own stream are re-solved on the healthy model,
-            # the windows reaching it as SORP background and route policy,
-            # seeded with the kept caches; the rest of each file is kept.
-            resolve: list[Request] = []
-            for video_id, (hit_del, kept_del, kept_res) in splits.items():
-                playback = catalog[video_id].playback
-                redo: list[Request] = []
-                for d in hit_del:
-                    r = d.request
-                    view = masks.window(r.start_time, r.start_time + playback)
-                    (redo if masks.servable(r, view) else lost).append(r)
-                saved.extend(d.request for d in kept_del)
-                saved.extend(redo)
-                resolve.extend(redo)
-                if kept_del:
-                    kept = [] if redo else list(kept_res)
-                    base.set_file(FileSchedule(video_id, kept_del, kept).pruned())
-            model = self._cm
-            options = {
-                "seeds": {v: tuple(k) for v, (_, _, k) in splits.items() if k},
-                "background": fault_background(self._cm.topology, plan),
-                "route_policy": masks,
-            }
-        else:
-            # Whole cycle: every request of an impacted video is re-solved
-            # on the plan's mask, or lost when no standing home reaches it
-            # there.  SORP runs over the whole grafted schedule, so the
-            # fresh files fit in what the shrunk storages have left
-            # alongside the unimpacted files' residencies.
-            view = masks.view(plan)
-            for r in batch:
-                if r.video_id in splits:
-                    (saved if masks.servable(r, view) else lost).append(r)
-            resolve = saved
-            model = view["model"]
-            options = {}
+        # Hit requests servable on the mask of the faults in effect during
+        # their own stream are re-solved; the rest of each file is kept.
+        resolve: list[Request] = []
+        for video_id, (hit_del, kept_del, kept_res) in splits.items():
+            playback = catalog[video_id].playback
+            redo: list[Request] = []
+            for d in hit_del:
+                r = d.request
+                view = masks.window(r.start_time, r.start_time + playback)
+                (redo if masks.servable(r, view) else lost).append(r)
+            saved.extend(d.request for d in kept_del)
+            saved.extend(redo)
+            resolve.extend(redo)
+            if kept_del:
+                kept = [] if redo else list(kept_res)
+                base.set_file(FileSchedule(video_id, kept_del, kept).pruned())
         if resolve:
-            # The patched schedule is priced on the healthy model, like the
-            # original.
+            # The healthy model, seeded with the kept caches; the fault
+            # windows reach it as SORP background and route policy.
             fresh = solve_two_phase(
                 RequestBatch(resolve),
-                model,
+                self._cm,
                 heat_metric=self._metric,
                 obs=self._obs,
+                seeds={v: tuple(k) for v, (_, _, k) in splits.items() if k},
+                background=fault_background(self._cm.topology, plan),
                 base=base,
-                pricing=self._cm,
-                **options,
+                route_policy=masks,
             )
             patched, cost_after = fresh.schedule, fresh.cost
             resolution = fresh.resolution
@@ -480,7 +409,6 @@ class ContingencyScheduler:
             cost_before=cost_before,
             cost_after=cost_after,
             resolution=resolution,
-            masking=self._masking,
         )
 
     def _record_metrics(self, result: RecoveryResult) -> None:
@@ -509,6 +437,5 @@ class ContingencyScheduler:
 
 __all__ = [
     "ContingencyScheduler",
-    "MASKING_MODES",
     "RecoveryResult",
 ]

@@ -1,19 +1,18 @@
 """Mapping fault scenarios onto concrete resource effects.
 
 :func:`fault_effects` says what a plan breaks and when -- one pair per
-fault over its own window, or the whole plan combined and in effect for the
-whole cycle -- and :func:`fault_hits` asks those pairs the one question
-every consumer has: which faults break this route or this storage during
-this interval.  The degraded-mode analyzer (:mod:`repro.faults.report`),
-the contingency scheduler (:mod:`repro.faults.contingency`), the rolling
-scheduler's carryover re-roll and the horizon's resume ledger all ask it.
+fault over its own window -- and :func:`fault_hits` asks those pairs the
+one question every consumer has: which faults break this route or this
+storage during this interval.  The degraded-mode analyzer
+(:mod:`repro.faults.report`), the contingency scheduler
+(:mod:`repro.faults.contingency`), the rolling scheduler's carryover
+re-roll and the horizon's resume ledger all ask it.
 
-Whole-cycle recovery re-solves on the healthy cost model cloned over a
-:func:`masked_topology` (failed resources removed, degraded ones shrunk;
-see :meth:`~repro.core.costmodel.CostModel.with_topology`); windowed
-recovery re-solves on the healthy model with :func:`fault_background` as
-SORP's capacity background.  Either way the Phase-1 + SORP machinery runs
-without knowing faults exist.
+Recovery re-solves on the healthy cost model, routing each stream on the
+:func:`masked_graph` of the faults in effect during it (failed resources
+removed, degraded ones shrunk) with :func:`fault_background` as SORP's
+capacity background, so the Phase-1 + SORP machinery runs without knowing
+faults exist.
 
 Severity is the remaining fraction of the resource (see
 :mod:`repro.faults.plan`); a warehouse brownout scales every link incident
@@ -173,17 +172,10 @@ def combined_effects(
 
 
 def fault_effects(
-    topology: Topology, plan: FaultPlan, *, whole_cycle: bool = False
-) -> list[tuple[FaultSpec | None, ResourceEffects]]:
-    """What ``plan`` breaks and when, as ``(fault, effects)`` pairs.
-
-    One pair per fault, active over the fault's own window; with
-    ``whole_cycle`` a single pair of the plan's :func:`combined_effects`
-    whose fault is ``None``: active over the whole cycle, the stance of
-    whole-cycle recovery.
-    """
-    if whole_cycle:
-        return [(None, combined_effects(topology, plan))]
+    topology: Topology, plan: FaultPlan
+) -> list[tuple[FaultSpec, ResourceEffects]]:
+    """What ``plan`` breaks and when: one ``(fault, effects)`` pair per
+    fault, active over the fault's own window."""
     return [(f, effects_of(topology, f)) for f in plan]
 
 
@@ -213,9 +205,11 @@ def fault_hits(
     """Which :func:`fault_effects` pairs break ``route`` or ``storage``
     during ``[t0, t1)``, and the resource each one breaks.
 
-    A pair counts when it is in effect over the interval and either downs
-    a node or link of ``route`` (the resource :func:`route_failure` names)
-    or downs ``storage`` -- with ``shrink``, also when it shrinks it.
+    A pair counts when it is in effect over the interval (a ``None`` fault
+    always is: ``[(None, combined_effects(...))]`` holds a whole plan for
+    the whole cycle) and either downs a node or link of ``route`` (the
+    resource :func:`route_failure` names) or downs ``storage`` -- with
+    ``shrink``, also when it shrinks it.
     Returns ``(fault, resource)`` pairs in ``per_fault`` order, which for a
     plan is the canonical order, so the first hit is the earliest fault.
     """
@@ -242,25 +236,45 @@ def fault_background(
 ) -> dict[str, list[SpaceProfile]]:
     """The space ``plan``'s outages and shrinks take, as SORP background.
 
-    Each outage or capacity shrink adds one flat ``SpaceProfile`` over its
-    window at its storage: the whole capacity for an outage, ``(1 -
-    severity) * capacity`` for a shrink.  Unbounded storages get none;
-    overlapping faults add up (conservative: the replay judges the least
-    remaining fraction).
+    At each instant a storage's background is ``(1 - r) * capacity``, where
+    ``r`` is the least remaining fraction among the outages (``r = 0``) and
+    shrinks (``r = severity``) in effect then: the tightest fault binds, as
+    in the degraded replay and in :func:`combined_effects`, so the
+    background never exceeds the capacity.  It is one flat ``SpaceProfile``
+    per run of equal height between fault boundaries.  Unbounded storages
+    get none.
     """
-    background: dict[str, list[SpaceProfile]] = {}
+    windows: dict[str, list[tuple[float, float, float]]] = {}
     for fault in plan:
         if fault.kind is FaultKind.IS_OUTAGE:
-            taken = 1.0
+            remaining = 0.0
         elif fault.kind is FaultKind.CAPACITY_SHRINK:
-            taken = 1.0 - fault.severity
+            remaining = fault.severity
         else:
             continue
-        capacity = topology.capacity(_require_node(topology, fault))
-        if taken > 0.0 and not math.isinf(capacity):
-            height = taken * capacity
-            segment = LinearSegment(fault.t_start, fault.t_end, height, height)
-            background.setdefault(fault.target, []).append(SpaceProfile((segment,)))
+        windows.setdefault(_require_node(topology, fault), []).append(
+            (fault.t_start, fault.t_end, remaining)
+        )
+    background: dict[str, list[SpaceProfile]] = {}
+    for storage, faults in windows.items():
+        capacity = topology.capacity(storage)
+        if math.isinf(capacity):
+            continue
+        cuts = sorted({t for t0, t1, _ in faults for t in (t0, t1)})
+        runs: list[list[float]] = []  # [start, end, height]
+        for a, b in zip(cuts, cuts[1:]):
+            active = [r for t0, t1, r in faults if t0 <= a and b <= t1]
+            height = (1.0 - min(active)) * capacity if active else 0.0
+            if height <= 0.0:
+                continue
+            if runs and runs[-1][1] == a and runs[-1][2] == height:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b, height])
+        if runs:
+            background[storage] = [
+                SpaceProfile((LinearSegment(a, b, h, h),)) for a, b, h in runs
+            ]
     return background
 
 

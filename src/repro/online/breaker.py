@@ -5,9 +5,9 @@ loop passes the *virtual* feed time, so replays are deterministic):
 
 * ``closed`` -- amendments run normally; consecutive failed batches
   count toward ``failure_threshold``.
-* ``open``   -- re-solves keep failing; the loop degrades (conservative
-  whole-cycle stance, shed low-priority pending work) until ``cooldown``
-  virtual seconds pass.
+* ``open``   -- re-solves keep failing; the loop degrades (one attempt per
+  batch, shed low-priority pending work) until ``cooldown`` virtual
+  seconds pass.
 * ``half_open`` -- after the cooldown one normal amendment probes the
   system: success closes the breaker, failure re-opens it and restarts
   the cooldown.

@@ -18,11 +18,11 @@ into a sequence of cycle amendments against a running
    once.
 4. **Break** -- failed batches (retries exhausted, or a deterministic
    failure) feed the
-   :class:`~repro.online.breaker.CircuitBreaker`; once it opens the loop
-   degrades to the conservative whole-cycle stance and sheds the
-   lowest-priority pending reservations instead of risking further
-   expensive re-solves.  After the cooldown a half-open probe returns to
-   normal windowed operation.
+   :class:`~repro.online.breaker.CircuitBreaker`; while it is open the loop
+   degrades: each batch is amended once, without retries, and the
+   lowest-priority pending reservations are shed.  A degraded amendment is
+   not a probe, so its success does not close the breaker; after the
+   cooldown a half-open probe returns to normal operation.
 
 Determinism: batching, amendment results, retry counts and breaker
 trajectory depend only on ``(feed, seed, injected failures)`` -- the
@@ -79,10 +79,6 @@ class OnlineLoopConfig:
             half-open probe.
         shed_per_degraded_batch: Pending reservations shed on each batch
             processed while the breaker is open.
-
-    Normal (closed/half-open) batches amend with the ``"windowed"``
-    recovery stance; degraded batches use the conservative ``"cycle"``
-    stance.
     """
 
     debounce: float = 0.0
@@ -128,7 +124,6 @@ class AmendmentRecord:
     events: int
     faults_total: int  # cumulative plan size after this batch
     outcome: str  # one of OUTCOMES
-    masking: str
     attempts: int
     retries: int
     breaker_state: str  # state after the batch settled
@@ -146,7 +141,6 @@ class AmendmentRecord:
             "events": self.events,
             "faults_total": self.faults_total,
             "outcome": self.outcome,
-            "masking": self.masking,
             "attempts": self.attempts,
             "retries": self.retries,
             "breaker_state": self.breaker_state,
@@ -232,8 +226,7 @@ class OnlineRunReport:
             rec = self.final.recovery
             lines.append(
                 f"  final recovery: {rec.requests_saved} saved / "
-                f"{rec.requests_lost} lost (psi {rec.cost_delta:+.2f}, "
-                f"{rec.masking})"
+                f"{rec.requests_lost} lost (psi {rec.cost_delta:+.2f})"
             )
         return "\n".join(lines)
 
@@ -308,7 +301,6 @@ class OnlineAmendmentLoop:
                     events=record.events,
                     faults=record.faults_total,
                     outcome=record.outcome,
-                    masking=record.masking,
                     attempts=record.attempts,
                     retries=record.retries,
                     breaker=record.breaker_state,
@@ -354,7 +346,6 @@ class OnlineAmendmentLoop:
         now = batch[-1].at
         state = self.breaker.state_at(now)
         degraded = state == OPEN
-        masking = "cycle" if degraded else "windowed"
         retries_budget = 0 if degraded else self.config.max_retries
         delays = self._retry.delays(batch_index)
 
@@ -364,7 +355,6 @@ class OnlineAmendmentLoop:
             at=now,
             events=len(batch),
             breaker=state,
-            masking=masking,
         ) as span:
             amended: CycleReport | None = None
             error = ""
@@ -384,7 +374,7 @@ class OnlineAmendmentLoop:
                     self._sleep(delay)
                 try:
                     amended, duration = self._attempt(
-                        batch_index, plan, current, masking, out
+                        batch_index, plan, current, out
                     )
                     break
                 except ReproError as exc:
@@ -404,8 +394,8 @@ class OnlineAmendmentLoop:
                 )
             if amended is not None:
                 if degraded:
-                    # A conservative amendment while open is not a probe:
-                    # only a half-open probe's success closes the breaker.
+                    # An amendment while open is not a probe: only a
+                    # half-open probe's success closes the breaker.
                     outcome = "degraded"
                 else:
                     self.breaker.record_success(now)
@@ -425,7 +415,6 @@ class OnlineAmendmentLoop:
             events=len(batch),
             faults_total=len(plan),
             outcome=outcome,
-            masking=masking,
             attempts=attempts,
             retries=attempts - 1,
             breaker_state=self.breaker.state,
@@ -442,13 +431,12 @@ class OnlineAmendmentLoop:
         batch_index: int,
         plan: FaultPlan,
         current: CycleReport,
-        masking: str,
         out: OnlineRunReport,
     ) -> tuple[CycleReport, float]:
         if self._injector is not None:
             self._injector.check(batch_index)
         t0 = self._clock()
-        amended = self.service.amend_cycle(current, plan, masking=masking)
+        amended = self.service.amend_cycle(current, plan)
         duration = self._clock() - t0
         metrics = self.obs.metrics
         if metrics.enabled:

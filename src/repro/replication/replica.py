@@ -45,9 +45,8 @@ class ReplicaMap:
         homes: Mapping of video id to an iterable of warehouse names.  Home
             sets are deduplicated and kept in sorted order, so two maps with
             the same assignments compare equal regardless of construction
-            order.  Empty home sets are allowed (they arise when every home
-            of a video fails, see :meth:`restricted_to`) but are rejected by
-            :meth:`validate` on healthy topologies.
+            order.  Empty home sets are allowed but rejected by
+            :meth:`validate`.
         name: Optional human-readable label carried through serialization.
         seed: The seed a generating policy drew from, if any.
     """
@@ -76,8 +75,8 @@ class ReplicaMap:
     # -- mapping access ------------------------------------------------------
 
     def homes(self, video_id: str) -> tuple[str, ...]:
-        """Home warehouses of ``video_id`` (sorted; may be empty after
-        :meth:`restricted_to`).  Raises on videos the map does not cover."""
+        """Home warehouses of ``video_id`` (sorted; may be empty).  Raises
+        on videos the map does not cover."""
         try:
             return self._homes[video_id]
         except KeyError:
@@ -116,26 +115,7 @@ class ReplicaMap:
         span = f"{degrees[0]}-{degrees[-1]}" if degrees else "0"
         return f"ReplicaMap({len(self)} videos, degree {span})"
 
-    # -- derivation ----------------------------------------------------------
-
-    def restricted_to(self, surviving: Iterable[str]) -> "ReplicaMap":
-        """The map with every home outside ``surviving`` removed.
-
-        Used by contingency re-scheduling: after a warehouse loss the
-        surviving replica set is exactly this map restricted to the masked
-        topology's nodes.  Videos whose every home failed keep an *empty*
-        home set -- their requests are unservable and must be classified
-        lost before scheduling.
-        """
-        alive = frozenset(surviving)
-        return ReplicaMap(
-            {
-                video_id: tuple(h for h in hs if h in alive)
-                for video_id, hs in self._homes.items()
-            },
-            name=self.name,
-            seed=self.seed,
-        )
+    # -- validation ----------------------------------------------------------
 
     def validate(self, topology: Topology, catalog: VideoCatalog | None = None) -> None:
         """Raise :class:`~repro.errors.ReplicationError` on a bad placement.

@@ -323,15 +323,13 @@ class VORService:
         _log.warning("shed %d pending reservation(s)", len(shed))
         return shed
 
-    def amend_cycle(
-        self, report: CycleReport, plan: FaultPlan, *, masking: str = "cycle"
-    ) -> CycleReport:
+    def amend_cycle(self, report: CycleReport, plan: FaultPlan) -> CycleReport:
         """Amend the last closed cycle's schedule around an active fault plan.
 
-        Re-solves the impacted videos through the contingency scheduler
-        (masked topology, Phase 1 + SORP), re-bills, and re-validates the
-        patched schedule with the plan's lost requests excused, on the
-        healthy model plus the plan's degraded replay whatever the stance.
+        Re-solves the fault-hit requests through the contingency scheduler
+        (Phase 1 + SORP around the fault windows), re-bills, and
+        re-validates the patched schedule with the plan's lost requests
+        excused, on the healthy model plus the plan's degraded replay.
         Only a patched schedule that validates re-rolls the carryover
         state, so the next :meth:`close_cycle` inherits the post-fault
         reality -- and a rejected amendment leaves it untouched.
@@ -340,21 +338,14 @@ class VORService:
             report: The :class:`CycleReport` returned by the most recent
                 :meth:`close_cycle`.
             plan: The active fault scenario.
-            masking: ``"cycle"`` re-solves against the conservative
-                whole-cycle mask; ``"windowed"`` re-solves only services
-                intersecting a fault window.
 
         Returns:
             A fresh :class:`CycleReport` whose ``cycle.schedule`` is the
             patched plan and whose :attr:`CycleReport.recovery` carries the
             SLA/cost outcome of the contingency pass.
         """
-        with self.obs.tracer.span(
-            "amend_cycle", faults=len(plan), masking=masking
-        ) as span:
-            recovery = self._rolling.amend_cycle(
-                report.cycle, plan, masking=masking
-            )
+        with self.obs.tracer.span("amend_cycle", faults=len(plan)) as span:
+            recovery = self._rolling.amend_cycle(report.cycle, plan)
             patched = recovery.schedule
             with self.obs.tracer.span("billing"):
                 billing = allocate_costs(patched, self.cost_model)
@@ -386,7 +377,6 @@ class VORService:
             self.obs.journal.emit(
                 "amended",
                 faults=len(plan),
-                masking=masking,
                 impacted=recovery.videos_resolved,
                 saved=len(recovery.saved),
                 lost=len(recovery.lost),

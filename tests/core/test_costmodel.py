@@ -204,16 +204,17 @@ class TestReplicaClone:
 
     def test_clones_share_the_route_table_not_the_counters(self, fig2_cm):
         s1 = fig2_schedule_s1()
-        by_replicas = fig2_cm.with_replicas(fig2_cm.replicas)
-        by_topology = fig2_cm.with_topology(fig2_cm.topology)
-        for clone in (by_replicas, by_topology):
+        first, second = (
+            fig2_cm.with_replicas(fig2_cm.replicas) for _ in range(2)
+        )
+        for clone in (first, second):
             assert clone._route_rates is fig2_cm._route_rates
-        by_topology.total(s1)  # two distinct routes: two misses, one hit
-        assert by_topology.cache_stats == CacheStats(hits=1, misses=2)
+        first.total(s1)  # two distinct routes: two misses, one hit
+        assert first.cache_stats == CacheStats(hits=1, misses=2)
         assert fig2_cm.cache_stats == CacheStats()
-        by_replicas.total(s1)  # the shared table is warm now
-        assert by_replicas.cache_stats == CacheStats(hits=3, misses=0)
-        assert by_topology.cache_stats == CacheStats(hits=1, misses=2)
+        second.total(s1)  # the shared table is warm now
+        assert second.cache_stats == CacheStats(hits=3, misses=0)
+        assert first.cache_stats == CacheStats(hits=1, misses=2)
         assert fig2_cm.cache_stats == CacheStats()
 
     def test_clone_prices_like_the_original(self, fig2_cm):

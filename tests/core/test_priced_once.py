@@ -5,9 +5,11 @@ once and keeps the per-file costs as a ledger that each committed victim
 updates with its trial's own breakdown.  Every cost a solve reports must
 still be, bit for bit, what :meth:`CostModel.schedule_cost` gives on the
 final schedule -- on the flat model, a time-of-day tariff, a replica map,
-a rolling close with seeds and a background, and both recovery stances.
+a rolling close with seeds and a background, and a recovery around faults
+over windows of the cycle or over all of it.
 """
 
+import dataclasses
 from unittest import mock
 
 import pytest
@@ -51,6 +53,18 @@ def drill():
     catalog = paper_catalog(60, seed=4)
     batch = WorkloadGenerator(topo, catalog, alpha=0.271).generate(seed=4)
     return topo, catalog, batch
+
+
+def _plan(topo, seed, horizon, window):
+    """Generated 3-fault plan ``seed``; with ``window == "cycle"`` every
+    fault spans the whole cycle."""
+    plan = FaultPlan.generate(topo, seed=seed, horizon=horizon, n_faults=3)
+    if window == "windowed":
+        return plan
+    t0, t1 = horizon
+    return FaultPlan(
+        tuple(dataclasses.replace(f, t_start=t0, t_end=t1) for f in plan)
+    )
 
 
 def assert_bit_identical(cost, cost_model, schedule):
@@ -115,31 +129,29 @@ class TestScheduleResultCost:
 
 
 class TestRecoveryCost:
-    @pytest.mark.parametrize("masking", ["cycle", "windowed"])
+    @pytest.mark.parametrize("window", ["cycle", "windowed"])
     @pytest.mark.parametrize("seed", [2, 7])
-    def test_cost_after_is_the_patched_schedules_psi(self, drill, masking, seed):
+    def test_cost_after_is_the_patched_schedules_psi(self, drill, window, seed):
         topo, catalog, batch = drill
         scheduler = VideoScheduler(topo, catalog)
         solved = scheduler.solve(batch)
         schedule = solved.schedule
         t0, t1 = batch.span
         horizon = (t0, t1 + max(v.playback for v in catalog))
-        plan = FaultPlan.generate(topo, seed=seed, horizon=horizon, n_faults=3)
+        plan = _plan(topo, seed, horizon, window)
         cm = scheduler.cost_model
-        result = ContingencyScheduler(cm, masking=masking).recover(
-            solved, plan, batch=batch
-        )
-        # seed 2 re-solves through SORP with victims in both stances;
-        # seed 7's windowed re-solve needs no SORP run
-        ran_sorp = masking == "cycle" or seed == 2
+        result = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        # seed 2 re-solves through SORP with victims over either window;
+        # seed 7 has nothing to re-solve
+        ran_sorp = seed == 2
         assert (result.resolution is not None) == ran_sorp
         if ran_sorp:
             assert result.resolution.victims
         assert_bit_identical(result.cost_after, cm, result.schedule)
         assert_bit_identical(result.cost_before, cm, schedule)
 
-    @pytest.mark.parametrize("masking", ["cycle", "windowed"])
-    def test_cost_before_is_the_solved_cycles_psi(self, drill, masking):
+    @pytest.mark.parametrize("window", ["cycle", "windowed"])
+    def test_cost_before_is_the_solved_cycles_psi(self, drill, window):
         """Recovery takes Ψ before from the cycle it amends, unpriced: for
         a fresh close and for an amended cycle it is the schedule's Ψ."""
         topo, catalog, batch = drill
@@ -152,13 +164,10 @@ class TestRecoveryCost:
         t0, t1 = batch.span
         report = svc.close_cycle(cycle_end=t1)
         horizon = (t0, t1 + max(v.playback for v in catalog))
-        first, second = (
-            FaultPlan.generate(topo, seed=seed, horizon=horizon, n_faults=3)
-            for seed in (2, 7)
-        )
-        amended = svc.amend_cycle(report, first, masking=masking)
+        first, second = (_plan(topo, seed, horizon, window) for seed in (2, 7))
+        amended = svc.amend_cycle(report, first)
         assert amended.recovery.resolution is not None  # a re-solved cycle
-        contingency = ContingencyScheduler(svc.cost_model, masking=masking)
+        contingency = ContingencyScheduler(svc.cost_model)
         for cycle in (report.cycle, amended.cycle):
             with mock.patch.object(
                 svc.cost_model, "schedule_cost", wraps=svc.cost_model.schedule_cost
@@ -169,10 +178,7 @@ class TestRecoveryCost:
 
 
 class TestPricingPasses:
-    @pytest.mark.parametrize("same_pricing", [False, True])
-    def test_solve_prices_each_file_once_plus_each_served_trial(
-        self, drill, same_pricing
-    ):
+    def test_solve_prices_each_file_once_plus_each_served_trial(self, drill):
         topo, catalog, batch = drill
         cm = VideoScheduler(topo, catalog).cost_model
         obs = Observability.on()
@@ -186,7 +192,6 @@ class TestPricingPasses:
                 cm,
                 heat_metric=HeatMetric.SPACE_TIME_PER_COST,
                 obs=obs,
-                pricing=cm if same_pricing else None,
             )
         assert result.resolution.victims
         assert schedule_cost.call_count == 0

@@ -219,10 +219,9 @@ class TestBitIdentity:
         inst=instances,
         metric=st.sampled_from(list(HeatMetric)),
         target=st.sampled_from(["IS1", "IS4", "IS7", "IS12"]),
-        masking=st.sampled_from(["cycle", "windowed"]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_contingency_masked_cost_models(self, inst, metric, target, masking):
+    def test_contingency_masked_cost_models(self, inst, metric, target):
         topo, catalog, batch = _instance(*inst)
         cm = CostModel(topo, catalog)
         solved = VideoScheduler(
@@ -240,9 +239,9 @@ class TestBitIdentity:
         )
         calls, patch = _capture(scheduler_module)
         with patch:
-            ContingencyScheduler(
-                cm, heat_metric=metric, masking=masking
-            ).recover(solved, plan, batch=batch)
+            ContingencyScheduler(cm, heat_metric=metric).recover(
+                solved, plan, batch=batch
+            )
         for args, kwargs in calls:
             kwargs = dict(kwargs)
             kwargs.pop("obs", None)

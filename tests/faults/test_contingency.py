@@ -19,13 +19,12 @@ from repro import (
     VORService,
     units,
 )
-from repro.core.costmodel import CacheStats, CostModel
+from repro.core.costmodel import CostModel
 from repro.errors import ScheduleError
 from repro.extensions.pricing import DiurnalCostModel, TimeOfDayTariff
 from repro.extensions.rolling import RollingScheduler
 from repro.faults import masked_topology
 from repro.faults.contingency import _MaskViews
-from repro.replication import ReplicaMap
 from repro.sim.validate import validate_schedule
 from repro.workload.requests import Request, RequestBatch
 
@@ -220,33 +219,16 @@ class TestRecover:
 
 
 class TestMaskedModel:
-    """Both stances re-solve on the healthy model cloned over the mask."""
-
-    def test_clone_keeps_class_and_shares_psi_caches(self, env):
-        topo, catalog, batch, solved = env
-        schedule = solved.schedule
-        topo.add_warehouse("VW2")
-        topo.add_edge("VW2", "IS2", nrate=1e-8)
-        tariff = TimeOfDayTariff.evening_peak()
-        cm = DiurnalCostModel(topo, catalog, tariff).with_replicas(
-            ReplicaMap.full_copy(topo, catalog)
-        )
-        cm.total(schedule)  # warm the route table
-        plan = _window_plan(FaultKind.WAREHOUSE_LOSS, "VW2")
-        masked = masked_topology(topo, plan)
-        clone = cm.with_topology(masked)
-        assert type(clone) is DiurnalCostModel and clone.tariff is tariff
-        assert clone.topology is masked and clone.router.topology is masked
-        assert clone._route_rates is cm._route_rates
-        assert clone.cache_stats == CacheStats()
-        assert all(clone.replicas.homes(v) == ("VW",) for v in ("m0", "m1"))
-        assert clone.total(schedule) == cm.total(schedule)
+    """Recovery re-solves on the healthy model itself, so a tariff subclass
+    re-solves under its tariff."""
 
     def test_recovery_resolves_under_the_tariff(self):
         # Two evening-peak requests at IS2.  The cheap route crosses IS1,
         # which is down all day; on the VW-IS2 link a flat-rate re-solve
         # streams twice ($100 each, less than the $129.60 cache extension)
-        # while a peak-rate one ($300 a stream) caches at IS2.
+        # while a peak-rate one ($300 a stream) caches at IS2.  A mild
+        # shrink of IS2 hits the healthy schedule's cache there, so both
+        # requests are re-solved.
         topo = Topology()
         topo.add_warehouse("VW")
         topo.add_storage("IS1", srate=2.4e-4, capacity=1e12)
@@ -268,6 +250,7 @@ class TestMaskedModel:
         solved = VideoScheduler(topo, catalog, cost_model=cm).solve(batch)
         plan = FaultPlan((
             FaultSpec(FaultKind.IS_OUTAGE, "IS1", 0.0, units.DAY),
+            FaultSpec(FaultKind.CAPACITY_SHRINK, "IS2", 0.0, units.DAY, 0.5),
         ))
         rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
         assert rec.saved == tuple(batch)

@@ -1,10 +1,13 @@
 """Tests for fault-to-resource-effect resolution and topology masking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import FaultKind, FaultPlan, FaultSpec, Topology, masked_topology
 from repro.errors import FaultError
 from repro.faults import combined_effects, effects_of
+from repro.core.spacefunc import UsageTimeline
 from repro.faults.inject import fault_background, fault_effects, fault_hits
 
 
@@ -141,8 +144,9 @@ class TestFaultHits:
         FaultSpec(FaultKind.CAPACITY_SHRINK, "IS1", 0.0, 40.0, severity=0.5),
     ))
 
-    def _hits(self, t0, t1, *, whole_cycle=False, **kw):
-        per_fault = fault_effects(_topo(), self.PLAN, whole_cycle=whole_cycle)
+    def _hits(self, t0, t1, *, per_fault=None, **kw):
+        if per_fault is None:
+            per_fault = fault_effects(_topo(), self.PLAN)
         return [
             (None if f is None else f.kind, resource)
             for f, resource in fault_hits(per_fault, t0, t1, **kw)
@@ -172,7 +176,8 @@ class TestFaultHits:
         ]
 
     def test_whole_cycle_pair_is_always_in_effect(self):
-        assert self._hits(100.0, 101.0, whole_cycle=True, storage="IS2") == [
+        union = [(None, combined_effects(_topo(), self.PLAN))]
+        assert self._hits(100.0, 101.0, per_fault=union, storage="IS2") == [
             (None, "IS2"),
         ]
         assert self._hits(100.0, 101.0, storage="IS2") == []
@@ -271,3 +276,74 @@ class TestFaultBackground:
 
     def test_empty_plan_takes_nothing(self):
         assert fault_background(_topo(), FaultPlan()) == {}
+
+    def test_outage_overlapping_a_shrink_takes_the_capacity_once(self):
+        plan = FaultPlan(
+            (
+                FaultSpec(FaultKind.IS_OUTAGE, "IS1", 10.0, 20.0),
+                FaultSpec(FaultKind.CAPACITY_SHRINK, "IS1", 15.0, 30.0, 0.25),
+            )
+        )
+        background = fault_background(_topo(), plan)["IS1"]
+        assert _pieces(background) == [(10.0, 20.0, 100.0), (20.0, 30.0, 75.0)]
+        assert UsageTimeline(background).peak == 100.0
+
+    def test_overlapping_shrinks_take_the_tightest_share(self):
+        plan = FaultPlan(
+            (
+                FaultSpec(FaultKind.CAPACITY_SHRINK, "IS1", 0.0, 20.0, 0.5),
+                FaultSpec(FaultKind.CAPACITY_SHRINK, "IS1", 10.0, 30.0, 0.75),
+                FaultSpec(FaultKind.CAPACITY_SHRINK, "IS1", 10.0, 20.0, 0.9),
+                FaultSpec(FaultKind.CAPACITY_SHRINK, "IS1", 30.0, 40.0, 0.4),
+            )
+        )
+        background = fault_background(_topo(), plan)["IS1"]
+        # [10, 20) keeps the first shrink's share: one run, not three
+        assert _pieces(background) == [
+            (0.0, 20.0, 50.0), (20.0, 30.0, 25.0), (30.0, 40.0, 60.0)
+        ]
+        timeline = UsageTimeline(background)
+        # at a boundary the fault that starts there binds, never the sum
+        assert timeline.value(20.0) == 25.0 and timeline.value_left(20.0) == 50.0
+        assert timeline.value(30.0) == 60.0 and timeline.value_left(30.0) == 25.0
+        assert timeline.value(40.0) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 20),
+                st.integers(1, 10),
+                st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_background_is_the_largest_active_share(self, faults):
+        plan = FaultPlan(
+            tuple(
+                FaultSpec(FaultKind.IS_OUTAGE, "IS1", t0, t0 + span)
+                if remaining == 0.0
+                else FaultSpec(
+                    FaultKind.CAPACITY_SHRINK, "IS1", t0, t0 + span, remaining
+                )
+                for t0, span, remaining in faults
+            )
+        )
+        timeline = UsageTimeline(fault_background(_topo(), plan).get("IS1", ()))
+        for t in (x / 2 for x in range(0, 62)):
+            share = max(
+                (
+                    (1.0 - r) * 100.0
+                    for t0, span, r in faults
+                    if t0 <= t < t0 + span
+                ),
+                default=0.0,
+            )
+            assert timeline.value(t) == pytest.approx(share, abs=1e-9), t
+            assert timeline.value(t) <= 100.0
+
+
+def _pieces(profiles):
+    return [(s.start, s.end, s.y0) for p in profiles for s in p.segments]

@@ -1,16 +1,16 @@
-"""Windowed vs whole-cycle recovery: the windowed stance must dominate.
+"""Windowed recovery: only services a fault window meets are re-solved.
 
-Satellite property (pinned seeds): windowed recovery saves at least as
-many requests as whole-cycle masking, its lost set is a subset of cycle
-mode's, it never prices higher when both modes save the same requests,
+Property (pinned seeds): recovery loses only requests that holding every
+fault for the whole cycle would lose too -- the requests unreachable from
+every standing home on the whole plan's mask (:func:`_unreachable`) --
 and its output is bit-identical on rerun.
 
-Both stances apply one hit rule: whole-cycle recovery is windowed recovery
-with every fault in effect for the whole cycle.  The drill-environment
-cases pin that identity, the windowed patches that once failed (Defect A's
-raise, plan 17's capacity violation), that windowed patches validate on
-the generated drill plans, and the amendment of a plan that downs every
-warehouse.
+Recovery applies one hit rule per fault over its own window; with every
+window widened past the cycle it impacts what the union of the plan's
+effects, held for the whole cycle, impacts.  The drill-environment cases
+pin that identity, the patches that once failed (Defect A's raise, plan
+17's capacity violation), that patches validate on the generated drill
+plans, and the amendment of a plan that downs every warehouse.
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ import pytest
 
 from repro import (
     CostModel,
+    ReplicaMap,
     Topology,
     VideoCatalog,
     VideoFile,
@@ -35,18 +36,39 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultSpec,
+    combined_effects,
     masked_topology,
 )
+from repro.faults.contingency import _split_hits
+from repro.faults.inject import masked_graph
 from repro.sim.engine import SimulationEngine
 from repro.sim.validate import validate_schedule
+from repro.topology.routing import Router
 from repro.workload import RequestBatch
 
 H = units.HOUR
 
 
+def _unreachable(cm, plan, requests):
+    """The reachability reference: the requests whose neighborhood no
+    standing home of their video reaches on the whole plan's mask."""
+    masked = masked_graph(cm.topology, plan)
+    router = Router(masked)
+    reach = {w.name: router.reachable(w.name) for w in masked.warehouses}
+
+    def homes(r):
+        return cm.replicas.homes(r.video_id) if cm.replicas else tuple(reach)
+
+    return {
+        r
+        for r in requests
+        if not any(r.local_storage in reach[h] for h in homes(r) if h in reach)
+    }
+
+
 def _triangle_service():
     """VW-IS1-IS2 triangle with requests before, during, and after an
-    IS1 outage -- the canonical scenario where windowed masking wins."""
+    IS1 outage -- the canonical scenario where windowed recovery wins."""
     topo = Topology()
     topo.add_warehouse("VW")
     topo.add_storage("IS1", srate=units.per_gb_hour(2), capacity=units.gb(8))
@@ -65,8 +87,8 @@ def _triangle_service():
         svc.reserve("alice", "m0", t * H, local_storage="IS1")
     for t in (6, 8, 10, 16):
         svc.reserve("bob", "m1", t * H, local_storage="IS2")
-    # Entirely outside the outage window, at the faulted storage: cycle
-    # masking abandons these, windowed masking never touches them.
+    # Entirely outside the outage window, at the faulted storage: masking
+    # the whole cycle would abandon these, recovery never touches them.
     for t in (12, 14):
         svc.reserve("carol", "m2", t * H, local_storage="IS1")
     for t in (20, 22):
@@ -87,43 +109,49 @@ OUTAGE = FaultPlan(
 )
 
 
-def _amend(masking):
+def _amend():
     svc = _triangle_service()
     report = svc.close_cycle(cycle_end=units.DAY)
     assert report.feasible
-    return svc.amend_cycle(report, OUTAGE, masking=masking)
+    return svc, svc.amend_cycle(report, OUTAGE)
+
+
+def _whole_cycle_lost(svc, amended):
+    """``(user, start)`` of the reachability reference for ``OUTAGE``."""
+    requests = [d.request for d in amended.cycle.schedule.deliveries]
+    requests += list(amended.recovery.lost)
+    return {
+        (r.user_id, r.start_time)
+        for r in _unreachable(svc.cost_model, OUTAGE, requests)
+    }
 
 
 class TestWindowedWins:
     def test_windowed_saves_strictly_more_on_drill_scenario(self):
-        cycle = _amend("cycle")
-        windowed = _amend("windowed")
-        assert windowed.feasible and cycle.feasible
-        rec_c, rec_w = cycle.recovery, windowed.recovery
-        assert rec_c.masking == "cycle"
-        assert rec_w.masking == "windowed"
-        # Cycle masking loses every request at IS1; windowed keeps the
-        # ones whose service window misses the outage.
-        assert rec_w.requests_saved > rec_c.requests_saved
-        assert rec_w.requests_lost < rec_c.requests_lost
+        svc, amended = _amend()
+        assert amended.feasible
+        # Holding the outage for the whole cycle loses every request at
+        # IS1; recovery keeps the ones whose service window misses it.
+        whole = _whole_cycle_lost(svc, amended)
+        assert {user for user, _ in whole} == {"alice", "carol", "dave"}
+        assert len(whole) == 8
+        assert amended.recovery.requests_lost < len(whole)
 
     def test_windowed_lost_is_subset_of_cycle_lost(self):
-        lost_c = {(r.user_id, r.start_time) for r in _amend("cycle").recovery.lost}
-        lost_w = {
-            (r.user_id, r.start_time) for r in _amend("windowed").recovery.lost
-        }
-        assert lost_w < lost_c
+        svc, amended = _amend()
+        lost = {(r.user_id, r.start_time) for r in amended.recovery.lost}
+        assert lost < _whole_cycle_lost(svc, amended)
         # Only the requests actually inside the outage window stay lost.
-        assert lost_w == {("alice", 5 * H), ("alice", 7 * H)}
+        assert lost == {("alice", 5 * H), ("alice", 7 * H)}
 
     def test_disjoint_time_videos_keep_their_schedules(self):
-        windowed = _amend("windowed")
-        impacted = set(windowed.recovery.impacted)
+        _, amended = _amend()
+        impacted = set(amended.recovery.impacted)
         assert "m2" not in impacted and "m3" not in impacted
 
     def test_requests_after_outage_rebuild_at_recovered_storage(self):
-        windowed = _amend("windowed")
-        saved = {(r.user_id, r.start_time) for r in windowed.recovery.saved}
+        _, amended = _amend()
+        saved = {(r.user_id, r.start_time) for r in amended.recovery.saved}
         assert ("alice", 9 * H) in saved
         assert ("alice", 15 * H) in saved
 
@@ -132,9 +160,9 @@ class TestWindowedImpacted:
     def test_time_aware_video_classification(self):
         svc = _triangle_service()
         report = svc.close_cycle(cycle_end=units.DAY)
-        impacted = ContingencyScheduler(
-            svc.cost_model, masking="windowed"
-        ).recover(report.cycle, OUTAGE).impacted
+        impacted = ContingencyScheduler(svc.cost_model).recover(
+            report.cycle, OUTAGE
+        ).impacted
         # m0 caches at IS1 across the window, m1 routes through IS1
         # during it; m2/m3 only touch IS1 at disjoint times.
         assert impacted == ("m0", "m1")
@@ -142,8 +170,8 @@ class TestWindowedImpacted:
 
 @pytest.mark.parametrize("seed", [3, 11, 27])
 class TestWindowedDominatesProperty:
-    """Seeded property: on generated paper-shaped environments the
-    windowed stance never loses a request cycle mode would save."""
+    """Seeded property: on generated paper-shaped environments recovery
+    loses only requests the reachability reference loses."""
 
     def _environment(self, seed):
         topo = paper_topology(
@@ -166,29 +194,17 @@ class TestWindowedDominatesProperty:
 
     def test_windowed_dominates_cycle(self, seed):
         topo, catalog, batch, result, plan, cm = self._environment(seed)
-        rec_c = ContingencyScheduler(cm, masking="cycle").recover(
-            result, plan, batch=batch
+        rec = ContingencyScheduler(cm).recover(result, plan, batch=batch)
+        # ``saved`` only counts requests of *impacted* videos -- the
+        # comparable metric is the lost set.
+        assert set(rec.lost) <= _unreachable(cm, plan, batch)
+        assert len(rec.saved) + len(rec.lost) == sum(
+            1 for r in batch if r.video_id in rec.impacted
         )
-        rec_w = ContingencyScheduler(cm, masking="windowed").recover(
-            result, plan, batch=batch
-        )
-        # ``saved`` only counts requests of *impacted* videos, and the
-        # windowed impacted set is smaller by design -- the comparable
-        # dominance metric is the lost set: windowed must serve every
-        # request cycle mode serves.
-        lost_c = {(r.user_id, r.start_time, r.video_id) for r in rec_c.lost}
-        lost_w = {(r.user_id, r.start_time, r.video_id) for r in rec_w.lost}
-        assert lost_w <= lost_c
-        if lost_w == lost_c:
-            # Same service level: the windowed patch must not price higher
-            # (it keeps the original, cheaper routes outside the windows).
-            assert rec_w.cost_after.total <= rec_c.cost_after.total + 1e-9
 
     def test_windowed_patch_validates_under_degraded_replay(self, seed):
         topo, catalog, batch, result, plan, cm = self._environment(seed)
-        rec_w = ContingencyScheduler(cm, masking="windowed").recover(
-            result, plan, batch=batch
-        )
+        rec_w = ContingencyScheduler(cm).recover(result, plan, batch=batch)
         lost = set(rec_w.lost)
         surviving = RequestBatch([r for r in batch if r not in lost])
         violations = validate_schedule(
@@ -203,9 +219,7 @@ class TestWindowedDominatesProperty:
         """A warm-cache rerun and a fresh model give the same recovery."""
         topo, catalog, batch, result, plan, cm = self._environment(seed)
         a, b = (
-            ContingencyScheduler(model, masking="windowed").recover(
-                result, plan, batch=batch
-            )
+            ContingencyScheduler(model).recover(result, plan, batch=batch)
             for model in (cm, CostModel(topo, catalog))
         )
         assert a.schedule.deliveries == b.schedule.deliveries
@@ -241,11 +255,22 @@ def _drill_plan(drill, seed, kinds=None):
     )
 
 
-def _recover(drill, plan, masking):
+def _recover(drill, plan):
     _, _, batch, solved, cm, _ = drill
-    return ContingencyScheduler(cm, masking=masking).recover(
-        solved, plan, batch=batch
-    )
+    return ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+
+
+def _union_impacted(drill, plan):
+    """The videos the plan's union of effects, in effect for the whole
+    cycle, hits: the reference the one hit rule is checked against."""
+    topo, catalog, _, solved, *_ = drill
+    union = [(None, combined_effects(topo, plan))]
+    impacted = []
+    for fs in solved.schedule:
+        hit_del, _, kept_res = _split_hits(fs, catalog[fs.video_id].playback, union)
+        if hit_del or len(kept_res) < len(fs.residencies):
+            impacted.append(fs.video_id)
+    return tuple(impacted)
 
 
 def _whole_cycle(plan, horizon):
@@ -278,23 +303,20 @@ def _seeds(raising, *, only=False):
 
 
 class TestOneHitRule:
-    """Whole-cycle impact is windowed impact with every fault in effect for
-    the whole cycle."""
+    """Recovery with every fault in effect for the whole cycle impacts what
+    the union of the plan's effects, held for the whole cycle, hits."""
 
     @pytest.mark.parametrize("kinds,seed", _seeds(DEFECT_A_WIDENED))
     def test_widened_windowed_impact_equals_cycle_impact(self, drill, kinds, seed):
         plan = _drill_plan(drill, seed, kinds)
         widened = _whole_cycle(plan, drill[-1])
-        assert (
-            _recover(drill, widened, "windowed").impacted
-            == _recover(drill, plan, "cycle").impacted
-        )
+        assert _recover(drill, widened).impacted == _union_impacted(drill, plan)
 
     @pytest.mark.parametrize("kinds,seed", _seeds(DEFECT_A))
     def test_windowed_impact_within_cycle_impact(self, drill, kinds, seed):
         plan = _drill_plan(drill, seed, kinds)
-        windowed = _recover(drill, plan, "windowed").impacted
-        assert set(windowed) <= set(_recover(drill, plan, "cycle").impacted)
+        windowed = _recover(drill, plan).impacted
+        assert set(windowed) <= set(_union_impacted(drill, plan))
 
     @pytest.mark.parametrize(
         "kinds,seed,widen",
@@ -303,12 +325,12 @@ class TestOneHitRule:
     )
     def test_defect_a_seeds_keep_the_rule(self, drill, kinds, seed, widen):
         plan = _drill_plan(drill, seed, kinds)
-        cycle = _recover(drill, plan, "cycle").impacted
+        cycle = _union_impacted(drill, plan)
         if widen:
             widened = _whole_cycle(plan, drill[-1])
-            assert _recover(drill, widened, "windowed").impacted == cycle
+            assert _recover(drill, widened).impacted == cycle
         else:
-            assert set(_recover(drill, plan, "windowed").impacted) <= set(cycle)
+            assert set(_recover(drill, plan).impacted) <= set(cycle)
 
 
 class TestKnownWindowedDefects:
@@ -321,12 +343,12 @@ class TestKnownWindowedDefects:
         # Defect A: the healthy-model SORP pass offers a committed kept
         # cache whose t_last is past a re-served request's start; it serves
         # at a zero Ψ_C extension instead of raising "cannot shrink".
-        _recover(drill, _drill_plan(drill, 3), "windowed")
+        _recover(drill, _drill_plan(drill, 3))
 
     def test_plan_seed_17_validates_under_degraded_replay(self, drill):
         _, _, batch, _, cm, _ = drill
         plan = _drill_plan(drill, 17)
-        rec = _recover(drill, plan, "windowed")
+        rec = _recover(drill, plan)
         lost = set(rec.lost)
         surviving = RequestBatch([r for r in batch if r not in lost])
         assert validate_schedule(rec.schedule, surviving, cm, faults=plan) == []
@@ -334,8 +356,8 @@ class TestKnownWindowedDefects:
 
 class TestWindowedRepairs:
     """On the drill environment's 120 generated plans (seeds 0-39 with 1, 3
-    and 6 faults) the windowed patch validates under the plan's degraded
-    replay, and loses only requests the whole-cycle stance loses too."""
+    and 6 faults) the patch validates under the plan's degraded replay, and
+    loses only requests the reachability reference loses too."""
 
     @pytest.mark.parametrize("n_faults", [1, 3, 6])
     def test_validates_and_loses_within_cycle(self, drill, n_faults):
@@ -344,9 +366,9 @@ class TestWindowedRepairs:
             plan = FaultPlan.generate(
                 topo, seed=seed, horizon=horizon, n_faults=n_faults
             )
-            windowed = _recover(drill, plan, "windowed")
+            windowed = _recover(drill, plan)
             lost = set(windowed.lost)
-            assert lost <= set(_recover(drill, plan, "cycle").lost), seed
+            assert lost <= _unreachable(cm, plan, batch), seed
             surviving = RequestBatch(r for r in batch if r not in lost)
             violations = validate_schedule(
                 windowed.schedule, surviving, cm, faults=plan
@@ -354,11 +376,56 @@ class TestWindowedRepairs:
             assert violations == [], (seed, violations)
 
 
-class TestTotalWarehouseLoss:
-    """A plan that downs every warehouse: whole-cycle amendment loses every
-    impacted request and still returns a valid amended cycle."""
+@pytest.fixture(scope="module")
+def replicated():
+    """The drill environment with a second warehouse behind IS7 and
+    heat-placed replicas, and its 20 generated 6-fault plans of warehouse
+    losses, outages and shrinks (the ``stances_replicated`` sweep)."""
+    topo = paper_topology(
+        nrate=units.per_gb(500),
+        srate=units.per_gb_hour(5),
+        capacity=units.gb(5),
+    )
+    topo.add_warehouse("VW2")
+    topo.add_edge("IS7", "VW2", nrate=units.per_gb(500))
+    catalog = paper_catalog(60, seed=4)
+    batch = WorkloadGenerator(topo, catalog, alpha=0.271).generate(seed=4)
+    replicas = ReplicaMap.heat_placement(topo, catalog, batch)
+    scheduler = VideoScheduler(topo, catalog, replicas=replicas)
+    t0, t1 = batch.span
+    horizon = (t0, t1 + max(v.playback for v in catalog))
+    plans = [
+        FaultPlan.generate(
+            topo, seed=seed, horizon=horizon, n_faults=6, kinds=LOSS_MIX
+        )
+        for seed in range(20)
+    ]
+    return batch, scheduler.solve(batch), scheduler.cost_model, plans
 
-    def _amend(self, drill, masking):
+
+class TestReplicatedRepairs:
+    """Every plan of the replicated sweep recovers, validates under the
+    degraded replay and loses only what the reachability reference loses.
+    Plans 6 and 13 used to raise: the fault background added an outage
+    and a shrink (plan 13) or two shrinks (plan 6) overlapping on one
+    storage to more than its capacity, an overflow SORP could not fix."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_validates_and_loses_within_reference(self, replicated, seed):
+        batch, solved, cm, plans = replicated
+        plan = plans[seed]
+        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        lost = set(rec.lost)
+        assert lost <= _unreachable(cm, plan, batch)
+        surviving = RequestBatch(r for r in batch if r not in lost)
+        assert validate_schedule(rec.schedule, surviving, cm, faults=plan) == []
+
+
+class TestTotalWarehouseLoss:
+    """A plan that downs every warehouse: the amendment loses every request
+    the loss cuts off and still returns a valid amended cycle."""
+
+    def _amend(self, drill, whole_cycle):
         topo, catalog, batch, *_ = drill
         t0, t1 = batch.span
         svc = VORService(topo, catalog, lead_time=0.0)
@@ -368,13 +435,16 @@ class TestTotalWarehouseLoss:
                 local_storage=r.local_storage, now=0.0,
             )
         report = svc.close_cycle(cycle_end=t1 + 1.0)
+        start = t0 - 1.0 if whole_cycle else (t0 + t1) / 2
         plan = FaultPlan(
-            (FaultSpec(FaultKind.WAREHOUSE_LOSS, "VW", (t0 + t1) / 2, t1 + 1.0),)
+            (FaultSpec(FaultKind.WAREHOUSE_LOSS, "VW", start, t1 + 1.0),)
         )
-        return svc.amend_cycle(report, plan, masking=masking)
+        return svc.amend_cycle(report, plan)
 
     def test_cycle_stance_returns(self, drill):
-        amended = self._amend(drill, "cycle")
+        # A loss over the whole cycle cuts off every request, also those a
+        # cache would serve: no cache can fill from the lost warehouse.
+        amended = self._amend(drill, whole_cycle=True)
         rec = amended.recovery
         assert amended.feasible
         assert rec.requests_saved == 0
@@ -382,16 +452,18 @@ class TestTotalWarehouseLoss:
         assert not amended.cycle.schedule.deliveries
 
     def test_windowed_stance_saves_the_first_half(self, drill):
-        amended = self._amend(drill, "windowed")
+        amended = self._amend(drill, whole_cycle=False)
         assert amended.feasible
-        assert amended.recovery.requests_saved == 72
-        assert amended.recovery.requests_lost == 87
+        # a cache whose fill starts after the loss began never fills, so
+        # the requests it would serve are lost too
+        assert amended.recovery.requests_saved == 63
+        assert amended.recovery.requests_lost == 96
 
 
 def _masked_judge(cm, plan):
-    """How a whole-cycle patch was judged before one judge: on the plan's
-    mask without a degraded replay, or on the healthy model when the plan
-    downs every warehouse."""
+    """How a patch of a whole-cycle plan was judged before one judge: on
+    the plan's mask without a degraded replay, or on the healthy model when
+    the plan downs every warehouse."""
     try:
         masked = masked_topology(cm.topology, plan)
     except FaultError:
@@ -401,13 +473,14 @@ def _masked_judge(cm, plan):
 
 class TestOneJudge:
     """Every patch is judged on the healthy model plus the plan's degraded
-    replay; for whole-cycle patches the masked model is the reference."""
+    replay; for a plan whose faults span the whole cycle the masked model
+    is the reference."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_whole_cycle_verdict_matches_masked_judge(self, drill, seed):
-        _, _, batch, _, cm, _ = drill
-        plan = _drill_plan(drill, seed)
-        rec = _recover(drill, plan, "cycle")
+        _, _, batch, _, cm, horizon = drill
+        plan = _whole_cycle(_drill_plan(drill, seed), horizon)
+        rec = _recover(drill, plan)
         lost = set(rec.lost)
         surviving = RequestBatch([r for r in batch if r not in lost])
         reference = validate_schedule(
@@ -437,8 +510,8 @@ def _tight_links(topo, catalog, schedule):
 
 
 class TestRejectedAmendment:
-    """A windowed amendment the judge rejects leaves the carryover the next
-    cycle inherits as it was.
+    """An amendment the judge rejects leaves the carryover the next cycle
+    inherits as it was.
 
     Recovery does not model bandwidth.  On the drill topology with every
     busy link capped at its healthy peak load, a plan that also halves the
@@ -465,7 +538,7 @@ class TestRejectedAmendment:
         plan = FaultPlan(
             (*FaultPlan.generate(topo, seed=seed, horizon=horizon, n_faults=3), cut)
         )
-        amended = svc.amend_cycle(report, plan, masking="windowed")
+        amended = svc.amend_cycle(report, plan)
         assert not amended.feasible
         assert svc._rolling.carryover == before
         assert amended.cycle.carried_out == len(before)

@@ -72,7 +72,6 @@ class TestHappyPath:
         assert run.alive
         assert run.batches_total == 2
         assert [r.outcome for r in run.records] == ["amended", "amended"]
-        assert [r.masking for r in run.records] == ["windowed", "windowed"]
         assert run.final is not report  # an amended report took over
         assert run.final.feasible
         assert len(run.plan) == 2
@@ -234,12 +233,6 @@ class TestDegradedMode:
             "degraded",
             "degraded",
         ]
-        # Degraded batches fall back to the conservative stance and shed.
-        assert [r.masking for r in run.records] == [
-            "windowed",
-            "cycle",
-            "cycle",
-        ]
         assert run.shed_total == 3  # 2 on the first degraded batch, 1 left
         assert svc.pending == 0
         assert loop.breaker.state == OPEN
@@ -259,16 +252,59 @@ class TestDegradedMode:
             failure_injector=TransientFailureInjector({0: 1}),
         )
         run = loop.run(feed, report)
-        # Batch 1 arrives after the cooldown: half-open probe, normal
-        # masking, success closes the breaker.
+        # Batch 1 arrives after the cooldown: a half-open probe whose
+        # success closes the breaker.
         assert [r.outcome for r in run.records] == ["failed", "amended"]
-        assert run.records[1].masking == "windowed"
         assert [t.to for t in run.breaker_transitions] == [
             OPEN,
             "half_open",
             CLOSED,
         ]
         assert loop.breaker.state == CLOSED
+
+    def test_open_breaker_amends_once_without_retries(self):
+        svc, report = _service(extra_pending=3)
+        feed = _feed(
+            FaultEvent(at=1 * H, fault=_outage(4 * H, 8 * H)),
+            FaultEvent(at=2 * H, fault=_outage(11 * H, 12 * H, "IS2")),
+            FaultEvent(at=3 * H, fault=_outage(18 * H, 19 * H)),
+        )
+        loop = OnlineAmendmentLoop(
+            svc,
+            OnlineLoopConfig(
+                max_retries=2,
+                backoff_base=0.0,
+                breaker_threshold=1,
+                breaker_cooldown=1e9,  # stays open for the whole feed
+            ),
+            sleep=lambda _: None,
+            # batch 0 exhausts its retries; batch 2 would need one retry
+            failure_injector=TransientFailureInjector({0: 3, 2: 1}),
+        )
+        calls = []
+        amend = svc.amend_cycle
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return amend(*args, **kwargs)
+
+        svc.amend_cycle = counted
+        run = loop.run(feed, report)
+        assert [
+            (r.outcome, r.attempts, r.retries, r.shed) for r in run.records
+        ] == [
+            ("failed", 3, 2, 0),
+            ("degraded", 1, 0, 1),
+            ("degraded_failed", 1, 0, 1),
+        ]
+        # batch 1 is the one amendment that ran, with the cumulative plan
+        assert calls == [2]
+        assert run.final.recovery is not None
+        assert len(run.final.recovery.plan) == 2
+        assert run.final.feasible
+        # a degraded success is not a probe: the breaker stays open
+        assert [t.to for t in run.breaker_transitions] == [OPEN]
+        assert loop.breaker.state == OPEN
 
     def test_failed_batch_healed_by_next_cumulative_amendment(self):
         svc, report = _service()
@@ -291,8 +327,8 @@ class TestDegradedMode:
 
 class TestConfigValidation:
     def test_masking_is_not_an_option(self, capsys):
-        # Normal batches amend windowed and degraded ones whole-cycle;
-        # neither the config nor the CLI offers a choice.
+        # Recovery has one stance; neither the config nor the CLI offers
+        # a choice.
         with pytest.raises(TypeError, match="masking"):
             OnlineLoopConfig(masking="cycle")
         with pytest.raises(SystemExit) as exc:

@@ -69,20 +69,6 @@ class TestConstruction:
         assert rm.warehouses == frozenset({"VW1", "VW2"})
 
 
-class TestRestriction:
-    def test_restricted_to_drops_dead_homes(self):
-        rm = ReplicaMap({"v": ("VW1", "VW2"), "w": ("VW1",)})
-        survived = rm.restricted_to({"VW2", "IS1"})
-        assert survived.homes("v") == ("VW2",)
-        assert survived.homes("w") == ()  # every home lost: empty, not absent
-        assert "w" in survived
-
-    def test_restriction_preserves_name_and_seed(self):
-        rm = ReplicaMap({"v": ("VW1",)}, name="x", seed=7)
-        r = rm.restricted_to({"VW1"})
-        assert (r.name, r.seed) == ("x", 7)
-
-
 class TestValidate:
     def test_valid_map_passes(self):
         topo = _two_warehouse_topology()
@@ -90,7 +76,7 @@ class TestValidate:
         rm.validate(topo)
 
     def test_empty_home_set_rejected(self):
-        rm = ReplicaMap({"v": ("VW1",)}).restricted_to(())
+        rm = ReplicaMap({"v": ()})
         with pytest.raises(ReplicationError, match="no home warehouse"):
             rm.validate(_two_warehouse_topology())
 

@@ -142,9 +142,7 @@ class TestSurvivability:
         masked_cm = CostModel(
             _masked(topo, "VW1"),
             catalog,
-            replicas=ReplicaMap.full_copy(topo, catalog).restricted_to(
-                _masked(topo, "VW1").node_names
-            ),
+            replicas=ReplicaMap({v.video_id: ("VW2",) for v in catalog}),
         )
         violations = validate_schedule(rec.schedule, batch, masked_cm)
         assert violations == [], [str(v) for v in violations]

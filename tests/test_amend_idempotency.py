@@ -1,9 +1,12 @@
-"""Amendment idempotency regressions (both masking stances).
+"""Amendment idempotency regressions.
 
 Amending with an empty plan must be a bit-identical no-op, and amending
-an already-amended cycle with the same plan must change nothing -- the
-online loop's cumulative re-amendment depends on both properties.
+an already-amended cycle with the same plan must change nothing -- for an
+outage over the whole cycle and for one over a window of it.  The online
+loop's cumulative re-amendment depends on both properties.
 """
+
+import dataclasses
 
 import pytest
 
@@ -17,9 +20,11 @@ from repro import (
     units,
 )
 from repro.extensions import RollingScheduler
-from repro.faults import MASKING_MODES, FaultKind, FaultPlan, FaultSpec
+from repro.faults import FaultKind, FaultPlan, FaultSpec
 
 H = units.HOUR
+#: The IS1 outage's window: the whole cycle, or 4-8 h.
+WINDOWS = {"cycle": (0.0, units.DAY), "windowed": (4 * H, 8 * H)}
 
 
 def _env():
@@ -39,14 +44,15 @@ def _env():
     return topo, catalog
 
 
-def _plan():
+def _plan(window):
+    t_start, t_end = WINDOWS[window]
     return FaultPlan(
         faults=(
             FaultSpec(
                 kind=FaultKind.IS_OUTAGE,
                 target="IS1",
-                t_start=4 * H,
-                t_end=8 * H,
+                t_start=t_start,
+                t_end=t_end,
             ),
         ),
         name="outage",
@@ -69,24 +75,29 @@ def _schedule_key(schedule):
     return (tuple(schedule.deliveries), tuple(schedule.residencies))
 
 
-@pytest.mark.parametrize("masking", MASKING_MODES)
 class TestServiceIdempotency:
-    def test_empty_plan_is_bit_identical_noop(self, masking):
+    @pytest.mark.parametrize("window", list(WINDOWS))
+    def test_empty_plan_is_bit_identical_noop(self, window):
+        # on the closed cycle, and on that cycle amended around the outage
         svc, report = _closed_service()
-        amended = svc.amend_cycle(report, FaultPlan(), masking=masking)
-        assert amended.feasible
-        assert _schedule_key(amended.cycle.schedule) == _schedule_key(
-            report.cycle.schedule
-        )
-        assert amended.recovery.saved == ()
-        assert amended.recovery.lost == ()
+        outage = svc.amend_cycle(report, _plan(window))
+        assert outage.feasible
+        for cycle in (report, outage):
+            amended = svc.amend_cycle(cycle, FaultPlan())
+            assert amended.feasible
+            assert _schedule_key(amended.cycle.schedule) == _schedule_key(
+                cycle.cycle.schedule
+            )
+            assert amended.recovery.saved == ()
+            assert amended.recovery.lost == ()
 
-    def test_amend_twice_equals_amend_once(self, masking):
+    @pytest.mark.parametrize("window", list(WINDOWS))
+    def test_amend_twice_equals_amend_once(self, window):
         svc, report = _closed_service()
-        plan = _plan()
-        once = svc.amend_cycle(report, plan, masking=masking)
+        plan = _plan(window)
+        once = svc.amend_cycle(report, plan)
         assert once.feasible
-        twice = svc.amend_cycle(once, plan, masking=masking)
+        twice = svc.amend_cycle(once, plan)
         assert twice.feasible
         assert _schedule_key(twice.cycle.schedule) == _schedule_key(
             once.cycle.schedule
@@ -94,7 +105,6 @@ class TestServiceIdempotency:
         assert set(twice.recovery.lost) <= set(once.recovery.lost)
 
 
-@pytest.mark.parametrize("masking", MASKING_MODES)
 class TestRollingIdempotency:
     def _closed_cycle(self):
         topo, catalog = _env()
@@ -109,30 +119,34 @@ class TestRollingIdempotency:
         result = rolling.schedule_cycle(batch, cycle_end=units.DAY)
         return rolling, batch, result
 
-    def test_empty_plan_is_bit_identical_noop(self, masking):
+    @pytest.mark.parametrize("window", list(WINDOWS))
+    def test_empty_plan_is_bit_identical_noop(self, window):
+        # on the closed cycle, and on that cycle amended around the outage
         rolling, batch, result = self._closed_cycle()
-        recovery = rolling.amend_cycle(
-            result, FaultPlan(), batch=batch, masking=masking
+        outage = rolling.amend_cycle(result, _plan(window), batch=batch)
+        lost = set(outage.lost)
+        amended = (
+            dataclasses.replace(result, schedule=outage.schedule),
+            RequestBatch([r for r in batch if r not in lost]),
         )
-        assert _schedule_key(recovery.schedule) == _schedule_key(
-            result.schedule
-        )
-        assert recovery.saved == () and recovery.lost == ()
+        for cycle, requests in ((result, batch), amended):
+            recovery = rolling.amend_cycle(cycle, FaultPlan(), batch=requests)
+            assert _schedule_key(recovery.schedule) == _schedule_key(
+                cycle.schedule
+            )
+            assert recovery.saved == () and recovery.lost == ()
 
-    def test_amend_twice_equals_amend_once(self, masking):
-        import dataclasses
-
+    @pytest.mark.parametrize("window", list(WINDOWS))
+    def test_amend_twice_equals_amend_once(self, window):
         rolling, batch, result = self._closed_cycle()
-        plan = _plan()
-        rec1 = rolling.amend_cycle(result, plan, batch=batch, masking=masking)
+        plan = _plan(window)
+        rec1 = rolling.amend_cycle(result, plan, batch=batch)
         rolling.commit_amendment(rec1)
         carry_once = tuple(rolling.carryover)
         lost1 = set(rec1.lost)
         surviving = RequestBatch([r for r in batch if r not in lost1])
         amended = dataclasses.replace(result, schedule=rec1.schedule)
-        rec2 = rolling.amend_cycle(
-            amended, plan, batch=surviving, masking=masking
-        )
+        rec2 = rolling.amend_cycle(amended, plan, batch=surviving)
         rolling.commit_amendment(rec2)
         assert _schedule_key(rec2.schedule) == _schedule_key(rec1.schedule)
         assert tuple(rolling.carryover) == carry_once
