@@ -382,9 +382,7 @@ def _recovery_drill(n_videos: int, users: int):
         seed=4,
     )
     t0 = time.perf_counter()
-    rec = ContingencyScheduler(scheduler.cost_model).recover(
-        result, plan, batch=batch
-    )
+    rec = ContingencyScheduler(scheduler.cost_model).recover(result, plan)
     wall = time.perf_counter() - t0
     return {
         "requests_saved": rec.requests_saved,
@@ -450,7 +448,7 @@ def _stance_sweep(replicated: bool = False) -> dict:
     t0 = time.perf_counter()
     for plan in plans:
         try:
-            rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+            rec = ContingencyScheduler(cm).recover(solved, plan)
         except ReproError:
             raised += 1
             continue
@@ -515,7 +513,7 @@ def _online_drill(n_videos: int, users: int):
     amend_times = [rec.duration_s for rec in run.records if rec.duration_s]
 
     rec = ContingencyScheduler(CostModel(topo, catalog)).recover(
-        report.cycle, run.plan, batch=batch
+        report.cycle, run.plan
     )
     return {
         "feed_events": run.events_total,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
 from repro.errors import ScheduleError
-from repro.obs.events import request_key
+from repro.workload.requests import Request
 
 
 @dataclass
@@ -50,8 +50,8 @@ class BillingStatement:
 
     invoices: dict[str, Invoice] = field(default_factory=dict)
     overhead: float = 0.0  # storage cost with no consuming service
-    #: Billed Ψ per delivered request key; overhead is not attributed.
-    requests: dict[str, float] = field(default_factory=dict)
+    #: Billed Ψ per delivered request; overhead is not attributed.
+    requests: dict[Request, float] = field(default_factory=dict)
 
     @property
     def billed_total(self) -> float:
@@ -91,15 +91,14 @@ def allocate_costs(schedule: Schedule, cost_model: CostModel) -> BillingStatemen
 
     requests = statement.requests
     for fs in schedule:
-        by_user: dict[str, list[str]] = {}  # request keys per user
+        by_user: dict[str, list[Request]] = {}
         for d in fs.deliveries:
             cost = cost_model.delivery_cost(d)
             invoice = inv(d.request.user_id)
             invoice.network += cost
             invoice.services += 1
-            rid = request_key(d.request)
-            requests[rid] = requests.get(rid, 0.0) + cost
-            by_user.setdefault(d.request.user_id, []).append(rid)
+            requests[d.request] = requests.get(d.request, 0.0) + cost
+            by_user.setdefault(d.request.user_id, []).append(d.request)
         for c in fs.residencies:
             cost = cost_model.residency_cost(c)
             if not c.service_list:
@@ -108,9 +107,9 @@ def allocate_costs(schedule: Schedule, cost_model: CostModel) -> BillingStatemen
             share = cost / len(c.service_list)
             for user_id in c.service_list:
                 inv(user_id).storage += share
-                rids = by_user.get(user_id)
-                if rids:
-                    per_request = share / len(rids)
-                    for rid in rids:
-                        requests[rid] += per_request
+                served = by_user.get(user_id)
+                if served:
+                    per_request = share / len(served)
+                    for request in served:
+                        requests[request] += per_request
     return statement

@@ -345,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="REQUEST_ID",
         help="print the journal timeline of one request after an "
         "environment command (implies journal recording), e.g. "
-        "'user01/video0003@5400->IS2'",
+        "'user01/video0003@5400.0->IS2'",
     )
     parser.add_argument(
         "--slo",
@@ -978,7 +978,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         result.schedule, scheduler.cost_model, plan, obs=env.obs
     )
     recovery = ContingencyScheduler(scheduler.cost_model, obs=env.obs).recover(
-        result, plan, batch=batch
+        result, plan
     )
     env.write_telemetry()
 

@@ -231,7 +231,7 @@ class RollingScheduler:
             self.topology, self.catalog, cost_model=cost_model
         )
 
-    def amend_cycle(self, result: CycleResult, plan, *, batch=None):
+    def amend_cycle(self, result: CycleResult, plan):
         """Re-solve the last closed cycle around an active fault plan.
 
         Runs the :class:`~repro.faults.contingency.ContingencyScheduler`
@@ -244,8 +244,6 @@ class RollingScheduler:
                 the most recently closed cycle -- the carryover state rolls
                 from it).
             plan: The active :class:`~repro.faults.plan.FaultPlan`.
-            batch: The cycle's request batch; reconstructed from the
-                schedule's deliveries when omitted.
 
         Returns:
             The :class:`~repro.faults.contingency.RecoveryResult`; its
@@ -258,7 +256,7 @@ class RollingScheduler:
         contingency = ContingencyScheduler(
             self.cost_model, heat_metric=self.heat_metric, obs=self.obs
         )
-        recovery = contingency.recover(result, plan, batch=batch)
+        recovery = contingency.recover(result, plan)
         metrics = self.obs.metrics
         if metrics.enabled:
             metrics.counter(

@@ -286,13 +286,7 @@ class ContingencyScheduler:
         self._metric = heat_metric
         self._obs = obs if obs is not None else NULL_OBS
 
-    def recover(
-        self,
-        solved,
-        plan: FaultPlan,
-        *,
-        batch: RequestBatch | None = None,
-    ) -> RecoveryResult:
+    def recover(self, solved, plan: FaultPlan) -> RecoveryResult:
         """Patch ``solved.schedule`` around ``plan``; the input is not mutated.
 
         Args:
@@ -302,18 +296,16 @@ class ContingencyScheduler:
                 ``cost``, Ψ of its schedule on the healthy model, is the
                 recovery's ``cost_before``.
             plan: The active fault scenario.
-            batch: The cycle's request batch; when omitted it is
-                reconstructed from the schedule's own deliveries.
 
         A plan that downs every warehouse does not raise: every hit request
         it cuts off is reported lost and the unimpacted files survive
         verbatim.
         """
         per_fault = fault_effects(self._cm.topology, plan)
-        if batch is None:
-            batch = RequestBatch(d.request for d in solved.schedule.deliveries)
         with self._obs.tracer.span(
-            "recover", faults=len(plan), requests=len(batch)
+            "recover",
+            faults=len(plan),
+            requests=len(solved.schedule.deliveries),
         ) as span:
             result = self._recover(solved, plan, per_fault)
             span.set(

@@ -10,8 +10,9 @@ to it *window-aware*:
   interrupted and, restarted after recovery, finishes ``delay`` seconds
   late;
 * **stranded** residencies -- a cache whose storage goes down while its
-  blocks are resident: the copy is lost and every service it would have fed
-  is at risk;
+  blocks are resident, or whose fill source goes down while it fills
+  (a cache cannot fill from a lost warehouse): the copy is lost and every
+  service it would have fed is at risk;
 * **saturated links** -- degraded links (or browned-out warehouse egress)
   whose concurrent-stream load exceeds the *remaining* bandwidth during the
   fault window;
@@ -59,7 +60,7 @@ class ServiceImpact:
 
 @dataclass(frozen=True)
 class StrandedResidency:
-    """A cached copy lost to a storage outage while blocks were resident."""
+    """A cached copy lost to an outage of its storage or fill source."""
 
     video_id: str
     location: str
@@ -281,10 +282,14 @@ def _classify_damage(
                 impacted.setdefault(fs.video_id)
                 (dropped if verdict.outcome == "dropped" else late).append(verdict)
         for c in fs.residencies:
-            # a copy at a storage that goes down while resident is lost
+            # a copy is lost when its storage goes down while resident, or
+            # its source goes down during the fill [t_start, t_start + P)
             hits = fault_hits(
                 per_fault, c.t_start, c.t_last + video.playback,
                 storage=c.location,
+            ) or fault_hits(
+                per_fault, c.t_start, c.t_start + video.playback,
+                storage=c.source,
             )
             if hits:
                 impacted.setdefault(fs.video_id)

@@ -4,9 +4,11 @@
 (:class:`~repro.gateway.feed.RequestFeed`) and :class:`~repro.service.VORService`.
 For every arriving booking it
 
-1. **pre-screens validity** (unknown title, unknown neighborhood storage,
-   lead time against the booking instant, unreachable neighborhood) so the
-   sealed batch never makes the service raise;
+1. **pre-screens validity** -- the service's own
+   :meth:`~repro.service.VORService.refusal` at the booking instant
+   (unknown title, unknown neighborhood storage, lead time) plus an
+   unreachable neighborhood -- so the sealed batch never makes the service
+   raise;
 2. **quotes** an incremental price through
    :class:`~repro.gateway.quote.QuoteEngine` (cheapest-copy Ψ_D vs.
    residency-extension Ψ_C against the partially-built cycle);
@@ -42,6 +44,7 @@ from repro.gateway.quote import Quote, QuoteEngine
 from repro.obs.events import request_key
 from repro.obs.metrics import DOLLAR_BUCKETS
 from repro.service import CycleReport, VORService
+from repro.workload.requests import Request
 
 _log = logging.getLogger(__name__)
 
@@ -66,13 +69,10 @@ class GatewayConfig:
             (no backpressure, every admission goes straight to the batch).
         queue_depth: Bounded pending queue that absorbs admissions once
             the batch is full; ``0`` disables queueing (overflow sheds).
-        lead_time: Minimum booking-to-showing lead enforced at intake;
-            ``None`` adopts the service's own lead time.
     """
 
     max_batch: int = 0
     queue_depth: int = 0
-    lead_time: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 0:
@@ -80,10 +80,6 @@ class GatewayConfig:
         if self.queue_depth < 0:
             raise GatewayError(
                 f"queue_depth must be >= 0, got {self.queue_depth}"
-            )
-        if self.lead_time is not None and self.lead_time < 0:
-            raise GatewayError(
-                f"lead_time must be >= 0, got {self.lead_time}"
             )
 
 
@@ -104,7 +100,7 @@ class _Intake:
 
 @dataclass(frozen=True)
 class Reconciliation:
-    """Quote-vs-realized Ψ of one delivered request key."""
+    """Quote-vs-realized Ψ of one delivered request (by its display id)."""
 
     request_id: str
     quoted: float
@@ -304,12 +300,6 @@ class ReservationGateway:
         self.config = config if config is not None else GatewayConfig()
         self.obs = service.obs
         self.quotes = QuoteEngine(service.cost_model)
-        self._storage_names = {s.name for s in service.topology.storages}
-        self._lead_time = (
-            self.config.lead_time
-            if self.config.lead_time is not None
-            else service.lead_time
-        )
         self._batch: list[_Intake] = []
         self._queue: list[_Intake] = []
         self._cycle_index = 0
@@ -383,16 +373,10 @@ class ReservationGateway:
         return self._overflow(intake)
 
     def _prescreen(self, event: RequestEvent) -> str | None:
-        request = event.request
-        if request.video_id not in self.service.catalog:
-            return "unknown-title"
-        if request.local_storage not in self._storage_names:
-            return "unknown-storage"
-        if request.start_time < event.at + self._lead_time:
-            return "lead-time"
-        if not self.quotes.reachable(request):
+        reason = self.service.refusal(event.request, event.at)
+        if reason is None and not self.quotes.reachable(event.request):
             return "unreachable"
-        return None
+        return reason
 
     def _reject(self, event: RequestEvent, reason: str, **attrs) -> None:
         rejected = self._counters["rejected"]
@@ -487,6 +471,7 @@ class ReservationGateway:
         cycle, unless ``final`` -- the last seal of a run -- sheds them
         (reason ``"final-seal"``): there is no next cycle to rebook into.
         """
+        quoted: dict[Request, float] = {}
         for intake in self._batch:
             request = intake.event.request
             self.service.reserve(
@@ -494,24 +479,20 @@ class ReservationGateway:
                 request.video_id,
                 request.start_time,
                 local_storage=request.local_storage,
-                now=min(intake.event.at, request.start_time - self.service.lead_time),
+                now=intake.event.at,
             )
+            quoted[request] = quoted.get(request, 0.0) + intake.quote.price
         report = self.service.close_cycle(cycle_end=cycle_end)
-        quoted = {
-            request_key(i.event.request): 0.0 for i in self._batch
-        }
-        for intake in self._batch:
-            quoted[request_key(intake.event.request)] += intake.quote.price
         realized = report.billing.requests
         reconciliation = tuple(
             Reconciliation(
-                request_id=rid,
-                quoted=quoted.get(rid, 0.0),
+                request_id=request_key(request),
+                quoted=quoted.get(request, 0.0),
                 realized=psi,
             )
-            for rid, psi in sorted(realized.items())
+            for request, psi in sorted(realized.items())
         )
-        quote_total = math.fsum(q for rid, q in quoted.items() if rid in realized)
+        quote_total = math.fsum(q for r, q in quoted.items() if r in realized)
         realized_total = math.fsum(realized.values())
         if final:
             self._shed_queue("final-seal")

@@ -43,9 +43,11 @@ clock* -- only the decisions, which are deterministic for a seeded run.
 Replaying the same feed twice therefore produces byte-identical JSONL
 exports.
 
-Requests carry no synthetic id; :func:`request_key` derives a stable one
-from the request's identifying fields.  Two identical reservations (same
-user, title, start, neighborhood) share a key and therefore a timeline.
+Requests carry no synthetic id: a :class:`~repro.workload.requests.Request`
+value is its own identity, and :func:`request_key` renders it as the
+journal's display id.  Two identical reservations (same user, title, start,
+neighborhood) share an id and therefore a timeline; two different ones
+never do.
 """
 
 from __future__ import annotations
@@ -92,14 +94,15 @@ _EVENT_KIND_SET = frozenset(EVENT_KINDS)
 
 
 def request_key(request: Any) -> str:
-    """Stable request id derived from the identifying fields.
+    """The journal's display id of a request: ``user/video@start->storage``.
 
-    ``Request`` is a frozen value object without a synthetic id; the key
-    is deterministic across runs and processes.
+    ``start`` is the ``repr`` of the start time, the shortest text that
+    parses back to the same float, so the id is exact: it is deterministic
+    across runs and processes, and distinct requests never share one.
     """
     return (
         f"{request.user_id}/{request.video_id}"
-        f"@{request.start_time:g}->{request.local_storage}"
+        f"@{float(request.start_time)!r}->{request.local_storage}"
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import dataclasses
 
 from repro.billing import BillingStatement, allocate_costs
-from repro.obs import NULL_OBS, Observability, RunTelemetry
+from repro.obs import NULL_OBS, Observability
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
@@ -50,9 +50,6 @@ class CycleReport:
     violations: list[Violation]
     staging: StagingReport | None = None
     rejected: list[tuple[Request, str]] = field(default_factory=list)
-    #: Telemetry snapshot taken as the cycle closed (``None`` when the
-    #: service runs with the default null observability handle).
-    telemetry: RunTelemetry | None = None
     #: Set when this report came out of :meth:`VORService.amend_cycle`:
     #: the contingency pass that produced the (patched) schedule.
     recovery: "RecoveryResult | None" = None
@@ -113,8 +110,7 @@ class VORService:
             defaults to the inert :data:`repro.obs.NULL_OBS`.  When live,
             every cycle close records spans (``close_cycle`` → ``cycle`` →
             ``ivsp``/``sorp``/...), pipeline counters, and per-IS peak
-            gauges, and attaches a :class:`repro.obs.RunTelemetry`
-            snapshot to the returned report.
+            gauges; read them with ``obs.telemetry()``.
         replicas: Optional :class:`~repro.replication.ReplicaMap` homing
             each title at a subset of the warehouses; scheduling then
             serves every request from the cheapest reachable copy, and
@@ -165,6 +161,21 @@ class VORService:
     def pending(self) -> int:
         return len(self._pending)
 
+    def refusal(self, request: Request, now: float) -> str | None:
+        """Why the service would refuse ``request`` booked at ``now``.
+
+        Returns ``"unknown-title"``, ``"unknown-storage"``, ``"lead-time"``
+        (the showing starts less than :attr:`lead_time` after ``now``), or
+        ``None`` when the booking is acceptable.
+        """
+        if request.video_id not in self.catalog:
+            return "unknown-title"
+        if request.local_storage not in self._storage_names:
+            return "unknown-storage"
+        if request.start_time < now + self.lead_time:
+            return "lead-time"
+        return None
+
     def reserve(
         self,
         user_id: str,
@@ -177,38 +188,23 @@ class VORService:
         """Accept one reservation.
 
         Raises :class:`~repro.errors.WorkloadError` when the title is
-        unknown, the neighborhood storage does not exist, the showing is in
-        the past, or the lead time is not respected.
+        unknown, the neighborhood storage does not exist, or the lead time
+        is not respected (see :meth:`refusal`).
         """
-        journal = self.obs.journal
-        rid = (
-            f"{user_id}/{video_id}@{start_time:g}->{local_storage}"
-            if journal.enabled
-            else None
-        )
-        if video_id not in self.catalog:
-            journal.emit(
-                "rejected", request_id=rid, video_id=video_id,
-                reason="unknown-title",
-            )
-            raise WorkloadError(f"unknown title {video_id!r}")
-        if local_storage not in self._storage_names:
-            journal.emit(
-                "rejected", request_id=rid, video_id=video_id,
-                reason="unknown-storage",
-            )
-            raise WorkloadError(f"unknown neighborhood storage {local_storage!r}")
+        request = Request(start_time, video_id, user_id, local_storage)
         booking_time = self._clock if now is None else now
-        if start_time < booking_time + self.lead_time:
-            journal.emit(
-                "rejected", request_id=rid, video_id=video_id,
-                reason="lead-time",
-            )
+        reason = self.refusal(request, booking_time)
+        journal = self.obs.journal
+        if reason is not None:
+            journal.emit("rejected", request=request, reason=reason)
+            if reason == "unknown-title":
+                raise WorkloadError(f"unknown title {video_id!r}")
+            if reason == "unknown-storage":
+                raise WorkloadError(f"unknown neighborhood storage {local_storage!r}")
             raise WorkloadError(
                 f"reservations need {units.fmt_duration(self.lead_time)} lead "
                 f"time: showing at {start_time:g} booked at {booking_time:g}"
             )
-        request = Request(start_time, video_id, user_id, local_storage)
         self._pending.append(request)
         journal.emit("admitted", request=request, start=start_time)
         metrics = self.obs.metrics
@@ -263,7 +259,6 @@ class VORService:
             billing=billing,
             violations=violations,
             staging=staging,
-            telemetry=self.obs.telemetry() if self.obs.enabled else None,
         )
 
     def migrate_replicas(self, replicas) -> None:
@@ -404,6 +399,5 @@ class VORService:
             violations=violations,
             staging=staging,
             rejected=list(report.rejected),
-            telemetry=self.obs.telemetry() if self.obs.enabled else None,
             recovery=recovery,
         )

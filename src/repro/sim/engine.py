@@ -38,7 +38,7 @@ from repro.core.spacefunc import (
     UsageTimeline,
     capacity_slack,
 )
-from repro.obs import NULL_OBS, Observability, RunTelemetry
+from repro.obs import NULL_OBS, Observability
 from repro.sim.fluid import fluid_occupancy_profile
 
 _log = logging.getLogger(__name__)
@@ -126,9 +126,6 @@ class SimulationReport:
     #: start or cache open, the latest stream end or cache release;
     #: (0, 0) for an empty schedule.
     makespan: tuple[float, float] = (0.0, 0.0)
-    #: Telemetry snapshot taken as the run finished (``None`` when the
-    #: engine runs with the default null observability handle).
-    telemetry: RunTelemetry | None = None
 
     def events_by_kind(self) -> dict[str, int]:
         """Replayed event count per kind, kinds with no event omitted."""
@@ -154,7 +151,7 @@ class SimulationEngine:
         cost_model: Supplies topology + catalog.
         obs: Observability handle; when live, each run records a
             ``simulate`` span, per-kind event counters, and per-resource
-            peak gauges, and attaches a telemetry snapshot to the report.
+            peak gauges.
     """
 
     def __init__(self, cost_model: CostModel, *, obs: Observability | None = None):
@@ -173,8 +170,6 @@ class SimulationEngine:
             report = self._run(schedule)
             span.set(events=report.n_events)
         self._record_metrics(report)
-        if self._obs.enabled:
-            report.telemetry = self._obs.telemetry()
         _log.debug(
             "simulated %d event(s): %d stream(s), %d residenc(ies)",
             report.n_events, report.n_streams, report.n_residencies,

@@ -32,7 +32,6 @@ from repro.core.scheduler import solve_two_phase
 from repro.extensions import rolling as rolling_module
 from repro.extensions.pricing import DiurnalCostModel, TimeOfDayTariff
 from repro.extensions.rolling import RollingScheduler
-from repro.obs.events import request_key
 from repro.replication import ReplicaMap
 
 from .test_sorp_incremental import _trial_outcomes
@@ -140,7 +139,7 @@ class TestRecoveryCost:
         horizon = (t0, t1 + max(v.playback for v in catalog))
         plan = _plan(topo, seed, horizon, window)
         cm = scheduler.cost_model
-        result = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        result = ContingencyScheduler(cm).recover(solved, plan)
         # seed 2 re-solves through SORP with victims over either window;
         # seed 7 has nothing to re-solve
         ran_sorp = seed == 2
@@ -209,7 +208,7 @@ class TestPricingPasses:
 
 
 def reference_realized_psi(schedule, cost_model):
-    """Billed Ψ per request key, as the gateway computed it before billing
+    """Billed Ψ per request, as the gateway computed it before billing
     did: own deliveries, plus each consumed residency's cost split evenly
     across its ``service_list`` users and then across each user's
     delivered requests of the video.  Unconsumed residencies are not
@@ -218,20 +217,20 @@ def reference_realized_psi(schedule, cost_model):
     for fs in schedule:
         by_user = {}
         for d in fs.deliveries:
-            rid = request_key(d.request)
-            realized[rid] = realized.get(rid, 0.0) + cost_model.delivery_cost(d)
-            by_user.setdefault(d.request.user_id, []).append(rid)
+            r = d.request
+            realized[r] = realized.get(r, 0.0) + cost_model.delivery_cost(d)
+            by_user.setdefault(r.user_id, []).append(r)
         for c in fs.residencies:
             if not c.service_list:
                 continue
             share = cost_model.residency_cost(c) / len(c.service_list)
             for user_id in c.service_list:
-                rids = by_user.get(user_id)
-                if not rids:
+                served = by_user.get(user_id)
+                if not served:
                     continue
-                per_request = share / len(rids)
-                for rid in rids:
-                    realized[rid] = realized.get(rid, 0.0) + per_request
+                per_request = share / len(served)
+                for r in served:
+                    realized[r] = realized.get(r, 0.0) + per_request
     return realized
 
 

@@ -239,9 +239,7 @@ class TestBitIdentity:
         )
         calls, patch = _capture(scheduler_module)
         with patch:
-            ContingencyScheduler(cm, heat_metric=metric).recover(
-                solved, plan, batch=batch
-            )
+            ContingencyScheduler(cm, heat_metric=metric).recover(solved, plan)
         for args, kwargs in calls:
             kwargs = dict(kwargs)
             kwargs.pop("obs", None)

@@ -75,7 +75,7 @@ def _window_plan(kind, target, severity=0.0):
 
 def _impacted(topo, catalog, batch, solved, plan):
     cm = CostModel(topo, catalog)
-    return ContingencyScheduler(cm).recover(solved, plan, batch=batch).impacted
+    return ContingencyScheduler(cm).recover(solved, plan).impacted
 
 
 class TestImpactedVideos:
@@ -118,7 +118,7 @@ class TestRecover:
         topo, catalog, batch, solved = env
         schedule = solved.schedule
         cm = CostModel(topo, catalog)
-        rec = ContingencyScheduler(cm).recover(solved, FaultPlan(), batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, FaultPlan())
         assert rec.schedule == schedule
         assert rec.schedule is not schedule  # input never mutated
         assert rec.impacted == () and rec.resolution is None
@@ -130,7 +130,7 @@ class TestRecover:
         schedule = solved.schedule
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan)
         assert rec.impacted == ("m1",)
         # the direct VW--IS2 link keeps everyone reachable: nothing lost
         assert rec.requests_lost == 0 and rec.requests_saved == 2
@@ -147,7 +147,7 @@ class TestRecover:
         topo, catalog, batch, solved = env
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan)
         masked_cm = CostModel(masked_topology(topo, plan), catalog)
         surviving = RequestBatch(r for r in batch if r not in set(rec.lost))
         assert validate_schedule(rec.schedule, surviving, masked_cm) == []
@@ -156,7 +156,7 @@ class TestRecover:
         topo, catalog, batch, solved = env
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.IS_OUTAGE, "IS2")
-        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan)
         assert {r.user_id for r in rec.lost} == {"b", "c"}
         assert "m1" not in rec.schedule
         # dropped deliveries take their cost with them
@@ -170,7 +170,7 @@ class TestRecover:
         schedule = solved.schedule
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan)
         assert rec.cost_before.total == pytest.approx(
             cm.schedule_cost(schedule).total
         )
@@ -181,23 +181,14 @@ class TestRecover:
             rec.cost_after.total - rec.cost_before.total
         )
 
-    def test_batch_reconstructed_from_schedule_when_omitted(self, env):
-        topo, catalog, batch, solved = env
-        cm = CostModel(topo, catalog)
-        plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        explicit = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
-        implicit = ContingencyScheduler(cm).recover(solved, plan)
-        assert implicit.schedule == explicit.schedule
-        assert implicit.saved == explicit.saved
-
     def test_recovery_bit_identical_on_rerun(self, env):
         topo, catalog, batch, solved = env
         plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
         first = ContingencyScheduler(CostModel(topo, catalog)).recover(
-            solved, plan, batch=batch
+            solved, plan
         )
         again = ContingencyScheduler(CostModel(topo, catalog)).recover(
-            solved, plan, batch=batch
+            solved, plan
         )
         assert again.schedule == first.schedule
         assert again.saved == first.saved
@@ -210,7 +201,7 @@ class TestRecover:
         topo, catalog, batch, solved = env
         cm = CostModel(topo, catalog)
         plan = _window_plan(FaultKind.IS_OUTAGE, "IS2")
-        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan)
         doc = rec.to_json_dict()
         assert json.loads(json.dumps(doc)) == doc
         assert doc["requests_lost"] == 2
@@ -252,7 +243,7 @@ class TestMaskedModel:
             FaultSpec(FaultKind.IS_OUTAGE, "IS1", 0.0, units.DAY),
             FaultSpec(FaultKind.CAPACITY_SHRINK, "IS2", 0.0, units.DAY, 0.5),
         ))
-        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan)
         assert rec.saved == tuple(batch)
         masked = masked_topology(topo, plan)
         peak = VideoScheduler(
@@ -289,7 +280,7 @@ class TestRollingAmend:
         )
         result = rolling.schedule_cycle(batch, cycle_end=24 * units.HOUR)
         plan = _window_plan(FaultKind.IS_OUTAGE, "IS2")
-        recovery = rolling.amend_cycle(result, plan, batch=batch)
+        recovery = rolling.amend_cycle(result, plan)
         assert recovery.requests_lost == 2
         rolling.commit_amendment(recovery)
         # IS2's cached copy is gone; nothing at a down node may carry over

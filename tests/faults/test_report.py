@@ -117,6 +117,27 @@ class TestClassification:
         assert (s.video_id, s.location) == ("v", "IS1")
         assert report.impacted_videos == ("v",)
 
+    def test_stranded_residency_when_fill_source_is_lost(self, catalog):
+        cm = _cost_model(catalog)
+        # IS1 caches the stream it fills from VW over [0, 10) and serves u2
+        # from it at 15; VW is lost over [2, 8), mid-fill
+        resid = ResidencyInfo(
+            "v", "IS1", "VW", t_start=0.0, t_last=15.0, service_list=("u2",)
+        )
+        sched = _schedule(
+            (0.0, "u1", "IS1", ("VW", "IS1")),
+            (15.0, "u2", "IS2", ("IS1", "IS2")),
+            residencies=[resid],
+        )
+        batch = RequestBatch([d.request for d in sched.deliveries])
+        assert validate_schedule(sched, batch, cm) == []
+        plan = _plan(FaultKind.WAREHOUSE_LOSS, "VW", 2.0, 8.0)
+        report = build_degraded_report(sched, cm, plan)
+        (s,) = report.stranded
+        assert (s.location, s.fault) == ("IS1", plan.faults[0].key)
+        violations = validate_schedule(sched, batch, cm, faults=plan)
+        assert "fault-stranded" in {v.kind for v in violations}
+
     def test_disjoint_fault_window_leaves_schedule_untouched(self, catalog):
         cm = _cost_model(catalog)
         sched = _schedule((5.0, "u1", "IS1", ("VW", "IS1")))

@@ -194,7 +194,7 @@ class TestWindowedDominatesProperty:
 
     def test_windowed_dominates_cycle(self, seed):
         topo, catalog, batch, result, plan, cm = self._environment(seed)
-        rec = ContingencyScheduler(cm).recover(result, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(result, plan)
         # ``saved`` only counts requests of *impacted* videos -- the
         # comparable metric is the lost set.
         assert set(rec.lost) <= _unreachable(cm, plan, batch)
@@ -204,7 +204,7 @@ class TestWindowedDominatesProperty:
 
     def test_windowed_patch_validates_under_degraded_replay(self, seed):
         topo, catalog, batch, result, plan, cm = self._environment(seed)
-        rec_w = ContingencyScheduler(cm).recover(result, plan, batch=batch)
+        rec_w = ContingencyScheduler(cm).recover(result, plan)
         lost = set(rec_w.lost)
         surviving = RequestBatch([r for r in batch if r not in lost])
         violations = validate_schedule(
@@ -219,7 +219,7 @@ class TestWindowedDominatesProperty:
         """A warm-cache rerun and a fresh model give the same recovery."""
         topo, catalog, batch, result, plan, cm = self._environment(seed)
         a, b = (
-            ContingencyScheduler(model).recover(result, plan, batch=batch)
+            ContingencyScheduler(model).recover(result, plan)
             for model in (cm, CostModel(topo, catalog))
         )
         assert a.schedule.deliveries == b.schedule.deliveries
@@ -256,8 +256,8 @@ def _drill_plan(drill, seed, kinds=None):
 
 
 def _recover(drill, plan):
-    _, _, batch, solved, cm, _ = drill
-    return ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+    _, _, _, solved, cm, _ = drill
+    return ContingencyScheduler(cm).recover(solved, plan)
 
 
 def _union_impacted(drill, plan):
@@ -414,7 +414,7 @@ class TestReplicatedRepairs:
     def test_validates_and_loses_within_reference(self, replicated, seed):
         batch, solved, cm, plans = replicated
         plan = plans[seed]
-        rec = ContingencyScheduler(cm).recover(solved, plan, batch=batch)
+        rec = ContingencyScheduler(cm).recover(solved, plan)
         lost = set(rec.lost)
         assert lost <= _unreachable(cm, plan, batch)
         surviving = RequestBatch(r for r in batch if r not in lost)

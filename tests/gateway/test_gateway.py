@@ -59,8 +59,6 @@ class TestConfig:
             GatewayConfig(max_batch=-1)
         with pytest.raises(GatewayError, match="queue_depth"):
             GatewayConfig(queue_depth=-1)
-        with pytest.raises(GatewayError, match="lead_time"):
-            GatewayConfig(lead_time=-1.0)
 
     def test_boundaries_validated(self, fig2_gateway):
         feed = RequestFeed(events=(_ev(0.0, 13 * H, "U1"),))
@@ -100,13 +98,6 @@ class TestPrescreen:
         assert fig2_gateway.intake(_ev(0.0, 13 * H, "U1")) == "rejected"
         report = fig2_gateway.seal(cycle_end=20 * H, final=True)
         assert report.rejected == {"unreachable": 1}
-
-    def test_config_lead_time_overrides_the_service(self):
-        service = make_service(worked_example_topology(), _movie_catalog())
-        gateway = ReservationGateway(
-            service, config=GatewayConfig(lead_time=0.0)
-        )
-        assert gateway.intake(_ev(12.9 * H, 13 * H, "U1")) == "admitted"
 
 
 class TestBackpressure:
@@ -227,6 +218,26 @@ class TestSealing:
         assert math.isfinite(report.quote_error)
         assert len(report.reconciliation) == 3
         assert all(r.realized > 0 for r in report.reconciliation)
+
+    def test_requests_agreeing_to_six_digits_stay_distinct(self, fig2_gateway):
+        # one user, title and storage; the start times differ past the 6th
+        # significant digit, which a ``:g``-formatted id would drop
+        events = (_ev(0.0, 43210.61, "U1"), _ev(0.0, 43210.64, "U1"))
+        for event in events:
+            assert fig2_gateway.intake(event) == "admitted"
+        report = fig2_gateway.seal(cycle_end=20 * H, final=True)
+        requests = {e.request for e in events}
+        assert set(report.report.billing.requests) == requests
+        assert len(report.reconciliation) == 2
+        journal = fig2_gateway.obs.journal
+        admitted = [e.request_id for e in journal if e.kind == "admitted"]
+        assert len(set(admitted)) == 2
+        assert {r.request_id for r in report.reconciliation} == set(admitted)
+        timelines = [journal.explain(rid) for rid in admitted]
+        assert timelines[0] != timelines[1]
+        for rid, timeline in zip(admitted, timelines):
+            own = [e for e in timeline if e.request_id is not None]
+            assert own and all(e.request_id == rid for e in own)
 
     def test_seal_resets_for_the_next_cycle(self, fig2_gateway):
         fig2_gateway.intake(_ev(0.0, 13 * H, "U1"))

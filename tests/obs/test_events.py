@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import Request, units
 from repro.obs.events import (
@@ -24,7 +26,7 @@ def _request(user="alice", video="m0", start=5 * units.HOUR, storage="IS1"):
 
 class TestRequestKey:
     def test_derived_from_identifying_fields(self):
-        assert request_key(_request()) == "alice/m0@18000->IS1"
+        assert request_key(_request()) == "alice/m0@18000.0->IS1"
 
     def test_identical_reservations_share_a_key(self):
         assert request_key(_request()) == request_key(_request())
@@ -35,9 +37,22 @@ class TestRequestKey:
             _request(user="bob"),
             _request(video="m1"),
             _request(start=6 * units.HOUR),
+            _request(start=5 * units.HOUR + 0.01),  # equal to 6 digits
             _request(storage="IS2"),
         ):
             assert request_key(other) != request_key(base)
+
+    @given(
+        start=st.floats(allow_nan=False, allow_infinity=False),
+        user=st.text(min_size=1),
+    )
+    def test_start_text_round_trips_exactly(self, start, user):
+        request = _request(user=user, start=start)
+        # parse from the right: user ids may contain "/" or "@"
+        head, _, storage = request_key(request).rpartition("->")
+        start_text = head.rpartition("@")[2]
+        assert storage == request.local_storage
+        assert float(start_text).hex() == request.start_time.hex()
 
 
 class TestEmit:
@@ -52,7 +67,7 @@ class TestEmit:
         j = RequestJournal()
         j.emit("admitted", request=_request())
         (e,) = j.events
-        assert e.request_id == "alice/m0@18000->IS1"
+        assert e.request_id == "alice/m0@18000.0->IS1"
         assert e.video_id == "m0"
 
     def test_attrs_sorted_by_name(self):

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro import (
+    NULL_OBS,
     Observability,
     VideoScheduler,
     VORService,
@@ -126,21 +127,22 @@ class TestSpanTaxonomy:
 
 
 class TestReportTelemetry:
+    """Reports carry no telemetry copy: callers read ``obs.telemetry()``."""
+
     def test_cycle_report_attaches_telemetry(self, env):
         topo, catalog, _ = env
         obs = Observability.on()
         svc = VORService(topo, catalog, lead_time=0.0, obs=obs)
         svc.reserve("alice", "video0001", 5 * units.HOUR, local_storage="IS3")
         report = svc.close_cycle(cycle_end=units.DAY)
-        assert report.telemetry is not None
-        phases = report.telemetry.phase_totals()
+        assert not hasattr(report, "telemetry")
+        telemetry = obs.telemetry()
+        phases = telemetry.phase_totals()
         assert phases["close_cycle"]["count"] == 1
         for name in ("cycle", "ivsp", "billing", "validate"):
             assert name in phases
         assert (
-            report.telemetry.metrics["vor_reservations_total"]["values"][0][
-                "value"
-            ]
+            telemetry.metrics["vor_reservations_total"]["values"][0]["value"]
             == 1
         )
 
@@ -148,8 +150,10 @@ class TestReportTelemetry:
         topo, catalog, _ = env
         svc = VORService(topo, catalog, lead_time=0.0)
         svc.reserve("alice", "video0001", 5 * units.HOUR, local_storage="IS3")
-        report = svc.close_cycle(cycle_end=units.DAY)
-        assert report.telemetry is None
+        svc.close_cycle(cycle_end=units.DAY)
+        assert svc.obs is NULL_OBS
+        telemetry = svc.obs.telemetry()
+        assert telemetry.metrics == {} and telemetry.spans == ()
 
     def test_simulation_report_telemetry(self, env):
         topo, catalog, batch = env
@@ -157,9 +161,10 @@ class TestReportTelemetry:
         obs = Observability.on()
         engine = SimulationEngine(CostModel(topo, catalog), obs=obs)
         report = engine.run(result.schedule)
-        assert report.telemetry is not None
-        assert report.telemetry.phase_totals()["simulate"]["count"] == 1
-        snap = report.telemetry.metrics
+        assert not hasattr(report, "telemetry")
+        telemetry = obs.telemetry()
+        assert telemetry.phase_totals()["simulate"]["count"] == 1
+        snap = telemetry.metrics
         assert "vor_sim_events_total" in snap
         locations = {
             entry["labels"]["location"]

@@ -91,7 +91,7 @@ class TestSurvivability:
         )
         baseline2 = sched2.solve(batch)
         rec2 = ContingencyScheduler(sched2.cost_model).recover(
-            baseline2, _loss("VW1"), batch=batch
+            baseline2, _loss("VW1")
         )
 
         # paper environment: same chain, only VW1
@@ -99,7 +99,7 @@ class TestSurvivability:
         sched1 = VideoScheduler(topo1, catalog)
         baseline1 = sched1.solve(batch)
         rec1 = ContingencyScheduler(sched1.cost_model).recover(
-            baseline1, _loss("VW1"), batch=batch
+            baseline1, _loss("VW1")
         )
 
         assert rec1.requests_saved == 0
@@ -118,7 +118,7 @@ class TestSurvivability:
         )
         result = sched.solve(batch)
         rec = ContingencyScheduler(sched.cost_model).recover(
-            result, _loss("VW1"), batch=batch
+            result, _loss("VW1")
         )
         assert rec.cost_before.total == pytest.approx(result.total_cost)
         assert rec.cost_delta == pytest.approx(
@@ -134,7 +134,7 @@ class TestSurvivability:
             topo, catalog, replicas=ReplicaMap.full_copy(topo, catalog)
         )
         rec = ContingencyScheduler(sched.cost_model).recover(
-            sched.solve(batch), _loss("VW1"), batch=batch
+            sched.solve(batch), _loss("VW1")
         )
         for d in rec.schedule.deliveries:
             assert "VW1" not in d.route
@@ -160,7 +160,7 @@ class TestSurvivability:
         baseline = sched.solve(batch)
         assert {d.source for d in baseline.schedule.deliveries} == {"VW1"}
         rec = ContingencyScheduler(sched.cost_model).recover(
-            baseline, _loss("VW1"), batch=batch
+            baseline, _loss("VW1")
         )
         lost_videos = {r.video_id for r in rec.lost}
         saved_videos = {r.video_id for r in rec.saved}
@@ -181,7 +181,7 @@ class TestSurvivability:
             seed=0,
         )
         rec = ContingencyScheduler(sched.cost_model).recover(
-            sched.solve(batch), plan, batch=batch
+            sched.solve(batch), plan
         )
         assert rec.requests_saved == 0
         assert rec.requests_lost == len(batch)
@@ -198,9 +198,7 @@ class TestRecoveryDeterminism:
         # the solve's warm model, then a fresh one carrying the same map
         fresh = CostModel(topo, catalog, replicas=sched.cost_model.replicas)
         first, again = (
-            ContingencyScheduler(cm).recover(
-                baseline, _loss("VW1"), batch=batch
-            )
+            ContingencyScheduler(cm).recover(baseline, _loss("VW1"))
             for cm in (sched.cost_model, fresh)
         )
         assert again.saved == first.saved
@@ -230,9 +228,7 @@ class TestRecoveryDeterminism:
         fresh = CostModel(topo, catalog, replicas=sched.cost_model.replicas)
         snapshots = []
         for cm in (sched.cost_model, fresh):
-            rec = ContingencyScheduler(cm).recover(
-                baseline, _loss("VW2"), batch=batch
-            )
+            rec = ContingencyScheduler(cm).recover(baseline, _loss("VW2"))
             snapshots.append(
                 (rec.saved, rec.lost, rec.cost_after, _canonical(rec.schedule))
             )

@@ -117,20 +117,16 @@ class TestRollingIdempotency:
             ]
         )
         result = rolling.schedule_cycle(batch, cycle_end=units.DAY)
-        return rolling, batch, result
+        return rolling, result
 
     @pytest.mark.parametrize("window", list(WINDOWS))
     def test_empty_plan_is_bit_identical_noop(self, window):
         # on the closed cycle, and on that cycle amended around the outage
-        rolling, batch, result = self._closed_cycle()
-        outage = rolling.amend_cycle(result, _plan(window), batch=batch)
-        lost = set(outage.lost)
-        amended = (
-            dataclasses.replace(result, schedule=outage.schedule),
-            RequestBatch([r for r in batch if r not in lost]),
-        )
-        for cycle, requests in ((result, batch), amended):
-            recovery = rolling.amend_cycle(cycle, FaultPlan(), batch=requests)
+        rolling, result = self._closed_cycle()
+        outage = rolling.amend_cycle(result, _plan(window))
+        amended = dataclasses.replace(result, schedule=outage.schedule)
+        for cycle in (result, amended):
+            recovery = rolling.amend_cycle(cycle, FaultPlan())
             assert _schedule_key(recovery.schedule) == _schedule_key(
                 cycle.schedule
             )
@@ -138,15 +134,13 @@ class TestRollingIdempotency:
 
     @pytest.mark.parametrize("window", list(WINDOWS))
     def test_amend_twice_equals_amend_once(self, window):
-        rolling, batch, result = self._closed_cycle()
+        rolling, result = self._closed_cycle()
         plan = _plan(window)
-        rec1 = rolling.amend_cycle(result, plan, batch=batch)
+        rec1 = rolling.amend_cycle(result, plan)
         rolling.commit_amendment(rec1)
         carry_once = tuple(rolling.carryover)
-        lost1 = set(rec1.lost)
-        surviving = RequestBatch([r for r in batch if r not in lost1])
         amended = dataclasses.replace(result, schedule=rec1.schedule)
-        rec2 = rolling.amend_cycle(amended, plan, batch=surviving)
+        rec2 = rolling.amend_cycle(amended, plan)
         rolling.commit_amendment(rec2)
         assert _schedule_key(rec2.schedule) == _schedule_key(rec1.schedule)
         assert tuple(rolling.carryover) == carry_once
