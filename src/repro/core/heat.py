@@ -32,7 +32,7 @@ import math
 from repro.catalog.video import VideoFile
 from repro.core.overflow import OverflowSituation
 from repro.core.schedule import ResidencyInfo
-from repro.core.spacefunc import delta_space
+from repro.core.spacefunc import SpaceProfile, delta_space
 from repro.errors import ScheduleError
 
 #: Overheads below this (in $) count as "free" rescheduling.
@@ -66,11 +66,12 @@ def space_time_improvement(
     residency: ResidencyInfo,
     video: VideoFile,
     overflow: OverflowSituation,
+    profile: SpaceProfile | None = None,
 ) -> float:
     """``ΔS`` (Eq. 5): freed amortized space-time inside the overflow."""
     if residency.video_id != video.video_id:
         raise ScheduleError("residency/video mismatch in space_time_improvement")
-    profile = residency.profile(video)
+    profile = residency.profile(video) if profile is None else profile
     t_s, t_f = overflow.interval
     return delta_space(profile, t_s, t_f)
 
@@ -81,6 +82,7 @@ def compute_heat(
     video: VideoFile,
     overflow: OverflowSituation,
     overhead_cost: float,
+    profile: SpaceProfile | None = None,
 ) -> float:
     """Heat of rescheduling ``residency``'s file w.r.t. ``overflow``.
 
@@ -90,6 +92,7 @@ def compute_heat(
         video: Its video (for playback length / size).
         overflow: The overflow situation being resolved.
         overhead_cost: ``Ψ(S_i^new(Δt, IS_j)) - Ψ(S_i)``.
+        profile: The residency's Eq. 6 profile, if the caller holds it.
 
     Returns:
         The heat value; larger is better.  ``+inf`` when a per-cost metric
@@ -98,11 +101,11 @@ def compute_heat(
     if metric is HeatMetric.TIME:
         return improved_period(residency, video, overflow)
     if metric is HeatMetric.SPACE_TIME:
-        return space_time_improvement(residency, video, overflow)
+        return space_time_improvement(residency, video, overflow, profile)
     if metric is HeatMetric.TIME_PER_COST:
         benefit = improved_period(residency, video, overflow)
     elif metric is HeatMetric.SPACE_TIME_PER_COST:
-        benefit = space_time_improvement(residency, video, overflow)
+        benefit = space_time_improvement(residency, video, overflow, profile)
     else:  # pragma: no cover - exhaustive enum
         raise ScheduleError(f"unknown heat metric {metric!r}")
     if overhead_cost <= _FREE_OVERHEAD:

@@ -53,17 +53,12 @@ class _Candidate:
 
     cost: float
     hops: int
-    kind_rank: int  # 0 = cache (preferred on ties), 1 = warehouse
     source: str
     route: Route
     cache_index: int  # index into the residency list, -1 for warehouse
     #: The Ψ_D share of ``cost`` (network transfer); the remainder is the
-    #: Ψ_C residency-extension share.  Journal-only -- not in the sort key.
+    #: Ψ_C residency-extension share.  Journal-only -- not in the pick key.
     network_cost: float = 0.0
-
-    @property
-    def sort_key(self) -> tuple[float, int, int, str]:
-        return (self.cost, self.hops, self.kind_rank, self.source)
 
 
 class RoutePolicy:
@@ -113,10 +108,11 @@ class IndividualScheduler:
             turns this into the Sec. 4.4 rejective greedy.  The greedy asks
             ``allows(video, location, t_start, t_last, replacing=...)``
             of the cache candidates that beat the cheapest warehouse,
-            cheapest first, until one is allowed, and of every residency
-            it deposits.  ``allows`` must be a query: whether and in which
-            order candidates are asked about may change what it records,
-            never what it answers.
+            cheapest first, until one is allowed.  It never asks about a
+            deposit: that is zero-extent (γ = 0) and occupies no space.
+            ``allows`` must be a query: whether and in which order
+            candidates are asked about may change what it records, never
+            what it answers.
         route_policy: Optional :class:`RoutePolicy`; defaults to
             unconditional cheapest-path routing.
         deposit_scope: Where streams open cache candidates: ``"route"``
@@ -165,6 +161,8 @@ class IndividualScheduler:
         self._storage_names = frozenset(s.name for s in self._topo.storages)
         self._srates = {n.name: n.srate for n in self._topo.nodes}
         self._replicas = cost_model.replicas
+        #: ``{video_id: (home warehouses, size, playback)}``, filled on demand.
+        self._facts: dict[str, tuple[tuple[str, ...], float, float]] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -285,15 +283,19 @@ class IndividualScheduler:
 
     # -- greedy internals ------------------------------------------------------
 
-    def _home_warehouses(self, video_id: str) -> tuple[str, ...]:
-        """Warehouse candidates for a video: its homes, or every warehouse."""
-        if self._replicas is None:
-            return self._warehouses
-        return tuple(
-            h
-            for h in self._replicas.homes(video_id)
-            if h in self._warehouse_set
-        )
+    def _video_facts(self, video_id: str) -> tuple[tuple[str, ...], float, float]:
+        """A video's warehouse candidates (its homes, or every warehouse)
+        and its size and P from the model's catalog, as every Ψ_C
+        evaluation reads them; computed once per scheduler."""
+        facts = self._facts.get(video_id)
+        if facts is None:
+            homes = self._warehouses
+            if self._replicas is not None:
+                own = self._replicas.homes(video_id)
+                homes = tuple(h for h in own if h in self._warehouse_set)
+            entry = self._cm.catalog[video_id]
+            facts = self._facts[video_id] = (homes, entry.size, entry.playback)
+        return facts
 
     def _best_candidate(
         self,
@@ -301,49 +303,45 @@ class IndividualScheduler:
         req: Request,
         residencies: list[ResidencyInfo],
     ) -> _Candidate:
-        """The cheapest feasible copy by :attr:`_Candidate.sort_key`; among
-        equal cache keys the lowest residency index."""
-        best: _Candidate | None = None
+        """The cheapest feasible copy by its key ``(cost, hops, kind, source)``
+        (caches kind 0, warehouses 1); among equal cache keys the lowest
+        residency index."""
         if req.local_storage not in self._cm.topology:
             # an unknown destination is a malformed request, not a copy that
             # happens to be unreachable -- keep raising, never skip
             raise RoutingError(f"unknown destination node {req.local_storage!r}")
+        homes, size, playback = self._video_facts(video.video_id)
         volume = video.network_volume * self._cm.network_multiplier(
             req.start_time
         )
-        t0, t1 = req.start_time, req.start_time + video.playback
-        for w in self._home_warehouses(video.video_id):
+        start, dst, bandwidth = req.start_time, req.local_storage, video.bandwidth
+        t1 = start + video.playback
+        select = self._route_policy.select
+        # copies are priced as (key, residency index, route, network share),
+        # -1 for a warehouse: tuple order is pick order, the lowest index
+        # winning equal cache keys; only the winner becomes a _Candidate
+        best = None
+        for w in homes:
             # On a fault-masked (possibly partitioned) topology a warehouse
             # may not reach this neighborhood at all; an unreachable copy is
             # simply not a candidate.  Ties never depend on iteration order
-            # (the sort key includes the source name), so skipping here
-            # keeps schedules deterministic.
+            # (the key includes the source name), so skipping here keeps
+            # schedules deterministic.
             try:
-                route = self._route_policy.select(
-                    w, req.local_storage, t0, t1, video.bandwidth
-                )
+                route = select(w, dst, start, t1, bandwidth)
             except RoutingError:
                 continue
             if route is None:
                 continue
-            cand = _Candidate(
-                volume * route.rate, route.hops, 1, w, route, -1,
-                network_cost=volume * route.rate,
-            )
-            if best is None or cand.sort_key < best.sort_key:
-                best = cand
+            network = volume * route.rate
+            key = (network, route.hops, 1, w)
+            if best is None or key < best[0]:
+                best = (key, -1, route, network)
         # Price every cache copy first; ask the constraints only about the
         # ones that beat the cheapest warehouse, cheapest first (DESIGN.md
         # §4).  A copy dearer on the network alone cannot win: its Ψ_C
         # extension is >= 0.
-        start = req.start_time
-        # size and P from the model's catalog, as every Ψ_C evaluation reads them
-        entry = self._cm.catalog[video.video_id]
-        size, playback = entry.size, entry.playback
         srates = self._srates
-        best_key = None if best is None else best.sort_key
-        # (sort key, residency index, route, network share): tuple order is
-        # pick order, the lowest index winning equal keys
         contenders = []
         for idx, c in enumerate(residencies):
             if c.t_start > start:
@@ -353,23 +351,20 @@ class IndividualScheduler:
             # start (a seed) serves at a zero Ψ_C extension.
             t_last = start if start >= c.t_last else c.t_last
             try:
-                route = self._route_policy.select(
-                    c.location, req.local_storage, t0, t1, video.bandwidth
-                )
+                route = select(c.location, dst, start, t1, bandwidth)
             except RoutingError:
                 continue
             if route is None:
                 continue
             network = volume * route.rate
-            if best is not None and network > best.cost:
+            if best is not None and network > best[0][0]:
                 continue
             srate = srates[c.location]
             ext_cost = storage_cost(
                 srate, size, playback, t_last - c.t_start
             ) - storage_cost(srate, size, playback, c.t_last - c.t_start)
-            # the layout of _Candidate.sort_key, cache kind_rank 0
             key = (network + ext_cost, route.hops, 0, c.location)
-            if best_key is None or key < best_key:
+            if best is None or key < best[0]:
                 contenders.append((key, idx, route, network))
         constraints = self._constraints
         if constraints is None:
@@ -385,20 +380,17 @@ class IndividualScheduler:
                 ):
                     pick = contender
                     break
-        if pick is not None:
-            (cost, hops, kind_rank, source), idx, route, network = pick
-            best = _Candidate(
-                cost, hops, kind_rank, source, route, idx, network_cost=network
-            )
+        best = pick or best
         if best is None:
             # with the default route policy on a healthy topology some home
             # warehouse is always feasible; a restrictive policy (e.g.
             # bandwidth-aware), a partitioned masked topology, or a video
             # whose every home failed may exhaust options
             raise ScheduleError(f"no feasible source for request {req}")
-        if not math.isfinite(best.cost):
+        (cost, hops, _, source), idx, route, network = best
+        if not math.isfinite(cost):
             raise ScheduleError(f"non-finite candidate cost for request {req}")
-        return best
+        return _Candidate(cost, hops, source, route, idx, network_cost=network)
 
     def _apply(
         self,
@@ -449,16 +441,11 @@ class IndividualScheduler:
             if self._deposit_scope == "route"
             else (delivery.destination,)
         )
-        constraints = self._constraints
         for node in nodes:
             if node not in self._storage_names:
                 continue
             if node == delivery.source:
                 continue  # the serving cache itself lives here already
-            if constraints is not None and not constraints.allows(
-                video, node, t, t, replacing=None
-            ):
-                continue
             existing_idx = occupied.get(node)
             if existing_idx is not None:
                 existing = residencies[existing_idx]

@@ -21,13 +21,14 @@ Trials share "everyone but video v" timelines and ``fits`` answers per
 of its fixed inputs and of the ordered decisions it receives (see
 :class:`~repro.core.rejective.DecisionLog`), so each trial is priced from
 a predecessor -- the trial of the same video, overflow location and
-interval, else the latest one of the same video and overflow location:
+interval, else the video's latest trial at any overflow location:
 reused as is while every location in its log keeps its stamp and the
-window is the same; revalidated, without serving a request, when its
-decisions at the re-stamped locations (and at the overflow location, if
-the window changed) come out the same; and otherwise resumed at the
-request that made the first decision that differs, keeping the
-deliveries before it.  Detection re-sweeps only re-stamped storages.
+forbidden (location, interval) is the same; revalidated, without serving
+a request, when its decisions at the re-stamped locations (and at the
+old and new forbidden location, if that changed) come out the same; and
+otherwise resumed at the request that made the first decision that
+differs, keeping the deliveries before it.  Detection re-sweeps only
+re-stamped storages.
 """
 
 from __future__ import annotations
@@ -311,8 +312,8 @@ class _Trial:
 
     new_fs: FileSchedule
     cost: CostBreakdown
-    #: The overflow interval the victim was forbidden from.
-    window: tuple[float, float]
+    #: The ``(location, interval)`` the victim was forbidden from.
+    forbidden: tuple[str, tuple[float, float]]
     #: The run's decisions and marks (:class:`DecisionLog`).
     log: DecisionLog
     #: ``{location: stamp}`` for every location in ``log``, as of the
@@ -327,14 +328,14 @@ class _VictimSelector:
     keyed on ``(video, overflow location, overflow interval)``, and the
     ledger of per-file costs Ψ(S_i) of the working schedule.  Each trial
     is priced from a predecessor: the trial of the same key, or else the
-    latest one for the same video and overflow location.  The predecessor
-    is reused as is while every location in its decision log keeps its
-    stamp and the window is the same.  Otherwise its decisions at the
-    re-stamped locations, and at the overflow location when the window
-    changed, are re-decided in log order: if none differs the trial is
-    revalidated, and at the first one that differs the greedy resumes at
-    the request that made it.  Trials the greedy serves go through
-    :meth:`RejectiveGreedyScheduler.reschedule`.
+    video's latest trial, whatever its overflow.  The predecessor is
+    reused as is while every location in its decision log keeps its stamp
+    and the forbidden pair is the same.  Otherwise its decisions at the
+    re-stamped locations, and at the old and the new forbidden location
+    when the pair changed, are re-decided in log order: if none differs
+    the trial is revalidated, and at the first one that differs the
+    greedy resumes at the request that made it.  Trials the greedy serves
+    go through :meth:`RejectiveGreedyScheduler.reschedule`.
 
     Ψ is additive over files (Eq. 1): each file is priced once and a
     commit writes in the victim trial's breakdown, so the ledger summed
@@ -361,8 +362,8 @@ class _VictimSelector:
         self._background = background
         self._committed = committed
         self._trials: dict[tuple, _Trial] = {}
-        #: The latest trial per ``(video, overflow location)``.
-        self._latest: dict[tuple[str, str], _Trial] = {}
+        #: The latest trial per video.
+        self._latest: dict[str, _Trial] = {}
         self.trials_run = 0
         self.trials_reused = 0
         self.trials_revalidated = 0
@@ -427,7 +428,8 @@ class _VictimSelector:
                     continue  # no feasible source under the route policy
                 trials[(c.video_id, of.location, of.interval)] = trial
                 overhead = trial.cost.total - self.ledger[c.video_id].total
-                heat = compute_heat(self._metric, c, video, of, overhead)
+                profile = self.index.profile(c.video_id, c.t_start, c.t_last)
+                heat = compute_heat(self._metric, c, video, of, overhead, profile)
                 if math.isnan(heat):  # pragma: no cover - defensive
                     continue
                 rank = (heat, -overhead, c.video_id)
@@ -446,37 +448,39 @@ class _VictimSelector:
 
     def _price(self, video, requests, of: OverflowSituation, seeds) -> _Trial:
         """The trial of ``video`` forbidden from ``of``, from its predecessor."""
-        place = (video.video_id, of.location)
-        prior = self._trials.get((*place, of.interval)) or self._latest.get(place)
+        vid = video.video_id
+        prior = self._trials.get((vid, of.location, of.interval))
+        prior = prior or self._latest.get(vid)
         if prior is None:
             trial = self._serve(video, requests, of, DecisionLog(), seeds, ())
         else:
             trial = self._replay(prior, video, requests, of)
-        self._latest[place] = trial
+        self._latest[vid] = trial
         return trial
 
     def _replay(self, prior: _Trial, video, requests, of: OverflowSituation) -> _Trial:
         """Re-decide ``prior``'s decisions that may have changed; resume the
         greedy at the request that made the first one that did.
 
-        The greedy's inputs other than its decisions are fixed by the video
-        and overflow location, and it is deterministic, so it replays
-        ``prior`` exactly up to its first decision that comes out
-        differently.  Only decisions at re-stamped locations can change
-        their capacity answer, and only those at the overflow location
-        their forbidden-window answer.  They are re-decided in log order,
-        stopping at the first change, so every answer computed here is one
-        a fresh run would compute too.
+        The greedy's inputs other than its decisions are fixed by the
+        video, and it is deterministic, so it replays ``prior`` exactly up
+        to its first decision that comes out differently.  Only decisions
+        at re-stamped locations can change their capacity answer, and only
+        those at the old or the new forbidden location their forbidden
+        answer.  They are re-decided in log order, stopping at the first
+        change, so every answer computed here is one a fresh run would
+        compute too.
         """
         version = self.index.version
         moved = {loc for loc, v in prior.stamps.items() if version(loc) != v}
-        if of.interval != prior.window:
-            moved.add(of.location)
+        forbidden = (of.location, of.interval)
+        if forbidden != prior.forbidden:
+            moved.update((of.location, prior.forbidden[0]))
         elif not moved:
             self.trials_reused += 1
             return prior
         oracle = self._oracle(video.video_id)
-        constraints = ResidencyConstraints([(of.location, of.interval)], oracle)
+        constraints = ResidencyConstraints([forbidden], oracle)
         log = prior.log
         order = log.in_order(moved)
         for n, i in enumerate(order, 1):
@@ -493,7 +497,7 @@ class _VictimSelector:
         self.trials_revalidated += 1
         return replace(
             prior,
-            window=of.interval,
+            forbidden=forbidden,
             stamps={loc: version(loc) for loc in prior.stamps},
         )
 
@@ -524,7 +528,7 @@ class _VictimSelector:
         return _Trial(
             new_fs,
             self._cm.file_cost(new_fs),
-            of.interval,
+            (of.location, of.interval),
             log,
             {loc: version(loc) for loc in log.at},
         )

@@ -54,6 +54,7 @@ from repro.faults.inject import (
     fault_background,
     fault_effects,
     fault_hits,
+    fill_hits,
     masked_graph,
 )
 from repro.faults.plan import FaultPlan
@@ -78,7 +79,9 @@ def _split_hits(
     link of its route; a residency when one in effect during its occupancy
     ``[t_start, t_last + playback)`` downs or shrinks its storage, or one
     in effect during its fill ``[t_start, t_start + playback)`` downs its
-    source (a cache cannot fill from a lost warehouse).  Hits propagate
+    source or a node or link of its depositing stream's route up to it
+    (:func:`~repro.faults.inject.fill_hits`: a cache cannot fill from a
+    lost warehouse or over a lost link).  Hits propagate
     through fill chains (a cache filled from a hit location must refill
     too) and onto every delivery sourced from a hit location --
     conservative over-marking only grows the re-solve set, never breaks
@@ -91,9 +94,7 @@ def _split_hits(
                 per_fault, c.t_start, c.t_last + playback,
                 storage=c.location, shrink=True,
             )
-            or fault_hits(
-                per_fault, c.t_start, c.t_start + playback, storage=c.source
-            )
+            or fill_hits(per_fault, c, playback, fs.deliveries)
         )
         for c in res
     ]

@@ -3,7 +3,8 @@
 :func:`fault_effects` says what a plan breaks and when -- one pair per
 fault over its own window -- and :func:`fault_hits` asks those pairs the
 one question every consumer has: which faults break this route or this
-storage during this interval.  The degraded-mode analyzer
+storage during this interval; :func:`fill_hits` asks it of a cache's
+fill.  The degraded-mode analyzer
 (:mod:`repro.faults.report`), the contingency scheduler
 (:mod:`repro.faults.contingency`), the rolling scheduler's carryover
 re-roll and the horizon's resume ledger all ask it.
@@ -23,8 +24,10 @@ is expressed in a model whose warehouses are otherwise infinite.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from repro.core.schedule import DeliveryInfo, ResidencyInfo
 from repro.core.spacefunc import LinearSegment, SpaceProfile
 from repro.errors import FaultError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -228,6 +231,36 @@ def fault_hits(
             resource = storage
         if resource is not None:
             hits.append((fault, resource))
+    return hits
+
+
+def fill_hits(
+    per_fault: list[tuple[FaultSpec | None, ResourceEffects]],
+    residency: ResidencyInfo,
+    playback: float,
+    deliveries: Iterable[DeliveryInfo],
+) -> list[tuple[FaultSpec | None, str]]:
+    """:func:`fault_hits` on the fill of ``residency`` during ``[t_start,
+    t_start + playback)``: its source, then the route of its depositing
+    stream up to its location.
+
+    The depositing stream is a delivery of ``deliveries`` (the file's)
+    with the residency's source and start that passes its location; a
+    cache filled over a node or link that is down meanwhile never fills.
+    """
+    t0, t1 = residency.t_start, residency.t_start + playback
+    hits = fault_hits(per_fault, t0, t1, storage=residency.source)
+    for d in deliveries:
+        if hits:
+            break
+        route = d.route
+        if (
+            d.start_time == t0
+            and d.source == residency.source
+            and residency.location in route
+        ):
+            reach = route[: route.index(residency.location) + 1]
+            hits = fault_hits(per_fault, t0, t1, route=reach)
     return hits
 
 

@@ -10,8 +10,9 @@ to it *window-aware*:
   interrupted and, restarted after recovery, finishes ``delay`` seconds
   late;
 * **stranded** residencies -- a cache whose storage goes down while its
-  blocks are resident, or whose fill source goes down while it fills
-  (a cache cannot fill from a lost warehouse): the copy is lost and every
+  blocks are resident, or whose fill source, or a node or link of the
+  route its depositing stream took to it, goes down while it fills (a
+  cache cannot fill from a lost warehouse): the copy is lost and every
   service it would have fed is at risk;
 * **saturated links** -- degraded links (or browned-out warehouse egress)
   whose concurrent-stream load exceeds the *remaining* bandwidth during the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
 from repro.core.spacefunc import UsageTimeline, capacity_slack
-from repro.faults.inject import fault_effects, fault_hits
+from repro.faults.inject import fault_effects, fault_hits, fill_hits
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import NULL_OBS, Observability
 from repro.sim.engine import SimulationEngine, SimulationReport
@@ -283,14 +284,12 @@ def _classify_damage(
                 (dropped if verdict.outcome == "dropped" else late).append(verdict)
         for c in fs.residencies:
             # a copy is lost when its storage goes down while resident, or
-            # its source goes down during the fill [t_start, t_start + P)
+            # its fill [t_start, t_start + P) loses its source or the route
+            # its depositing stream took to it
             hits = fault_hits(
                 per_fault, c.t_start, c.t_last + video.playback,
                 storage=c.location,
-            ) or fault_hits(
-                per_fault, c.t_start, c.t_start + video.playback,
-                storage=c.source,
-            )
+            ) or fill_hits(per_fault, c, video.playback, fs.deliveries)
             if hits:
                 impacted.setdefault(fs.video_id)
                 stranded.append(

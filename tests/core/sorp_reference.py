@@ -32,6 +32,12 @@ from repro.errors import OverflowResolutionError, RoutingError, ScheduleError
 from repro.obs import NULL_OBS
 
 
+def _key(cand):
+    """The greedy's pick key: cheapest, then fewest hops, caches first,
+    then the source name."""
+    return (cand.cost, cand.hops, cand.cache_index < 0, cand.source)
+
+
 class EagerIndividualScheduler(IndividualScheduler):
     """The greedy that asks ``allows`` of every cache candidate, in
     residency order, before routing and pricing it; the pick is the first
@@ -45,7 +51,8 @@ class EagerIndividualScheduler(IndividualScheduler):
             req.start_time
         )
         t0, t1 = req.start_time, req.start_time + video.playback
-        for w in self._home_warehouses(video.video_id):
+        homes, _, _ = self._video_facts(video.video_id)
+        for w in homes:
             try:
                 route = self._route_policy.select(
                     w, req.local_storage, t0, t1, video.bandwidth
@@ -55,10 +62,10 @@ class EagerIndividualScheduler(IndividualScheduler):
             if route is None:
                 continue
             cand = _Candidate(
-                volume * route.rate, route.hops, 1, w, route, -1,
+                volume * route.rate, route.hops, w, route, -1,
                 network_cost=volume * route.rate,
             )
-            if best is None or cand.sort_key < best.sort_key:
+            if best is None or _key(cand) < _key(best):
                 best = cand
         start = req.start_time
         constraints = self._constraints
@@ -86,10 +93,10 @@ class EagerIndividualScheduler(IndividualScheduler):
                 video.video_id, c.location, c.t_start, c.t_last
             )
             cand = _Candidate(
-                volume * route.rate + ext_cost, route.hops, 0, c.location,
+                volume * route.rate + ext_cost, route.hops, c.location,
                 route, idx, network_cost=volume * route.rate,
             )
-            if best is None or cand.sort_key < best.sort_key:
+            if best is None or _key(cand) < _key(best):
                 best = cand
         if best is None:
             raise ScheduleError(f"no feasible source for request {req}")

@@ -212,15 +212,15 @@ class TestLazyEqualsEager:
 
 class _Recording:
     """Constraints that log every cache-candidate question and answer from
-    a per-location table (default: allowed)."""
+    a per-location table (default: allowed).  A deposit is zero-extent and
+    occupies no space, so the greedy must never ask about one."""
 
     def __init__(self, answers=None):
         self.answers = answers or {}
         self.asked = []
 
     def allows(self, video, location, t_start, t_last, *, replacing=None):
-        if replacing is None:
-            return True  # a zero-extent deposit, not a cache candidate
+        assert replacing is not None, f"asked about a deposit at {location}"
         self.asked.append(location)
         return self.answers.get(location, True)
 

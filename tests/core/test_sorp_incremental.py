@@ -8,8 +8,8 @@ reference in :mod:`tests.core.sorp_reference`, which rebuilds every trial
 from scratch: same schedule, same ``ResolutionStats`` and the same
 ``sorp-placed`` journal sequence, over all heat metrics, rolling cycles
 with carryover background and committed seeds, contingency recovery on
-fault-masked cost models, and forced divergence, window changes and full
-replays of single trials.
+fault-masked cost models, and forced divergence, window and location
+changes and full replays of single trials.
 """
 
 from __future__ import annotations
@@ -538,7 +538,7 @@ def _assert_trials_match_reference(selector, batch):
     by_video = batch.by_video()
     catalog = selector._cm.catalog
     for (vid, loc, window), trial in selector._trials.items():
-        assert trial.window == window
+        assert trial.forbidden == (loc, window)
         assert trial.new_fs == reference_reschedule(
             selector._cm, catalog[vid], by_video[vid], selector.index.schedule,
             forbidden=[(loc, window)], background=None, seeds=(),
@@ -633,6 +633,62 @@ class TestReplay:
         assert (selector.trials_run, selector.trials_reused) == before
         assert selector.trials_revalidated + selector.trials_resumed == 2
         _assert_trials_match_reference(selector, batch)
+
+    @given(
+        n=st.integers(min_value=3, max_value=8),
+        gap=st.sampled_from([5.0, 12.5, 20.0, 40.0]),
+        a_last=st.floats(min_value=0.0, max_value=1.0),
+        lo=st.floats(min_value=0.0, max_value=1.0),
+        width=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_location_change_replay(self, n, gap, a_last, lo, width):
+        selector, of, batch = _chain_selector(n, gap, 10.5 + a_last * n * gap)
+        selector.select([of])  # both files priced at IS1b, from scratch
+        span = (n + 1) * gap
+        window = (lo * span, lo * span + width * span + 1e-3)
+        at_is1 = OverflowSituation(
+            "IS1", window, of.members, of.peak_usage, of.capacity,
+            of.excess_spacetime,
+        )
+        before = (selector.trials_run, selector.trials_reused)
+        selector.select([at_is1])
+        # a new location: priced from each file's latest trial, the one
+        # at IS1b, never reused as is and never run from scratch
+        assert (selector.trials_run, selector.trials_reused) == before
+        assert selector.trials_revalidated + selector.trials_resumed == 2
+        assert {v: t.forbidden for v, t in selector._latest.items()} == {
+            "v": ("IS1", window), "a": ("IS1", window),
+        }
+        _assert_trials_match_reference(selector, batch)
+
+    def test_two_overflows_in_one_round(self):
+        selector, of, batch = _chain_selector(6, 20.0)
+        at_is1 = OverflowSituation(
+            "IS1", of.interval, of.members, of.peak_usage, of.capacity,
+            of.excess_spacetime,
+        )
+        selector.select([of, at_is1])
+        # each file runs once, at IS1b; its IS1 trial is priced from that
+        # one in the same round: forbidding IS1 flips each file's first
+        # decision there, made by its request 1, so both resume there
+        assert selector.trials_run == 2
+        assert selector.trials_resumed == 2 and selector.serves_kept == 2
+        assert selector.serves_served == (6 + 2) + (5 + 1)
+        assert set(selector._trials) == {
+            (v, loc, of.interval) for v in "va" for loc in ("IS1b", "IS1")
+        }
+        assert {v: t.forbidden for v, t in selector._latest.items()} == {
+            "v": ("IS1", of.interval), "a": ("IS1", of.interval),
+        }
+        first = dict(selector._trials)
+        _assert_trials_match_reference(selector, batch)
+        # nothing committed: the trial of the same key, not the file's
+        # latest, is each one's predecessor, so all four are reused
+        selector.select([of, at_is1])
+        assert selector.trials_reused == 4
+        assert selector.trials_run == selector.trials_resumed == 2
+        assert all(selector._trials[k] is t for k, t in first.items())
 
     def test_window_change_covers_both_outcomes(self):
         # the overflow ends as a drains (t = 35.5), so v caches at the edge

@@ -23,7 +23,7 @@ from repro.core.costmodel import CostModel
 from repro.errors import ScheduleError
 from repro.extensions.pricing import DiurnalCostModel, TimeOfDayTariff
 from repro.extensions.rolling import RollingScheduler
-from repro.faults import masked_topology
+from repro.faults import build_degraded_report, masked_topology
 from repro.faults.contingency import _MaskViews
 from repro.sim.validate import validate_schedule
 from repro.workload.requests import Request, RequestBatch
@@ -213,13 +213,12 @@ class TestMaskedModel:
     """Recovery re-solves on the healthy model itself, so a tariff subclass
     re-solves under its tariff."""
 
-    def test_recovery_resolves_under_the_tariff(self):
-        # Two evening-peak requests at IS2.  The cheap route crosses IS1,
-        # which is down all day; on the VW-IS2 link a flat-rate re-solve
-        # streams twice ($100 each, less than the $129.60 cache extension)
-        # while a peak-rate one ($300 a stream) caches at IS2.  A mild
-        # shrink of IS2 hits the healthy schedule's cache there, so both
-        # requests are re-solved.
+    @staticmethod
+    def _tariff_env():
+        """Two evening-peak requests at IS2.  The cheap route crosses IS1;
+        on the VW-IS2 link a flat-rate solve streams twice ($100 each, less
+        than the $129.60 cache extension) while a peak-rate one ($300 a
+        stream) caches at IS2."""
         topo = Topology()
         topo.add_warehouse("VW")
         topo.add_storage("IS1", srate=2.4e-4, capacity=1e12)
@@ -239,6 +238,12 @@ class TestMaskedModel:
         tariff = TimeOfDayTariff.evening_peak(peak_multiplier=3.0)
         cm = DiurnalCostModel(topo, catalog, tariff)
         solved = VideoScheduler(topo, catalog, cost_model=cm).solve(batch)
+        return topo, catalog, batch, tariff, cm, solved
+
+    def test_recovery_resolves_under_the_tariff(self):
+        # IS1 is down all day, and a mild shrink of IS2 hits the healthy
+        # schedule's cache there, so both requests are re-solved
+        topo, catalog, batch, tariff, cm, solved = self._tariff_env()
         plan = FaultPlan((
             FaultSpec(FaultKind.IS_OUTAGE, "IS1", 0.0, units.DAY),
             FaultSpec(FaultKind.CAPACITY_SHRINK, "IS2", 0.0, units.DAY, 0.5),
@@ -253,6 +258,33 @@ class TestMaskedModel:
         assert peak.residencies and not flat.residencies
         assert rec.schedule.deliveries == peak.deliveries
         assert rec.schedule.residencies == peak.residencies
+
+    def test_cache_filled_over_a_down_node_is_hit(self):
+        # The healthy schedule caches at IS2 from the 19:00 stream, which
+        # crosses IS1.  With IS1 down all day that cache never fills: no
+        # fault touches IS2 or the warehouse, yet the cache is hit, so the
+        # 20:00 request it serves is re-solved with the 19:00 one, and the
+        # degraded replay strands it.
+        topo, catalog, batch, tariff, cm, solved = self._tariff_env()
+        (cache,) = solved.schedule.residencies
+        first, _ = solved.schedule.deliveries
+        assert (cache.location, cache.source) == ("IS2", "VW")
+        assert first.route == ("VW", "IS1", "IS2")
+        assert first.start_time == cache.t_start
+        plan = FaultPlan(
+            (FaultSpec(FaultKind.IS_OUTAGE, "IS1", 0.0, units.DAY),)
+        )
+        (stranded,) = build_degraded_report(solved.schedule, cm, plan).stranded
+        assert stranded.location == "IS2"
+        rec = ContingencyScheduler(cm).recover(solved, plan)
+        assert rec.saved == tuple(batch)
+        masked = masked_topology(topo, plan)
+        peak = VideoScheduler(
+            masked, catalog, cost_model=DiurnalCostModel(masked, catalog, tariff)
+        ).solve(batch).schedule
+        assert rec.schedule.deliveries == peak.deliveries
+        assert rec.schedule.residencies == peak.residencies
+        assert validate_schedule(rec.schedule, batch, cm, faults=plan) == []
 
 
 class TestRollingAmend:

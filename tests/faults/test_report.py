@@ -138,6 +138,44 @@ class TestClassification:
         violations = validate_schedule(sched, batch, cm, faults=plan)
         assert "fault-stranded" in {v.kind for v in violations}
 
+    def test_stranded_residency_when_fill_route_is_lost(self, catalog):
+        cm = _cost_model(catalog)
+        # IS2 caches the stream VW -> IS1 -> IS2 it fills from over [0, 10)
+        # and serves u2 from it at 15; IS1 is down over [2, 8), mid-fill
+        resid = ResidencyInfo(
+            "v", "IS2", "VW", t_start=0.0, t_last=15.0, service_list=("u2",)
+        )
+        sched = _schedule(
+            (0.0, "u1", "IS2", ("VW", "IS1", "IS2")),
+            (15.0, "u2", "IS2", ("IS2",)),
+            residencies=[resid],
+        )
+        batch = RequestBatch([d.request for d in sched.deliveries])
+        assert validate_schedule(sched, batch, cm) == []
+        plan = _plan(FaultKind.IS_OUTAGE, "IS1", 2.0, 8.0)
+        report = build_degraded_report(sched, cm, plan)
+        (s,) = report.stranded
+        assert (s.location, s.fault) == ("IS2", plan.faults[0].key)
+        violations = validate_schedule(sched, batch, cm, faults=plan)
+        assert "fault-stranded" in {v.kind for v in violations}
+
+    def test_fault_past_the_cache_leaves_its_fill_alone(self, catalog):
+        cm = _cost_model(catalog)
+        # the stream VW -> IS1 -> IS2 fills IS1 on its way; IS2 going down
+        # mid-stream loses u1's service but not the copy at IS1
+        resid = ResidencyInfo(
+            "v", "IS1", "VW", t_start=0.0, t_last=15.0, service_list=("u2",)
+        )
+        sched = _schedule(
+            (0.0, "u1", "IS2", ("VW", "IS1", "IS2")),
+            (15.0, "u2", "IS1", ("IS1",)),
+            residencies=[resid],
+        )
+        plan = _plan(FaultKind.IS_OUTAGE, "IS2", 2.0, 8.0)
+        report = build_degraded_report(sched, cm, plan)
+        assert report.requests_late == 1
+        assert report.stranded == ()
+
     def test_disjoint_fault_window_leaves_schedule_untouched(self, catalog):
         cm = _cost_model(catalog)
         sched = _schedule((5.0, "u1", "IS1", ("VW", "IS1")))
