@@ -253,11 +253,10 @@ def _excess_between(
     integrating the global excess function restricted to the interval equals
     integrating within it.
     """
-    # Reuse integral_above on a window by clipping: build from the window's
-    # contribution only.  UsageTimeline has no native windowed integral of the
-    # excess, but the global integral_above over a maximal violation interval
-    # is additive across disjoint intervals; compute via trapezoid on the
-    # window grid.
+    # Inside a maximal violation interval usage >= capacity, so the excess
+    # ``usage - capacity`` is linear on each cell of the window's grid and
+    # the trapezoid rule is exact; the clamp at 0 only absorbs rounding at
+    # the interval's computed crossing points.
     if timeline.is_empty or t1 <= t0:
         return 0.0
     grid = [t0] + [float(t) for t in timeline.grid if t0 < t < t1] + [t1]

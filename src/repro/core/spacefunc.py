@@ -238,6 +238,9 @@ class UsageTimeline:
         events.sort(key=lambda e: e[0])
         ts: list[float] = []
         y_right: list[float] = []
+        # value approached just before each next grid point: the running
+        # line evaluated at the next event time (at ``t`` after the last)
+        y_next: list[float] = []
         a = 0.0  # running intercept
         b = 0.0  # running slope
         i = 0
@@ -250,25 +253,10 @@ class UsageTimeline:
                 i += 1
             ts.append(t)
             y_right.append(a + b * t)
+            y_next.append(a + b * (events[i][0] if i < n else t))
         self._ts = np.asarray(ts)
         self._y_right = np.asarray(y_right)
-        # Value approached just before each next grid point (linear from the
-        # right-limit with the active slope).  Recomputed by evaluating the
-        # running (a, b) at segment ends during a second sweep.
-        y_next = np.empty_like(self._y_right)
-        a = b = 0.0
-        i = 0
-        k = 0
-        while i < n:
-            t = events[i][0]
-            while i < n and events[i][0] == t:
-                a += events[i][1]
-                b += events[i][2]
-                i += 1
-            t_next = events[i][0] if i < n else t
-            y_next[k] = a + b * t_next
-            k += 1
-        self._y_next = y_next
+        self._y_next = np.asarray(y_next)
 
     @property
     def is_empty(self) -> bool:
@@ -313,46 +301,6 @@ class UsageTimeline:
             return float(self._y_next[idx])
         frac = (t - t0) / (t1 - t0)
         return float(self._y_right[idx] + frac * (self._y_next[idx] - self._y_right[idx]))
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized right-continuous :meth:`value` over an array of times."""
-        ts = np.asarray(ts, dtype=np.float64)
-        out = np.zeros_like(ts)
-        if self.is_empty:
-            return out
-        idx = np.searchsorted(self._ts, ts, side="right") - 1
-        valid = (idx >= 0) & (idx < self._ts.size - 1)
-        if valid.any():
-            i = idx[valid]
-            t0 = self._ts[i]
-            t1 = self._ts[i + 1]
-            span = t1 - t0
-            frac = np.where(span > 0, (ts[valid] - t0) / np.where(span > 0, span, 1.0), 0.0)
-            out[valid] = self._y_right[i] + frac * (self._y_next[i] - self._y_right[i])
-        at_last = (idx == self._ts.size - 1) & (ts == self._ts[-1])
-        out[at_last] = self._y_right[-1]
-        return out
-
-    def values_left(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value_left` over an array of times."""
-        ts = np.asarray(ts, dtype=np.float64)
-        out = np.zeros_like(ts)
-        if self.is_empty:
-            return out
-        idx = np.searchsorted(self._ts, ts, side="left") - 1
-        valid = (idx >= 0) & (idx < self._ts.size - 1)
-        if valid.any():
-            i = idx[valid]
-            t0 = self._ts[i]
-            t1 = self._ts[i + 1]
-            inside = ts[valid] <= t1
-            span = t1 - t0
-            frac = np.where(span > 0, (ts[valid] - t0) / np.where(span > 0, span, 1.0), 1.0)
-            vals = self._y_right[i] + frac * (self._y_next[i] - self._y_right[i])
-            sub = np.zeros_like(vals)
-            sub[inside] = vals[inside]
-            out[valid] = sub
-        return out
 
     def max_over(self, a: float, b: float) -> float:
         """Maximum usage over ``[a, b]`` (0 outside the support)."""
@@ -443,3 +391,14 @@ class UsageTimeline:
             else:
                 total += 0.5 * y1 * (t1 - tc)
         return total
+
+
+def flat_timeline(runs: Iterable[tuple[float, float, float]]) -> UsageTimeline:
+    """The sum of constant runs ``(start, end, height)``, each on ``[start, end)``.
+
+    Link loads (stream bandwidth) and warehouse disk occupancy are such
+    piecewise-constant sums; runs with ``end <= start`` contribute nothing.
+    """
+    return UsageTimeline(
+        SpaceProfile((LinearSegment(s, e, h, h),)) for s, e, h in runs
+    )

@@ -41,12 +41,6 @@ class AblationResult:
     name: str
     rows: list[AblationRow] = field(default_factory=list)
 
-    def cost_of(self, variant: str) -> float:
-        for r in self.rows:
-            if r.variant == variant:
-                return r.total_cost
-        raise KeyError(variant)
-
     def as_table(self) -> str:
         extras = sorted({k for r in self.rows for k in r.extra})
         headers = ["variant", "total cost ($)"] + extras

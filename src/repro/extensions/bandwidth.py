@@ -3,8 +3,10 @@
 The base model reserves ``B_i`` bytes/s on every link of a delivery route for
 one playback length but never checks link capacities.  This extension adds:
 
-* :class:`LinkBandwidthTracker` -- per-link interval booking with exact
-  max-concurrency queries,
+* :class:`LinkBandwidthTracker` -- per-link interval booking; a window's
+  peak load is read off :func:`~repro.core.spacefunc.flat_timeline`, the
+  sweep the replay's :class:`~repro.sim.engine.LinkLoad` checks links with,
+  so admission and replay sum the same flat segments,
 * :class:`BandwidthRoutePolicy` -- a :class:`~repro.core.individual.RoutePolicy`
   that skips saturated routes, falling back to the k cheapest alternates
   (Yen's algorithm via the router),
@@ -29,7 +31,12 @@ from repro.core.individual import IndividualScheduler, RoutePolicy
 from repro.core.rejective import fits_under
 from repro.core.schedule import Schedule
 from repro.core.sorp import ResolutionStats
-from repro.core.spacefunc import UsageTimeline, capacity_slack, residency_profile
+from repro.core.spacefunc import (
+    UsageTimeline,
+    capacity_slack,
+    flat_timeline,
+    residency_profile,
+)
 from repro.errors import ScheduleError
 from repro.topology.graph import Topology, edge_key
 from repro.topology.routing import Route, Router
@@ -40,9 +47,10 @@ from repro.workload.requests import Request, RequestBatch
 class LinkBandwidthTracker:
     """Books stream bandwidth on links and answers feasibility queries.
 
-    Bookings are half-open intervals ``[t0, t1)`` at a constant rate; the
-    max-concurrency query sweeps the bookings overlapping the window, which
-    is exact for piecewise-constant usage.
+    Bookings are half-open intervals ``[t0, t1)`` at a constant rate; a
+    window's peak is the peak of the bookings' flat runs clipped to it,
+    summed by the same :func:`~repro.core.spacefunc.flat_timeline` sweep
+    the replay's link loads use.
     """
 
     def __init__(self, topology: Topology):
@@ -51,24 +59,11 @@ class LinkBandwidthTracker:
 
     def usage_max(self, a: str, b: str, t0: float, t1: float) -> float:
         """Peak booked bandwidth on edge ``{a, b}`` during ``[t0, t1)``."""
-        bookings = self._bookings.get(edge_key(a, b))
-        if not bookings:
-            return 0.0
-        events: list[tuple[float, float]] = []
-        for (s, e, bw) in bookings:
-            lo, hi = max(s, t0), min(e, t1)
-            if hi <= lo:
-                continue
-            events.append((lo, bw))
-            events.append((hi, -bw))
-        if not events:
-            return 0.0
-        events.sort()
-        peak = cur = 0.0
-        for _, delta in events:
-            cur += delta
-            peak = max(peak, cur)
-        return peak
+        return flat_timeline(
+            (max(s, t0), min(e, t1), bw)
+            for s, e, bw in self._bookings.get(edge_key(a, b), ())
+            if s < t1 and e > t0
+        ).peak
 
     def fits(self, route: Route, t0: float, t1: float, bandwidth: float) -> bool:
         """Can a ``bandwidth`` stream use every edge of ``route`` in the window?"""
@@ -83,18 +78,14 @@ class LinkBandwidthTracker:
     def book(self, route: Route, t0: float, t1: float, bandwidth: float) -> None:
         """Reserve the stream's bandwidth on every edge of the route."""
         for a, b in zip(route.nodes, route.nodes[1:]):
-            key = edge_key(a, b)
-            self._bookings.setdefault(key, [])
-            insort(self._bookings[key], (t0, t1, bandwidth))
+            insort(
+                self._bookings.setdefault(edge_key(a, b), []),
+                (t0, t1, bandwidth),
+            )
 
     def peak(self, a: str, b: str) -> float:
         """All-time peak booked bandwidth on one edge."""
-        bookings = self._bookings.get(edge_key(a, b))
-        if not bookings:
-            return 0.0
-        lo = min(s for s, _, _ in bookings)
-        hi = max(e for _, e, _ in bookings)
-        return self.usage_max(a, b, lo, hi)
+        return flat_timeline(self._bookings.get(edge_key(a, b), ())).peak
 
 
 class BandwidthRoutePolicy(RoutePolicy):

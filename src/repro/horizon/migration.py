@@ -25,9 +25,11 @@ each cycle boundary:
    (:attr:`~repro.warehouse.hierarchy.WarehouseSpec.disk_capacity`), and
    added copies must fit the freed space -- drops are applied best-first
    alongside adds, so a plan that swaps a cold title out can swap a hot
-   title *in* at a warehouse that was full.  Adds that do not fit are
-   rejected with reason ``"disk-capacity"`` before the trial solve, so
-   the reclaimed capacity the trial sees is exactly what the disks hold.
+   title *in* at a warehouse that was full.  Disk and drive budgets are
+   fitted in that one pass: adds that do not fit are rejected with reason
+   ``"disk-capacity"``, stagings past the drive window with
+   ``"drive-budget"``, and a rejected move's drops free nothing, so the
+   capacity the trial solve sees is exactly what the disks hold.
 
 The planner is a pure function of its inputs: no wall clock, no RNG beyond
 the seeded candidate placement, so the same arguments always return the
@@ -298,8 +300,7 @@ class MigrationPlanner:
             else:
                 rejected.append(verdict)
 
-        screened = self._fit_disk_capacity(incumbent, screened, rejected)
-        screened = self._fit_drive_budget(screened, rejected)
+        screened = self._fit_budgets(incumbent, screened, rejected)
         if not screened:
             return MigrationPlan(
                 boundary_index=boundary_index,
@@ -429,30 +430,32 @@ class MigrationPlanner:
             )
         return cand
 
-    def _fit_disk_capacity(
+    def _fit_budgets(
         self,
         incumbent: ReplicaMap,
         screened: list[_Candidate],
         rejected: list[VideoDecision],
     ) -> list[_Candidate]:
-        """Fit added copies to the warehouse disks, reclaiming drop space.
+        """Fit the screened moves to the warehouse disks and tape drives.
 
-        Per-warehouse free bytes start at
+        One best-first pass (largest projected net saving first, then
+        video id).  Per-warehouse free bytes start at
         :attr:`~repro.warehouse.hierarchy.WarehouseSpec.disk_capacity`
-        minus the incumbent map's occupancy.  Candidates are processed in
-        the same deterministic best-first order as the drive budget; each
-        candidate's *drops* reclaim their video's size before its *adds*
-        are charged, and the reclaimed space stays available to every
-        later candidate -- so a swap (drop a cold title, add a hot one)
-        fits where the add alone would not.  Candidates whose adds do not
-        fit are rejected with reason ``"disk-capacity"`` and their
-        tentative reclaims reverted.
+        minus the incumbent map's occupancy, and the drive budget is
+        ``tape_drives * staging_window`` seconds.  A candidate's *drops*
+        reclaim their video's size before its *adds* are charged, so a
+        swap (drop a cold title, add a hot one) fits where the add alone
+        would not.  A candidate is kept only when its adds fit the disk
+        after its own drops (else ``"disk-capacity"``) and its staging fits
+        the drive time left (else ``"drive-budget"``); only a kept
+        candidate's reclaims and drive time are applied, so the space a
+        later add spends is freed by a drop that really happens.
         """
         if self.warehouse is None or not screened:
             return screened
         capacity = self.warehouse.disk_capacity
-        if math.isinf(capacity):
-            return screened
+        window = self.config.staging_window
+        budget = math.inf if window is None else self.warehouse.tape_drives * window
         free: dict[str, float] = {
             w.name: capacity for w in self.topology.warehouses
         }
@@ -460,18 +463,19 @@ class MigrationPlanner:
             for home in incumbent.homes(v.video_id):
                 free[home] = free.get(home, capacity) - v.size
         kept: list[_Candidate] = []
+        used = 0.0
         ranked = sorted(
             screened,
             key=lambda c: (-(c.saving - c.staging_cost), c.video_id),
         )
         for c in ranked:
             delta: dict[str, float] = {}
-            fits = True
             for m in c.moves:
                 if m.action == "drop":
                     delta[m.warehouse] = (
                         delta.get(m.warehouse, 0.0) + m.reclaimed_bytes
                     )
+            reason = None
             for m in c.moves:
                 if m.action != "add":
                     continue
@@ -479,50 +483,22 @@ class MigrationPlanner:
                 if size > free.get(m.warehouse, capacity) + delta.get(
                     m.warehouse, 0.0
                 ):
-                    fits = False
+                    reason = "disk-capacity"
                     break
                 delta[m.warehouse] = delta.get(m.warehouse, 0.0) - size
-            if fits:
+            if reason is None and used + c.staging_seconds > budget:
+                reason = "drive-budget"
+            if reason is None:
                 for w, d in delta.items():
                     free[w] = free.get(w, capacity) + d
-                kept.append(c)
-            else:
-                rejected.append(
-                    VideoDecision(
-                        video_id=c.video_id,
-                        accepted=False,
-                        reason="disk-capacity",
-                        moves=tuple(c.moves),
-                        projected_saving=c.saving,
-                        staging_cost=c.staging_cost,
-                    )
-                )
-        kept.sort(key=lambda c: c.video_id)
-        return kept
-
-    def _fit_drive_budget(
-        self, screened: list[_Candidate], rejected: list[VideoDecision]
-    ) -> list[_Candidate]:
-        """Admit moves best-first until the tape drives run out of window."""
-        if self.warehouse is None or self.config.staging_window is None:
-            return screened
-        budget = self.warehouse.tape_drives * self.config.staging_window
-        kept: list[_Candidate] = []
-        used = 0.0
-        ranked = sorted(
-            screened,
-            key=lambda c: (-(c.saving - c.staging_cost), c.video_id),
-        )
-        for c in ranked:
-            if used + c.staging_seconds <= budget:
-                kept.append(c)
                 used += c.staging_seconds
+                kept.append(c)
             else:
                 rejected.append(
                     VideoDecision(
                         video_id=c.video_id,
                         accepted=False,
-                        reason="drive-budget",
+                        reason=reason,
                         moves=tuple(c.moves),
                         projected_saving=c.saving,
                         staging_cost=c.staging_cost,

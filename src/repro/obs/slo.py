@@ -288,10 +288,6 @@ class SLOPolicy:
                     "amendment-latency", "amendment_latency_seconds", 30.0, "<=",
                     "Slowest settled amendment batch (wall seconds).",
                 ),
-                SLOSpec(
-                    "recovery-latency", "recovery_latency_seconds", 30.0, "<=",
-                    "Slowest contingency recovery (wall seconds).",
-                ),
             )
         )
 

@@ -18,7 +18,7 @@ serving (and occupying space) into the next cycle.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import dataclasses
 
@@ -49,7 +49,6 @@ class CycleReport:
     billing: BillingStatement
     violations: list[Violation]
     staging: StagingReport | None = None
-    rejected: list[tuple[Request, str]] = field(default_factory=list)
     #: Set when this report came out of :meth:`VORService.amend_cycle`:
     #: the contingency pass that produced the (patched) schedule.
     recovery: "RecoveryResult | None" = None
@@ -82,8 +81,6 @@ class CycleReport:
                 f"{self.staging.hits} hits, "
                 f"{len(self.staging.misses)} misses"
             )
-        if self.rejected:
-            lines.append(f"  rejected reservations: {len(self.rejected)}")
         if self.recovery is not None:
             lines.append(
                 f"  recovery: {self.recovery.videos_resolved} video(s) "
@@ -398,6 +395,5 @@ class VORService:
             billing=billing,
             violations=violations,
             staging=staging,
-            rejected=list(report.rejected),
             recovery=recovery,
         )

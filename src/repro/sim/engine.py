@@ -33,10 +33,10 @@ from repro.catalog.video import VideoFile
 from repro.core.costmodel import CostModel
 from repro.core.schedule import ResidencyInfo, Schedule
 from repro.core.spacefunc import (
-    LinearSegment,
     SpaceProfile,
     UsageTimeline,
     capacity_slack,
+    flat_timeline,
 )
 from repro.obs import NULL_OBS, Observability
 from repro.sim.fluid import fluid_occupancy_profile
@@ -57,10 +57,7 @@ class LinkLoad:
 
     @cached_property
     def timeline(self) -> UsageTimeline:
-        return UsageTimeline(
-            SpaceProfile((LinearSegment(t0, t1, bw, bw),))
-            for t0, t1, bw in self.streams
-        )
+        return flat_timeline(self.streams)
 
     @property
     def peak(self) -> float:

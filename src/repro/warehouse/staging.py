@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog.catalog import VideoCatalog
 from repro.core.schedule import Schedule
-from repro.core.spacefunc import LinearSegment, SpaceProfile, UsageTimeline
+from repro.core.spacefunc import UsageTimeline, flat_timeline
 from repro.errors import SimulationError
 from repro.warehouse.hierarchy import WarehouseSpec
 
@@ -202,12 +202,9 @@ class StagingPlanner:
         for r in residents.values():
             occupancy.append((r.video_id, r.size, r.staged_at, horizon_end))
 
-        profiles = [
-            SpaceProfile((LinearSegment(s, e, size, size),))
-            for (_vid, size, s, e) in occupancy
-            if e > s
-        ]
-        report.disk_usage = UsageTimeline(profiles)
+        report.disk_usage = flat_timeline(
+            (s, e, size) for _vid, size, s, e in occupancy
+        )
         t0 = min(t for t, _ in streams)
         report.horizon = (min(t0, 0.0), horizon_end)
         self._sanity(report)

@@ -209,47 +209,6 @@ class TestUsageTimeline:
         assert tl.max_over(39.0, 41.0) == pytest.approx(10.0, abs=0.01)
 
 
-class TestVectorizedEvaluation:
-    """values()/values_left() must agree with the scalar queries exactly."""
-
-    def _timeline(self):
-        return UsageTimeline(
-            [
-                residency_profile(100.0, 10.0, 0.0, 30.0),
-                residency_profile(50.0, 10.0, 20.0, 50.0),
-                residency_profile(75.0, 5.0, 42.0, 42.0 + 3.0),
-            ]
-        )
-
-    def test_values_match_scalar(self):
-        import numpy as np
-
-        tl = self._timeline()
-        pts = np.linspace(-5.0, 70.0, 301)
-        vec = tl.values(pts)
-        for p, v in zip(pts, vec):
-            assert v == pytest.approx(tl.value(float(p)), abs=1e-9)
-
-    def test_values_left_match_scalar(self):
-        import numpy as np
-
-        tl = self._timeline()
-        pts = np.concatenate(
-            [np.linspace(-5.0, 70.0, 151), tl.grid]  # include exact grid pts
-        )
-        vec = tl.values_left(pts)
-        for p, v in zip(pts, vec):
-            assert v == pytest.approx(tl.value_left(float(p)), abs=1e-9)
-
-    def test_empty_timeline(self):
-        import numpy as np
-
-        tl = UsageTimeline([])
-        pts = np.array([0.0, 1.0])
-        assert tl.values(pts).tolist() == [0.0, 0.0]
-        assert tl.values_left(pts).tolist() == [0.0, 0.0]
-
-
 class TestUsageTimelineProperties:
     @staticmethod
     def _profiles(specs):

@@ -166,16 +166,19 @@ class TestRejections:
 
 
 def _disk_env():
-    """Two warehouses, one 2.5 GB disk each; VW already holds both titles
-    (free space negative), VW2 holds only the cold one (0.5 GB free)."""
+    """Three warehouses, one 2.5 GB disk each and one tape drive; VW already
+    holds both titles (free space negative), VW2 holds only the cold one
+    (0.5 GB free), VW3 is empty."""
     topo = Topology()
     topo.add_warehouse("VW")
     topo.add_warehouse("VW2")
+    topo.add_warehouse("VW3")
     topo.add_storage(
         "IS1", srate=units.per_gb_hour(1.0), capacity=units.gb(10)
     )
     topo.add_edge("VW", "IS1", nrate=units.per_gb(500))
     topo.add_edge("VW2", "IS1", nrate=units.per_gb(100))
+    topo.add_edge("VW3", "IS1", nrate=units.per_gb(100))
     catalog = VideoCatalog(
         [
             VideoFile(v, size=units.gb(2.0), playback=units.minutes(90))
@@ -186,7 +189,7 @@ def _disk_env():
     planner = MigrationPlanner(
         topo,
         catalog,
-        warehouse=WarehouseSpec(disk_capacity=units.gb(2.5)),
+        warehouse=WarehouseSpec(disk_capacity=units.gb(2.5), tape_drives=1),
     )
     return planner, incumbent
 
@@ -224,12 +227,12 @@ def _add(video, warehouse, *, saving):
 
 
 class TestDiskCapacity:
-    """Satellite: drop-side capacity reclamation at the disk fit."""
+    """Drop-side capacity reclamation in the one disk-and-drive fit."""
 
     def test_add_without_headroom_rejected(self):
         planner, incumbent = _disk_env()
         rejected = []
-        kept = planner._fit_disk_capacity(
+        kept = planner._fit_budgets(
             incumbent, [_add("hot", "VW2", saving=50.0)], rejected
         )
         assert kept == []
@@ -244,7 +247,7 @@ class TestDiskCapacity:
         trial solve -- the trial sees exactly what the disks will hold."""
         planner, incumbent = _disk_env()
         rejected = []
-        kept = planner._fit_disk_capacity(
+        kept = planner._fit_budgets(
             incumbent,
             [_add("hot", "VW2", saving=50.0), _drop("cold", "VW2", saving=100.0)],
             rejected,
@@ -279,18 +282,61 @@ class TestDiskCapacity:
             staging_cost=1.0,
         )
         rejected = []
-        kept = planner._fit_disk_capacity(
+        kept = planner._fit_budgets(
             incumbent, [relocation, _add("hot", "VW2", saving=50.0)], rejected
         )
         assert kept == []
         assert [d.reason for d in rejected] == ["disk-capacity"] * 2
+
+    def test_drive_rejected_drop_frees_nothing(self):
+        """A relocation whose drop would make room at VW2 but whose staging
+        is over the drive budget never happens, so the add it made room
+        for does not fit either: otherwise the adopted map would hold
+        4.0 GB on VW2's 2.5 GB disk."""
+        planner, incumbent = _disk_env()
+        relocation = _Candidate(
+            "cold",
+            moves=[
+                MigrationMove(
+                    video_id="cold",
+                    action="drop",
+                    warehouse="VW2",
+                    reclaimed_bytes=units.gb(2.0),
+                ),
+                MigrationMove(
+                    video_id="cold",
+                    action="add",
+                    warehouse="VW3",
+                    source="VW",
+                    transfer_cost=1.0,
+                    staging_seconds=4000.0,  # one drive, a 3,600 s window
+                ),
+            ],
+            saving=100.0,
+            staging_cost=1.0,
+            staging_seconds=4000.0,
+        )
+        rejected = []
+        kept = planner._fit_budgets(
+            incumbent, [relocation, _add("hot", "VW2", saving=50.0)], rejected
+        )
+        assert [(d.video_id, d.reason) for d in rejected] == [
+            ("cold", "drive-budget"),
+            ("hot", "disk-capacity"),
+        ]
+        candidate = ReplicaMap({"cold": ("VW", "VW3"), "hot": ("VW", "VW2")})
+        adopted = planner._compose_map(incumbent, candidate, kept)
+        held = sum(
+            v.size for v in planner.catalog if "VW2" in adopted.homes(v.video_id)
+        )
+        assert held <= planner.warehouse.disk_capacity
 
     def test_no_warehouse_spec_skips_the_fit(self):
         planner, incumbent = _disk_env()
         planner.warehouse = None
         candidates = [_add("hot", "VW2", saving=50.0)]
         assert (
-            planner._fit_disk_capacity(incumbent, candidates, []) == candidates
+            planner._fit_budgets(incumbent, candidates, []) == candidates
         )
 
     def test_drop_moves_carry_their_reclaimed_bytes(self, planned):

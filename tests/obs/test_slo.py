@@ -104,7 +104,7 @@ class TestPolicySerialization:
     def test_committed_drill_policy_parses(self):
         policy = SLOPolicy.load("benchmarks/scenarios/online_slo.json")
         assert "deadline-hit-rate" in policy.names
-        assert len(policy.names) == 6
+        assert len(policy.names) == 5
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "slo.json"

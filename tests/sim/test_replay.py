@@ -201,10 +201,10 @@ def _eager_loads(schedule, cm):
 
 
 def _assert_same_timeline(lazy: UsageTimeline, eager: UsageTimeline) -> None:
-    grid = eager.grid
-    assert np.array_equal(lazy.grid, grid)
-    assert np.array_equal(lazy.values(grid), eager.values(grid))
-    assert np.array_equal(lazy.values_left(grid), eager.values_left(grid))
+    assert np.array_equal(lazy.grid, eager.grid)
+    for t in eager.grid.tolist():
+        assert lazy.value(t) == eager.value(t)
+        assert lazy.value_left(t) == eager.value_left(t)
     assert lazy.peak == eager.peak
 
 
