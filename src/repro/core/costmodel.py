@@ -208,6 +208,12 @@ class CostModel:
         clone._misses = 0
         return clone
 
+    def prices_like(self, other: "CostModel") -> bool:
+        """Whether ``other`` prices every stream and residency as this
+        model does: one is this model or a :meth:`with_replicas` clone of
+        the same original (their replica maps may differ)."""
+        return type(other) is type(self) and other._route_rates is self._route_rates
+
     # -- route table ---------------------------------------------------------
 
     @property

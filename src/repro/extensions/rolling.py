@@ -17,7 +17,9 @@ algorithm operational across cycles:
 
 Each call to :meth:`RollingScheduler.schedule_cycle` consumes one batch,
 returns that cycle's feasible schedule + stats, and rolls the carryover
-state forward.
+state forward.  :meth:`RollingScheduler.what_if` solves a batch the way the
+next close would, under any model; the close adopts a kept what-if of its
+own problem instead of solving it again.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
 from repro.core.schedule import ResidencyInfo, Schedule
 from repro.core.scheduler import (
+    ScheduleResult,
     record_schedule_metrics,
     scheduling_model,
     solve_two_phase,
@@ -37,7 +40,7 @@ from repro.core.scheduler import (
 from repro.core.sorp import ResolutionStats
 from repro.core.spacefunc import SpaceProfile
 from repro.errors import ScheduleError
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, MetricsTape, Observability, RequestJournal
 from repro.topology.graph import Topology
 from repro.workload.requests import RequestBatch
 
@@ -62,6 +65,9 @@ class CycleResult:
     #: The residencies inherited at cycle start.  Their feeder streams live
     #: in the previous cycle's schedule, so validators must trust them.
     inherited: tuple[ResidencyInfo, ...] = ()
+    #: True when the close adopted a kept what-if solve of its own problem
+    #: (:meth:`RollingScheduler.what_if`) instead of solving it.
+    reused_solve: bool = False
 
     @property
     def total_cost(self) -> float:
@@ -72,6 +78,19 @@ class CycleResult:
     def net_total_cost(self) -> float:
         """This cycle's incremental spend: gross minus the carryover credit."""
         return self.cost.total - self.carryover_credit
+
+
+@dataclass
+class _KeptSolve:
+    """A what-if solve, kept for the close whose problem it may be."""
+
+    batch: RequestBatch
+    cost_model: CostModel
+    result: ScheduleResult
+    #: The solve's metric operations and journal events, held back until
+    #: the close adopts it (``None`` where the service's handle is inert).
+    tape: MetricsTape | None
+    journal: RequestJournal | None
 
 
 class RollingScheduler:
@@ -98,6 +117,10 @@ class RollingScheduler:
         self._carryover: dict[str, list[ResidencyInfo]] = {}
         self._cycle_index = 0
         self._last_boundary = float("-inf")
+        #: what-if solves since the last close or amendment; both are the
+        #: only writers of the carryover, so every kept solve saw the
+        #: current one
+        self._kept: list[_KeptSolve] = []
 
     @property
     def carryover(self) -> list[ResidencyInfo]:
@@ -135,28 +158,18 @@ class RollingScheduler:
             requests=len(batch),
             carried_in=carried_in,
         ) as span:
-            # Carryover seeding: requested carried-over titles may extend
-            # their committed caches; the rest become capacity background.
-            seeds: dict[str, tuple[ResidencyInfo, ...]] = {
-                video_id: tuple(self._carryover.get(video_id, ()))
-                for video_id in batch.video_ids
-            }
-            background: dict[str, list[SpaceProfile]] = {}
-            for video_id, residencies in self._carryover.items():
-                if video_id in seeds:
-                    continue  # seeded into the greedy instead
-                for c in residencies:
-                    background.setdefault(c.location, []).append(
-                        c.profile(self.catalog[c.video_id])
-                    )
-            solved = solve_two_phase(
-                batch,
-                self.cost_model,
-                heat_metric=self.heat_metric,
-                obs=self.obs,
-                seeds=seeds,
-                background=background,
-            )
+            seeds = self._seeds(batch)
+            kept = self._take_kept(batch)
+            if kept is None:
+                solved = self._solve(batch, seeds, self.cost_model, self.obs)
+            else:
+                # The what-if's events and metrics land where the solve's
+                # would have: bit-identical to solving here.
+                solved = kept.result
+                if kept.tape is not None:
+                    kept.tape.replay(self.obs.metrics)
+                if kept.journal is not None:
+                    self.obs.journal.extend(kept.journal)
             final = solved.schedule
 
             reused = self._count_reused(final, seeds)
@@ -177,6 +190,7 @@ class RollingScheduler:
                 reused_carryover=reused,
                 carryover_credit=credit,
                 inherited=inherited,
+                reused_solve=kept is not None,
             )
             span.set(carried_out=result.carried_out, reused=reused)
             self.obs.journal.emit(
@@ -207,6 +221,7 @@ class RollingScheduler:
                 "vor_carryover_reused_total",
                 help="Inherited residencies extended by a later cycle",
             ).inc(reused)
+            self._count_solves("close", 0 if result.reused_solve else 1)
         _log.info(
             "cycle %d: %d request(s), $%.2f net, carryover %d in / %d out",
             result.cycle_index,
@@ -216,6 +231,45 @@ class RollingScheduler:
             result.carried_out,
         )
         self._cycle_index += 1
+        return result
+
+    def what_if(
+        self, batch: RequestBatch, cost_model: CostModel
+    ) -> ScheduleResult:
+        """Solve ``batch`` under ``cost_model`` as the next close would.
+
+        The solve takes the current carryover as seeds and background, so
+        it prices the close's own problem.  ``cost_model`` must be built
+        over this scheduler's topology and catalog (the migration planner
+        passes :meth:`~repro.core.costmodel.CostModel.with_replicas`
+        clones of :attr:`cost_model`).
+
+        The result is kept.  The next :meth:`schedule_cycle` adopts it
+        instead of solving when its batch holds the same requests in the
+        same order, its model carries the same
+        :class:`~repro.replication.ReplicaMap` object and prices like
+        ``cost_model``, and the carryover has not changed; otherwise the
+        close solves afresh.  Any close or :meth:`commit_amendment`
+        forgets every kept solve.  The solve's journal events and metrics
+        wait in a private handle and reach :attr:`obs` only when a close
+        adopts it, in the order that close would have emitted them.  Its
+        spans go to the live tracer under a ``what_if`` span, where the
+        time is spent.
+        """
+        obs = self.obs
+        tape = MetricsTape() if obs.metrics.enabled else None
+        journal = RequestJournal() if obs.journal.enabled else None
+        private = Observability(
+            obs.metrics if tape is None else tape,
+            obs.tracer,
+            obs.journal if journal is None else journal,
+        )
+        with obs.tracer.span("what_if", requests=len(batch)):
+            result = self._solve(batch, self._seeds(batch), cost_model, private)
+        self._kept.append(
+            _KeptSolve(batch, cost_model, result, tape, journal)
+        )
+        self._count_solves("what-if", 1)
         return result
 
     def rebind(self, cost_model: CostModel) -> None:
@@ -301,6 +355,7 @@ class RollingScheduler:
                 if c.t_last + video.playback > boundary:
                     new_carry.setdefault(video_id, []).append(c)
         self._carryover = new_carry
+        self._kept = []
         _log.info(
             "amended cycle %d: %d video(s) re-solved, carryover now %d",
             self._cycle_index - 1,
@@ -309,6 +364,69 @@ class RollingScheduler:
         )
 
     # -- internals -------------------------------------------------------------
+
+    def _seeds(self, batch: RequestBatch) -> dict[str, tuple[ResidencyInfo, ...]]:
+        """Carryover seeding: requested carried-over titles may extend
+        their committed caches."""
+        return {
+            video_id: tuple(self._carryover.get(video_id, ()))
+            for video_id in batch.video_ids
+        }
+
+    def _solve(
+        self,
+        batch: RequestBatch,
+        seeds: dict[str, tuple[ResidencyInfo, ...]],
+        cost_model: CostModel,
+        obs: Observability,
+    ) -> ScheduleResult:
+        """The two-phase solve of ``batch`` against the carryover: the
+        ``seeds`` (:meth:`_seeds`) may extend their caches, the rest of the
+        carryover is capacity background.  Closes and what-ifs both solve
+        here."""
+        background: dict[str, list[SpaceProfile]] = {}
+        for video_id, residencies in self._carryover.items():
+            if video_id in seeds:
+                continue  # seeded into the greedy instead
+            for c in residencies:
+                background.setdefault(c.location, []).append(
+                    c.profile(self.catalog[c.video_id])
+                )
+        return solve_two_phase(
+            batch,
+            cost_model,
+            heat_metric=self.heat_metric,
+            obs=obs,
+            seeds=seeds,
+            background=background,
+        )
+
+    def _take_kept(self, batch: RequestBatch) -> _KeptSolve | None:
+        """The kept what-if of this close's exact problem, if any.
+
+        Forgets every kept solve.  The batch comparison runs only against
+        a what-if under the close's own map, so a close with nothing kept
+        costs nothing.
+        """
+        kept, self._kept = self._kept, []
+        model = self.cost_model
+        for k in kept:
+            if (
+                k.cost_model.replicas is model.replicas
+                and k.cost_model.prices_like(model)
+                and list(k.batch) == list(batch)
+            ):
+                return k
+        return None
+
+    def _count_solves(self, kind: str, n: int) -> None:
+        metrics = self.obs.metrics
+        if metrics.enabled:
+            metrics.counter(
+                "vor_rolling_solves_total",
+                help="Full two-phase solves run by cycle closes and what-ifs",
+                kind=kind,
+            ).inc(n)
 
     def _count_reused(
         self, final: Schedule, seeds: dict[str, tuple[ResidencyInfo, ...]]

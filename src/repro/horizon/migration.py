@@ -19,7 +19,9 @@ each cycle boundary:
    (VOR lead time means that demand is known) than its staging transfers
    cost, and the surviving move set must also win a full two-phase **trial
    solve** of the next batch -- candidate Ψ plus staging cost strictly
-   below incumbent Ψ -- before it is adopted.
+   below incumbent Ψ -- before it is adopted.  The trials are what-ifs of
+   the next close itself (carryover seeds and background included), so
+   the adopted map's trial becomes that close.
 4. **Price drop-side capacity reclamation**: every dropped copy frees
    ``video.size`` bytes of the warehouse's disk
    (:attr:`~repro.warehouse.hierarchy.WarehouseSpec.disk_capacity`), and
@@ -40,11 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostModel
-from repro.core.heat import HeatMetric
-from repro.core.scheduler import VideoScheduler
+from repro.core.scheduler import ScheduleResult
 from repro.errors import ReplicationError
 from repro.replication.replica import ReplicaMap
 from repro.topology.graph import Topology
@@ -224,7 +226,6 @@ class MigrationPlanner:
         config: Candidate placement + budget tuning.
         warehouse: Optional tape hierarchy; when present, staging transfers
             consume drive time against ``config.staging_window``.
-        heat_metric: Phase-2 victim criterion used by the trial solves.
     """
 
     def __init__(
@@ -234,13 +235,11 @@ class MigrationPlanner:
         *,
         config: MigrationConfig | None = None,
         warehouse: WarehouseSpec | None = None,
-        heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
     ):
         self.topology = topology
         self.catalog = catalog
         self.config = config if config is not None else MigrationConfig()
         self.warehouse = warehouse
-        self.heat_metric = heat_metric
         self._router = Router(topology)
         #: warehouse -> {destination -> cheapest $/byte}, filled lazily.
         self._rates: dict[str, dict[str, float]] = {}
@@ -253,6 +252,7 @@ class MigrationPlanner:
         next_batch: RequestBatch,
         cost_model: CostModel,
         *,
+        what_if: Callable[[RequestBatch, CostModel], ScheduleResult],
         boundary_index: int = 0,
     ) -> MigrationPlan:
         """Decide the replica map for the next cycle.
@@ -265,6 +265,13 @@ class MigrationPlanner:
             cost_model: The service's current model; its
                 :attr:`~repro.core.costmodel.CostModel.replicas` is the
                 incumbent map (required).
+            what_if: The trial solve, ``(batch, model) -> ScheduleResult``.
+                A running service passes
+                :meth:`~repro.service.VORService.what_if`, which prices
+                the next close's own problem and keeps each trial for that
+                close; :meth:`RollingScheduler.what_if
+                <repro.extensions.rolling.RollingScheduler.what_if>` of a
+                fresh scheduler prices the batch with no carryover.
             boundary_index: Which boundary this is (reporting only).
         """
         incumbent = cost_model.replicas
@@ -306,11 +313,11 @@ class MigrationPlanner:
                 boundary_index=boundary_index,
                 old_map=incumbent,
                 new_map=incumbent,
-                rejected=tuple(rejected),
+                rejected=tuple(sorted(rejected, key=lambda d: d.video_id)),
             )
 
         pruned = self._compose_map(incumbent, candidate, screened)
-        psi_inc, psi_cand = self._trial(next_batch, cost_model, pruned)
+        psi_inc, psi_cand = self._trial(next_batch, cost_model, pruned, what_if)
         staging_total = math.fsum(c.staging_cost for c in screened)
         if psi_cand + staging_total < psi_inc:
             accepted = tuple(
@@ -531,22 +538,16 @@ class MigrationPlanner:
         next_batch: RequestBatch,
         cost_model: CostModel,
         pruned: ReplicaMap,
+        what_if: Callable[[RequestBatch, CostModel], ScheduleResult],
     ) -> tuple[float, float]:
-        """Full two-phase solve of the next batch under both maps.
+        """Ψ of the next batch's full two-phase solve under both maps.
 
-        Trial solves run against a **null** observability handle: they are
-        what-if evaluations, not service decisions, so they must not leak
-        events into the journal or counters into the registry.  Each
-        solve prices through its own :meth:`CostModel.with_replicas`
-        clone: a shared route table, private hit/miss counters.
+        Each map is solved by ``what_if`` on its own
+        :meth:`CostModel.with_replicas` clone (a shared route table,
+        private hit/miss counters), the incumbent first.
         """
-        psi = []
-        for replicas in (cost_model.replicas, pruned):
-            scheduler = VideoScheduler(
-                self.topology,
-                self.catalog,
-                heat_metric=self.heat_metric,
-                cost_model=cost_model.with_replicas(replicas),
-            )
-            psi.append(scheduler.solve(next_batch).total_cost)
-        return psi[0], psi[1]
+        psi_inc, psi_cand = (
+            what_if(next_batch, cost_model.with_replicas(replicas)).total_cost
+            for replicas in (cost_model.replicas, pruned)
+        )
+        return psi_inc, psi_cand

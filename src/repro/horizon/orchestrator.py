@@ -307,7 +307,6 @@ class HorizonOrchestrator:
                 catalog,
                 config=self.config.migration,
                 warehouse=warehouse,
-                heat_metric=heat_metric,
             )
         #: longest playback in the catalog: how far past a boundary a
         #: cycle's streams can still be running (the carry-across tail).
@@ -346,14 +345,8 @@ class HorizonOrchestrator:
         prev_end = 0.0
         feasible = True
         for k, (batch, cycle_end) in enumerate(cycles):
-            for request in sorted(batch):
-                self.service.reserve(
-                    request.user_id,
-                    request.video_id,
-                    request.start_time,
-                    local_storage=request.local_storage,
-                    now=prev_end,
-                )
+            if k == 0 or self.planner is None:
+                self._book(batch, now=prev_end)
             report = self.service.close_cycle(cycle_end=cycle_end)
 
             carried = tuple(
@@ -399,11 +392,17 @@ class HorizonOrchestrator:
             self._record_cycle(outcome)
 
             if self.planner is not None and k + 1 < len(cycles):
+                # Book the next cycle first: the trials then solve the
+                # exact batch the next close will, and the adopted map's
+                # trial becomes that close.
+                next_batch, next_end = cycles[k + 1]
+                self._book(next_batch, now=cycle_end)
                 plan = self.planner.plan(
                     batch,
-                    cycles[k + 1][0],
+                    self.service.due(next_end),
                     self.service.cost_model,
                     boundary_index=k,
+                    what_if=self.service.what_if,
                 )
                 if plan.applied:
                     self.service.migrate_replicas(plan.new_map)
@@ -433,6 +432,16 @@ class HorizonOrchestrator:
         return report
 
     # -- internals -----------------------------------------------------------
+
+    def _book(self, batch: RequestBatch, *, now: float) -> None:
+        for request in sorted(batch):
+            self.service.reserve(
+                request.user_id,
+                request.video_id,
+                request.start_time,
+                local_storage=request.local_storage,
+                now=now,
+            )
 
     def _outcome(
         self,

@@ -66,6 +66,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsError,
     MetricsRegistry,
+    MetricsTape,
     NullRegistry,
     NULL_REGISTRY,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "JournalEvent",
     "MetricsError",
     "MetricsRegistry",
+    "MetricsTape",
     "NullJournal",
     "NULL_JOURNAL",
     "NullRegistry",

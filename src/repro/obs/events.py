@@ -53,9 +53,9 @@ never do.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import ReproError
 
@@ -179,6 +179,15 @@ class RequestJournal:
                 attrs=tuple(sorted(attrs.items())),
             )
         )
+
+    def extend(self, events: Iterable[JournalEvent]) -> None:
+        """Append ``events`` (recorded by another journal) in order.
+
+        Each is re-numbered to its position here, so the result equals
+        having emitted the same events on this journal directly.
+        """
+        for event in events:
+            self._events.append(replace(event, seq=len(self._events)))
 
     @property
     def events(self) -> tuple[JournalEvent, ...]:

@@ -402,3 +402,66 @@ class NullRegistry:
 
 
 NULL_REGISTRY = NullRegistry()
+
+
+# -- the recording stand-in for a deferred registry ---------------------------
+
+
+class _TapedInstrument:
+    """An instrument whose every observation is appended to a tape."""
+
+    __slots__ = ("_ops", "_access")
+
+    def __init__(self, ops: list, access: tuple) -> None:
+        self._ops = ops
+        self._access = access
+
+    def _record(self, value: float = 1) -> None:
+        self._ops.append((self._access, value))
+
+    inc = set = observe = _record
+
+
+class MetricsTape:
+    """A live registry stand-in that records operations instead of values.
+
+    Every instrument access and every observation is appended, in call
+    order, to :attr:`ops`; :meth:`replay` performs them on a real
+    registry.  A computation that records into a tape and is replayed
+    later leaves the registry bit-identical to having recorded into it
+    directly at the replay point: float sums accumulate in the same order,
+    gauge modes apply to the same sequence of values, and families
+    registered without an observation still appear.  The rolling scheduler
+    records its what-if solves this way (see
+    :meth:`repro.extensions.rolling.RollingScheduler.what_if`).
+    """
+
+    enabled = True
+
+    def __init__(self) -> None:
+        self.ops: list[tuple[tuple, float | None]] = []
+
+    def _access(self, kind: str, name: str, kw: dict) -> _TapedInstrument:
+        access = (kind, name, kw)
+        self.ops.append((access, None))
+        return _TapedInstrument(self.ops, access)
+
+    def counter(self, name: str, **kw: Any) -> _TapedInstrument:
+        return self._access("counter", name, kw)
+
+    def gauge(self, name: str, **kw: Any) -> _TapedInstrument:
+        return self._access("gauge", name, kw)
+
+    def histogram(self, name: str, **kw: Any) -> _TapedInstrument:
+        return self._access("histogram", name, kw)
+
+    def replay(self, registry: MetricsRegistry | NullRegistry) -> None:
+        """Perform every recorded operation on ``registry``, in order."""
+        for (kind, name, kw), value in self.ops:
+            instrument = getattr(registry, kind)(name, **kw)
+            if value is not None:
+                getattr(instrument, _OBSERVE[kind])(value)
+
+
+#: The observation method of each instrument kind.
+_OBSERVE = {"counter": "inc", "gauge": "set", "histogram": "observe"}

@@ -27,6 +27,7 @@ from repro.obs import NULL_OBS, Observability
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
+from repro.core.scheduler import ScheduleResult
 from repro.errors import ScheduleError, WorkloadError
 from repro.extensions.rolling import CycleResult, RollingScheduler
 from repro.faults.contingency import RecoveryResult
@@ -218,18 +219,18 @@ class VORService:
         full :class:`CycleReport`; the service's clock advances to
         ``cycle_end``.
         """
-        due = [r for r in self._pending if r.start_time <= cycle_end]
+        batch = self.due(cycle_end)
         self._pending = [r for r in self._pending if r.start_time > cycle_end]
-        batch = RequestBatch(due)
         _log.info(
             "closing cycle at %g: %d due, %d still pending",
-            cycle_end, len(due), len(self._pending),
+            cycle_end, len(batch), len(self._pending),
         )
 
         with self.obs.tracer.span(
-            "close_cycle", requests=len(due), cycle_end=cycle_end
+            "close_cycle", requests=len(batch), cycle_end=cycle_end
         ) as span:
             cycle = self._rolling.schedule_cycle(batch, cycle_end=cycle_end)
+            span.set(reused=cycle.reused_solve)
             with self.obs.tracer.span("billing"):
                 billing = allocate_costs(cycle.schedule, self.cost_model)
             with self.obs.tracer.span("validate") as vspan:
@@ -257,6 +258,20 @@ class VORService:
             violations=violations,
             staging=staging,
         )
+
+    def due(self, cycle_end: float) -> RequestBatch:
+        """The batch a close at ``cycle_end`` would schedule now: every
+        pending reservation starting by then."""
+        return RequestBatch(r for r in self._pending if r.start_time <= cycle_end)
+
+    def what_if(self, batch: RequestBatch, cost_model: CostModel) -> ScheduleResult:
+        """Solve ``batch`` under ``cost_model`` as the next close would.
+
+        See :meth:`repro.extensions.rolling.RollingScheduler.what_if`: a
+        what-if of :meth:`due` under the model the next close runs on
+        becomes that close, without a second solve.
+        """
+        return self._rolling.what_if(batch, cost_model)
 
     def migrate_replicas(self, replicas) -> None:
         """Adopt a migrated replica map for the coming cycles.

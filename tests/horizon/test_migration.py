@@ -13,8 +13,15 @@ from repro import (
     WarehouseSpec,
     units,
 )
+from repro.extensions.rolling import RollingScheduler
 from repro.horizon import MigrationConfig, MigrationPlanner
 from repro.horizon.migration import MOVE_REASONS, MigrationMove, _Candidate
+
+
+def _fresh(planner, cm):
+    """Trial solves with no carryover: a fresh rolling scheduler's
+    what-if."""
+    return RollingScheduler(planner.topology, planner.catalog, cost_model=cm).what_if
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +36,11 @@ def planned(drill_topology, drill_catalog, drill_cycles, drill_replicas):
     cm = CostModel(drill_topology, drill_catalog, replicas=drill_replicas)
     planner = MigrationPlanner(drill_topology, drill_catalog)
     plan = planner.plan(
-        drill_cycles[1][0], drill_cycles[2][0], cm, boundary_index=1
+        drill_cycles[1][0],
+        drill_cycles[2][0],
+        cm,
+        what_if=_fresh(planner, cm),
+        boundary_index=1,
     )
     return plan
 
@@ -79,7 +90,12 @@ class TestPlanShape:
             drill_catalog,
             warehouse=WarehouseSpec(disk_capacity=units.gb(400)),
         )
-        plan = planner.plan(drill_cycles[1][0], drill_cycles[2][0], cm)
+        plan = planner.plan(
+            drill_cycles[1][0],
+            drill_cycles[2][0],
+            cm,
+            what_if=_fresh(planner, cm),
+        )
         adds = [
             m for d in plan.accepted for m in d.moves if m.action == "add"
         ]
@@ -112,7 +128,12 @@ class TestRejections:
         cm = CostModel(drill_topology, drill_catalog)  # no replicas
         planner = MigrationPlanner(drill_topology, drill_catalog)
         with pytest.raises(ReplicationError):
-            planner.plan(drill_cycles[0][0], drill_cycles[1][0], cm)
+            planner.plan(
+                drill_cycles[0][0],
+                drill_cycles[1][0],
+                cm,
+                what_if=_fresh(planner, cm),
+            )
 
     def test_zero_drive_budget_rejects_every_move(
         self, drill_topology, drill_catalog, drill_cycles, drill_replicas
@@ -126,10 +147,40 @@ class TestRejections:
                 tape_drives=1, disk_capacity=units.gb(400)
             ),
         )
-        plan = planner.plan(drill_cycles[1][0], drill_cycles[2][0], cm)
+        plan = planner.plan(
+            drill_cycles[1][0],
+            drill_cycles[2][0],
+            cm,
+            what_if=_fresh(planner, cm),
+        )
         assert not plan.applied
         assert plan.new_map is plan.old_map
         assert any(d.reason == "drive-budget" for d in plan.rejected)
+
+    def test_rejections_sorted_when_no_candidate_reaches_the_trial(
+        self, drill_topology, drill_catalog, drill_cycles, drill_replicas
+    ):
+        """Boundary 1 with one drive and no staging window: the fit
+        rejects every screened move (best-first), and the plan still lists
+        its rejections by video id."""
+        cm = CostModel(drill_topology, drill_catalog, replicas=drill_replicas)
+        planner = MigrationPlanner(
+            drill_topology,
+            drill_catalog,
+            config=MigrationConfig(staging_window=1e-9),
+            warehouse=WarehouseSpec(tape_drives=1),
+        )
+        plan = planner.plan(
+            drill_cycles[1][0],
+            drill_cycles[2][0],
+            cm,
+            what_if=_fresh(planner, cm),
+            boundary_index=1,
+        )
+        assert plan.trial_psi_incumbent is None
+        ids = [d.video_id for d in plan.rejected]
+        assert {"video0014", "video0033", "video0059"} <= set(ids)
+        assert ids == sorted(ids)
 
     def test_no_demand_next_cycle_accepts_nothing(
         self, drill_topology, drill_catalog, drill_cycles, drill_replicas
@@ -138,7 +189,9 @@ class TestRejections:
 
         cm = CostModel(drill_topology, drill_catalog, replicas=drill_replicas)
         planner = MigrationPlanner(drill_topology, drill_catalog)
-        plan = planner.plan(drill_cycles[1][0], RequestBatch([]), cm)
+        plan = planner.plan(
+            drill_cycles[1][0], RequestBatch([]), cm, what_if=_fresh(planner, cm)
+        )
         assert not plan.applied
         assert all(d.reason == "no-demand" for d in plan.rejected)
 
@@ -157,8 +210,12 @@ class TestRejections:
             topo, drill_catalog, drill_cycles[0][0], degree=1, seed=0
         )
         cm = CostModel(topo, drill_catalog, replicas=replicas)
-        plan = MigrationPlanner(topo, drill_catalog).plan(
-            drill_cycles[1][0], drill_cycles[2][0], cm
+        planner = MigrationPlanner(topo, drill_catalog)
+        plan = planner.plan(
+            drill_cycles[1][0],
+            drill_cycles[2][0],
+            cm,
+            what_if=_fresh(planner, cm),
         )
         assert not plan.applied
         assert not plan.accepted
@@ -363,7 +420,12 @@ class TestDiskCapacity:
             drill_catalog,
             warehouse=WarehouseSpec(disk_capacity=units.gb(3)),
         )
-        plan = planner.plan(drill_cycles[1][0], drill_cycles[2][0], cm)
+        plan = planner.plan(
+            drill_cycles[1][0],
+            drill_cycles[2][0],
+            cm,
+            what_if=_fresh(planner, cm),
+        )
         assert any(d.reason == "disk-capacity" for d in plan.rejected)
         for decision in plan.accepted:
             assert all(m.action == "drop" for m in decision.moves)

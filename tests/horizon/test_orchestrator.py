@@ -259,3 +259,29 @@ class TestGuards:
         (b0, _), (b1, _) = drill_cycles[0], drill_cycles[1]
         with pytest.raises(ScheduleError):
             orch.run([(b0, 2 * L), (b1, L)])
+
+
+class TestSolvesPerBoundary:
+    def test_a_trial_boundary_costs_two_solves_not_three(
+        self, drill_topology, drill_catalog, drill_cycles, drill_replicas,
+        drill_feed,
+    ):
+        """Both trials of a boundary are what-ifs of the next close, and
+        the adopted map's trial is that close: the program's own solve
+        counter reads 2 solves per trial boundary and a close only for the
+        other cycles."""
+        obs = Observability.on()
+        report = run_horizon(
+            drill_topology, drill_catalog, drill_cycles,
+            replicas=drill_replicas, feed=drill_feed, obs=obs,
+        )
+        trials = sum(
+            m.trial_psi_incumbent is not None for m in report.migrations
+        )
+        assert trials >= 1
+        family = obs.telemetry().metrics["vor_rolling_solves_total"]
+        solves = {v["labels"]["kind"]: v["value"] for v in family["values"]}
+        assert solves == {
+            "what-if": 2 * trials,
+            "close": len(report.cycles) - trials,
+        }

@@ -96,6 +96,19 @@ class TestEmit:
         assert list(j.counts()) == ["admitted", "shed"]
 
 
+class TestExtend:
+    def test_extend_renumbers_like_emitting_here(self):
+        direct, joined, aside = RequestJournal(), RequestJournal(), RequestJournal()
+        for journal in (direct, joined):
+            journal.emit("admitted", request=_request(), start=1.0)
+        for journal in (direct, aside):
+            journal.emit("shed", request=_request(user="bob"))
+            journal.emit("cycle-closed", index=0, requests=2)
+        joined.extend(aside)
+        assert joined.events == direct.events
+        assert [e.seq for e in joined] == [0, 1, 2]
+
+
 class TestExplain:
     @pytest.fixture
     def journal(self):

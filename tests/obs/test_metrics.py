@@ -10,6 +10,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsError,
     MetricsRegistry,
+    MetricsTape,
     NullRegistry,
 )
 
@@ -156,6 +157,41 @@ class TestNullRegistry:
         null = NullRegistry()
         assert null.counter("a") is null.counter("b")
         assert null.gauge("a") is null.gauge("b", anything="goes")
+
+
+class TestMetricsTape:
+    @staticmethod
+    def _record(reg):
+        reg.counter("dollars_total", help="spend").inc(0.2)
+        reg.counter("dollars_total").inc(0.3)
+        for v in (3.0, 1.0):
+            reg.gauge("peak", mode="max", site="a").set(v)
+        reg.gauge("share", mode="sum").set(0.1)
+        reg.gauge("share", mode="sum").set(0.7)
+        reg.histogram("overhead", boundaries=DOLLAR_BUCKETS)  # no observation
+        reg.histogram("size", boundaries=COUNT_BUCKETS).observe(0.3)
+
+    def test_replay_equals_recording_directly(self):
+        """Replayed after earlier values, the registry matches one that
+        recorded the same calls at that point: float sums keep their
+        order ((0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)), gauge modes apply
+        per value, and an accessed but unobserved family is registered."""
+        direct, replayed = MetricsRegistry(), MetricsRegistry()
+        for reg in (direct, replayed):
+            reg.counter("dollars_total").inc(0.1)
+            reg.gauge("share", mode="sum").set(0.5)
+        self._record(direct)
+        tape = MetricsTape()
+        self._record(tape)
+        assert replayed.snapshot() != direct.snapshot()  # nothing yet
+        tape.replay(replayed)
+        assert replayed.snapshot() == direct.snapshot()
+        assert replayed.snapshot()["overhead"]["values"][0]["count"] == 0
+        (spend,) = replayed.snapshot()["dollars_total"]["values"]
+        assert spend["value"].hex() == ((0.1 + 0.2) + 0.3).hex()
+
+    def test_tape_is_a_live_registry(self):
+        assert MetricsTape.enabled
 
 
 class TestPickling:
