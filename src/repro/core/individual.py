@@ -36,7 +36,7 @@ cheapest allowed copy, exactly as if every copy had been asked about.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 
 from repro.catalog.video import VideoFile
 from repro.core.costmodel import CostModel, storage_cost
@@ -47,42 +47,26 @@ from repro.topology.routing import Route
 from repro.workload.requests import Request, RequestBatch
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """One priced way to serve a request (internal to the greedy)."""
-
-    cost: float
-    hops: int
-    source: str
-    route: Route
-    cache_index: int  # index into the residency list, -1 for warehouse
-    #: The Ψ_D share of ``cost`` (network transfer); the remainder is the
-    #: Ψ_C residency-extension share.  Journal-only -- not in the pick key.
-    network_cost: float = 0.0
-
-
 class RoutePolicy:
     """Pluggable route selection for the greedy scheduler.
 
     The default policy always picks the cheapest route and never refuses.
     The bandwidth extension (:mod:`repro.extensions.bandwidth`) overrides
-    :meth:`select` to skip routes whose links are saturated during the
+    :meth:`routes` to skip routes whose links are saturated during the
     stream's lifetime and :meth:`commit` to book the chosen route's capacity.
     """
 
     def __init__(self, router):
         self._router = router
 
-    def select(
-        self, src: str, dst: str, t_start: float, t_end: float, bandwidth: float
-    ) -> Route | None:
-        """Route to use for a stream, or ``None`` if none is feasible.
-
-        A query without side effects: the greedy routes every candidate
-        copy but commits only the winner's route.
-        """
+    def routes(
+        self, dst: str, t_start: float, t_end: float, bandwidth: float
+    ) -> Mapping[str, Route]:
+        """Read-only ``{source: route}`` for a stream into ``dst`` over the
+        window; a source missing from it is not a candidate.  A query: the
+        greedy asks once per request and commits only the winner's route."""
         del t_start, t_end, bandwidth
-        return self._router.route(src, dst)
+        return self._router.routes_to(dst)
 
     def commit(
         self, route: Route, t_start: float, t_end: float, bandwidth: float
@@ -145,21 +129,20 @@ class IndividualScheduler:
             )
         self._obs = obs if obs is not None else NULL_OBS
         self._cm = cost_model
-        self._topo = cost_model.topology
-        self._router = cost_model.router
         self._constraints = constraints
         self._route_policy = (
-            route_policy if route_policy is not None else RoutePolicy(self._router)
+            route_policy if route_policy is not None else RoutePolicy(cost_model.router)
         )
         self._deposit_scope = deposit_scope
         # Immutable copies: all per-solve mutable state lives in the
         # per-call FileGreedySession instead.
-        self._warehouses = tuple(w.name for w in self._topo.warehouses)
+        topo = cost_model.topology
+        self._warehouses = tuple(w.name for w in topo.warehouses)
         if not self._warehouses:
             raise ScheduleError("topology has no warehouse to serve from")
         self._warehouse_set = frozenset(self._warehouses)
-        self._storage_names = frozenset(s.name for s in self._topo.storages)
-        self._srates = {n.name: n.srate for n in self._topo.nodes}
+        self._storage_names = frozenset(s.name for s in topo.storages)
+        self._srates = {n.name: n.srate for n in topo.nodes}
         self._replicas = cost_model.replicas
         #: ``{video_id: (home warehouses, size, playback)}``, filled on demand.
         self._facts: dict[str, tuple[tuple[str, ...], float, float]] = {}
@@ -235,26 +218,39 @@ class IndividualScheduler:
         residencies: list[ResidencyInfo],
         fs: FileSchedule,
     ) -> None:
-        """One greedy step: price, pick, apply (used by sessions)."""
+        """One greedy step (used by sessions): price the copies, serve
+        ``req`` from the winner and open its stream's deposits."""
         if req.video_id != video.video_id:
             raise ScheduleError(
                 f"request for {req.video_id!r} passed to schedule of "
                 f"{video.video_id!r}"
             )
-        choice = self._best_candidate(video, req, residencies)
+        (cost, hops, _, source), idx, route, network = self._best_candidate(
+            video, req, residencies
+        )
         journal = self._obs.journal
         if journal.enabled:
             journal.emit(
                 "phase1-assigned",
                 request=req,
-                source=choice.source,
-                source_kind="cache" if choice.cache_index >= 0 else "warehouse",
-                route=choice.route.nodes,
-                hops=choice.hops,
-                psi_d=choice.network_cost,
-                psi_c=choice.cost - choice.network_cost,
+                source=source,
+                source_kind="cache" if idx >= 0 else "warehouse",
+                route=route.nodes,
+                hops=hops,
+                psi_d=network,
+                psi_c=cost - network,
             )
-        self._apply(video, req, choice, residencies, fs)
+        start = req.start_time
+        if idx >= 0:
+            old = residencies[idx]
+            residencies[idx] = old.extended(
+                start if start >= old.t_last else old.t_last, req.user_id
+            )
+        fs.add_delivery(DeliveryInfo(video.video_id, route.nodes, start, req))
+        self._route_policy.commit(
+            route, start, start + video.playback, video.bandwidth
+        )
+        self._deposit_candidates(video.video_id, route.nodes, start, residencies)
 
     def solve(
         self,
@@ -302,35 +298,26 @@ class IndividualScheduler:
         video: VideoFile,
         req: Request,
         residencies: list[ResidencyInfo],
-    ) -> _Candidate:
-        """The cheapest feasible copy by its key ``(cost, hops, kind, source)``
-        (caches kind 0, warehouses 1); among equal cache keys the lowest
-        residency index."""
+    ) -> tuple[tuple[float, int, int, str], int, Route, float]:
+        """The cheapest feasible copy as ``(key, residency index, route,
+        network share)``, index -1 for a warehouse; the key is ``(cost, hops,
+        kind, source)`` (caches kind 0), the lowest index winning equal keys."""
         if req.local_storage not in self._cm.topology:
             # an unknown destination is a malformed request, not a copy that
             # happens to be unreachable -- keep raising, never skip
             raise RoutingError(f"unknown destination node {req.local_storage!r}")
         homes, size, playback = self._video_facts(video.video_id)
-        volume = video.network_volume * self._cm.network_multiplier(
-            req.start_time
-        )
-        start, dst, bandwidth = req.start_time, req.local_storage, video.bandwidth
-        t1 = start + video.playback
-        select = self._route_policy.select
-        # copies are priced as (key, residency index, route, network share),
-        # -1 for a warehouse: tuple order is pick order, the lowest index
-        # winning equal cache keys; only the winner becomes a _Candidate
+        start = req.start_time
+        volume = video.network_volume * self._cm.network_multiplier(start)
+        # one route table per request: a copy whose source it leaves out is
+        # not a candidate.  Ties never depend on iteration order (the key
+        # includes the source name), so skipping keeps picks deterministic.
+        route_of = self._route_policy.routes(
+            req.local_storage, start, start + video.playback, video.bandwidth
+        ).get
         best = None
         for w in homes:
-            # On a fault-masked (possibly partitioned) topology a warehouse
-            # may not reach this neighborhood at all; an unreachable copy is
-            # simply not a candidate.  Ties never depend on iteration order
-            # (the key includes the source name), so skipping here keeps
-            # schedules deterministic.
-            try:
-                route = select(w, dst, start, t1, bandwidth)
-            except RoutingError:
-                continue
+            route = route_of(w)
             if route is None:
                 continue
             network = volume * route.rate
@@ -347,13 +334,10 @@ class IndividualScheduler:
             if c.t_start > start:
                 continue  # cache not yet filled when the service starts
             # priced as (location, t_start, t_last): only the winning
-            # candidate is built, in _apply.  A cache already held past the
-            # start (a seed) serves at a zero Ψ_C extension.
+            # candidate is built, in serve_into.  A cache already held past
+            # the start (a seed) serves at a zero Ψ_C extension.
             t_last = start if start >= c.t_last else c.t_last
-            try:
-                route = select(c.location, dst, start, t1, bandwidth)
-            except RoutingError:
-                continue
+            route = route_of(c.location)
             if route is None:
                 continue
             network = volume * route.rate
@@ -387,78 +371,43 @@ class IndividualScheduler:
             # bandwidth-aware), a partitioned masked topology, or a video
             # whose every home failed may exhaust options
             raise ScheduleError(f"no feasible source for request {req}")
-        (cost, hops, _, source), idx, route, network = best
-        if not math.isfinite(cost):
+        if not math.isfinite(best[0][0]):
             raise ScheduleError(f"non-finite candidate cost for request {req}")
-        return _Candidate(cost, hops, source, route, idx, network_cost=network)
-
-    def _apply(
-        self,
-        video: VideoFile,
-        req: Request,
-        choice: _Candidate,
-        residencies: list[ResidencyInfo],
-        fs: FileSchedule,
-    ) -> None:
-        if choice.cache_index >= 0:
-            old = residencies[choice.cache_index]
-            residencies[choice.cache_index] = old.extended(
-                max(req.start_time, old.t_last), req.user_id
-            )
-        delivery = DeliveryInfo(
-            video_id=video.video_id,
-            route=choice.route.nodes,
-            start_time=req.start_time,
-            request=req,
-        )
-        fs.add_delivery(delivery)
-        self._route_policy.commit(
-            choice.route,
-            req.start_time,
-            req.start_time + video.playback,
-            video.bandwidth,
-        )
-        self._deposit_candidates(video, delivery, residencies)
+        return best
 
     def _deposit_candidates(
         self,
-        video: VideoFile,
-        delivery: DeliveryInfo,
+        video_id: str,
+        nodes: tuple[str, ...],
+        t: float,
         residencies: list[ResidencyInfo],
     ) -> None:
-        """Open zero-cost cache candidates at storages the stream traverses.
+        """Open zero-cost cache candidates at storages the stream along
+        ``nodes``, starting at ``t``, traverses.
 
         A node gets a candidate unless it already holds a residency of this
         file that a future request could extend.  An *unused* candidate
         (``t_f == t_s``, no services) is replaced by a fresher one: for
         unused candidates a later ``t_s`` strictly dominates (extension cost
         grows with ``t_f - t_s`` while causality only needs ``t_s <= t_u``).
+        A one-node route (a serve from the local cache) deposits nothing.
         """
-        t = delivery.start_time
-        occupied = {c.location: i for i, c in enumerate(residencies)}
-        nodes = (
-            delivery.route
-            if self._deposit_scope == "route"
-            else (delivery.destination,)
-        )
+        source = nodes[0]
+        if self._deposit_scope != "route":
+            nodes = nodes[-1:]
+        storages = self._storage_names
+        occupied = None  # built at the first storage to deposit at
         for node in nodes:
-            if node not in self._storage_names:
-                continue
-            if node == delivery.source:
-                continue  # the serving cache itself lives here already
+            if node == source or node not in storages:
+                continue  # the serving copy itself lives at the source
+            if occupied is None:
+                occupied = {c.location: i for i, c in enumerate(residencies)}
             existing_idx = occupied.get(node)
             if existing_idx is not None:
                 existing = residencies[existing_idx]
                 if existing.t_last != existing.t_start or existing.service_list:
                     continue
-            candidate = ResidencyInfo(
-                video_id=video.video_id,
-                location=node,
-                source=delivery.source,
-                t_start=t,
-                t_last=t,
-                service_list=(),
-            )
+            candidate = ResidencyInfo(video_id, node, source, t, t, ())
             if existing_idx is None:
                 residencies.append(candidate)
             else:

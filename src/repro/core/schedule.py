@@ -26,7 +26,7 @@ from repro.errors import ScheduleError
 from repro.workload.requests import Request
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliveryInfo:
     """Network transfer information ``d_i = (route, t_s, id)``.
 
@@ -74,7 +74,7 @@ class DeliveryInfo:
         return len(self.route) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResidencyInfo:
     """File residency information ``c_i = ([t_s, t_f], loc, id, n_src, svc)``.
 

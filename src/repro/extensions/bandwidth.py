@@ -23,6 +23,7 @@ VOR requests.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import VideoCatalog
@@ -37,7 +38,7 @@ from repro.core.spacefunc import (
     flat_timeline,
     residency_profile,
 )
-from repro.errors import ScheduleError
+from repro.errors import RoutingError, ScheduleError
 from repro.topology.graph import Topology, edge_key
 from repro.topology.routing import Route, Router
 from repro.topology.validation import validate_topology
@@ -88,8 +89,44 @@ class LinkBandwidthTracker:
         return flat_timeline(self._bookings.get(edge_key(a, b), ())).peak
 
 
+class _FittingRoutes(Mapping):
+    """Lazy ``{source: route}`` of one stream: a source maps to the first
+    of its k cheapest routes whose links fit the stream, and is missing
+    when none does.  Looking up books nothing."""
+
+    def __init__(self, policy: "BandwidthRoutePolicy", *stream) -> None:
+        self._policy, self._stream = policy, stream  # (dst, t0, t1, bandwidth)
+
+    def get(self, src, default=None):
+        dst, t_start, t_end, bandwidth = self._stream
+        router = self._policy._router
+        try:
+            if src == dst:
+                return router.route(src, dst)
+            for route in router.k_cheapest_routes(src, dst, self._policy._k):
+                if self._policy._tracker.fits(route, t_start, t_end, bandwidth):
+                    return route
+        except RoutingError:
+            pass
+        return default
+
+    def __getitem__(self, src):
+        if (route := self.get(src)) is None:
+            raise KeyError(src)
+        return route
+
+    def __iter__(self):
+        reach = self._policy._router.routes_to(self._stream[0])
+        return filter(self.__contains__, reach)
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
 class BandwidthRoutePolicy(RoutePolicy):
-    """Route policy that respects link capacities with k-alternate fallback."""
+    """Route policy that respects link capacities with k-alternate fallback:
+    its lazy :meth:`routes` table gives a source's cheapest route that fits
+    the bookings over the stream's window.  Only :meth:`commit` books."""
 
     def __init__(self, router: Router, tracker: LinkBandwidthTracker, *, k: int = 4):
         super().__init__(router)
@@ -99,15 +136,10 @@ class BandwidthRoutePolicy(RoutePolicy):
         self._k = k
         self.diverted = 0  # streams that had to leave the cheapest route
 
-    def select(
-        self, src: str, dst: str, t_start: float, t_end: float, bandwidth: float
-    ) -> Route | None:
-        if src == dst:
-            return self._router.route(src, dst)
-        for route in self._router.k_cheapest_routes(src, dst, self._k):
-            if self._tracker.fits(route, t_start, t_end, bandwidth):
-                return route
-        return None
+    def routes(
+        self, dst: str, t_start: float, t_end: float, bandwidth: float
+    ) -> Mapping[str, Route]:
+        return _FittingRoutes(self, dst, t_start, t_end, bandwidth)
 
     def commit(
         self, route: Route, t_start: float, t_end: float, bandwidth: float

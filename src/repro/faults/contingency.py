@@ -41,6 +41,7 @@ but still returns, with the unimpacted files intact.
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.costmodel import CostBreakdown, CostModel
@@ -121,67 +122,53 @@ def _split_hits(
 
 
 class _MaskViews(RoutePolicy):
-    """Masked routers and warehouse reach, one view per sub-plan of ``plan``.
-
-    A view is ``{"router": router, "reach": {warehouse: reachable nodes}}``:
-    a router over the sub-plan's :func:`~repro.faults.inject.masked_graph`
-    and what each standing warehouse reaches on it.  A sub-plan that downs
-    every warehouse reaches nothing, but its router still routes between
-    the surviving storages.  Views are cached per sub-plan and per time
-    window.
-
-    As a route policy it routes each stream on the view of the faults in
-    effect during it, and answers ``None`` when that view downs an end or
-    disconnects the two: never the healthy route, which could serve from a
-    lost warehouse.
-    """
+    """Routers over each sub-plan's :func:`~repro.faults.inject.masked_graph`,
+    cached per sub-plan and per time window; one that downs every warehouse
+    still routes between the surviving storages.  As a route policy its
+    :meth:`routes` table for a stream is the ``routes_to`` table of the
+    faults in effect during it (``{}`` when they down the destination): a
+    source they down or cut off is left out, never given the healthy route,
+    which could serve from a lost warehouse."""
 
     def __init__(self, cost_model: CostModel, plan: FaultPlan):
         self._cm = cost_model
         self._plan = plan
-        self._cache: dict[tuple, dict] = {}
-        self._windows: dict[tuple[float, float], dict] = {}
+        self._warehouses = tuple(w.name for w in cost_model.topology.warehouses)
+        self._routers: dict[tuple, Router] = {}
+        self._windows: dict[tuple[float, float], Router] = {}
 
-    def view(self, sub: FaultPlan) -> dict:
-        sig = tuple(f.key for f in sub)
-        entry = self._cache.get(sig)
-        if entry is None:
-            masked = masked_graph(self._cm.topology, sub)
-            router = Router(masked)
-            entry = {
-                "router": router,
-                "reach": {
-                    w.name: router.reachable(w.name) for w in masked.warehouses
-                },
-            }
-            self._cache[sig] = entry
-        return entry
+    def window(self, t0: float, t1: float) -> Router:
+        """The router of the faults in effect during ``[t0, t1)``."""
+        router = self._windows.get((t0, t1))
+        if router is None:
+            sub = self._plan.overlapping(t0, t1)
+            sig = tuple(f.key for f in sub)
+            router = self._routers.get(sig)
+            if router is None:
+                masked = masked_graph(self._cm.topology, sub)
+                router = self._routers[sig] = Router(masked)
+            self._windows[t0, t1] = router
+        return router
 
-    def window(self, t0: float, t1: float) -> dict:
-        """The view of the faults in effect during ``[t0, t1)``."""
-        entry = self._windows.get((t0, t1))
-        if entry is None:
-            entry = self._windows[t0, t1] = self.view(self._plan.overlapping(t0, t1))
-        return entry
-
-    def servable(self, r: Request, view: dict) -> bool:
-        """Whether ``r``'s neighborhood is reachable from a standing *home*
-        of its video (every warehouse without a replica map)."""
-        reach = view["reach"]
+    def servable(self, r: Request, playback: float) -> bool:
+        """Whether a *home* of ``r``'s video (every warehouse without a
+        replica map) standing during its stream reaches its neighborhood."""
+        t0 = r.start_time
+        table = self.routes(r.local_storage, t0, t0 + playback, 0.0)
         replicas = self._cm.replicas
         homes = (
-            replicas.homes(r.video_id) if replicas is not None else tuple(reach)
+            replicas.homes(r.video_id) if replicas is not None else self._warehouses
         )
-        return any(r.local_storage in reach[h] for h in homes if h in reach)
+        return any(h in table for h in homes)
 
-    def select(
-        self, src: str, dst: str, t_start: float, t_end: float, bandwidth: float
-    ) -> Route | None:
+    def routes(
+        self, dst: str, t_start: float, t_end: float, bandwidth: float
+    ) -> Mapping[str, Route]:
         del bandwidth
         try:
-            return self.window(t_start, t_end)["router"].route(src, dst)
+            return self.window(t_start, t_end).routes_to(dst)
         except RoutingError:
-            return None
+            return {}  # the window's faults down dst
 
 
 @dataclass
@@ -367,8 +354,7 @@ class ContingencyScheduler:
             redo: list[Request] = []
             for d in hit_del:
                 r = d.request
-                view = masks.window(r.start_time, r.start_time + playback)
-                (redo if masks.servable(r, view) else lost).append(r)
+                (redo if masks.servable(r, playback) else lost).append(r)
             saved.extend(d.request for d in kept_del)
             saved.extend(redo)
             resolve.extend(redo)

@@ -42,6 +42,18 @@ def parse_level(level: str | int) -> int:
     return value
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to the ``sys.stderr`` of the moment it emits, as CPython's
+    last-resort handler does, never to one since swapped out and closed."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self) -> TextIO:
+        return sys.stderr
+
+
 def configure_logging(
     level: str | int = "info",
     *,
@@ -53,14 +65,15 @@ def configure_logging(
 
     Idempotent: reconfiguring replaces the previous handler rather than
     stacking duplicates, so tests and REPL sessions can call it freely.
-    Returns the ``repro`` logger.
+    Without ``stream`` the handler looks ``sys.stderr`` up each time it
+    emits.  Returns the ``repro`` logger.
     """
     root = logging.getLogger("repro")
     root.setLevel(parse_level(level))
     for handler in list(root.handlers):
         if getattr(handler, "_repro_managed", False):
             root.removeHandler(handler)
-    handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+    handler = _StderrHandler() if stream is None else logging.StreamHandler(stream)
     handler.setFormatter(logging.Formatter(fmt, datefmt=datefmt))
     handler._repro_managed = True  # type: ignore[attr-defined]
     root.addHandler(handler)

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.errors import RoutingError
 from repro.topology.graph import ChargingBasis, Topology, edge_key
@@ -32,11 +34,17 @@ class Route:
         rate: The effective charging rate applied to transfers on this route,
             $/byte.  Equals ``hop_cost`` under per-hop charging; may differ
             under end-to-end charging with an explicit pair rate.
+        hops: ``len(nodes) - 1``, computed once; not part of equality,
+            hashing or the repr.
     """
 
     nodes: tuple[str, ...]
     hop_cost: float
     rate: float
+    hops: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "hops", len(self.nodes) - 1)
 
     @property
     def src(self) -> str:
@@ -45,10 +53,6 @@ class Route:
     @property
     def dst(self) -> str:
         return self.nodes[-1]
-
-    @property
-    def hops(self) -> int:
-        return len(self.nodes) - 1
 
     @property
     def edges(self) -> list[tuple[str, str]]:
@@ -68,6 +72,7 @@ class Router:
         #: Dijkstra results per source: {src: ({node: cost}, {node: prev})}
         self._sssp: dict[str, tuple[dict[str, float], dict[str, str | None]]] = {}
         self._routes: dict[tuple[str, str], Route] = {}
+        self._tables: dict[str, Mapping[str, Route]] = {}  # per destination
 
     @property
     def topology(self) -> Topology:
@@ -135,6 +140,18 @@ class Router:
         route = Route(tuple(path), hop_cost, rate)
         self._routes[key] = route
         return route
+
+    def routes_to(self, dst: str) -> Mapping[str, Route]:
+        """Read-only ``{src: route(src, dst)}`` over every node that reaches
+        ``dst`` (``dst`` included), built once; raises for an unknown ``dst``."""
+        table = self._tables.get(dst)
+        if table is None:
+            if dst not in self._topo:
+                raise RoutingError(f"unknown destination node {dst!r}")
+            table = self._tables[dst] = MappingProxyType(
+                {src: self.route(src, dst) for src in sorted(self.reachable(dst))}
+            )
+        return table
 
     def _effective_rate(self, src: str, dst: str, hop_cost: float) -> float:
         if self._topo.charging_basis is ChargingBasis.END_TO_END:

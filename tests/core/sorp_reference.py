@@ -23,19 +23,13 @@ from __future__ import annotations
 import math
 
 from repro.core.heat import HeatMetric, compute_heat
-from repro.core.individual import IndividualScheduler, _Candidate
+from repro.core.individual import IndividualScheduler
 from repro.core.overflow import detect_overflows
 from repro.core.rejective import fits_under
 from repro.core.sorp import ResolutionStats, VictimRecord, _key_greater
 from repro.core.spacefunc import UsageTimeline, capacity_slack, residency_profile
 from repro.errors import OverflowResolutionError, RoutingError, ScheduleError
 from repro.obs import NULL_OBS
-
-
-def _key(cand):
-    """The greedy's pick key: cheapest, then fewest hops, caches first,
-    then the source name."""
-    return (cand.cost, cand.hops, cand.cache_index < 0, cand.source)
 
 
 class EagerIndividualScheduler(IndividualScheduler):
@@ -53,19 +47,14 @@ class EagerIndividualScheduler(IndividualScheduler):
         t0, t1 = req.start_time, req.start_time + video.playback
         homes, _, _ = self._video_facts(video.video_id)
         for w in homes:
-            try:
-                route = self._route_policy.select(
-                    w, req.local_storage, t0, t1, video.bandwidth
-                )
-            except RoutingError:
-                continue
+            route = self._route_policy.routes(
+                req.local_storage, t0, t1, video.bandwidth
+            ).get(w)
             if route is None:
                 continue
-            cand = _Candidate(
-                volume * route.rate, route.hops, w, route, -1,
-                network_cost=volume * route.rate,
-            )
-            if best is None or _key(cand) < _key(best):
+            network = volume * route.rate
+            cand = ((network, route.hops, 1, w), -1, route, network)
+            if best is None or cand[0] < best[0]:
                 best = cand
         start = req.start_time
         constraints = self._constraints
@@ -79,12 +68,9 @@ class EagerIndividualScheduler(IndividualScheduler):
                 video, c.location, c.t_start, t_last, replacing=c
             ):
                 continue
-            try:
-                route = self._route_policy.select(
-                    c.location, req.local_storage, t0, t1, video.bandwidth
-                )
-            except RoutingError:
-                continue
+            route = self._route_policy.routes(
+                req.local_storage, t0, t1, video.bandwidth
+            ).get(c.location)
             if route is None:
                 continue
             ext_cost = self._cm.residency_cost_for(
@@ -92,15 +78,14 @@ class EagerIndividualScheduler(IndividualScheduler):
             ) - self._cm.residency_cost_for(
                 video.video_id, c.location, c.t_start, c.t_last
             )
-            cand = _Candidate(
-                volume * route.rate + ext_cost, route.hops, c.location,
-                route, idx, network_cost=volume * route.rate,
-            )
-            if best is None or _key(cand) < _key(best):
+            network = volume * route.rate
+            cand = ((network + ext_cost, route.hops, 0, c.location), idx, route,
+                    network)
+            if best is None or cand[0] < best[0]:
                 best = cand
         if best is None:
             raise ScheduleError(f"no feasible source for request {req}")
-        if not math.isfinite(best.cost):
+        if not math.isfinite(best[0][0]):
             raise ScheduleError(f"non-finite candidate cost for request {req}")
         return best
 

@@ -1,5 +1,9 @@
 """Tests for the schedule data model."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro import (
@@ -95,6 +99,51 @@ class TestResidencyInfo:
         for t_start, t_last in ((0.0, float("inf")), (float("-inf"), 0.0)):
             with pytest.raises(ScheduleError, match="finite"):
                 ResidencyInfo("v", "IS1", "VW", t_start, t_last)
+
+
+class TestRecordRoundTrips:
+    """The slotted frozen records copy, pickle, replace, hash and compare
+    like plain frozen dataclasses."""
+
+    @pytest.fixture(params=["delivery", "residency", "relay"])
+    def record(self, request):
+        return {
+            "delivery": _delivery(route=("VW", "IS2", "IS1"), t=3.5),
+            "residency": ResidencyInfo("v", "IS1", "VW", 1.0, 4.0, ("u1", "u2")),
+            "relay": ResidencyInfo("v", "IS1", "IS2", 5.0, 5.0),
+        }[request.param]
+
+    def test_slotted_without_instance_dict(self, record):
+        assert "__slots__" in type(record).__dict__
+        assert not hasattr(record, "__dict__")
+
+    def test_copy_and_pickle_round_trip(self, record):
+        for clone in (
+            copy.copy(record),
+            copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record)),
+        ):
+            assert clone == record
+            assert hash(clone) == hash(record)
+            assert repr(clone) == repr(record)
+
+    def test_replace_rechecks(self, record):
+        field = "start_time" if isinstance(record, DeliveryInfo) else "t_last"
+        moved = dataclasses.replace(record, **{field: getattr(record, field) + 1.0})
+        assert moved != record
+        assert dataclasses.replace(moved, **{field: getattr(record, field)}) == record
+        with pytest.raises(ScheduleError):
+            dataclasses.replace(record, **{field: float("inf")})
+
+    def test_frozen(self, record):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.video_id = "w"
+
+    def test_equal_records_hash_equal(self):
+        a = ResidencyInfo("v", "IS1", "VW", 1.0, 4.0, ("u1",))
+        b = ResidencyInfo("v", "IS1", "VW", 1.0, 4.0, ("u1",))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, _delivery(), _delivery()}) == 2
 
 
 class TestFileSchedule:

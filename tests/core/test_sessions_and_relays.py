@@ -73,8 +73,8 @@ class TestFileGreedySession:
         topo, catalog, cm = _env()
 
         class RefuseAll(RoutePolicy):
-            def select(self, src, dst, t0, t1, bw):
-                return None
+            def routes(self, dst, t0, t1, bw):
+                return {}
 
         greedy = IndividualScheduler(
             cm, route_policy=RefuseAll(cm.router)
@@ -141,7 +141,7 @@ class TestDefaultRoutePolicy:
     def test_select_returns_cheapest(self):
         topo, catalog, cm = _env()
         policy = RoutePolicy(cm.router)
-        route = policy.select("VW", "IS2", 0.0, 10.0, 10.0)
+        route = policy.routes("IS2", 0.0, 10.0, 10.0)["VW"]
         assert route.nodes == ("VW", "IS1", "IS2")
 
     def test_commit_is_noop(self):

@@ -183,10 +183,10 @@ class _RefuseStartingAt(RoutePolicy):
         super().__init__(router)
         self._times = set(times)
 
-    def select(self, src, dst, t_start, t_end, bandwidth):
+    def routes(self, dst, t_start, t_end, bandwidth):
         if t_start in self._times:
-            return None
-        return super().select(src, dst, t_start, t_end, bandwidth)
+            return {}
+        return super().routes(dst, t_start, t_end, bandwidth)
 
 
 class TestRoutePolicySkip:

@@ -90,10 +90,10 @@ class TestBandwidthRoutePolicy:
         topo, catalog = _diamond()
         tr = LinkBandwidthTracker(topo)
         policy = BandwidthRoutePolicy(Router(topo), tr, k=4)
-        r1 = policy.select("VW", "IS1", 0.0, 10.0, 10.0)
+        r1 = policy.routes("IS1", 0.0, 10.0, 10.0).get("VW")
         assert r1.nodes == ("VW", "IS1")
         policy.commit(r1, 0.0, 10.0, 10.0)
-        r2 = policy.select("VW", "IS1", 0.0, 10.0, 10.0)
+        r2 = policy.routes("IS1", 0.0, 10.0, 10.0).get("VW")
         assert r2.nodes == ("VW", "IS2", "IS1")
         policy.commit(r2, 0.0, 10.0, 10.0)
         assert policy.diverted == 1
@@ -103,15 +103,15 @@ class TestBandwidthRoutePolicy:
         tr = LinkBandwidthTracker(topo)
         policy = BandwidthRoutePolicy(Router(topo), tr, k=4)
         for _ in range(2):
-            r = policy.select("VW", "IS1", 0.0, 10.0, 10.0)
+            r = policy.routes("IS1", 0.0, 10.0, 10.0).get("VW")
             policy.commit(r, 0.0, 10.0, 10.0)
-        assert policy.select("VW", "IS1", 0.0, 10.0, 10.0) is None
+        assert policy.routes("IS1", 0.0, 10.0, 10.0).get("VW") is None
 
     def test_zero_hop_always_ok(self):
         topo, catalog = _diamond()
         tr = LinkBandwidthTracker(topo)
         policy = BandwidthRoutePolicy(Router(topo), tr, k=2)
-        r = policy.select("IS1", "IS1", 0.0, 10.0, 10.0)
+        r = policy.routes("IS1", 0.0, 10.0, 10.0).get("IS1")
         assert r.hops == 0
 
 

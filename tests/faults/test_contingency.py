@@ -379,7 +379,7 @@ class TestWindowRoutes:
     @staticmethod
     def _route(plan, src, dst, t0, t1):
         cm = CostModel(_triangle(), VideoCatalog([]))
-        route = _MaskViews(cm, plan).select(src, dst, t0, t1, 1.0)
+        route = _MaskViews(cm, plan).routes(dst, t0, t1, 1.0).get(src)
         return None if route is None else route.nodes
 
     def test_node_down_inside_the_stream_window(self):

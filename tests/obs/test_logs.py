@@ -2,6 +2,7 @@
 
 import io
 import logging
+import sys
 
 import pytest
 
@@ -64,3 +65,16 @@ class TestConfigureLogging:
             assert foreign in root.handlers
         finally:
             root.removeHandler(foreign)
+
+    def test_default_stream_is_stderr_at_emit_time(self, monkeypatch):
+        """A handler configured under a swapped-in stderr that is then
+        closed writes to the stderr of the moment, not the closed one."""
+        swapped = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", swapped)
+        configure_logging("info")
+        swapped.close()
+        current = io.StringIO()
+        monkeypatch.setattr(sys, "stderr", current)
+        logging.getLogger("repro.z").info("after the swap")
+        assert "--- Logging error ---" not in current.getvalue()
+        assert "repro.z: after the swap" in current.getvalue()

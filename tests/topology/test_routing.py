@@ -1,9 +1,13 @@
 """Tests for cheapest-path routing."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import RoutingError
-from repro.topology import ChargingBasis, Router, Topology
+from repro.topology import ChargingBasis, Route, Router, Topology
 
 
 @pytest.fixture
@@ -80,6 +84,42 @@ class TestRoute:
         rates = Router(diamond).all_rates_from("VW")
         assert rates["IS3"] == pytest.approx(2.0)
         assert rates["VW"] == 0.0
+
+
+class TestRouteRecord:
+    """``hops`` is computed once at construction and stays out of
+    equality, hashing and the repr."""
+
+    def test_repr_unchanged(self, diamond):
+        r = Router(diamond).route("VW", "IS3")
+        assert repr(r) == (
+            "Route(nodes=('VW', 'IS1', 'IS3'), hop_cost=2.0, rate=2.0)"
+        )
+
+    def test_hops_not_a_constructor_field(self):
+        r = Route(("VW", "IS1"), 1.0, 1.0)
+        assert r.hops == 1
+        with pytest.raises(TypeError):
+            Route(("VW", "IS1"), 1.0, 1.0, 1)  # type: ignore[call-arg]
+
+    def test_round_trips(self, diamond):
+        r = Router(diamond).route("VW", "IS3")
+        for clone in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert clone == r and hash(clone) == hash(r)
+            assert clone.hops == r.hops == 2
+            assert repr(clone) == repr(r)
+        moved = dataclasses.replace(r, nodes=("VW", "IS3"))
+        assert moved.hops == 1 and moved != r
+        assert dataclasses.replace(moved, nodes=r.nodes) == r
+
+    def test_equality_and_hash_ignore_hops(self):
+        a = Route(("VW", "IS1", "IS2"), 2.0, 2.0)
+        b = Route(("VW", "IS1", "IS2"), 2.0, 2.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != Route(("VW", "IS2"), 2.0, 2.0)
+        assert [f.name for f in dataclasses.fields(a) if f.compare] == [
+            "nodes", "hop_cost", "rate",
+        ]
 
 
 class TestEndToEndCharging:
