@@ -196,7 +196,8 @@ _DETERMINISTIC_GATEWAY_KEYS = (
     "quote_total_dollars",
     "realized_total_dollars",
 )
-#: SORP trial work counters: pure functions of the workload.
+#: SORP work counters (trials, serves, usage timelines built): pure
+#: functions of the workload.
 _SORP_WORK_KEYS = (
     "trials_run",
     "trials_reused",
@@ -204,6 +205,7 @@ _SORP_WORK_KEYS = (
     "trials_resumed",
     "serves_kept",
     "serves_served",
+    "timeline_builds",
 )
 #: Standalone-SORP keys that must match bit-for-bit: the round count and
 #: the trial work counters.
@@ -288,18 +290,25 @@ def _build_env(n_videos: int, users: int):
 
 
 def _sorp_work(metrics) -> dict:
-    """``trials_<outcome>`` and ``serves_<part>`` counts of a metrics
-    registry that saw one SORP run."""
+    """``trials_<outcome>``, ``serves_<part>`` and ``timeline_builds``
+    counts of a metrics registry that saw one SORP run."""
     labels = {
         "vor_sorp_trials_total": ("trials", "outcome"),
         "vor_sorp_trial_serves_total": ("serves", "part"),
     }
-    return {
+    work = {
         f"{labels[fam.name][0]}_{dict(key)[labels[fam.name][1]]}": child.value
         for fam in metrics.families()
         if fam.name in labels
         for key, child in fam.children.items()
     }
+    work["timeline_builds"] = sum(
+        child.value
+        for fam in metrics.families()
+        if fam.name == "vor_sorp_timeline_builds_total"
+        for child in fam.children.values()
+    )
+    return work
 
 
 def _time_sorp(topo, catalog, batch, repeats):

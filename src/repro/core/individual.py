@@ -217,9 +217,12 @@ class IndividualScheduler:
         req: Request,
         residencies: list[ResidencyInfo],
         fs: FileSchedule,
+        occupied: dict[str, int],
     ) -> None:
         """One greedy step (used by sessions): price the copies, serve
-        ``req`` from the winner and open its stream's deposits."""
+        ``req`` from the winner and open its stream's deposits.
+        ``occupied`` maps each location in ``residencies`` to its index
+        there; the step keeps it current."""
         if req.video_id != video.video_id:
             raise ScheduleError(
                 f"request for {req.video_id!r} passed to schedule of "
@@ -250,7 +253,9 @@ class IndividualScheduler:
         self._route_policy.commit(
             route, start, start + video.playback, video.bandwidth
         )
-        self._deposit_candidates(video.video_id, route.nodes, start, residencies)
+        self._deposit_candidates(
+            video.video_id, route.nodes, start, residencies, occupied
+        )
 
     def solve(
         self,
@@ -381,6 +386,7 @@ class IndividualScheduler:
         nodes: tuple[str, ...],
         t: float,
         residencies: list[ResidencyInfo],
+        occupied: dict[str, int],
     ) -> None:
         """Open zero-cost cache candidates at storages the stream along
         ``nodes``, starting at ``t``, traverses.
@@ -391,17 +397,16 @@ class IndividualScheduler:
         unused candidates a later ``t_s`` strictly dominates (extension cost
         grows with ``t_f - t_s`` while causality only needs ``t_s <= t_u``).
         A one-node route (a serve from the local cache) deposits nothing.
+        ``occupied`` is the session's ``{location: index}`` map of
+        ``residencies``; an appended candidate is added to it.
         """
         source = nodes[0]
         if self._deposit_scope != "route":
             nodes = nodes[-1:]
         storages = self._storage_names
-        occupied = None  # built at the first storage to deposit at
         for node in nodes:
             if node == source or node not in storages:
                 continue  # the serving copy itself lives at the source
-            if occupied is None:
-                occupied = {c.location: i for i, c in enumerate(residencies)}
             existing_idx = occupied.get(node)
             if existing_idx is not None:
                 existing = residencies[existing_idx]
@@ -409,6 +414,7 @@ class IndividualScheduler:
                     continue
             candidate = ResidencyInfo(video_id, node, source, t, t, ())
             if existing_idx is None:
+                occupied[node] = len(residencies)
                 residencies.append(candidate)
             else:
                 residencies[existing_idx] = candidate
@@ -443,6 +449,8 @@ class FileGreedySession:
                     f"{video.video_id!r}"
                 )
             self._residencies.append(c)
+        #: ``{location: index into _residencies}``, the last index winning.
+        self._occupied = {c.location: i for i, c in enumerate(self._residencies)}
         self._last_time = kept[-1].start_time if kept else -math.inf
 
     def serve(self, req: Request) -> None:
@@ -458,7 +466,9 @@ class FileGreedySession:
                 f"requests must be served chronologically: {req.start_time} < "
                 f"{self._last_time}"
             )
-        self._scheduler.serve_into(self._video, req, self._residencies, self._fs)
+        self._scheduler.serve_into(
+            self._video, req, self._residencies, self._fs, self._occupied
+        )
         self._last_time = req.start_time
 
     def finish(self) -> FileSchedule:

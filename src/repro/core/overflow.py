@@ -7,6 +7,12 @@ interval during which the summed reserved space (Eq. 6 profiles of all
 residencies at ``IS_j``) exceeds the storage's capacity.
 ``OverflowSet(IS_j, Δt)`` is the set of residencies involved -- those whose
 profile is positive somewhere inside the interval.
+
+:class:`StorageLedger` keeps SORP's view of the working schedule: one slot
+per storage with its residency profiles, its full usage timeline (read by
+detection and by every victim with no residency there), each present
+victim's "everyone but v" timeline and the rejective greedy's ``fits``
+answers.  A committed victim renews only the slots its files touch.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from repro.core.spacefunc import (
     SpaceProfile,
     UsageTimeline,
     capacity_slack,
+    fits_under,
     residency_profile,
 )
 from repro.topology.graph import Topology
@@ -66,39 +73,77 @@ class OverflowSituation:
         }
 
 
-class LocationIndex:
-    """Per-storage residency profiles of one schedule, with version stamps.
+class _Slot:
+    """One storage's share of the ledger, valid until a commit touches it."""
 
-    For every storage the index holds ``(residency, profile)`` pairs in
-    exactly ``schedule.residencies_at(loc)`` order, so timelines summed
+    __slots__ = ("entries", "videos", "views", "answers", "overflows")
+
+    def __init__(self, entries: list[tuple[ResidencyInfo, SpaceProfile]]):
+        #: ``(residency, profile)`` pairs in ``residencies_at`` order.
+        self.entries = entries
+        #: Ids of the videos with a residency here.
+        self.videos = {c.video_id for c, _ in entries}
+        #: ``{video_id: everyone but that video}`` for ids in ``videos``,
+        #: and under ``None`` the full timeline; each built on first use.
+        self.views: dict[str | None, UsageTimeline] = {}
+        #: ``{(video_id, t_start, t_last): fits}``.
+        self.answers: dict[tuple[str, float, float], bool] = {}
+        #: Detection's result, once swept.
+        self.overflows: list[OverflowSituation] | None = None
+
+
+class StorageLedger:
+    """SORP's per-storage view of one schedule, renewed commit by commit.
+
+    Each storage has one slot holding its ``(residency, profile)`` pairs
+    in exactly ``schedule.residencies_at(loc)`` order, so timelines summed
     from it are bit-identical to ones built from the schedule directly
     (:class:`UsageTimeline` accumulates floating-point running sums, so
-    the order of the profiles is part of the result).
+    the order of the profiles is part of the result).  A slot also keeps
+    what was computed from those pairs: the full timeline (entries plus
+    background), the "everyone but v" timeline of each video ``v`` with a
+    residency there, the :meth:`fits` answers and detection's overflows.
 
-    Change the schedule only through :meth:`set_file`: it bumps the
-    version stamp of every storage where the replaced file's old or new
-    residencies lie, marks those storages' entries for a rebuild and
-    empties their :meth:`memo`.  Stamps are per storage, never per time window: a
-    change disjoint in time can still move later running sums by ulps.
+    Change the schedule only through :meth:`set_file`.  It is a commit:
+    the storages where the replaced file's old or new residencies lie get
+    fresh slots, and the ledger notes them under the next commit number
+    (:attr:`commits`, :meth:`touched_since`).  Slots are per storage,
+    never per time window: a change disjoint in time can still move later
+    running sums by ulps.
 
     ``background`` is the fixed ``{location: [SpaceProfile, ...]}`` of
     out-of-schedule usage that every capacity view adds (rolling cycles).
-    Profiles are memoized on ``(video_id, t_start, t_last)``; the index
+    Profiles are memoized on ``(video_id, t_start, t_last)``; the ledger
     lives for one SORP run, so nothing it caches outlives that run.
     """
 
-    def __init__(self, schedule: Schedule, catalog: VideoCatalog, background=None):
+    def __init__(
+        self,
+        schedule: Schedule,
+        catalog: VideoCatalog,
+        topology: Topology,
+        background=None,
+    ):
         self.schedule = schedule
         self.background = background or {}
         self._catalog = catalog
+        self._topology = topology
         self._profiles: dict[tuple[str, float, float], SpaceProfile] = {}
-        self._entries: dict[str, list[tuple[ResidencyInfo, SpaceProfile]]] = {}
-        #: Locations whose entries must be rebuilt; ``None`` means all.
-        self._stale: set[str] | None = None
-        self._versions: dict[str, int] = {}
-        self._memos: dict[str, dict] = {}
-        #: :class:`UsageTimeline` constructions made through this index.
+        self._slots: dict[str, _Slot] = {}
+        #: The storages each commit touched, in commit order.
+        self._touched: list[set[str]] = []
+        #: :class:`UsageTimeline` constructions made through this ledger.
         self.timeline_builds = 0
+        self._renew(None)
+
+    @property
+    def commits(self) -> int:
+        """Number of :meth:`set_file` calls so far."""
+        return len(self._touched)
+
+    def touched_since(self, commit: int) -> set[str]:
+        """Storages whose slots commits after number ``commit`` renewed."""
+        return set().union(*self._touched[commit:])
 
     def profile(self, video_id: str, t_start: float, t_last: float) -> SpaceProfile:
         """The Eq. 6 profile of a residency of ``video_id`` over
@@ -114,51 +159,75 @@ class LocationIndex:
 
     def entries(self, location: str) -> list[tuple[ResidencyInfo, SpaceProfile]]:
         """``(residency, profile)`` pairs at ``location``, schedule order."""
-        if self._stale is None or location in self._stale:
-            self._refresh()
-        return self._entries.get(location, [])
+        return self._slot(location).entries
 
-    def _refresh(self) -> None:
-        """Rebuild every stale location's entries in one schedule pass."""
-        stale = self._stale
-        if stale is None:
-            self._entries.clear()
-        for loc in stale or ():
-            self._entries.pop(loc, None)
-        for c in self.schedule.residencies:
-            if stale is None or c.location in stale:
-                profile = self.profile(c.video_id, c.t_start, c.t_last)
-                self._entries.setdefault(c.location, []).append((c, profile))
-        self._stale = set()
+    def view(self, location: str, video_id: str | None = None) -> UsageTimeline:
+        """Usage at ``location`` of every file but ``video_id``, plus the
+        background; built once per slot.  A video with no residency there
+        (or none given) sees the full timeline detection sweeps."""
+        slot = self._slot(location)
+        # Filtering out a video with no residency here drops nothing, and
+        # the same profiles in the same order sum to the same timeline.
+        key = video_id if video_id in slot.videos else None
+        tl = slot.views.get(key)
+        if tl is None:
+            profiles = [p for c, p in slot.entries if c.video_id != key]
+            profiles.extend(self.background.get(location, ()))
+            tl = slot.views[key] = self._build(profiles)
+        return tl
 
-    def version(self, location: str) -> int:
-        """Stamp that changes whenever the usage at ``location`` may have."""
-        return self._versions.get(location, 0)
-
-    def memo(self, location: str) -> dict:
-        """Scratch cache for ``location``, emptied when its stamp bumps."""
-        memo = self._memos.get(location)
-        if memo is None:
-            memo = self._memos[location] = {}
-        return memo
-
-    def timeline(self, profiles: list[SpaceProfile]) -> UsageTimeline:
-        """Build (and count) one usage timeline."""
-        self.timeline_builds += 1
-        return UsageTimeline(profiles)
+    def fits(
+        self,
+        location: str,
+        video_id: str,
+        t_start: float,
+        t_last: float,
+        profile: SpaceProfile,
+    ) -> bool:
+        """Does ``video_id``'s residency ``[t_start, t_last]`` with space
+        ``profile`` fit in what every other file and the background leave
+        at ``location``?  Answered once per slot."""
+        slot = self._slot(location)
+        key = (video_id, t_start, t_last)
+        ok = slot.answers.get(key)
+        if ok is None:
+            capacity = self._topology.capacity(location)
+            ok = profile.peak <= capacity_slack(capacity) and fits_under(
+                self.view(location, video_id), profile, capacity
+            )
+            slot.answers[key] = ok
+        return ok
 
     def set_file(self, fs: FileSchedule) -> set[str]:
-        """Replace one video's schedule; returns the storages it touched."""
+        """Commit one video's new schedule; returns the storages it touched."""
         old = self.schedule.file(fs.video_id)
         self.schedule.set_file(fs)
         changed = {c.location for c in old.residencies}
         changed.update(c.location for c in fs.residencies)
-        if self._stale is not None:
-            self._stale |= changed
-        for loc in changed:
-            self._versions[loc] = self.version(loc) + 1
-            self._memos.pop(loc, None)
+        self._touched.append(changed)
+        if changed:
+            self._renew(changed)
         return changed
+
+    def _slot(self, location: str) -> _Slot:
+        slot = self._slots.get(location)
+        if slot is None:
+            slot = self._slots[location] = _Slot([])
+        return slot
+
+    def _renew(self, locations: set[str] | None) -> None:
+        """Fresh slots for ``locations`` (``None``: all) in one schedule pass."""
+        entries: dict[str, list] = {loc: [] for loc in locations or ()}
+        for c in self.schedule.residencies:
+            if locations is None or c.location in locations:
+                profile = self.profile(c.video_id, c.t_start, c.t_last)
+                entries.setdefault(c.location, []).append((c, profile))
+        for loc, pairs in entries.items():
+            self._slots[loc] = _Slot(pairs)
+
+    def _build(self, profiles: list[SpaceProfile]) -> UsageTimeline:
+        self.timeline_builds += 1
+        return UsageTimeline(profiles)
 
 
 def storage_usage(
@@ -177,7 +246,7 @@ def detect_overflows(
     topology: Topology,
     *,
     background=None,
-    index: LocationIndex | None = None,
+    ledger: StorageLedger | None = None,
 ) -> list[OverflowSituation]:
     """All storage overflow situations in an integrated schedule.
 
@@ -195,33 +264,31 @@ def detect_overflows(
     rejective greedy places under, so a placement that fits never shows up
     as a new overflow.
 
-    ``index`` (a :class:`LocationIndex` mirroring ``schedule`` and
+    ``ledger`` (a :class:`StorageLedger` mirroring ``schedule`` and
     ``background``; by default a fresh one) makes repeated sweeps
-    incremental: a storage whose stamp is unchanged since the index last
-    swept it reuses that sweep's result.
+    incremental: a storage whose slot no commit renewed since the ledger
+    last swept it reuses that sweep's result.
     """
-    if index is None:
-        index = LocationIndex(schedule, catalog, background)
-    elif index.schedule is not schedule:
-        raise ValueError("index does not mirror the schedule being swept")
+    if ledger is None:
+        ledger = StorageLedger(schedule, catalog, topology, background)
+    elif ledger.schedule is not schedule:
+        raise ValueError("ledger does not mirror the schedule being swept")
     overflows: list[OverflowSituation] = []
     for spec in topology.storages:
-        memo = index.memo(spec.name)
-        found = memo.get("overflows")
-        if found is None:
-            found = memo["overflows"] = _overflows_at(spec, index)
-        overflows.extend(found)
+        slot = ledger._slot(spec.name)
+        if slot.overflows is None:
+            slot.overflows = _overflows_at(spec, ledger)
+        overflows.extend(slot.overflows)
     overflows.sort(key=lambda o: (o.location, o.interval))
     return overflows
 
 
-def _overflows_at(spec, index: LocationIndex) -> list[OverflowSituation]:
+def _overflows_at(spec, ledger: StorageLedger) -> list[OverflowSituation]:
     """Overflow situations at one storage."""
-    entries = index.entries(spec.name)
+    entries = ledger.entries(spec.name)
     if not entries:
         return []
-    profiles = [p for _, p in entries]
-    timeline = index.timeline([*profiles, *index.background.get(spec.name, ())])
+    timeline = ledger.view(spec.name)
     slack = capacity_slack(spec.capacity)
     if timeline.peak <= slack:
         return []

@@ -159,8 +159,8 @@ def solve_two_phase(
     grafted onto it, appended to the file of its video if ``base`` holds
     one, and SORP resolves the requests the grafted schedule delivers.
     ``route_policy`` routes Phase 1 and SORP's trials (default: cheapest
-    path).  The result's cost is SORP's ledger sum (pruning drops only
-    unused zero-span residencies, whose Ψ_C is 0.0).
+    path).  The result's cost is the sum of SORP's per-file costs
+    (pruning drops only unused zero-span residencies, whose Ψ_C is 0.0).
     """
     start = cost_model.cache_stats
     schedule = ParallelIndividualScheduler(

@@ -13,29 +13,34 @@ detection share one tolerance, :func:`~repro.core.spacefunc.capacity_slack`).
 A generous iteration cap guards against pathological numerical edge cases.
 
 Evaluation is incremental within one run, with results bit-identical to
-rebuilding every trial from scratch.  A :class:`LocationIndex` mirrors the
-working schedule per storage and stamps each storage with a version that
-bumps only where a committed victim's old or new file has residencies.
-Trials share "everyone but video v" timelines and ``fits`` answers per
-``(v, location, stamp)``.  The rejective greedy is a deterministic function
-of its fixed inputs and of the ordered decisions it receives (see
+rebuilding every trial from scratch.  A
+:class:`~repro.core.overflow.StorageLedger` mirrors the working schedule
+with one slot per storage; each commit of a victim renews only the slots
+where its old or new file has residencies, and the ledger numbers its
+commits.  A slot holds the storage's full
+timeline, which detection sweeps and which every video with no residency
+there reads as its "everyone but v" view (the same profiles in the same
+order, so the same timeline), plus the other videos' views and the
+``fits`` answers, so every trial between two commits shares them.  The
+rejective greedy is a deterministic function of its fixed inputs and of
+the ordered decisions it receives (see
 :class:`~repro.core.rejective.DecisionLog`), so each trial is priced from
 a predecessor -- the trial of the same video, overflow location and
-interval, else the video's latest trial at any overflow location:
-reused as is while every location in its log keeps its stamp and the
-forbidden (location, interval) is the same; revalidated, without serving
-a request, when its decisions at the re-stamped locations (and at the
-old and new forbidden location, if that changed) come out the same; and
-otherwise resumed at the request that made the first decision that
-differs, keeping the deliveries before it.  Detection re-sweeps only
-re-stamped storages.
+interval, else the video's latest trial at any overflow location -- and
+remembers the one commit number it was decided at: reused as is while no
+later commit touched a location in its log and the forbidden (location,
+interval) is the same; revalidated, without serving a request, when its
+decisions at the touched locations (and at the old and new forbidden
+location, if that changed) come out the same; and otherwise resumed at
+the request that made the first decision that differs, keeping the
+deliveries before it.  Detection re-sweeps only renewed slots.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.costmodel import (
     CacheStats,
@@ -44,9 +49,8 @@ from repro.core.costmodel import (
     record_cache_metrics,
 )
 from repro.core.heat import HeatMetric, compute_heat
-from repro.core.overflow import LocationIndex, OverflowSituation, detect_overflows
+from repro.core.overflow import OverflowSituation, StorageLedger, detect_overflows
 from repro.core.rejective import (
-    AvailabilityOracle,
     DecisionLog,
     RejectiveGreedyScheduler,
     ResidencyConstraints,
@@ -166,12 +170,12 @@ def resolve_overflows(
         route_policy,
     )
     stats = ResolutionStats(phase1_cost=selector.cost().total)
-    index = selector.index
+    ledger = selector.ledger
 
     with obs.tracer.span("sorp", residencies=len(working.residencies)) as sorp_span:
         with obs.tracer.span("overflow") as detect_span:
             overflows = detect_overflows(
-                working, catalog, topology, background=background, index=index
+                working, catalog, topology, background=background, ledger=ledger
             )
             detect_span.set(overflows=len(overflows))
         stats.initial_overflows = len(overflows)
@@ -229,7 +233,7 @@ def resolve_overflows(
                 with obs.tracer.span("overflow") as detect_span:
                     overflows = detect_overflows(
                         working, catalog, topology, background=background,
-                        index=index,
+                        ledger=ledger,
                     )
                     detect_span.set(overflows=len(overflows))
 
@@ -295,7 +299,7 @@ def resolve_overflows(
         metrics.counter(
             "vor_sorp_timeline_builds_total",
             help="Usage timelines SORP built for detection and availability views",
-        ).inc(index.timeline_builds)
+        ).inc(ledger.timeline_builds)
     if stats.iterations:
         _log.info(
             "SORP resolved %d overflow(s) in %d round(s), cost +%.2f%%",
@@ -316,30 +320,29 @@ class _Trial:
     forbidden: tuple[str, tuple[float, float]]
     #: The run's decisions and marks (:class:`DecisionLog`).
     log: DecisionLog
-    #: ``{location: stamp}`` for every location in ``log``, as of the
-    #: last time its decisions were made or re-decided.
-    stamps: dict[str, int]
+    #: The ledger commit its decisions were last made or re-decided at.
+    commit: int
 
 
 class _VictimSelector:
     """``SORP_solve``'s victim selection over one run, evaluated incrementally.
 
-    Owns the run's :class:`LocationIndex`, a memo of trial reschedules
+    Owns the run's :class:`StorageLedger`, a memo of trial reschedules
     keyed on ``(video, overflow location, overflow interval)``, and the
-    ledger of per-file costs Ψ(S_i) of the working schedule.  Each trial
-    is priced from a predecessor: the trial of the same key, or else the
-    video's latest trial, whatever its overflow.  The predecessor is
-    reused as is while every location in its decision log keeps its stamp
-    and the forbidden pair is the same.  Otherwise its decisions at the
-    re-stamped locations, and at the old and the new forbidden location
-    when the pair changed, are re-decided in log order: if none differs
-    the trial is revalidated, and at the first one that differs the
-    greedy resumes at the request that made it.  Trials the greedy serves
-    go through :meth:`RejectiveGreedyScheduler.reschedule`.
+    per-file costs Ψ(S_i) of the working schedule.  Each trial is priced
+    from a predecessor: the trial of the same key, or else the video's
+    latest trial, whatever its overflow.  The predecessor is reused as is
+    while no later commit touched a location in its decision log and the
+    forbidden pair is the same.  Otherwise its decisions at the touched
+    locations, and at the old and the new forbidden location when the
+    pair changed, are re-decided in log order: if none differs the trial
+    is revalidated, and at the first one that differs the greedy resumes
+    at the request that made it.  Trials the greedy serves go through
+    :meth:`RejectiveGreedyScheduler.reschedule`.
 
     Ψ is additive over files (Eq. 1): each file is priced once and a
-    commit writes in the victim trial's breakdown, so the ledger summed
-    in schedule order gives the floats :meth:`CostModel.schedule_cost` would.
+    commit writes in the victim trial's breakdown, so the costs summed in
+    schedule order give the floats :meth:`CostModel.schedule_cost` would.
     """
 
     def __init__(
@@ -352,14 +355,15 @@ class _VictimSelector:
         committed: dict,
         route_policy=None,
     ):
-        self.index = LocationIndex(working, cost_model.catalog, background)
+        self.ledger = StorageLedger(
+            working, cost_model.catalog, cost_model.topology, background
+        )
         #: Ψ(S_i) per video of the working schedule, in schedule order.
-        self.ledger = {fs.video_id: cost_model.file_cost(fs) for fs in working}
+        self.costs = {fs.video_id: cost_model.file_cost(fs) for fs in working}
         self._cm = cost_model
         self._rejective = RejectiveGreedyScheduler(cost_model, route_policy)
         self._requests = requests_by_video
         self._metric = metric
-        self._background = background
         self._committed = committed
         self._trials: dict[tuple, _Trial] = {}
         #: The latest trial per video.
@@ -378,8 +382,8 @@ class _VictimSelector:
         self.decisions_redecided = 0
 
     def cost(self) -> CostBreakdown:
-        """Ψ of the working schedule: the ledger summed in schedule order."""
-        return sum(self.ledger.values(), CostBreakdown(0.0, 0.0))
+        """Ψ of the working schedule: the costs summed in schedule order."""
+        return sum(self.costs.values(), CostBreakdown(0.0, 0.0))
 
     def counts(self) -> dict[str, int]:
         """The work counters, as span attributes."""
@@ -427,8 +431,8 @@ class _VictimSelector:
                 except ScheduleError:
                     continue  # no feasible source under the route policy
                 trials[(c.video_id, of.location, of.interval)] = trial
-                overhead = trial.cost.total - self.ledger[c.video_id].total
-                profile = self.index.profile(c.video_id, c.t_start, c.t_last)
+                overhead = trial.cost.total - self.costs[c.video_id].total
+                profile = self.ledger.profile(c.video_id, c.t_start, c.t_last)
                 heat = compute_heat(self._metric, c, video, of, overhead, profile)
                 if math.isnan(heat):  # pragma: no cover - defensive
                     continue
@@ -442,9 +446,9 @@ class _VictimSelector:
         return best
 
     def commit(self, trial: _Trial) -> None:
-        """Install the victim's new schedule and cost; re-stamp what it touched."""
-        self.index.set_file(trial.new_fs)
-        self.ledger[trial.new_fs.video_id] = trial.cost
+        """Install the victim's new schedule and cost: one ledger commit."""
+        self.ledger.set_file(trial.new_fs)
+        self.costs[trial.new_fs.video_id] = trial.cost
 
     def _price(self, video, requests, of: OverflowSituation, seeds) -> _Trial:
         """The trial of ``video`` forbidden from ``of``, from its predecessor."""
@@ -465,45 +469,36 @@ class _VictimSelector:
         The greedy's inputs other than its decisions are fixed by the
         video, and it is deterministic, so it replays ``prior`` exactly up
         to its first decision that comes out differently.  Only decisions
-        at re-stamped locations can change their capacity answer, and only
-        those at the old or the new forbidden location their forbidden
-        answer.  They are re-decided in log order, stopping at the first
-        change, so every answer computed here is one a fresh run would
-        compute too.
+        at locations a later commit touched can change their capacity
+        answer, and only those at the old or the new forbidden location
+        their forbidden answer.  They are re-decided in log order, stopping
+        at the first change, so every answer computed here is one a fresh
+        run would compute too.
         """
-        version = self.index.version
-        moved = {loc for loc, v in prior.stamps.items() if version(loc) != v}
+        log = prior.log
+        moved = self.ledger.touched_since(prior.commit) & log.at.keys()
         forbidden = (of.location, of.interval)
         if forbidden != prior.forbidden:
             moved.update((of.location, prior.forbidden[0]))
         elif not moved:
             self.trials_reused += 1
             return prior
-        oracle = self._oracle(video.video_id)
-        constraints = ResidencyConstraints([forbidden], oracle)
-        log = prior.log
+        decide = ResidencyConstraints(self.ledger, [forbidden]).decide
+        vid = video.video_id
         order = log.in_order(moved)
         for n, i in enumerate(order, 1):
             location, t_start, t_last, profile, allowed = log.decisions[i]
-            if constraints.decide(location, t_start, t_last, profile) != allowed:
+            if decide(vid, location, t_start, t_last, profile) != allowed:
                 self.decisions_redecided += n
                 k = log.owner(i)
                 prefix, residencies = log.cut(k)
                 kept = tuple(prior.new_fs.deliveries[:k])
-                return self._serve(
-                    video, requests, of, prefix, residencies, kept, oracle
-                )
+                return self._serve(video, requests, of, prefix, residencies, kept)
         self.decisions_redecided += len(order)
         self.trials_revalidated += 1
-        return replace(
-            prior,
-            forbidden=forbidden,
-            stamps={loc: version(loc) for loc in prior.stamps},
-        )
+        return _Trial(prior.new_fs, prior.cost, forbidden, log, self.ledger.commits)
 
-    def _serve(
-        self, video, requests, of, log, residencies, kept, oracle=None
-    ) -> _Trial:
+    def _serve(self, video, requests, of, log, residencies, kept) -> _Trial:
         """Run the greedy from request ``len(kept)`` on (0: a fresh trial)."""
         if kept:
             self.trials_resumed += 1
@@ -512,35 +507,19 @@ class _VictimSelector:
             self.trials_run += 1
         self.serves_served += len(requests) - len(kept)
         prefix = len(log.decisions)
+        forbidden = (of.location, of.interval)
         new_fs = self._rejective.reschedule(
             video,
             requests,
-            self.index.schedule,
-            forbidden=[(of.location, of.interval)],
-            background=self._background,
+            self.ledger,
+            forbidden=[forbidden],
             initial_residencies=residencies,
-            oracle=oracle or self._oracle(video.video_id),
             log=log,
             kept=kept,
         )
         self.decisions_logged += len(log.decisions) - prefix
-        version = self.index.version
         return _Trial(
-            new_fs,
-            self._cm.file_cost(new_fs),
-            (of.location, of.interval),
-            log,
-            {loc: version(loc) for loc in log.at},
-        )
-
-    def _oracle(self, video_id: str) -> AvailabilityOracle:
-        return AvailabilityOracle(
-            self.index.schedule,
-            self._cm.catalog,
-            self._cm.topology,
-            video_id,
-            self._background,
-            index=self.index,
+            new_fs, self._cm.file_cost(new_fs), forbidden, log, self.ledger.commits
         )
 
 

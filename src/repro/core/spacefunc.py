@@ -25,7 +25,8 @@ and heat metrics all share this single space model.
 :class:`UsageTimeline` aggregates many residency profiles at one storage via
 an event sweep, yielding a piecewise-linear total-usage function that supports
 point queries, maxima, integrals and threshold-crossing intervals (used for
-overflow detection and the Eq. 5 improvement integral).
+overflow detection and the Eq. 5 improvement integral); :func:`fits_under`
+checks a candidate profile against one under a capacity.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ EPS = 1e-9
 def capacity_slack(capacity: float, eps: float = EPS) -> float:
     """Highest usage that still counts as within ``capacity``.
 
-    The one tolerance shared by placement (the rejective greedy's
-    ``fits_under`` and its oracle's peak shortcut) and by overflow
+    The one tolerance shared by placement (:func:`fits_under` and the
+    SORP ledger's peak shortcut) and by overflow
     detection, so SORP never commits a placement that the next detection
     sweep reports as a new overflow.
     """
@@ -402,3 +403,53 @@ def flat_timeline(runs: Iterable[tuple[float, float, float]]) -> UsageTimeline:
     return UsageTimeline(
         SpaceProfile((LinearSegment(s, e, h, h),)) for s, e, h in runs
     )
+
+
+def fits_under(
+    timeline: UsageTimeline,
+    profile: SpaceProfile,
+    capacity: float,
+    *,
+    eps: float = EPS,
+) -> bool:
+    """True iff ``timeline + profile <= capacity`` everywhere.
+
+    Both operands are piecewise linear, so their sum is too; its maximum is
+    attained at a breakpoint of either operand (approached from the left or
+    the right), which is the finite set of points we evaluate -- vectorized,
+    as this is the scheduler's hottest inner check.
+    """
+    if not profile.segments:
+        return True
+    slack = capacity_slack(capacity, eps)
+    if timeline.is_empty:
+        return profile.peak <= slack
+    ts = timeline._ts
+    y_right = timeline._y_right
+    y_next = timeline._y_next
+    for seg in profile.segments:
+        # segment endpoints: both one-sided timeline values matter
+        for p in (seg.start, seg.end):
+            pv = seg.value(p)
+            if pv + timeline.value(p) > slack:
+                return False
+            if pv + timeline.value_left(p) > slack:
+                return False
+        # timeline grid points strictly inside the segment: the profile is
+        # linear there, so evaluate it on a *view* of the grid (no per-point
+        # Python bisects -- this is the scheduler's hottest loop)
+        i0 = int(np.searchsorted(ts, seg.start, side="right"))
+        i1 = int(np.searchsorted(ts, seg.end, side="left"))
+        if i1 <= i0:
+            continue
+        prof = seg.y0 + seg.slope * (ts[i0:i1] - seg.start)
+        if ((y_right[i0:i1] + prof) > slack).any():
+            return False
+        # left-limits at grid point j live in y_next[j-1]
+        j0 = i0
+        if j0 == 0:
+            prof = prof[1:]
+            j0 = 1
+        if prof.size and ((y_next[j0 - 1 : i1 - 1] + prof) > slack).any():
+            return False
+    return True

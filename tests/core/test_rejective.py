@@ -12,8 +12,8 @@ from repro import (
     VideoCatalog,
     VideoFile,
 )
+from repro.core.overflow import StorageLedger
 from repro.core.rejective import (
-    AvailabilityOracle,
     RejectiveGreedyScheduler,
     ResidencyConstraints,
     fits_under,
@@ -118,41 +118,49 @@ class TestFitsUnderProperties:
 
 
 class TestAvailabilityOracle:
+    """The ledger's availability answers: what every other file leaves."""
+
     def test_excludes_victims_own_residencies(self, env):
         topo, catalog, cm = env
         fs_a = FileSchedule("a")
         fs_a.add_residency(ResidencyInfo("a", "IS1", "VW", 0.0, 30.0))
-        schedule = Schedule([fs_a])
-        oracle = AvailabilityOracle(schedule, catalog, topo, exclude_video="a")
+        ledger = StorageLedger(Schedule([fs_a]), catalog, topo)
         # with "a" excluded, IS1 is empty; a full-size profile fits
         p = residency_profile(100.0, 10.0, 0.0, 30.0)
-        assert oracle.fits("IS1", p)
+        assert ledger.fits("IS1", "a", 0.0, 30.0, p)
 
     def test_counts_other_files(self, env):
         topo, catalog, cm = env
         fs_b = FileSchedule("b")
         fs_b.add_residency(ResidencyInfo("b", "IS1", "VW", 0.0, 30.0))
-        schedule = Schedule([fs_b])
-        oracle = AvailabilityOracle(schedule, catalog, topo, exclude_video="a")
+        ledger = StorageLedger(Schedule([fs_b]), catalog, topo)
         p = residency_profile(100.0, 10.0, 10.0, 20.0)
-        assert not oracle.fits("IS1", p)  # 100 + 100 > 150
+        assert not ledger.fits("IS1", "a", 10.0, 20.0, p)  # 100 + 100 > 150
 
     def test_peak_shortcut(self, env):
         topo, catalog, cm = env
-        oracle = AvailabilityOracle(Schedule(), catalog, topo, exclude_video="a")
+        ledger = StorageLedger(Schedule(), catalog, topo)
         p = residency_profile(200.0, 10.0, 0.0, 30.0)
-        assert not oracle.fits("IS1", p)  # peak 200 > capacity alone
+        assert not ledger.fits("IS1", "a", 0.0, 30.0, p)  # peak 200 > capacity
+        assert ledger.timeline_builds == 0  # answered without a timeline
 
 
 def _allows(cons, video, c):
     return cons.allows(video, c.location, c.t_start, c.t_last)
 
 
+def _empty_ledger(env):
+    topo, catalog, _ = env
+    return StorageLedger(Schedule(), catalog, topo)
+
+
 class TestResidencyConstraints:
     def test_forbidden_interval_blocks(self, env):
         _, catalog, _ = env
         video = catalog["a"]
-        cons = ResidencyConstraints(forbidden=[("IS1", (10.0, 20.0))])
+        cons = ResidencyConstraints(
+            _empty_ledger(env), forbidden=[("IS1", (10.0, 20.0))]
+        )
         inside = ResidencyInfo("a", "IS1", "VW", 5.0, 30.0)
         outside = ResidencyInfo("a", "IS1", "VW", 50.0, 80.0)
         elsewhere = ResidencyInfo("a", "IS2", "VW", 5.0, 30.0)
@@ -164,7 +172,9 @@ class TestResidencyConstraints:
         """A residency whose drain reaches into Δt still occupies space."""
         _, catalog, _ = env
         video = catalog["a"]
-        cons = ResidencyConstraints(forbidden=[("IS1", (32.0, 40.0))])
+        cons = ResidencyConstraints(
+            _empty_ledger(env), forbidden=[("IS1", (32.0, 40.0))]
+        )
         # t_last=30, drain spans [30, 40] -> positive inside the window
         tail = ResidencyInfo("a", "IS1", "VW", 0.0, 30.0)
         assert not _allows(cons, video, tail)
@@ -172,7 +182,9 @@ class TestResidencyConstraints:
     def test_zero_extent_always_allowed(self, env):
         _, catalog, _ = env
         video = catalog["a"]
-        cons = ResidencyConstraints(forbidden=[("IS1", (0.0, 100.0))])
+        cons = ResidencyConstraints(
+            _empty_ledger(env), forbidden=[("IS1", (0.0, 100.0))]
+        )
         candidate = ResidencyInfo("a", "IS1", "VW", 10.0, 10.0)
         assert _allows(cons, video, candidate)
         assert cons.log.decisions == []  # occupies no space: not a decision
@@ -181,8 +193,7 @@ class TestResidencyConstraints:
         topo, catalog, _ = env
         fs_b = FileSchedule("b")
         fs_b.add_residency(ResidencyInfo("b", "IS1", "VW", 0.0, 30.0))
-        oracle = AvailabilityOracle(Schedule([fs_b]), catalog, topo, "a")
-        cons = ResidencyConstraints(oracle=oracle)
+        cons = ResidencyConstraints(StorageLedger(Schedule([fs_b]), catalog, topo))
         clash = ResidencyInfo("a", "IS1", "VW", 10.0, 20.0)
         free = ResidencyInfo("a", "IS2", "VW", 10.0, 20.0)
         assert not _allows(cons, catalog["a"], clash)
@@ -199,7 +210,8 @@ class TestRejectiveGreedy:
         # Unconstrained, the greedy would cache at IS1 over [0, 5].
         scheduler = RejectiveGreedyScheduler(cm)
         fs = scheduler.reschedule(
-            catalog["a"], reqs, Schedule(), forbidden=[("IS1", (0.0, 50.0))]
+            catalog["a"], reqs, StorageLedger(Schedule(), catalog, topo),
+            forbidden=[("IS1", (0.0, 50.0))],
         )
         for c in fs.residencies:
             if c.location == "IS1":
@@ -217,7 +229,7 @@ class TestRejectiveGreedy:
         fs = scheduler.reschedule(
             catalog["a"],
             reqs,
-            Schedule(),
+            StorageLedger(Schedule(), catalog, topo),
             forbidden=[("IS1", (0.0, 1e6)), ("IS2", (0.0, 1e6))],
         )
         assert all(d.route[0] == "VW" for d in fs.deliveries)
@@ -234,7 +246,7 @@ class TestRejectiveGreedy:
             Request(5.0, "a", "u2", "IS1"),
         ]
         fs = RejectiveGreedyScheduler(cm).reschedule(
-            catalog["a"], reqs, schedule, forbidden=[]
+            catalog["a"], reqs, StorageLedger(schedule, catalog, topo), forbidden=[]
         )
         # the [0, 5] extension peaks at gamma*size = 50, exactly the free room
         at_is1 = [c for c in fs.residencies if c.location == "IS1"]
@@ -262,7 +274,7 @@ class TestRejectiveGreedy:
             Request(5.0, "a", "u2", "IS1"),
         ]
         fs = RejectiveGreedyScheduler(cm).reschedule(
-            catalog["a"], reqs, schedule, forbidden=[]
+            catalog["a"], reqs, StorageLedger(schedule, catalog, topo), forbidden=[]
         )
         assert all(c.location != "IS1" for c in fs.residencies)
         assert all(d.route[0] == "VW" for d in fs.deliveries)

@@ -68,6 +68,25 @@ class TestFileGreedySession:
                 catalog["v"], initial_residencies=(bad_seed,)
             )
 
+    def test_location_index_map_follows_the_residencies(self):
+        """The session keeps ``{location: index}`` as it serves, equal to
+        the map rebuilt from its residencies (the last index winning)."""
+        topo = chain_topology(4, nrate=1.0, srate=1e-3, capacity=1e12)
+        catalog = VideoCatalog([VideoFile("v", size=100.0, playback=10.0)])
+        seeds = (
+            ResidencyInfo("v", "IS3", "VW", 0.0, 0.0),
+            ResidencyInfo("v", "IS1", "VW", 0.0, 2.0),
+        )
+        session = IndividualScheduler(CostModel(topo, catalog)).session(
+            catalog["v"], initial_residencies=seeds
+        )
+        for t, loc in ((1.0, "IS4"), (3.0, "IS2"), (30.0, "IS4"), (31.0, "IS3")):
+            session.serve(Request(t, "v", f"u{t}", loc))
+            assert session._occupied == {
+                c.location: i for i, c in enumerate(session.residencies)
+            }
+        assert len(session.residencies) > len(seeds)  # deposits were appended
+
     def test_failed_serve_leaves_state_intact(self):
         """A rejected request must not corrupt the session."""
         topo, catalog, cm = _env()

@@ -15,6 +15,7 @@ changes and full replays of single trials.
 from __future__ import annotations
 
 import contextlib
+import random
 from unittest import mock
 
 import pytest
@@ -43,9 +44,8 @@ from repro import (
 )
 from repro.core import scheduler as scheduler_module
 from repro.core import sorp as sorp_module
-from repro.core.overflow import LocationIndex, OverflowSituation
+from repro.core.overflow import OverflowSituation, StorageLedger
 from repro.core.rejective import (
-    AvailabilityOracle,
     DecisionLog,
     ResidencyConstraints,
     fits_under,
@@ -283,7 +283,7 @@ class TestTrialReuse:
             None, {},
         )
         overflows = detect_overflows(
-            working, catalog, topo, index=selector.index
+            working, catalog, topo, ledger=selector.ledger
         )
         assert [of.location for of in overflows] == ["IS1b", "IS2b"]
         return selector, overflows, catalog, topo
@@ -301,11 +301,12 @@ class TestTrialReuse:
     def _restamp_is2(selector, catalog, topo, fs, overflows):
         """Install ``fs`` (a file with residencies only at ``IS2``) and
         re-detect; the overflows must come back unchanged."""
-        assert selector.index.set_file(fs) == {"IS2"}
-        assert selector.index.version("IS2") == 1
-        assert selector.index.version("IS1") == 0
+        assert selector.ledger.set_file(fs) == {"IS2"}
+        # the run's first commit, and it renewed IS2 alone
+        assert selector.ledger.commits == 1
+        assert selector.ledger.touched_since(0) == {"IS2"}
         again = detect_overflows(
-            selector.index.schedule, catalog, topo, index=selector.index
+            selector.ledger.schedule, catalog, topo, ledger=selector.ledger
         )
         assert again == overflows
         return again
@@ -316,24 +317,24 @@ class TestTrialReuse:
         first = dict(selector._trials)
         # each trial decided at its fallback cache and (forbidden) at the
         # overflowing edge cache
-        decided = {k[0]: set(t.stamps) for k, t in first.items()}
+        decided = {k[0]: set(t.log.at) for k, t in first.items()}
         assert decided == {
             "a": {"IS1", "IS1b"}, "b": {"IS1", "IS1b"},
             "c": {"IS2", "IS2b"}, "d": {"IS2", "IS2b"},
         }
-        assert all(set(t.log.at) == set(t.stamps) for t in first.values())
+        assert all(t.commit == 0 for t in first.values())
         new_fs = {k: t.new_fs for k, t in first.items()}
-        # re-install e's file unchanged: IS2 is re-stamped although its
-        # usage is the same -- stamps are per location, never per content
-        # or time window
-        e_fs = selector.index.schedule.file("e")
+        # re-install e's file unchanged: IS2's slot is renewed although
+        # its usage is the same -- slots are per location, never per
+        # content or time window
+        e_fs = selector.ledger.schedule.file("e")
         again = self._restamp_is2(
             selector, catalog, topo,
             FileSchedule("e", list(e_fs.deliveries), list(e_fs.residencies)),
             overflows,
         )
         selector.select(again)
-        # decided only on branch 1: reused; decided at the re-stamped IS2:
+        # decided only on branch 1: reused; decided at the renewed IS2:
         # every decision there comes out the same, so revalidated without
         # serving a request
         assert selector.trials_run == 4
@@ -348,7 +349,9 @@ class TestTrialReuse:
                 continue
             assert now.new_fs is trial.new_fs and now.log is trial.log
             assert now.new_fs == new_fs[key]
-            assert now.stamps == {"IS2": 1, "IS2b": 0}
+            # revalidated at the commit that renewed IS2 (and not IS2b)
+            assert now.commit == selector.ledger.commits == 1
+            assert set(now.log.at) == {"IS2", "IS2b"}
 
     def test_flipped_answer_forces_rerun(self):
         selector, overflows, catalog, topo = self._selector()
@@ -370,7 +373,7 @@ class TestTrialReuse:
         assert selector.trials_resumed == 2
         assert selector.serves_kept == 2
         assert selector.serves_served == 8 + 2
-        working = selector.index.schedule
+        working = selector.ledger.schedule
         by_video = _two_branch_env()[3].by_video()
         for key, trial in first.items():
             if key[0] in "ab":
@@ -452,7 +455,7 @@ class TestTrialReuse:
         # then the fallback: two logged decisions per trial
         assert selector.decisions_logged == 4 * 2
         assert selector.decisions_redecided == 0
-        e_fs = selector.index.schedule.file("e")
+        e_fs = selector.ledger.schedule.file("e")
         self._restamp_is2(
             selector, catalog, topo,
             FileSchedule("e", list(e_fs.deliveries), list(e_fs.residencies)),
@@ -464,9 +467,9 @@ class TestTrialReuse:
         assert selector.decisions_redecided == 2
         assert selector.decisions_logged == 8
         blocker = ResidencyInfo("f", "IS2", "VW", 0.0, 100.0)
-        assert selector.index.set_file(FileSchedule("f", [], [blocker])) == {"IS2"}
+        assert selector.ledger.set_file(FileSchedule("f", [], [blocker])) == {"IS2"}
         again = detect_overflows(
-            selector.index.schedule, catalog, topo, index=selector.index
+            selector.ledger.schedule, catalog, topo, ledger=selector.ledger
         )
         assert again == overflows
         selector.select(again)
@@ -512,7 +515,7 @@ def _chain_selector(n, gap, a_last=None):
     selector = sorp_module._VictimSelector(
         working, cm, batch.by_video(), HeatMetric.SPACE_TIME_PER_COST, None, {}
     )
-    (of,) = detect_overflows(working, catalog, topo, index=selector.index)
+    (of,) = detect_overflows(working, catalog, topo, ledger=selector.ledger)
     assert of.location == "IS1b"
     return selector, of, batch
 
@@ -520,7 +523,7 @@ def _chain_selector(n, gap, a_last=None):
 def _first_divergence(selector, trial, of):
     """Owner of ``trial``'s first decision that the from-scratch reference
     oracle, on the current working schedule, decides differently."""
-    working = selector.index.schedule
+    working = selector.ledger.schedule
     oracle = ReferenceOracle(
         working, selector._cm.catalog, selector._cm.topology,
         trial.new_fs.video_id,
@@ -540,11 +543,11 @@ def _assert_trials_match_reference(selector, batch):
     for (vid, loc, window), trial in selector._trials.items():
         assert trial.forbidden == (loc, window)
         assert trial.new_fs == reference_reschedule(
-            selector._cm, catalog[vid], by_video[vid], selector.index.schedule,
+            selector._cm, catalog[vid], by_video[vid], selector.ledger.schedule,
             forbidden=[(loc, window)], background=None, seeds=(),
         )
     # the whole SORP run from this state agrees with the reference too
-    assert_matches_reference(selector.index.schedule, batch, selector._cm)
+    assert_matches_reference(selector.ledger.schedule, batch, selector._cm)
 
 
 class TestReplay:
@@ -553,7 +556,7 @@ class TestReplay:
     def _block(self, selector, start):
         """Fill ``IS1`` from ``start`` on with the unrequested ``f``."""
         blocker = ResidencyInfo("f", "IS1", "VW", start, start + 100.0)
-        assert selector.index.set_file(FileSchedule("f", [], [blocker])) == {
+        assert selector.ledger.set_file(FileSchedule("f", [], [blocker])) == {
             "IS1"
         }
 
@@ -723,16 +726,16 @@ class TestReplay:
             working, cm, batch.by_video(), HeatMetric.SPACE_TIME_PER_COST,
             None, {},
         )
-        overflows = detect_overflows(working, catalog, topo, index=selector.index)
+        overflows = detect_overflows(working, catalog, topo, ledger=selector.ledger)
         selector.select(overflows)
         first = dict(selector._trials)
-        # re-install every file unchanged: every storage is re-stamped, so
+        # re-install every file unchanged: every slot is renewed, so
         # every trial replays all its decisions and none comes out different
         for fs in list(working):
-            selector.index.set_file(
+            selector.ledger.set_file(
                 FileSchedule(fs.video_id, list(fs.deliveries), list(fs.residencies))
             )
-        again = detect_overflows(working, catalog, topo, index=selector.index)
+        again = detect_overflows(working, catalog, topo, ledger=selector.ledger)
         assert again == overflows
         before = selector.counts()
         served = selector.serves_served
@@ -752,30 +755,29 @@ class TestOracleQueries:
     def test_records_every_answer_cached_ones_included(self):
         topo, catalog, cm, batch = _two_branch_env()
         working = IndividualScheduler(cm).solve(batch)
-        index = LocationIndex(working, catalog)
+        ledger = StorageLedger(working, catalog, topo)
         video = catalog["c"]
 
         def constraints(forbidden=()):
-            oracle = AvailabilityOracle(working, catalog, topo, "c", index=index)
-            return ResidencyConstraints(list(forbidden), oracle)
+            return ResidencyConstraints(ledger, list(forbidden))
 
         first = constraints()
         assert first.allows(video, "IS2", 2.0, 52.0)
         with mock.patch(
-            "repro.core.rejective.fits_under", side_effect=AssertionError
+            "repro.core.overflow.fits_under", side_effect=AssertionError
         ):
-            # same victim, same stamp: answered from the shared cache...
+            # same victim, same slot: answered from the shared cache...
             second = constraints([("IS2b", (0.0, 1.0))])
             assert second.allows(video, "IS2", 2.0, 52.0)
             # ...and a forbidden residency never reaches the oracle
             assert not second.allows(video, "IS2b", 0.0, 100.0)
         assert second.allows(video, "IS2", 2.0, 52.0)  # asked again
         assert second.allows(video, "IS2", 52.0, 52.0)  # zero extent
-        fits = index.profile("c", 2.0, 52.0)
+        fits = ledger.profile("c", 2.0, 52.0)
         assert first.log.decisions == [("IS2", 2.0, 52.0, fits, True)]
         assert second.log.decisions == [
             ("IS2", 2.0, 52.0, fits, True),
-            ("IS2b", 0.0, 100.0, index.profile("c", 0.0, 100.0), False),
+            ("IS2b", 0.0, 100.0, ledger.profile("c", 0.0, 100.0), False),
             ("IS2", 2.0, 52.0, fits, True),
         ]
         assert second.log.at == {"IS2": [0, 2], "IS2b": [1]}
@@ -839,8 +841,8 @@ class TestCapacityTolerance:
             [FileSchedule("a", [], [resident]), FileSchedule("b", [], [candidate])]
         )
         assert detect_overflows(schedule, catalog, topo) == []
-        index = LocationIndex(schedule, catalog)
-        assert detect_overflows(schedule, catalog, topo, index=index) == []
+        ledger = StorageLedger(schedule, catalog, topo)
+        assert detect_overflows(schedule, catalog, topo, ledger=ledger) == []
 
     def test_real_overflow_still_detected(self):
         resident, _, catalog = self._pair()
@@ -862,15 +864,15 @@ class TestCapacityTolerance:
         assert {c.video_id for c in of.members} == {"a", "b"}
 
 
-class TestLocationIndex:
+class TestStorageLedger:
     def test_entries_mirror_schedule_order(self):
         topo, catalog, batch = _instance(1.5, 30, 2, 11)
         cm = CostModel(topo, catalog)
         schedule = IndividualScheduler(cm).solve(batch)
-        index = LocationIndex(schedule, catalog)
+        ledger = StorageLedger(schedule, catalog, topo)
         for spec in topo.storages:
             want = schedule.residencies_at(spec.name)
-            got = index.entries(spec.name)
+            got = ledger.entries(spec.name)
             assert [c for c, _ in got] == want
             assert [p for _, p in got] == [
                 residency_profile(
@@ -880,22 +882,107 @@ class TestLocationIndex:
                 for c in want
             ]
 
-    def test_detect_with_index_equals_full_sweep(self):
+    def test_detect_with_ledger_equals_full_sweep(self):
         topo, catalog, batch = _instance(1.0, 20, 4, 3)
         cm = CostModel(topo, catalog)
         schedule = IndividualScheduler(cm).solve(batch)
-        index = LocationIndex(schedule, catalog)
+        ledger = StorageLedger(schedule, catalog, topo)
         full = detect_overflows(schedule, catalog, topo)
         assert full
-        assert detect_overflows(schedule, catalog, topo, index=index) == full
-        # a second sweep is served from the per-location memo
-        builds = index.timeline_builds
-        assert detect_overflows(schedule, catalog, topo, index=index) == full
-        assert index.timeline_builds == builds
+        assert detect_overflows(schedule, catalog, topo, ledger=ledger) == full
+        # a second sweep is served from the slots
+        builds = ledger.timeline_builds
+        assert detect_overflows(schedule, catalog, topo, ledger=ledger) == full
+        assert ledger.timeline_builds == builds
 
-    def test_index_must_mirror_the_swept_schedule(self):
+    def test_ledger_must_mirror_the_swept_schedule(self):
         topo, catalog, batch = _instance(1.0, 12, 1, 3)
         schedule = IndividualScheduler(CostModel(topo, catalog)).solve(batch)
-        index = LocationIndex(schedule.copy(), catalog)
+        ledger = StorageLedger(schedule.copy(), catalog, topo)
         with pytest.raises(ValueError):
-            detect_overflows(schedule, catalog, topo, index=index)
+            detect_overflows(schedule, catalog, topo, ledger=ledger)
+
+    def test_absent_victim_shares_the_detection_timeline(self):
+        topo, catalog, cm, batch = _two_branch_env()
+        working = IndividualScheduler(cm).solve(batch)
+        ledger = StorageLedger(working, catalog, topo)
+        detect_overflows(working, catalog, topo, ledger=ledger)
+        swept = ledger.view("IS2b")  # built by the sweep: IS2b overflows
+        builds = ledger.timeline_builds
+        # e caches only at IS2: at IS2b it sees the swept timeline itself
+        assert "e" not in {c.video_id for c, _ in ledger.entries("IS2b")}
+        assert ledger.view("IS2b", "e") is swept
+        profile = ledger.profile("e", 2.0, 52.0)
+        assert ledger.fits("IS2b", "e", 2.0, 52.0, profile) == fits_under(
+            swept, profile, topo.capacity("IS2b")
+        )
+        assert ledger.timeline_builds == builds
+        # a present victim gets its own view, built once per slot
+        own = ledger.view("IS2b", "c")
+        assert own is not swept and ledger.view("IS2b", "c") is own
+        assert ledger.timeline_builds == builds + 1
+        # a commit at IS2b renews its slot: the next sweep builds afresh
+        c_fs = working.file("c")
+        assert "IS2b" in ledger.set_file(
+            FileSchedule("c", list(c_fs.deliveries), list(c_fs.residencies))
+        )
+        assert ledger.view("IS2b", "e") is not swept
+
+    @given(
+        inst=instances,
+        with_background=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_fits_matches_reference_oracle(self, inst, with_background, seed):
+        # uniform queries from a drawn seed: shrunk float draws cluster on
+        # boundary values, where every victim's answer agrees
+        rng = random.Random(seed)
+        topo, catalog, batch = _instance(*inst)
+        working = IndividualScheduler(CostModel(topo, catalog)).solve(batch)
+        storages = [spec.name for spec in topo.storages]
+        videos = [v.video_id for v in catalog]
+        t_lo, t_hi = batch.span
+
+        def window():
+            # spans under a playback keep profiles partial (γ < 1), so
+            # answers mix
+            t_start = rng.uniform(t_lo, t_hi)
+            return t_start, t_start + rng.uniform(0.0, units.HOUR)
+
+        background = None
+        if with_background:
+            background = {}
+            for loc in rng.sample(storages, 6):
+                video = catalog[rng.choice(videos)]
+                background[loc] = [
+                    residency_profile(video.size, video.playback, *window())
+                ]
+        ledger = StorageLedger(working, catalog, topo, background)
+
+        def check(location, video_id, t_start, t_last):
+            profile = ledger.profile(video_id, t_start, t_last)
+            video = catalog[video_id]
+            assert profile == residency_profile(
+                video.size, video.playback, t_start, t_last
+            )
+            reference = ReferenceOracle(
+                working, catalog, topo, video_id, background
+            )
+            got = ledger.fits(location, video_id, t_start, t_last, profile)
+            assert got == reference.fits(location, profile)
+
+        for _ in range(2):  # before and after a commit
+            for _ in range(10):
+                location = rng.choice(storages)
+                present = sorted({c.video_id for c, _ in ledger.entries(location)})
+                absent = [v for v in videos if v not in present]
+                t_start, t_last = window()  # one window for both victims
+                if present:
+                    check(location, rng.choice(present), t_start, t_last)
+                check(location, rng.choice(absent), t_start, t_last)
+            # commit a file without its first residency
+            fs = working.file(rng.choice([f.video_id for f in working]))
+            ledger.set_file(
+                FileSchedule(fs.video_id, list(fs.deliveries), fs.residencies[1:])
+            )
