@@ -3,7 +3,9 @@
 
 Builds the two-storage topology, prices the paper's two hand-made schedules
 (Ψ(S1) = $259.20, Ψ(S2) = $138.975), then lets the two-phase scheduler find
-its own schedule -- which turns out cheaper than both.
+its own schedule -- which turns out cheaper than both -- and prints each
+request's journaled decision: the copy it was served from and the cheapest
+home warehouse that copy was priced against.
 
 Run:  python examples/quickstart.py
 """
@@ -19,6 +21,7 @@ from repro import (
     worked_example_topology,
 )
 from repro.experiments.worked_example import paper_schedule_s1, paper_schedule_s2
+from repro.obs import Observability, request_key
 
 
 def main() -> None:
@@ -50,7 +53,8 @@ def main() -> None:
     print(f"paper S2 (cache at IS1):              ${psi_s2:.3f}   (paper: $138.975)")
 
     # -- now let the two-phase scheduler decide ------------------------------
-    result = VideoScheduler(topology, catalog).solve(batch)
+    obs = Observability.on(journal=True)
+    result = VideoScheduler(topology, catalog, obs=obs).solve(batch)
     print(f"two-phase scheduler:                  ${result.total_cost:.3f}")
     print()
     print("chosen deliveries:")
@@ -70,11 +74,10 @@ def main() -> None:
         "served from its own neighborhood at zero network cost."
     )
 
-    # -- audit the decisions --------------------------------------------------
-    from repro.analysis import explain_file
-
-    print()
-    print(explain_file(result.schedule, "movie", cost_model).as_table())
+    # -- audit the decisions: what each copy saved against the warehouse -----
+    for r in batch:
+        print()
+        print(obs.journal.format_timeline(request_key(r)))
 
 
 if __name__ == "__main__":

@@ -9,19 +9,19 @@ gaps) rather than absolute values.  This subpackage provides:
 * :mod:`~repro.analysis.tables` -- fixed-width text tables,
 * :mod:`~repro.analysis.stats` -- summary statistics helpers,
 * :mod:`~repro.analysis.ascii` -- dependency-free ASCII line charts so each
-  "figure" can be eyeballed in a terminal or CI log.
+  "figure" can be eyeballed in a terminal or CI log,
+* :mod:`~repro.analysis.breakdown` -- Ψ split by storage, link and title,
+* :mod:`~repro.analysis.schedule_stats` -- summary counts of one schedule.
+
+Why a request was served as it was is recorded by the run itself: the
+``phase1-assigned`` journal event (:mod:`repro.obs.events`) names the
+chosen copy and the cheapest home warehouse it was priced against.
 """
 
 from repro.analysis.series import Series, gap_between, relative_gap
 from repro.analysis.tables import format_table
 from repro.analysis.stats import summarize
 from repro.analysis.ascii import ascii_chart, ascii_timeline
-from repro.analysis.explain import (
-    DeliveryExplanation,
-    FileExplanation,
-    SourceOption,
-    explain_file,
-)
 from repro.analysis.breakdown import (
     breakdown_report,
     cost_by_link,
@@ -38,10 +38,6 @@ __all__ = [
     "summarize",
     "ascii_chart",
     "ascii_timeline",
-    "DeliveryExplanation",
-    "FileExplanation",
-    "SourceOption",
-    "explain_file",
     "breakdown_report",
     "cost_by_link",
     "cost_by_storage",

@@ -46,6 +46,9 @@ from repro.obs import COUNT_BUCKETS, NULL_OBS, Observability
 from repro.topology.routing import Route
 from repro.workload.requests import Request, RequestBatch
 
+#: A priced copy: ``(key, residency index, route, network share)``.
+Candidate = tuple[tuple[float, int, int, str], int, Route, float]
+
 
 class RoutePolicy:
     """Pluggable route selection for the greedy scheduler.
@@ -228,9 +231,8 @@ class IndividualScheduler:
                 f"request for {req.video_id!r} passed to schedule of "
                 f"{video.video_id!r}"
             )
-        (cost, hops, _, source), idx, route, network = self._best_candidate(
-            video, req, residencies
-        )
+        pick, home = self._best_candidate(video, req, residencies)
+        (cost, hops, _, source), idx, route, network = pick
         journal = self._obs.journal
         if journal.enabled:
             journal.emit(
@@ -242,6 +244,8 @@ class IndividualScheduler:
                 hops=hops,
                 psi_d=network,
                 psi_c=cost - network,
+                warehouse=None if home is None else home[0][3],
+                warehouse_psi_d=None if home is None else home[3],
             )
         start = req.start_time
         if idx >= 0:
@@ -303,10 +307,12 @@ class IndividualScheduler:
         video: VideoFile,
         req: Request,
         residencies: list[ResidencyInfo],
-    ) -> tuple[tuple[float, int, int, str], int, Route, float]:
-        """The cheapest feasible copy as ``(key, residency index, route,
-        network share)``, index -1 for a warehouse; the key is ``(cost, hops,
-        kind, source)`` (caches kind 0), the lowest index winning equal keys."""
+    ) -> tuple[Candidate, Candidate | None]:
+        """The cheapest feasible copy and the cheapest routable home
+        warehouse (None when no home is routable), which is the pick
+        unless an allowed cache beats it.  Index -1 marks a warehouse; the
+        key is ``(cost, hops, kind, source)`` (caches kind 0), the lowest
+        index winning equal keys."""
         if req.local_storage not in self._cm.topology:
             # an unknown destination is a malformed request, not a copy that
             # happens to be unreachable -- keep raising, never skip
@@ -320,15 +326,15 @@ class IndividualScheduler:
         route_of = self._route_policy.routes(
             req.local_storage, start, start + video.playback, video.bandwidth
         ).get
-        best = None
+        home = None
         for w in homes:
             route = route_of(w)
             if route is None:
                 continue
             network = volume * route.rate
             key = (network, route.hops, 1, w)
-            if best is None or key < best[0]:
-                best = (key, -1, route, network)
+            if home is None or key < home[0]:
+                home = (key, -1, route, network)
         # Price every cache copy first; ask the constraints only about the
         # ones that beat the cheapest warehouse, cheapest first (DESIGN.md
         # §4).  A copy dearer on the network alone cannot win: its Ψ_C
@@ -346,14 +352,14 @@ class IndividualScheduler:
             if route is None:
                 continue
             network = volume * route.rate
-            if best is not None and network > best[0][0]:
+            if home is not None and network > home[0][0]:
                 continue
             srate = srates[c.location]
             ext_cost = storage_cost(
                 srate, size, playback, t_last - c.t_start
             ) - storage_cost(srate, size, playback, c.t_last - c.t_start)
             key = (network + ext_cost, route.hops, 0, c.location)
-            if best is None or key < best[0]:
+            if home is None or key < home[0]:
                 contenders.append((key, idx, route, network))
         constraints = self._constraints
         if constraints is None:
@@ -369,7 +375,7 @@ class IndividualScheduler:
                 ):
                     pick = contender
                     break
-        best = pick or best
+        best = pick or home
         if best is None:
             # with the default route policy on a healthy topology some home
             # warehouse is always feasible; a restrictive policy (e.g.
@@ -378,7 +384,7 @@ class IndividualScheduler:
             raise ScheduleError(f"no feasible source for request {req}")
         if not math.isfinite(best[0][0]):
             raise ScheduleError(f"non-finite candidate cost for request {req}")
-        return best
+        return best, home
 
     def _deposit_candidates(
         self,

@@ -35,7 +35,8 @@ from repro.obs import NULL_OBS
 class EagerIndividualScheduler(IndividualScheduler):
     """The greedy that asks ``allows`` of every cache candidate, in
     residency order, before routing and pricing it; the pick is the first
-    minimum key over the warehouses, then the allowed caches."""
+    minimum key over the warehouses, then the allowed caches, returned
+    with the cheapest warehouse."""
 
     def _best_candidate(self, video, req, residencies):
         best = None
@@ -56,6 +57,7 @@ class EagerIndividualScheduler(IndividualScheduler):
             cand = ((network, route.hops, 1, w), -1, route, network)
             if best is None or cand[0] < best[0]:
                 best = cand
+        home = best
         start = req.start_time
         constraints = self._constraints
         for idx, c in enumerate(residencies):
@@ -87,7 +89,7 @@ class EagerIndividualScheduler(IndividualScheduler):
             raise ScheduleError(f"no feasible source for request {req}")
         if not math.isfinite(best[0][0]):
             raise ScheduleError(f"non-finite candidate cost for request {req}")
-        return best
+        return best, home
 
 
 class ReferenceOracle:

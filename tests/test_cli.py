@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 
-from .cli_env import paper_env
+from .cli_env import horizon_env, paper_env
 
 
 def _tight_link_env(tmp_path):
@@ -353,27 +353,9 @@ class TestCli:
         assert "259.200" in (out_dir / "worked_example.txt").read_text()
 
 
-def _horizon_env(tmp_path, *, n_videos=20, seed=2):
-    """A batch-less two-warehouse environment for 'run-horizon'."""
-    from repro import paper_catalog, paper_topology, units
-    from repro.io import save_environment
-
-    topo = paper_topology(
-        nrate=units.per_gb(500),
-        srate=units.per_gb_hour(5),
-        capacity=units.gb(3),
-    )
-    topo.add_warehouse("VW2")
-    topo.add_edge("IS15", "VW2", nrate=units.per_gb(100))
-    catalog = paper_catalog(n_videos, seed=seed)
-    path = tmp_path / "env-horizon.json"
-    save_environment(path, topology=topo, catalog=catalog)
-    return path
-
-
 class TestRunHorizon:
     def test_writes_report_with_deterministic_slice(self, capsys, tmp_path):
-        path = _horizon_env(tmp_path)
+        path = horizon_env(tmp_path)
         report_out = tmp_path / "horizon.json"
         assert main([
             "run-horizon", str(path),
@@ -391,7 +373,7 @@ class TestRunHorizon:
         assert doc["cycles_requested"] == 2
 
     def test_no_migrate_freezes_the_replica_map(self, capsys, tmp_path):
-        path = _horizon_env(tmp_path)
+        path = horizon_env(tmp_path)
         report_out = tmp_path / "frozen.json"
         assert main([
             "run-horizon", str(path),
@@ -405,7 +387,7 @@ class TestRunHorizon:
         assert doc["deterministic"]["staging_cost"] == 0
 
     def test_replay_is_byte_identical(self, capsys, tmp_path):
-        path = _horizon_env(tmp_path)
+        path = horizon_env(tmp_path)
         outs = []
         for i in (1, 2):
             report_out = tmp_path / f"horizon-{i}.json"
@@ -425,7 +407,7 @@ class TestRunHorizon:
     def test_report_dashboard_renders_horizon_section(
         self, capsys, tmp_path
     ):
-        path = _horizon_env(tmp_path)
+        path = horizon_env(tmp_path)
         report_out = tmp_path / "horizon.json"
         assert main([
             "run-horizon", str(path),
@@ -443,7 +425,7 @@ class TestRunHorizon:
             main(["run-horizon"])
 
     def test_feed_out_without_feed_exits(self, tmp_path):
-        path = _horizon_env(tmp_path)
+        path = horizon_env(tmp_path)
         out = tmp_path / "feed.jsonl"
         with pytest.raises(SystemExit, match="--feed-out needs --feed") as exc:
             main(["run-horizon", str(path), "--feed-out", str(out)])

@@ -39,3 +39,14 @@ def test_example_runs(name, capsys):
     runpy.run_path(str(EXAMPLES_DIR / name), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{name} produced no output"
+
+
+def test_quickstart_journals_what_the_cache_saved(capsys):
+    """U3 is served from IS2's own cache at zero network cost, priced
+    against the warehouse VW."""
+    runpy.run_path(str(EXAMPLES_DIR / "quickstart.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    u3 = lines[lines.index("timeline for U3/movie@57600.0->IS2:") + 1]
+    assert "phase1-assigned" in u3
+    for field in ("source=IS2", "psi_d=0,", "warehouse=VW,"):
+        assert field in u3, u3
