@@ -71,7 +71,6 @@ from repro.online import (
     OnlineAmendmentLoop,
     OnlineLoopConfig,
     OnlineRunReport,
-    RetryPolicy,
     TransientFailureInjector,
     TransientResolveError,
 )
@@ -170,7 +169,6 @@ __all__ = [
     "OnlineAmendmentLoop",
     "OnlineLoopConfig",
     "OnlineRunReport",
-    "RetryPolicy",
     "TransientFailureInjector",
     "TransientResolveError",
     "ReplicaMap",

@@ -37,11 +37,12 @@ from the surviving homes.
 generation via ``--seed``/``--feed-events``/``--feed-out``) through the
 :class:`~repro.online.OnlineAmendmentLoop`: debounced batches amend the
 closed cycle incrementally (only the services a fault window meets are
-re-solved), transient failures retry with seeded backoff
-(``--max-retries``, ``--deadline``), and repeated failures open a circuit
-breaker (``--breaker-threshold``, ``--breaker-cooldown``); while it is open
-each batch is amended once, without retries, and pending reservations are
-shed (``--shed``, ``--cycle-fraction``).
+re-solved), injected transient failures retry with seeded backoff
+(``--max-retries``), an amendment that overruns ``--deadline`` is counted
+as a miss and stands, and repeated failures open a circuit breaker
+(``--breaker-threshold``, ``--breaker-cooldown``); while it is open each
+batch is amended once, without retries, and pending reservations are shed
+(``--shed``, ``--cycle-fraction``).
 ``--inject-failures 0:2,3:1`` injects deterministic transient failures for
 drills; ``--online-report-out`` writes the machine-readable run report.
 The process exits non-zero when the loop ends without a valid schedule.
@@ -268,8 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per amendment attempt; overruns are "
-        "retried as transient failures (default: no deadline)",
+        help="wall-clock budget per amendment; an overrun is counted as "
+        "a deadline miss and the amendment stands (default: no deadline)",
     )
     parser.add_argument(
         "--max-retries",
@@ -1042,7 +1043,7 @@ def _run_online(args: argparse.Namespace) -> int:
     feeds exit non-zero with a one-line diagnostic.
     """
     from repro.analysis import format_table
-    from repro.errors import ReproError, ScheduleError
+    from repro.errors import ReproError
     from repro.faults.feed import FaultFeed
     from repro.obs.slo import SLOPolicy, online_indicators
     from repro.online import (
@@ -1070,24 +1071,6 @@ def _run_online(args: argparse.Namespace) -> int:
             kinds=_parse_kinds(args.kinds),
         ),
     )
-    try:
-        config = OnlineLoopConfig(
-            debounce=args.debounce,
-            deadline=args.deadline,
-            max_retries=args.max_retries,
-            seed=args.seed,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-            shed_per_degraded_batch=args.shed,
-        )
-        injector = (
-            TransientFailureInjector.parse(args.inject_failures)
-            if args.inject_failures
-            else None
-        )
-    except (OnlineError, ScheduleError) as exc:
-        raise SystemExit(f"invalid online options: {exc}") from exc
-
     service = VORService(
         env.topology,
         env.catalog,
@@ -1095,6 +1078,28 @@ def _run_online(args: argparse.Namespace) -> int:
         obs=env.obs,
         replicas=replicas,
     )
+    try:
+        loop = OnlineAmendmentLoop(
+            service,
+            OnlineLoopConfig(
+                debounce=args.debounce,
+                deadline=args.deadline,
+                max_retries=args.max_retries,
+                seed=args.seed,
+                breaker_threshold=args.breaker_threshold,
+                breaker_cooldown=args.breaker_cooldown,
+                shed_per_degraded_batch=args.shed,
+            ),
+            obs=env.obs,
+            failure_injector=(
+                TransientFailureInjector.parse(args.inject_failures)
+                if args.inject_failures
+                else None
+            ),
+        )
+    except OnlineError as exc:
+        raise SystemExit(f"invalid online options: {exc}") from exc
+
     for r in batch:
         service.reserve(
             r.user_id, r.video_id, r.start_time,
@@ -1107,9 +1112,6 @@ def _run_online(args: argparse.Namespace) -> int:
     if not report.feasible:
         return _report_violations(report.violations)
 
-    loop = OnlineAmendmentLoop(
-        service, config, obs=env.obs, failure_injector=injector
-    )
     try:
         run = loop.run(feed, report)
     except ReproError as exc:

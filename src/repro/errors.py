@@ -53,3 +53,15 @@ class ReplicationError(ReproError):
 
 class GatewayError(ReproError):
     """Malformed request feed, admission-policy spec, or gateway state."""
+
+
+class OnlineError(ReproError):
+    """Invalid online-loop configuration or feed consumption."""
+
+
+class TransientResolveError(OnlineError):
+    """An amendment attempt failed for a transient reason.
+
+    Raised by the online loop's failure injector; the loop retries these
+    under its backoff before counting a batch as failed.
+    """

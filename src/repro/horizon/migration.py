@@ -50,7 +50,6 @@ from repro.core.scheduler import ScheduleResult
 from repro.errors import ReplicationError
 from repro.replication.replica import ReplicaMap
 from repro.topology.graph import Topology
-from repro.topology.routing import Router
 from repro.warehouse.hierarchy import WarehouseSpec
 from repro.workload.requests import RequestBatch
 
@@ -240,9 +239,6 @@ class MigrationPlanner:
         self.catalog = catalog
         self.config = config if config is not None else MigrationConfig()
         self.warehouse = warehouse
-        self._router = Router(topology)
-        #: warehouse -> {destination -> cheapest $/byte}, filled lazily.
-        self._rates: dict[str, dict[str, float]] = {}
 
     # -- the boundary decision ---------------------------------------------
 
@@ -358,19 +354,6 @@ class MigrationPlanner:
 
     # -- internals -----------------------------------------------------------
 
-    def _rates_from(self, warehouse: str) -> dict[str, float]:
-        rates = self._rates.get(warehouse)
-        if rates is None:
-            rates = self._router.all_rates_from(warehouse)
-            self._rates[warehouse] = rates
-        return rates
-
-    def _best_rate(self, homes: frozenset[str], dst: str) -> float:
-        return min(
-            (self._rates_from(h).get(dst, math.inf) for h in sorted(homes)),
-            default=math.inf,
-        )
-
     def _screen_video(
         self,
         video_id: str,
@@ -384,10 +367,21 @@ class MigrationPlanner:
         if not requests:
             return VideoDecision(video_id, False, "no-demand")
 
+        router = cost_model.router
+
+        def rates_to(dst: str, homes: frozenset[str]) -> dict[str, float]:
+            """The model's $/byte rate from each home that reaches ``dst``."""
+            routes = router.routes_to(dst)
+            return {h: routes[h].rate for h in sorted(homes) if h in routes}
+
         saving = 0.0
         for r in requests:
-            before = self._best_rate(old_homes, r.local_storage)
-            after = self._best_rate(new_homes, r.local_storage)
+            before = min(
+                rates_to(r.local_storage, old_homes).values(), default=math.inf
+            )
+            after = min(
+                rates_to(r.local_storage, new_homes).values(), default=math.inf
+            )
             if math.isinf(before) or math.isinf(after):
                 continue  # the trial solve arbitrates reachability corner cases
             saving += video.network_volume * (before - after)
@@ -395,8 +389,7 @@ class MigrationPlanner:
         cand = _Candidate(video_id)
         for w in sorted(new_homes - old_homes):
             src, rate = "", math.inf
-            for h in sorted(old_homes):
-                r = self._rates_from(h).get(w, math.inf)
+            for h, r in rates_to(w, old_homes).items():
                 if r < rate:
                     src, rate = h, r
             if math.isinf(rate):

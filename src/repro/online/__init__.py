@@ -2,17 +2,18 @@
 
 Layout:
 
-* :mod:`repro.online.retry`   -- seeded capped-exponential retry policy,
-  transient-failure taxonomy, deterministic failure injection
 * :mod:`repro.online.breaker` -- three-state circuit breaker on virtual
   feed time (closed / open / half-open)
 * :mod:`repro.online.loop`    -- the :class:`OnlineAmendmentLoop` driving
   :meth:`repro.service.VORService.amend_cycle` from a
-  :class:`~repro.faults.feed.FaultFeed`
+  :class:`~repro.faults.feed.FaultFeed`, its one policy object
+  :class:`OnlineLoopConfig` (debounce, deadline, seeded backoff, breaker,
+  shedding) and the deterministic :class:`TransientFailureInjector`
 
 See ``docs/ONLINE.md`` for the state machine and tuning guidance.
 """
 
+from repro.errors import OnlineError, TransientResolveError
 from repro.online.breaker import (
     CLOSED,
     HALF_OPEN,
@@ -26,12 +27,7 @@ from repro.online.loop import (
     OnlineAmendmentLoop,
     OnlineLoopConfig,
     OnlineRunReport,
-)
-from repro.online.retry import (
-    OnlineError,
-    RetryPolicy,
     TransientFailureInjector,
-    TransientResolveError,
 )
 
 __all__ = [
@@ -46,7 +42,6 @@ __all__ = [
     "OnlineLoopConfig",
     "OnlineRunReport",
     "OUTCOMES",
-    "RetryPolicy",
     "TransientFailureInjector",
     "TransientResolveError",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from repro.online.retry import OnlineError
+from repro.errors import OnlineError
 
 _log = logging.getLogger(__name__)
 

@@ -11,11 +11,13 @@ into a sequence of cycle amendments against a running
    every fault reported so far.  Amendments are idempotent (amending twice
    with the same plan equals amending once), so a batch that ultimately
    fails is healed by the next successful one.
-3. **Retry** -- transient failures (injected, deadline overruns) back off
-   under the seeded :class:`~repro.online.retry.RetryPolicy` and try
-   again.  Any other error (a scheduler error, an amendment that fails
+3. **Retry** -- injected transient failures back off under
+   :meth:`OnlineLoopConfig.delays` (capped exponential, seeded jitter) and
+   try again.  Any other error (a scheduler error, an amendment that fails
    validation) would fail the same way again, so it fails the batch at
-   once.
+   once.  An amendment that overruns its ``deadline`` is counted as a
+   miss and stands: the service has already committed it, and since VOR
+   bookings are known in advance a rerun could only repeat it.
 4. **Break** -- failed batches (retries exhausted, or a deterministic
    failure) feed the
    :class:`~repro.online.breaker.CircuitBreaker`; while it is open the loop
@@ -27,27 +29,22 @@ into a sequence of cycle amendments against a running
 Determinism: batching, amendment results, retry counts and breaker
 trajectory depend only on ``(feed, seed, injected failures)`` -- the
 breaker runs on *virtual* feed time and backoff jitter is seeded.  Wall
-time only enters through the optional per-amendment ``deadline`` and the
-latency histogram, both flagged non-deterministic in telemetry.
+time only enters the deadline-miss count and the latency histogram, both
+flagged non-deterministic in telemetry; neither changes an outcome.
 """
 
 from __future__ import annotations
 
 import logging
+import random
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
+from repro.errors import OnlineError, ReproError, TransientResolveError
 from repro.faults.feed import FaultEvent, FaultFeed
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import NULL_OBS, Observability, SECONDS_BUCKETS
 from repro.online.breaker import CLOSED, OPEN, CircuitBreaker
-from repro.online.retry import (
-    OnlineError,
-    RetryPolicy,
-    TransientFailureInjector,
-    TransientResolveError,
-)
 from repro.service import CycleReport, VORService
 
 _log = logging.getLogger(__name__)
@@ -65,14 +62,14 @@ class OnlineLoopConfig:
             first report amend together (0 = one batch per arrival
             instant).
         deadline: Optional wall-clock budget (seconds) per amendment
-            attempt; an overrun counts as a transient failure and is
-            retried.  ``None`` disables the deadline (the deterministic
+            attempt; an overrun is counted as a deadline miss and the
+            amendment stands.  ``None`` disables the deadline (the
             default).
         max_retries: Re-attempts per batch after transient failures.
         backoff_base: First retry delay in seconds.
         backoff_cap: Upper bound on any retry delay (before jitter).
         jitter: Relative jitter amplitude in [0, 1].
-        seed: Seed for the backoff jitter stream.
+        seed: Seed for the backoff jitter stream (see :meth:`delays`).
         breaker_threshold: Consecutive exhausted batches that open the
             circuit breaker.
         breaker_cooldown: Virtual seconds the breaker stays open before a
@@ -99,20 +96,93 @@ class OnlineLoopConfig:
             raise OnlineError(
                 f"deadline must be > 0 (or None), got {self.deadline}"
             )
+        if self.max_retries < 0:
+            raise OnlineError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.backoff_base < 0.0 or self.backoff_cap < 0.0:
+            raise OnlineError(
+                "backoff base/cap must be >= 0, got "
+                f"{self.backoff_base}/{self.backoff_cap}"
+            )
+        if not 0.0 <= self.jitter <= 1.0:
+            raise OnlineError(
+                f"jitter must be a fraction in [0, 1], got {self.jitter}"
+            )
         if self.shed_per_degraded_batch < 0:
             raise OnlineError(
                 "shed_per_degraded_batch must be >= 0, got "
                 f"{self.shed_per_degraded_batch}"
             )
 
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(
-            max_retries=self.max_retries,
-            base=self.backoff_base,
-            cap=self.backoff_cap,
-            jitter=self.jitter,
-            seed=self.seed,
-        )
+    def delays(self, batch_index: int) -> tuple[float, ...]:
+        """The backoff delays (seconds) before each of one batch's retries.
+
+        Retry ``i`` (0-based) sleeps
+        ``min(backoff_cap, backoff_base * 2**i) * (1 + jitter * u)``,
+        clamped at 0, with ``u`` uniform in ``[-1, 1]`` drawn from a
+        per-batch rng derived arithmetically from ``seed`` -- never from
+        ``hash()``, so replays sleep the same schedule across interpreter
+        runs.
+        """
+        rng = random.Random(self.seed * 1_000_003 + batch_index)
+        out = []
+        for i in range(self.max_retries):
+            delay = min(self.backoff_cap, self.backoff_base * (2.0**i))
+            delay *= 1.0 + self.jitter * rng.uniform(-1.0, 1.0)
+            out.append(max(0.0, delay))
+        return tuple(out)
+
+
+class TransientFailureInjector:
+    """Deterministically fail the first N amendment attempts of chosen batches.
+
+    The spec maps batch index to how many attempts of that batch should
+    raise :class:`~repro.errors.TransientResolveError`.  ``parse`` reads the
+    CLI form ``"0:2,3:1"`` (batch 0 fails twice, batch 3 once); a count
+    larger than the retry budget exhausts the batch and feeds the circuit
+    breaker.
+    """
+
+    def __init__(self, spec: dict[int, int] | None = None) -> None:
+        self._remaining = dict(spec or {})
+        self.injected = 0
+
+    @classmethod
+    def parse(cls, text: str) -> "TransientFailureInjector":
+        """Build an injector from ``"batch:count[,batch:count...]"``."""
+        spec: dict[int, int] = {}
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            try:
+                batch_s, count_s = part.split(":")
+                batch, count = int(batch_s), int(count_s)
+            except ValueError as exc:
+                raise OnlineError(
+                    f"bad failure-injection spec {part!r} "
+                    "(expected batch:count)"
+                ) from exc
+            if batch < 0 or count < 1:
+                raise OnlineError(
+                    f"bad failure-injection spec {part!r}: batch must be "
+                    ">= 0 and count >= 1"
+                )
+            spec[batch] = spec.get(batch, 0) + count
+        return cls(spec)
+
+    def check(self, batch_index: int) -> None:
+        """Raise :class:`~repro.errors.TransientResolveError` if this
+        attempt must fail."""
+        remaining = self._remaining.get(batch_index, 0)
+        if remaining > 0:
+            self._remaining[batch_index] = remaining - 1
+            self.injected += 1
+            raise TransientResolveError(
+                f"injected transient failure (batch {batch_index}, "
+                f"{remaining - 1} left)"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,7 +195,6 @@ class AmendmentRecord:
     faults_total: int  # cumulative plan size after this batch
     outcome: str  # one of OUTCOMES
     attempts: int
-    retries: int
     breaker_state: str  # state after the batch settled
     saved: int = 0
     lost: int = 0
@@ -133,6 +202,10 @@ class AmendmentRecord:
     error: str = ""
     #: Wall-clock seconds of the last attempt (non-deterministic).
     duration_s: float = 0.0
+
+    @property
+    def retries(self) -> int:
+        return self.attempts - 1
 
     def deterministic_dict(self) -> dict:
         return {
@@ -241,7 +314,7 @@ class OnlineAmendmentLoop:
         clock: Wall-clock source for deadlines/latency (monotonic seconds).
         sleep: Backoff sleeper; inject a no-op in tests for instant replay.
         failure_injector: Optional deterministic transient-failure source
-            (see :class:`~repro.online.retry.TransientFailureInjector`).
+            (see :class:`TransientFailureInjector`).
     """
 
     def __init__(
@@ -260,7 +333,6 @@ class OnlineAmendmentLoop:
         self._clock = clock
         self._sleep = sleep
         self._injector = failure_injector
-        self._retry = self.config.retry_policy()
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown,
@@ -347,7 +419,7 @@ class OnlineAmendmentLoop:
         state = self.breaker.state_at(now)
         degraded = state == OPEN
         retries_budget = 0 if degraded else self.config.max_retries
-        delays = self._retry.delays(batch_index)
+        delays = self.config.delays(batch_index)
 
         with self.obs.tracer.span(
             "online_batch",
@@ -416,7 +488,6 @@ class OnlineAmendmentLoop:
             faults_total=len(plan),
             outcome=outcome,
             attempts=attempts,
-            retries=attempts - 1,
             breaker_state=self.breaker.state,
             saved=recovery.requests_saved if recovery is not None else 0,
             lost=recovery.requests_lost if recovery is not None else 0,
@@ -464,8 +535,9 @@ class OnlineAmendmentLoop:
                     help="Amendment attempts that overran their deadline",
                     deterministic=False,
                 ).inc()
-            raise TransientResolveError(
-                f"amendment overran deadline: {duration:.3f}s > {deadline}s"
+            _log.warning(
+                "batch %d amendment overran its deadline: %.3fs > %ss",
+                batch_index, duration, deadline,
             )
         return amended, duration
 
@@ -503,4 +575,5 @@ __all__ = [
     "OnlineLoopConfig",
     "OnlineRunReport",
     "OUTCOMES",
+    "TransientFailureInjector",
 ]

@@ -16,6 +16,9 @@ from repro import (
 from repro.extensions.rolling import RollingScheduler
 from repro.horizon import MigrationConfig, MigrationPlanner
 from repro.horizon.migration import MOVE_REASONS, MigrationMove, _Candidate
+from repro.topology.graph import ChargingBasis
+
+from .conftest import brownout_topology
 
 
 def _fresh(planner, cm):
@@ -78,6 +81,41 @@ class TestPlanShape:
         for move in adds:
             assert move.transfer_cost > 0
             assert move.source, "add moves must name the staging source"
+
+    def test_staging_is_priced_at_the_models_end_to_end_rate(
+        self, drill_catalog, drill_cycles, drill_replicas
+    ):
+        # Under end-to-end charging a pair rate overrides the hop sum; the
+        # planner must bill staging exactly as the service's model would.
+        topo = brownout_topology()
+        topo.charging_basis = ChargingBasis.END_TO_END
+        topo.set_pair_rate("VW", "VW2", units.per_gb(100))
+        cm = CostModel(topo, drill_catalog, replicas=drill_replicas)
+        planner = MigrationPlanner(topo, drill_catalog)
+        plan = planner.plan(
+            drill_cycles[1][0],
+            drill_cycles[2][0],
+            cm,
+            what_if=_fresh(planner, cm),
+        )
+        decisions = [*plan.accepted, *plan.rejected]
+        adds = [m for d in decisions for m in d.moves if m.action == "add"]
+        assert {(m.source, m.warehouse) for m in adds} == {
+            ("VW", "VW2"),
+            ("VW2", "VW"),
+        }
+        for move in adds:
+            size = drill_catalog[move.video_id].size
+            assert cm.transfer_rate(move.source, move.warehouse) == (
+                units.per_gb(100)
+            )
+            assert move.transfer_cost == size * cm.transfer_rate(
+                move.source, move.warehouse
+            )
+        for d in decisions:
+            d_adds = [m for m in d.moves if m.action == "add"]
+            if len(d_adds) == 1:
+                assert d.staging_cost == d_adds[0].transfer_cost
 
     def test_warehouse_spec_prices_tape_time(
         self, drill_topology, drill_catalog, drill_cycles, drill_replicas

@@ -1,4 +1,5 @@
-"""Unit tests for the retry policy, failure injector, and circuit breaker."""
+"""Unit tests for the loop config's retry policy, the failure injector,
+and the circuit breaker."""
 
 import pytest
 
@@ -9,37 +10,63 @@ from repro.online import (
     OPEN,
     CircuitBreaker,
     OnlineError,
-    RetryPolicy,
+    OnlineLoopConfig,
     TransientFailureInjector,
     TransientResolveError,
 )
 
 
 class TestRetryPolicy:
+    """The backoff half of :class:`OnlineLoopConfig`."""
+
     def test_delays_are_capped_exponential(self):
-        policy = RetryPolicy(max_retries=6, base=0.1, cap=1.0, jitter=0.0)
-        assert policy.delays(0) == (0.1, 0.2, 0.4, 0.8, 1.0, 1.0)
+        config = OnlineLoopConfig(
+            max_retries=6, backoff_base=0.1, backoff_cap=1.0, jitter=0.0
+        )
+        assert config.delays(0) == (0.1, 0.2, 0.4, 0.8, 1.0, 1.0)
 
     def test_jitter_is_seeded_and_batch_dependent(self):
-        policy = RetryPolicy(max_retries=3, jitter=0.5, seed=42)
-        assert policy.delays(1) == policy.delays(1)
-        assert policy.delays(1) != policy.delays(2)
-        other = RetryPolicy(max_retries=3, jitter=0.5, seed=43)
-        assert policy.delays(1) != other.delays(1)
+        config = OnlineLoopConfig(max_retries=3, jitter=0.5, seed=42)
+        assert config.delays(1) == config.delays(1)
+        assert config.delays(1) != config.delays(2)
+        other = OnlineLoopConfig(max_retries=3, jitter=0.5, seed=43)
+        assert config.delays(1) != other.delays(1)
+
+    def test_jittered_delays_are_pinned(self):
+        # The seeded stream is part of the replay contract: these are the
+        # exact floats every earlier release slept.
+        assert OnlineLoopConfig(max_retries=3, jitter=0.5, seed=42).delays(
+            1
+        ) == (0.05024319503981938, 0.12716755102579552, 0.225979127544271)
+        assert OnlineLoopConfig(max_retries=3, jitter=0.5, seed=42).delays(
+            2
+        ) == (0.054075342805507236, 0.149051284515502, 0.13636961619104246)
+        assert OnlineLoopConfig(
+            max_retries=2, backoff_base=0.01, seed=7
+        ).delays(0) == (0.010945442097653819, 0.02086910539245028)
+        assert OnlineLoopConfig().delays(0) == (
+            0.05344421851525049,
+            0.10515908805880606,
+            0.1968228632332338,
+        )
 
     def test_jitter_bounded(self):
-        policy = RetryPolicy(max_retries=8, base=0.1, cap=1.0, jitter=0.25)
-        for i, delay in enumerate(policy.delays(7)):
+        config = OnlineLoopConfig(
+            max_retries=8, backoff_base=0.1, backoff_cap=1.0, jitter=0.25
+        )
+        for i, delay in enumerate(config.delays(7)):
             nominal = min(1.0, 0.1 * 2.0**i)
             assert 0.75 * nominal <= delay <= 1.25 * nominal
 
     def test_validation(self):
         with pytest.raises(OnlineError, match="max_retries"):
-            RetryPolicy(max_retries=-1)
+            OnlineLoopConfig(max_retries=-1)
         with pytest.raises(OnlineError, match="jitter"):
-            RetryPolicy(jitter=1.5)
+            OnlineLoopConfig(jitter=1.5)
         with pytest.raises(OnlineError, match="base/cap"):
-            RetryPolicy(base=-0.1)
+            OnlineLoopConfig(backoff_base=-0.1)
+        with pytest.raises(OnlineError, match="base/cap"):
+            OnlineLoopConfig(backoff_cap=-1.0)
 
     def test_errors_are_repro_errors(self):
         assert issubclass(TransientResolveError, OnlineError)

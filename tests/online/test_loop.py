@@ -1,6 +1,7 @@
 """End-to-end tests for the online fault-feed amendment loop."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro import (
 )
 from repro.cli import main
 from repro.faults import FaultEvent, FaultFeed, FaultKind, FaultSpec
+from repro.obs import Observability
 from repro.online import (
     CLOSED,
     OPEN,
@@ -48,6 +50,37 @@ def _service(extra_pending=0):
     report = svc.close_cycle(cycle_end=24 * H)
     assert report.feasible
     return svc, report
+
+
+def _late_service():
+    """A chain VW-IS1-IS2 whose closed cycle carries a residency at IS2
+    into the next one, and a feed whose outage the amendment routes around
+    (the carryover changes when, and only when, it is committed)."""
+    topo = Topology()
+    topo.add_warehouse("VW")
+    topo.add_storage("IS1", srate=units.per_gb_hour(2), capacity=units.gb(8))
+    topo.add_storage("IS2", srate=units.per_gb_hour(2), capacity=units.gb(8))
+    topo.add_edge("VW", "IS1", nrate=units.per_gb(500))
+    topo.add_edge("IS1", "IS2", nrate=units.per_gb(300))
+    catalog = VideoCatalog(
+        [
+            VideoFile(f"m{i}", size=units.gb(2.5), playback=units.minutes(90))
+            for i in range(4)
+        ]
+    )
+    svc = VORService(topo, catalog, obs=Observability.on(journal=True))
+    for t in (20, 21, 23.5):
+        svc.reserve("alice", "m0", t * H, local_storage="IS2")
+    report = svc.close_cycle(cycle_end=24 * H)
+    assert report.feasible
+    feed = _feed(
+        FaultEvent(at=19 * H, fault=_outage(21.9 * H, 23 * H, "IS2"))
+    )
+    return svc, report, feed
+
+
+def _carryover(svc):
+    return [(c.location, c.t_start, c.t_last) for c in svc._rolling.carryover]
 
 
 def _outage(t0, t1, target="IS1"):
@@ -141,9 +174,7 @@ class TestRetries:
         assert run.retries_total == 2
         assert run.failures_injected == 2
         assert slept == list(
-            OnlineLoopConfig(
-                max_retries=2, backoff_base=0.01, seed=7
-            ).retry_policy().delays(0)[:2]
+            OnlineLoopConfig(max_retries=2, backoff_base=0.01, seed=7).delays(0)
         )
 
     def test_exhausted_retries_fail_the_batch_not_the_loop(self):
@@ -160,22 +191,35 @@ class TestRetries:
         assert run.alive
         assert run.final is report  # last-good report retained
 
-    def test_deadline_overrun_is_transient(self):
-        svc, report = _service()
-        feed = _feed(FaultEvent(at=1 * H, fault=_outage(4 * H, 8 * H)))
-        ticks = iter(range(100))
-        loop = OnlineAmendmentLoop(
-            svc,
-            OnlineLoopConfig(
-                deadline=0.5, max_retries=1, backoff_base=0.0
-            ),
-            clock=lambda: float(next(ticks)),  # every attempt takes 1s
-            sleep=lambda s: None,
+    def test_deadline_overrun_stands(self):
+        # The service commits an amendment before its duration is known,
+        # so an overrun is counted, never retried or reported failed.
+        def one_run(deadline):
+            svc, report, feed = _late_service()
+            ticks = itertools.count()
+            loop = OnlineAmendmentLoop(
+                svc,
+                OnlineLoopConfig(
+                    deadline=deadline, max_retries=1, backoff_base=0.0
+                ),
+                clock=lambda: float(next(ticks)),  # every amendment takes 1s
+                sleep=lambda s: None,
+            )
+            return svc, report, loop.run(feed, report)
+
+        svc, report, run = one_run(0.5)
+        twin_svc, _, twin = one_run(None)
+        (record,) = run.records
+        assert (record.outcome, record.attempts, record.error) == (
+            "amended", 1, "",
         )
-        run = loop.run(feed, report)
-        assert run.deadline_misses == 2
-        assert run.records[0].outcome == "failed"
-        assert "deadline" in run.records[0].error
+        assert run.deadline_misses == 1 and twin.deadline_misses == 0
+        assert run.final is not report
+        kinds = [e.kind for e in svc.obs.journal.events]
+        assert kinds.count("amended") == 1
+        assert kinds == [e.kind for e in twin_svc.obs.journal.events]
+        assert _carryover(svc) == _carryover(twin_svc)
+        assert run.deterministic_dict() == twin.deterministic_dict()
 
     def test_deterministic_failure_is_not_retried(self):
         svc, report = _service()
@@ -206,6 +250,34 @@ class TestRetries:
         assert run.retries_total == 0
         assert loop.breaker.consecutive_failures == 1
         assert run.final is report
+
+
+class TestFailedAmendmentLeavesCarryover:
+    @pytest.mark.parametrize("path", ["retries-exhausted", "infeasible"])
+    def test_carryover_untouched(self, path, monkeypatch):
+        svc, report, feed = _late_service()
+        before = _carryover(svc)
+        injector = None
+        if path == "retries-exhausted":
+            injector = TransientFailureInjector({0: 2})
+        else:
+            import repro.service
+
+            monkeypatch.setattr(
+                repro.service,
+                "validate_schedule",
+                lambda *args, **kwargs: ["storage IS2 over capacity"],
+            )
+        loop = OnlineAmendmentLoop(
+            svc,
+            OnlineLoopConfig(max_retries=1, backoff_base=0.0),
+            sleep=lambda s: None,
+            failure_injector=injector,
+        )
+        run = loop.run(feed, report)
+        assert run.records[0].outcome == "failed"
+        assert run.final is report
+        assert before and _carryover(svc) == before
 
 
 class TestDegradedMode:

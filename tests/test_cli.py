@@ -325,6 +325,26 @@ class TestCli:
                 ["run-online", str(path), "--inject-failures", "garbage"]
             )
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-retries", "-1", "max_retries must be >= 0, got -1"),
+            (
+                "--breaker-threshold",
+                "0",
+                "failure_threshold must be >= 1, got 0",
+            ),
+            ("--breaker-cooldown", "-5", "cooldown must be >= 0, got -5.0"),
+        ],
+    )
+    def test_run_online_bad_loop_option_one_line_diagnostic(
+        self, tmp_path, flag, value, message
+    ):
+        path = paper_env(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run-online", str(path), flag, value])
+        assert str(exc.value) == f"invalid online options: {message}"
+
     def test_run_online_bad_cycle_fraction(self, tmp_path, monkeypatch):
         from repro.service import VORService
 
