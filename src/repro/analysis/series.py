@@ -63,11 +63,6 @@ class Series:
         """Total rise ``y[-1] - y[0]``."""
         return self.y[-1] - self.y[0]
 
-    def slope_estimate(self) -> float:
-        """Least-squares slope over the series."""
-        xs, ys = np.asarray(self.x), np.asarray(self.y)
-        return float(np.polyfit(xs, ys, 1)[0])
-
     def linearity(self) -> float:
         """R^2 of the best linear fit (1.0 = perfectly linear)."""
         xs, ys = np.asarray(self.x), np.asarray(self.y)
@@ -100,17 +95,3 @@ def gap_between(upper: Series, lower: Series) -> list[float]:
             f"series {upper.name!r} and {lower.name!r} share no x values"
         )
     return gaps
-
-
-def relative_gap(upper: Series, lower: Series) -> list[float]:
-    """Pointwise ``(upper - lower) / upper`` at shared x values."""
-    lower_map = dict(zip(lower.x, lower.y))
-    out = []
-    for x, y in zip(upper.x, upper.y):
-        if x in lower_map:
-            out.append((y - lower_map[x]) / y if y else 0.0)
-    if not out:
-        raise ReproError(
-            f"series {upper.name!r} and {lower.name!r} share no x values"
-        )
-    return out

@@ -430,14 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "is omitted (default 1)",
     )
     parser.add_argument(
-        "--staging-window",
-        type=float,
-        default=3600.0,
-        metavar="SECONDS",
-        help="tape-drive budget window for accepted migrations; 0 "
-        "disables the budget (default 3600)",
-    )
-    parser.add_argument(
         "--horizon-report-out",
         default=None,
         metavar="PATH",
@@ -1215,11 +1207,7 @@ def _run_horizon(args: argparse.Namespace) -> int:
     migration = (
         None
         if args.no_migrate
-        else MigrationConfig(
-            degree=args.degree,
-            seed=args.seed,
-            staging_window=args.staging_window or None,
-        )
+        else MigrationConfig(degree=args.degree, seed=args.seed)
     )
     config = HorizonConfig(
         migration=migration,

@@ -298,12 +298,6 @@ class CostModel:
         """Scalar Ψ(S)."""
         return self.schedule_cost(schedule).total
 
-    # -- convenience for the schedulers --------------------------------------
-
-    def transfer_rate(self, src: str, dst: str) -> float:
-        """Cheapest effective $/byte rate between two nodes."""
-        return self._router.rate(src, dst)
-
     def residency_cost_for(
         self, video_id: str, location: str, t_start: float, t_last: float
     ) -> float:

@@ -56,10 +56,6 @@ class OverflowSituation:
     def duration(self) -> float:
         return self.interval[1] - self.interval[0]
 
-    @property
-    def peak_excess(self) -> float:
-        return self.peak_usage - self.capacity
-
     def journal_attrs(self) -> dict:
         """Attribute dict for an ``overflowed`` journal event."""
         return {

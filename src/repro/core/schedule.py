@@ -109,10 +109,6 @@ class ResidencyInfo:
         """Length of the caching interval ``t_f - t_s``."""
         return self.t_last - self.t_start
 
-    def is_long(self, video: VideoFile) -> bool:
-        """Long residency per Sec. 2.2.1: ``t_f - t_s >= P``."""
-        return self.span >= video.playback
-
     def profile(self, video: VideoFile) -> SpaceProfile:
         """The Eq. 6 reserved-space profile of this residency."""
         if video.video_id != self.video_id:
@@ -167,10 +163,6 @@ class FileSchedule:
                 f"residency of {c.video_id!r} added to schedule of {self.video_id!r}"
             )
         self.residencies.append(c)
-
-    @property
-    def served_users(self) -> list[str]:
-        return [d.request.user_id for d in self.deliveries]
 
     def residencies_at(self, location: str) -> list[ResidencyInfo]:
         return [c for c in self.residencies if c.location == location]

@@ -452,7 +452,7 @@ class RollingScheduler:
                 new_carry.setdefault(c.video_id, []).append(c)
         # unrequested carryover whose tails still cross the new boundary
         for video_id, residencies in self._carryover.items():
-            if video_id in {fs.video_id for fs in final}:
+            if video_id in final:
                 continue
             video = self.catalog[video_id]
             for c in residencies:

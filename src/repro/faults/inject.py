@@ -58,12 +58,6 @@ class ResourceEffects:
     def capacity_factor_map(self) -> dict[str, float]:
         return dict(self.capacity_factors)
 
-    def touches_node(self, name: str) -> bool:
-        return name in self.down_nodes
-
-    def touches_edge(self, key: tuple[str, str]) -> bool:
-        return key in self.down_edges
-
     @property
     def empty(self) -> bool:
         return not (
@@ -197,28 +191,26 @@ def route_failure(
 
 
 def fault_hits(
-    per_fault: list[tuple[FaultSpec | None, ResourceEffects]],
+    per_fault: list[tuple[FaultSpec, ResourceEffects]],
     t0: float,
     t1: float,
     *,
     route: tuple[str, ...] = (),
     storage: str | None = None,
     shrink: bool = False,
-) -> list[tuple[FaultSpec | None, str]]:
+) -> list[tuple[FaultSpec, str]]:
     """Which :func:`fault_effects` pairs break ``route`` or ``storage``
     during ``[t0, t1)``, and the resource each one breaks.
 
-    A pair counts when it is in effect over the interval (a ``None`` fault
-    always is: ``[(None, combined_effects(...))]`` holds a whole plan for
-    the whole cycle) and either downs a node or link of ``route`` (the
-    resource :func:`route_failure` names) or downs ``storage`` -- with
-    ``shrink``, also when it shrinks it.
+    A pair counts when its fault is in effect over the interval and either
+    downs a node or link of ``route`` (the resource :func:`route_failure`
+    names) or downs ``storage`` -- with ``shrink``, also when it shrinks it.
     Returns ``(fault, resource)`` pairs in ``per_fault`` order, which for a
     plan is the canonical order, so the first hit is the earliest fault.
     """
     hits = []
     for fault, effects in per_fault:
-        if fault is not None and not fault.overlaps(t0, t1):
+        if not fault.overlaps(t0, t1):
             continue  # not in effect over the interval
         resource = route_failure(route, effects)
         if resource is None and storage is not None and (
@@ -235,11 +227,11 @@ def fault_hits(
 
 
 def fill_hits(
-    per_fault: list[tuple[FaultSpec | None, ResourceEffects]],
+    per_fault: list[tuple[FaultSpec, ResourceEffects]],
     residency: ResidencyInfo,
     playback: float,
     deliveries: Iterable[DeliveryInfo],
-) -> list[tuple[FaultSpec | None, str]]:
+) -> list[tuple[FaultSpec, str]]:
     """:func:`fault_hits` on the fill of ``residency`` during ``[t_start,
     t_start + playback)``: its source, then the route of its depositing
     stream up to its location.

@@ -317,10 +317,6 @@ class ReservationGateway:
         }
 
     @property
-    def batch_depth(self) -> int:
-        return len(self._batch)
-
-    @property
     def queue_length(self) -> int:
         return len(self._queue)
 

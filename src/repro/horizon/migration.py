@@ -9,8 +9,8 @@ each cycle boundary:
    batch) and build a candidate map with
    :meth:`repro.replication.ReplicaMap.heat_placement`.
 2. **Price every per-video delta as a real staged transfer**: each added
-   copy ships ``video.size`` bytes from the cheapest incumbent home over
-   the priced network (:meth:`repro.core.costmodel.CostModel.transfer_rate`)
+   copy ships ``video.size`` bytes from the cheapest incumbent home at the
+   service model's route rate, ``cost_model.router.routes_to(dst)[home].rate``,
    and occupies a tape drive for
    :meth:`repro.warehouse.hierarchy.WarehouseSpec.staging_duration`
    seconds of the inter-cycle maintenance window.
@@ -71,9 +71,9 @@ class MigrationConfig:
     """Tuning of the between-cycle migration planner.
 
     Attributes:
-        degree: Copies per cold title in the candidate placement.
-        hot_fraction: Fraction of titles treated as hot.
-        hot_degree: Copies per hot title (``None`` = every warehouse).
+        degree: Copies per cold title in the candidate placement (hot
+            titles get :meth:`~repro.replication.ReplicaMap.heat_placement`'s
+            defaults: the top quarter, homed at every warehouse).
         seed: Seed for the candidate placement's round-robin offset.
         staging_window: Seconds of inter-cycle maintenance window available
             for staging transfers.  Total accepted drive time is capped at
@@ -83,8 +83,6 @@ class MigrationConfig:
     """
 
     degree: int = 1
-    hot_fraction: float = 0.25
-    hot_degree: int | None = None
     seed: int = 0
     staging_window: float | None = 3600.0
 
@@ -281,8 +279,6 @@ class MigrationPlanner:
             self.catalog,
             closed_batch,
             degree=self.config.degree,
-            hot_fraction=self.config.hot_fraction,
-            hot_degree=self.config.hot_degree,
             seed=self.config.seed,
         )
         demand = next_batch.by_video() if next_batch else {}

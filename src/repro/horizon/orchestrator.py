@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.catalog.catalog import VideoCatalog
-from repro.core.costmodel import CostModel
-from repro.core.heat import HeatMetric
 from repro.errors import ScheduleError
 from repro.faults.feed import FaultEvent, FaultFeed
 from repro.horizon.carryover import CarryoverLedger, build_resume_ledger
@@ -43,7 +41,6 @@ from repro.obs import NULL_OBS, Observability
 from repro.online.loop import OnlineAmendmentLoop, OnlineLoopConfig
 from repro.service import CycleReport, VORService
 from repro.topology.graph import Topology
-from repro.warehouse.hierarchy import WarehouseSpec
 from repro.workload.churn import RankChurn
 from repro.workload.generators import WorkloadGenerator
 from repro.workload.arrival import UniformArrivals
@@ -250,6 +247,10 @@ def split_events(
 class HorizonOrchestrator:
     """Chain :class:`~repro.service.VORService` cycles over a horizon.
 
+    The chained service prices with the default cost model over
+    ``replicas``, resolves overflows with the default heat metric, and
+    has no warehouse hierarchy, so migrations fit no disk or drive budget.
+
     Args:
         topology: The delivery infrastructure.
         catalog: Offered titles.
@@ -257,11 +258,6 @@ class HorizonOrchestrator:
             when migration is enabled (there must be an incumbent map to
             migrate); ``None`` with migration disabled reproduces the
             paper's single-warehouse model.
-        cost_model: Optional custom Ψ; mutually exclusive with
-            ``replicas`` unless it carries the same map.
-        heat_metric: Phase-2 victim criterion.
-        warehouse: Optional tape hierarchy; staged migration transfers
-            then consume drive time, and every cycle close plans staging.
         obs: Observability handle; the orchestrator journals
             ``horizon-cycle``, ``migration``, ``resumed`` and
             ``restarted`` events and emits the ``vor_horizon_*`` metric
@@ -275,9 +271,6 @@ class HorizonOrchestrator:
         catalog: VideoCatalog,
         *,
         replicas=None,
-        cost_model: CostModel | None = None,
-        heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
-        warehouse: WarehouseSpec | None = None,
         obs: Observability | None = None,
         config: HorizonConfig | None = None,
     ):
@@ -289,9 +282,6 @@ class HorizonOrchestrator:
             topology,
             catalog,
             lead_time=0.0,
-            heat_metric=heat_metric,
-            cost_model=cost_model,
-            warehouse=warehouse,
             obs=self.obs,
             replicas=replicas,
         )
@@ -306,7 +296,6 @@ class HorizonOrchestrator:
                 topology,
                 catalog,
                 config=self.config.migration,
-                warehouse=warehouse,
             )
         #: longest playback in the catalog: how far past a boundary a
         #: cycle's streams can still be running (the carry-across tail).

@@ -6,7 +6,7 @@ pipeline:
 
 * **Deterministic values.**  Histograms use *fixed* bucket boundaries
   declared at first registration, counters are plain integer/float sums,
-  and gauges carry an explicit mode (``last``/``max``/``min``/``sum``),
+  and gauges carry an explicit mode (``last``/``max``),
   so a seeded run records the same numbers every time (see
   ``tests/obs``).
 
@@ -46,7 +46,7 @@ SECONDS_BUCKETS: tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0,
 )
 
-_GAUGE_MODES = ("last", "max", "min", "sum")
+_GAUGE_MODES = ("last", "max")
 
 LabelKey = tuple[tuple[str, str], ...]
 
@@ -76,9 +76,8 @@ class Counter:
 class Gauge:
     """Point-in-time value with an explicit mode.
 
-    ``max``/``min`` gauges apply their mode on :meth:`set`, so peak
-    trackers can be set repeatedly; ``last`` overwrites and ``sum``
-    accumulates.
+    ``max`` gauges keep the peak on :meth:`set`, so peak trackers can be
+    set repeatedly; ``last`` overwrites.
     """
 
     __slots__ = ("_value", "_mode", "_touched")
@@ -89,13 +88,8 @@ class Gauge:
         self._touched = False
 
     def set(self, value: float) -> None:
-        if self._touched:
-            if self._mode == "max":
-                value = max(self._value, value)
-            elif self._mode == "min":
-                value = min(self._value, value)
-            elif self._mode == "sum":
-                value = self._value + value
+        if self._touched and self._mode == "max":
+            value = max(self._value, value)
         self._value = value
         self._touched = True
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from repro.errors import OnlineError, ReproError, TransientResolveError
 from repro.faults.feed import FaultEvent, FaultFeed
 from repro.faults.plan import FaultPlan, FaultSpec
-from repro.obs import NULL_OBS, Observability, SECONDS_BUCKETS
+from repro.obs import Observability, SECONDS_BUCKETS
 from repro.online.breaker import CLOSED, OPEN, CircuitBreaker
 from repro.service import CycleReport, VORService
 
@@ -51,6 +51,11 @@ _log = logging.getLogger(__name__)
 
 #: Batch outcomes recorded per amendment attempt group.
 OUTCOMES = ("amended", "failed", "degraded", "degraded_failed")
+
+#: Upper bound on any retry delay in seconds (before jitter).
+BACKOFF_CAP = 2.0
+#: Relative jitter amplitude of each retry delay.
+JITTER = 0.1
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,6 @@ class OnlineLoopConfig:
             default).
         max_retries: Re-attempts per batch after transient failures.
         backoff_base: First retry delay in seconds.
-        backoff_cap: Upper bound on any retry delay (before jitter).
-        jitter: Relative jitter amplitude in [0, 1].
         seed: Seed for the backoff jitter stream (see :meth:`delays`).
         breaker_threshold: Consecutive exhausted batches that open the
             circuit breaker.
@@ -82,8 +85,6 @@ class OnlineLoopConfig:
     deadline: float | None = None
     max_retries: int = 3
     backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    jitter: float = 0.1
     seed: int = 0
     breaker_threshold: int = 3
     breaker_cooldown: float = 0.0
@@ -100,14 +101,9 @@ class OnlineLoopConfig:
             raise OnlineError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_base < 0.0 or self.backoff_cap < 0.0:
+        if self.backoff_base < 0.0:
             raise OnlineError(
-                "backoff base/cap must be >= 0, got "
-                f"{self.backoff_base}/{self.backoff_cap}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise OnlineError(
-                f"jitter must be a fraction in [0, 1], got {self.jitter}"
+                f"backoff_base must be >= 0, got {self.backoff_base}"
             )
         if self.shed_per_degraded_batch < 0:
             raise OnlineError(
@@ -119,7 +115,7 @@ class OnlineLoopConfig:
         """The backoff delays (seconds) before each of one batch's retries.
 
         Retry ``i`` (0-based) sleeps
-        ``min(backoff_cap, backoff_base * 2**i) * (1 + jitter * u)``,
+        ``min(BACKOFF_CAP, backoff_base * 2**i) * (1 + JITTER * u)``,
         clamped at 0, with ``u`` uniform in ``[-1, 1]`` drawn from a
         per-batch rng derived arithmetically from ``seed`` -- never from
         ``hash()``, so replays sleep the same schedule across interpreter
@@ -128,8 +124,8 @@ class OnlineLoopConfig:
         rng = random.Random(self.seed * 1_000_003 + batch_index)
         out = []
         for i in range(self.max_retries):
-            delay = min(self.backoff_cap, self.backoff_base * (2.0**i))
-            delay *= 1.0 + self.jitter * rng.uniform(-1.0, 1.0)
+            delay = min(BACKOFF_CAP, self.backoff_base * (2.0**i))
+            delay *= 1.0 + JITTER * rng.uniform(-1.0, 1.0)
             out.append(max(0.0, delay))
         return tuple(out)
 

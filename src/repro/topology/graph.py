@@ -236,48 +236,6 @@ class Topology:
     def capacity(self, name: str) -> float:
         return self.node(name).capacity
 
-    def with_srate(self, srate: float) -> "Topology":
-        """Copy of this topology with every storage's rate set to ``srate``.
-
-        Used by the experiment sweeps, which vary a single global storage
-        charging rate (paper Sec. 5).
-        """
-        out = Topology(charging_basis=self.charging_basis)
-        for spec in self._nodes.values():
-            if spec.is_warehouse:
-                out.add_warehouse(spec.name)
-            else:
-                out.add_storage(spec.name, srate=srate, capacity=spec.capacity)
-        for e in self._edges.values():
-            out.add_edge(e.a, e.b, nrate=e.nrate, bandwidth=e.bandwidth)
-        out._pair_rates.update(self._pair_rates)
-        return out
-
-    def with_nrate(self, nrate: float) -> "Topology":
-        """Copy of this topology with every edge's rate set to ``nrate``."""
-        out = Topology(charging_basis=self.charging_basis)
-        for spec in self._nodes.values():
-            if spec.is_warehouse:
-                out.add_warehouse(spec.name)
-            else:
-                out.add_storage(spec.name, srate=spec.srate, capacity=spec.capacity)
-        for e in self._edges.values():
-            out.add_edge(e.a, e.b, nrate=nrate, bandwidth=e.bandwidth)
-        return out
-
-    def with_capacity(self, capacity: float) -> "Topology":
-        """Copy of this topology with every storage's capacity set."""
-        out = Topology(charging_basis=self.charging_basis)
-        for spec in self._nodes.values():
-            if spec.is_warehouse:
-                out.add_warehouse(spec.name)
-            else:
-                out.add_storage(spec.name, srate=spec.srate, capacity=capacity)
-        for e in self._edges.values():
-            out.add_edge(e.a, e.b, nrate=e.nrate, bandwidth=e.bandwidth)
-        out._pair_rates.update(self._pair_rates)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Topology({len(self.warehouses)} warehouse(s), "

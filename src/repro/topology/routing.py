@@ -59,10 +59,6 @@ class Route:
         """Canonical edge keys along the route."""
         return [edge_key(a, b) for a, b in zip(self.nodes, self.nodes[1:])]
 
-    def transfer_cost(self, size_bytes: float) -> float:
-        """Cost of moving ``size_bytes`` along this route (Eq. 4)."""
-        return size_bytes * self.rate
-
 
 class Router:
     """Memoising cheapest-path router for a fixed topology."""
@@ -160,23 +156,10 @@ class Router:
                 return explicit
         return hop_cost
 
-    def rate(self, src: str, dst: str) -> float:
-        """Effective transfer charging rate ($/byte) from ``src`` to ``dst``."""
-        return self.route(src, dst).rate
-
-    def transfer_cost(self, src: str, dst: str, size_bytes: float) -> float:
-        """Cost of shipping ``size_bytes`` from ``src`` to ``dst`` (Eq. 4)."""
-        return self.route(src, dst).transfer_cost(size_bytes)
-
     def reachable(self, src: str) -> set[str]:
         """All nodes reachable from ``src`` (including ``src`` itself)."""
         dist, _ = self._dijkstra(src)
         return set(dist)
-
-    def all_rates_from(self, src: str) -> dict[str, float]:
-        """Per-hop path costs from ``src`` to every reachable node."""
-        dist, _ = self._dijkstra(src)
-        return dict(dist)
 
     # -- k-cheapest paths (Yen) ---------------------------------------------
 

@@ -38,11 +38,6 @@ def gb(value: float) -> float:
     return value * GB
 
 
-def mb(value: float) -> float:
-    """Convert megabytes to bytes."""
-    return value * MB
-
-
 def minutes(value: float) -> float:
     """Convert minutes to seconds."""
     return value * MINUTE

@@ -52,12 +52,6 @@ class RankChurn:
         """Current rank->catalog-index mapping (read-only copy)."""
         return self._perm.copy()
 
-    def title_at_rank(self, rank: int) -> int:
-        """Catalog index of the title currently at ``rank`` (0-based)."""
-        if not (0 <= rank < self.n_items):
-            raise WorkloadError(f"rank {rank} out of range [0, {self.n_items})")
-        return int(self._perm[rank])
-
     def advance(self) -> np.ndarray:
         """Move to the next cycle; returns the new permutation (copy).
 

@@ -88,10 +88,6 @@ class RequestBatch:
             self._by_video = parts
         return {k: list(v) for k, v in self._by_video.items()}
 
-    def for_video(self, video_id: str) -> list[Request]:
-        """Chronologically sorted requests for one video (may be empty)."""
-        return self.by_video().get(video_id, [])
-
     @property
     def span(self) -> tuple[float, float]:
         """(earliest, latest) start time; raises on an empty batch."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import Series, gap_between, relative_gap
+from repro.analysis import Series, gap_between
 from repro.errors import ReproError
 
 
@@ -51,7 +51,6 @@ class TestShapePredicates:
     def test_growth_and_slope(self):
         s = Series("a", (0.0, 1.0, 2.0), (0.0, 2.0, 4.0))
         assert s.growth() == 4.0
-        assert s.slope_estimate() == pytest.approx(2.0)
 
     def test_linearity(self):
         lin = Series("a", (0.0, 1.0, 2.0, 3.0), (1.0, 3.0, 5.0, 7.0))
@@ -67,11 +66,6 @@ class TestGaps:
         hi = Series("hi", (1, 2), (10.0, 20.0))
         lo = Series("lo", (1, 2), (4.0, 5.0))
         assert gap_between(hi, lo) == [6.0, 15.0]
-
-    def test_relative_gap(self):
-        hi = Series("hi", (1, 2), (10.0, 20.0))
-        lo = Series("lo", (1, 2), (5.0, 5.0))
-        assert relative_gap(hi, lo) == [0.5, 0.75]
 
     def test_no_shared(self):
         with pytest.raises(ReproError):

@@ -63,7 +63,6 @@ class TestDetectOverflows:
         assert b == pytest.approx(35.0)
         assert {c.video_id for c in of.members} == {"a", "b"}
         assert of.peak_usage == pytest.approx(200.0)
-        assert of.peak_excess == pytest.approx(50.0)
         assert of.capacity == 150.0
         assert of.duration == pytest.approx(25.0)
 

@@ -57,11 +57,6 @@ class TestResidencyInfo:
         c = ResidencyInfo("v", "IS1", "VW", 10.0, 40.0)
         assert c.span == 30.0
 
-    def test_is_long(self):
-        video = VideoFile("v", size=100.0, playback=20.0)
-        assert ResidencyInfo("v", "IS1", "VW", 0.0, 20.0).is_long(video)
-        assert not ResidencyInfo("v", "IS1", "VW", 0.0, 19.0).is_long(video)
-
     def test_profile_consistency(self):
         video = VideoFile("v", size=100.0, playback=20.0)
         c = ResidencyInfo("v", "IS1", "VW", 0.0, 30.0)
@@ -151,7 +146,7 @@ class TestFileSchedule:
         fs = FileSchedule("v")
         fs.add_delivery(_delivery())
         fs.add_residency(ResidencyInfo("v", "IS1", "VW", 0.0, 10.0))
-        assert fs.served_users == ["u"]
+        assert [d.request.user_id for d in fs.deliveries] == ["u"]
         assert len(fs.residencies_at("IS1")) == 1
         assert fs.residencies_at("IS2") == []
 

@@ -108,7 +108,7 @@ class TestPaperScale:
         cm = CostModel(topo, catalog)
         direct_total = sum(
             catalog[r.video_id].network_volume
-            * cm.router.rate("VW", r.local_storage)
+            * cm.router.route("VW", r.local_storage).rate
             for r in batch
         )
         assert res.total_cost <= direct_total + 1e-6

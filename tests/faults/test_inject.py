@@ -32,7 +32,6 @@ class TestEffectsOf:
         eff = effects_of(_topo(), _fault(FaultKind.IS_OUTAGE, "IS1"))
         assert eff.down_nodes == {"IS1"}
         assert not eff.down_edges and not eff.bandwidth_factors
-        assert eff.touches_node("IS1") and not eff.touches_node("IS2")
 
     def test_is_outage_rejects_warehouse_target(self):
         with pytest.raises(FaultError, match="not an intermediate storage"):
@@ -45,7 +44,6 @@ class TestEffectsOf:
     def test_link_down(self):
         eff = effects_of(_topo(), _fault(FaultKind.LINK_DOWN, ("IS1", "VW")))
         assert eff.down_edges == {("IS1", "VW")}
-        assert eff.touches_edge(("IS1", "VW"))
 
     def test_unknown_link_rejected(self):
         topo = _topo()
@@ -85,7 +83,6 @@ class TestEffectsOf:
         eff = effects_of(_topo(), _fault(FaultKind.WAREHOUSE_LOSS, "VW"))
         assert eff.down_nodes == {"VW"}
         assert not eff.down_edges and not eff.bandwidth_factors
-        assert eff.touches_node("VW") and not eff.touches_node("IS1")
 
     def test_warehouse_loss_rejects_storage_target(self):
         with pytest.raises(FaultError, match="not a warehouse"):
@@ -144,11 +141,10 @@ class TestFaultHits:
         FaultSpec(FaultKind.CAPACITY_SHRINK, "IS1", 0.0, 40.0, severity=0.5),
     ))
 
-    def _hits(self, t0, t1, *, per_fault=None, **kw):
-        if per_fault is None:
-            per_fault = fault_effects(_topo(), self.PLAN)
+    def _hits(self, t0, t1, **kw):
+        per_fault = fault_effects(_topo(), self.PLAN)
         return [
-            (None if f is None else f.kind, resource)
+            (f.kind, resource)
             for f, resource in fault_hits(per_fault, t0, t1, **kw)
         ]
 
@@ -174,13 +170,6 @@ class TestFaultHits:
         assert self._hits(16.0, 17.0, storage="IS2") == [
             (FaultKind.IS_OUTAGE, "IS2"),
         ]
-
-    def test_whole_cycle_pair_is_always_in_effect(self):
-        union = [(None, combined_effects(_topo(), self.PLAN))]
-        assert self._hits(100.0, 101.0, per_fault=union, storage="IS2") == [
-            (None, "IS2"),
-        ]
-        assert self._hits(100.0, 101.0, storage="IS2") == []
 
 
 class TestMaskedTopology:

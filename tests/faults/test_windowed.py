@@ -263,8 +263,10 @@ def _recover(drill, plan):
 def _union_impacted(drill, plan):
     """The videos the plan's union of effects, in effect for the whole
     cycle, hits: the reference the one hit rule is checked against."""
-    topo, catalog, _, solved, *_ = drill
-    union = [(None, combined_effects(topo, plan))]
+    topo, catalog, _, solved, _, horizon = drill
+    # one pair: the union's effects under a fault window spanning the cycle
+    whole = _whole_cycle(plan, horizon).faults[0]
+    union = [(whole, combined_effects(topo, plan))]
     impacted = []
     for fs in solved.schedule:
         hit_del, _, kept_res = _split_hits(fs, catalog[fs.video_id].playback, union)

@@ -112,7 +112,6 @@ class TestBackpressure:
         assert gateway.intake(_ev(0.0, 13 * H, "U1")) == "admitted"
         assert gateway.intake(_ev(0.0, 14 * H, "U2")) == "admitted"
         assert gateway.intake(_ev(0.0, 16 * H, "U3")) == "queued"
-        assert gateway.batch_depth == 2
         assert gateway.queue_length == 1
 
     def test_overflow_sheds_the_latest_showing(self, gateway):
@@ -242,10 +241,10 @@ class TestSealing:
     def test_seal_resets_for_the_next_cycle(self, fig2_gateway):
         fig2_gateway.intake(_ev(0.0, 13 * H, "U1"))
         fig2_gateway.seal(cycle_end=20 * H)
-        assert fig2_gateway.batch_depth == 0
         follow_up = fig2_gateway.seal(cycle_end=21 * H, final=True)
         assert follow_up.index == 1
         assert follow_up.offered == 0
+        assert follow_up.reconciliation == ()  # nothing re-booked
 
     def test_run_counts_unconsumed_arrivals(self, fig2_gateway):
         feed = RequestFeed(

@@ -106,12 +106,9 @@ class TestPlanShape:
         }
         for move in adds:
             size = drill_catalog[move.video_id].size
-            assert cm.transfer_rate(move.source, move.warehouse) == (
-                units.per_gb(100)
-            )
-            assert move.transfer_cost == size * cm.transfer_rate(
-                move.source, move.warehouse
-            )
+            rate = cm.router.route(move.source, move.warehouse).rate
+            assert rate == units.per_gb(100)
+            assert move.transfer_cost == size * rate
         for d in decisions:
             d_adds = [m for m in d.moves if m.action == "add"]
             if len(d_adds) == 1:

@@ -56,17 +56,6 @@ class TestGauge:
         g.set(3.0)
         assert g.value == 5.0
 
-    def test_min_and_sum_modes(self):
-        reg = MetricsRegistry()
-        lo = reg.gauge("lo", mode="min")
-        lo.set(5.0)
-        lo.set(3.0)
-        assert lo.value == 3.0
-        acc = reg.gauge("acc", mode="sum")
-        acc.set(5.0)
-        acc.set(3.0)
-        assert acc.value == 8.0
-
     def test_unknown_mode_rejected(self):
         reg = MetricsRegistry()
         with pytest.raises(MetricsError, match="mode"):
@@ -166,8 +155,8 @@ class TestMetricsTape:
         reg.counter("dollars_total").inc(0.3)
         for v in (3.0, 1.0):
             reg.gauge("peak", mode="max", site="a").set(v)
-        reg.gauge("share", mode="sum").set(0.1)
-        reg.gauge("share", mode="sum").set(0.7)
+        reg.gauge("share", mode="max").set(0.7)
+        reg.gauge("share", mode="max").set(0.1)
         reg.histogram("overhead", boundaries=DOLLAR_BUCKETS)  # no observation
         reg.histogram("size", boundaries=COUNT_BUCKETS).observe(0.3)
 
@@ -179,7 +168,7 @@ class TestMetricsTape:
         direct, replayed = MetricsRegistry(), MetricsRegistry()
         for reg in (direct, replayed):
             reg.counter("dollars_total").inc(0.1)
-            reg.gauge("share", mode="sum").set(0.5)
+            reg.gauge("share", mode="max").set(0.5)
         self._record(direct)
         tape = MetricsTape()
         self._record(tape)

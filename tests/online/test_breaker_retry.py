@@ -3,6 +3,7 @@ and the circuit breaker."""
 
 import pytest
 
+import repro.online.loop
 from repro.errors import ReproError
 from repro.online import (
     CLOSED,
@@ -19,28 +20,21 @@ from repro.online import (
 class TestRetryPolicy:
     """The backoff half of :class:`OnlineLoopConfig`."""
 
-    def test_delays_are_capped_exponential(self):
-        config = OnlineLoopConfig(
-            max_retries=6, backoff_base=0.1, backoff_cap=1.0, jitter=0.0
-        )
-        assert config.delays(0) == (0.1, 0.2, 0.4, 0.8, 1.0, 1.0)
+    def test_delays_are_capped_exponential(self, monkeypatch):
+        monkeypatch.setattr(repro.online.loop, "JITTER", 0.0)
+        config = OnlineLoopConfig(max_retries=7, backoff_base=0.1)
+        assert config.delays(0) == (0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0)
 
     def test_jitter_is_seeded_and_batch_dependent(self):
-        config = OnlineLoopConfig(max_retries=3, jitter=0.5, seed=42)
+        config = OnlineLoopConfig(max_retries=3, seed=42)
         assert config.delays(1) == config.delays(1)
         assert config.delays(1) != config.delays(2)
-        other = OnlineLoopConfig(max_retries=3, jitter=0.5, seed=43)
+        other = OnlineLoopConfig(max_retries=3, seed=43)
         assert config.delays(1) != other.delays(1)
 
     def test_jittered_delays_are_pinned(self):
         # The seeded stream is part of the replay contract: these are the
         # exact floats every earlier release slept.
-        assert OnlineLoopConfig(max_retries=3, jitter=0.5, seed=42).delays(
-            1
-        ) == (0.05024319503981938, 0.12716755102579552, 0.225979127544271)
-        assert OnlineLoopConfig(max_retries=3, jitter=0.5, seed=42).delays(
-            2
-        ) == (0.054075342805507236, 0.149051284515502, 0.13636961619104246)
         assert OnlineLoopConfig(
             max_retries=2, backoff_base=0.01, seed=7
         ).delays(0) == (0.010945442097653819, 0.02086910539245028)
@@ -50,23 +44,43 @@ class TestRetryPolicy:
             0.1968228632332338,
         )
 
+    def test_capped_jittered_delays_are_pinned(self):
+        # Eight retries from 0.1 s reach the 2 s cap at the sixth: these are
+        # the exact floats earlier releases slept with the cap and the
+        # jitter at their defaults, 2.0 and 0.1.
+        config = OnlineLoopConfig(max_retries=8, backoff_base=0.1, seed=42)
+        assert [d.hex() for d in config.delays(0)] == [
+            "0x1.ab6c14145e9f5p-4",
+            "0x1.bc9c0a7685f62p-3",
+            "0x1.8f4dea661d6e0p-2",
+            "0x1.a2ee2297bf5e0p-1",
+            "0x1.935318ca2a944p+0",
+            "0x1.00fcc924dfd2dp+1",
+            "0x1.1062d887a1276p+1",
+            "0x1.021254ab1d704p+1",
+        ]
+        assert [d.hex() for d in config.delays(3)] == [
+            "0x1.899bad92a6649p-4",
+            "0x1.9184ff6ca75b4p-3",
+            "0x1.713641b797b4dp-2",
+            "0x1.a2c475efa29c8p-1",
+            "0x1.adc0dafdbfbf5p+0",
+            "0x1.0e8f50a9799c2p+1",
+            "0x1.e08c1aaf06048p+0",
+            "0x1.13c52e8815aa0p+1",
+        ]
+
     def test_jitter_bounded(self):
-        config = OnlineLoopConfig(
-            max_retries=8, backoff_base=0.1, backoff_cap=1.0, jitter=0.25
-        )
+        config = OnlineLoopConfig(max_retries=8, backoff_base=0.1)
         for i, delay in enumerate(config.delays(7)):
-            nominal = min(1.0, 0.1 * 2.0**i)
-            assert 0.75 * nominal <= delay <= 1.25 * nominal
+            nominal = min(2.0, 0.1 * 2.0**i)
+            assert 0.9 * nominal <= delay <= 1.1 * nominal
 
     def test_validation(self):
         with pytest.raises(OnlineError, match="max_retries"):
             OnlineLoopConfig(max_retries=-1)
-        with pytest.raises(OnlineError, match="jitter"):
-            OnlineLoopConfig(jitter=1.5)
-        with pytest.raises(OnlineError, match="base/cap"):
+        with pytest.raises(OnlineError, match="backoff_base"):
             OnlineLoopConfig(backoff_base=-0.1)
-        with pytest.raises(OnlineError, match="base/cap"):
-            OnlineLoopConfig(backoff_cap=-1.0)
 
     def test_errors_are_repro_errors(self):
         assert issubclass(TransientResolveError, OnlineError)

@@ -1,6 +1,5 @@
 """End-to-end tests for the online fault-feed amendment loop."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -221,19 +220,25 @@ class TestRetries:
         assert _carryover(svc) == _carryover(twin_svc)
         assert run.deterministic_dict() == twin.deterministic_dict()
 
-    def test_deterministic_failure_is_not_retried(self):
-        svc, report = _service()
-        feed = _feed(FaultEvent(at=1 * H, fault=_outage(4 * H, 8 * H)))
+    def test_deterministic_failure_is_not_retried(self, monkeypatch):
+        import repro.service
+
+        svc, report, feed = _late_service()
+        before = _carryover(svc)
         calls = []
 
-        def invalid_amendment(current, plan, **kwargs):
+        def counted_amendment(current, plan, **kwargs):
             calls.append(plan)
-            amended = VORService.amend_cycle(svc, current, plan, **kwargs)
-            return dataclasses.replace(
-                amended, violations=["storage IS1 over capacity"]
-            )
+            return VORService.amend_cycle(svc, current, plan, **kwargs)
 
-        svc.amend_cycle = invalid_amendment
+        # the service's own validation rejects the amendment, so it is
+        # never committed
+        monkeypatch.setattr(
+            repro.service,
+            "validate_schedule",
+            lambda *args, **kwargs: ["storage IS2 over capacity"],
+        )
+        svc.amend_cycle = counted_amendment
         slept = []
         loop = OnlineAmendmentLoop(
             svc,
@@ -250,6 +255,7 @@ class TestRetries:
         assert run.retries_total == 0
         assert loop.breaker.consecutive_failures == 1
         assert run.final is report
+        assert before and _carryover(svc) == before
 
 
 class TestFailedAmendmentLeavesCarryover:

@@ -115,16 +115,6 @@ class TestCostModelDefaults:
         for t in (0.0, 3 * units.HOUR, 20 * units.HOUR, 5 * units.DAY):
             assert cm.network_multiplier(t) == 1.0
 
-    def test_transfer_rate_helper(self):
-        topo = Topology()
-        topo.add_warehouse("VW")
-        topo.add_storage("IS1", srate=0.0, capacity=1e9)
-        topo.add_storage("IS2", srate=0.0, capacity=1e9)
-        topo.add_edge("VW", "IS1", nrate=2.0)
-        topo.add_edge("IS1", "IS2", nrate=3.0)
-        cm = CostModel(topo, VideoCatalog([VideoFile("v", size=1.0, playback=1.0)]))
-        assert cm.transfer_rate("VW", "IS2") == pytest.approx(5.0)
-
 
 class TestZipfSummaryEdge:
     def test_top_fraction_bounds(self):

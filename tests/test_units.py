@@ -9,9 +9,6 @@ class TestSizeConversions:
     def test_gb(self):
         assert units.gb(2.5) == 2.5e9
 
-    def test_mb(self):
-        assert units.mb(3) == 3e6
-
     def test_constants_consistent(self):
         assert units.GB == 1000 * units.MB == 1_000_000 * units.KB
 

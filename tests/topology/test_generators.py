@@ -70,9 +70,9 @@ class TestWorkedExampleTopology:
         t = worked_example_topology()
         volume = units.mbps(6) * units.minutes(90)
         router = Router(t)
-        assert router.transfer_cost("VW", "IS1", volume) == pytest.approx(64.8)
-        assert router.transfer_cost("VW", "IS2", volume) == pytest.approx(97.2)
-        assert router.transfer_cost("IS1", "IS2", volume) == pytest.approx(32.4)
+        assert volume * router.route("VW", "IS1").rate == pytest.approx(64.8)
+        assert volume * router.route("VW", "IS2").rate == pytest.approx(97.2)
+        assert volume * router.route("IS1", "IS2").rate == pytest.approx(32.4)
 
 
 class TestShapes:

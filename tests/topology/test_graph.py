@@ -7,7 +7,7 @@ import pytest
 from repro.errors import TopologyError
 from repro.faults import FaultKind, FaultSpec
 from repro.faults.inject import masked_topology
-from repro.topology import ChargingBasis, NodeKind, Topology
+from repro.topology import NodeKind, Topology
 
 
 @pytest.fixture
@@ -118,29 +118,6 @@ class TestPairRates:
             small_topo.set_pair_rate("VW", "IS9", 1.0)
 
 
-class TestCopies:
-    def test_with_srate(self, small_topo):
-        t2 = small_topo.with_srate(9e-12)
-        assert all(s.srate == 9e-12 for s in t2.storages)
-        # original untouched; capacities preserved
-        assert small_topo.node("IS1").srate == 1e-12
-        assert t2.node("IS2").capacity == 8e9
-
-    def test_with_nrate(self, small_topo):
-        t2 = small_topo.with_nrate(3e-7)
-        assert all(e.nrate == 3e-7 for e in t2.edges)
-        assert small_topo.edge("VW", "IS1").nrate == 2e-7
-
-    def test_with_capacity(self, small_topo):
-        t2 = small_topo.with_capacity(11e9)
-        assert all(s.capacity == 11e9 for s in t2.storages)
-        assert t2.node("IS1").srate == 1e-12
-
-    def test_charging_basis_preserved(self, small_topo):
-        small_topo.charging_basis = ChargingBasis.END_TO_END
-        assert small_topo.with_srate(1.0).charging_basis is ChargingBasis.END_TO_END
-
-
 class TestWarehouseList:
     """``warehouses`` is kept as nodes are added, not re-scanned."""
 
@@ -173,14 +150,9 @@ class TestWarehouseList:
         outage = FaultSpec(
             kind=FaultKind.WAREHOUSE_LOSS, target="VW1", t_start=0.0, t_end=1.0
         )
-        for copy, names in (
-            (t.with_srate(3e-12), ["VW2", "VW1", "VW3"]),
-            (t.with_nrate(3e-7), ["VW2", "VW1", "VW3"]),
-            (t.with_capacity(11e9), ["VW2", "VW1", "VW3"]),
-            (masked_topology(t, outage), ["VW2", "VW3"]),
-        ):
-            assert [w.name for w in copy.warehouses] == names
-            assert copy.warehouses == [n for n in copy.nodes if n.is_warehouse]
+        copy = masked_topology(t, outage)
+        assert [w.name for w in copy.warehouses] == ["VW2", "VW3"]
+        assert copy.warehouses == [n for n in copy.nodes if n.is_warehouse]
 
     def test_equality_unchanged(self):
         a, b = self._interleaved(), self._interleaved()

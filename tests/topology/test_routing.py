@@ -37,11 +37,6 @@ class TestRoute:
         assert r.nodes == ("IS1",)
         assert r.hops == 0
         assert r.rate == 0.0
-        assert r.transfer_cost(1e9) == 0.0
-
-    def test_transfer_cost(self, diamond):
-        router = Router(diamond)
-        assert router.transfer_cost("VW", "IS3", 10.0) == pytest.approx(20.0)
 
     def test_route_endpoints(self, diamond):
         r = Router(diamond).route("VW", "IS3")
@@ -79,11 +74,6 @@ class TestRoute:
 
     def test_reachable(self, diamond):
         assert Router(diamond).reachable("VW") == {"VW", "IS1", "IS2", "IS3"}
-
-    def test_all_rates_from(self, diamond):
-        rates = Router(diamond).all_rates_from("VW")
-        assert rates["IS3"] == pytest.approx(2.0)
-        assert rates["VW"] == 0.0
 
 
 class TestRouteRecord:

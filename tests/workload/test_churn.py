@@ -46,14 +46,6 @@ class TestRankChurn:
         for _ in range(3):
             assert a.advance().tolist() == b.advance().tolist()
 
-    def test_title_at_rank(self):
-        churn = RankChurn(10, churn=0.5, seed=5)
-        churn.advance()
-        perm = churn.permutation
-        assert churn.title_at_rank(3) == perm[3]
-        with pytest.raises(WorkloadError):
-            churn.title_at_rank(10)
-
     def test_validation(self):
         with pytest.raises(WorkloadError):
             RankChurn(0)

@@ -68,10 +68,11 @@ class TestRequestBatch:
     def test_by_video_returns_copies(self):
         b = RequestBatch([_req(1.0, video="a")])
         b.by_video()["a"].append("junk")
-        assert b.for_video("a") == [_req(1.0, video="a")]
+        assert b.by_video()["a"] == [_req(1.0, video="a")]
 
     def test_for_missing_video_empty(self):
-        assert RequestBatch().for_video("zzz") == []
+        assert "zzz" not in RequestBatch().by_video()
+        assert "zzz" not in RequestBatch([_req(1.0, video="a")]).by_video()
 
     def test_video_ids_first_seen_order(self):
         b = RequestBatch([_req(2.0, video="b"), _req(1.0, video="a")])
