@@ -17,6 +17,7 @@ Run:  python examples/vor_operator.py
 import numpy as np
 
 from repro import (
+    StagingPlanner,
     VORService,
     WarehouseSpec,
     paper_catalog,
@@ -33,15 +34,14 @@ def main() -> None:
         capacity=units.gb(8),
     )
     catalog = paper_catalog(150, seed=77)
-    service = VORService(
-        topology,
-        catalog,
-        lead_time=units.HOUR,
-        warehouse=WarehouseSpec(
+    service = VORService(topology, catalog, lead_time=units.HOUR)
+    staging_planner = StagingPlanner(
+        WarehouseSpec(
             disk_capacity=units.gb(300),
             tape_drives=6,
             tape_bandwidth=60 * units.MB,
         ),
+        catalog,
     )
 
     rng = np.random.default_rng(77)
@@ -73,6 +73,11 @@ def main() -> None:
         report = service.close_cycle(cycle_end=(day + 1) * units.DAY)
         print(f"== closing day {day} ==")
         print(report.summary())
+        staging = staging_planner.plan(report.cycle.schedule)
+        print(
+            f"  warehouse: {len(staging.tasks)} stagings, "
+            f"{staging.hits} hits, {len(staging.misses)} misses"
+        )
         top = report.billing.top_payers(3)
         print(
             format_table(

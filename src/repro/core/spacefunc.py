@@ -45,7 +45,7 @@ from repro.errors import ScheduleError
 EPS = 1e-9
 
 
-def capacity_slack(capacity: float, eps: float = EPS) -> float:
+def capacity_slack(capacity: float) -> float:
     """Highest usage that still counts as within ``capacity``.
 
     The one tolerance shared by placement (:func:`fits_under` and the
@@ -53,7 +53,7 @@ def capacity_slack(capacity: float, eps: float = EPS) -> float:
     detection, so SORP never commits a placement that the next detection
     sweep reports as a new overflow.
     """
-    return capacity + eps + 1e-12 * max(capacity, 1.0)
+    return capacity + EPS + 1e-12 * max(capacity, 1.0)
 
 
 def gamma_coefficient(t_start: float, t_last: float, playback: float) -> float:
@@ -327,7 +327,7 @@ class UsageTimeline:
             return 0.0
         return float(max(self._y_right.max(), self._y_next.max()))
 
-    def intervals_above(self, threshold: float, *, eps: float = EPS) -> list[tuple[float, float]]:
+    def intervals_above(self, threshold: float) -> list[tuple[float, float]]:
         """Maximal intervals where usage exceeds ``threshold`` (strictly).
 
         Within each grid cell usage is linear, so the crossing point (if any)
@@ -336,7 +336,7 @@ class UsageTimeline:
         if self.is_empty:
             return []
         raw: list[tuple[float, float]] = []
-        thr = threshold + eps
+        thr = threshold + EPS
         n = self._ts.size
         for i in range(n - 1):
             t0, t1 = float(self._ts[i]), float(self._ts[i + 1])
@@ -359,7 +359,7 @@ class UsageTimeline:
         merged = [raw[0]]
         for s, e in raw[1:]:
             ls, le = merged[-1]
-            if s <= le + eps:
+            if s <= le + EPS:
                 merged[-1] = (ls, max(le, e))
             else:
                 merged.append((s, e))
@@ -368,8 +368,9 @@ class UsageTimeline:
     def integral_above(self, threshold: float) -> float:
         """Space-time integral of ``max(usage - threshold, 0)``.
 
-        The total "excess" that overflow resolution must remove; SORP uses it
-        as its monotone progress measure.
+        The total "excess" that overflow resolution must remove: zero
+        exactly when usage never exceeds ``threshold``.  A diagnostic; the
+        scheduler itself does not call it.
         """
         if self.is_empty:
             return 0.0
@@ -409,8 +410,6 @@ def fits_under(
     timeline: UsageTimeline,
     profile: SpaceProfile,
     capacity: float,
-    *,
-    eps: float = EPS,
 ) -> bool:
     """True iff ``timeline + profile <= capacity`` everywhere.
 
@@ -421,7 +420,7 @@ def fits_under(
     """
     if not profile.segments:
         return True
-    slack = capacity_slack(capacity, eps)
+    slack = capacity_slack(capacity)
     if timeline.is_empty:
         return profile.peak <= slack
     ts = timeline._ts

@@ -44,6 +44,10 @@ from repro.topology.routing import Route, Router
 from repro.topology.validation import validate_topology
 from repro.workload.requests import Request, RequestBatch
 
+#: Alternate routes :class:`BandwidthAwareScheduler` tries per source when
+#: the cheapest is saturated.
+K_ROUTES = 4
+
 
 class LinkBandwidthTracker:
     """Books stream bandwidth on links and answers feasibility queries.
@@ -233,8 +237,6 @@ class BandwidthAwareScheduler:
         self,
         topology: Topology,
         catalog: VideoCatalog,
-        *,
-        k_routes: int = 4,
     ):
         validate_topology(topology)
         self.topology = topology
@@ -242,7 +244,7 @@ class BandwidthAwareScheduler:
         self.cost_model = CostModel(topology, catalog)
         self.tracker = LinkBandwidthTracker(topology)
         self._policy = BandwidthRoutePolicy(
-            self.cost_model.router, self.tracker, k=k_routes
+            self.cost_model.router, self.tracker, k=K_ROUTES
         )
         self._capacity = LiveCapacityConstraints(topology, catalog)
         self._greedy = IndividualScheduler(

@@ -30,6 +30,10 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.feed import EventFeed
 from repro.topology.graph import Topology
 
+#: :meth:`FaultFeed.generate` reports each fault up to this fraction of the
+#: horizon span before its window opens.
+LEAD_FRACTION = 0.05
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -102,15 +106,12 @@ class FaultFeed(EventFeed[FaultEvent]):
         horizon: tuple[float, float],
         n_events: int = 4,
         kinds: tuple[FaultKind, ...] | None = None,
-        duration_range: tuple[float, float] = (0.05, 0.25),
-        severity_range: tuple[float, float] = (0.2, 0.8),
-        lead_fraction: float = 0.05,
     ) -> "FaultFeed":
         """Draw a deterministic feed for ``topology`` from ``seed``.
 
         The faults come from :meth:`FaultPlan.generate` with the same
         arguments; each report's arrival is the fault's ``t_start`` minus a
-        seeded lead uniform in ``[0, lead_fraction * span]`` (clamped to the
+        seeded lead uniform in ``[0, LEAD_FRACTION * span]`` (clamped to the
         horizon start) -- monitoring usually warns shortly before the
         window opens.  Equal arguments always yield an equal feed.
         """
@@ -120,8 +121,6 @@ class FaultFeed(EventFeed[FaultEvent]):
             horizon=horizon,
             n_faults=n_events,
             kinds=kinds,
-            duration_range=duration_range,
-            severity_range=severity_range,
         )
         # Derived arithmetically (never via hash()) so feeds replay
         # bit-identically across interpreter runs.
@@ -130,7 +129,7 @@ class FaultFeed(EventFeed[FaultEvent]):
         span = t1 - t0
         events = tuple(
             FaultEvent(
-                at=max(t0, f.t_start - rng.uniform(0.0, lead_fraction * span)),
+                at=max(t0, f.t_start - rng.uniform(0.0, LEAD_FRACTION * span)),
                 fault=f,
             )
             for f in plan

@@ -51,6 +51,11 @@ NODE_KINDS = frozenset(
 )
 #: Kinds whose target is an undirected link ``(a, b)``.
 LINK_KINDS = frozenset({FaultKind.LINK_DOWN, FaultKind.LINK_DEGRADED})
+#: :meth:`FaultPlan.generate` draws fault durations uniform in this range,
+#: as fractions of the horizon span.
+DURATION_RANGE = (0.05, 0.25)
+#: :meth:`FaultPlan.generate` draws partial severities uniform in this range.
+SEVERITY_RANGE = (0.2, 0.8)
 
 
 @dataclass(frozen=True)
@@ -318,16 +323,14 @@ class FaultPlan:
         horizon: tuple[float, float],
         n_faults: int = 3,
         kinds: tuple[FaultKind, ...] | None = None,
-        duration_range: tuple[float, float] = (0.05, 0.25),
-        severity_range: tuple[float, float] = (0.2, 0.8),
     ) -> "FaultPlan":
         """Draw a deterministic scenario for ``topology`` from ``seed``.
 
         Targets are drawn from the topology's storages/links/warehouses in
         sorted-name order, windows from ``horizon`` with durations uniform in
-        ``duration_range`` (as fractions of the horizon span), partial
-        severities uniform in ``severity_range``.  The same arguments always
-        yield an equal plan.
+        :data:`DURATION_RANGE` (as fractions of the horizon span), partial
+        severities uniform in :data:`SEVERITY_RANGE`.  The same arguments
+        always yield an equal plan.
         """
         if n_faults < 1:
             raise FaultError(f"n_faults must be >= 1, got {n_faults}")
@@ -376,7 +379,7 @@ class FaultPlan:
                 )
             kind = rng.choice(usable)
             target = rng.choice(pools[kind])
-            duration = span * rng.uniform(*duration_range)
+            duration = span * rng.uniform(*DURATION_RANGE)
             start = t0 + rng.uniform(0.0, max(span - duration, 0.0))
             if kind in (
                 FaultKind.IS_OUTAGE,
@@ -385,7 +388,7 @@ class FaultPlan:
             ):
                 severity = 0.0
             else:
-                severity = rng.uniform(*severity_range)
+                severity = rng.uniform(*SEVERITY_RANGE)
             if any(
                 f.kind is kind
                 and f.target == target

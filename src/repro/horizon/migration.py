@@ -10,10 +10,7 @@ each cycle boundary:
    :meth:`repro.replication.ReplicaMap.heat_placement`.
 2. **Price every per-video delta as a real staged transfer**: each added
    copy ships ``video.size`` bytes from the cheapest incumbent home at the
-   service model's route rate, ``cost_model.router.routes_to(dst)[home].rate``,
-   and occupies a tape drive for
-   :meth:`repro.warehouse.hierarchy.WarehouseSpec.staging_duration`
-   seconds of the inter-cycle maintenance window.
+   service model's route rate, ``cost_model.router.routes_to(dst)[home].rate``.
 3. **Accept only paying moves**: a video's move must project strictly more
    delivery-Ψ savings over the *next* cycle's already-booked reservations
    (VOR lead time means that demand is known) than its staging transfers
@@ -22,16 +19,8 @@ each cycle boundary:
    below incumbent Ψ -- before it is adopted.  The trials are what-ifs of
    the next close itself (carryover seeds and background included), so
    the adopted map's trial becomes that close.
-4. **Price drop-side capacity reclamation**: every dropped copy frees
-   ``video.size`` bytes of the warehouse's disk
-   (:attr:`~repro.warehouse.hierarchy.WarehouseSpec.disk_capacity`), and
-   added copies must fit the freed space -- drops are applied best-first
-   alongside adds, so a plan that swaps a cold title out can swap a hot
-   title *in* at a warehouse that was full.  Disk and drive budgets are
-   fitted in that one pass: adds that do not fit are rejected with reason
-   ``"disk-capacity"``, stagings past the drive window with
-   ``"drive-budget"``, and a rejected move's drops free nothing, so the
-   capacity the trial solve sees is exactly what the disks hold.
+4. **Drop freely**: a dropped copy costs nothing and rides along with its
+   video's adds; a video's move is adopted or rejected as a whole.
 
 The planner is a pure function of its inputs: no wall clock, no RNG beyond
 the seeded candidate placement, so the same arguments always return the
@@ -50,7 +39,6 @@ from repro.core.scheduler import ScheduleResult
 from repro.errors import ReplicationError
 from repro.replication.replica import ReplicaMap
 from repro.topology.graph import Topology
-from repro.warehouse.hierarchy import WarehouseSpec
 from repro.workload.requests import RequestBatch
 
 #: Why a per-video move was (not) adopted.
@@ -59,9 +47,6 @@ MOVE_REASONS = (
     "no-demand",       # title not booked next cycle: nothing to save on
     "no-improvement",  # projected savings do not strictly beat staging cost
     "unreachable",     # an added home cannot be staged from any incumbent home
-    "drive-budget",    # tape drives cannot fit the staging in the window
-    "disk-capacity",   # added copies do not fit the warehouse disk, even
-                       # after reclaiming this plan's dropped copies
     "trial-regression",  # the aggregate trial solve did not confirm the win
 )
 
@@ -75,22 +60,10 @@ class MigrationConfig:
             titles get :meth:`~repro.replication.ReplicaMap.heat_placement`'s
             defaults: the top quarter, homed at every warehouse).
         seed: Seed for the candidate placement's round-robin offset.
-        staging_window: Seconds of inter-cycle maintenance window available
-            for staging transfers.  Total accepted drive time is capped at
-            ``tape_drives * staging_window`` when a
-            :class:`~repro.warehouse.hierarchy.WarehouseSpec` is present;
-            ``None`` disables the budget.
     """
 
     degree: int = 1
     seed: int = 0
-    staging_window: float | None = 3600.0
-
-    def __post_init__(self) -> None:
-        if self.staging_window is not None and self.staging_window <= 0:
-            raise ReplicationError(
-                f"staging_window must be positive, got {self.staging_window}"
-            )
 
 
 @dataclass(frozen=True)
@@ -104,12 +77,6 @@ class MigrationMove:
     source: str = ""
     #: Ψ_D of the staging transfer (0 for drops -- deletion is free).
     transfer_cost: float = 0.0
-    #: Tape-drive seconds the staging occupies (0 for drops).
-    staging_seconds: float = 0.0
-    #: Disk bytes the move frees at the warehouse (``video.size`` for
-    #: drops, 0 for adds) -- the capacity the planner reclaims and makes
-    #: available to this plan's own added copies.
-    reclaimed_bytes: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -136,8 +103,6 @@ class VideoDecision:
                     "warehouse": m.warehouse,
                     "source": m.source,
                     "transfer_cost": round(m.transfer_cost, 6),
-                    "staging_seconds": round(m.staging_seconds, 6),
-                    "reclaimed_bytes": round(m.reclaimed_bytes, 6),
                 }
                 for m in self.moves
             ],
@@ -168,12 +133,6 @@ class MigrationPlan:
     @property
     def projected_saving(self) -> float:
         return math.fsum(d.projected_saving for d in self.accepted)
-
-    @property
-    def staging_seconds(self) -> float:
-        return math.fsum(
-            m.staging_seconds for d in self.accepted for m in d.moves
-        )
 
     @property
     def moves(self) -> tuple[MigrationMove, ...]:
@@ -211,7 +170,6 @@ class _Candidate:
     moves: list[MigrationMove] = field(default_factory=list)
     saving: float = 0.0
     staging_cost: float = 0.0
-    staging_seconds: float = 0.0
 
 
 class MigrationPlanner:
@@ -220,9 +178,7 @@ class MigrationPlanner:
     Args:
         topology: The delivery infrastructure.
         catalog: Offered titles.
-        config: Candidate placement + budget tuning.
-        warehouse: Optional tape hierarchy; when present, staging transfers
-            consume drive time against ``config.staging_window``.
+        config: Candidate placement tuning.
     """
 
     def __init__(
@@ -231,12 +187,10 @@ class MigrationPlanner:
         catalog: VideoCatalog,
         *,
         config: MigrationConfig | None = None,
-        warehouse: WarehouseSpec | None = None,
     ):
         self.topology = topology
         self.catalog = catalog
         self.config = config if config is not None else MigrationConfig()
-        self.warehouse = warehouse
 
     # -- the boundary decision ---------------------------------------------
 
@@ -299,7 +253,6 @@ class MigrationPlanner:
             else:
                 rejected.append(verdict)
 
-        screened = self._fit_budgets(incumbent, screened, rejected)
         if not screened:
             return MigrationPlan(
                 boundary_index=boundary_index,
@@ -390,11 +343,6 @@ class MigrationPlanner:
                     src, rate = h, r
             if math.isinf(rate):
                 return VideoDecision(video_id, False, "unreachable")
-            seconds = (
-                self.warehouse.staging_duration(video.size)
-                if self.warehouse is not None
-                else 0.0
-            )
             cand.moves.append(
                 MigrationMove(
                     video_id=video_id,
@@ -402,19 +350,12 @@ class MigrationPlanner:
                     warehouse=w,
                     source=src,
                     transfer_cost=video.size * rate,
-                    staging_seconds=seconds,
                 )
             )
             cand.staging_cost += video.size * rate
-            cand.staging_seconds += seconds
         for w in sorted(old_homes - new_homes):
             cand.moves.append(
-                MigrationMove(
-                    video_id=video_id,
-                    action="drop",
-                    warehouse=w,
-                    reclaimed_bytes=video.size,
-                )
+                MigrationMove(video_id=video_id, action="drop", warehouse=w)
             )
         cand.saving = saving
         if not saving > cand.staging_cost:
@@ -425,83 +366,6 @@ class MigrationPlanner:
                 staging_cost=cand.staging_cost,
             )
         return cand
-
-    def _fit_budgets(
-        self,
-        incumbent: ReplicaMap,
-        screened: list[_Candidate],
-        rejected: list[VideoDecision],
-    ) -> list[_Candidate]:
-        """Fit the screened moves to the warehouse disks and tape drives.
-
-        One best-first pass (largest projected net saving first, then
-        video id).  Per-warehouse free bytes start at
-        :attr:`~repro.warehouse.hierarchy.WarehouseSpec.disk_capacity`
-        minus the incumbent map's occupancy, and the drive budget is
-        ``tape_drives * staging_window`` seconds.  A candidate's *drops*
-        reclaim their video's size before its *adds* are charged, so a
-        swap (drop a cold title, add a hot one) fits where the add alone
-        would not.  A candidate is kept only when its adds fit the disk
-        after its own drops (else ``"disk-capacity"``) and its staging fits
-        the drive time left (else ``"drive-budget"``); only a kept
-        candidate's reclaims and drive time are applied, so the space a
-        later add spends is freed by a drop that really happens.
-        """
-        if self.warehouse is None or not screened:
-            return screened
-        capacity = self.warehouse.disk_capacity
-        window = self.config.staging_window
-        budget = math.inf if window is None else self.warehouse.tape_drives * window
-        free: dict[str, float] = {
-            w.name: capacity for w in self.topology.warehouses
-        }
-        for v in self.catalog:
-            for home in incumbent.homes(v.video_id):
-                free[home] = free.get(home, capacity) - v.size
-        kept: list[_Candidate] = []
-        used = 0.0
-        ranked = sorted(
-            screened,
-            key=lambda c: (-(c.saving - c.staging_cost), c.video_id),
-        )
-        for c in ranked:
-            delta: dict[str, float] = {}
-            for m in c.moves:
-                if m.action == "drop":
-                    delta[m.warehouse] = (
-                        delta.get(m.warehouse, 0.0) + m.reclaimed_bytes
-                    )
-            reason = None
-            for m in c.moves:
-                if m.action != "add":
-                    continue
-                size = self.catalog[m.video_id].size
-                if size > free.get(m.warehouse, capacity) + delta.get(
-                    m.warehouse, 0.0
-                ):
-                    reason = "disk-capacity"
-                    break
-                delta[m.warehouse] = delta.get(m.warehouse, 0.0) - size
-            if reason is None and used + c.staging_seconds > budget:
-                reason = "drive-budget"
-            if reason is None:
-                for w, d in delta.items():
-                    free[w] = free.get(w, capacity) + d
-                used += c.staging_seconds
-                kept.append(c)
-            else:
-                rejected.append(
-                    VideoDecision(
-                        video_id=c.video_id,
-                        accepted=False,
-                        reason=reason,
-                        moves=tuple(c.moves),
-                        projected_saving=c.saving,
-                        staging_cost=c.staging_cost,
-                    )
-                )
-        kept.sort(key=lambda c: c.video_id)
-        return kept
 
     def _compose_map(
         self,

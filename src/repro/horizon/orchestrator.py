@@ -248,8 +248,7 @@ class HorizonOrchestrator:
     """Chain :class:`~repro.service.VORService` cycles over a horizon.
 
     The chained service prices with the default cost model over
-    ``replicas``, resolves overflows with the default heat metric, and
-    has no warehouse hierarchy, so migrations fit no disk or drive budget.
+    ``replicas`` and resolves overflows with the default heat metric.
 
     Args:
         topology: The delivery infrastructure.

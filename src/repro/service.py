@@ -4,9 +4,10 @@
 reservations ahead of time (enforcing the VOR lead time that makes offline
 optimization possible), closes a scheduling cycle on demand, and returns a
 complete :class:`CycleReport` -- the feasible schedule, its cost, per-user
-invoices, an optional warehouse staging plan, and the simulator's
-feasibility verdict.  Cycles roll: caches committed near a boundary keep
-serving (and occupying space) into the next cycle.
+invoices, and the simulator's feasibility verdict.  Cycles roll: caches
+committed near a boundary keep serving (and occupying space) into the next
+cycle.  Tape staging is an offline study of a closed schedule
+(:class:`repro.warehouse.staging.StagingPlanner`), not part of a close.
 
     service = VORService(topology, catalog)
     service.reserve("alice", "video0001", start_time=t, local_storage="IS3")
@@ -34,8 +35,6 @@ from repro.faults.contingency import RecoveryResult
 from repro.faults.plan import FaultPlan
 from repro.sim.validate import Violation, validate_schedule
 from repro.topology.graph import Topology
-from repro.warehouse.hierarchy import WarehouseSpec
-from repro.warehouse.staging import StagingPlanner, StagingReport
 from repro.workload.requests import Request, RequestBatch
 from repro import units
 
@@ -49,7 +48,6 @@ class CycleReport:
     cycle: CycleResult
     billing: BillingStatement
     violations: list[Violation]
-    staging: StagingReport | None = None
     #: Set when this report came out of :meth:`VORService.amend_cycle`:
     #: the contingency pass that produced the (patched) schedule.
     recovery: "RecoveryResult | None" = None
@@ -76,12 +74,6 @@ class CycleReport:
             f"(+{100 * self.cycle.resolution.cost_increase_ratio:.2f} % cost)",
             f"  feasible: {self.feasible}",
         ]
-        if self.staging is not None:
-            lines.append(
-                f"  warehouse: {len(self.staging.tasks)} stagings, "
-                f"{self.staging.hits} hits, "
-                f"{len(self.staging.misses)} misses"
-            )
         if self.recovery is not None:
             lines.append(
                 f"  recovery: {self.recovery.videos_resolved} video(s) "
@@ -102,8 +94,6 @@ class VORService:
             time in advance" that defines VOR; default one hour).
         heat_metric: Phase-2 victim selection criterion.
         cost_model: Optional custom Ψ (e.g. a diurnal tariff).
-        warehouse: Optional hierarchical-warehouse spec; when given, every
-            cycle close also plans tape staging.
         obs: Observability handle (:class:`repro.obs.Observability`);
             defaults to the inert :data:`repro.obs.NULL_OBS`.  When live,
             every cycle close records spans (``close_cycle`` → ``cycle`` →
@@ -124,7 +114,6 @@ class VORService:
         lead_time: float = units.HOUR,
         heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
         cost_model: CostModel | None = None,
-        warehouse: WarehouseSpec | None = None,
         obs: Observability | None = None,
         replicas=None,
     ):
@@ -141,10 +130,6 @@ class VORService:
             cost_model=cost_model,
             obs=self.obs,
             replicas=replicas,
-        )
-        self._warehouse = warehouse
-        self._staging_planner = (
-            StagingPlanner(warehouse, catalog) if warehouse is not None else None
         )
         self._pending: list[Request] = []
         self._storage_names = {s.name for s in topology.storages}
@@ -241,10 +226,6 @@ class VORService:
                     trusted_residencies=cycle.inherited,
                 )
                 vspan.set(violations=len(violations))
-            staging = None
-            if self._staging_planner is not None:
-                with self.obs.tracer.span("staging"):
-                    staging = self._staging_planner.plan(cycle.schedule)
             span.set(feasible=not violations)
         if violations:
             _log.warning(
@@ -252,12 +233,7 @@ class VORService:
                 cycle.cycle_index, len(violations),
             )
         self._clock = cycle_end
-        return CycleReport(
-            cycle=cycle,
-            billing=billing,
-            violations=violations,
-            staging=staging,
-        )
+        return CycleReport(cycle=cycle, billing=billing, violations=violations)
 
     def due(self, cycle_end: float) -> RequestBatch:
         """The batch a close at ``cycle_end`` would schedule now: every
@@ -374,10 +350,6 @@ class VORService:
                 vspan.set(violations=len(violations))
             if not violations:
                 self._rolling.commit_amendment(recovery)
-            staging = None
-            if self._staging_planner is not None:
-                with self.obs.tracer.span("staging"):
-                    staging = self._staging_planner.plan(patched)
             span.set(
                 impacted=recovery.videos_resolved, feasible=not violations
             )
@@ -409,6 +381,5 @@ class VORService:
             cycle=cycle,
             billing=billing,
             violations=violations,
-            staging=staging,
             recovery=recovery,
         )

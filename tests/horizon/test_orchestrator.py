@@ -79,6 +79,18 @@ class TestDrill:
         assert drill_report.resumed >= 1
         assert drill_report.resume_credit > 0
 
+    def test_report_moves_carry_exactly_four_keys(self, drill_report):
+        doc = drill_report.to_json_dict()
+        moves = [
+            move
+            for plan in doc["migrations"]
+            for decision in (*plan["accepted"], *plan["rejected"])
+            for move in decision["moves"]
+        ]
+        assert moves
+        for move in moves:
+            assert set(move) == {"action", "warehouse", "source", "transfer_cost"}
+
     def test_total_psi_identity(self, drill_report):
         assert drill_report.total_psi == pytest.approx(
             math.fsum(c.psi_net for c in drill_report.cycles)

@@ -93,7 +93,8 @@ class TestFullPipeline:
 
 class TestServiceWithEverything:
     def test_diurnal_service_with_warehouse(self):
-        """VORService wiring: tariff cost model + staging + rolling cycles."""
+        """VORService wiring: tariff cost model + rolling cycles, with each
+        closed schedule staged through the warehouse hierarchy."""
         topo = paper_topology(
             nrate=units.per_gb(500),
             srate=units.per_gb_hour(10),
@@ -103,15 +104,14 @@ class TestServiceWithEverything:
         cm = DiurnalCostModel(
             topo, catalog, TimeOfDayTariff.evening_peak(peak_multiplier=2.0)
         )
-        svc = VORService(
-            topo,
-            catalog,
-            cost_model=cm,
-            warehouse=WarehouseSpec(
+        svc = VORService(topo, catalog, cost_model=cm)
+        staging_planner = StagingPlanner(
+            WarehouseSpec(
                 disk_capacity=units.gb(300),
                 tape_drives=6,
                 tape_bandwidth=60 * units.MB,
             ),
+            catalog,
         )
         gen = WorkloadGenerator(
             topo, catalog, alpha=0.271, users_per_neighborhood=4
@@ -128,7 +128,11 @@ class TestServiceWithEverything:
                 )
             report = svc.close_cycle(cycle_end=offset + units.DAY + units.HOUR)
             assert report.feasible
-            assert report.staging is not None
+            staging = staging_planner.plan(report.cycle.schedule)
+            from_vw = sum(
+                1 for d in report.cycle.schedule.deliveries if d.source == "VW"
+            )
+            assert staging.total_streams == from_vw > 0
             assert report.billing.grand_total == pytest.approx(
                 report.cycle.total_cost
             )

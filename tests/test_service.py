@@ -7,7 +7,6 @@ from repro import (
     VideoCatalog,
     VideoFile,
     VORService,
-    WarehouseSpec,
     units,
 )
 from repro.errors import WorkloadError
@@ -96,23 +95,6 @@ class TestCycleClose:
         with pytest.raises(WorkloadError, match="lead"):
             # booking "now" defaults to the last boundary = 24 h
             svc.reserve("carol", "m0", 24.5 * units.HOUR, local_storage="IS1")
-
-    def test_staging_report_when_warehouse_given(self, env):
-        topo, catalog = env
-        svc = VORService(
-            topo,
-            catalog,
-            warehouse=WarehouseSpec(
-                disk_capacity=units.gb(20),
-                tape_drives=2,
-                tape_bandwidth=60 * units.MB,
-            ),
-        )
-        svc.reserve("alice", "m0", 5 * units.HOUR, local_storage="IS1")
-        report = svc.close_cycle(cycle_end=units.DAY)
-        assert report.staging is not None
-        assert report.staging.total_streams == 1
-        assert "warehouse" in report.summary()
 
     def test_custom_cost_model_used_everywhere(self, env):
         topo, catalog = env
