@@ -7,7 +7,7 @@ Usage::
     vor-repro fig6 | fig7 | fig8 | fig9
     vor-repro table5 [--quick]
     vor-repro gap
-    vor-repro ablations | contention
+    vor-repro ablations [--quick] | contention [--quick]
     vor-repro all [--quick]
     vor-repro report [--quick] [--out DIR]
     vor-repro run-env ENV.json     # schedule an environment file from disk
@@ -16,6 +16,11 @@ Usage::
     vor-repro run-online ENV.json --feed f.jsonl      # online amendment loop
     vor-repro run-horizon ENV.json --cycles 3         # multi-cycle horizon
     vor-repro run-gateway ENV.json --request-feed r.jsonl  # admission gateway
+
+Each command takes only the flags it reads, after the command name:
+``vor-repro CMD --help`` lists them, and a flag the command does not read
+is refused (exit 2).  ``--log-level``, ``--profile`` and ``--profile-out``
+go with every command.
 
 ``--quick`` swaps the Table 4 configuration for the scaled-down variant
 (same shapes, ~20x faster).  Every command prints the reproduced table and
@@ -134,374 +139,256 @@ _log = logging.getLogger(__name__)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One sub-parser per command, bound to its function; each accepts
+    only the flags that function reads.  Flags several commands share
+    come from the parent parsers below."""
+
+    def parent() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    common = parent()
+    common.add_argument(
+        "--log-level", default="info",
+        choices=["debug", "info", "warning", "error", "critical"],
+        help="stderr logging verbosity for repro.* modules (default info)",
+    )
+    common.add_argument(
+        "--profile", choices=["cprofile", "tracemalloc"],
+        help="profile the command; write its hotspots to --profile-out",
+    )
+    common.add_argument(
+        "--profile-out", default="profile.json", metavar="PATH",
+        help="hotspot artifact path for --profile (default profile.json)",
+    )
+    quick = parent()
+    quick.add_argument(
+        "--quick", action="store_true",
+        help="use the scaled-down configuration (fast, same shapes)",
+    )
+    seed = parent()
+    seed.add_argument(
+        "--seed", type=int, default=1, help="workload seed (default 1)"
+    )
+    env = parent()
+    env.add_argument("env_file", help="environment JSON")
+    env.add_argument(
+        "--seed", type=int, default=1,
+        help="seed of heat placements and generated workloads (default 1)",
+    )
+    env.add_argument(
+        "--replicas", metavar="SPEC",
+        help="replica placement: 'full', 'heat' or 'heat:K' (heat-driven, "
+        "degree K), or a replica-map JSON path",
+    )
+    env.add_argument(
+        "--metrics-out", metavar="PATH",
+        help="write the metric snapshot (.json bundle, or .prom/.txt "
+        "Prometheus text)",
+    )
+    env.add_argument(
+        "--trace-out", metavar="PATH",
+        help="write the span records as JSON Lines",
+    )
+    env.add_argument(
+        "--journal-out", metavar="PATH",
+        help="write the request-lifecycle audit journal as JSON Lines",
+    )
+    env.add_argument(
+        "--explain", metavar="REQUEST_ID",
+        help="print one request's journal timeline, e.g. "
+        "'user01/video0003@5400.0->IS2'",
+    )
+    kinds = parent()
+    kinds.add_argument(
+        "--kinds", metavar="KIND[,KIND...]",
+        help="fault kinds to generate (default: all but warehouse_loss)",
+    )
+    feed = parent()
+    feed.add_argument(
+        "--feed", metavar="PATH",
+        help="fault-feed JSONL (run-online generates one when omitted)",
+    )
+    feed.add_argument(
+        "--feed-out", metavar="PATH", help="write the fault feed as JSONL"
+    )
+    feed.add_argument(
+        "--debounce", type=float, default=0.0, metavar="SECONDS",
+        help="batch feed events this close together (default 0)",
+    )
+    users = parent()
+    users.add_argument(
+        "--users", type=int, default=4, metavar="N",
+        help="users per neighborhood when generating (default 4)",
+    )
+    slo = parent()
+    slo.add_argument(
+        "--slo", metavar="PATH",
+        help="SLO policy JSON (default: the built-in or embedded policy)",
+    )
+
     parser = argparse.ArgumentParser(
         prog="vor-repro",
         description=(
             "Reproduce the evaluation of Won & Srivastava, 'Distributed "
-            "Service Paradigm for Remote Video Retrieval Request' (HPDC'97)."
+            "Service Paradigm for Remote Video Retrieval Request' (HPDC'97). "
+            "'vor-repro COMMAND --help' lists the flags COMMAND takes."
         ),
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(_FIGURES)
-        + [
-            "table5",
-            "gap",
-            "ablations",
-            "contention",
-            "worked-example",
-            "all",
-            "report",
-            *_FILE_COMMANDS,
-        ],
-        help="which paper artifact to reproduce ('report' writes all of "
-        "them to --out, or renders a terminal dashboard with --telemetry; "
-        "'run-env'/'simulate'/'run-faults'/'run-online'/'run-horizon'/"
-        "'run-gateway' schedule an environment JSON; 'slo-check' gates an "
-        "online report JSON)",
+    commands = parser.add_subparsers(
+        dest="experiment", required=True, metavar="COMMAND"
     )
-    parser.add_argument(
-        "env_file",
-        nargs="?",
-        default=None,
-        help="environment JSON for the 'run-env'/'simulate'/'run-faults'/"
-        "'run-online'/'run-horizon'/'run-gateway' commands, or the online "
-        "report JSON for 'slo-check'",
+
+    def command(name, func, help, *parents):
+        sub = commands.add_parser(
+            name, parents=[common, *parents], help=help, description=help
+        )
+        sub.set_defaults(func=func)
+        return sub.add_argument
+
+    command("worked-example", _artifact, "the paper's Fig. 2 example")
+    for name in _FIGURES:
+        command(name, _artifact, f"the paper's {name}", quick, seed)
+    command("table5", _artifact, "the paper's Table 5", quick, seed)
+    command("gap", _artifact, "heuristic vs. optimum on small cases")
+    command("ablations", _artifact, "design ablations", quick, seed)
+    command("contention", _artifact, "Ψ vs. users per neighborhood", quick)
+    command("all", _run_all, "every paper artifact", quick, seed)
+
+    add = command(
+        "report", _report,
+        "write every paper artifact to --out, or render a dashboard from "
+        "run artifacts", quick, seed,
     )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="use the scaled-down configuration (fast, same shapes)",
+    add(
+        "--out", default="repro-report",
+        help="output directory (default ./repro-report)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=1, help="workload seed (default 1)"
+    add("--telemetry", metavar="PATH", help="a --metrics-out JSON bundle")
+    add("--journal", metavar="PATH", help="a --journal-out JSONL")
+    add("--explain", metavar="REQUEST_ID", help="a request in --journal")
+    add("--horizon-report", metavar="PATH", help="a --horizon-report-out JSON")
+    add("--gateway-report", metavar="PATH", help="a --gateway-report-out JSON")
+
+    command("run-env", _run_environment, "schedule an environment", env)
+    command(
+        "simulate", _simulate_environment,
+        "schedule, replay and judge an environment", env,
     )
-    parser.add_argument(
-        "--out",
-        default="repro-report",
-        help="output directory for the 'report' command (default ./repro-report)",
+
+    add = command(
+        "run-faults", _run_faults,
+        "inject a fault scenario, report the damage and recover", env, kinds,
     )
-    parser.add_argument(
-        "--log-level",
-        choices=["debug", "info", "warning", "error", "critical"],
-        default="info",
-        help="stderr logging verbosity for repro.* modules (default info)",
+    add(
+        "--scenario", metavar="PATH",
+        help="fault-plan JSON (omit to generate one from --seed)",
     )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="write the run's metric snapshot for 'run-env' "
-        "(.json for a JSON telemetry bundle, .prom/.txt for Prometheus "
-        "text exposition)",
+    add("--scenario-out", metavar="PATH", help="write the fault plan")
+    add("--report-out", metavar="PATH", help="write the drill report")
+    add(
+        "--n-faults", type=int, default=3, metavar="N",
+        help="faults to generate (default 3)",
     )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="write the run's span records as JSON Lines for 'run-env'",
+
+    add = command(
+        "run-online", _run_online,
+        "replay a fault feed through the online amendment loop",
+        env, kinds, feed, slo,
     )
-    parser.add_argument(
-        "--scenario",
-        default=None,
-        metavar="PATH",
-        help="fault-plan JSON for 'run-faults' (omit to generate a seeded "
-        "scenario from --seed)",
+    add(
+        "--feed-events", type=int, default=4, metavar="N",
+        help="events to generate (default 4)",
     )
-    parser.add_argument(
-        "--scenario-out",
-        default=None,
-        metavar="PATH",
-        help="write the (possibly generated) fault plan as JSON",
+    add(
+        "--deadline", type=float, metavar="SECONDS",
+        help="wall-clock budget per amendment (default: none)",
     )
-    parser.add_argument(
-        "--report-out",
-        default=None,
-        metavar="PATH",
-        help="write the degraded-mode + recovery report as JSON for "
-        "'run-faults'",
+    add(
+        "--max-retries", type=int, default=3, metavar="N",
+        help="retries per amendment batch (default 3)",
     )
-    parser.add_argument(
-        "--n-faults",
-        type=int,
-        default=3,
-        metavar="N",
-        help="faults to draw when generating a scenario (default 3)",
+    add(
+        "--breaker-threshold", type=int, default=3, metavar="N",
+        help="failed batches that open the breaker (default 3)",
     )
-    parser.add_argument(
-        "--kinds",
-        default=None,
-        metavar="KIND[,KIND...]",
-        help="restrict generated fault kinds for 'run-faults' (comma-"
-        "separated FaultKind values, e.g. 'warehouse_loss,link_down'; "
-        "default: every kind except warehouse_loss)",
+    add(
+        "--breaker-cooldown", type=float, default=0.0, metavar="SECONDS",
+        help="virtual seconds before a half-open probe (default 0)",
     )
-    parser.add_argument(
-        "--feed",
-        default=None,
-        metavar="PATH",
-        help="fault-feed JSONL for 'run-online' (omit to generate a "
-        "seeded feed from --seed)",
+    add(
+        "--shed", type=int, default=1, metavar="N",
+        help="reservations shed per degraded batch (default 1)",
     )
-    parser.add_argument(
-        "--feed-events",
-        type=int,
-        default=4,
-        metavar="N",
-        help="events to draw when generating a feed (default 4)",
+    add(
+        "--cycle-fraction", type=float, default=1.0, metavar="F",
+        help="close the cycle at start + F * span (default 1.0)",
     )
-    parser.add_argument(
-        "--feed-out",
-        default=None,
-        metavar="PATH",
-        help="write the (possibly generated) fault feed as JSONL",
+    add(
+        "--inject-failures", metavar="SPEC",
+        help="transient failures, e.g. '0:2,3:1' fails batch 0 twice",
     )
-    parser.add_argument(
-        "--debounce",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="batch feed events arriving within this many virtual seconds "
-        "of each other (default 0: one batch per arrival instant)",
+    add("--online-report-out", metavar="PATH", help="write the run report")
+
+    add = command(
+        "run-horizon", _run_horizon,
+        "chain day-cycles with replica migration and fault feeds",
+        env, feed, users,
     )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per amendment; an overrun is counted as "
-        "a deadline miss and the amendment stands (default: no deadline)",
+    add(
+        "--cycles", type=int, default=3, metavar="N",
+        help="cycles in the horizon (default 3)",
     )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="retry attempts per amendment batch (default 3)",
+    add(
+        "--cycle-length", type=float, default=86400.0, metavar="SECONDS",
+        help="virtual length of each cycle (default 86400)",
     )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        metavar="N",
-        help="consecutive failed batches that open the circuit breaker "
-        "(default 3)",
+    add(
+        "--churn", type=float, default=0.5, metavar="F",
+        help="popularity ranks reassigned between cycles (default 0.5)",
     )
-    parser.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="virtual seconds the breaker stays open before a half-open "
-        "probe (default 0)",
+    add(
+        "--no-migrate", action="store_true",
+        help="freeze the initial replica map",
     )
-    parser.add_argument(
-        "--shed",
-        type=int,
-        default=1,
-        metavar="N",
-        help="pending reservations shed per degraded batch (default 1)",
+    add(
+        "--degree", type=int, default=1, metavar="K",
+        help="replica degree of migration and default placement (default 1)",
     )
-    parser.add_argument(
-        "--cycle-fraction",
-        type=float,
-        default=1.0,
-        metavar="F",
-        help="close the cycle at start + F * span of the workload; "
-        "later reservations stay pending and are sheddable in degraded "
-        "mode (default 1.0: schedule everything)",
+    add("--horizon-report-out", metavar="PATH", help="write the report")
+
+    add = command(
+        "run-gateway", _run_gateway,
+        "replay a booking feed through the admission gateway",
+        env, users, slo,
     )
-    parser.add_argument(
-        "--inject-failures",
-        default=None,
-        metavar="SPEC",
-        help="deterministic transient-failure injection for 'run-online', "
-        "e.g. '0:2,3:1' fails batch 0 twice and batch 3 once",
+    add(
+        "--request-feed", metavar="PATH",
+        help="booking-feed JSONL (omit to generate one from --seed)",
     )
-    parser.add_argument(
-        "--online-report-out",
-        default=None,
-        metavar="PATH",
-        help="write the online run report as JSON for 'run-online'",
+    add("--request-feed-out", metavar="PATH", help="write the booking feed")
+    add(
+        "--policy", default="accept-all", metavar="SPEC",
+        help="comma-chained 'accept-all', 'headroom[:F]', "
+        "'price-ceiling:X', 'rate-limit:RATE:BURST' (default accept-all)",
     )
-    parser.add_argument(
-        "--replicas",
-        default=None,
-        metavar="SPEC",
-        help="replica placement for the environment commands: 'full' "
-        "(every video at every warehouse), 'heat' or 'heat:K' (heat-driven "
-        "placement with degree K), or a replica-map JSON path",
+    add(
+        "--max-batch", type=int, default=0, metavar="N",
+        help="solver-bound batch depth per cycle; 0 = unbounded",
     )
-    parser.add_argument(
-        "--journal-out",
-        default=None,
-        metavar="PATH",
-        help="record the request-lifecycle audit journal during an "
-        "environment command and write it as JSON Lines (deterministic: "
-        "identical runs produce byte-identical files)",
+    add(
+        "--queue-depth", type=int, default=0, metavar="N",
+        help="pending queue behind a full batch; 0 = shed",
     )
-    parser.add_argument(
-        "--explain",
-        default=None,
-        metavar="REQUEST_ID",
-        help="print the journal timeline of one request after an "
-        "environment command (implies journal recording), e.g. "
-        "'user01/video0003@5400.0->IS2'",
+    add(
+        "--seals", type=int, default=1, metavar="N",
+        help="sealed cycles the booking span is split into (default 1)",
     )
-    parser.add_argument(
-        "--slo",
-        default=None,
-        metavar="PATH",
-        help="SLO policy JSON for 'run-online'/'run-gateway'/'slo-check' "
-        "(default: the command's built-in policy; 'slo-check' re-gates "
-        "against the policy the report embeds)",
-    )
-    parser.add_argument(
-        "--profile",
-        choices=["cprofile", "tracemalloc"],
-        default=None,
-        help="profile the command and write a top-N hotspot artifact "
-        "(--profile-out)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        default="profile.json",
-        metavar="PATH",
-        help="hotspot artifact path for --profile (default profile.json)",
-    )
-    parser.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="PATH",
-        help="for 'report': render a terminal dashboard from a "
-        "--metrics-out JSON telemetry bundle instead of regenerating the "
-        "paper artifacts",
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="for 'report': include a --journal-out JSONL in the dashboard "
-        "(event mix; timelines via --explain)",
-    )
-    parser.add_argument(
-        "--cycles",
-        type=int,
-        default=3,
-        metavar="N",
-        help="cycles in the 'run-horizon' horizon (default 3)",
-    )
-    parser.add_argument(
-        "--cycle-length",
-        type=float,
-        default=86400.0,
-        metavar="SECONDS",
-        help="virtual length of each horizon cycle (default 86400: one day)",
-    )
-    parser.add_argument(
-        "--churn",
-        type=float,
-        default=0.5,
-        metavar="F",
-        help="fraction of popularity ranks reassigned between horizon "
-        "cycles (default 0.5)",
-    )
-    parser.add_argument(
-        "--users",
-        type=int,
-        default=4,
-        metavar="N",
-        help="users per neighborhood in each generated horizon cycle "
-        "(default 4)",
-    )
-    parser.add_argument(
-        "--no-migrate",
-        action="store_true",
-        help="freeze the initial replica map for the whole horizon "
-        "(skip the between-cycle migration planner)",
-    )
-    parser.add_argument(
-        "--degree",
-        type=int,
-        default=1,
-        metavar="K",
-        help="replica degree for the migration planner's candidate "
-        "placement, and for the default heat placement when --replicas "
-        "is omitted (default 1)",
-    )
-    parser.add_argument(
-        "--horizon-report-out",
-        default=None,
-        metavar="PATH",
-        help="write the horizon report as JSON for 'run-horizon' "
-        "(replay-invariant: identical runs produce byte-identical files)",
-    )
-    parser.add_argument(
-        "--horizon-report",
-        default=None,
-        metavar="PATH",
-        help="for 'report': include a --horizon-report-out JSON in the "
-        "dashboard (per-cycle Ψ trajectory, migrations, resumes)",
-    )
-    parser.add_argument(
-        "--request-feed",
-        default=None,
-        metavar="PATH",
-        help="booking-feed JSONL for 'run-gateway' (omit to generate a "
-        "seeded feed from --seed)",
-    )
-    parser.add_argument(
-        "--request-feed-out",
-        default=None,
-        metavar="PATH",
-        help="write the (possibly generated) booking feed as JSONL",
-    )
-    parser.add_argument(
-        "--policy",
-        default="accept-all",
-        metavar="SPEC",
-        help="admission policy chain for 'run-gateway': comma-chained "
-        "'accept-all', 'headroom[:FRACTION]', 'price-ceiling:DOLLARS', "
-        "'rate-limit:RATE:BURST' (default accept-all)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=0,
-        metavar="N",
-        help="solver-bound batch depth per gateway cycle; 0 = unbounded "
-        "(default 0)",
-    )
-    parser.add_argument(
-        "--queue-depth",
-        type=int,
-        default=0,
-        metavar="N",
-        help="bounded pending queue behind a full gateway batch; 0 "
-        "disables queueing, overflow sheds (default 0)",
-    )
-    parser.add_argument(
-        "--seals",
-        type=int,
-        default=1,
-        metavar="N",
-        help="sealed cycles for 'run-gateway': the booking span is split "
-        "into N cycles, the last boundary covers every showing (default 1)",
-    )
-    parser.add_argument(
-        "--gateway-report-out",
-        default=None,
-        metavar="PATH",
-        help="write the gateway run report as JSON for 'run-gateway' "
-        "(replay-invariant: identical runs produce byte-identical files)",
-    )
-    parser.add_argument(
-        "--gateway-report",
-        default=None,
-        metavar="PATH",
-        help="for 'report': include a --gateway-report-out JSON in the "
-        "dashboard (per-cycle intake counters, quote reconciliation)",
-    )
+    add("--gateway-report-out", metavar="PATH", help="write the run report")
+
+    command(
+        "slo-check", _slo_check,
+        "re-gate a run report's SLO section (exit 1 on breach)", slo,
+    )("report", help="a --online-report-out or --gateway-report-out JSON")
     return parser
 
 
@@ -511,30 +398,64 @@ def _runner(args: argparse.Namespace) -> ExperimentRunner:
     return ExperimentRunner(cfg)
 
 
+def _print_contention(args: argparse.Namespace) -> None:
+    cfg = quick_config(n_files=150) if args.quick else paper_config()
+    users = (4, 10, 24) if args.quick else (5, 10, 20, 40)
+    print(contention_sweep(cfg, users_axis=users).as_table())
+
+
+def _print_ablations(args: argparse.Namespace) -> None:
+    runner = _runner(args)
+    for ablation in _ABLATIONS:
+        print(ablation(runner).as_table())
+        print()
+
+
+#: The paper-artifact commands: name -> printer of its table or figure.
+_ARTIFACTS = {
+    "worked-example": lambda args: print(worked_example().as_table()),
+    **{
+        name: lambda args, fn=fn: print(fn(_runner(args)).render())
+        for name, fn in _FIGURES.items()
+    },
+    "table5": lambda args: print(table5(_runner(args)).as_table()),
+    "gap": lambda args: print(optimality_gap().as_table()),
+    "ablations": _print_ablations,
+    "contention": _print_contention,
+}
+
+
 def _run_one(name: str, args: argparse.Namespace) -> None:
     t0 = time.perf_counter()
-    if name == "worked-example":
-        print(worked_example().as_table())
-    elif name in _FIGURES:
-        runner = _runner(args)
-        print(_FIGURES[name](runner).render())
-    elif name == "table5":
-        runner = _runner(args)
-        print(table5(runner).as_table())
-    elif name == "gap":
-        print(optimality_gap().as_table())
-    elif name == "contention":
-        cfg = quick_config(n_files=150) if args.quick else paper_config()
-        users = (4, 10, 24) if args.quick else (5, 10, 20, 40)
-        print(contention_sweep(cfg, users_axis=users).as_table())
-    elif name == "ablations":
-        runner = _runner(args)
-        for ablation in _ABLATIONS:
-            print(ablation(runner).as_table())
-            print()
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown experiment {name!r}")
+    _ARTIFACTS[name](args)
     _log.info("%s completed in %.1fs", name, time.perf_counter() - t0)
+
+
+def _artifact(args: argparse.Namespace) -> int:
+    """Print the paper artifact the command names."""
+    _run_one(args.experiment, args)
+    return 0
+
+
+def _run_all(args: argparse.Namespace) -> int:
+    """Print every paper artifact but the contention sweep."""
+    for name in ["worked-example", *_FIGURES, "table5", "gap", "ablations"]:
+        print("=" * 78)
+        _run_one(name, args)
+        print()
+    return 0
+
+
+def _report(args: argparse.Namespace) -> int:
+    """Render the dashboard over the run artifacts given, else write every
+    paper artifact under ``--out``."""
+    if (
+        args.telemetry or args.journal
+        or args.horizon_report or args.gateway_report
+    ):
+        return _report_dashboard(args)
+    _write_report(args)
+    return 0
 
 
 def _write_report(args: argparse.Namespace) -> None:
@@ -617,25 +538,26 @@ def _parse_kinds(spec):
 class _EnvRun:
     """What every environment command shares.
 
-    Opening one requires and loads the environment file and builds the
-    observability handle that ``--metrics-out``/``--trace-out``/
-    ``--journal-out``/``--explain`` ask for; its methods place replicas,
-    load or generate a feed, gate an SLO policy and write the telemetry,
-    so each command body keeps only its own logic.
+    Opening one loads the environment file (a bad file exits with a
+    one-line diagnostic) and builds the observability handle that
+    ``--metrics-out``/``--trace-out``/``--journal-out``/``--explain`` ask
+    for; its methods place replicas, load or generate a feed, gate an SLO
+    policy and write the telemetry, so each command body keeps only its
+    own logic.
     """
 
     def __init__(self, args: argparse.Namespace, *, needs_batch=True) -> None:
+        from repro.errors import ConfigError
         from repro.io import load_environment
         from repro.obs import NULL_OBS, Observability
 
-        if not args.env_file:
-            raise SystemExit(
-                f"{args.experiment} requires an environment JSON path"
-            )
         self.args = args
-        self.topology, self.catalog, self.batch = load_environment(
-            args.env_file
-        )
+        try:
+            self.topology, self.catalog, self.batch = load_environment(
+                args.env_file
+            )
+        except ConfigError as exc:
+            raise SystemExit(f"invalid env_file: {exc}") from exc
         if needs_batch and self.batch is None:
             raise SystemExit(
                 f"{args.env_file} contains no 'requests' section to schedule"
@@ -848,7 +770,6 @@ def _run_environment(args: argparse.Namespace) -> int:
     """
     from repro.analysis import format_table
     from repro.baselines import network_only_cost
-    from repro.core.costmodel import CostModel
     from repro.sim.engine import SimulationEngine
     from repro.sim.validate import validate_schedule
 
@@ -861,7 +782,6 @@ def _run_environment(args: argparse.Namespace) -> int:
         SimulationEngine(scheduler.cost_model, obs=env.obs).run(
             result.schedule
         )
-    cm = CostModel(env.topology, env.catalog)
     env.write_telemetry()
     print(
         format_table(
@@ -873,7 +793,10 @@ def _run_environment(args: argparse.Namespace) -> int:
                 ["network cost ($)", result.cost.network],
                 ["storage cost ($)", result.cost.storage],
                 ["total cost ($)", result.total_cost],
-                ["network-only baseline ($)", network_only_cost(batch, cm)],
+                [
+                    "network-only baseline ($)",
+                    network_only_cost(batch, scheduler.cost_model),
+                ],
                 ["overflow fixes", result.resolution.iterations],
                 [
                     "route-table hit rate",
@@ -942,6 +865,7 @@ def _run_faults(args: argparse.Namespace) -> int:
     plan's degraded replay (the recovery contract), printing the violations.
     """
     from repro.analysis import format_table
+    from repro.errors import FaultError
     from repro.faults.contingency import ContingencyScheduler
     from repro.faults.plan import FaultPlan
     from repro.faults.report import build_degraded_report
@@ -950,9 +874,11 @@ def _run_faults(args: argparse.Namespace) -> int:
 
     env = _EnvRun(args)
     topology, batch = env.topology, env.batch
-    scheduler, result = env.solve()
     if args.scenario:
-        plan = FaultPlan.load(args.scenario)
+        try:
+            plan = FaultPlan.load(args.scenario)
+        except FaultError as exc:
+            raise SystemExit(f"invalid --scenario: {exc}") from exc
         _log.info("loaded %d fault(s) from %s", len(plan), args.scenario)
     else:
         plan = FaultPlan.generate(
@@ -967,6 +893,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         plan.save(args.scenario_out)
         _log.info("wrote fault scenario to %s", args.scenario_out)
 
+    scheduler, result = env.solve()
     degraded = build_degraded_report(
         result.schedule, scheduler.cost_model, plan, obs=env.obs
     )
@@ -1358,19 +1285,17 @@ def _slo_check(args: argparse.Namespace) -> int:
     """
     from repro.obs.slo import SLOPolicy
 
-    if not args.env_file:
-        raise SystemExit("slo-check requires an online report JSON path")
-    slo = _read_json(args.env_file).get("slo") or {}
+    slo = _read_json(args.report).get("slo") or {}
     indicators = slo.get("indicators")
     if not isinstance(indicators, dict):
         raise SystemExit(
-            f"{args.env_file} has no 'slo.indicators' section (write one "
+            f"{args.report} has no 'slo.indicators' section (write one "
             "with 'run-online --online-report-out' or 'run-gateway "
             "--gateway-report-out')"
         )
     if not args.slo and "policy" not in slo:
         raise SystemExit(
-            f"{args.env_file} embeds no 'slo.policy' to re-gate against "
+            f"{args.report} embeds no 'slo.policy' to re-gate against "
             "(pass --slo POLICY.json)"
         )
     policy = _slo_policy(args, lambda: SLOPolicy.from_dict(slo["policy"]))
@@ -1645,42 +1570,12 @@ def _finish_profile(args: argparse.Namespace, state) -> None:
     _write_json(args.profile_out, doc, f"{kind} hotspot profile")
 
 
-#: The commands that take a positional file (an environment JSON, or a
-#: run report for 'slo-check').
-_FILE_COMMANDS = {
-    "run-env": _run_environment,
-    "simulate": _simulate_environment,
-    "run-faults": _run_faults,
-    "run-online": _run_online,
-    "run-horizon": _run_horizon,
-    "run-gateway": _run_gateway,
-    "slo-check": _slo_check,
-}
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.experiment in _FILE_COMMANDS:
-        return _FILE_COMMANDS[args.experiment](args)
-    if args.experiment == "all":
-        for name in ["worked-example", *sorted(_FIGURES), "table5", "gap", "ablations"]:
-            print("=" * 78)
-            _run_one(name, args)
-            print()
-    elif args.experiment == "report":
-        if args.telemetry or args.horizon_report or args.gateway_report or args.journal:
-            return _report_dashboard(args)
-        _write_report(args)
-    else:
-        _run_one(args.experiment, args)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     configure_logging(args.log_level)
     profile_state = _start_profile(args)
     try:
-        return _dispatch(args)
+        return args.func(args)
     finally:
         _finish_profile(args, profile_state)
 

@@ -1,11 +1,29 @@
-"""The environment file the CLI tests schedule."""
+"""The environment files the CLI tests schedule, and the usage-error check."""
 
 from __future__ import annotations
 
+import pytest
 
-def paper_env(tmp_path, *, n_videos=20, users=2, seed=2, requests=True):
+
+def assert_usage_error(capsys, argv, message):
+    """``main(argv)`` is refused by argparse: exit 2, ``message`` on stderr."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def paper_env(
+    tmp_path, *, n_videos=20, users=2, seed=2, requests=True, vw2_at=None
+):
     """Write the paper topology (5 GB caches), a seeded catalog and --
-    unless ``requests=False`` -- a seeded booking batch; returns the path."""
+    unless ``requests=False`` -- a seeded booking batch; returns the path.
+
+    ``vw2_at`` names a storage that a second warehouse ``VW2`` is linked
+    to ($100/GB).
+    """
     from repro import WorkloadGenerator, paper_catalog, paper_topology, units
     from repro.io import save_environment
 
@@ -14,6 +32,9 @@ def paper_env(tmp_path, *, n_videos=20, users=2, seed=2, requests=True):
         srate=units.per_gb_hour(5),
         capacity=units.gb(5),
     )
+    if vw2_at is not None:
+        topo.add_warehouse("VW2")
+        topo.add_edge(vw2_at, "VW2", nrate=units.per_gb(100))
     catalog = paper_catalog(n_videos, seed=seed)
     batch = (
         WorkloadGenerator(topo, catalog, users_per_neighborhood=users).generate(

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 
-from ..cli_env import paper_env
+from ..cli_env import assert_usage_error, paper_env
 
 
 class TestRunGateway:
@@ -20,9 +20,8 @@ class TestRunGateway:
         assert "gateway run feasible" in out
         assert "objective" in out  # the SLO verdict table rendered
 
-    def test_requires_environment_path(self):
-        with pytest.raises(SystemExit, match="requires"):
-            main(["run-gateway"])
+    def test_requires_environment_path(self, capsys):
+        assert_usage_error(capsys, ["run-gateway"], "required: env_file")
 
     def test_replay_is_byte_identical(self, capsys, tmp_path):
         env = paper_env(tmp_path, requests=False)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 
-from .cli_env import horizon_env, paper_env
+from .cli_env import assert_usage_error, horizon_env, paper_env
 
 
 def _tight_link_env(tmp_path):
@@ -87,9 +87,8 @@ class TestCli:
         assert "total cost" in out
         assert "network-only baseline" in out
 
-    def test_run_env_requires_path(self):
-        with pytest.raises(SystemExit, match="requires"):
-            main(["run-env"])
+    def test_run_env_requires_path(self, capsys):
+        assert_usage_error(capsys, ["run-env"], "required: env_file")
 
     def test_run_env_requires_requests(self, tmp_path):
         path = paper_env(tmp_path, requests=False)
@@ -177,9 +176,8 @@ class TestCli:
         assert "is1-outage" in out
         assert "recovery feasible" in out
 
-    def test_run_faults_requires_path(self):
-        with pytest.raises(SystemExit, match="requires"):
-            main(["run-faults"])
+    def test_run_faults_requires_path(self, capsys):
+        assert_usage_error(capsys, ["run-faults"], "required: env_file")
 
     def test_run_online_generated_feed(self, capsys, tmp_path):
         path = paper_env(tmp_path)
@@ -314,9 +312,8 @@ class TestCli:
         assert message.startswith("invalid --feed")
         assert "\n" not in message
 
-    def test_run_online_requires_path(self):
-        with pytest.raises(SystemExit, match="requires"):
-            main(["run-online"])
+    def test_run_online_requires_path(self, capsys):
+        assert_usage_error(capsys, ["run-online"], "required: env_file")
 
     def test_run_online_bad_injection_spec(self, tmp_path):
         path = paper_env(tmp_path)
@@ -440,9 +437,8 @@ class TestRunHorizon:
         assert "horizon cycles" in out
         assert "total psi" in out
 
-    def test_requires_environment_path(self):
-        with pytest.raises(SystemExit, match="environment"):
-            main(["run-horizon"])
+    def test_requires_environment_path(self, capsys):
+        assert_usage_error(capsys, ["run-horizon"], "required: env_file")
 
     def test_feed_out_without_feed_exits(self, tmp_path):
         path = horizon_env(tmp_path)
@@ -451,3 +447,224 @@ class TestRunHorizon:
             main(["run-horizon", str(path), "--feed-out", str(out)])
         assert "\n" not in str(exc.value)
         assert not out.exists()
+
+
+def _subcommands():
+    """``{command: sub-parser}`` of the ``vor-repro`` parser."""
+    import argparse
+
+    from repro.cli import _build_parser
+
+    (action,) = [
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+_GLOBAL = {"--log-level", "--profile", "--profile-out"}
+_PAPER = {"--quick", "--seed"}
+_ENV = {
+    "env_file", "--seed", "--replicas", "--metrics-out", "--trace-out",
+    "--journal-out", "--explain",
+}
+#: Command -> the positionals and flags its function reads (beyond
+#: _GLOBAL).
+_READS = {
+    **dict.fromkeys(
+        ["fig5", "fig6", "fig7", "fig8", "fig9", "table5", "ablations", "all"],
+        _PAPER,
+    ),
+    "contention": {"--quick"},
+    "gap": set(),
+    "worked-example": set(),
+    "report": _PAPER | {
+        "--out", "--telemetry", "--journal", "--explain",
+        "--horizon-report", "--gateway-report",
+    },
+    "run-env": _ENV,
+    "simulate": _ENV,
+    "run-faults": _ENV | {
+        "--scenario", "--scenario-out", "--report-out", "--n-faults",
+        "--kinds",
+    },
+    "run-online": _ENV | {
+        "--kinds", "--feed", "--feed-events", "--feed-out", "--debounce",
+        "--deadline", "--max-retries", "--breaker-threshold",
+        "--breaker-cooldown", "--shed", "--cycle-fraction",
+        "--inject-failures", "--online-report-out", "--slo",
+    },
+    "run-horizon": _ENV | {
+        "--feed", "--feed-out", "--debounce", "--cycles", "--cycle-length",
+        "--churn", "--users", "--no-migrate", "--degree",
+        "--horizon-report-out",
+    },
+    "run-gateway": _ENV | {
+        "--request-feed", "--request-feed-out", "--users", "--policy",
+        "--max-batch", "--queue-depth", "--seals", "--gateway-report-out",
+        "--slo",
+    },
+    "slo-check": {"report", "--slo"},
+}
+
+
+class TestPerCommandFlags:
+    """Each command accepts exactly the flags its function reads."""
+
+    def test_every_command_accepts_what_it_reads(self):
+        commands = _subcommands()
+        assert set(commands) == set(_READS)
+        for name, sub in commands.items():
+            accepted = {
+                flag
+                for action in sub._actions
+                for flag in action.option_strings or [action.dest]
+                if flag.startswith("--") or not action.option_strings
+            } - {"--help"}
+            assert accepted == _GLOBAL | _READS[name], name
+
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: vor-repro {command}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-horizon", "env.json", "--max-retries", "1"],
+            ["run-horizon", "env.json", "--deadline", "5"],
+            ["contention", "--seed", "3"],
+            ["fig5", "--feed", "x.jsonl"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_refused(self, capsys, argv):
+        assert_usage_error(
+            capsys, argv, f"unrecognized arguments: {' '.join(argv[-2:])}"
+        )
+
+
+_ENV_COMMANDS = [
+    "run-env", "simulate", "run-faults", "run-online", "run-horizon",
+    "run-gateway",
+]
+
+
+class TestFileInputs:
+    """Unreadable file inputs exit with a one-line diagnostic."""
+
+    @pytest.mark.parametrize("command", _ENV_COMMANDS)
+    def test_missing_environment_file(self, tmp_path, command):
+        with pytest.raises(SystemExit, match="invalid env_file") as exc:
+            main([command, str(tmp_path / "none.json")])
+        assert "none.json" in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("command", _ENV_COMMANDS)
+    def test_non_json_environment_file(self, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        with pytest.raises(SystemExit, match="invalid env_file") as exc:
+            main([command, str(bad)])
+        assert "bad.json" in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+    def test_missing_scenario(self, tmp_path, capsys):
+        path = paper_env(tmp_path)
+        with pytest.raises(SystemExit, match="invalid --scenario") as exc:
+            main(["run-faults", str(path), "--scenario", str(tmp_path / "no")])
+        assert "\n" not in str(exc.value)
+
+    def test_non_json_scenario(self, tmp_path, capsys):
+        path = paper_env(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        with pytest.raises(SystemExit, match="invalid --scenario") as exc:
+            main(["run-faults", str(path), "--scenario", str(bad)])
+        assert "bad.json" in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+
+def _baseline_row(out: str) -> str:
+    (line,) = [
+        ln for ln in out.splitlines() if ln.startswith("network-only baseline")
+    ]
+    return line.split()[-1]
+
+
+class TestRunEnvBaseline:
+    """The network-only row prices against the scheduler's own model."""
+
+    def test_follows_the_replica_map(self, capsys, tmp_path):
+        from repro.baselines import network_only_cost
+        from repro.core.costmodel import CostModel
+        from repro.io import load_environment
+        from repro.replication import ReplicaMap
+
+        path = paper_env(tmp_path, vw2_at="IS1")
+        assert main(["run-env", str(path), "--replicas", "heat:1"]) == 0
+        topo, catalog, batch = load_environment(path)
+        replicas = ReplicaMap.heat_placement(
+            topo, catalog, batch, degree=1, seed=1
+        )
+        mapped = network_only_cost(
+            batch, CostModel(topo, catalog, replicas=replicas)
+        )
+        blind = network_only_cost(batch, CostModel(topo, catalog))
+        row = _baseline_row(capsys.readouterr().out)
+        assert row == f"{mapped:,.1f}"
+        assert row != f"{blind:,.1f}"
+
+    def test_single_warehouse_unchanged(self, capsys, tmp_path):
+        from repro.baselines import network_only_cost
+        from repro.core.costmodel import CostModel
+        from repro.io import load_environment
+
+        path = paper_env(tmp_path)
+        assert main(["run-env", str(path)]) == 0
+        topo, catalog, batch = load_environment(path)
+        expected = network_only_cost(batch, CostModel(topo, catalog))
+        assert _baseline_row(capsys.readouterr().out) == f"{expected:,.1f}"
+
+
+def _documented_commands():
+    """Every ``vor-repro ...`` line in the fenced code blocks of the docs,
+    with ``\\`` continuations joined and ``# ...`` comments stripped."""
+    import pathlib
+    import shlex
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    found = []
+    for doc in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        fenced, pending = False, ""
+        for line in doc.read_text().splitlines():
+            if line.lstrip().startswith("```"):
+                fenced, pending = not fenced, ""
+                continue
+            if not fenced:
+                continue
+            line = pending + line.strip()
+            if line.endswith("\\"):
+                pending = line[:-1] + " "
+                continue
+            pending = ""
+            if line.startswith("vor-repro "):
+                argv = shlex.split(line, comments=True)
+                found.append((doc.name, argv[1:]))
+    return found
+
+
+class TestDocumentedCommands:
+    def test_docs_show_the_commands(self):
+        assert len(_documented_commands()) >= 30
+
+    @pytest.mark.parametrize(
+        "doc, argv",
+        _documented_commands(),
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_parses(self, doc, argv):
+        from repro.cli import _build_parser
+
+        _build_parser().parse_args(argv)

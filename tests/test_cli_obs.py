@@ -21,7 +21,7 @@ import pytest
 from repro.cli import main
 from repro.obs.events import load_journal_jsonl
 
-from .cli_env import paper_env
+from .cli_env import assert_usage_error, paper_env
 
 
 def _run_online(path, tmp_path, tag, *extra):
@@ -209,9 +209,8 @@ class TestSloSurfaces:
             == 0
         )
 
-    def test_slo_check_requires_path(self):
-        with pytest.raises(SystemExit, match="requires"):
-            main(["slo-check"])
+    def test_slo_check_requires_path(self, capsys):
+        assert_usage_error(capsys, ["slo-check"], "required: report")
 
     def test_slo_check_rejects_report_without_slo_section(self, tmp_path):
         bare = tmp_path / "bare.json"
