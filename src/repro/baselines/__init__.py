@@ -2,18 +2,13 @@
 
 * :func:`~repro.baselines.network_only.network_only_schedule` -- the paper's
   "network only system" (Figs. 5, 7): no intermediate caching, every request
-  streams directly from the warehouse.
-* :func:`~repro.baselines.local_cache.local_cache_schedule` -- a naive policy
-  that always caches at the requester's local storage, ignoring pricing
-  (useful to show that *cost-driven* caching, not caching per se, is what
-  wins).
+  streams directly from its video's cheapest home warehouse.
 * :class:`~repro.baselines.optimal.OptimalScheduler` -- exhaustive search
   over source assignments for tiny instances, used to measure the heuristic's
   optimality gap (Sec. 5.5's "within 30 % of optimal" claim).
 """
 
 from repro.baselines.network_only import network_only_cost, network_only_schedule
-from repro.baselines.local_cache import local_cache_schedule
 from repro.baselines.optimal import OptimalScheduler
 from repro.baselines.batching import (
     BatchingStudy,
@@ -25,7 +20,6 @@ from repro.baselines.batching import (
 __all__ = [
     "network_only_cost",
     "network_only_schedule",
-    "local_cache_schedule",
     "OptimalScheduler",
     "BatchingStudy",
     "batched_schedule",

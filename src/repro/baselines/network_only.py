@@ -7,7 +7,9 @@ Its cost is pure network cost and scales linearly in the network charging
 rate, which is exactly the straight line the paper plots.
 
 On a replicated multi-warehouse topology each request streams from the
-cheapest *home* warehouse of its video (all warehouses, without a
+cheapest *home* warehouse of its video, as
+:meth:`~repro.core.costmodel.CostModel.cheapest_home` prices it for the
+greedy and the gateway quote (every warehouse, without a
 :class:`~repro.replication.ReplicaMap` on the cost model), so the baseline
 stays well-defined beyond the paper's single-VW environment.
 """
@@ -16,37 +18,8 @@ from __future__ import annotations
 
 from repro.core.costmodel import CostModel
 from repro.core.schedule import DeliveryInfo, FileSchedule, Schedule
-from repro.errors import RoutingError, ScheduleError
-from repro.workload.requests import Request, RequestBatch
-
-
-def cheapest_home_route(cost_model: CostModel, request: Request):
-    """Cheapest-rate route from a home warehouse to the request's storage.
-
-    Ties break on warehouse name so the pick is deterministic.  Raises
-    :class:`~repro.errors.ScheduleError` when no home can reach the
-    neighborhood.
-    """
-    router = cost_model.router
-    replicas = cost_model.replicas
-    names = [w.name for w in cost_model.topology.warehouses]
-    if replicas is not None and request.video_id in replicas:
-        homes = set(replicas.homes(request.video_id))
-        names = [n for n in names if n in homes]
-    best = None
-    for name in sorted(names):
-        try:
-            route = router.route(name, request.local_storage)
-        except RoutingError:
-            continue
-        if best is None or route.rate < best.rate:
-            best = route
-    if best is None:
-        raise ScheduleError(
-            f"no home warehouse can reach {request.local_storage!r} for "
-            f"video {request.video_id!r}"
-        )
-    return best
+from repro.errors import ScheduleError
+from repro.workload.requests import RequestBatch
 
 
 def network_only_schedule(batch: RequestBatch, cost_model: CostModel) -> Schedule:
@@ -55,7 +28,17 @@ def network_only_schedule(batch: RequestBatch, cost_model: CostModel) -> Schedul
     for video_id, requests in batch.by_video().items():
         fs = FileSchedule(video_id)
         for req in requests:
-            route = cheapest_home_route(cost_model, req)
+            home = cost_model.cheapest_home(
+                video_id,
+                req.start_time,
+                cost_model.router.routes_to(req.local_storage),
+            )
+            if home is None:
+                raise ScheduleError(
+                    f"no home warehouse can reach {req.local_storage!r} for "
+                    f"video {video_id!r}"
+                )
+            route = home[1]
             fs.add_delivery(
                 DeliveryInfo(
                     video_id=video_id,

@@ -46,11 +46,12 @@ class OptimalScheduler:
     """Brute-force optimum over the copy-assignment schedule family.
 
     Args:
-        cost_model: Pricing + topology + catalog.  A
-            :class:`~repro.replication.ReplicaMap` on the model restricts
-            each request's warehouse sources to its video's homes, so the
-            optimum is computed over the same schedule family the
-            replica-aware greedy searches.
+        cost_model: Pricing + topology + catalog.  Each request's
+            warehouse sources are its video's
+            :meth:`~repro.core.costmodel.CostModel.homes`, so the optimum
+            is computed over the same schedule family the replica-aware
+            greedy searches, and each stream is priced under the model's
+            tariff, as it is billed.
         max_nodes: Upper bound on the enumeration size (the product over
             requests of ``#homes + #storages``); larger instances raise
             :class:`~repro.errors.ScheduleError` instead of hanging.
@@ -60,23 +61,10 @@ class OptimalScheduler:
         self._cm = cost_model
         self._router = cost_model.router
         self._topo = cost_model.topology
-        self._warehouses = [w.name for w in self._topo.warehouses]
-        if not self._warehouses:
+        if not self._topo.warehouses:
             raise ScheduleError("topology has no warehouse to serve from")
-        self._warehouse_set = frozenset(self._warehouses)
-        self._replicas = cost_model.replicas
-        self._storages = [s.name for s in self._topo.storages]
+        self._storages = tuple(s.name for s in self._topo.storages)
         self._max_nodes = max_nodes
-
-    def _homes(self, video_id: str) -> list[str]:
-        """Warehouse sources usable for a video (all, without a map)."""
-        if self._replicas is None:
-            return self._warehouses
-        return [
-            h
-            for h in self._replicas.homes(video_id)
-            if h in self._warehouse_set
-        ]
 
     # -- public API ----------------------------------------------------------
 
@@ -93,22 +81,12 @@ class OptimalScheduler:
         """Ψ of the optimal schedule."""
         return self._cm.total(self.solve(batch, respect_capacity=respect_capacity))
 
-    def optimal_file_schedule(self, video_id: str, requests: list[Request]) -> FileSchedule:
-        """Capacity-ignorant optimum for a single file (Phase-1 comparison)."""
-        if not requests:
-            return FileSchedule(video_id)
-        self._check_size(requests)
-        batch = RequestBatch(requests)
-        schedule = self._search(sorted(batch), respect_capacity=False)
-        assert schedule is not None  # warehouse fallback always feasible
-        return schedule.file(video_id)
-
     # -- search --------------------------------------------------------------
 
     def _check_size(self, requests: list[Request]) -> None:
         space = 1
         for req in requests:
-            space *= len(self._homes(req.video_id)) + len(self._storages)
+            space *= len(self._cm.homes(req.video_id)) + len(self._storages)
         if space > self._max_nodes:
             raise ScheduleError(
                 f"search space {space} exceeds max_nodes={self._max_nodes}; "
@@ -149,12 +127,17 @@ class OptimalScheduler:
                     best_schedule = schedule
                 return
             req = requests[idx]
-            video = catalog[req.video_id]
-            for source in self._homes(req.video_id) + self._storages:
+            # Ψ_D per unit route rate, tariff included, so the partial cost
+            # never over-states a schedule's Ψ and the bound prunes soundly
+            volume = catalog[req.video_id].network_volume * (
+                self._cm.network_multiplier(req.start_time)
+            )
+            homes = self._cm.homes(req.video_id)
+            for source in homes + self._storages:
                 key = (req.video_id, source)
                 undo_cache = None
                 created = False
-                if source in self._warehouse_set:
+                if source in homes:
                     ext_cost = 0.0
                 else:
                     cs = caches.get(key)
@@ -193,7 +176,7 @@ class OptimalScheduler:
                     elif undo_cache is not None:
                         caches[key] = undo_cache
                     continue  # this copy cannot reach the neighborhood
-                step_net = video.network_volume * route.rate
+                step_net = volume * route.rate
                 # record deposits along this stream's route
                 new_deposits = []
                 for node in route.nodes:
@@ -229,8 +212,8 @@ class OptimalScheduler:
             fs.add_delivery(DeliveryInfo(req.video_id, route, req.start_time, req))
         for (video_id, loc), cs in caches.items():
             fs = files.setdefault(video_id, FileSchedule(video_id))
-            homes = self._homes(video_id)
-            source = homes[0] if homes else self._warehouses[0]
+            # a cache exists only downstream of a stream from some home
+            source = self._cm.homes(video_id)[0]
             fs.add_residency(
                 ResidencyInfo(
                     video_id, loc, source, cs.t_start, cs.t_last, cs.services

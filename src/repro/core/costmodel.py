@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import copy
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.catalog.catalog import VideoCatalog
 from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo, Schedule
 from repro.errors import ScheduleError
 from repro.topology.graph import ChargingBasis, Topology
-from repro.topology.routing import Router
+from repro.topology.routing import Route, Router
 
 
 def storage_cost(srate: float, size: float, playback: float, span: float) -> float:
@@ -146,9 +147,10 @@ class CostModel:
             home warehouses of each video.  Pricing is unaffected -- the map
             rides on the model so every scheduler built over it (Phase-1
             greedy, SORP's rejective greedy, contingency re-solves,
-            migration trial solves) restricts warehouse candidates to the
-            same homes.  ``None`` means every warehouse holds every video
-            (the single-warehouse paper model).
+            migration trial solves, the baselines and the gateway quote)
+            reads the same homes through :meth:`homes` and prices them
+            through :meth:`cheapest_home`.  ``None`` means every warehouse
+            holds every video (the single-warehouse paper model).
 
     The table is transparent to subclasses: :meth:`network_multiplier` is
     applied *outside* the cached route rate, so time-of-day tariffs stay
@@ -166,6 +168,9 @@ class CostModel:
         self._topo = topology
         self._catalog = catalog
         self._replicas = replicas
+        self._warehouses = tuple(w.name for w in topology.warehouses)
+        #: ``{video_id: (homes, network volume)}``, filled on demand.
+        self._videos: dict[str, tuple[tuple[str, ...], float]] = {}
         self._router = Router(topology)
         self._cache_enabled = bool(cache)
         #: route node tuple -> effective $/byte rate (before tariff)
@@ -197,13 +202,14 @@ class CostModel:
 
         Pricing is placement-independent (the map only restricts which
         warehouses are *candidates*), so the route table stays shared with
-        the original; counters start fresh.  Subclasses (e.g. diurnal
-        tariffs) are preserved by the shallow copy.  This is how the
-        horizon layer swaps replica maps between cycles without rebuilding
-        the model.
+        the original; counters and the per-video homes memo start fresh.
+        Subclasses (e.g. diurnal tariffs) are preserved by the shallow
+        copy.  This is how the horizon layer swaps replica maps between
+        cycles without rebuilding the model.
         """
         clone = copy.copy(self)
         clone._replicas = replicas
+        clone._videos = {}
         clone._hits = 0
         clone._misses = 0
         return clone
@@ -269,6 +275,51 @@ class CostModel:
         """
         del start_time
         return 1.0
+
+    def _video(self, video_id: str) -> tuple[tuple[str, ...], float]:
+        entry = self._videos.get(video_id)
+        if entry is None:
+            homes = self._warehouses
+            if self._replicas is not None:
+                homes = tuple(
+                    h for h in self._replicas.homes(video_id) if h in homes
+                )
+            entry = self._videos[video_id] = (
+                homes, self._catalog[video_id].network_volume
+            )
+        return entry
+
+    def homes(self, video_id: str) -> tuple[str, ...]:
+        """The video's home warehouses: its replica-map homes that are
+        warehouses of the topology, in the map's order, or every warehouse
+        without a map.  Raises :class:`~repro.errors.ReplicationError` for
+        a video the map does not cover."""
+        return self._video(video_id)[0]
+
+    def cheapest_home(
+        self, video_id: str, start_time: float, routes: Mapping[str, Route]
+    ) -> tuple[float, Route] | None:
+        """``(Ψ_D, route)`` of the cheapest stream from a home of the video,
+        the least ``(Ψ_D, hops, name)`` over the homes ``routes`` holds, or
+        ``None`` when it holds none.
+
+        ``routes`` is the caller's ``{source: route}`` table into the
+        request's storage (a source it leaves out is not routable).  Ψ_D is
+        ``network_volume x network_multiplier(start_time) x rate``, in the
+        operand order the greedy prices its cache copies in, so the greedy,
+        the baselines and the gateway quote get bit-equal prices.
+        """
+        homes, volume = self._video(video_id)
+        volume *= self.network_multiplier(start_time)
+        best = None
+        for w in homes:
+            route = routes.get(w)
+            if route is None:
+                continue
+            key = (volume * route.rate, route.hops, w)
+            if best is None or key < best[0]:
+                best = (key, route)
+        return None if best is None else (best[0][0], best[1])
 
     def delivery_cost(self, d: DeliveryInfo) -> float:
         """Ψ_D(d) per Eq. 4 on the delivery's concrete route."""

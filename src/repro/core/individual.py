@@ -86,9 +86,10 @@ class IndividualScheduler:
             Cache extensions are priced with
             :func:`~repro.core.costmodel.storage_cost` from the storage
             rates read here, once, so the greedy makes no memo lookups.
-            Its replica map, if any, restricts a video's warehouse
-            candidates to its homes in the topology; without one every
-            warehouse holds everything, as in the paper.
+            Its :meth:`~repro.core.costmodel.CostModel.cheapest_home`
+            prices the warehouse copy: the cheapest routable home of the
+            video under the model's replica map, or of every warehouse
+            without one, as in the paper.
         constraints: Optional residency constraints; ``None`` reproduces the
             capacity-ignorant Phase-1 behaviour, a
             :class:`~repro.core.rejective.ResidencyConstraints` instance
@@ -140,15 +141,12 @@ class IndividualScheduler:
         # Immutable copies: all per-solve mutable state lives in the
         # per-call FileGreedySession instead.
         topo = cost_model.topology
-        self._warehouses = tuple(w.name for w in topo.warehouses)
-        if not self._warehouses:
+        if not topo.warehouses:
             raise ScheduleError("topology has no warehouse to serve from")
-        self._warehouse_set = frozenset(self._warehouses)
         self._storage_names = frozenset(s.name for s in topo.storages)
         self._srates = {n.name: n.srate for n in topo.nodes}
-        self._replicas = cost_model.replicas
-        #: ``{video_id: (home warehouses, size, playback)}``, filled on demand.
-        self._facts: dict[str, tuple[tuple[str, ...], float, float]] = {}
+        #: ``{video_id: (size, playback)}``, filled on demand.
+        self._facts: dict[str, tuple[float, float]] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -288,18 +286,13 @@ class IndividualScheduler:
 
     # -- greedy internals ------------------------------------------------------
 
-    def _video_facts(self, video_id: str) -> tuple[tuple[str, ...], float, float]:
-        """A video's warehouse candidates (its homes, or every warehouse)
-        and its size and P from the model's catalog, as every Ψ_C
+    def _video_facts(self, video_id: str) -> tuple[float, float]:
+        """A video's size and P from the model's catalog, as every Ψ_C
         evaluation reads them; computed once per scheduler."""
         facts = self._facts.get(video_id)
         if facts is None:
-            homes = self._warehouses
-            if self._replicas is not None:
-                own = self._replicas.homes(video_id)
-                homes = tuple(h for h in own if h in self._warehouse_set)
             entry = self._cm.catalog[video_id]
-            facts = self._facts[video_id] = (homes, entry.size, entry.playback)
+            facts = self._facts[video_id] = (entry.size, entry.playback)
         return facts
 
     def _best_candidate(
@@ -317,24 +310,20 @@ class IndividualScheduler:
             # an unknown destination is a malformed request, not a copy that
             # happens to be unreachable -- keep raising, never skip
             raise RoutingError(f"unknown destination node {req.local_storage!r}")
-        homes, size, playback = self._video_facts(video.video_id)
+        size, playback = self._video_facts(video.video_id)
         start = req.start_time
         volume = video.network_volume * self._cm.network_multiplier(start)
         # one route table per request: a copy whose source it leaves out is
         # not a candidate.  Ties never depend on iteration order (the key
         # includes the source name), so skipping keeps picks deterministic.
-        route_of = self._route_policy.routes(
+        routes = self._route_policy.routes(
             req.local_storage, start, start + video.playback, video.bandwidth
-        ).get
-        home = None
-        for w in homes:
-            route = route_of(w)
-            if route is None:
-                continue
-            network = volume * route.rate
-            key = (network, route.hops, 1, w)
-            if home is None or key < home[0]:
-                home = (key, -1, route, network)
+        )
+        route_of = routes.get
+        home = self._cm.cheapest_home(video.video_id, start, routes)
+        if home is not None:
+            network, route = home
+            home = ((network, route.hops, 1, route.nodes[0]), -1, route, network)
         # Price every cache copy first; ask the constraints only about the
         # ones that beat the cheapest warehouse, cheapest first (DESIGN.md
         # §4).  A copy dearer on the network alone cannot win: its Ψ_C

@@ -133,7 +133,6 @@ class _MaskViews(RoutePolicy):
     def __init__(self, cost_model: CostModel, plan: FaultPlan):
         self._cm = cost_model
         self._plan = plan
-        self._warehouses = tuple(w.name for w in cost_model.topology.warehouses)
         self._routers: dict[tuple, Router] = {}
         self._windows: dict[tuple[float, float], Router] = {}
 
@@ -151,15 +150,12 @@ class _MaskViews(RoutePolicy):
         return router
 
     def servable(self, r: Request, playback: float) -> bool:
-        """Whether a *home* of ``r``'s video (every warehouse without a
-        replica map) standing during its stream reaches its neighborhood."""
+        """Whether a home of ``r``'s video
+        (:meth:`~repro.core.costmodel.CostModel.homes`) standing during its
+        stream reaches its neighborhood."""
         t0 = r.start_time
         table = self.routes(r.local_storage, t0, t0 + playback, 0.0)
-        replicas = self._cm.replicas
-        homes = (
-            replicas.homes(r.video_id) if replicas is not None else self._warehouses
-        )
-        return any(h in table for h in homes)
+        return any(h in table for h in self._cm.homes(r.video_id))
 
     def routes(
         self, dst: str, t_start: float, t_end: float, bandwidth: float

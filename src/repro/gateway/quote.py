@@ -5,10 +5,11 @@ seen the batch, so the quote is a marginal-cost estimate built from the
 same :class:`~repro.core.costmodel.CostModel` the solver will bill
 against:
 
-* **Fresh delivery** (always available): the cheapest-copy Ψ_D of an
-  independent stream from a home warehouse to the request's neighborhood
-  -- ``network_volume x cheapest-route rate x tariff`` -- i.e. the
-  network-only baseline price of this one request.
+* **Fresh delivery** (always available): the Ψ_D of an independent
+  stream from the cheapest home warehouse to the request's neighborhood,
+  as :meth:`~repro.core.costmodel.CostModel.cheapest_home` prices it --
+  the network-only baseline price of this one request, and bit-equal to
+  the ``warehouse_psi_d`` the Phase-1 greedy journals for it.
 * **Residency extension** (when the building batch already admitted the
   same video at the same neighborhood storage): the Ψ_C delta of
   stretching that storage's residency interval to cover the new showing.
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.network_only import cheapest_home_route
 from repro.core.costmodel import CostModel
-from repro.errors import ScheduleError
+from repro.errors import RoutingError, ScheduleError
+from repro.topology.routing import Route
 from repro.workload.requests import Request
 
 #: Quote bases, in the order the engine prefers them on a price tie.
@@ -69,7 +70,7 @@ class QuoteEngine:
     request into it.  Quoting never mutates state, so reject/shed paths
     need no compensation.  All arithmetic goes through the shared cost
     model (its Eq. 2/3 :func:`~repro.core.costmodel.storage_cost` and its
-    route table) and the deterministic cheapest-home route, so equal intake
+    :meth:`~repro.core.costmodel.CostModel.cheapest_home`), so equal intake
     orders produce bit-equal quotes.
     """
 
@@ -89,16 +90,18 @@ class QuoteEngine:
     def quote(self, request: Request) -> Quote:
         """Price one reservation against the current batch state.
 
-        Raises :class:`~repro.errors.ScheduleError` (propagated from the
-        router) when no home warehouse can reach the neighborhood --
-        callers pre-screen reachability so this marks a topology hole,
-        not a policy decision.
+        Raises :class:`~repro.errors.ScheduleError` when no home warehouse
+        can reach the neighborhood -- callers pre-screen reachability so
+        this marks a topology hole, not a policy decision.
         """
         cm = self._cost_model
-        video = cm.catalog[request.video_id]
-        route = cheapest_home_route(cm, request)
-        multiplier = cm.network_multiplier(request.start_time)
-        psi_d_fresh = video.network_volume * route.rate * multiplier
+        home = self._cheapest_home(request)
+        if home is None:
+            raise ScheduleError(
+                f"no home warehouse can reach {request.local_storage!r} for "
+                f"video {request.video_id!r}"
+            )
+        psi_d_fresh = home[0]
 
         key = (request.video_id, request.local_storage)
         span = self._spans.get(key)
@@ -137,11 +140,15 @@ class QuoteEngine:
 
     def reachable(self, request: Request) -> bool:
         """Whether any home warehouse can stream to this neighborhood."""
+        return self._cheapest_home(request) is not None
+
+    def _cheapest_home(self, request: Request) -> tuple[float, Route] | None:
+        cm = self._cost_model
         try:
-            cheapest_home_route(self._cost_model, request)
-        except ScheduleError:
-            return False
-        return True
+            routes = cm.router.routes_to(request.local_storage)
+        except RoutingError:
+            return None  # an unknown neighborhood
+        return cm.cheapest_home(request.video_id, request.start_time, routes)
 
 
 __all__ = ["QUOTE_BASES", "Quote", "QuoteEngine"]

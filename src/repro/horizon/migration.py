@@ -319,7 +319,12 @@ class MigrationPlanner:
         router = cost_model.router
 
         def rates_to(dst: str, homes: frozenset[str]) -> dict[str, float]:
-            """The model's $/byte rate from each home that reaches ``dst``."""
+            """The model's $/byte rate from each home that reaches ``dst``.
+
+            Prices hypothetical home sets, so it reads no
+            :meth:`~repro.core.costmodel.CostModel.cheapest_home` and
+            leaves out the tariff: the screen only ranks moves, and the
+            trial solve, which bills under the tariff, arbitrates."""
             routes = router.routes_to(dst)
             return {h: routes[h].rate for h in sorted(homes) if h in routes}
 

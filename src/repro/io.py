@@ -192,11 +192,21 @@ def load_environment(path) -> tuple[Topology, VideoCatalog, RequestBatch | None]
         doc = json.loads(pathlib.Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read environment file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(
+            f"environment file {path} must hold a JSON object, "
+            f"not {type(doc).__name__}"
+        )
     version = doc.get("format_version")
     if version != _FORMAT_VERSION:
         raise ConfigError(
             f"unsupported environment format version {version!r} "
             f"(expected {_FORMAT_VERSION})"
+        )
+    missing = [key for key in ("topology", "catalog") if key not in doc]
+    if missing:
+        raise ConfigError(
+            f"environment file {path} has no {' or '.join(missing)} section"
         )
     topology = topology_from_dict(doc["topology"])
     catalog = catalog_from_dict(doc["catalog"])

@@ -204,7 +204,11 @@ def _impact_kind(impact, default: str) -> str:
 def _check_replicas(
     schedule: Schedule, cost_model: CostModel, replicas
 ) -> list[Violation]:
-    """Warehouse-sourced schedule elements must come from home warehouses."""
+    """Warehouse-sourced schedule elements must come from home warehouses.
+
+    Reads the map itself rather than
+    :meth:`~repro.core.costmodel.CostModel.homes`: the check stays
+    independent of the path the schedulers decide homes by."""
     out: list[Violation] = []
     warehouses = {w.name for w in cost_model.topology.warehouses}
     for fs in schedule:

@@ -1,6 +1,8 @@
 """Tests for the baseline schedulers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CostModel,
@@ -16,11 +18,13 @@ from repro import (
 )
 from repro.baselines import (
     OptimalScheduler,
-    local_cache_schedule,
     network_only_cost,
     network_only_schedule,
 )
 from repro.errors import ScheduleError
+from repro.extensions import DiurnalCostModel, TariffBand, TimeOfDayTariff
+
+from .opt_reference import unpruned_optimum
 
 
 def _env(nrate=1.0, srate=1e-3, capacity=1e6, n_storages=2):
@@ -65,55 +69,6 @@ class TestNetworkOnly:
         cm = CostModel(fig2_topology, fig2_catalog)
         result = VideoScheduler(fig2_topology, fig2_catalog).solve(fig2_batch)
         assert result.total_cost <= network_only_cost(fig2_batch, cm) + 1e-9
-
-
-class TestLocalCache:
-    def test_caches_in_request_neighborhood(self):
-        topo, catalog, cm = _env(srate=1e-6)
-        batch = RequestBatch(
-            [
-                Request(0.0, "v", "u1", "IS2"),
-                Request(5.0, "v", "u2", "IS2"),
-            ]
-        )
-        s = local_cache_schedule(batch, cm)
-        assert len(s.residencies) == 1
-        assert s.residencies[0].location == "IS2"
-        assert s.deliveries[1].route == ("IS2",)
-
-    def test_caches_even_when_uneconomical(self):
-        """Cost-blind: caches although storage is absurdly expensive."""
-        topo, catalog, cm = _env(srate=1e9)
-        batch = RequestBatch(
-            [
-                Request(0.0, "v", "u1", "IS2"),
-                Request(5.0, "v", "u2", "IS2"),
-            ]
-        )
-        naive = local_cache_schedule(batch, cm)
-        assert naive.residencies  # it cached anyway
-        smart = IndividualScheduler(cm).solve(batch)
-        assert cm.total(smart) < cm.total(naive)
-
-    def test_respects_capacity(self):
-        topo, catalog, cm = _env(capacity=50.0)  # file is 100
-        batch = RequestBatch(
-            [
-                Request(0.0, "v", "u1", "IS1"),
-                Request(50.0, "v", "u2", "IS1"),
-            ]
-        )
-        s = local_cache_schedule(batch, cm)
-        assert detect_overflows(s, catalog, topo) == []
-        assert all(d.route[0] == "VW" for d in s.deliveries)
-
-    def test_serves_everyone(self):
-        topo, catalog, cm = _env()
-        batch = RequestBatch(
-            [Request(float(i), "v", f"u{i}", "IS1") for i in range(5)]
-        )
-        s = local_cache_schedule(batch, cm)
-        assert len(s.deliveries) == 5
 
 
 class TestOptimal:
@@ -209,11 +164,6 @@ class TestOptimal:
         with pytest.raises(ScheduleError, match="search space"):
             OptimalScheduler(cm, max_nodes=1000).solve(batch)
 
-    def test_optimal_file_schedule_empty(self):
-        _, _, cm = _env()
-        fs = OptimalScheduler(cm).optimal_file_schedule("v", [])
-        assert fs.deliveries == [] and fs.residencies == []
-
     def test_fig2_optimal_beats_papers_schedules(
         self, fig2_topology, fig2_catalog, fig2_batch
     ):
@@ -222,3 +172,75 @@ class TestOptimal:
         assert opt_cost <= 138.975 + 1e-9
         # the greedy already finds 108.45; optimal can't be worse
         assert opt_cost <= 108.45 + 1e-9
+
+
+@st.composite
+def tariffed_instances(draw):
+    """A chain of 2-4 storages, two 100-byte videos with P = 600 s, 2-5
+    requests spread over a day, and a tariff with a cheap night band and
+    a dear evening band."""
+    topo = chain_topology(
+        draw(st.integers(2, 4)),
+        nrate=1.0,
+        srate=draw(st.sampled_from((1e-5, 1e-4, 1e-3))),
+        capacity=draw(st.sampled_from((150.0, 1e6))),
+    )
+    catalog = VideoCatalog(
+        [VideoFile(v, size=100.0, playback=600.0) for v in ("a", "b")]
+    )
+    tariff = TimeOfDayTariff([
+        TariffBand(0.0, 6.0, draw(st.sampled_from((0.2, 0.5, 0.9)))),
+        TariffBand(18.0, 23.0, draw(st.sampled_from((1.0, 1.5, 3.0)))),
+    ])
+    storages = [s.name for s in topo.storages]
+    bookings = draw(st.lists(
+        st.tuples(
+            st.sampled_from(("a", "b")),
+            st.sampled_from(storages),
+            st.integers(0, 47),
+        ),
+        min_size=2,
+        max_size=5,
+    ))
+    batch = RequestBatch([
+        Request(1800.0 * slot, video_id, f"u{i}", storage)
+        for i, (video_id, storage, slot) in enumerate(bookings)
+    ])
+    return DiurnalCostModel(topo, catalog, tariff), batch
+
+
+class TestOptimalUnderTariff:
+    """The search prices each step under the tariff, so its bound never
+    cuts off the optimum: it equals the unpruned enumeration."""
+
+    @given(instance=tariffed_instances(), respect_capacity=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_unpruned_optimum(self, instance, respect_capacity):
+        cm, batch = instance
+        expected = unpruned_optimum(cm, batch, respect_capacity=respect_capacity)
+        if expected == float("inf"):
+            with pytest.raises(ScheduleError, match="no feasible schedule"):
+                OptimalScheduler(cm).solve(batch, respect_capacity=respect_capacity)
+            return
+        got = OptimalScheduler(cm).optimal_cost(
+            batch, respect_capacity=respect_capacity
+        )
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_night_cache_is_found(self):
+        # one night stream (0.2 x 100) and a cache for the second showing
+        # (1e-5 x 100 x (1800 + 300)) cost 22.1; priced without the tariff,
+        # the first stream alone (100) looked dearer than two night streams
+        # (40), and the bound pruned the optimum
+        topo = chain_topology(1, nrate=1.0, srate=1e-5, capacity=1e6)
+        catalog = VideoCatalog([VideoFile("v", size=100.0, playback=600.0)])
+        tariff = TimeOfDayTariff(
+            [TariffBand(0.0, 6.0, 0.2), TariffBand(18.0, 23.0, 1.5)]
+        )
+        cm = DiurnalCostModel(topo, catalog, tariff)
+        batch = RequestBatch([
+            Request(3600.0, "v", "u1", "IS1"),
+            Request(5400.0, "v", "u2", "IS1"),
+        ])
+        assert unpruned_optimum(cm, batch) == pytest.approx(22.1)
+        assert OptimalScheduler(cm).optimal_cost(batch) == pytest.approx(22.1)

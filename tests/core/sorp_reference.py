@@ -46,8 +46,7 @@ class EagerIndividualScheduler(IndividualScheduler):
             req.start_time
         )
         t0, t1 = req.start_time, req.start_time + video.playback
-        homes, _, _ = self._video_facts(video.video_id)
-        for w in homes:
+        for w in self._cm.homes(video.video_id):
             route = self._route_policy.routes(
                 req.local_storage, t0, t1, video.bandwidth
             ).get(w)

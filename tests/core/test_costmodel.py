@@ -10,6 +10,7 @@ from repro import (
     CostModel,
     DeliveryInfo,
     FileSchedule,
+    ReplicaMap,
     Request,
     ResidencyInfo,
     Schedule,
@@ -18,7 +19,7 @@ from repro import (
     VideoFile,
     units,
 )
-from repro.errors import ScheduleError
+from repro.errors import ReplicationError, ScheduleError
 from tests.conftest import FOUR_PM, ONE_PM, TWO_THIRTY_PM
 
 
@@ -223,6 +224,88 @@ class TestReplicaClone:
         clone = fig2_cm.with_replicas(fig2_cm.replicas)
         assert clone.total(s2) == want
         assert fig2_cm.cache_stats.lookups > 0  # original counters kept
+
+
+def _two_warehouses():
+    """VW1 and VW2 both two hops from IS2 at equal rates; VW1 one hop from
+    IS1, VW2 two."""
+    topo = Topology()
+    for w in ("VW1", "VW2"):
+        topo.add_warehouse(w)
+    for name in ("IS1", "IS2", "IS3"):
+        topo.add_storage(name, srate=0.0, capacity=1e12)
+    topo.add_edge("VW1", "IS1", nrate=2.0)
+    topo.add_edge("IS1", "IS2", nrate=1.0)
+    topo.add_edge("VW2", "IS3", nrate=1.0)
+    topo.add_edge("IS3", "IS1", nrate=1.0)
+    topo.add_edge("IS3", "IS2", nrate=2.0)
+    catalog = VideoCatalog(
+        [VideoFile(v, size=100.0, playback=10.0) for v in ("a", "b")]
+    )
+    return topo, catalog
+
+
+class TestHomes:
+    def test_every_warehouse_without_a_map(self):
+        topo, catalog = _two_warehouses()
+        assert CostModel(topo, catalog).homes("a") == ("VW1", "VW2")
+
+    def test_map_homes_that_are_warehouses_of_the_topology(self):
+        topo, catalog = _two_warehouses()
+        replicas = ReplicaMap({"a": ["VW2", "VW9"], "b": ["VW1"]})
+        cm = CostModel(topo, catalog, replicas=replicas)
+        assert cm.homes("a") == ("VW2",)
+        assert cm.homes("b") == ("VW1",)
+
+    def test_a_video_the_map_does_not_cover_raises(self):
+        topo, catalog = _two_warehouses()
+        cm = CostModel(topo, catalog, replicas=ReplicaMap({"a": ["VW1"]}))
+        with pytest.raises(ReplicationError, match="'b'"):
+            cm.homes("b")
+
+    def test_a_clone_reads_its_own_map(self):
+        topo, catalog = _two_warehouses()
+        cm = CostModel(topo, catalog, replicas=ReplicaMap({"a": ["VW1"]}))
+        assert cm.homes("a") == ("VW1",)  # memoized on the original
+        clone = cm.with_replicas(ReplicaMap({"a": ["VW2"]}))
+        assert clone.homes("a") == ("VW2",)
+        assert cm.homes("a") == ("VW1",)
+
+
+class TestCheapestHome:
+    def test_least_psi_d_then_hops_then_name(self):
+        topo, catalog = _two_warehouses()
+        cm = CostModel(topo, catalog)
+        volume = catalog["a"].network_volume
+        # IS1: VW1 at rate 2 over one hop beats VW2 at rate 2 over two
+        psi_d, route = cm.cheapest_home("a", 0.0, cm.router.routes_to("IS1"))
+        assert route.nodes == ("VW1", "IS1")
+        assert psi_d == volume * 2.0
+        # IS2: both at rate 3 over two hops; the name breaks the tie
+        psi_d, route = cm.cheapest_home("a", 0.0, cm.router.routes_to("IS2"))
+        assert route.nodes == ("VW1", "IS1", "IS2")
+        assert psi_d == volume * 3.0
+
+    def test_only_homes_the_table_holds(self):
+        topo, catalog = _two_warehouses()
+        cm = CostModel(topo, catalog, replicas=ReplicaMap({"a": ["VW2"]}))
+        table = cm.router.routes_to("IS1")
+        _, route = cm.cheapest_home("a", 0.0, table)
+        assert route.src == "VW2"
+        without = {k: v for k, v in table.items() if k != "VW2"}
+        assert cm.cheapest_home("a", 0.0, without) is None
+
+    def test_tariff_in_the_greedys_operand_order(self):
+        from repro.extensions import DiurnalCostModel, TimeOfDayTariff
+
+        topo, catalog = _two_warehouses()
+        cm = DiurnalCostModel(
+            topo, catalog, TimeOfDayTariff.evening_peak(peak_multiplier=1.7)
+        )
+        t = 19 * units.HOUR
+        psi_d, route = cm.cheapest_home("a", t, cm.router.routes_to("IS2"))
+        volume = catalog["a"].network_volume
+        assert psi_d == volume * cm.network_multiplier(t) * route.rate
 
 
 class TestRouteTableCounters:

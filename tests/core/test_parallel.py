@@ -223,6 +223,7 @@ class TestMutableStateRegressions:
         topo, catalog, _ = _random_batch(3)
         from repro.core.individual import IndividualScheduler
 
-        greedy = IndividualScheduler(CostModel(topo, catalog))
-        assert isinstance(greedy._warehouses, tuple)
+        cm = CostModel(topo, catalog)
+        greedy = IndividualScheduler(cm)
+        assert isinstance(cm.homes(catalog.ids[0]), tuple)
         assert isinstance(greedy._storage_names, frozenset)

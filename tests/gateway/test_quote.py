@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro import CostModel, Request, Topology, units
-from repro.baselines.network_only import cheapest_home_route
+from repro import (
+    CostModel,
+    IndividualScheduler,
+    Request,
+    RequestBatch,
+    Topology,
+    paper_catalog,
+    paper_topology,
+    units,
+)
+from repro.extensions import DiurnalCostModel, TimeOfDayTariff
 from repro.gateway import QUOTE_BASES, QuoteEngine
+from repro.obs import Observability
 
 ONE_PM = 13 * units.HOUR
 TWO_THIRTY_PM = 14.5 * units.HOUR
@@ -26,9 +36,13 @@ class TestFreshDelivery:
     def test_first_quote_is_cheapest_route_psi_d(self, engine, fig2_video):
         request = _request(TWO_THIRTY_PM, "U2", "IS2")
         quote = engine.quote(request)
-        route = cheapest_home_route(engine.cost_model, request)
+        cm = engine.cost_model
+        psi_d, route = cm.cheapest_home(
+            "movie", TWO_THIRTY_PM, cm.router.routes_to("IS2")
+        )
         assert quote.basis == "delivery"
         assert quote.basis in QUOTE_BASES
+        assert quote.price == psi_d
         assert quote.price == pytest.approx(
             fig2_video.network_volume * route.rate
         )
@@ -39,6 +53,43 @@ class TestFreshDelivery:
         request = _request(TWO_THIRTY_PM, "U2", "IS2")
         first = engine.quote(request)
         assert engine.quote(request) == first
+
+
+class TestQuoteEqualsJournal:
+    """The quote's fresh-delivery price is the warehouse price the greedy
+    journals for the same request, to the last bit."""
+
+    @pytest.mark.parametrize("tariffed", [False, True])
+    def test_psi_d_fresh_is_the_journaled_warehouse_price(self, tariffed):
+        topo = paper_topology(
+            nrate=units.per_gb(500),
+            srate=units.per_gb_hour(5),
+            capacity=units.gb(5),
+        )
+        catalog = paper_catalog(60, seed=4)
+        tariff = TimeOfDayTariff.evening_peak()
+        start, storage = 19 * units.HOUR, "IS7"
+        # a video whose tariffed Ψ_D depends on the operand order, so
+        # pricing the two paths differently shows
+        rate = CostModel(topo, catalog).router.route("VW", storage).rate
+        m = tariff.multiplier(start)
+        video_id = next(
+            v for v in catalog.ids
+            if catalog[v].network_volume * rate * m
+            != catalog[v].network_volume * m * rate
+        )
+        cm = (
+            DiurnalCostModel(topo, catalog, tariff) if tariffed
+            else CostModel(topo, catalog)
+        )
+        request = Request(start, video_id, "u1", storage)
+        quote = QuoteEngine(cm).quote(request)
+        obs = Observability.on(journal=True)
+        IndividualScheduler(cm, obs=obs).solve(RequestBatch([request]))
+        (event,) = [e for e in obs.journal if e.kind == "phase1-assigned"]
+        assert float.hex(quote.psi_d_fresh) == float.hex(
+            dict(event.attrs)["warehouse_psi_d"]
+        )
 
 
 class TestResidencyExtension:

@@ -570,6 +570,21 @@ class TestFileInputs:
         assert "bad.json" in str(exc.value)
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "doc, says",
+        [
+            ({"format_version": 1}, "no topology or catalog section"),
+            ([1], "must hold a JSON object"),
+        ],
+    )
+    def test_malformed_environment_file(self, tmp_path, doc, says):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit, match="invalid env_file") as exc:
+            main(["run-env", str(bad)])
+        assert says in str(exc.value)
+        assert "\n" not in str(exc.value)
+
     def test_missing_scenario(self, tmp_path, capsys):
         path = paper_env(tmp_path)
         with pytest.raises(SystemExit, match="invalid --scenario") as exc:

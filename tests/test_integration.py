@@ -17,7 +17,7 @@ from repro import (
     units,
 )
 from repro.analysis import ascii_timeline
-from repro.baselines import local_cache_schedule, network_only_cost
+from repro.baselines import network_only_cost
 from repro.core.overflow import storage_usage
 from repro.extensions import (
     BandwidthAwareScheduler,
@@ -72,8 +72,6 @@ class TestFullPipeline:
         cm = CostModel(topo, catalog)
         result = VideoScheduler(topo, catalog).solve(batch)
         assert result.total_cost <= network_only_cost(batch, cm) + 1e-6
-        naive = local_cache_schedule(batch, cm)
-        assert result.total_cost <= cm.total(naive) + 1e-6
 
     def test_ascii_figure_of_real_usage(self, paper_env):
         topo, catalog, batch = paper_env
