@@ -93,10 +93,6 @@ from repro.topology import (
     Topology,
     chain_topology,
     paper_topology,
-    random_topology,
-    ring_topology,
-    star_topology,
-    tree_topology,
     validate_topology,
     worked_example_topology,
 )
@@ -186,10 +182,6 @@ __all__ = [
     "Topology",
     "chain_topology",
     "paper_topology",
-    "random_topology",
-    "ring_topology",
-    "star_topology",
-    "tree_topology",
     "validate_topology",
     "worked_example_topology",
     "CycleReport",

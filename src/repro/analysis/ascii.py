@@ -17,20 +17,17 @@ from repro.core.spacefunc import UsageTimeline
 from repro.errors import ReproError
 
 _MARKERS = "*+ox#@%&"
+#: Grid columns of both renderings, and rows of a chart / of a timeline.
+_WIDTH = 64
+_CHART_HEIGHT = 16
+_TIMELINE_HEIGHT = 12
 
 
-def ascii_chart(
-    series_list: Sequence[Series],
-    *,
-    width: int = 64,
-    height: int = 16,
-    title: str | None = None,
-) -> str:
+def ascii_chart(series_list: Sequence[Series], *, title: str | None = None) -> str:
     """Plot one or more series in a character grid with a shared scale."""
     if not series_list:
         raise ReproError("need at least one series to chart")
-    if width < 8 or height < 4:
-        raise ReproError("chart must be at least 8x4")
+    width, height = _WIDTH, _CHART_HEIGHT
     all_x = [x for s in series_list for x in s.x]
     all_y = [y for s in series_list for y in s.y]
     x0, x1 = min(all_x), max(all_x)
@@ -74,14 +71,13 @@ def ascii_timeline(
     timeline: UsageTimeline,
     *,
     capacity: float | None = None,
-    width: int = 64,
-    height: int = 12,
     title: str | None = None,
 ) -> str:
     """Render a storage-usage timeline (the shape of the paper's Fig. 3).
 
     Over-capacity cells are drawn with ``!`` so overflow windows stand out.
     """
+    width, height = _WIDTH, _TIMELINE_HEIGHT
     if timeline.is_empty:
         return (title + "\n" if title else "") + "(no usage)"
     grid_t = timeline.grid

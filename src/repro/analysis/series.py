@@ -15,6 +15,9 @@ import numpy as np
 
 from repro.errors import ReproError
 
+#: Slack for float noise in the shape predicates.
+_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Series:
@@ -46,22 +49,16 @@ class Series:
 
     # -- shape predicates ------------------------------------------------------
 
-    def is_increasing(self, *, strict: bool = False, tol: float = 1e-9) -> bool:
+    def is_increasing(self, *, strict: bool = False) -> bool:
         d = np.diff(np.asarray(self.y))
-        return bool((d > tol).all()) if strict else bool((d >= -tol).all())
+        return bool((d > _TOL).all()) if strict else bool((d >= -_TOL).all())
 
-    def is_decreasing(self, *, strict: bool = False, tol: float = 1e-9) -> bool:
-        d = np.diff(np.asarray(self.y))
-        return bool((d < -tol).all()) if strict else bool((d <= tol).all())
+    def is_decreasing(self) -> bool:
+        return bool((np.diff(np.asarray(self.y)) <= _TOL).all())
 
-    def dominates(self, other: "Series", *, tol: float = 1e-9) -> bool:
+    def dominates(self, other: "Series") -> bool:
         """True if this curve lies at or above ``other`` at every shared x."""
-        shared = self._shared_points(other)
-        return all(a >= b - tol for a, b in shared)
-
-    def growth(self) -> float:
-        """Total rise ``y[-1] - y[0]``."""
-        return self.y[-1] - self.y[0]
+        return all(a >= b - _TOL for a, b in self._shared_points(other))
 
     def linearity(self) -> float:
         """R^2 of the best linear fit (1.0 = perfectly linear)."""

@@ -77,9 +77,9 @@ class OptimalScheduler:
             raise ScheduleError("no feasible schedule found (capacity too small?)")
         return best
 
-    def optimal_cost(self, batch: RequestBatch, *, respect_capacity: bool = True) -> float:
+    def optimal_cost(self, batch: RequestBatch) -> float:
         """Ψ of the optimal schedule."""
-        return self._cm.total(self.solve(batch, respect_capacity=respect_capacity))
+        return self._cm.total(self.solve(batch))
 
     # -- search --------------------------------------------------------------
 

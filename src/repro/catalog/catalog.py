@@ -85,31 +85,33 @@ def uniform_catalog(
     )
 
 
+#: Relative half-widths of the uniform size and playback draws, and the
+#: mean playback length, of :func:`paper_catalog`.
+SIZE_SPREAD = 0.25
+PLAYBACK_SPREAD = 0.2
+MEAN_PLAYBACK = 100.0 * units.MINUTE
+
+
 def paper_catalog(
     n_videos: int = 500,
     *,
     mean_size: float = 3.3 * units.GB,
-    size_spread: float = 0.25,
-    mean_playback: float = 100.0 * units.MINUTE,
-    playback_spread: float = 0.2,
     seed: int = 0,
 ) -> VideoCatalog:
     """The Table 4 catalog: 500 files averaging 3.3 GB.
 
     The paper only states the count and the average size; we draw sizes
-    uniformly within ``mean_size * (1 +/- size_spread)`` and playback lengths
-    within ``mean_playback * (1 +/- playback_spread)`` so files are
+    uniformly within ``mean_size * (1 +/- SIZE_SPREAD)`` and playback
+    lengths within ``MEAN_PLAYBACK * (1 +/- PLAYBACK_SPREAD)`` so files are
     heterogeneous but tightly controlled.  Bandwidth is ``size / playback``
     (streams at playback rate).  Deterministic for a given seed.
     """
     if n_videos < 1:
         raise CatalogError(f"need at least one video, got {n_videos}")
-    if not (0.0 <= size_spread < 1.0 and 0.0 <= playback_spread < 1.0):
-        raise CatalogError("spreads must be in [0, 1)")
     rng = np.random.default_rng(seed)
-    sizes = mean_size * (1.0 + size_spread * (2.0 * rng.random(n_videos) - 1.0))
-    plays = mean_playback * (
-        1.0 + playback_spread * (2.0 * rng.random(n_videos) - 1.0)
+    sizes = mean_size * (1.0 + SIZE_SPREAD * (2.0 * rng.random(n_videos) - 1.0))
+    plays = MEAN_PLAYBACK * (
+        1.0 + PLAYBACK_SPREAD * (2.0 * rng.random(n_videos) - 1.0)
     )
     return VideoCatalog(
         VideoFile(f"video{i:04d}", size=float(sizes[i]), playback=float(plays[i]))

@@ -365,35 +365,6 @@ class UsageTimeline:
                 merged.append((s, e))
         return merged
 
-    def integral_above(self, threshold: float) -> float:
-        """Space-time integral of ``max(usage - threshold, 0)``.
-
-        The total "excess" that overflow resolution must remove: zero
-        exactly when usage never exceeds ``threshold``.  A diagnostic; the
-        scheduler itself does not call it.
-        """
-        if self.is_empty:
-            return 0.0
-        total = 0.0
-        n = self._ts.size
-        for i in range(n - 1):
-            t0, t1 = float(self._ts[i]), float(self._ts[i + 1])
-            if t1 <= t0:
-                continue
-            y0 = float(self._y_right[i]) - threshold
-            y1 = float(self._y_next[i]) - threshold
-            if y0 <= 0 and y1 <= 0:
-                continue
-            if y0 >= 0 and y1 >= 0:
-                total += 0.5 * (y0 + y1) * (t1 - t0)
-                continue
-            tc = t0 + (0.0 - y0) / (y1 - y0) * (t1 - t0)
-            if y0 > 0:
-                total += 0.5 * y0 * (tc - t0)
-            else:
-                total += 0.5 * y1 * (t1 - tc)
-        return total
-
 
 def flat_timeline(runs: Iterable[tuple[float, float, float]]) -> UsageTimeline:
     """The sum of constant runs ``(start, end, height)``, each on ``[start, end)``.

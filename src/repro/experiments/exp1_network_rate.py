@@ -28,18 +28,12 @@ def fig5(
     runner: ExperimentRunner,
     *,
     srates: Sequence[float] | None = None,
-    nrates: Sequence[float] | None = None,
-    seeds: Sequence[int] | None = None,
 ) -> FigureResult:
-    """Total cost vs network charging rate under different storage rates.
-
-    ``seeds`` averages each point over several workloads (default: the
-    configuration's single seed, like the paper).
-    """
+    """Total cost vs network charging rate under different storage rates."""
     cfg = runner.config
     srates = list(srates if srates is not None else cfg.srate_axis)
-    nrates = list(nrates if nrates is not None else cfg.nrate_axis)
-    seeds = list(seeds if seeds is not None else (cfg.workload_seed,))
+    nrates = list(cfg.nrate_axis)
+    seeds = [cfg.workload_seed]
     fig = FigureResult(
         figure_id="fig5",
         title=(
@@ -73,14 +67,12 @@ def fig6(
     runner: ExperimentRunner,
     *,
     alphas: Sequence[float] | None = None,
-    nrates: Sequence[float] | None = None,
-    seeds: Sequence[int] | None = None,
 ) -> FigureResult:
     """Total cost vs network charging rate under different access skews."""
     cfg = runner.config
     alphas = list(alphas if alphas is not None else cfg.alpha_axis)
-    nrates = list(nrates if nrates is not None else cfg.nrate_axis)
-    seeds = list(seeds if seeds is not None else (cfg.workload_seed,))
+    nrates = list(cfg.nrate_axis)
+    seeds = [cfg.workload_seed]
     fig = FigureResult(
         figure_id="fig6",
         title=(

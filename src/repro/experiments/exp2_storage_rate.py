@@ -20,18 +20,12 @@ from repro.experiments.figures import FigureResult
 from repro.experiments.runner import ExperimentRunner
 
 
-def fig7(
-    runner: ExperimentRunner,
-    *,
-    srates: Sequence[float] | None = None,
-    nrate_per_gb: float | None = None,
-    seeds: Sequence[int] | None = None,
-) -> FigureResult:
+def fig7(runner: ExperimentRunner) -> FigureResult:
     """Storage charging rate vs total cost, with the network-only asymptote."""
     cfg = runner.config
-    srates = list(srates if srates is not None else cfg.srate_wide_axis)
-    nrate = cfg.nrate_per_gb if nrate_per_gb is None else nrate_per_gb
-    seeds = list(seeds if seeds is not None else (cfg.workload_seed,))
+    srates = list(cfg.srate_wide_axis)
+    nrate = cfg.nrate_per_gb
+    seeds = [cfg.workload_seed]
     fig = FigureResult(
         figure_id="fig7",
         title=(
@@ -65,15 +59,13 @@ def fig7(
 def fig8(
     runner: ExperimentRunner,
     *,
-    srates: Sequence[float] | None = None,
     nrates: Sequence[float] | None = None,
-    seeds: Sequence[int] | None = None,
 ) -> FigureResult:
     """Storage charging rate vs total cost under several network rates."""
     cfg = runner.config
-    srates = list(srates if srates is not None else cfg.srate_wide_axis)
+    srates = list(cfg.srate_wide_axis)
     nrates = list(nrates if nrates is not None else (300, 600, 1000))
-    seeds = list(seeds if seeds is not None else (cfg.workload_seed,))
+    seeds = [cfg.workload_seed]
     fig = FigureResult(
         figure_id="fig8",
         title=(

@@ -19,15 +19,13 @@ from repro.experiments.runner import ExperimentRunner
 def fig9(
     runner: ExperimentRunner,
     *,
-    alphas: Sequence[float] | None = None,
     capacities: Sequence[float] | None = None,
-    seeds: Sequence[int] | None = None,
 ) -> FigureResult:
     """Total cost vs Zipf alpha for several intermediate storage sizes."""
     cfg = runner.config
-    alphas = sorted(alphas if alphas is not None else cfg.alpha_axis)
+    alphas = sorted(cfg.alpha_axis)
     capacities = list(capacities if capacities is not None else cfg.capacity_axis)
-    seeds = list(seeds if seeds is not None else (cfg.workload_seed,))
+    seeds = [cfg.workload_seed]
     fig = FigureResult(
         figure_id="fig9",
         title=(

@@ -183,14 +183,13 @@ class GapResult:
 def optimality_gap(
     *,
     n_instances: int = 20,
-    n_storages: int = 2,
-    n_requests: int = 6,
     seed: int = 0,
 ) -> GapResult:
     """Measure ``(heuristic - optimal) / optimal`` on tiny random instances.
 
-    Instances use a chain topology (where caching decisions matter most)
-    with 110-260 byte caches.  Those never overflow: every instance of the
+    Instances use a two-storage chain topology (where caching decisions
+    matter most) with 110-260 byte caches and three users per
+    neighborhood.  Those never overflow: every instance of the
     default draw, and of ``n_instances=12, seed=3``, runs 0 SORP rounds, so
     the gap compares the Phase-1 greedy alone with the optimum.  The paper
     claims the two-phase heuristic lands within ~30 % of optimal on
@@ -205,16 +204,12 @@ def optimality_gap(
         srate = float(rng.uniform(0.5, 4.0)) * 1e-3
         nrate = float(rng.uniform(0.5, 3.0))
         capacity = float(rng.uniform(110.0, 260.0))
-        topo = chain_topology(
-            n_storages, nrate=nrate, srate=srate, capacity=capacity
-        )
+        topo = chain_topology(2, nrate=nrate, srate=srate, capacity=capacity)
         n_videos = int(rng.integers(1, 3))
         catalog: VideoCatalog = uniform_catalog(
             n_videos, size=100.0, playback=10.0, prefix="m"
         )
-        gen = WorkloadGenerator(
-            topo, catalog, alpha=0.5, users_per_neighborhood=max(1, n_requests // n_storages)
-        )
+        gen = WorkloadGenerator(topo, catalog, alpha=0.5, users_per_neighborhood=3)
         batch = gen.generate(seed=int(rng.integers(0, 2**31)))
         cm = CostModel(topo, catalog)
         heur = VideoScheduler(topo, catalog).solve(batch).total_cost

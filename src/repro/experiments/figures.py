@@ -39,11 +39,9 @@ class FigureResult:
             rows.append(row)
         return format_table(headers, rows, title=f"{self.figure_id}: {self.title}")
 
-    def as_chart(self, *, width: int = 64, height: int = 16) -> str:
+    def as_chart(self) -> str:
         return ascii_chart(
             self.series,
-            width=width,
-            height=height,
             title=f"{self.figure_id}: {self.title}  [{self.ylabel} vs {self.xlabel}]",
         )
 

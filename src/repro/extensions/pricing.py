@@ -48,14 +48,12 @@ class TariffBand:
 class TimeOfDayTariff:
     """Piecewise-constant daily rate multiplier.
 
-    Bands may not overlap; time outside every band uses ``base`` (1.0 by
-    default).  Times are taken modulo 24 h, so the tariff applies uniformly
-    to multi-day horizons.
+    Bands may not overlap; time outside every band is billed at the flat
+    rate (multiplier 1.0).  Times are taken modulo 24 h, so the tariff
+    applies uniformly to multi-day horizons.
     """
 
-    def __init__(self, bands: list[TariffBand], *, base: float = 1.0):
-        if base <= 0 or not math.isfinite(base):
-            raise ConfigError(f"base multiplier must be positive, got {base}")
+    def __init__(self, bands: list[TariffBand]):
         ordered = sorted(bands, key=lambda b: b.start_hour)
         for a, b in zip(ordered, ordered[1:]):
             if b.start_hour < a.end_hour:
@@ -64,23 +62,13 @@ class TimeOfDayTariff:
                     f"[{b.start_hour}, {b.end_hour})"
                 )
         self._bands = ordered
-        self._base = base
 
     @classmethod
-    def evening_peak(
-        cls,
-        *,
-        peak_start: float = 18.0,
-        peak_end: float = 23.0,
-        peak_multiplier: float = 1.5,
-        night_multiplier: float = 0.6,
-    ) -> "TimeOfDayTariff":
-        """A common shape: pricey prime time, cheap overnight (0-6 am)."""
+    def evening_peak(cls, *, peak_multiplier: float = 1.5) -> "TimeOfDayTariff":
+        """A common shape: pricey prime time (18-23 h), cheap overnight
+        (0-6 am, x0.6)."""
         return cls(
-            [
-                TariffBand(0.0, 6.0, night_multiplier),
-                TariffBand(peak_start, peak_end, peak_multiplier),
-            ]
+            [TariffBand(0.0, 6.0, 0.6), TariffBand(18.0, 23.0, peak_multiplier)]
         )
 
     def multiplier(self, t: float) -> float:
@@ -89,14 +77,14 @@ class TimeOfDayTariff:
         for band in self._bands:
             if band.start_hour <= hour < band.end_hour:
                 return band.multiplier
-        return self._base
+        return 1.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(
             f"[{b.start_hour:g}h-{b.end_hour:g}h)x{b.multiplier:g}"
             for b in self._bands
         )
-        return f"TimeOfDayTariff({parts}, base x{self._base:g})"
+        return f"TimeOfDayTariff({parts})"
 
 
 class DiurnalCostModel(CostModel):
@@ -107,12 +95,10 @@ class DiurnalCostModel(CostModel):
         topology: Topology,
         catalog: VideoCatalog,
         tariff: TimeOfDayTariff,
-        *,
-        cache: bool = True,
     ):
         # the memoized route rate is tariff-free (the multiplier is applied
         # per delivery, outside the cache), so caching stays exact here too
-        super().__init__(topology, catalog, cache=cache)
+        super().__init__(topology, catalog)
         self._tariff = tariff
 
     @property

@@ -96,22 +96,20 @@ class _KeptSolve:
 class RollingScheduler:
     """Cycle-after-cycle scheduler with carryover residency state."""
 
+    #: Phase-2 victim selection criterion of every solve
+    HEAT_METRIC = HeatMetric.SPACE_TIME_PER_COST
+
     def __init__(
         self,
         topology: Topology,
         catalog: VideoCatalog,
         *,
-        heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
-        cost_model: CostModel | None = None,
         obs: Observability | None = None,
         replicas=None,
     ):
         self.topology = topology
         self.catalog = catalog
-        self.heat_metric = heat_metric
-        self.cost_model = scheduling_model(
-            topology, catalog, cost_model=cost_model, replicas=replicas
-        )
+        self.cost_model = scheduling_model(topology, catalog, replicas=replicas)
         self.obs = obs if obs is not None else NULL_OBS
         #: committed residencies whose occupancy outlives their cycle
         self._carryover: dict[str, list[ResidencyInfo]] = {}
@@ -308,7 +306,7 @@ class RollingScheduler:
         if self._cycle_index == 0:
             raise ScheduleError("no cycle has been closed yet: nothing to amend")
         contingency = ContingencyScheduler(
-            self.cost_model, heat_metric=self.heat_metric, obs=self.obs
+            self.cost_model, heat_metric=self.HEAT_METRIC, obs=self.obs
         )
         recovery = contingency.recover(result, plan)
         metrics = self.obs.metrics
@@ -395,7 +393,7 @@ class RollingScheduler:
         return solve_two_phase(
             batch,
             cost_model,
-            heat_metric=self.heat_metric,
+            heat_metric=self.HEAT_METRIC,
             obs=obs,
             seeds=seeds,
             background=background,

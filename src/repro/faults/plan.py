@@ -119,17 +119,6 @@ class FaultSpec:
         return self.t_end - self.t_start
 
     @property
-    def is_total(self) -> bool:
-        """Whether the target resource is completely unusable while faulted."""
-        if self.kind in (
-            FaultKind.IS_OUTAGE,
-            FaultKind.LINK_DOWN,
-            FaultKind.WAREHOUSE_LOSS,
-        ):
-            return True
-        return self.severity == 0.0
-
-    @property
     def key(self) -> str:
         """Stable identifier used in traces, reports and metrics labels."""
         target = (
@@ -291,11 +280,9 @@ class FaultPlan:
         except (KeyError, TypeError) as exc:
             raise FaultError(f"malformed fault plan document: {exc}") from exc
         seed = data.get("seed")
-        return cls(
-            faults=faults,
-            name=str(data.get("name", "")),
-            seed=int(seed) if seed is not None else None,
-        )
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise FaultError(f"fault plan seed must be an integer, got {seed!r}")
+        return cls(faults=faults, name=str(data.get("name", "")), seed=seed)
 
     def save(self, path) -> None:
         """Write the plan as pretty-printed JSON."""

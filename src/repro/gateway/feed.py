@@ -32,9 +32,11 @@ from repro.catalog.catalog import VideoCatalog
 from repro.errors import GatewayError
 from repro.feed import EventFeed
 from repro.topology.graph import Topology
-from repro.workload.arrival import ArrivalProcess
 from repro.workload.generators import WorkloadGenerator
 from repro.workload.requests import Request, RequestBatch
+
+#: Seconds between a generated booking and its showing, drawn uniformly.
+LEAD_RANGE = (3600.0, 14400.0)
 
 
 @dataclass(frozen=True)
@@ -126,11 +128,7 @@ class RequestFeed(EventFeed[RequestEvent]):
         catalog: VideoCatalog,
         *,
         seed: int,
-        alpha: float = 0.271,
         users_per_neighborhood: int = 4,
-        requests_per_user: int = 1,
-        arrivals: ArrivalProcess | None = None,
-        lead_range: tuple[float, float] = (3600.0, 14400.0),
     ) -> "RequestFeed":
         """Draw a deterministic booking feed from ``seed``.
 
@@ -139,21 +137,12 @@ class RequestFeed(EventFeed[RequestEvent]):
         same arguments (so the feed's :meth:`batch` equals the offline
         workload a direct run would schedule); each booking's arrival is
         the showing's start time minus a seeded lead uniform in
-        ``lead_range`` (clamped to 0) -- VOR users book "some time in
+        ``LEAD_RANGE`` (clamped to 0) -- VOR users book "some time in
         advance".  Equal arguments always yield an equal feed.
         """
-        lo, hi = lead_range
-        if not (0.0 <= lo <= hi):
-            raise GatewayError(
-                f"lead_range must satisfy 0 <= lo <= hi, got {lead_range!r}"
-            )
+        lo, hi = LEAD_RANGE
         batch = WorkloadGenerator(
-            topology,
-            catalog,
-            alpha=alpha,
-            users_per_neighborhood=users_per_neighborhood,
-            arrivals=arrivals,
-            requests_per_user=requests_per_user,
+            topology, catalog, users_per_neighborhood=users_per_neighborhood
         ).generate(seed)
         # Derived arithmetically (never via hash()) so feeds replay
         # bit-identically across interpreter runs.

@@ -580,9 +580,7 @@ def generate_drifting_cycles(
     cycle_length: float = units.DAY,
     seed: int = 0,
     churn: float = 0.35,
-    alpha: float = 0.271,
     users_per_neighborhood: int = 4,
-    requests_per_user: int = 1,
 ) -> list[tuple[RequestBatch, float]]:
     """A seeded multi-cycle workload whose Zipf heat drifts between cycles.
 
@@ -597,10 +595,8 @@ def generate_drifting_cycles(
     generator = WorkloadGenerator(
         topology,
         catalog,
-        alpha=alpha,
         users_per_neighborhood=users_per_neighborhood,
         arrivals=UniformArrivals(cycle_length),
-        requests_per_user=requests_per_user,
     )
     churner = RankChurn(len(catalog), churn=churn, seed=seed)
     out: list[tuple[RequestBatch, float]] = []

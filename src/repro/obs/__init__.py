@@ -24,7 +24,6 @@ documented in ``docs/OBSERVABILITY.md``.
 from repro.obs.critpath import (
     CriticalPath,
     critical_paths,
-    dominant_path,
     format_critical_path,
     format_critical_paths,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "RunTelemetry",
     "configure_logging",
     "critical_paths",
-    "dominant_path",
     "format_critical_path",
     "format_critical_paths",
     "gateway_indicators",

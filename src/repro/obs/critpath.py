@@ -129,12 +129,6 @@ def critical_paths(records: Iterable[SpanRecord]) -> tuple[CriticalPath, ...]:
     return tuple(paths)
 
 
-def dominant_path(records: Iterable[SpanRecord]) -> CriticalPath | None:
-    """The longest critical path of the trace, or ``None`` if empty."""
-    paths = critical_paths(records)
-    return paths[0] if paths else None
-
-
 def format_critical_path(path: CriticalPath) -> str:
     """Terminal rendering: one indented line per step, hot frame marked."""
     hot = path.dominant
@@ -164,7 +158,6 @@ __all__ = [
     "CriticalPath",
     "PathStep",
     "critical_paths",
-    "dominant_path",
     "format_critical_path",
     "format_critical_paths",
 ]

@@ -65,9 +65,9 @@ def prometheus_text(registry: MetricsRegistry | NullRegistry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def json_snapshot(telemetry: RunTelemetry, *, indent: int | None = 2) -> str:
+def json_snapshot(telemetry: RunTelemetry) -> str:
     """Serialize a telemetry bundle as a JSON document."""
-    return json.dumps(telemetry.to_json_dict(), indent=indent, sort_keys=False)
+    return json.dumps(telemetry.to_json_dict(), indent=2, sort_keys=False)
 
 
 def write_metrics(path: str | Path, obs: Observability | RunTelemetry) -> Path:

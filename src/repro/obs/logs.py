@@ -58,8 +58,6 @@ def configure_logging(
     level: str | int = "info",
     *,
     stream: TextIO | None = None,
-    fmt: str = DEFAULT_FORMAT,
-    datefmt: str = DEFAULT_DATEFMT,
 ) -> logging.Logger:
     """Attach one stream handler to the ``repro`` root logger.
 
@@ -74,7 +72,7 @@ def configure_logging(
         if getattr(handler, "_repro_managed", False):
             root.removeHandler(handler)
     handler = _StderrHandler() if stream is None else logging.StreamHandler(stream)
-    handler.setFormatter(logging.Formatter(fmt, datefmt=datefmt))
+    handler.setFormatter(logging.Formatter(DEFAULT_FORMAT, datefmt=DEFAULT_DATEFMT))
     handler._repro_managed = True  # type: ignore[attr-defined]
     root.addHandler(handler)
     root.propagate = False

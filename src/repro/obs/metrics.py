@@ -13,8 +13,8 @@ pipeline:
 * **Determinism flags.**  Some families are deterministic for a seeded
   batch (Ψ evaluation counts, deliveries, residencies); others -- cache
   hit/miss splits -- legitimately depend on cache temperature.  Families
-  register with ``deterministic=False`` to be excluded from run-to-run
-  equality checks (``snapshot(deterministic_only=True)``).
+  register with ``deterministic=False``, and the snapshot carries the flag
+  so run-to-run equality checks can leave them out.
 
 * **Null by default.**  :class:`NullRegistry` answers every call with a
   shared no-op instrument, so instrumented call sites cost one method
@@ -303,17 +303,10 @@ class MetricsRegistry:
         for name in sorted(self._families):
             yield self._families[name]
 
-    def snapshot(self, *, deterministic_only: bool = False) -> dict:
-        """JSON-serializable dump of every family.
-
-        With ``deterministic_only=True`` the dump contains exactly the
-        families whose values are fixed for a seeded batch -- the subset
-        that replay and drill equality checks compare.
-        """
+    def snapshot(self) -> dict:
+        """JSON-serializable dump of every family."""
         out: dict[str, dict] = {}
         for fam in self.families():
-            if deterministic_only and not fam.deterministic:
-                continue
             values = []
             for key in sorted(fam.children):
                 child = fam.children[key]
@@ -391,7 +384,7 @@ class NullRegistry:
     def families(self) -> Iterator[_Family]:
         return iter(())
 
-    def snapshot(self, *, deterministic_only: bool = False) -> dict:
+    def snapshot(self) -> dict:
         return {}
 
 

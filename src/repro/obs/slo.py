@@ -82,6 +82,8 @@ class SLOSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise SLOError(f"SLO name must be a non-empty string, got {self.name!r}")
         if self.op not in _OPS:
             raise SLOError(f"SLO {self.name!r}: op must be one of {_OPS}, got {self.op!r}")
         if not math.isfinite(self.objective):
@@ -341,24 +343,21 @@ def online_indicators(
     report: Any,
     *,
     reservations: int,
-    rejected: int = 0,
 ) -> dict[str, float]:
     """Standard indicator dict from an online run.
 
     Args:
         report: An :class:`~repro.online.loop.OnlineRunReport`.
         reservations: Admitted reservations going into the cycle.
-        rejected: Booking attempts refused at reserve time.
 
     Ratio indicators are deterministic for a fixed (feed, seed); the
-    latency indicators come from wall-clock batch durations.
+    latency indicators come from wall-clock batch durations.  The online
+    loop only sees admitted reservations, so its ``rejection_rate`` is 0.
     """
     indicators: dict[str, float] = {}
-    attempts = reservations + rejected
-    if attempts:
-        indicators["rejection_rate"] = rejected / attempts
     lost = sum(r.lost for r in report.records)
     if reservations:
+        indicators["rejection_rate"] = 0.0
         indicators["deadline_hit_rate"] = max(
             0.0, 1.0 - (lost + report.shed_total) / reservations
         )

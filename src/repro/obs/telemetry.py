@@ -111,10 +111,10 @@ class Observability:
     def enabled(self) -> bool:
         return self.metrics.enabled
 
-    def telemetry(self, *, deterministic_only: bool = False) -> RunTelemetry:
+    def telemetry(self) -> RunTelemetry:
         """Snapshot the current metrics + spans as a :class:`RunTelemetry`."""
         return RunTelemetry(
-            metrics=self.metrics.snapshot(deterministic_only=deterministic_only),
+            metrics=self.metrics.snapshot(),
             spans=self.tracer.records,
         )
 

@@ -64,10 +64,6 @@ class CircuitBreaker:
     def state(self) -> str:
         return self._state
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._failures
-
     def state_at(self, now: float) -> str:
         """The effective state at instant ``now`` (may trip half-open).
 

@@ -35,6 +35,10 @@ from repro.topology.graph import Topology
 from repro.topology.routing import Router
 from repro.workload.requests import RequestBatch
 
+#: Share of the catalog, hottest first, that heat placement homes at every
+#: warehouse.
+HOT_FRACTION = 0.25
+
 _FORMAT_VERSION = 1
 
 
@@ -42,13 +46,13 @@ class ReplicaMap:
     """Immutable assignment of each video to its home-warehouse set.
 
     Args:
-        homes: Mapping of video id to an iterable of warehouse names.  Home
-            sets are deduplicated and kept in sorted order, so two maps with
-            the same assignments compare equal regardless of construction
-            order.  Empty home sets are allowed but rejected by
-            :meth:`validate`.
+        homes: Mapping of video id to a list, tuple or set of warehouse
+            names.  Home sets are deduplicated and kept in sorted order, so
+            two maps with the same assignments compare equal regardless of
+            construction order.  Empty home sets are allowed but rejected
+            by :meth:`validate`.
         name: Optional human-readable label carried through serialization.
-        seed: The seed a generating policy drew from, if any.
+        seed: The integer seed a generating policy drew from, if any.
     """
 
     def __init__(
@@ -58,16 +62,22 @@ class ReplicaMap:
         name: str = "",
         seed: int | None = None,
     ):
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise ReplicationError(f"replica map seed must be an integer, got {seed!r}")
         table: dict[str, tuple[str, ...]] = {}
         for video_id, names in homes.items():
             if not isinstance(video_id, str) or not video_id:
                 raise ReplicationError(f"invalid video id {video_id!r}")
-            home_list = tuple(sorted(set(names)))
-            if any(not isinstance(h, str) or not h for h in home_list):
+            if not isinstance(names, (list, tuple, set, frozenset)):
                 raise ReplicationError(
-                    f"invalid home set {home_list!r} for video {video_id!r}"
+                    f"home set of video {video_id!r} must be a list of "
+                    f"warehouse names, got {names!r}"
                 )
-            table[video_id] = home_list
+            if any(not isinstance(h, str) or not h for h in names):
+                raise ReplicationError(
+                    f"invalid home set {names!r} for video {video_id!r}"
+                )
+            table[video_id] = tuple(sorted(set(names)))
         self._homes = table
         self.name = name
         self.seed = seed
@@ -175,12 +185,7 @@ class ReplicaMap:
         homes = data.get("homes")
         if not isinstance(homes, dict):
             raise ReplicationError("malformed replica map document: no homes")
-        seed = data.get("seed")
-        return cls(
-            homes,
-            name=str(data.get("name", "")),
-            seed=int(seed) if seed is not None else None,
-        )
+        return cls(homes, name=str(data.get("name", "")), seed=data.get("seed"))
 
     def save(self, path) -> None:
         """Write the map as pretty-printed JSON."""
@@ -218,15 +223,13 @@ class ReplicaMap:
         batch: RequestBatch | None = None,
         *,
         degree: int = 1,
-        hot_fraction: float = 0.25,
-        hot_degree: int | None = None,
         seed: int = 0,
     ) -> "ReplicaMap":
         """Heat-driven placement: replicate hot titles widely, cold narrowly.
 
         Videos are ranked by request count in ``batch`` (sorted-id
-        tie-break); the top ``hot_fraction`` get ``hot_degree`` homes
-        (default: every warehouse), the rest ``degree``.  A requested
+        tie-break); the top ``HOT_FRACTION`` are homed at every warehouse,
+        the rest at ``degree``.  A requested
         video's homes are the warehouses with the cheapest mean route rate
         to its requesters' local storages; unrequested videos are assigned
         round-robin from a seeded offset, so the same arguments always
@@ -237,27 +240,19 @@ class ReplicaMap:
             raise ReplicationError("topology has no warehouse to replicate to")
         if degree < 1:
             raise ReplicationError(f"degree must be >= 1, got {degree}")
-        if not 0.0 <= hot_fraction <= 1.0:
-            raise ReplicationError(
-                f"hot_fraction must be in [0, 1], got {hot_fraction}"
-            )
-        hot_k = len(warehouses) if hot_degree is None else hot_degree
-        if hot_k < 1:
-            raise ReplicationError(f"hot_degree must be >= 1, got {hot_degree}")
         degree = min(degree, len(warehouses))
-        hot_k = min(hot_k, len(warehouses))
 
         by_video: dict[str, list] = batch.by_video() if batch is not None else {}
         ids = sorted(v.video_id for v in catalog)
         ranked = sorted(ids, key=lambda v: (-len(by_video.get(v, ())), v))
-        n_hot = math.ceil(hot_fraction * len(ranked)) if ranked else 0
+        n_hot = math.ceil(HOT_FRACTION * len(ranked)) if ranked else 0
         hot = set(ranked[:n_hot])
 
         router = Router(topology)
         rng = random.Random(seed)
         homes: dict[str, tuple[str, ...]] = {}
         for video_id in ids:
-            k = hot_k if video_id in hot else degree
+            k = len(warehouses) if video_id in hot else degree
             requesters = by_video.get(video_id)
             if requesters:
                 destinations = sorted({r.local_storage for r in requesters})

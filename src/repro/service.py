@@ -27,7 +27,6 @@ from repro.billing import BillingStatement, allocate_costs
 from repro.obs import NULL_OBS, Observability
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
-from repro.core.heat import HeatMetric
 from repro.core.scheduler import ScheduleResult
 from repro.errors import ScheduleError, WorkloadError
 from repro.extensions.rolling import CycleResult, RollingScheduler
@@ -92,8 +91,6 @@ class VORService:
         catalog: Offered titles.
         lead_time: Minimum seconds between booking and showing (the "some
             time in advance" that defines VOR; default one hour).
-        heat_metric: Phase-2 victim selection criterion.
-        cost_model: Optional custom Ψ (e.g. a diurnal tariff).
         obs: Observability handle (:class:`repro.obs.Observability`);
             defaults to the inert :data:`repro.obs.NULL_OBS`.  When live,
             every cycle close records spans (``close_cycle`` → ``cycle`` →
@@ -112,8 +109,6 @@ class VORService:
         catalog: VideoCatalog,
         *,
         lead_time: float = units.HOUR,
-        heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
-        cost_model: CostModel | None = None,
         obs: Observability | None = None,
         replicas=None,
     ):
@@ -124,12 +119,7 @@ class VORService:
         self.lead_time = lead_time
         self.obs = obs if obs is not None else NULL_OBS
         self._rolling = RollingScheduler(
-            topology,
-            catalog,
-            heat_metric=heat_metric,
-            cost_model=cost_model,
-            obs=self.obs,
-            replicas=replicas,
+            topology, catalog, obs=self.obs, replicas=replicas
         )
         self._pending: list[Request] = []
         self._storage_names = {s.name for s in topology.storages}

@@ -70,12 +70,6 @@ class LinkLoad:
             return False
         return self.peak > capacity_slack(self.capacity)
 
-    @property
-    def saturated_intervals(self) -> list[tuple[float, float]]:
-        if not self.saturated:
-            return []
-        return self.timeline.intervals_above(self.capacity)
-
 
 @dataclass
 class StorageLoad:

@@ -58,7 +58,6 @@ def validate_schedule(
     *,
     trusted_residencies=(),
     faults=None,
-    replicas=None,
     obs: Observability | None = None,
 ) -> list[Violation]:
     """Run every feasibility check; return all violations found.
@@ -75,9 +74,9 @@ def validate_schedule(
     every service the plan breaks is reported as a ``fault-*`` violation.
     A fault that downs a warehouse surfaces as ``fault-warehouse-loss``.
 
-    ``replicas`` optionally names a :class:`~repro.replication.ReplicaMap`
-    (default: the cost model's map); warehouse sources outside a video's
-    home set are reported as ``replica`` violations.
+    With a :class:`~repro.replication.ReplicaMap` on the cost model,
+    warehouse sources outside a video's home set are reported as
+    ``replica`` violations.
 
     ``obs`` optionally instruments the run: one ``validate`` span plus
     per-kind ``vor_validate_violations_total`` counters.
@@ -95,10 +94,8 @@ def validate_schedule(
         report = SimulationEngine(cost_model).run(schedule)
         violations.extend(_check_capacity(report))
         violations.extend(_check_links(report))
-        if replicas is None:
-            replicas = cost_model.replicas
-        if replicas is not None:
-            violations.extend(_check_replicas(schedule, cost_model, replicas))
+        if cost_model.replicas is not None:
+            violations.extend(_check_replicas(schedule, cost_model))
         if faults is not None:
             violations.extend(
                 _fault_violations(schedule, cost_model, faults, report, obs)
@@ -115,9 +112,7 @@ def validate_schedule(
     return violations
 
 
-def fault_violations(
-    schedule, cost_model, plan, *, obs: Observability | None = None
-) -> list[Violation]:
+def fault_violations(schedule, cost_model, plan) -> list[Violation]:
     """Degraded-mode replay of ``schedule`` under ``plan`` as violations.
 
     Each dropped or late service, stranded residency, saturated link and
@@ -127,7 +122,7 @@ def fault_violations(
     can separate hard infeasibilities from fault-induced degradation.
     """
     simulation = SimulationEngine(cost_model).run(schedule)
-    return _fault_violations(schedule, cost_model, plan, simulation, obs)
+    return _fault_violations(schedule, cost_model, plan, simulation, NULL_OBS)
 
 
 def _fault_violations(
@@ -135,13 +130,12 @@ def _fault_violations(
     cost_model,
     plan,
     simulation: SimulationReport,
-    obs: Observability | None,
+    obs: Observability,
 ) -> list[Violation]:
     """:func:`fault_violations` against an already made ``simulation``."""
     # Imported lazily: repro.faults.report imports this module's siblings.
     from repro.faults.report import _classify_damage
 
-    obs = obs if obs is not None else NULL_OBS
     with obs.tracer.span("degraded_replay", faults=len(plan)):
         report = _classify_damage(schedule, cost_model, plan, simulation)
     out: list[Violation] = []
@@ -201,15 +195,14 @@ def _impact_kind(impact, default: str) -> str:
     return default
 
 
-def _check_replicas(
-    schedule: Schedule, cost_model: CostModel, replicas
-) -> list[Violation]:
+def _check_replicas(schedule: Schedule, cost_model: CostModel) -> list[Violation]:
     """Warehouse-sourced schedule elements must come from home warehouses.
 
     Reads the map itself rather than
     :meth:`~repro.core.costmodel.CostModel.homes`: the check stays
     independent of the path the schedulers decide homes by."""
     out: list[Violation] = []
+    replicas = cost_model.replicas
     warehouses = {w.name for w in cost_model.topology.warehouses}
     for fs in schedule:
         homes = set(replicas.homes(fs.video_id)) if fs.video_id in replicas else None

@@ -9,8 +9,8 @@ by a priced high-speed network.  This subpackage provides:
   (``srate``, capacity),
 * :class:`~repro.topology.routing.Router` -- cheapest-path routing and
   all-pairs cost queries over a topology,
-* :mod:`~repro.topology.generators` -- deterministic topology builders,
-  including the paper's 20-node experimental layout.
+* :mod:`~repro.topology.generators` -- the paper's 20-node experimental
+  layout, the Fig. 2 worked-example chain and a plain chain builder.
 """
 
 from repro.topology.graph import ChargingBasis, Edge, NodeKind, NodeSpec, Topology
@@ -18,10 +18,6 @@ from repro.topology.routing import Route, Router
 from repro.topology.generators import (
     chain_topology,
     paper_topology,
-    random_topology,
-    ring_topology,
-    star_topology,
-    tree_topology,
     worked_example_topology,
 )
 from repro.topology.validation import validate_topology
@@ -36,10 +32,6 @@ __all__ = [
     "Router",
     "chain_topology",
     "paper_topology",
-    "random_topology",
-    "ring_topology",
-    "star_topology",
-    "tree_topology",
     "worked_example_topology",
     "validate_topology",
 ]

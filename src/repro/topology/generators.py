@@ -12,14 +12,11 @@ result shapes.
 
 :func:`worked_example_topology` builds the tiny two-storage chain of the
 paper's Fig. 2, used by the worked-example tests that check Ψ(S1) = $259.20
-and Ψ(S2) = $138.975 exactly.
+and Ψ(S2) = $138.975 exactly.  :func:`chain_topology` is the linear layout
+the optimality-gap experiment draws its small instances on.
 """
 
 from __future__ import annotations
-
-import math
-
-import numpy as np
 
 from repro.errors import TopologyError
 from repro.topology.graph import Topology
@@ -72,8 +69,6 @@ def paper_topology(
     nrate: float,
     srate: float,
     capacity: float,
-    nrate_jitter: float = 0.0,
-    seed: int | None = None,
 ) -> Topology:
     """The 20-node experimental topology (paper Fig. 4).
 
@@ -82,23 +77,13 @@ def paper_topology(
             paper's single "Network Charging Rate" sweep parameter).
         srate: Per-storage charging rate, $/(byte*s) (uniform).
         capacity: Per-storage capacity in bytes ("Intermediate Storage Size").
-        nrate_jitter: Optional relative jitter applied per edge (e.g. 0.1
-            multiplies each link rate by Uniform(0.9, 1.1)); 0 keeps all links
-            identical like the paper.
-        seed: RNG seed, required when ``nrate_jitter > 0``.
     """
-    if nrate_jitter < 0 or nrate_jitter >= 1:
-        raise TopologyError(f"nrate_jitter must be in [0, 1), got {nrate_jitter}")
-    rng = np.random.default_rng(seed)
     topo = Topology()
     topo.add_warehouse("VW")
     for i in range(1, PAPER_STORAGE_COUNT + 1):
         topo.add_storage(f"IS{i}", srate=srate, capacity=capacity)
     for a, b in PAPER_TOPOLOGY_EDGES:
-        rate = nrate
-        if nrate_jitter:
-            rate *= 1.0 + nrate_jitter * (2.0 * rng.random() - 1.0)
-        topo.add_edge(a, b, nrate=rate)
+        topo.add_edge(a, b, nrate=nrate)
     return topo
 
 
@@ -119,24 +104,6 @@ def worked_example_topology() -> Topology:
     return topo
 
 
-def star_topology(
-    n_storages: int,
-    *,
-    nrate: float,
-    srate: float,
-    capacity: float,
-) -> Topology:
-    """Warehouse at the hub, each storage one hop away."""
-    _check_count(n_storages)
-    topo = Topology()
-    topo.add_warehouse("VW")
-    for i in range(1, n_storages + 1):
-        name = f"IS{i}"
-        topo.add_storage(name, srate=srate, capacity=capacity)
-        topo.add_edge("VW", name, nrate=nrate)
-    return topo
-
-
 def chain_topology(
     n_storages: int,
     *,
@@ -149,7 +116,8 @@ def chain_topology(
     The worst case for direct delivery (cost grows with distance from the
     warehouse), so the configuration where intermediate caching helps most.
     """
-    _check_count(n_storages)
+    if n_storages < 1:
+        raise TopologyError(f"need at least one storage, got {n_storages}")
     topo = Topology()
     topo.add_warehouse("VW")
     prev = "VW"
@@ -159,99 +127,3 @@ def chain_topology(
         topo.add_edge(prev, name, nrate=nrate)
         prev = name
     return topo
-
-
-def ring_topology(
-    n_storages: int,
-    *,
-    nrate: float,
-    srate: float,
-    capacity: float,
-) -> Topology:
-    """Warehouse and storages on a single ring."""
-    _check_count(n_storages)
-    topo = Topology()
-    names = ["VW"] + [f"IS{i}" for i in range(1, n_storages + 1)]
-    topo.add_warehouse("VW")
-    for name in names[1:]:
-        topo.add_storage(name, srate=srate, capacity=capacity)
-    for a, b in zip(names, names[1:]):
-        topo.add_edge(a, b, nrate=nrate)
-    if len(names) > 2:
-        topo.add_edge(names[-1], names[0], nrate=nrate)
-    return topo
-
-
-def tree_topology(
-    n_storages: int,
-    *,
-    nrate: float,
-    srate: float,
-    capacity: float,
-    fanout: int = 2,
-) -> Topology:
-    """Complete ``fanout``-ary distribution tree rooted at the warehouse."""
-    _check_count(n_storages)
-    if fanout < 1:
-        raise TopologyError(f"fanout must be >= 1, got {fanout}")
-    topo = Topology()
-    topo.add_warehouse("VW")
-    names = ["VW"] + [f"IS{i}" for i in range(1, n_storages + 1)]
-    for name in names[1:]:
-        topo.add_storage(name, srate=srate, capacity=capacity)
-    for idx in range(1, len(names)):
-        parent = names[(idx - 1) // fanout]
-        topo.add_edge(parent, names[idx], nrate=nrate)
-    return topo
-
-
-def random_topology(
-    n_storages: int,
-    *,
-    nrate: float,
-    srate: float,
-    capacity: float,
-    extra_edge_prob: float = 0.15,
-    nrate_jitter: float = 0.0,
-    seed: int = 0,
-) -> Topology:
-    """Connected random topology: random spanning tree + extra random links.
-
-    Built by attaching each new node to a uniformly random earlier node
-    (random recursive tree) and then adding each remaining pair as an edge
-    with probability ``extra_edge_prob``.  Deterministic for a given seed.
-    """
-    _check_count(n_storages)
-    if not (0.0 <= extra_edge_prob <= 1.0):
-        raise TopologyError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
-    if nrate_jitter < 0 or nrate_jitter >= 1:
-        raise TopologyError(f"nrate_jitter must be in [0, 1), got {nrate_jitter}")
-    rng = np.random.default_rng(seed)
-    topo = Topology()
-    names = ["VW"] + [f"IS{i}" for i in range(1, n_storages + 1)]
-    topo.add_warehouse("VW")
-    for name in names[1:]:
-        topo.add_storage(name, srate=srate, capacity=capacity)
-
-    def rate() -> float:
-        if nrate_jitter:
-            return nrate * (1.0 + nrate_jitter * (2.0 * rng.random() - 1.0))
-        return nrate
-
-    for idx in range(1, len(names)):
-        parent = names[int(rng.integers(0, idx))]
-        topo.add_edge(parent, names[idx], nrate=rate())
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if topo.has_edge(names[i], names[j]):
-                continue
-            if rng.random() < extra_edge_prob:
-                topo.add_edge(names[i], names[j], nrate=rate())
-    return topo
-
-
-def _check_count(n_storages: int) -> None:
-    if n_storages < 1:
-        raise TopologyError(f"need at least one storage, got {n_storages}")
-    if not math.isfinite(n_storages):  # pragma: no cover - defensive
-        raise TopologyError("n_storages must be finite")

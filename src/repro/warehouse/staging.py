@@ -28,6 +28,9 @@ from repro.core.spacefunc import UsageTimeline, flat_timeline
 from repro.errors import SimulationError
 from repro.warehouse.hierarchy import WarehouseSpec
 
+#: The warehouse whose tape library the planner stages for.
+WAREHOUSE = "VW"
+
 
 @dataclass(frozen=True)
 class StagingTask:
@@ -110,12 +113,12 @@ class StagingPlanner:
         self._spec = spec
         self._catalog = catalog
 
-    def plan(self, schedule: Schedule, *, warehouse: str = "VW") -> StagingReport:
-        """Produce the staging plan for every stream sourced at ``warehouse``."""
+    def plan(self, schedule: Schedule) -> StagingReport:
+        """Produce the staging plan for every stream sourced at ``WAREHOUSE``."""
         streams = sorted(
             (d.start_time, d.video_id)
             for d in schedule.deliveries
-            if d.source == warehouse
+            if d.source == WAREHOUSE
         )
         report = StagingReport(total_streams=len(streams))
         report.drive_busy = [0.0] * self._spec.tape_drives

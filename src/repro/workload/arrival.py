@@ -42,57 +42,47 @@ class UniformArrivals(ArrivalProcess):
 class PeakHourArrivals(ArrivalProcess):
     """Prime-time-heavy start times.
 
-    A fraction ``peak_weight`` of requests is drawn from a normal
-    distribution centred on ``peak_center`` with spread ``peak_width`` (both
+    A fraction ``PEAK_WEIGHT`` of requests is drawn from a normal
+    distribution centred on ``PEAK_CENTER`` with spread ``PEAK_WIDTH`` (both
     seconds into the cycle, wrapped modulo the cycle); the rest is uniform.
     Models the evening-viewing concentration of entertainment VOD.
     """
 
-    def __init__(
-        self,
-        cycle: float = units.DAY,
-        *,
-        peak_center: float = 20.0 * units.HOUR,
-        peak_width: float = 1.5 * units.HOUR,
-        peak_weight: float = 0.7,
-    ):
-        super().__init__(cycle)
-        if not (0.0 <= peak_weight <= 1.0):
-            raise WorkloadError(f"peak_weight must be in [0, 1], got {peak_weight}")
-        if peak_width <= 0:
-            raise WorkloadError(f"peak_width must be positive, got {peak_width}")
-        self.peak_center = peak_center % cycle
-        self.peak_width = peak_width
-        self.peak_weight = peak_weight
+    PEAK_CENTER = 20.0 * units.HOUR
+    PEAK_WIDTH = 1.5 * units.HOUR
+    PEAK_WEIGHT = 0.7
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 0:
             raise WorkloadError(f"n must be >= 0, got {n}")
-        in_peak = rng.random(n) < self.peak_weight
+        in_peak = rng.random(n) < self.PEAK_WEIGHT
         out = rng.random(n) * self.cycle
         n_peak = int(in_peak.sum())
-        peaked = rng.normal(self.peak_center, self.peak_width, size=n_peak)
+        peaked = rng.normal(
+            self.PEAK_CENTER % self.cycle, self.PEAK_WIDTH, size=n_peak
+        )
         out[in_peak] = np.mod(peaked, self.cycle)
         return out
 
 
 class SlottedArrivals(ArrivalProcess):
-    """Start times snapped to fixed slot boundaries (e.g. every 30 min).
+    """Start times snapped to fixed 30-minute slot boundaries.
 
     Reservation services commonly offer discrete showing times; snapping
     also maximises stream sharing, which makes this the friendliest case
     for intermediate caching.
     """
 
-    def __init__(self, cycle: float = units.DAY, *, slot: float = 30.0 * units.MINUTE):
+    SLOT = 30.0 * units.MINUTE
+
+    def __init__(self, cycle: float = units.DAY):
         super().__init__(cycle)
-        if not (0 < slot <= cycle):
-            raise WorkloadError(f"slot must be in (0, cycle], got {slot}")
-        self.slot = slot
+        if cycle < self.SLOT:
+            raise WorkloadError(f"cycle must hold one {self.SLOT:g} s slot, got {cycle}")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 0:
             raise WorkloadError(f"n must be >= 0, got {n}")
-        n_slots = max(1, int(self.cycle // self.slot))
+        n_slots = int(self.cycle // self.SLOT)
         idx = rng.integers(0, n_slots, size=n)
-        return idx.astype(np.float64) * self.slot
+        return idx.astype(np.float64) * self.SLOT

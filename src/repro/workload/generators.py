@@ -27,7 +27,6 @@ class WorkloadGenerator:
         alpha: Zipf skew parameter in [0, 1]; larger = less biased.
         users_per_neighborhood: Requests issued per storage per cycle.
         arrivals: Start-time process; defaults to uniform over 24 h.
-        requests_per_user: Reservations each user makes per cycle.
     """
 
     def __init__(
@@ -38,15 +37,10 @@ class WorkloadGenerator:
         alpha: float = 0.271,
         users_per_neighborhood: int = 10,
         arrivals: ArrivalProcess | None = None,
-        requests_per_user: int = 1,
     ):
         if users_per_neighborhood < 1:
             raise WorkloadError(
                 f"users_per_neighborhood must be >= 1, got {users_per_neighborhood}"
-            )
-        if requests_per_user < 1:
-            raise WorkloadError(
-                f"requests_per_user must be >= 1, got {requests_per_user}"
             )
         if len(catalog) < 1:
             raise WorkloadError("catalog is empty")
@@ -57,16 +51,11 @@ class WorkloadGenerator:
         self.popularity = ZipfPopularity(len(catalog), alpha)
         self.users_per_neighborhood = users_per_neighborhood
         self.arrivals = arrivals if arrivals is not None else UniformArrivals()
-        self.requests_per_user = requests_per_user
 
     @property
     def n_requests(self) -> int:
         """Total requests produced per cycle."""
-        return (
-            len(self.topology.storages)
-            * self.users_per_neighborhood
-            * self.requests_per_user
-        )
+        return len(self.topology.storages) * self.users_per_neighborhood
 
     def generate(self, seed: int = 0, *, rank_permutation=None) -> RequestBatch:
         """Produce the request batch for one cycle, deterministically.
@@ -91,19 +80,16 @@ class WorkloadGenerator:
         k = 0
         for storage in self.topology.storages:
             for u in range(self.users_per_neighborhood):
-                user_id = f"{storage.name}/user{u:03d}"
-                for _ in range(self.requests_per_user):
-                    rank = int(ranks[k])
-                    if rank_permutation is not None:
-                        rank = int(rank_permutation[rank])
-                    video = self.catalog.by_rank(rank)
-                    requests.append(
-                        Request(
-                            start_time=float(starts[k]),
-                            video_id=video.video_id,
-                            user_id=user_id,
-                            local_storage=storage.name,
-                        )
+                rank = int(ranks[k])
+                if rank_permutation is not None:
+                    rank = int(rank_permutation[rank])
+                requests.append(
+                    Request(
+                        start_time=float(starts[k]),
+                        video_id=self.catalog.by_rank(rank).video_id,
+                        user_id=f"{storage.name}/user{u:03d}",
+                        local_storage=storage.name,
                     )
-                    k += 1
+                )
+                k += 1
         return RequestBatch(requests)

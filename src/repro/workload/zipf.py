@@ -55,16 +55,5 @@ class ZipfPopularity:
         u = rng.random(n)
         return np.searchsorted(self._cdf, u, side="left").astype(np.int64)
 
-    def skewness_summary(self, top_fraction: float = 0.1) -> float:
-        """Probability mass captured by the most popular ``top_fraction``.
-
-        A quick scalar used in reports: for the rental-pattern fit
-        (alpha=0.271, 500 titles) the top 10% of titles draw ~58% of requests.
-        """
-        if not (0.0 < top_fraction <= 1.0):
-            raise WorkloadError(f"top_fraction must be in (0, 1], got {top_fraction}")
-        k = max(1, int(round(self.n_items * top_fraction)))
-        return float(self._pmf[:k].sum())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ZipfPopularity(n_items={self.n_items}, alpha={self.alpha})"

@@ -33,7 +33,7 @@ class TestShapePredicates:
         assert not Series("a", (1, 2, 3), (3.0, 1.0, 2.0)).is_increasing()
 
     def test_decreasing(self):
-        assert Series("a", (1, 2, 3), (3.0, 2.0, 1.0)).is_decreasing(strict=True)
+        assert Series("a", (1, 2, 3), (3.0, 2.0, 1.0)).is_decreasing()
         assert not Series("a", (1, 2, 3), (1.0, 2.0, 1.0)).is_decreasing()
 
     def test_dominates(self):
@@ -47,10 +47,6 @@ class TestShapePredicates:
         b = Series("b", (5, 6), (1.0, 2.0))
         with pytest.raises(ReproError, match="share no x"):
             a.dominates(b)
-
-    def test_growth_and_slope(self):
-        s = Series("a", (0.0, 1.0, 2.0), (0.0, 2.0, 4.0))
-        assert s.growth() == 4.0
 
     def test_linearity(self):
         lin = Series("a", (0.0, 1.0, 2.0, 3.0), (1.0, 3.0, 5.0, 7.0))

@@ -69,11 +69,6 @@ class TestAsciiChart:
         with pytest.raises(ReproError):
             ascii_chart([])
 
-    def test_size_limits(self):
-        s = Series("a", (0.0, 1.0), (0.0, 1.0))
-        with pytest.raises(ReproError):
-            ascii_chart([s], width=4, height=2)
-
 
 class TestAsciiTimeline:
     def test_renders_usage_blocks(self):

@@ -89,7 +89,7 @@ class TestOptimal:
             ]
         )
         greedy_cost = cm.total(IndividualScheduler(cm).solve(batch))
-        opt_cost = OptimalScheduler(cm).optimal_cost(batch, respect_capacity=False)
+        opt_cost = cm.total(OptimalScheduler(cm).solve(batch, respect_capacity=False))
         assert opt_cost <= greedy_cost + 1e-9
 
     def test_never_worse_than_two_phase(self):
@@ -152,8 +152,8 @@ class TestOptimal:
             ]
         )
         opt = OptimalScheduler(cm)
-        unconstrained = opt.optimal_cost(batch, respect_capacity=False)
-        constrained = opt.optimal_cost(batch, respect_capacity=True)
+        unconstrained = cm.total(opt.solve(batch, respect_capacity=False))
+        constrained = opt.optimal_cost(batch)
         assert constrained > unconstrained
 
     def test_size_guard(self):
@@ -222,8 +222,8 @@ class TestOptimalUnderTariff:
             with pytest.raises(ScheduleError, match="no feasible schedule"):
                 OptimalScheduler(cm).solve(batch, respect_capacity=respect_capacity)
             return
-        got = OptimalScheduler(cm).optimal_cost(
-            batch, respect_capacity=respect_capacity
+        got = cm.total(
+            OptimalScheduler(cm).solve(batch, respect_capacity=respect_capacity)
         )
         assert got == pytest.approx(expected, rel=1e-12)
 

@@ -29,9 +29,9 @@ from repro import (
     VideoFile,
     VideoScheduler,
     chain_topology,
-    star_topology,
 )
 from repro.baselines import OptimalScheduler
+from tests.topology_shapes import star_topology
 
 #: Per-instance and mean gap bounds (heuristic / optimal).
 MAX_GAP = 2.0

@@ -70,7 +70,7 @@ class TestPaperCatalog:
         assert cat.mean_size == pytest.approx(3.3 * units.GB, rel=0.05)
 
     def test_sizes_within_spread(self):
-        cat = paper_catalog(100, mean_size=3.3e9, size_spread=0.25, seed=1)
+        cat = paper_catalog(100, mean_size=3.3e9, seed=1)
         assert all(3.3e9 * 0.75 <= v.size <= 3.3e9 * 1.25 for v in cat)
 
     def test_deterministic(self):
@@ -87,7 +87,3 @@ class TestPaperCatalog:
         cat = paper_catalog(10, seed=0)
         for v in cat:
             assert v.network_volume == pytest.approx(v.size)
-
-    def test_invalid_spread(self):
-        with pytest.raises(CatalogError):
-            paper_catalog(10, size_spread=1.5)

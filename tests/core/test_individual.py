@@ -11,10 +11,10 @@ from repro import (
     VideoCatalog,
     VideoFile,
     chain_topology,
-    star_topology,
     units,
 )
 from repro.errors import ScheduleError
+from tests.topology_shapes import star_topology
 
 
 def _env(nrate=1.0, srate=0.0, n_storages=3, shape=chain_topology, playback=10.0):

@@ -13,6 +13,8 @@ from repro import (
 )
 from repro.core.overflow import storage_usage
 
+from .timeline_reference import integral_above
+
 
 @pytest.fixture
 def env():
@@ -145,7 +147,7 @@ class TestExcessMeasures:
         s = _schedule([ResidencyInfo("a", "IS1", "VW", 0.0, 30.0)])
         for spec in topo.storages:
             usage = storage_usage(s, catalog, spec.name)
-            assert usage.integral_above(spec.capacity) == 0.0
+            assert integral_above(usage, spec.capacity) == 0.0
 
     def test_total_excess_positive_and_localized(self, env):
         topo, catalog = env
@@ -155,10 +157,10 @@ class TestExcessMeasures:
                 ResidencyInfo("b", "IS1", "VW", 10.0, 40.0),
             ]
         )
-        excess = storage_usage(s, catalog, "IS1").integral_above(150.0)
+        excess = integral_above(storage_usage(s, catalog, "IS1"), 150.0)
         # 50 over capacity during [10,30] plus the drain-overlap triangle
         assert excess == pytest.approx(50 * 20 + 0.5 * 50 * 5, rel=1e-6)
-        assert storage_usage(s, catalog, "IS2").integral_above(150.0) == 0.0
+        assert integral_above(storage_usage(s, catalog, "IS2"), 150.0) == 0.0
 
     def test_overflow_excess_matches_total(self, env):
         topo, catalog = env
@@ -170,7 +172,7 @@ class TestExcessMeasures:
         )
         ofs = detect_overflows(s, catalog, topo)
         assert sum(o.excess_spacetime for o in ofs) == pytest.approx(
-            storage_usage(s, catalog, "IS1").integral_above(150.0), rel=1e-6
+            integral_above(storage_usage(s, catalog, "IS1"), 150.0), rel=1e-6
         )
 
     def test_storage_usage_timeline(self, env):

@@ -1,5 +1,7 @@
 """End-to-end tests for the two-phase VideoScheduler facade."""
 
+from unittest import mock
+
 import pytest
 
 from repro import (
@@ -134,9 +136,12 @@ class TestOnePipeline:
     def test_facade_equals_fresh_rolling_cycle(self, instance, metric):
         topo, catalog, batch = instance
         solved = VideoScheduler(topo, catalog, heat_metric=metric).solve(batch)
-        cycle = RollingScheduler(
-            topo, catalog, heat_metric=metric
-        ).schedule_cycle(batch, cycle_end=batch.span[1])
+        # the rolling engine runs one metric; sweep it to show both paths
+        # hand any metric to the same pipeline
+        with mock.patch.object(RollingScheduler, "HEAT_METRIC", metric):
+            cycle = RollingScheduler(topo, catalog).schedule_cycle(
+                batch, cycle_end=batch.span[1]
+            )
         assert solved.resolution.iterations > 0  # SORP ran rounds
         assert cycle.schedule == solved.schedule
         assert cycle.cost == solved.cost

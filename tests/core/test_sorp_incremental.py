@@ -165,7 +165,7 @@ class TestBitIdentity:
         assert all(n > 0 for n in outcomes.values()), outcomes
 
     @staticmethod
-    def _rolling_calls(inst, metric, cycles):
+    def _rolling_calls(inst, cycles):
         """SORP inputs of a rolling run whose cycles are 2 h windows, short
         next to a playback, so residency tails carry over as background
         (unrequested titles) and committed seeds (requested ones)."""
@@ -174,7 +174,7 @@ class TestBitIdentity:
         calls, patch = _capture(scheduler_module)
         topo, catalog, _ = _instance(capacity, 3 * n_videos, users, seed)
         with patch:
-            rolling = RollingScheduler(topo, catalog, heat_metric=metric)
+            rolling = RollingScheduler(topo, catalog)
             for k in range(cycles):
                 _, _, day = _instance(capacity, 3 * n_videos, users, seed + k)
                 part = RequestBatch(
@@ -195,17 +195,16 @@ class TestBitIdentity:
     )
     @settings(max_examples=15, deadline=None)
     def test_rolling_background_and_committed_seeds(self, inst, metric, cycles):
-        for args, kwargs in self._rolling_calls(inst, metric, cycles):
-            kwargs = dict(kwargs)
+        # the rolling engine runs one metric; replay its inputs under each
+        for args, kwargs in self._rolling_calls(inst, cycles):
+            kwargs = dict(kwargs, metric=metric)
             kwargs.pop("obs", None)
             assert_matches_reference(*args, **kwargs)
 
     def test_rolling_cases_cover_background_and_seeds(self):
         background = committed = 0
         for seed in (7, 8, 9):
-            calls = self._rolling_calls(
-                (1.0, 30, 3, seed), HeatMetric.SPACE_TIME_PER_COST, 3
-            )
+            calls = self._rolling_calls((1.0, 30, 3, seed), 3)
             for args, kwargs in calls:
                 kwargs = dict(kwargs)
                 kwargs.pop("obs", None)

@@ -14,6 +14,8 @@ from repro.core.spacefunc import (
 )
 from repro.errors import ScheduleError
 
+from .timeline_reference import integral_above
+
 
 class TestGamma:
     def test_long_residency(self):
@@ -128,7 +130,7 @@ class TestUsageTimeline:
         assert tl.value(5.0) == 0.0
         assert tl.peak == 0.0
         assert tl.intervals_above(0.0) == []
-        assert tl.integral_above(0.0) == 0.0
+        assert integral_above(tl, 0.0) == 0.0
         assert tl.max_over(0.0, 10.0) == 0.0
 
     def test_single_profile_matches(self):
@@ -191,7 +193,7 @@ class TestUsageTimeline:
         tl = UsageTimeline([p])
         # excess: 50 for 30s, then drain from 100->0 over 10s exceeds 50
         # until t=35: triangle of height 50 over 5s = 125
-        assert tl.integral_above(50.0) == pytest.approx(50 * 30 + 0.5 * 50 * 5)
+        assert integral_above(tl, 50.0) == pytest.approx(50 * 30 + 0.5 * 50 * 5)
 
     def test_max_over_window(self):
         p1 = residency_profile(100.0, 10.0, 0.0, 30.0)

@@ -15,6 +15,11 @@ peak off :func:`repro.core.spacefunc.flat_timeline`, which sums in a
 different order, so the two agree up to rounding.
 
 Test-only: ``test_timeline_reference.py`` compares both pairs.
+
+:func:`integral_above` integrates a timeline's excess over a threshold
+segment by segment; ``test_overflow.py`` checks the excess that overflow
+detection reports against it, and ``test_spacefunc.py`` pins it on a
+hand-computed profile.
 """
 
 from __future__ import annotations
@@ -63,6 +68,32 @@ def two_pass_arrays(profiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         y_next[k] = a + b * t_next
         k += 1
     return np.asarray(ts), np.asarray(y_right), y_next
+
+
+def integral_above(timeline, threshold: float) -> float:
+    """Space-time integral of ``max(usage - threshold, 0)`` of a
+    :class:`repro.core.spacefunc.UsageTimeline`."""
+    if timeline.is_empty:
+        return 0.0
+    ts, y_right, y_next = timeline._ts, timeline._y_right, timeline._y_next
+    total = 0.0
+    for i in range(ts.size - 1):
+        t0, t1 = float(ts[i]), float(ts[i + 1])
+        if t1 <= t0:
+            continue
+        y0 = float(y_right[i]) - threshold
+        y1 = float(y_next[i]) - threshold
+        if y0 <= 0 and y1 <= 0:
+            continue
+        if y0 >= 0 and y1 >= 0:
+            total += 0.5 * (y0 + y1) * (t1 - t0)
+            continue
+        tc = t0 + (0.0 - y0) / (y1 - y0) * (t1 - t0)
+        if y0 > 0:
+            total += 0.5 * y0 * (tc - t0)
+        else:
+            total += 0.5 * y1 * (t1 - tc)
+    return total
 
 
 def link_sweep_max(

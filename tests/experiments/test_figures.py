@@ -26,7 +26,7 @@ def runner():
 class TestFig5:
     @pytest.fixture(scope="class")
     def fig(self, runner):
-        return fig5(runner, srates=(3, 8), nrates=(300, 500, 700, 1000))
+        return fig5(runner, srates=(3, 8))
 
     def test_all_curves_increase_with_network_rate(self, fig):
         for s in fig.series:
@@ -62,8 +62,9 @@ class TestFig5:
 
 class TestFig6:
     @pytest.fixture(scope="class")
-    def fig(self, runner):
-        return fig6(runner, alphas=(0.1, 0.5, 0.9), nrates=(300, 600, 1000))
+    def fig(self):
+        runner = ExperimentRunner(quick_config(nrate_axis=(300, 600, 1000)))
+        return fig6(runner, alphas=(0.1, 0.5, 0.9))
 
     def test_increasing_in_network_rate(self, fig):
         for s in fig.series:
@@ -73,7 +74,7 @@ class TestFig6:
         lo = fig.series_by_name("alpha=0.1")
         hi = fig.series_by_name("alpha=0.9")
         assert hi.dominates(lo)
-        assert hi.growth() > 0
+        assert hi.y[-1] > hi.y[0]
 
 
 class TestFig7:
@@ -138,7 +139,7 @@ class TestFig9:
         contended = ExperimentRunner(
             quick_config(n_files=150, users_per_neighborhood=10)
         )
-        return fig9(contended, alphas=(0.1, 0.271, 0.5, 0.7), capacities=(5, 11))
+        return fig9(contended, capacities=(5, 11))
 
     def test_cost_increases_with_alpha(self, fig):
         for s in fig.series:

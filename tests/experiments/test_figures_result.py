@@ -33,7 +33,7 @@ class TestFigureResult:
         assert "-" in table
 
     def test_as_chart(self, fig):
-        chart = fig.as_chart(width=32, height=8)
+        chart = fig.as_chart()
         assert "figX" in chart
         assert "a" in chart and "b" in chart
 

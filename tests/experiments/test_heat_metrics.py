@@ -61,7 +61,7 @@ class TestTable5:
 class TestOptimalityGap:
     @pytest.fixture(scope="class")
     def gap(self):
-        return optimality_gap(n_instances=8, n_storages=2, n_requests=6, seed=2)
+        return optimality_gap(n_instances=8, seed=2)
 
     def test_gaps_nonnegative(self, gap):
         assert all(g >= -1e-9 for g in gap.gaps)

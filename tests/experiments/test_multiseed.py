@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import ExperimentRunner, fig7, quick_config
+from repro.experiments import ExperimentRunner, quick_config
 
 
 @pytest.fixture(scope="module")
@@ -33,18 +33,3 @@ class TestMeanTotalCost:
             sum(costs) / 2
         )
 
-
-class TestFigureSeeds:
-    def test_figure_shapes_hold_when_averaged(self, runner):
-        fig = fig7(runner, seeds=(1, 2, 3))
-        cached = fig.series_by_name("with intermediate storage")
-        base = fig.series_by_name("network only system")
-        assert cached.is_increasing()
-        assert base.dominates(cached)
-
-    def test_seeded_figure_differs_from_default(self, runner):
-        default = fig7(runner)
-        averaged = fig7(runner, seeds=(2, 3))
-        y0 = default.series_by_name("with intermediate storage").y[0]
-        y1 = averaged.series_by_name("with intermediate storage").y[0]
-        assert y0 != y1

@@ -22,9 +22,7 @@ from repro.extensions import DiurnalCostModel, TariffBand, TimeOfDayTariff
 
 @pytest.fixture
 def tariff():
-    return TimeOfDayTariff.evening_peak(
-        peak_multiplier=2.0, night_multiplier=0.5
-    )
+    return TimeOfDayTariff([TariffBand(0.0, 6.0, 0.5), TariffBand(18.0, 23.0, 2.0)])
 
 
 class TestTariff:
@@ -54,10 +52,6 @@ class TestTariff:
             TariffBand(0, 25, 1.0)
         with pytest.raises(ConfigError):
             TariffBand(0, 5, -1.0)
-
-    def test_invalid_base(self):
-        with pytest.raises(ConfigError):
-            TimeOfDayTariff([], base=0.0)
 
 
 class TestDiurnalCostModel:
@@ -143,7 +137,7 @@ class TestSchedulerUnderTariff:
         req = RequestBatch([Request(3 * units.HOUR, "v", "u1", "IS1")])
         flat_cost = VideoScheduler(topo, catalog).solve(req).total_cost
         cm = DiurnalCostModel(
-            topo, catalog, TimeOfDayTariff.evening_peak(night_multiplier=0.5)
+            topo, catalog, TimeOfDayTariff([TariffBand(0.0, 6.0, 0.5)])
         )
         night_cost = VideoScheduler(topo, catalog, cost_model=cm).solve(req).total_cost
         assert night_cost == pytest.approx(0.5 * flat_cost)

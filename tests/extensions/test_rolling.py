@@ -50,18 +50,14 @@ class TestConstruction:
         }
         return topo, catalog, at
 
-    @pytest.mark.parametrize(
-        "make", [RollingScheduler, VideoScheduler, VORService]
-    )
+    @pytest.mark.parametrize("make", [VideoScheduler])
     def test_replicas_conflicting_with_cost_model_rejected(self, make):
         topo, catalog, at = self._two_homes()
         cm = CostModel(topo, catalog, replicas=at["VW"])
         with pytest.raises(ScheduleError, match="not both"):
             make(topo, catalog, cost_model=cm, replicas=at["VW2"])
 
-    @pytest.mark.parametrize(
-        "make", [RollingScheduler, VideoScheduler, VORService]
-    )
+    @pytest.mark.parametrize("make", [VideoScheduler])
     def test_replicas_matching_cost_model_accepted(self, make):
         topo, catalog, at = self._two_homes()
         cm = CostModel(topo, catalog, replicas=at["VW2"])

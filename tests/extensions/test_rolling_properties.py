@@ -12,10 +12,10 @@ from repro import (
     VideoCatalog,
     VideoFile,
     chain_topology,
-    star_topology,
 )
 from repro.core.overflow import storage_usage
 from repro.extensions import RollingScheduler
+from tests.topology_shapes import star_topology
 
 CYCLE = 500.0
 

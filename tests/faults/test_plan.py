@@ -65,15 +65,6 @@ class TestFaultSpec:
         assert not f.overlaps(2.0, 3.0)  # fault already over
         assert not f.overlaps(0.0, 1.0)  # fault not yet begun
 
-    def test_is_total(self):
-        assert _spec().is_total  # is_outage ignores severity
-        assert _spec(kind=FaultKind.LINK_DOWN, target=("VW", "IS1")).is_total
-        assert not _spec(
-            kind=FaultKind.LINK_DEGRADED, target=("VW", "IS1"), severity=0.4
-        ).is_total
-        assert _spec(kind=FaultKind.WAREHOUSE_BROWNOUT, target="VW").is_total
-        assert _spec(kind=FaultKind.WAREHOUSE_LOSS, target="VW").is_total
-
 
 class TestFaultPlan:
     def test_construction_order_is_canonicalized(self):
@@ -186,6 +177,11 @@ class TestFaultPlan:
             FaultPlan.load(path)
         with pytest.raises(FaultError, match="malformed"):
             FaultPlan.from_dict({"faults": [{"kind": "is_outage"}]})
+
+    @pytest.mark.parametrize("seed", ["x", [], 1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(FaultError, match="seed must be an integer"):
+            FaultPlan.from_dict({"faults": [], "seed": seed})
 
 
 class TestGenerate:

@@ -112,13 +112,6 @@ class TestGenerate:
         assert all(e.lead >= 0 for e in gw_feed)
         assert all(e.at >= 0.0 for e in gw_feed)
 
-    def test_lead_range_validated(self, gw_topology, gw_catalog):
-        for bad in ((-1.0, 10.0), (10.0, 5.0)):
-            with pytest.raises(GatewayError, match="lead_range"):
-                RequestFeed.generate(
-                    gw_topology, gw_catalog, seed=2, lead_range=bad
-                )
-
 
 class TestJsonl(FeedCodecCases):
     feed_cls, error = RequestFeed, GatewayError

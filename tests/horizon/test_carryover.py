@@ -218,6 +218,13 @@ class TestAggregation:
 # -- the carryover's own fault-hit rule, before it asked fault_hits ----------
 
 
+def _is_total(f):
+    """Whether the fault leaves its target completely unusable."""
+    if f.kind in (FaultKind.IS_OUTAGE, FaultKind.LINK_DOWN, FaultKind.WAREHOUSE_LOSS):
+        return True
+    return f.severity == 0.0
+
+
 def _reference_earliest_fault(delivery, playback, plan):
     """Earliest *total* fault striking the delivery's stream window."""
     t0, t1 = delivery.start_time, delivery.start_time + playback
@@ -226,7 +233,7 @@ def _reference_earliest_fault(delivery, playback, plan):
         edges |= {(a, b), (b, a)}
     hits = []
     for f in plan:
-        if not f.is_total or not f.overlaps(t0, t1):
+        if not _is_total(f) or not f.overlaps(t0, t1):
             continue
         if f.kind in LINK_KINDS:
             if tuple(f.target) in edges:
@@ -240,7 +247,7 @@ def _reference_earliest_fault(delivery, playback, plan):
 
 def _reference_neighborhood_down(request, t0, t1, plan):
     return any(
-        f.is_total
+        _is_total(f)
         and f.kind not in LINK_KINDS
         and f.target == request.local_storage
         and f.overlaps(t0, t1)

@@ -13,10 +13,10 @@ from repro.topology.graph import ChargingBasis
 from .conftest import brownout_topology
 
 
-def _fresh(planner, cm):
+def _fresh(planner):
     """Trial solves with no carryover: a fresh rolling scheduler's
     what-if."""
-    return RollingScheduler(planner.topology, planner.catalog, cost_model=cm).what_if
+    return RollingScheduler(planner.topology, planner.catalog).what_if
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def planned(drill_topology, drill_catalog, drill_cycles, drill_replicas):
         drill_cycles[1][0],
         drill_cycles[2][0],
         cm,
-        what_if=_fresh(planner, cm),
+        what_if=_fresh(planner),
         boundary_index=1,
     )
     return plan
@@ -88,7 +88,7 @@ class TestPlanShape:
             drill_cycles[1][0],
             drill_cycles[2][0],
             cm,
-            what_if=_fresh(planner, cm),
+            what_if=_fresh(planner),
         )
         decisions = [*plan.accepted, *plan.rejected]
         adds = [m for d in decisions for m in d.moves if m.action == "add"]
@@ -135,7 +135,7 @@ class TestRejections:
                 drill_cycles[0][0],
                 drill_cycles[1][0],
                 cm,
-                what_if=_fresh(planner, cm),
+                what_if=_fresh(planner),
             )
 
     def test_rejections_sorted_when_no_candidate_reaches_the_trial(
@@ -157,7 +157,7 @@ class TestRejections:
             drill_cycles[1][0],
             next_batch,
             cm,
-            what_if=_fresh(planner, cm),
+            what_if=_fresh(planner),
             boundary_index=1,
         )
         assert plan.trial_psi_incumbent is None
@@ -176,7 +176,7 @@ class TestRejections:
         cm = CostModel(drill_topology, drill_catalog, replicas=drill_replicas)
         planner = MigrationPlanner(drill_topology, drill_catalog)
         plan = planner.plan(
-            drill_cycles[1][0], RequestBatch([]), cm, what_if=_fresh(planner, cm)
+            drill_cycles[1][0], RequestBatch([]), cm, what_if=_fresh(planner)
         )
         assert not plan.applied
         assert all(d.reason == "no-demand" for d in plan.rejected)
@@ -201,7 +201,7 @@ class TestRejections:
             drill_cycles[1][0],
             drill_cycles[2][0],
             cm,
-            what_if=_fresh(planner, cm),
+            what_if=_fresh(planner),
         )
         assert not plan.applied
         assert not plan.accepted

@@ -5,7 +5,6 @@ import pytest
 from repro.obs import Observability
 from repro.obs.critpath import (
     critical_paths,
-    dominant_path,
     format_critical_path,
     format_critical_paths,
 )
@@ -76,7 +75,6 @@ class TestRootsAndOrphans:
         )
         paths = critical_paths(records)
         assert [p.root.name for p in paths] == ["big", "small"]
-        assert dominant_path(records).root.name == "big"
 
     def test_orphan_parent_id_treated_as_root(self):
         # a parent_id that matches no record (truncated trace) roots the span
@@ -95,7 +93,6 @@ class TestRootsAndOrphans:
 
     def test_empty_trace(self):
         assert critical_paths(()) == ()
-        assert dominant_path(()) is None
         assert format_critical_paths(()) == "no spans recorded"
 
 

@@ -112,14 +112,14 @@ class TestRegistrySpecConflicts:
 
 
 class TestSnapshot:
-    def test_deterministic_only_filters_families(self):
+    def test_snapshot_flags_deterministic_families(self):
         reg = MetricsRegistry()
         reg.counter("work_total").inc()
         reg.counter("cache_hits_total", deterministic=False).inc()
         full = reg.snapshot()
-        det = reg.snapshot(deterministic_only=True)
         assert set(full) == {"work_total", "cache_hits_total"}
-        assert set(det) == {"work_total"}
+        assert full["work_total"]["deterministic"] is True
+        assert full["cache_hits_total"]["deterministic"] is False
 
     def test_snapshot_is_json_shaped(self):
         import json

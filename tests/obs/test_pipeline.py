@@ -68,7 +68,8 @@ class TestRunDeterminism:
 
     def test_deterministic_metric_families_identical(self, runs):
         first, again = (
-            obs.metrics.snapshot(deterministic_only=True) for _, obs in runs
+            {k: v for k, v in obs.metrics.snapshot().items() if v["deterministic"]}
+            for _, obs in runs
         )
         assert again == first
 

@@ -178,8 +178,8 @@ class TestOnlineIndicators:
             ],
             shed_total=1,
         )
-        ind = online_indicators(run, reservations=20, rejected=5)
-        assert ind["rejection_rate"] == pytest.approx(0.2)  # 5/25
+        ind = online_indicators(run, reservations=20)
+        assert ind["rejection_rate"] == 0.0
         assert ind["deadline_hit_rate"] == pytest.approx(0.8)  # 1-(3+1)/20
         assert ind["shed_rate"] == pytest.approx(0.05)
         assert ind["amendment_failure_rate"] == pytest.approx(0.5)

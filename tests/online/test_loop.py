@@ -242,7 +242,10 @@ class TestRetries:
         slept = []
         loop = OnlineAmendmentLoop(
             svc,
-            OnlineLoopConfig(max_retries=3, backoff_base=0.01),
+            # one counted failure opens a threshold-1 breaker
+            OnlineLoopConfig(
+                max_retries=3, backoff_base=0.01, breaker_threshold=1
+            ),
             sleep=slept.append,
         )
         run = loop.run(feed, report)
@@ -253,7 +256,8 @@ class TestRetries:
         )
         assert "failed validation" in record.error
         assert run.retries_total == 0
-        assert loop.breaker.consecutive_failures == 1
+        assert record.breaker_state == OPEN
+        assert [t.to for t in run.breaker_transitions] == [OPEN]
         assert run.final is report
         assert before and _carryover(svc) == before
 

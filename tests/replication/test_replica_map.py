@@ -61,6 +61,21 @@ class TestConstruction:
         with pytest.raises(ReplicationError, match="invalid home set"):
             ReplicaMap({"v": ("VW1", "")})
 
+    @pytest.mark.parametrize("homes", ["VW", None, 5])
+    def test_home_set_must_be_a_list(self, homes):
+        # a bare string would otherwise load as one home per character
+        with pytest.raises(ReplicationError, match="must be a list"):
+            ReplicaMap({"v": homes})
+        with pytest.raises(ReplicationError, match="must be a list"):
+            ReplicaMap.from_dict({"homes": {"v": homes}})
+
+    @pytest.mark.parametrize("seed", ["x", [], 1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ReplicationError, match="seed must be an integer"):
+            ReplicaMap({"v": ("VW1",)}, seed=seed)
+        with pytest.raises(ReplicationError, match="seed must be an integer"):
+            ReplicaMap.from_dict({"homes": {"v": ["VW1"]}, "seed": seed})
+
     def test_container_protocol(self):
         rm = ReplicaMap({"v": ("VW1",), "w": ("VW2",)})
         assert "v" in rm and "nope" not in rm
@@ -165,10 +180,10 @@ class TestHeatPlacement:
             [Request(float(i), "v0", f"u{i}", "IS1") for i in range(5)]
         )
         rm = ReplicaMap.heat_placement(
-            topo, catalog, batch, degree=1, hot_fraction=0.25, seed=0
+            topo, catalog, batch, degree=1, seed=0
         )
         rm.validate(topo, catalog)
-        # 8 videos, hot_fraction .25 -> the hottest 2 replicate everywhere
+        # 8 videos, a hot quarter -> the hottest 2 replicate everywhere
         degrees = sorted(rm.degree(v) for v in rm.video_ids)
         assert degrees == [1, 1, 1, 1, 1, 1, 2, 2]
         # v0 carries every request, so it must be among the hot set
@@ -176,14 +191,15 @@ class TestHeatPlacement:
 
     def test_requested_video_homed_near_requesters(self):
         topo = _two_warehouse_topology()
-        catalog = _catalog(2)
-        # all demand for v0 sits at IS2, whose cheap warehouse is VW2
+        catalog = _catalog(8)
+        # v1 and v2 fill the hot quarter; v0 stays cold, and all its
+        # demand sits at IS2, whose cheap warehouse is VW2
         batch = RequestBatch(
-            [Request(float(i), "v0", f"u{i}", "IS2") for i in range(3)]
+            [Request(float(i), v, f"u{i}", "IS1") for v in ("v1", "v2") for i in range(3)]
+            + [Request(0.0, "v0", "u9", "IS2")]
         )
-        rm = ReplicaMap.heat_placement(
-            topo, catalog, batch, degree=1, hot_fraction=0.0, seed=0
-        )
+        rm = ReplicaMap.heat_placement(topo, catalog, batch, degree=1, seed=0)
+        assert rm.degree("v1") == rm.degree("v2") == 2
         assert rm.homes("v0") == ("VW2",)
 
     def test_bad_arguments_rejected(self):
@@ -191,7 +207,3 @@ class TestHeatPlacement:
         catalog = _catalog(2)
         with pytest.raises(ReplicationError, match="degree"):
             ReplicaMap.heat_placement(topo, catalog, degree=0)
-        with pytest.raises(ReplicationError, match="hot_fraction"):
-            ReplicaMap.heat_placement(topo, catalog, hot_fraction=1.5)
-        with pytest.raises(ReplicationError, match="hot_degree"):
-            ReplicaMap.heat_placement(topo, catalog, hot_degree=0)

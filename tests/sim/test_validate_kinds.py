@@ -177,16 +177,11 @@ class TestViolationKinds:
         topo = _topology()
         topo.add_warehouse("VW2")
         topo.add_edge("IS2", "VW2", nrate=0.001)
-        cm = CostModel(topo, catalog)
+        cm = CostModel(topo, catalog, replicas=ReplicaMap({"v": ("VW2",)}))
         r = Request(0.0, "v", "u1", "IS1")
         fs = FileSchedule("v")
         fs.add_delivery(_delivery(r, ("VW", "IS1")))
-        violations = validate_schedule(
-            Schedule([fs]),
-            RequestBatch([r]),
-            cm,
-            replicas=ReplicaMap({"v": ("VW2",)}),
-        )
+        violations = validate_schedule(Schedule([fs]), RequestBatch([r]), cm)
         assert _kinds(violations) == {"replica"}
         assert "homed at ['VW2']" in violations[0].message
 
@@ -197,7 +192,7 @@ class TestViolationKinds:
         topo = _topology()
         topo.add_warehouse("VW2")
         topo.add_edge("IS2", "VW2", nrate=0.001)
-        cm = CostModel(topo, catalog)
+        cm = CostModel(topo, catalog, replicas=ReplicaMap({"v": ("VW2",)}))
         r = Request(0.0, "v", "u1", "IS1")
         fs = FileSchedule("v")
         fs.add_delivery(_delivery(r, ("VW2", "IS2", "IS1")))
@@ -207,12 +202,7 @@ class TestViolationKinds:
                 service_list=("u1",),
             )
         )
-        violations = validate_schedule(
-            Schedule([fs]),
-            RequestBatch([r]),
-            cm,
-            replicas=ReplicaMap({"v": ("VW2",)}),
-        )
+        violations = validate_schedule(Schedule([fs]), RequestBatch([r]), cm)
         assert _kinds(violations) == {"replica"}
         assert "residency" in violations[0].message
 
@@ -233,16 +223,11 @@ class TestViolationKinds:
     def test_home_warehouse_source_is_clean(self, catalog):
         from repro import ReplicaMap
 
-        cm = CostModel(_topology(), catalog)
+        cm = CostModel(_topology(), catalog, replicas=ReplicaMap({"v": ("VW",)}))
         r = Request(0.0, "v", "u1", "IS1")
         fs = FileSchedule("v")
         fs.add_delivery(_delivery(r, ("VW", "IS1")))
-        violations = validate_schedule(
-            Schedule([fs]),
-            RequestBatch([r]),
-            cm,
-            replicas=ReplicaMap({"v": ("VW",)}),
-        )
+        violations = validate_schedule(Schedule([fs]), RequestBatch([r]), cm)
         assert violations == []
 
 
@@ -313,7 +298,6 @@ class TestLinkTolerance:
         assert _kinds(violations) == ({"bandwidth"} if flagged else set())
         load = SimulationEngine(cm).run(schedule).links[("IS1", "VW")]
         assert load.saturated is flagged
-        assert bool(load.saturated_intervals) is flagged
 
     @pytest.mark.parametrize("rel, flagged", [(1e-12, False), (1e-6, True)])
     def test_degraded_link_replay(self, rel, flagged):

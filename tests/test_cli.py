@@ -600,6 +600,15 @@ class TestFileInputs:
         assert "bad.json" in str(exc.value)
         assert "\n" not in str(exc.value)
 
+    def test_malformed_replica_map(self, tmp_path):
+        path = paper_env(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"homes": {"video0000": None}}))
+        with pytest.raises(SystemExit, match="invalid --replicas") as exc:
+            main(["run-env", str(path), "--replicas", str(bad)])
+        assert "must be a list" in str(exc.value)
+        assert "\n" not in str(exc.value)
+
 
 def _baseline_row(out: str) -> str:
     (line,) = [

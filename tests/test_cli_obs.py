@@ -233,6 +233,18 @@ class TestSloSurfaces:
         with pytest.raises(SystemExit, match="invalid --slo"):
             main(["slo-check", str(report), "--slo", str(bad)])
 
+    def test_slo_check_rejects_policy_with_bad_name(self, tmp_path):
+        path = paper_env(tmp_path)
+        report, _ = _run_online(path, tmp_path, "badname")
+        bad = tmp_path / "bad.json"
+        for name in (["a"], 5, None, ""):
+            slo = {"name": name, "indicator": "shed_rate", "objective": 0.1}
+            bad.write_text(json.dumps({"slos": [slo]}))
+            with pytest.raises(SystemExit, match="invalid --slo") as exc:
+                main(["slo-check", str(report), "--slo", str(bad)])
+            assert "non-empty string" in str(exc.value)
+            assert "\n" not in str(exc.value)
+
 
 class TestDashboard:
     def test_renders_all_sections(self, tmp_path, capsys):

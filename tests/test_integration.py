@@ -91,8 +91,8 @@ class TestFullPipeline:
 
 class TestServiceWithEverything:
     def test_diurnal_service_with_warehouse(self):
-        """VORService wiring: tariff cost model + rolling cycles, with each
-        closed schedule staged through the warehouse hierarchy."""
+        """VORService wiring: rolling cycles and a tariff what-if of each,
+        every schedule staged through the warehouse hierarchy."""
         topo = paper_topology(
             nrate=units.per_gb(500),
             srate=units.per_gb_hour(10),
@@ -102,7 +102,7 @@ class TestServiceWithEverything:
         cm = DiurnalCostModel(
             topo, catalog, TimeOfDayTariff.evening_peak(peak_multiplier=2.0)
         )
-        svc = VORService(topo, catalog, cost_model=cm)
+        svc = VORService(topo, catalog)
         staging_planner = StagingPlanner(
             WarehouseSpec(
                 disk_capacity=units.gb(300),
@@ -124,13 +124,14 @@ class TestServiceWithEverything:
                     local_storage=r.local_storage,
                     now=offset,
                 )
-            report = svc.close_cycle(cycle_end=offset + units.DAY + units.HOUR)
+            cycle_end = offset + units.DAY + units.HOUR
+            priced = svc.what_if(svc.due(cycle_end), cm)
+            report = svc.close_cycle(cycle_end=cycle_end)
             assert report.feasible
-            staging = staging_planner.plan(report.cycle.schedule)
-            from_vw = sum(
-                1 for d in report.cycle.schedule.deliveries if d.source == "VW"
-            )
-            assert staging.total_streams == from_vw > 0
+            for schedule in (priced.schedule, report.cycle.schedule):
+                staging = staging_planner.plan(schedule)
+                from_vw = sum(1 for d in schedule.deliveries if d.source == "VW")
+                assert staging.total_streams == from_vw > 0
             assert report.billing.grand_total == pytest.approx(
                 report.cycle.total_cost
             )
@@ -190,7 +191,8 @@ class TestRelayStress:
             catalog,
             alpha=0.1,
             users_per_neighborhood=10,
-            arrivals=SlottedArrivals(units.DAY, slot=2 * units.HOUR),
+            # a 2 h cycle holds four 30-minute showings
+            arrivals=SlottedArrivals(2 * units.HOUR),
         ).generate(seed=19)
         result = VideoScheduler(topo, catalog).solve(batch)
         relays = [
@@ -198,7 +200,7 @@ class TestRelayStress:
             for c in result.schedule.residencies
             if c.t_last == c.t_start and c.service_list
         ]
-        assert relays, "slotted workload must produce zero-lag relays"
+        assert len(relays) >= 20, "slotted workload must produce zero-lag relays"
         cm = CostModel(topo, catalog)
         assert validate_schedule(result.schedule, batch, cm) == []
         assert detect_overflows(result.schedule, catalog, topo) == []

@@ -32,12 +32,10 @@ from repro import (
     VideoScheduler,
     chain_topology,
     detect_overflows,
-    ring_topology,
-    star_topology,
-    tree_topology,
 )
 from repro.baselines import OptimalScheduler, network_only_cost
 from repro.sim import validate_schedule
+from tests.topology_shapes import ring_topology, star_topology, tree_topology
 
 
 @st.composite

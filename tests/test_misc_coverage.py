@@ -55,7 +55,8 @@ class TestLinkLoad:
         report = SimulationEngine(cm).run(Schedule([fs]))
         load = report.links[("IS1", "VW")]
         assert load.peak == pytest.approx(20.0)
-        ivs = load.saturated_intervals
+        assert load.saturated
+        ivs = load.timeline.intervals_above(load.capacity)
         assert len(ivs) == 1
         a, b = ivs[0]
         assert a == pytest.approx(2.0)
@@ -76,7 +77,7 @@ class TestLinkLoad:
             DeliveryInfo("v", ("VW", "IS1"), 0.0, Request(0.0, "v", "u", "IS1"))
         )
         report = SimulationEngine(cm).run(Schedule([fs]))
-        assert report.links[("IS1", "VW")].saturated_intervals == []
+        assert not report.links[("IS1", "VW")].saturated
 
 
 class TestStagingTask:
@@ -115,15 +116,3 @@ class TestCostModelDefaults:
         for t in (0.0, 3 * units.HOUR, 20 * units.HOUR, 5 * units.DAY):
             assert cm.network_multiplier(t) == 1.0
 
-
-class TestZipfSummaryEdge:
-    def test_top_fraction_bounds(self):
-        from repro import ZipfPopularity
-        from repro.errors import WorkloadError
-
-        z = ZipfPopularity(10, 0.5)
-        assert z.skewness_summary(1.0) == pytest.approx(1.0)
-        with pytest.raises(WorkloadError):
-            z.skewness_summary(0.0)
-        with pytest.raises(WorkloadError):
-            z.skewness_summary(1.5)

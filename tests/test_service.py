@@ -100,12 +100,18 @@ class TestCycleClose:
         topo, catalog = env
         tariff = TimeOfDayTariff.evening_peak(peak_multiplier=2.0)
         cm = DiurnalCostModel(topo, catalog, tariff)
-        svc = VORService(topo, catalog, cost_model=cm)
+        svc = VORService(topo, catalog)
         svc.reserve("alice", "m0", 20 * units.HOUR, local_storage="IS1")  # peak
+        # a what-if prices the due batch under the tariff...
+        priced = svc.what_if(svc.due(units.DAY), cm)
+        assert priced.total_cost == pytest.approx(cm.total(priced.schedule))
+        # ...and the close, on the service's own flat model, solves afresh
         report = svc.close_cycle(cycle_end=units.DAY)
+        assert not report.cycle.reused_solve
         assert report.cycle.total_cost == pytest.approx(
-            cm.total(report.cycle.schedule)
+            svc.cost_model.total(report.cycle.schedule)
         )
+        assert report.cycle.total_cost < priced.total_cost  # 2x peak network
         assert report.billing.grand_total == pytest.approx(
             report.cycle.total_cost
         )

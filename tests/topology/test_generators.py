@@ -8,14 +8,16 @@ from repro.topology import (
     Router,
     chain_topology,
     paper_topology,
-    random_topology,
-    ring_topology,
-    star_topology,
-    tree_topology,
     validate_topology,
     worked_example_topology,
 )
 from repro.topology.generators import PAPER_STORAGE_COUNT, PAPER_TOPOLOGY_EDGES
+from tests.topology_shapes import (
+    random_topology,
+    ring_topology,
+    star_topology,
+    tree_topology,
+)
 
 
 class TestPaperTopology:
@@ -35,20 +37,6 @@ class TestPaperTopology:
     def test_uniform_rates_without_jitter(self):
         t = paper_topology(nrate=3e-7, srate=1e-12, capacity=5e9)
         assert {e.nrate for e in t.edges} == {3e-7}
-
-    def test_jitter_deterministic(self):
-        t1 = paper_topology(nrate=1e-7, srate=0, capacity=1e9, nrate_jitter=0.2, seed=5)
-        t2 = paper_topology(nrate=1e-7, srate=0, capacity=1e9, nrate_jitter=0.2, seed=5)
-        assert [e.nrate for e in t1.edges] == [e.nrate for e in t2.edges]
-        assert len({e.nrate for e in t1.edges}) > 1
-
-    def test_jitter_bounds(self):
-        t = paper_topology(nrate=1.0, srate=0, capacity=1e9, nrate_jitter=0.1, seed=1)
-        assert all(0.9 <= e.nrate <= 1.1 for e in t.edges)
-
-    def test_invalid_jitter(self):
-        with pytest.raises(TopologyError):
-            paper_topology(nrate=1.0, srate=0, capacity=1e9, nrate_jitter=1.5)
 
     def test_multi_hop_structure(self):
         """Leaf storages are >= 2 hops from the warehouse."""
@@ -98,7 +86,7 @@ class TestShapes:
         assert len(t.edges) == 1
 
     def test_tree_depths(self):
-        t = tree_topology(6, nrate=1.0, srate=0.0, capacity=1e9, fanout=2)
+        t = tree_topology(6, nrate=1.0, srate=0.0, capacity=1e9)
         router = Router(t)
         assert router.route("VW", "IS1").hops == 1
         assert router.route("VW", "IS2").hops == 1

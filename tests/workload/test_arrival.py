@@ -36,52 +36,38 @@ class TestUniformArrivals:
 
 class TestPeakHourArrivals:
     def test_range_with_wraparound(self):
-        a = PeakHourArrivals(
-            cycle=units.DAY, peak_center=23.5 * units.HOUR, peak_width=units.HOUR
-        )
+        # a 21 h cycle ends 1 h after the 20:00 +/- 1.5 h peak, so about a
+        # quarter of the peak draws wrap past its end to just after 0 h
+        cycle = 21 * units.HOUR
+        a = PeakHourArrivals(cycle=cycle)
         s = a.sample(5000, np.random.default_rng(0))
-        assert (s >= 0).all() and (s < units.DAY).all()
+        assert (s >= 0).all() and (s < cycle).all()
+        # the uniform 30 % alone puts 1/21 of itself (1.4 %) in the first
+        # hour; the wrapped peak draws (those between 21 h and 22 h) add
+        # about 11 %
+        assert (s < units.HOUR).mean() > 0.08
 
     def test_concentration_around_peak(self):
-        a = PeakHourArrivals(
-            cycle=units.DAY,
-            peak_center=20 * units.HOUR,
-            peak_width=units.HOUR,
-            peak_weight=0.8,
-        )
+        a = PeakHourArrivals(cycle=units.DAY)
         s = a.sample(20_000, np.random.default_rng(1))
         window = (s > 17 * units.HOUR) & (s < 23 * units.HOUR)
-        # the 6h window holds the 80% peak plus 25% of the uniform 20%
+        # the +/- 2 sigma window holds 95 % of the 70 % peak plus 25 % of
+        # the uniform 30 %
         assert window.mean() > 0.7
-
-    def test_zero_weight_is_uniform(self):
-        a = PeakHourArrivals(cycle=1.0, peak_weight=0.0, peak_center=0.5, peak_width=0.1)
-        s = a.sample(50_000, np.random.default_rng(2))
-        hist, _ = np.histogram(s, bins=4, range=(0, 1))
-        assert (np.abs(hist / 12_500 - 1.0) < 0.05).all()
-
-    def test_invalid_weight(self):
-        with pytest.raises(WorkloadError):
-            PeakHourArrivals(peak_weight=1.5)
-
-    def test_invalid_width(self):
-        with pytest.raises(WorkloadError):
-            PeakHourArrivals(peak_width=0.0)
 
 
 class TestSlottedArrivals:
     def test_snapped_to_slots(self):
-        a = SlottedArrivals(cycle=units.DAY, slot=30 * units.MINUTE)
+        a = SlottedArrivals(cycle=units.DAY)
         s = a.sample(1000, np.random.default_rng(0))
         assert (np.mod(s, 30 * units.MINUTE) == 0).all()
 
     def test_range(self):
-        a = SlottedArrivals(cycle=100.0, slot=30.0)
+        a = SlottedArrivals(cycle=100.0 * units.MINUTE)
         s = a.sample(1000, np.random.default_rng(0))
-        assert set(np.unique(s)) <= {0.0, 30.0, 60.0}
+        # the partial slot at 90 min is never drawn
+        assert set(np.unique(s)) == {0.0, 1800.0, 3600.0}
 
     def test_invalid_slot(self):
         with pytest.raises(WorkloadError):
-            SlottedArrivals(cycle=10.0, slot=20.0)
-        with pytest.raises(WorkloadError):
-            SlottedArrivals(cycle=10.0, slot=0.0)
+            SlottedArrivals(cycle=10.0)

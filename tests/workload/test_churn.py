@@ -6,10 +6,10 @@ import pytest
 from repro import (
     RankChurn,
     WorkloadGenerator,
-    star_topology,
     uniform_catalog,
 )
 from repro.errors import WorkloadError
+from tests.topology_shapes import star_topology
 
 
 class TestRankChurn:

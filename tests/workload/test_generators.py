@@ -7,12 +7,12 @@ from repro import (
     SlottedArrivals,
     WorkloadGenerator,
     paper_catalog,
-    star_topology,
     uniform_catalog,
     units,
 )
 from repro.errors import WorkloadError
 from repro.topology import paper_topology
+from tests.topology_shapes import star_topology
 
 
 @pytest.fixture
@@ -30,12 +30,6 @@ class TestWorkloadGenerator:
         gen = WorkloadGenerator(topo, catalog, users_per_neighborhood=3)
         batch = gen.generate(seed=0)
         assert len(batch) == gen.n_requests == 4 * 3
-
-    def test_requests_per_user(self, topo, catalog):
-        gen = WorkloadGenerator(
-            topo, catalog, users_per_neighborhood=2, requests_per_user=3
-        )
-        assert len(gen.generate(seed=0)) == 4 * 2 * 3
 
     def test_local_storage_assignment(self, topo, catalog):
         batch = WorkloadGenerator(topo, catalog, users_per_neighborhood=2).generate(0)
@@ -71,10 +65,10 @@ class TestWorkloadGenerator:
 
     def test_arrival_process_respected(self, topo, catalog):
         gen = WorkloadGenerator(
-            topo, catalog, arrivals=SlottedArrivals(units.DAY, slot=units.HOUR)
+            topo, catalog, arrivals=SlottedArrivals(units.DAY)
         )
         batch = gen.generate(0)
-        assert all(r.start_time % units.HOUR == 0 for r in batch)
+        assert all(r.start_time % (30 * units.MINUTE) == 0 for r in batch)
 
     def test_paper_scale(self):
         topo = paper_topology(nrate=1e-7, srate=1e-12, capacity=5e9)
@@ -86,7 +80,5 @@ class TestWorkloadGenerator:
     def test_invalid_args(self, topo, catalog):
         with pytest.raises(WorkloadError):
             WorkloadGenerator(topo, catalog, users_per_neighborhood=0)
-        with pytest.raises(WorkloadError):
-            WorkloadGenerator(topo, catalog, requests_per_user=0)
         with pytest.raises(WorkloadError):
             WorkloadGenerator(topo, catalog, alpha=2.0)
