@@ -23,6 +23,12 @@ to introduce a new caching site -- the paper's other option.  A candidate
 costs nothing until a later request extends it; unused candidates are pruned
 from the final schedule.
 
+A session holds its copies as plain :data:`Copy` tuples, with each copy's
+current Ψ_C in a parallel list that changes only when the copy is extended
+or replaced, so pricing reads the old Ψ_C instead of recomputing it.  The
+:class:`~repro.core.schedule.ResidencyInfo` records are built once, in
+:meth:`FileGreedySession.finish`, for the copies the schedule keeps.
+
 The same greedy, parameterized with residency constraints, becomes the
 capacity-aware *rejective greedy* of Sec. 4.4 (see
 :mod:`repro.core.rejective`).  Admission is cost-first: the greedy prices
@@ -36,7 +42,7 @@ cheapest allowed copy, exactly as if every copy had been asked about.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from repro.catalog.video import VideoFile
 from repro.core.costmodel import CostModel, storage_cost
@@ -46,8 +52,21 @@ from repro.obs import COUNT_BUCKETS, NULL_OBS, Observability
 from repro.topology.routing import Route
 from repro.workload.requests import Request, RequestBatch
 
-#: A priced copy: ``(key, residency index, route, network share)``.
+#: One copy of the file in a greedy session: ``(location, source, t_start,
+#: t_last, service_list)``, the fields of its
+#: :class:`~repro.core.schedule.ResidencyInfo` after the video id.
+Copy = tuple[str, str, float, float, tuple[str, ...]]
+
+#: A priced copy: ``(key, copy index, route, network share)``.
 Candidate = tuple[tuple[float, int, int, str], int, Route, float]
+
+
+def copies_of(residencies: Iterable[ResidencyInfo]) -> tuple[Copy, ...]:
+    """The session copies of residency records (seeds of a greedy run)."""
+    return tuple(
+        (c.location, c.source, c.t_start, c.t_last, c.service_list)
+        for c in residencies
+    )
 
 
 class RoutePolicy:
@@ -94,11 +113,13 @@ class IndividualScheduler:
             capacity-ignorant Phase-1 behaviour, a
             :class:`~repro.core.rejective.ResidencyConstraints` instance
             turns this into the Sec. 4.4 rejective greedy.  The greedy asks
-            ``allows(video, location, t_start, t_last, replacing=...)``
+            ``allows(video, location, t_start, t_last, replacing=copy)``
             of the cache candidates that beat the cheapest warehouse,
-            cheapest first, until one is allowed.  It never asks about a
-            deposit: that is zero-extent (γ = 0) and occupies no space.
-            ``allows`` must be a query: whether and in which order
+            cheapest first, until one is allowed; ``copy`` is the
+            :data:`Copy` being extended, the very tuple the session's
+            :attr:`FileGreedySession.residencies` holds.  It never asks
+            about a deposit: that is zero-extent (γ = 0) and occupies no
+            space.  ``allows`` must be a query: whether and in which order
             candidates are asked about may change what it records, never
             what it answers.
         route_policy: Optional :class:`RoutePolicy`; defaults to
@@ -198,66 +219,21 @@ class IndividualScheduler:
         video: VideoFile,
         *,
         initial_residencies: tuple[ResidencyInfo, ...] = (),
-        kept: tuple[DeliveryInfo, ...] = (),
     ) -> "FileGreedySession":
         """Incremental per-file greedy: serve requests one at a time.
 
         Lets callers interleave requests of different videos (the
         bandwidth-aware scheduler admits requests in global chronological
-        order) while each video keeps its own cache state.  ``kept``
-        resumes a session: the deliveries of the requests already served,
-        with ``initial_residencies`` the cache state they left.
+        order) while each video keeps its own cache state, seeded with
+        ``initial_residencies``.
         """
-        # fail fast: residency pricing will need the catalog entry later
-        self._cm.catalog[video.video_id]
-        return FileGreedySession(self, video, initial_residencies, kept)
-
-    def serve_into(
-        self,
-        video: VideoFile,
-        req: Request,
-        residencies: list[ResidencyInfo],
-        fs: FileSchedule,
-        occupied: dict[str, int],
-    ) -> None:
-        """One greedy step (used by sessions): price the copies, serve
-        ``req`` from the winner and open its stream's deposits.
-        ``occupied`` maps each location in ``residencies`` to its index
-        there; the step keeps it current."""
-        if req.video_id != video.video_id:
-            raise ScheduleError(
-                f"request for {req.video_id!r} passed to schedule of "
-                f"{video.video_id!r}"
-            )
-        pick, home = self._best_candidate(video, req, residencies)
-        (cost, hops, _, source), idx, route, network = pick
-        journal = self._obs.journal
-        if journal.enabled:
-            journal.emit(
-                "phase1-assigned",
-                request=req,
-                source=source,
-                source_kind="cache" if idx >= 0 else "warehouse",
-                route=route.nodes,
-                hops=hops,
-                psi_d=network,
-                psi_c=cost - network,
-                warehouse=None if home is None else home[0][3],
-                warehouse_psi_d=None if home is None else home[3],
-            )
-        start = req.start_time
-        if idx >= 0:
-            old = residencies[idx]
-            residencies[idx] = old.extended(
-                start if start >= old.t_last else old.t_last, req.user_id
-            )
-        fs.add_delivery(DeliveryInfo(video.video_id, route.nodes, start, req))
-        self._route_policy.commit(
-            route, start, start + video.playback, video.bandwidth
-        )
-        self._deposit_candidates(
-            video.video_id, route.nodes, start, residencies, occupied
-        )
+        for c in initial_residencies:
+            if c.video_id != video.video_id:
+                raise ScheduleError(
+                    f"seed residency of {c.video_id!r} passed to session of "
+                    f"{video.video_id!r}"
+                )
+        return FileGreedySession(self, video, copies_of(initial_residencies))
 
     def solve(
         self,
@@ -295,129 +271,18 @@ class IndividualScheduler:
             facts = self._facts[video_id] = (entry.size, entry.playback)
         return facts
 
-    def _best_candidate(
-        self,
-        video: VideoFile,
-        req: Request,
-        residencies: list[ResidencyInfo],
-    ) -> tuple[Candidate, Candidate | None]:
-        """The cheapest feasible copy and the cheapest routable home
-        warehouse (None when no home is routable), which is the pick
-        unless an allowed cache beats it.  Index -1 marks a warehouse; the
-        key is ``(cost, hops, kind, source)`` (caches kind 0), the lowest
-        index winning equal keys."""
-        if req.local_storage not in self._cm.topology:
-            # an unknown destination is a malformed request, not a copy that
-            # happens to be unreachable -- keep raising, never skip
-            raise RoutingError(f"unknown destination node {req.local_storage!r}")
-        size, playback = self._video_facts(video.video_id)
-        start = req.start_time
-        volume = video.network_volume * self._cm.network_multiplier(start)
-        # one route table per request: a copy whose source it leaves out is
-        # not a candidate.  Ties never depend on iteration order (the key
-        # includes the source name), so skipping keeps picks deterministic.
-        routes = self._route_policy.routes(
-            req.local_storage, start, start + video.playback, video.bandwidth
-        )
-        route_of = routes.get
-        home = self._cm.cheapest_home(video.video_id, start, routes)
-        if home is not None:
-            network, route = home
-            home = ((network, route.hops, 1, route.nodes[0]), -1, route, network)
-        # Price every cache copy first; ask the constraints only about the
-        # ones that beat the cheapest warehouse, cheapest first (DESIGN.md
-        # §4).  A copy dearer on the network alone cannot win: its Ψ_C
-        # extension is >= 0.
-        srates = self._srates
-        contenders = []
-        for idx, c in enumerate(residencies):
-            if c.t_start > start:
-                continue  # cache not yet filled when the service starts
-            # priced as (location, t_start, t_last): only the winning
-            # candidate is built, in serve_into.  A cache already held past
-            # the start (a seed) serves at a zero Ψ_C extension.
-            t_last = start if start >= c.t_last else c.t_last
-            route = route_of(c.location)
-            if route is None:
-                continue
-            network = volume * route.rate
-            if home is not None and network > home[0][0]:
-                continue
-            srate = srates[c.location]
-            ext_cost = storage_cost(
-                srate, size, playback, t_last - c.t_start
-            ) - storage_cost(srate, size, playback, c.t_last - c.t_start)
-            key = (network + ext_cost, route.hops, 0, c.location)
-            if home is None or key < home[0]:
-                contenders.append((key, idx, route, network))
-        constraints = self._constraints
-        if constraints is None:
-            pick = min(contenders, default=None)
-        else:
-            pick = None
-            contenders.sort()
-            for contender in contenders:
-                c = residencies[contender[1]]
-                if constraints.allows(
-                    video, c.location, c.t_start, max(start, c.t_last),
-                    replacing=c,
-                ):
-                    pick = contender
-                    break
-        best = pick or home
-        if best is None:
-            # with the default route policy on a healthy topology some home
-            # warehouse is always feasible; a restrictive policy (e.g.
-            # bandwidth-aware), a partitioned masked topology, or a video
-            # whose every home failed may exhaust options
-            raise ScheduleError(f"no feasible source for request {req}")
-        if not math.isfinite(best[0][0]):
-            raise ScheduleError(f"non-finite candidate cost for request {req}")
-        return best, home
-
-    def _deposit_candidates(
-        self,
-        video_id: str,
-        nodes: tuple[str, ...],
-        t: float,
-        residencies: list[ResidencyInfo],
-        occupied: dict[str, int],
-    ) -> None:
-        """Open zero-cost cache candidates at storages the stream along
-        ``nodes``, starting at ``t``, traverses.
-
-        A node gets a candidate unless it already holds a residency of this
-        file that a future request could extend.  An *unused* candidate
-        (``t_f == t_s``, no services) is replaced by a fresher one: for
-        unused candidates a later ``t_s`` strictly dominates (extension cost
-        grows with ``t_f - t_s`` while causality only needs ``t_s <= t_u``).
-        A one-node route (a serve from the local cache) deposits nothing.
-        ``occupied`` is the session's ``{location: index}`` map of
-        ``residencies``; an appended candidate is added to it.
-        """
-        source = nodes[0]
-        if self._deposit_scope != "route":
-            nodes = nodes[-1:]
-        storages = self._storage_names
-        for node in nodes:
-            if node == source or node not in storages:
-                continue  # the serving copy itself lives at the source
-            existing_idx = occupied.get(node)
-            if existing_idx is not None:
-                existing = residencies[existing_idx]
-                if existing.t_last != existing.t_start or existing.service_list:
-                    continue
-            candidate = ResidencyInfo(video_id, node, source, t, t, ())
-            if existing_idx is None:
-                occupied[node] = len(residencies)
-                residencies.append(candidate)
-            else:
-                residencies[existing_idx] = candidate
-
 
 class FileGreedySession:
     """Incremental greedy state for one video (see
     :meth:`IndividualScheduler.session`).
+
+    The state is plain: the :data:`Copy` tuples of :attr:`residencies`, a
+    parallel list of their current Ψ_C, and a ``{location: index}`` map.
+    A copy's tuple is replaced whenever the copy is extended or a fresher
+    candidate takes its slot, so a tuple names one state of one copy and a
+    tuple of the list is a snapshot (:class:`~repro.core.rejective.DecisionLog`
+    marks are).  ``copies`` is the starting state, ``kept`` the deliveries
+    of the requests already served in a resumed run.
 
     Requests must be served in non-decreasing start-time order; the session
     enforces this because the greedy's cache-extension pricing assumes
@@ -428,7 +293,7 @@ class FileGreedySession:
         self,
         scheduler: IndividualScheduler,
         video: VideoFile,
-        initial_residencies: tuple[ResidencyInfo, ...] = (),
+        copies: Iterable[Copy] = (),
         kept: tuple[DeliveryInfo, ...] = (),
     ):
         self._scheduler = scheduler
@@ -436,46 +301,88 @@ class FileGreedySession:
         self._fs = FileSchedule(video.video_id)
         for d in kept:
             self._fs.add_delivery(d)
-        self._residencies: list[ResidencyInfo] = []
-        for c in initial_residencies:
-            if c.video_id != video.video_id:
-                raise ScheduleError(
-                    f"seed residency of {c.video_id!r} passed to session of "
-                    f"{video.video_id!r}"
-                )
-            self._residencies.append(c)
-        #: ``{location: index into _residencies}``, the last index winning.
-        self._occupied = {c.location: i for i, c in enumerate(self._residencies)}
+        self._copies: list[Copy] = list(copies)
+        # Ψ_C reads size and P from the model's catalog entry
+        self._size, self._playback = scheduler._video_facts(video.video_id)
+        self._srates = scheduler._srates
+        #: Ψ_C of each copy at its current span, index for index.
+        self._psi = [
+            storage_cost(self._srates[c[0]], self._size, self._playback, c[3] - c[2])
+            for c in self._copies
+        ]
+        #: ``{location: index into _copies}``, the last index winning.
+        self._occupied = {c[0]: i for i, c in enumerate(self._copies)}
         self._last_time = kept[-1].start_time if kept else -math.inf
 
     def serve(self, req: Request) -> None:
-        """Serve one request, updating cache state and the file schedule.
+        """Serve one request, updating cache state and the file schedule:
+        price the copies, serve ``req`` from the winner and open its
+        stream's deposits.
 
         Raises :class:`~repro.errors.ScheduleError` if no feasible source
         exists (possible only under a restrictive route policy) -- in that
         case the session state is unchanged and the caller may reject the
         request and continue.
         """
-        if req.start_time < self._last_time:
+        start = req.start_time
+        if start < self._last_time:
             raise ScheduleError(
-                f"requests must be served chronologically: {req.start_time} < "
+                f"requests must be served chronologically: {start} < "
                 f"{self._last_time}"
             )
-        self._scheduler.serve_into(
-            self._video, req, self._residencies, self._fs, self._occupied
+        video = self._video
+        if req.video_id != video.video_id:
+            raise ScheduleError(
+                f"request for {req.video_id!r} passed to schedule of "
+                f"{video.video_id!r}"
+            )
+        scheduler = self._scheduler
+        pick, home = self._best_candidate(req)
+        (cost, hops, _, source), idx, route, network = pick
+        journal = scheduler._obs.journal
+        if journal.enabled:
+            journal.emit(
+                "phase1-assigned",
+                request=req,
+                source=source,
+                source_kind="cache" if idx >= 0 else "warehouse",
+                route=route.nodes,
+                hops=hops,
+                psi_d=network,
+                psi_c=cost - network,
+                warehouse=None if home is None else home[0][3],
+                warehouse_psi_d=None if home is None else home[3],
+            )
+        if idx >= 0:
+            copies = self._copies
+            location, src, t_start, t_last, services = copies[idx]
+            if start > t_last:  # extended, never shrunk
+                t_last = start
+                self._psi[idx] = storage_cost(
+                    self._srates[location], self._size, self._playback,
+                    start - t_start,
+                )
+            copies[idx] = (location, src, t_start, t_last, services + (req.user_id,))
+        self._fs.add_delivery(DeliveryInfo(video.video_id, route.nodes, start, req))
+        scheduler._route_policy.commit(
+            route, start, start + video.playback, video.bandwidth
         )
-        self._last_time = req.start_time
+        self._deposit_candidates(route.nodes, start)
+        self._last_time = start
 
     def finish(self) -> FileSchedule:
-        """Finalize: prune unused cache candidates and return ``S_i``.
+        """Finalize: build the records of the copies the schedule keeps and
+        return ``S_i``.
 
-        Zero-extent residencies that *served* someone (real-time relays of
-        simultaneous streams) are kept -- they back their deliveries.
+        Unused candidates are pruned.  Zero-extent residencies that *served*
+        someone (real-time relays of simultaneous streams) are kept -- they
+        back their deliveries.
         """
+        video_id = self._video.video_id
         self._fs.residencies = [
-            c
-            for c in self._residencies
-            if c.t_last > c.t_start or c.service_list
+            ResidencyInfo(video_id, *c)
+            for c in self._copies
+            if c[3] > c[2] or c[4]
         ]
         return self._fs
 
@@ -485,6 +392,130 @@ class FileGreedySession:
         return self._fs
 
     @property
-    def residencies(self) -> list[ResidencyInfo]:
-        """Live view of the session's current cache state (do not mutate)."""
-        return self._residencies
+    def residencies(self) -> list[Copy]:
+        """Live view of the session's copies as plain :data:`Copy` tuples,
+        including unused candidates (do not mutate).  Each tuple is the one
+        ``allows(..., replacing=)`` names while its copy is priced, so a
+        capacity oracle may skip the replaced copy by identity."""
+        return self._copies
+
+    # -- greedy step -----------------------------------------------------------
+
+    def _best_candidate(self, req: Request) -> tuple[Candidate, Candidate | None]:
+        """The cheapest feasible copy and the cheapest routable home
+        warehouse (None when no home is routable), which is the pick
+        unless an allowed cache beats it.  Index -1 marks a warehouse; the
+        key is ``(cost, hops, kind, source)`` (caches kind 0), the lowest
+        index winning equal keys."""
+        scheduler, video = self._scheduler, self._video
+        cm = scheduler._cm
+        if req.local_storage not in cm.topology:
+            # an unknown destination is a malformed request, not a copy that
+            # happens to be unreachable -- keep raising, never skip
+            raise RoutingError(f"unknown destination node {req.local_storage!r}")
+        start = req.start_time
+        volume = video.network_volume * cm.network_multiplier(start)
+        # one route table per request: a copy whose source it leaves out is
+        # not a candidate.  Ties never depend on iteration order (the key
+        # includes the source name), so skipping keeps picks deterministic.
+        routes = scheduler._route_policy.routes(
+            req.local_storage, start, start + video.playback, video.bandwidth
+        )
+        route_of = routes.get
+        home = cm.cheapest_home(video.video_id, start, routes)
+        if home is not None:
+            network, route = home
+            home = ((network, route.hops, 1, route.nodes[0]), -1, route, network)
+        # One pass prices every cache copy (DESIGN.md §4).  ``bar`` is the
+        # key a copy must beat and ``bound`` its cost: the best key so far
+        # without constraints, the cheapest warehouse's with them (the
+        # beaters are then asked about cheapest first).  A copy dearer
+        # than ``bound`` on the network alone cannot win: its Ψ_C
+        # extension is >= 0.
+        constraints = scheduler._constraints
+        contenders = None if constraints is None else []
+        best = home
+        bar = None if home is None else home[0]
+        bound = math.inf if home is None else bar[0]
+        copies, psi, srates = self._copies, self._psi, self._srates
+        size, playback = self._size, self._playback
+        for idx, (location, _, t_start, t_last, _) in enumerate(copies):
+            if t_start > start:
+                continue  # cache not yet filled when the service starts
+            route = route_of(location)
+            if route is None:
+                continue
+            network = volume * route.rate
+            if network > bound:
+                continue
+            if start > t_last:
+                cost = network + (
+                    storage_cost(srates[location], size, playback, start - t_start)
+                    - psi[idx]
+                )
+            else:
+                cost = network + 0.0  # held past the start: a free extension
+            # ``bound`` is ``bar``'s cost, so only a tie builds the key
+            # before it is known to win
+            if (
+                bar is None
+                or cost < bound
+                or (cost == bound and (cost, route.hops, 0, location) < bar)
+            ):
+                key = (cost, route.hops, 0, location)
+                candidate = (key, idx, route, network)
+                if contenders is None:
+                    best, bar, bound = candidate, key, cost
+                else:
+                    contenders.append(candidate)
+        if contenders:
+            contenders.sort()
+            for candidate in contenders:
+                c = copies[candidate[1]]
+                if constraints.allows(
+                    video, c[0], c[2], max(start, c[3]), replacing=c
+                ):
+                    best = candidate
+                    break
+        if best is None:
+            # with the default route policy on a healthy topology some home
+            # warehouse is always feasible; a restrictive policy (e.g.
+            # bandwidth-aware), a partitioned masked topology, or a video
+            # whose every home failed may exhaust options
+            raise ScheduleError(f"no feasible source for request {req}")
+        if not math.isfinite(best[0][0]):
+            raise ScheduleError(f"non-finite candidate cost for request {req}")
+        return best, home
+
+    def _deposit_candidates(self, nodes: tuple[str, ...], t: float) -> None:
+        """Open zero-cost cache candidates at storages the stream along
+        ``nodes``, starting at ``t``, traverses.
+
+        A node gets a candidate unless it already holds a copy of this
+        file that a future request could extend.  An *unused* candidate
+        (``t_f == t_s``, no services) is replaced by a fresher one: for
+        unused candidates a later ``t_s`` strictly dominates (extension cost
+        grows with ``t_f - t_s`` while causality only needs ``t_s <= t_u``).
+        A one-node route (a serve from the local cache) deposits nothing.
+        A candidate's Ψ_C is that of a zero span, 0.0.
+        """
+        scheduler = self._scheduler
+        source = nodes[0]
+        if scheduler._deposit_scope != "route":
+            nodes = nodes[-1:]
+        storages = scheduler._storage_names
+        copies, psi, occupied = self._copies, self._psi, self._occupied
+        for node in nodes:
+            if node == source or node not in storages:
+                continue  # the serving copy itself lives at the source
+            existing_idx = occupied.get(node)
+            if existing_idx is None:
+                occupied[node] = len(copies)
+                copies.append((node, source, t, t, ()))
+                psi.append(0.0)
+                continue
+            _, _, t_start, t_last, services = copies[existing_idx]
+            if t_last != t_start or services:
+                continue
+            copies[existing_idx] = (node, source, t, t, ())
+            psi[existing_idx] = 0.0

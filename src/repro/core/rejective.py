@@ -37,9 +37,9 @@ from operator import itemgetter
 
 from repro.catalog.video import VideoFile
 from repro.core.costmodel import CostModel
-from repro.core.individual import IndividualScheduler
+from repro.core.individual import Copy, FileGreedySession, IndividualScheduler
 from repro.core.overflow import StorageLedger
-from repro.core.schedule import DeliveryInfo, FileSchedule, ResidencyInfo
+from repro.core.schedule import DeliveryInfo, FileSchedule
 # fits_under is re-exported: callers bind it from this module
 from repro.core.spacefunc import SpaceProfile, fits_under  # noqa: F401
 from repro.workload.requests import Request
@@ -58,15 +58,14 @@ class DecisionLog:
     takes as fixed inputs, these ordered answers are all the greedy
     depends on.  A re-run whose decisions agree up to decision ``i``
     therefore serves every request before :meth:`owner` ``(i)`` the same
-    way, and it holds the same residencies when it reaches that request.
+    way, and it holds the same copies when it reaches that request.
     """
 
     decisions: list[Decision] = field(default_factory=list)
-    #: One ``(len(decisions), residencies)`` per request, taken just
-    #: before the greedy served it.
-    marks: list[tuple[int, tuple[ResidencyInfo, ...]]] = field(
-        default_factory=list
-    )
+    #: One ``(len(decisions), copies)`` per request, taken just before
+    #: the greedy served it: the session's plain
+    #: :data:`~repro.core.individual.Copy` state.
+    marks: list[tuple[int, tuple[Copy, ...]]] = field(default_factory=list)
     #: ``{location: ascending indexes into decisions}``.
     at: dict[str, list[int]] = field(default_factory=dict)
 
@@ -81,9 +80,9 @@ class DecisionLog:
         self.at.setdefault(location, []).append(len(self.decisions))
         self.decisions.append((location, t_start, t_last, profile, allowed))
 
-    def mark(self, residencies: list[ResidencyInfo]) -> None:
+    def mark(self, copies: list[Copy]) -> None:
         """Note the state before the next request."""
-        self.marks.append((len(self.decisions), tuple(residencies)))
+        self.marks.append((len(self.decisions), tuple(copies)))
 
     def owner(self, i: int) -> int:
         """Index of the request whose service made decision ``i``."""
@@ -94,16 +93,16 @@ class DecisionLog:
         at = self.at
         return sorted(chain.from_iterable(at[loc] for loc in locations if loc in at))
 
-    def cut(self, k: int) -> tuple["DecisionLog", tuple[ResidencyInfo, ...]]:
-        """The log of the first ``k`` requests and the residencies the
-        greedy held before request ``k``."""
-        n, residencies = self.marks[k]
+    def cut(self, k: int) -> tuple["DecisionLog", tuple[Copy, ...]]:
+        """The log of the first ``k`` requests and the copies the greedy
+        held before request ``k``."""
+        n, copies = self.marks[k]
         at = {}
         for loc, indexes in self.at.items():
             j = bisect_left(indexes, n)
             if j:
                 at[loc] = indexes[:j]
-        return DecisionLog(self.decisions[:n], self.marks[:k], at), residencies
+        return DecisionLog(self.decisions[:n], self.marks[:k], at), copies
 
 
 @dataclass
@@ -132,7 +131,7 @@ class ResidencyConstraints:
         t_start: float,
         t_last: float,
         *,
-        replacing: ResidencyInfo | None = None,
+        replacing: Copy | None = None,
     ) -> bool:
         """May ``video`` reside at ``location`` over ``[t_start, t_last]``
         (possibly replacing an earlier interval)?"""
@@ -182,7 +181,7 @@ class RejectiveGreedyScheduler:
         ledger: StorageLedger,
         *,
         forbidden: list[tuple[str, tuple[float, float]]],
-        initial_residencies: tuple[ResidencyInfo, ...] = (),
+        copies: tuple[Copy, ...] = (),
         log: DecisionLog | None = None,
         kept: tuple[DeliveryInfo, ...] = (),
     ) -> FileSchedule:
@@ -191,23 +190,24 @@ class RejectiveGreedyScheduler:
         ``ledger`` mirrors the full integrated schedule and its background
         usage (rolling cycles); the victim's own residencies are excluded
         from its availability answers (they are being replaced wholesale).
-        ``initial_residencies`` re-seeds the victim's committed carryover
-        caches, which a rebuild must keep.
+        ``copies`` is the greedy's starting state; for a fresh run, the
+        victim's committed carryover caches
+        (:func:`~repro.core.individual.copies_of` its seeds), which a
+        rebuild must keep.
 
-        ``log`` (by default a private one) receives a mark before each
-        request and every decision.  To resume an earlier run at request
-        ``k``, pass its first ``k`` deliveries as ``kept``, the residencies
-        it held before request ``k`` as ``initial_residencies`` and its
-        log cut there (:meth:`DecisionLog.cut`); only the requests from
-        ``k`` on are served.  A fresh run is the resume at request 0.
+        ``log`` (by default a private one) receives a mark of the greedy's
+        plain state before each request, and every decision.  To resume an
+        earlier run at request ``k``, pass its first ``k`` deliveries as
+        ``kept``, the copies it held before request ``k`` as ``copies`` and
+        its log cut there (:meth:`DecisionLog.cut` returns both); only the
+        requests from ``k`` on are served.  A fresh run is the resume at
+        request 0.
         """
         constraints = ResidencyConstraints(
             ledger, list(forbidden), DecisionLog() if log is None else log
         )
         greedy = IndividualScheduler(self._cm, constraints, self._route_policy)
-        session = greedy.session(
-            video, initial_residencies=initial_residencies, kept=kept
-        )
+        session = FileGreedySession(greedy, video, copies, kept)
         for req in sorted(requests)[len(kept):]:
             constraints.log.mark(session.residencies)
             session.serve(req)

@@ -49,6 +49,7 @@ from repro.core.costmodel import (
     record_cache_metrics,
 )
 from repro.core.heat import HeatMetric, compute_heat
+from repro.core.individual import copies_of
 from repro.core.overflow import OverflowSituation, StorageLedger, detect_overflows
 from repro.core.rejective import (
     DecisionLog,
@@ -456,7 +457,9 @@ class _VictimSelector:
         prior = self._trials.get((vid, of.location, of.interval))
         prior = prior or self._latest.get(vid)
         if prior is None:
-            trial = self._serve(video, requests, of, DecisionLog(), seeds, ())
+            trial = self._serve(
+                video, requests, of, DecisionLog(), copies_of(seeds), ()
+            )
         else:
             trial = self._replay(prior, video, requests, of)
         self._latest[vid] = trial
@@ -491,14 +494,14 @@ class _VictimSelector:
             if decide(vid, location, t_start, t_last, profile) != allowed:
                 self.decisions_redecided += n
                 k = log.owner(i)
-                prefix, residencies = log.cut(k)
+                prefix, copies = log.cut(k)
                 kept = tuple(prior.new_fs.deliveries[:k])
-                return self._serve(video, requests, of, prefix, residencies, kept)
+                return self._serve(video, requests, of, prefix, copies, kept)
         self.decisions_redecided += len(order)
         self.trials_revalidated += 1
         return _Trial(prior.new_fs, prior.cost, forbidden, log, self.ledger.commits)
 
-    def _serve(self, video, requests, of, log, residencies, kept) -> _Trial:
+    def _serve(self, video, requests, of, log, copies, kept) -> _Trial:
         """Run the greedy from request ``len(kept)`` on (0: a fresh trial)."""
         if kept:
             self.trials_resumed += 1
@@ -513,7 +516,7 @@ class _VictimSelector:
             requests,
             self.ledger,
             forbidden=[forbidden],
-            initial_residencies=residencies,
+            copies=copies,
             log=log,
             kept=kept,
         )

@@ -33,7 +33,7 @@ def fig5(
     cfg = runner.config
     srates = list(srates if srates is not None else cfg.srate_axis)
     nrates = list(cfg.nrate_axis)
-    seeds = [cfg.workload_seed]
+    seed = cfg.workload_seed
     fig = FigureResult(
         figure_id="fig5",
         title=(
@@ -45,13 +45,13 @@ def fig5(
     )
     for srate in srates:
         ys = [
-            runner.mean_total_cost(seeds, nrate_per_gb=n, srate_per_gb_hour=srate)
+            runner.mean_total_cost(seed, nrate_per_gb=n, srate_per_gb_hour=srate)
             for n in nrates
         ]
         fig.series.append(
             Series(f"srate={srate:g}", tuple(nrates), tuple(ys))
         )
-    baseline = [runner.mean_network_only(seeds, nrate_per_gb=n) for n in nrates]
+    baseline = [runner.mean_network_only(seed, nrate_per_gb=n) for n in nrates]
     fig.series.append(
         Series("no intermediate storage", tuple(nrates), tuple(baseline))
     )
@@ -72,7 +72,7 @@ def fig6(
     cfg = runner.config
     alphas = list(alphas if alphas is not None else cfg.alpha_axis)
     nrates = list(cfg.nrate_axis)
-    seeds = [cfg.workload_seed]
+    seed = cfg.workload_seed
     fig = FigureResult(
         figure_id="fig6",
         title=(
@@ -84,7 +84,7 @@ def fig6(
     )
     for alpha in alphas:
         ys = [
-            runner.mean_total_cost(seeds, nrate_per_gb=n, alpha=alpha)
+            runner.mean_total_cost(seed, nrate_per_gb=n, alpha=alpha)
             for n in nrates
         ]
         fig.series.append(Series(f"alpha={alpha:g}", tuple(nrates), tuple(ys)))

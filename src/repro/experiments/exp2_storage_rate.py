@@ -25,7 +25,7 @@ def fig7(runner: ExperimentRunner) -> FigureResult:
     cfg = runner.config
     srates = list(cfg.srate_wide_axis)
     nrate = cfg.nrate_per_gb
-    seeds = [cfg.workload_seed]
+    seed = cfg.workload_seed
     fig = FigureResult(
         figure_id="fig7",
         title=(
@@ -36,11 +36,11 @@ def fig7(runner: ExperimentRunner) -> FigureResult:
         ylabel="total service cost ($)",
     )
     ys = [
-        runner.mean_total_cost(seeds, srate_per_gb_hour=s, nrate_per_gb=nrate)
+        runner.mean_total_cost(seed, srate_per_gb_hour=s, nrate_per_gb=nrate)
         for s in srates
     ]
     fig.series.append(Series("with intermediate storage", tuple(srates), tuple(ys)))
-    baseline = runner.mean_network_only(seeds, nrate_per_gb=nrate)
+    baseline = runner.mean_network_only(seed, nrate_per_gb=nrate)
     fig.series.append(
         Series(
             "network only system",
@@ -65,7 +65,7 @@ def fig8(
     cfg = runner.config
     srates = list(cfg.srate_wide_axis)
     nrates = list(nrates if nrates is not None else (300, 600, 1000))
-    seeds = [cfg.workload_seed]
+    seed = cfg.workload_seed
     fig = FigureResult(
         figure_id="fig8",
         title=(
@@ -77,7 +77,7 @@ def fig8(
     )
     for nrate in nrates:
         ys = [
-            runner.mean_total_cost(seeds, srate_per_gb_hour=s, nrate_per_gb=nrate)
+            runner.mean_total_cost(seed, srate_per_gb_hour=s, nrate_per_gb=nrate)
             for s in srates
         ]
         fig.series.append(Series(f"nrate={nrate:g}", tuple(srates), tuple(ys)))

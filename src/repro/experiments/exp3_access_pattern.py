@@ -25,7 +25,7 @@ def fig9(
     cfg = runner.config
     alphas = sorted(cfg.alpha_axis)
     capacities = list(capacities if capacities is not None else cfg.capacity_axis)
-    seeds = [cfg.workload_seed]
+    seed = cfg.workload_seed
     fig = FigureResult(
         figure_id="fig9",
         title=(
@@ -37,7 +37,7 @@ def fig9(
     )
     for cap in capacities:
         ys = [
-            runner.mean_total_cost(seeds, alpha=a, capacity_gb=cap)
+            runner.mean_total_cost(seed, alpha=a, capacity_gb=cap)
             for a in alphas
         ]
         fig.series.append(

@@ -160,17 +160,10 @@ class ExperimentRunner:
             n_requests=len(batch),
         )
 
-    def mean_total_cost(self, seeds, **params) -> float:
-        """Average ``run(...).total_cost`` over several workload seeds.
-
-        The paper reports single-seed curves; averaging smooths the quick
-        configurations without changing any shape.
-        """
-        if not seeds:
-            raise ValueError("seeds must be non-empty")
-        return sum(self.run(seed=s, **params).total_cost for s in seeds) / len(
-            seeds
-        )
+    def mean_total_cost(self, seed: int, **params) -> float:
+        """``run(seed=seed, ...).total_cost``: the paper reports
+        single-seed curves, so a figure point is one run's total cost."""
+        return self.run(seed=seed, **params).total_cost
 
     def network_only(
         self,
@@ -185,13 +178,9 @@ class ExperimentRunner:
         cm = CostModel(topo, self._catalog)
         return network_only_cost(batch, cm)
 
-    def mean_network_only(self, seeds, **params) -> float:
-        """Average network-only baseline cost over several seeds."""
-        if not seeds:
-            raise ValueError("seeds must be non-empty")
-        return sum(self.network_only(seed=s, **params) for s in seeds) / len(
-            seeds
-        )
+    def mean_network_only(self, seed: int, **params) -> float:
+        """``network_only(seed=seed, ...)``, a figure's baseline point."""
+        return self.network_only(seed=seed, **params)
 
     @staticmethod
     def _record(

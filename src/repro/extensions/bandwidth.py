@@ -182,12 +182,17 @@ class LiveCapacityConstraints:
         capacity = self._topo.capacity(location)
         if profile.peak > capacity_slack(capacity):
             return False
+        # sessions hold plain (location, source, t_start, t_last, services)
+        # copies; the replaced one is the very tuple ``replacing`` names
         others = []
         for session in self._sessions:
             for c in session.residencies:
-                if c is replacing or c.location != location:
+                if c is replacing or c[0] != location:
                     continue
-                others.append(c.profile(self._catalog[c.video_id]))
+                other = self._catalog[session.schedule.video_id]
+                others.append(
+                    residency_profile(other.size, other.playback, c[2], c[3])
+                )
         return fits_under(UsageTimeline(others), profile, capacity)
 
 

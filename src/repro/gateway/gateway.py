@@ -6,12 +6,13 @@ For every arriving booking it
 
 1. **pre-screens validity** -- the service's own
    :meth:`~repro.service.VORService.refusal` at the booking instant
-   (unknown title, unknown neighborhood storage, lead time) plus an
-   unreachable neighborhood -- so the sealed batch never makes the service
-   raise;
+   (unknown title, unknown neighborhood storage, lead time) -- so the
+   sealed batch never makes the service raise;
 2. **quotes** an incremental price through
    :class:`~repro.gateway.quote.QuoteEngine` (cheapest-copy Ψ_D vs.
-   residency-extension Ψ_C against the partially-built cycle);
+   residency-extension Ψ_C against the partially-built cycle); a booking
+   no home warehouse reaches gets no quote and is rejected as
+   unreachable;
 3. runs the priced reservation through a pluggable
    :class:`~repro.gateway.policies.AdmissionPolicy`;
 4. applies **backpressure**: admitted reservations join the solver-bound
@@ -330,11 +331,14 @@ class ReservationGateway:
         """
         self._counters["offered"] += 1
         request = event.request
-        reason = self._prescreen(event)
+        reason = self.service.refusal(request, event.at)
+        if reason is None:
+            quote = self.quotes.quote(request)
+            if quote is None:
+                reason = "unreachable"
         if reason is not None:
             self._reject(event, reason)
             return "rejected"
-        quote = self.quotes.quote(request)
         self.obs.journal.emit(
             "quoted",
             request=request,
@@ -367,12 +371,6 @@ class ReservationGateway:
             self._enqueue(intake)
             return "queued"
         return self._overflow(intake)
-
-    def _prescreen(self, event: RequestEvent) -> str | None:
-        reason = self.service.refusal(event.request, event.at)
-        if reason is None and not self.quotes.reachable(event.request):
-            return "unreachable"
-        return reason
 
     def _reject(self, event: RequestEvent, reason: str, **attrs) -> None:
         rejected = self._counters["rejected"]

@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.costmodel import CostModel
-from repro.errors import RoutingError, ScheduleError
-from repro.topology.routing import Route
+from repro.errors import RoutingError
 from repro.workload.requests import Request
 
 #: Quote bases, in the order the engine prefers them on a price tie.
@@ -87,20 +86,22 @@ class QuoteEngine:
         """Forget the building batch (called at cycle seal)."""
         self._spans.clear()
 
-    def quote(self, request: Request) -> Quote:
-        """Price one reservation against the current batch state.
+    def quote(self, request: Request) -> Quote | None:
+        """Price one reservation against the current batch state, or
+        ``None`` when no home warehouse can reach its neighborhood (the
+        gateway rejects it as unreachable).
 
-        Raises :class:`~repro.errors.ScheduleError` when no home warehouse
-        can reach the neighborhood -- callers pre-screen reachability so
-        this marks a topology hole, not a policy decision.
+        The cheapest home is priced once per call, and the gateway quotes
+        each booking once.
         """
         cm = self._cost_model
-        home = self._cheapest_home(request)
+        try:
+            routes = cm.router.routes_to(request.local_storage)
+        except RoutingError:
+            return None  # an unknown neighborhood
+        home = cm.cheapest_home(request.video_id, request.start_time, routes)
         if home is None:
-            raise ScheduleError(
-                f"no home warehouse can reach {request.local_storage!r} for "
-                f"video {request.video_id!r}"
-            )
+            return None
         psi_d_fresh = home[0]
 
         key = (request.video_id, request.local_storage)
@@ -137,18 +138,6 @@ class QuoteEngine:
             self._spans[key] = (t, t)
         else:
             self._spans[key] = (min(span[0], t), max(span[1], t))
-
-    def reachable(self, request: Request) -> bool:
-        """Whether any home warehouse can stream to this neighborhood."""
-        return self._cheapest_home(request) is not None
-
-    def _cheapest_home(self, request: Request) -> tuple[float, Route] | None:
-        cm = self._cost_model
-        try:
-            routes = cm.router.routes_to(request.local_storage)
-        except RoutingError:
-            return None  # an unknown neighborhood
-        return cm.cheapest_home(request.video_id, request.start_time, routes)
 
 
 __all__ = ["QUOTE_BASES", "Quote", "QuoteEngine"]

@@ -17,19 +17,53 @@ from dataclasses import dataclass
 from repro.errors import WorkloadError
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Request:
     """One Video-On-Reservation request.
 
     Ordering is by ``start_time`` first (then the other fields as
     tie-breakers), so a sorted container of requests is chronological, the
-    order in which the greedy scheduler consumes them.
+    order in which the greedy scheduler consumes them.  The comparisons
+    are the field-tuple order ``dataclass(order=True)`` would generate,
+    written out so that the common case, distinct start times, builds no
+    tuples.
     """
 
     start_time: float
     video_id: str
     user_id: str
     local_storage: str
+
+    def _tail(self) -> tuple[str, str, str]:
+        return (self.video_id, self.user_id, self.local_storage)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.start_time != other.start_time:
+            return self.start_time < other.start_time
+        return self._tail() < other._tail()
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.start_time != other.start_time:
+            return self.start_time < other.start_time
+        return self._tail() <= other._tail()
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.start_time != other.start_time:
+            return self.start_time > other.start_time
+        return self._tail() > other._tail()
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.start_time != other.start_time:
+            return self.start_time > other.start_time
+        return self._tail() >= other._tail()
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.start_time):

@@ -5,17 +5,17 @@ that :func:`repro.core.sorp.resolve_overflows` must reproduce bit for bit:
 each round prices every (overflow, member) reschedule with a fresh
 availability oracle whose per-location timelines are rebuilt from the
 working schedule, and every detection sweep covers every storage.  Its
-greedy, :class:`EagerIndividualScheduler`, asks the constraints about
-every cache candidate in residency order before pricing it.  It shares
-only the leaf primitives (``fits_under``, ``detect_overflows`` without an
-index, the greedy's apply and deposit steps, heat and cost model) with
-the production code; the incremental bookkeeping and the cost-first
-candidate admission have no counterpart here.
+greedy is the record-based :class:`~tests.core.greedy_reference.ReferenceGreedy`
+in its eager form, which asks the constraints about every cache candidate
+in residency order before pricing it.  It shares only the leaf primitives
+(``fits_under``, ``detect_overflows`` without an index, heat and cost
+model) with the production code; the incremental bookkeeping, the plain
+greedy state and the cost-first candidate admission have no counterpart
+here.
 
 Test-only: the property tests in ``test_sorp_incremental.py`` compare the
 two paths on schedules, ``ResolutionStats`` and the ``sorp-placed``
-journal sequence, and ``test_candidate_admission.py`` compares the two
-greedies.
+journal sequence.
 """
 
 from __future__ import annotations
@@ -23,72 +23,14 @@ from __future__ import annotations
 import math
 
 from repro.core.heat import HeatMetric, compute_heat
-from repro.core.individual import IndividualScheduler
 from repro.core.overflow import detect_overflows
 from repro.core.rejective import fits_under
 from repro.core.sorp import ResolutionStats, VictimRecord, _key_greater
 from repro.core.spacefunc import UsageTimeline, capacity_slack, residency_profile
-from repro.errors import OverflowResolutionError, RoutingError, ScheduleError
+from repro.errors import OverflowResolutionError, ScheduleError
 from repro.obs import NULL_OBS
 
-
-class EagerIndividualScheduler(IndividualScheduler):
-    """The greedy that asks ``allows`` of every cache candidate, in
-    residency order, before routing and pricing it; the pick is the first
-    minimum key over the warehouses, then the allowed caches, returned
-    with the cheapest warehouse."""
-
-    def _best_candidate(self, video, req, residencies):
-        best = None
-        if req.local_storage not in self._cm.topology:
-            raise RoutingError(f"unknown destination node {req.local_storage!r}")
-        volume = video.network_volume * self._cm.network_multiplier(
-            req.start_time
-        )
-        t0, t1 = req.start_time, req.start_time + video.playback
-        for w in self._cm.homes(video.video_id):
-            route = self._route_policy.routes(
-                req.local_storage, t0, t1, video.bandwidth
-            ).get(w)
-            if route is None:
-                continue
-            network = volume * route.rate
-            cand = ((network, route.hops, 1, w), -1, route, network)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        home = best
-        start = req.start_time
-        constraints = self._constraints
-        for idx, c in enumerate(residencies):
-            if c.t_start > start:
-                continue
-            # a cache already held past the start (a seed) serves at a zero
-            # Ψ_C extension
-            t_last = max(start, c.t_last)
-            if constraints is not None and not constraints.allows(
-                video, c.location, c.t_start, t_last, replacing=c
-            ):
-                continue
-            route = self._route_policy.routes(
-                req.local_storage, t0, t1, video.bandwidth
-            ).get(c.location)
-            if route is None:
-                continue
-            ext_cost = self._cm.residency_cost_for(
-                video.video_id, c.location, c.t_start, t_last
-            ) - self._cm.residency_cost_for(
-                video.video_id, c.location, c.t_start, c.t_last
-            )
-            network = volume * route.rate
-            cand = ((network + ext_cost, route.hops, 0, c.location), idx, route,
-                    network)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        if best is None:
-            raise ScheduleError(f"no feasible source for request {req}")
-        if not math.isfinite(best[0][0]):
-            raise ScheduleError(f"non-finite candidate cost for request {req}")
-        return best, home
+from .greedy_reference import ReferenceGreedy
 
 
 class ReferenceOracle:
@@ -148,7 +90,7 @@ def reference_reschedule(
         schedule, cost_model.catalog, cost_model.topology, video.video_id,
         background,
     )
-    greedy = EagerIndividualScheduler(
+    greedy = ReferenceGreedy(
         cost_model, ReferenceConstraints(forbidden, oracle), route_policy
     )
     return greedy.schedule_file(video, requests, initial_residencies=seeds)

@@ -1,18 +1,27 @@
-"""Cost-first candidate admission picks what asking every candidate picks.
+"""The greedy kernel equals the record-based reference greedy.
 
-The greedy (:mod:`repro.core.individual`) prices every cache copy first
-and asks its constraints only about the copies that beat the cheapest
-warehouse, cheapest first.  These tests hold it to the eager greedy of
-:mod:`tests.core.sorp_reference`, which asks about every cache candidate
-in residency order before pricing it through
-:meth:`~repro.core.costmodel.CostModel.residency_cost_for`: equal file
-schedules in Phase 1 (also under a diurnal tariff, on an uncached model,
-with carryover seeds held past a request's start and over a two-warehouse
-replica map), in the rejective greedy with the reference constraints, and
-in the bandwidth-aware scheduler with live capacity constraints.  They
-also pin the two facts the exactness argument rests on: copies that cannot
-beat the cheapest warehouse are never asked about, and a Ψ_C extension is
-never negative, also where the span crosses the playback length.
+The kernel (:mod:`repro.core.individual`) keeps each file's copies as
+plain tuples with their Ψ_C, skips copies dearer on the network alone
+than the best key so far, and asks its constraints only about the copies
+that beat the cheapest warehouse, cheapest first.
+:class:`~tests.core.greedy_reference.ReferenceGreedy` keeps
+:class:`~repro.core.schedule.ResidencyInfo` records and reprices every
+copy through :meth:`~repro.core.costmodel.CostModel.residency_cost_for`.
+
+* ``TestLazyEqualsEager`` holds the kernel's picks to the eager reference,
+  which asks about every cache candidate in residency order: equal file
+  schedules in Phase 1 (also under a diurnal tariff, on an uncached model,
+  with carryover seeds held past a request's start and over a two-warehouse
+  replica map), in the rejective greedy with the reference constraints,
+  and in the bandwidth-aware scheduler with live capacity constraints.
+* ``TestKernelEqualsRecordReference`` holds the kernel to the cost-first
+  reference, which asks in the kernel's order: equal file schedules,
+  ``phase1-assigned`` events and rejective ``DecisionLog`` decisions and
+  marks, also for resumed runs.
+* ``TestAskOnlyWhatCanWin`` and ``TestExtensionIsNonNegative`` pin the two
+  facts the exactness argument rests on: copies that cannot beat the
+  cheapest warehouse are never asked about, and a Ψ_C extension is never
+  negative, also where the span crosses the playback length.
 """
 
 from __future__ import annotations
@@ -41,18 +50,23 @@ from repro import (
 )
 from repro.core import individual
 from repro.core.costmodel import storage_cost
+from repro.core.individual import copies_of
+from repro.core.overflow import StorageLedger
+from repro.core.rejective import DecisionLog, RejectiveGreedyScheduler
 from repro.extensions import (
     BandwidthAwareScheduler,
     DiurnalCostModel,
     TimeOfDayTariff,
 )
+from repro.obs import Observability
 from repro.topology.generators import PAPER_STORAGE_COUNT, PAPER_TOPOLOGY_EDGES
 
-from .sorp_reference import (
-    EagerIndividualScheduler,
-    ReferenceConstraints,
-    ReferenceOracle,
+from .greedy_reference import (
+    ReferenceGreedy,
+    ReferenceLiveConstraints,
+    reference_reschedule,
 )
+from .sorp_reference import ReferenceConstraints, ReferenceOracle
 
 instances = st.tuples(
     st.sampled_from([1.0, 2.0, 5.0]),  # capacity, GB
@@ -76,6 +90,32 @@ def _instance(capacity_gb, srate, n_videos, users, seed):
     return topo, catalog, batch
 
 
+def _held_seeds(topo, batch):
+    """Two carried-over caches per video, held to the middle of its
+    requests: one at its first requester's storage (so that request is
+    served from it at a zero Ψ_C extension) and one elsewhere."""
+    storages = [s.name for s in topo.storages]
+    seeds = {}
+    for i, (video_id, requests) in enumerate(batch.by_video().items()):
+        first = min(requests)
+        last = max(requests)
+        held = first.start_time + 0.5 * (last.start_time - first.start_time)
+        other = [s for s in storages if s != first.local_storage]
+        seeds[video_id] = tuple(
+            ResidencyInfo(
+                video_id, location, "VW", first.start_time - 600.0, held + 1.0
+            )
+            for location in (first.local_storage, other[i % len(other)])
+        )
+    return seeds
+
+
+def _model(topo, catalog, diurnal):
+    if diurnal:
+        return DiurnalCostModel(topo, catalog, TimeOfDayTariff.evening_peak())
+    return CostModel(topo, catalog)
+
+
 class TestLazyEqualsEager:
     @given(inst=instances)
     @settings(max_examples=30, deadline=None)
@@ -83,7 +123,7 @@ class TestLazyEqualsEager:
         topo, catalog, batch = _instance(*inst)
         cm = CostModel(topo, catalog)
         lazy = IndividualScheduler(cm).solve(batch)
-        eager = EagerIndividualScheduler(cm).solve(batch)
+        eager = ReferenceGreedy(cm).solve(batch)
         assert lazy == eager
 
     @given(inst=instances)
@@ -92,7 +132,7 @@ class TestLazyEqualsEager:
         topo, catalog, batch = _instance(*inst)
         cm = DiurnalCostModel(topo, catalog, TimeOfDayTariff.evening_peak())
         lazy = IndividualScheduler(cm).solve(batch)
-        eager = EagerIndividualScheduler(cm).solve(batch)
+        eager = ReferenceGreedy(cm).solve(batch)
         assert lazy == eager
 
     @given(inst=instances)
@@ -101,33 +141,17 @@ class TestLazyEqualsEager:
         topo, catalog, batch = _instance(*inst)
         cm = CostModel(topo, catalog, cache=False)
         lazy = IndividualScheduler(cm).solve(batch)
-        eager = EagerIndividualScheduler(cm).solve(batch)
+        eager = ReferenceGreedy(cm).solve(batch)
         assert lazy == eager
 
     @given(inst=instances)
     @settings(max_examples=15, deadline=None)
     def test_phase1_seeds_held_past_the_start(self, inst):
-        # every video carries two caches over, held to the middle of its
-        # requests: one at its first requester's storage (so that request
-        # is served from it at a zero Ψ_C extension) and one elsewhere
         topo, catalog, batch = _instance(*inst)
         cm = CostModel(topo, catalog)
-        storages = [s.name for s in topo.storages]
-        seeds = {}
-        for i, (video_id, requests) in enumerate(batch.by_video().items()):
-            first = min(requests)
-            last = max(requests)
-            held = first.start_time + 0.5 * (last.start_time - first.start_time)
-            other = [s for s in storages if s != first.local_storage]
-            seeds[video_id] = tuple(
-                ResidencyInfo(
-                    video_id, location, "VW", first.start_time - 600.0,
-                    held + 1.0,
-                )
-                for location in (first.local_storage, other[i % len(other)])
-            )
+        seeds = _held_seeds(topo, batch)
         lazy = IndividualScheduler(cm).solve(batch, seeds=seeds)
-        eager = EagerIndividualScheduler(cm).solve(batch, seeds=seeds)
+        eager = ReferenceGreedy(cm).solve(batch, seeds=seeds)
         assert lazy == eager
         for fs in lazy:
             local = seeds[fs.video_id][0]
@@ -149,7 +173,7 @@ class TestLazyEqualsEager:
         )
         cm = CostModel(topo, catalog, replicas=replicas)
         lazy = IndividualScheduler(cm).solve(batch)
-        eager = EagerIndividualScheduler(cm).solve(batch)
+        eager = ReferenceGreedy(cm).solve(batch)
         assert lazy == eager
 
     @given(inst=instances)
@@ -163,7 +187,7 @@ class TestLazyEqualsEager:
             forbidden = [(of.location, of.interval)]
             for c in of.members:
                 files = []
-                for greedy in (IndividualScheduler, EagerIndividualScheduler):
+                for greedy in (IndividualScheduler, ReferenceGreedy):
                     oracle = ReferenceOracle(working, catalog, topo, c.video_id)
                     constraints = ReferenceConstraints(forbidden, oracle)
                     files.append(
@@ -195,8 +219,13 @@ class TestLazyEqualsEager:
         for a, b in PAPER_TOPOLOGY_EDGES:
             topo.add_edge(a, b, nrate=units.per_gb(500), bandwidth=link)
         results = []
-        for greedy in (IndividualScheduler, EagerIndividualScheduler):
+        for greedy, live in (
+            (IndividualScheduler, None),
+            (ReferenceGreedy, ReferenceLiveConstraints),
+        ):
             scheduler = BandwidthAwareScheduler(topo, catalog)
+            if live is not None:
+                scheduler._capacity = live(topo, catalog)
             scheduler._greedy = greedy(
                 scheduler.cost_model,
                 constraints=scheduler._capacity,
@@ -208,6 +237,136 @@ class TestLazyEqualsEager:
         assert lazy.rejected == eager.rejected
         assert lazy.diverted_streams == eager.diverted_streams
         assert lazy.total_cost == eager.total_cost
+
+
+def _assert_logs_equal(kernel, reference, video_id):
+    """The kernel's log equals the reference's: its marks hold plain
+    copies where the reference's hold records."""
+    assert kernel.decisions == reference.decisions
+    assert kernel.at == reference.at
+    assert [
+        (n, tuple(ResidencyInfo(video_id, *c) for c in copies))
+        for n, copies in kernel.marks
+    ] == reference.marks
+
+
+class TestKernelEqualsRecordReference:
+    """The kernel against the reference that asks in the kernel's order:
+    the same schedules, journal events and decision logs."""
+
+    @given(
+        inst=instances,
+        seeded=st.booleans(),
+        diurnal=st.booleans(),
+        scope=st.sampled_from(["route", "destination"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_phase1_schedules_and_events(self, inst, seeded, diurnal, scope):
+        topo, catalog, batch = _instance(*inst)
+        cm = _model(topo, catalog, diurnal)
+        seeds = _held_seeds(topo, batch) if seeded else None
+        runs = []
+        for greedy in (IndividualScheduler, ReferenceGreedy):
+            options = {} if greedy is IndividualScheduler else {"eager": False}
+            obs = Observability.on(journal=True)
+            schedule = greedy(cm, deposit_scope=scope, obs=obs, **options).solve(
+                batch, seeds=seeds
+            )
+            runs.append((schedule, list(obs.journal)))
+        assert runs[0] == runs[1]
+        assert runs[0][1]  # the journal saw every serve
+
+    @given(
+        inst=instances,
+        seeded=st.booleans(),
+        diurnal=st.booleans(),
+        at=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_rejective_logs_and_resumed_runs(self, inst, seeded, diurnal, at):
+        topo, catalog, batch = _instance(*inst)
+        cm = _model(topo, catalog, diurnal)
+        seeds = _held_seeds(topo, batch) if seeded else {}
+        working = IndividualScheduler(cm).solve(batch, seeds=seeds)
+        ledger = StorageLedger(working, catalog, topo)
+        by_video = batch.by_video()
+        overflows = detect_overflows(working, catalog, topo)
+        # each member is rescheduled away from its overflow, then resumed
+        # at a drawn request away from the next overflow's window
+        for of, nxt in zip(overflows, overflows[1:] + overflows[:1]):
+            for c in of.members[:3]:
+                video, requests = catalog[c.video_id], by_video[c.video_id]
+                held = seeds.get(c.video_id, ())
+                forbidden = [(of.location, of.interval)]
+                klog, rlog = DecisionLog(), DecisionLog()
+                kernel = RejectiveGreedyScheduler(cm).reschedule(
+                    video, requests, ledger, forbidden=forbidden,
+                    copies=copies_of(held), log=klog,
+                )
+                reference = reference_reschedule(
+                    cm, video, requests, ledger, forbidden=forbidden,
+                    residencies=held, log=rlog,
+                )
+                assert kernel == reference
+                _assert_logs_equal(klog, rlog, c.video_id)
+                k = min(int(at * len(requests)), len(requests) - 1)
+                kept = tuple(kernel.deliveries[:k])
+                kprefix, copies = klog.cut(k)
+                rprefix, records = rlog.cut(k)
+                forbidden = [(nxt.location, nxt.interval)]
+                kernel = RejectiveGreedyScheduler(cm).reschedule(
+                    video, requests, ledger, forbidden=forbidden,
+                    copies=copies, log=kprefix, kept=kept,
+                )
+                reference = reference_reschedule(
+                    cm, video, requests, ledger, forbidden=forbidden,
+                    residencies=records, log=rprefix, kept=kept,
+                )
+                assert kernel == reference
+                _assert_logs_equal(kprefix, rprefix, c.video_id)
+
+    @given(
+        inst=instances,
+        streams=st.sampled_from([1.0, 1.5, 3.0]),
+        scope=st.sampled_from(["route", "destination"]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_bandwidth_routes_with_live_capacity(self, inst, streams, scope):
+        _, catalog, batch = _instance(*inst)
+        capacity_gb, srate = inst[:2]
+        link = streams * max(v.bandwidth for v in catalog)
+        topo = Topology()
+        topo.add_warehouse("VW")
+        for i in range(1, PAPER_STORAGE_COUNT + 1):
+            topo.add_storage(
+                f"IS{i}",
+                srate=units.per_gb_hour(srate),
+                capacity=units.gb(capacity_gb),
+            )
+        for a, b in PAPER_TOPOLOGY_EDGES:
+            topo.add_edge(a, b, nrate=units.per_gb(500), bandwidth=link)
+        runs = []
+        for reference in (False, True):
+            scheduler = BandwidthAwareScheduler(topo, catalog)
+            obs = Observability.on(journal=True)
+            greedy, options = IndividualScheduler, {}
+            if reference:
+                scheduler._capacity = ReferenceLiveConstraints(topo, catalog)
+                greedy, options = ReferenceGreedy, {"eager": False}
+            scheduler._greedy = greedy(
+                scheduler.cost_model,
+                constraints=scheduler._capacity,
+                route_policy=scheduler._policy,
+                deposit_scope=scope,
+                obs=obs,
+                **options,
+            )
+            result = scheduler.solve(batch)
+            runs.append(
+                (result.schedule, result.rejected, result.diverted_streams,
+                 list(obs.journal))
+            )
+        assert runs[0] == runs[1]
 
 
 class _Recording:
@@ -277,7 +436,7 @@ class TestAskOnlyWhatCanWin:
         assert route == ("IS4", "IS3", "IS2")
 
     def test_eager_reference_asks_every_copy(self):
-        asked, route = self._serve(EagerIndividualScheduler, {"IS2": False})
+        asked, route = self._serve(ReferenceGreedy, {"IS2": False})
         assert asked == ["IS5", "IS3", "IS1", "IS2"]
         assert route == ("IS1", "IS2")
 

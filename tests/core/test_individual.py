@@ -1,16 +1,23 @@
 """Tests for the Phase-1 greedy (Individual Video Scheduling)."""
 
+from collections import Counter
+
 import pytest
 
 from repro import (
     CostModel,
+    DeliveryInfo,
     IndividualScheduler,
     Request,
     RequestBatch,
+    ResidencyInfo,
     Topology,
     VideoCatalog,
     VideoFile,
+    WorkloadGenerator,
     chain_topology,
+    paper_catalog,
+    paper_topology,
     units,
 )
 from repro.errors import ScheduleError
@@ -199,3 +206,34 @@ class TestFig2Greedy:
         fs = IndividualScheduler(cm).solve(fig2_batch)
         assert cm.total(fs) <= 138.975 + 1e-9
         assert cm.total(fs) == pytest.approx(108.45)
+
+
+class TestRecordsBuilt:
+    """Deterministic work counter of the greedy kernel: a session keeps
+    plain state and builds one record per residency and delivery it
+    returns, so the count cannot drift with the machine."""
+
+    def test_phase1_builds_only_the_records_it_returns(self, monkeypatch):
+        # 200 users at each of the 19 paper storages, caches too large to
+        # overflow: a vorbench roomy_cycle-sized Phase-1 solve
+        topo = paper_topology(
+            nrate=units.per_gb(500),
+            srate=units.per_gb_hour(5),
+            capacity=units.gb(1e6),
+        )
+        catalog = paper_catalog(n_videos=500, seed=4)
+        batch = WorkloadGenerator(
+            topo, catalog, alpha=0.271, users_per_neighborhood=200
+        ).generate(seed=1)
+        assert len(batch) == 3800
+        built = Counter()
+        for cls in (ResidencyInfo, DeliveryInfo):
+
+            def counting(self, original=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        schedule = IndividualScheduler(CostModel(topo, catalog)).solve(batch)
+        assert built["DeliveryInfo"] == len(schedule.deliveries) == len(batch)
+        assert built["ResidencyInfo"] == len(schedule.residencies) > 1000

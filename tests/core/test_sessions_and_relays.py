@@ -69,22 +69,26 @@ class TestFileGreedySession:
             )
 
     def test_location_index_map_follows_the_residencies(self):
-        """The session keeps ``{location: index}`` as it serves, equal to
-        the map rebuilt from its residencies (the last index winning)."""
+        """The session keeps ``{location: index}`` and each copy's Ψ_C as
+        it serves, equal to the map rebuilt from its copies (the last
+        index winning) and to Ψ_C priced afresh."""
         topo = chain_topology(4, nrate=1.0, srate=1e-3, capacity=1e12)
         catalog = VideoCatalog([VideoFile("v", size=100.0, playback=10.0)])
+        cm = CostModel(topo, catalog)
         seeds = (
             ResidencyInfo("v", "IS3", "VW", 0.0, 0.0),
             ResidencyInfo("v", "IS1", "VW", 0.0, 2.0),
         )
-        session = IndividualScheduler(CostModel(topo, catalog)).session(
+        session = IndividualScheduler(cm).session(
             catalog["v"], initial_residencies=seeds
         )
         for t, loc in ((1.0, "IS4"), (3.0, "IS2"), (30.0, "IS4"), (31.0, "IS3")):
             session.serve(Request(t, "v", f"u{t}", loc))
-            assert session._occupied == {
-                c.location: i for i, c in enumerate(session.residencies)
-            }
+            copies = session.residencies
+            assert session._occupied == {c[0]: i for i, c in enumerate(copies)}
+            assert session._psi == [
+                cm.residency_cost_for("v", c[0], c[2], c[3]) for c in copies
+            ]
         assert len(session.residencies) > len(seeds)  # deposits were appended
 
     def test_failed_serve_leaves_state_intact(self):

@@ -1,4 +1,8 @@
-"""Tests for multi-seed averaging in the experiment harness."""
+"""Tests for the runner's figure-point helpers, one workload seed each.
+
+The figure runners (fig5-fig9) pass ``cfg.workload_seed``; a point is the
+cost of that one run, bit for bit.
+"""
 
 import pytest
 
@@ -12,24 +16,9 @@ def runner():
 
 class TestMeanTotalCost:
     def test_single_seed_equals_run(self, runner):
-        a = runner.mean_total_cost([5], nrate_per_gb=400)
+        a = runner.mean_total_cost(5, nrate_per_gb=400)
         b = runner.run(seed=5, nrate_per_gb=400).total_cost
-        assert a == pytest.approx(b)
-
-    def test_mean_of_seeds(self, runner):
-        costs = [runner.run(seed=s, nrate_per_gb=400).total_cost for s in (1, 2, 3)]
-        mean = runner.mean_total_cost([1, 2, 3], nrate_per_gb=400)
-        assert mean == pytest.approx(sum(costs) / 3)
-
-    def test_empty_seeds_rejected(self, runner):
-        with pytest.raises(ValueError):
-            runner.mean_total_cost([])
-        with pytest.raises(ValueError):
-            runner.mean_network_only([])
+        assert a == b
 
     def test_network_only_mean(self, runner):
-        costs = [runner.network_only(seed=s) for s in (1, 2)]
-        assert runner.mean_network_only([1, 2]) == pytest.approx(
-            sum(costs) / 2
-        )
-
+        assert runner.mean_network_only(1) == runner.network_only(seed=1)

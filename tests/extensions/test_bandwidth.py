@@ -230,3 +230,33 @@ class TestLiveCapacityConstraints:
         live = LiveCapacityConstraints(topo, catalog)
         assert not live.allows(catalog["v"], "IS1", 0.0, 30.0)
         assert live.allows(catalog["v"], "IS1", 30.0, 30.0)  # zero extent
+
+    def test_extension_does_not_count_the_copy_it_replaces(self):
+        """Extending the one IS1 cache from [0, 30] to [0, 60] prices it
+        beside every copy but the one it replaces.  Counting that one too
+        (0.9 + 0.9 GB in 1 GB) would serve the third request from VW."""
+        topo = Topology()
+        topo.add_warehouse("VW")
+        topo.add_storage("IS1", srate=1e-3, capacity=self.GB)
+        topo.add_edge("VW", "IS1", nrate=1.0)
+        catalog = VideoCatalog([VideoFile("v", size=0.9 * self.GB, playback=10.0)])
+        batch = RequestBatch(
+            [
+                Request(0.0, "v", "u1", "IS1"),
+                Request(30.0, "v", "u2", "IS1"),
+                Request(60.0, "v", "u3", "IS1"),
+            ]
+        )
+        r = BandwidthAwareScheduler(topo, catalog).solve(batch)
+        assert [d.route for d in r.schedule.deliveries] == [
+            ("VW", "IS1"),
+            ("IS1",),
+            ("IS1",),
+        ]
+        [c] = r.schedule.residencies
+        assert (c.location, c.t_start, c.t_last, c.service_list) == (
+            "IS1",
+            0.0,
+            60.0,
+            ("u2", "u3"),
+        )

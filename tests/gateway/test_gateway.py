@@ -90,11 +90,9 @@ class TestPrescreen:
         assert report.rejected == {"lead-time": 1}
 
     def test_unreachable_neighborhood(self, fig2_gateway, monkeypatch):
-        # a validated topology always routes, so stub the probe: the
+        # a validated topology always routes, so stub the quote: the
         # gateway must turn a routing hole into a rejection, not a raise
-        monkeypatch.setattr(
-            fig2_gateway.quotes, "reachable", lambda request: False
-        )
+        monkeypatch.setattr(fig2_gateway.quotes, "quote", lambda request: None)
         assert fig2_gateway.intake(_ev(0.0, 13 * H, "U1")) == "rejected"
         report = fig2_gateway.seal(cycle_end=20 * H, final=True)
         assert report.rejected == {"unreachable": 1}

@@ -130,7 +130,7 @@ class TestResidencyExtension:
 
 class TestReachability:
     def test_connected_neighborhood_reachable(self, engine):
-        assert engine.reachable(_request(ONE_PM, "U1", "IS1"))
+        assert engine.quote(_request(ONE_PM, "U1", "IS1")) is not None
 
     def test_isolated_neighborhood_unreachable(self, fig2_catalog):
         topo = Topology()
@@ -143,7 +143,8 @@ class TestReachability:
         )
         topo.add_edge("VW", "IS1", nrate=units.per_gb(500))
         engine = QuoteEngine(CostModel(topo, fig2_catalog))
-        assert not engine.reachable(_request(ONE_PM, "U1", "ISX"))
+        assert engine.quote(_request(ONE_PM, "U1", "ISX")) is None
+        assert engine.quote(_request(ONE_PM, "U1", "IS_unknown")) is None
 
     def test_json_dict_carries_provenance(self, engine):
         doc = engine.quote(_request(ONE_PM, "U1", "IS1")).to_json_dict()

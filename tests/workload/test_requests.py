@@ -1,6 +1,10 @@
 """Tests for Request and RequestBatch."""
 
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Request, RequestBatch
 from repro.errors import WorkloadError
@@ -35,6 +39,46 @@ class TestRequest:
         kwargs[field] = ""
         with pytest.raises(WorkloadError):
             Request(**kwargs)
+
+
+def _fields(r):
+    return (r.start_time, r.video_id, r.user_id, r.local_storage)
+
+
+#: Few distinct values per field, so ties at every position are common.
+requests = st.builds(
+    Request,
+    st.sampled_from([-0.0, 0.0, 1.5, 2.0, 1e9]) | st.floats(-1e6, 1e6),
+    st.sampled_from(["v1", "v2", "v10"]),
+    st.sampled_from(["u1", "u2"]),
+    st.sampled_from(["IS1", "IS2"]),
+)
+
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+class TestRequestOrder:
+    """The hand-written comparisons are the field-tuple order."""
+
+    @given(a=requests, b=requests)
+    @settings(max_examples=500, deadline=None)
+    def test_comparisons_follow_the_field_tuple_order(self, a, b):
+        for op in ORDER:
+            assert op(a, b) == op(_fields(a), _fields(b))
+        assert (a == b) == (_fields(a) == _fields(b))
+
+    @given(batch=st.lists(requests, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_sorting_follows_the_field_tuple_order(self, batch):
+        assert [_fields(r) for r in sorted(batch)] == sorted(map(_fields, batch))
+
+    def test_other_types_are_not_comparable(self):
+        r = _req(1.0)
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(r, name)(_fields(r)) is NotImplemented
+        for op in ORDER:
+            with pytest.raises(TypeError):
+                op(r, 1.0)
 
 
 class TestRequestBatch:
