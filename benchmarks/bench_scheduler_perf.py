@@ -163,7 +163,6 @@ _DETERMINISTIC_ONLINE_KEYS = (
 #: counters (latency indicators stay outside the gate).
 _DETERMINISTIC_SLO_KEYS = (
     "deadline_hit_rate",
-    "rejection_rate",
     "amendment_failure_rate",
     "shed_rate",
 )

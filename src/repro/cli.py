@@ -683,28 +683,13 @@ def _slo_policy(args: argparse.Namespace, default):
         raise SystemExit(f"invalid {source}: {exc}") from exc
 
 
-def _read_json(path, flag: str | None = None):
-    """Parse a JSON artifact; unreadable or non-JSON files exit."""
-    import json
-    import pathlib
-
-    try:
-        return json.loads(pathlib.Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        label = f"{flag} {path}" if flag else path
-        raise SystemExit(f"cannot read {label}: {exc}") from exc
-
-
 def _write_json(path, doc: dict, what: str) -> None:
     """Write ``doc`` as sorted, indented JSON to ``path`` (if given)."""
-    import json
-    import pathlib
+    from repro.io import write_json
 
     if not path:
         return
-    pathlib.Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(path, doc)
     _log.info("wrote %s to %s", what, path)
 
 
@@ -1283,11 +1268,16 @@ def _slo_check(args: argparse.Namespace) -> int:
     report embeds (``slo.policy``, the one the run was gated with).
     Prints the verdict and exits 1 when any SLO is breached.
     """
+    from repro.io import field, read_json
     from repro.obs.slo import SLOPolicy
 
-    slo = _read_json(args.report).get("slo") or {}
-    indicators = slo.get("indicators")
-    if not isinstance(indicators, dict):
+    E = SystemExit  # a malformed report exits with the reader's one line
+    what = f"invalid report {args.report}"
+    slo = field(read_json(args.report, E, "report"), "slo", dict, E, what, {})
+    indicators = field(slo, "indicators", dict, E, f"{what} slo", None)
+    for name in indicators or ():
+        field(indicators, name, float, E, f"{what} slo.indicators")
+    if indicators is None:
         raise SystemExit(
             f"{args.report} has no 'slo.indicators' section (write one "
             "with 'run-online --online-report-out' or 'run-gateway "
@@ -1317,10 +1307,12 @@ def _report_dashboard(args: argparse.Namespace) -> int:
 
     Renders phase wall-time totals, the stitched critical path, the
     deterministic metric families, and (with ``--journal``) the event mix
-    and per-request timelines from a journal JSONL.
+    and per-request timelines from a journal JSONL.  A file that is not
+    the artifact its flag names exits with a one-line diagnostic.
     """
     from repro.analysis import ascii_chart, format_table
     from repro.analysis.series import Series
+    from repro.io import field, read_json
     from repro.obs import (
         JournalError,
         SpanRecord,
@@ -1328,14 +1320,33 @@ def _report_dashboard(args: argparse.Namespace) -> int:
         load_journal_jsonl,
     )
 
-    doc = _read_json(args.telemetry, "--telemetry") if args.telemetry else {}
+    E = SystemExit  # a malformed artifact exits with the reader's one line
 
-    phases = doc.get("phases") or {}
-    if phases:
-        rows = [
-            [name, agg["count"], agg["total_seconds"], agg["max_seconds"]]
-            for name, agg in phases.items()
-        ]
+    def read(flag, path, columns):
+        """A run report's ``deterministic`` section, the message prefix,
+        and its cycles, each cycle's ``columns`` holding numbers (a
+        per-reason count is an object of integers)."""
+        what = f"invalid {flag} {path}"
+        det = field(read_json(path, E, flag), "deterministic", dict, E, what, {})
+        cycles = field(det, "cycles", list, E, f"{what} deterministic", [])
+        for i, cycle in enumerate(cycles):
+            at = f"{what} cycles[{i}]"
+            for key in columns.values():
+                cell = field(cycle, key, (float, str, dict), E, at, None)
+                for reason in cell if isinstance(cell, dict) else ():
+                    field(cell, reason, int, E, f"{at} {key}")
+        return det, what, cycles
+
+    doc = read_json(args.telemetry, E, "--telemetry") if args.telemetry else {}
+    what = f"invalid --telemetry {args.telemetry}"
+    rows = []
+    for name, agg in field(doc, "phases", dict, E, what, {}).items():
+        at = f"{what} phases[{name!r}]"
+        rows.append(
+            [name, field(agg, "count", int, E, at)]
+            + [field(agg, k, float, E, at) for k in ("total_seconds", "max_seconds")]
+        )
+    if rows:
         print(
             format_table(
                 ["phase", "spans", "total s", "max s"],
@@ -1344,9 +1355,7 @@ def _report_dashboard(args: argparse.Namespace) -> int:
                 float_fmt="{:.4f}",
             )
         )
-        busiest = sorted(
-            phases.items(), key=lambda kv: -kv[1]["total_seconds"]
-        )[:8]
+        busiest = sorted(rows, key=lambda row: -row[2])[:8]
         if len(busiest) > 1:
             print()
             print(
@@ -1355,43 +1364,44 @@ def _report_dashboard(args: argparse.Namespace) -> int:
                         Series(
                             "total seconds",
                             x=tuple(float(i) for i in range(len(busiest))),
-                            y=tuple(v["total_seconds"] for _, v in busiest),
+                            y=tuple(row[2] for row in busiest),
                         )
                     ],
                     title="wall time by phase (ranked): "
-                    + ", ".join(f"{i}={k}" for i, (k, _) in enumerate(busiest)),
+                    + ", ".join(f"{i}={row[0]}" for i, row in enumerate(busiest)),
                 )
             )
 
-    spans = doc.get("spans") or []
-    if spans:
-        records = [
+    records = []
+    for i, span in enumerate(field(doc, "spans", list, E, what, [])):
+        at = f"{what} spans[{i}]"
+        records.append(
             SpanRecord(
-                name=s["name"],
-                start=s["start"],
-                duration=s["duration"],
-                parent=s.get("parent"),
-                attrs=tuple(sorted((s.get("attrs") or {}).items())),
-                span_id=s.get("span_id", 0),
-                parent_id=s.get("parent_id", 0),
+                name=field(span, "name", str, E, at),
+                start=field(span, "start", float, E, at),
+                duration=field(span, "duration", float, E, at),
+                parent=field(span, "parent", str, E, at, None),
+                attrs=tuple(sorted(field(span, "attrs", dict, E, at, {}).items())),
+                span_id=field(span, "span_id", int, E, at, 0),
+                parent_id=field(span, "parent_id", int, E, at, 0),
             )
-            for s in spans
-        ]
+        )
+    if records:
         print()
         print(format_critical_paths(records, limit=3))
 
-    metrics = doc.get("metrics") or {}
+    metrics = field(doc, "metrics", dict, E, what, {})
+    rows = []
+    for name in sorted(metrics):
+        at = f"{what} metrics[{name!r}]"
+        for child in field(metrics[name], "values", list, E, at, []):
+            labels = field(child, "labels", dict, E, at, {})
+            label_txt = ",".join(f"{k}={v}" for k, v in labels.items())
+            value = child.get("value")
+            if value is None:
+                value = child.get("count", "")
+            rows.append([name, label_txt, value])
     if metrics:
-        rows = []
-        for name in sorted(metrics):
-            fam = metrics[name]
-            for child in fam.get("values", []):
-                labels = child.get("labels") or {}
-                label_txt = ",".join(f"{k}={v}" for k, v in labels.items())
-                value = child.get("value")
-                if value is None:
-                    value = child.get("count", "")
-                rows.append([name, label_txt, value])
         print()
         print(
             format_table(
@@ -1403,13 +1413,10 @@ def _report_dashboard(args: argparse.Namespace) -> int:
         )
 
     if args.horizon_report:
-        det = (
-            _read_json(args.horizon_report, "--horizon-report").get(
-                "deterministic"
-            )
-            or {}
+        det, what, cycles = read(
+            "--horizon-report", args.horizon_report, _HORIZON_COLUMNS
         )
-        cycles = det.get("cycles") or []
+        trajectory = field(det, "psi_trajectory", [float], E, what, [])
         if cycles:
             print()
             print(
@@ -1436,7 +1443,6 @@ def _report_dashboard(args: argparse.Namespace) -> int:
                 title="horizon summary",
             )
         )
-        trajectory = det.get("psi_trajectory") or []
         if len(trajectory) > 1:
             print()
             print(
@@ -1445,7 +1451,7 @@ def _report_dashboard(args: argparse.Namespace) -> int:
                         Series(
                             "psi net ($)",
                             x=tuple(float(i) for i in range(len(trajectory))),
-                            y=tuple(float(p) for p in trajectory),
+                            y=tuple(trajectory),
                         )
                     ],
                     title="per-cycle net psi trajectory",
@@ -1453,13 +1459,10 @@ def _report_dashboard(args: argparse.Namespace) -> int:
             )
 
     if args.gateway_report:
-        det = (
-            _read_json(args.gateway_report, "--gateway-report").get(
-                "deterministic"
-            )
-            or {}
+        det, what, gcycles = read(
+            "--gateway-report", args.gateway_report, _GATEWAY_COLUMNS
         )
-        gcycles = det.get("cycles") or []
+        rejected = field(det, "rejected", dict, E, what, {})
         if gcycles:
             print()
             print(
@@ -1469,7 +1472,6 @@ def _report_dashboard(args: argparse.Namespace) -> int:
                     title=f"gateway cycles [{args.gateway_report}]",
                 )
             )
-        rejected = det.get("rejected") or {}
         print()
         print(
             format_table(

@@ -214,11 +214,6 @@ class BandwidthAwareResult:
     def admitted(self) -> int:
         return len(self.schedule.deliveries)
 
-    @property
-    def rejection_rate(self) -> float:
-        total = self.admitted + len(self.rejected)
-        return len(self.rejected) / total if total else 0.0
-
 
 class BandwidthAwareScheduler:
     """Admission-controlled scheduler honouring links *and* storage.

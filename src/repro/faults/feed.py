@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.errors import FaultError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.feed import EventFeed
+from repro.io import field
 from repro.topology.graph import Topology
 
 #: :meth:`FaultFeed.generate` reports each fault up to this fraction of the
@@ -60,13 +61,13 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultEvent":
-        try:
-            return cls(
-                at=float(data["at"]),
-                fault=FaultSpec.from_dict(data["fault"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FaultError(f"malformed fault event: {exc}") from exc
+        what = "malformed fault event"
+        return cls(
+            at=field(data, "at", float, FaultError, what),
+            fault=FaultSpec.from_dict(
+                field(data, "fault", dict, FaultError, what), f"{what} fault"
+            ),
+        )
 
 
 class FaultFeed(EventFeed[FaultEvent]):

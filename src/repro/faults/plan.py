@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import math
-import pathlib
 import random
 from dataclasses import dataclass
 
 from repro.errors import FaultError
+from repro.io import FORMAT_VERSION, check_version, field, read_json, write_json
 from repro.topology.graph import Topology, edge_key
 
 
@@ -93,7 +92,11 @@ class FaultSpec:
                 f"got {self.severity}"
             )
         if self.kind in LINK_KINDS:
-            if not (isinstance(self.target, (tuple, list)) and len(self.target) == 2):
+            if not (
+                isinstance(self.target, (tuple, list))
+                and len(self.target) == 2
+                and all(isinstance(n, str) and n for n in self.target)
+            ):
                 raise FaultError(
                     f"{self.kind.value} target must be an (a, b) edge pair, "
                     f"got {self.target!r}"
@@ -157,25 +160,18 @@ class FaultSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        try:
-            kind = FaultKind(data["kind"])
-            target = data["target"]
-            if isinstance(target, list):
-                target = tuple(target)
-            return cls(
-                kind=kind,
-                target=target,
-                t_start=float(data["t_start"]),
-                t_end=float(data["t_end"]),
-                severity=float(data.get("severity", 0.0)),
-                label=str(data.get("label", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FaultError(f"malformed fault record: {exc}") from exc
-
-
-_FORMAT_VERSION = 1
+    def from_dict(
+        cls, data: dict, what: str = "malformed fault record"
+    ) -> "FaultSpec":
+        target = field(data, "target", (str, list), FaultError, what)
+        return cls(
+            kind=field(data, "kind", FaultKind, FaultError, what),
+            target=tuple(target) if isinstance(target, list) else target,
+            t_start=field(data, "t_start", float, FaultError, what),
+            t_end=field(data, "t_end", float, FaultError, what),
+            severity=field(data, "severity", float, FaultError, what, 0.0),
+            label=field(data, "label", str, FaultError, what, ""),
+        )
 
 
 def _merge_overlapping(faults) -> tuple[FaultSpec, ...]:
@@ -259,7 +255,7 @@ class FaultPlan:
 
     def to_dict(self) -> dict:
         doc = {
-            "format_version": _FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
             "name": self.name,
             "faults": [f.to_dict() for f in self.faults],
         }
@@ -269,35 +265,26 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        version = data.get("format_version", _FORMAT_VERSION)
-        if version != _FORMAT_VERSION:
-            raise FaultError(
-                f"unsupported fault-plan format version {version!r} "
-                f"(expected {_FORMAT_VERSION})"
-            )
-        try:
-            faults = tuple(FaultSpec.from_dict(f) for f in data["faults"])
-        except (KeyError, TypeError) as exc:
-            raise FaultError(f"malformed fault plan document: {exc}") from exc
-        seed = data.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise FaultError(f"fault plan seed must be an integer, got {seed!r}")
-        return cls(faults=faults, name=str(data.get("name", "")), seed=seed)
+        what = "malformed fault plan"
+        check_version(data, FaultError, "fault plan", required=False)
+        faults = field(data, "faults", list, FaultError, what)
+        return cls(
+            faults=tuple(
+                FaultSpec.from_dict(f, f"{what} faults[{i}]")
+                for i, f in enumerate(faults)
+            ),
+            name=field(data, "name", str, FaultError, what, ""),
+            seed=field(data, "seed", int, FaultError, what, None),
+        )
 
     def save(self, path) -> None:
         """Write the plan as pretty-printed JSON."""
-        pathlib.Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "FaultPlan":
         """Read a plan written by :meth:`save` (raises on malformed input)."""
-        try:
-            doc = json.loads(pathlib.Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FaultError(f"cannot read fault plan {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, FaultError, "fault plan"))
 
     # -- seeded generation -------------------------------------------------
 

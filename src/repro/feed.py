@@ -1,4 +1,4 @@
-"""Replayable event feeds: the container and JSONL codec every feed shares.
+"""Replayable event feeds: the container and file format every feed shares.
 
 Bookings (:class:`~repro.gateway.feed.RequestFeed`) and fault reports
 (:class:`~repro.faults.feed.FaultFeed`) are both streams of events in
@@ -13,22 +13,19 @@ File format (one JSON object per line, keys sorted)::
     {"format_version": 1, "name": "feed-seed7", "seed": 7}
     {"at": 10080.0, ...one event...}
 
-:meth:`EventFeed.load` skips blank lines and raises the feed's domain
-error with a single-line ``path:lineno`` diagnostic on unreadable files,
-non-JSON or non-object lines, missing or unsupported headers, and
-malformed events.
+:meth:`EventFeed.load` reads it through :func:`repro.io.read_jsonl`:
+it skips blank lines and raises the feed's domain error with a
+single-line ``path:lineno`` diagnostic on unreadable files, non-JSON or
+non-object lines, missing or unsupported headers, and malformed events.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 from dataclasses import dataclass
 from typing import ClassVar, Generic, Iterator, TypeVar
 
 from repro.errors import ReproError
-
-_FORMAT_VERSION = 1
+from repro.io import FORMAT_VERSION, check_version, field, read_jsonl, write_jsonl
 
 E = TypeVar("E")
 F = TypeVar("F", bound="EventFeed")
@@ -92,61 +89,35 @@ class EventFeed(Generic[E]):
 
     def save(self, path) -> None:
         """Write the feed as JSONL: one header line, then one event/line."""
-        header: dict = {"format_version": _FORMAT_VERSION, "name": self.name}
+        header: dict = {"format_version": FORMAT_VERSION, "name": self.name}
         if self.seed is not None:
             header["seed"] = self.seed
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(
-            json.dumps(e.to_dict(), sort_keys=True) for e in self.events
-        )
-        pathlib.Path(path).write_text("\n".join(lines) + "\n")
+        write_jsonl(path, [header, *(e.to_dict() for e in self.events)])
 
     @classmethod
     def load(cls: type[F], path) -> F:
         """Read a feed written by :meth:`save` (diagnostics: module doc)."""
         err = cls.error
-        try:
-            text = pathlib.Path(path).read_text()
-        except OSError as exc:
-            raise err(f"cannot read {cls.noun} {path}: {exc}") from exc
         header: dict | None = None
         events = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
+        for lineno, doc in read_jsonl(path, err, cls.noun):
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise err(f"{path}:{lineno}: not JSON: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise err(
-                    f"{path}:{lineno}: expected a JSON object, got "
-                    f"{type(doc).__name__}"
-                )
-            if header is None:
-                if "format_version" not in doc:
-                    raise err(f"{path}:1: missing feed header (format_version)")
-                if doc["format_version"] != _FORMAT_VERSION:
-                    raise err(
-                        f"{path}:1: unsupported feed format version "
-                        f"{doc['format_version']!r} "
-                        f"(expected {_FORMAT_VERSION})"
-                    )
-                header = doc
-                continue
-            try:
-                events.append(cls.event_type.from_dict(doc))
+                if header is None:
+                    if "format_version" not in doc:
+                        raise err("missing feed header (format_version)")
+                    check_version(doc, err, "feed", required=True)
+                    what = "malformed feed header"
+                    header = {
+                        "name": field(doc, "name", str, err, what, ""),
+                        "seed": field(doc, "seed", int, err, what, None),
+                    }
+                else:
+                    events.append(cls.event_type.from_dict(doc))
             except err as exc:
                 raise err(f"{path}:{lineno}: {exc}") from exc
         if header is None:
             raise err(f"{path}:1: empty feed file (no header line)")
-        seed = header.get("seed")
-        return cls(
-            events=tuple(events),
-            name=str(header.get("name", "")),
-            seed=int(seed) if seed is not None else None,
-        )
+        return cls(events=tuple(events), **header)
 
 
 __all__ = ["EventFeed"]

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from repro.catalog.catalog import VideoCatalog
 from repro.errors import GatewayError
 from repro.feed import EventFeed
+from repro.io import field, request_from_dict, request_to_dict
 from repro.topology.graph import Topology
 from repro.workload.generators import WorkloadGenerator
 from repro.workload.requests import Request, RequestBatch
@@ -66,32 +67,18 @@ class RequestEvent:
         return (self.at, r.start_time, r.video_id, r.user_id, r.local_storage)
 
     def to_dict(self) -> dict:
-        r = self.request
-        return {
-            "at": self.at,
-            "request": {
-                "start_time": r.start_time,
-                "video_id": r.video_id,
-                "user_id": r.user_id,
-                "local_storage": r.local_storage,
-            },
-        }
+        return {"at": self.at, "request": request_to_dict(self.request)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RequestEvent":
-        try:
-            r = data["request"]
-            return cls(
-                at=float(data["at"]),
-                request=Request(
-                    start_time=float(r["start_time"]),
-                    video_id=str(r["video_id"]),
-                    user_id=str(r["user_id"]),
-                    local_storage=str(r["local_storage"]),
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GatewayError(f"malformed request event: {exc}") from exc
+        what = "malformed request event"
+        return cls(
+            at=field(data, "at", float, GatewayError, what),
+            request=request_from_dict(
+                field(data, "request", dict, GatewayError, what),
+                GatewayError, f"{what} request",
+            ),
+        )
 
 
 class RequestFeed(EventFeed[RequestEvent]):

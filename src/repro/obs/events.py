@@ -52,12 +52,12 @@ never do.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from repro.errors import ReproError
+from repro.io import field, read_jsonl, write_jsonl
 
 
 class JournalError(ReproError):
@@ -304,12 +304,8 @@ def write_journal_jsonl(
     Keys are sorted, so identical journals produce byte-identical files
     -- the replay-determinism artifact CI diffs.
     """
-    path = Path(path)
-    with path.open("w") as fh:
-        for event in journal.events:
-            fh.write(json.dumps(event.to_dict(), sort_keys=True))
-            fh.write("\n")
-    return path
+    write_jsonl(path, (event.to_dict() for event in journal.events))
+    return Path(path)
 
 
 def load_journal_jsonl(path: str | Path) -> RequestJournal:
@@ -322,24 +318,10 @@ def load_journal_jsonl(path: str | Path) -> RequestJournal:
     (or incompatible older) version of this library must fail loudly, not
     crash downstream consumers with a raw ``KeyError``.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise JournalError(f"cannot read journal {path}: {exc}") from exc
     journal = RequestJournal()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise JournalError(f"{path}:{lineno}: not JSON: {exc}") from exc
-        try:
-            kind = doc["event"]
-        except (KeyError, TypeError) as exc:
-            raise JournalError(
-                f"{path}:{lineno}: malformed journal event: {exc}"
-            ) from exc
+    for lineno, doc in read_jsonl(path, JournalError, "journal"):
+        what = f"{path}:{lineno}: malformed journal event"
+        kind = field(doc, "event", str, JournalError, what)
         if kind not in _EVENT_KIND_SET:
             raise JournalError(
                 f"{path}:{lineno}: unknown event kind {kind!r} -- this "
@@ -347,25 +329,16 @@ def load_journal_jsonl(path: str | Path) -> RequestJournal:
                 f"({len(EVENT_KINDS)} kinds); re-export it with this "
                 f"version of the library"
             )
-        try:
-            journal._events.append(
-                JournalEvent(
-                    seq=len(journal._events),
-                    kind=kind,
-                    request_id=doc.get("request_id"),
-                    video_id=doc.get("video_id"),
-                    attrs=tuple(
-                        sorted(
-                            (k, _tupled(v))
-                            for k, v in doc.get("attrs", {}).items()
-                        )
-                    ),
-                )
+        attrs = field(doc, "attrs", dict, JournalError, what, {})
+        journal._events.append(
+            JournalEvent(
+                seq=len(journal._events),
+                kind=kind,
+                request_id=field(doc, "request_id", str, JournalError, what, None),
+                video_id=field(doc, "video_id", str, JournalError, what, None),
+                attrs=tuple(sorted((k, _tupled(v)) for k, v in attrs.items())),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise JournalError(
-                f"{path}:{lineno}: malformed journal event: {exc}"
-            ) from exc
+        )
     return journal
 
 

@@ -35,13 +35,13 @@ from bench's deterministic gate).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import ReproError
+from repro.io import field, read_json
 
 
 class SLOError(ReproError):
@@ -54,7 +54,6 @@ _OPS = ("<=", ">=")
 #: slice of an SLO evaluation that bench's ``--compare`` gate may diff.
 DETERMINISTIC_INDICATORS = (
     "deadline_hit_rate",
-    "rejection_rate",
     "amendment_failure_rate",
     "shed_rate",
     "gateway_admission_ratio",
@@ -234,49 +233,39 @@ class SLOPolicy:
         return {"slos": [s.to_dict() for s in self.specs]}
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "SLOPolicy":
-        if not isinstance(doc, Mapping) or "slos" not in doc:
-            raise SLOError('SLO policy must be an object with an "slos" list')
-        entries = doc["slos"]
-        if not isinstance(entries, (list, tuple)):
-            raise SLOError('"slos" must be a list')
+    def from_dict(cls, doc: dict[str, Any]) -> "SLOPolicy":
+        entries = field(doc, "slos", list, SLOError, "malformed SLO policy")
         specs = []
         for i, entry in enumerate(entries):
-            try:
-                specs.append(
-                    SLOSpec(
-                        name=entry["name"],
-                        indicator=entry["indicator"],
-                        objective=float(entry["objective"]),
-                        op=entry.get("op", ">="),
-                        description=entry.get("description", ""),
-                    )
+            what = f"malformed SLO policy slos[{i}]"
+            specs.append(
+                SLOSpec(
+                    name=field(entry, "name", str, SLOError, what),
+                    indicator=field(entry, "indicator", str, SLOError, what),
+                    objective=field(entry, "objective", float, SLOError, what),
+                    op=field(entry, "op", str, SLOError, what, ">="),
+                    description=field(entry, "description", str, SLOError, what, ""),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SLOError(f"slos[{i}]: malformed spec: {exc}") from exc
+            )
         return cls(specs=tuple(specs))
 
     @classmethod
     def load(cls, path: str | Path) -> "SLOPolicy":
-        path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SLOError(f"cannot read SLO policy {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, SLOError, "SLO policy"))
 
     @classmethod
     def default(cls) -> "SLOPolicy":
-        """The built-in policy ``slo-check`` applies when no file is given."""
+        """The built-in policy ``run-online`` gates with when ``--slo`` is
+        not given.
+
+        ``slo-check`` does not apply it: it re-gates a report against the
+        policy the report embeds (or ``--slo``).
+        """
         return cls(
             specs=(
                 SLOSpec(
                     "deadline-hit-rate", "deadline_hit_rate", 0.5, ">=",
                     "Fraction of admitted reservations neither lost nor shed.",
-                ),
-                SLOSpec(
-                    "rejection-rate", "rejection_rate", 0.25, "<=",
-                    "Fraction of booking attempts the service refused.",
                 ),
                 SLOSpec(
                     "amendment-failure-rate", "amendment_failure_rate", 0.5, "<=",
@@ -351,13 +340,11 @@ def online_indicators(
         reservations: Admitted reservations going into the cycle.
 
     Ratio indicators are deterministic for a fixed (feed, seed); the
-    latency indicators come from wall-clock batch durations.  The online
-    loop only sees admitted reservations, so its ``rejection_rate`` is 0.
+    latency indicators come from wall-clock batch durations.
     """
     indicators: dict[str, float] = {}
     lost = sum(r.lost for r in report.records)
     if reservations:
-        indicators["rejection_rate"] = 0.0
         indicators["deadline_hit_rate"] = max(
             0.0, 1.0 - (lost + report.shed_total) / reservations
         )

@@ -23,14 +23,13 @@ Maps are plain data: they serialize to JSON (format-versioned like
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 import random
 from collections.abc import Iterable, Mapping
 
 from repro.catalog.catalog import VideoCatalog
 from repro.errors import ReplicationError
+from repro.io import FORMAT_VERSION, check_version, field, read_json, write_json
 from repro.topology.graph import Topology
 from repro.topology.routing import Router
 from repro.workload.requests import RequestBatch
@@ -38,8 +37,6 @@ from repro.workload.requests import RequestBatch
 #: Share of the catalog, hottest first, that heat placement homes at every
 #: warehouse.
 HOT_FRACTION = 0.25
-
-_FORMAT_VERSION = 1
 
 
 class ReplicaMap:
@@ -166,7 +163,7 @@ class ReplicaMap:
 
     def to_dict(self) -> dict:
         doc = {
-            "format_version": _FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
             "name": self.name,
             "homes": {v: list(hs) for v, hs in sorted(self._homes.items())},
         }
@@ -176,31 +173,22 @@ class ReplicaMap:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReplicaMap":
-        version = data.get("format_version", _FORMAT_VERSION)
-        if version != _FORMAT_VERSION:
-            raise ReplicationError(
-                f"unsupported replica-map format version {version!r} "
-                f"(expected {_FORMAT_VERSION})"
-            )
-        homes = data.get("homes")
-        if not isinstance(homes, dict):
-            raise ReplicationError("malformed replica map document: no homes")
-        return cls(homes, name=str(data.get("name", "")), seed=data.get("seed"))
+        what = "malformed replica map"
+        check_version(data, ReplicationError, "replica map", required=False)
+        return cls(
+            field(data, "homes", dict, ReplicationError, what),
+            name=field(data, "name", str, ReplicationError, what, ""),
+            seed=field(data, "seed", int, ReplicationError, what, None),
+        )
 
     def save(self, path) -> None:
         """Write the map as pretty-printed JSON."""
-        pathlib.Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "ReplicaMap":
         """Read a map written by :meth:`save` (raises on malformed input)."""
-        try:
-            doc = json.loads(pathlib.Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReplicationError(f"cannot read replica map {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(path, ReplicationError, "replica map"))
 
     # -- placement policies --------------------------------------------------
 

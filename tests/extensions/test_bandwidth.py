@@ -185,13 +185,6 @@ class TestBandwidthAwareScheduler:
         cm = CostModel(topo, catalog)
         assert validate_schedule(r.schedule, admitted, cm) == []
 
-    def test_rejection_rate(self):
-        topo, catalog = _diamond()
-        r = BandwidthAwareScheduler(topo, catalog).solve(
-            RequestBatch([Request(0.0, "v", "u1", "IS1")])
-        )
-        assert r.rejection_rate == 0.0
-
 
 class TestLiveCapacityConstraints:
     """Placement tolerance: the live oracle accepts what ``fits_under``,

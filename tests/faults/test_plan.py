@@ -162,6 +162,8 @@ class TestFaultPlan:
         path = tmp_path / "plan.json"
         plan.save(path)
         assert FaultPlan.load(path) == plan
+        FaultPlan.load(path).save(tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
         doc = json.loads(path.read_text())
         assert doc["format_version"] == 1
         assert doc["seed"] == 7

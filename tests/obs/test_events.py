@@ -168,6 +168,8 @@ class TestJsonl:
         path = write_journal_jsonl(tmp_path / "j.jsonl", j)
         loaded = load_journal_jsonl(path)
         assert loaded.events == j.events
+        resaved = write_journal_jsonl(tmp_path / "resaved.jsonl", loaded)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_bytes_identical_for_identical_journals(self, tmp_path):
         def build():

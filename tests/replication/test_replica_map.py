@@ -128,6 +128,8 @@ class TestSerialization:
         loaded = ReplicaMap.load(path)
         assert loaded == rm
         assert (loaded.name, loaded.seed) == ("demo", 3)
+        loaded.save(tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
 
     def test_format_version_pinned(self, tmp_path):
         doc = ReplicaMap({"v": ("VW1",)}).to_dict()

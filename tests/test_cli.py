@@ -610,6 +610,48 @@ class TestFileInputs:
         assert "\n" not in str(exc.value)
 
 
+    @pytest.mark.parametrize(
+        "command, flag, content, says",
+        [
+            (
+                "run-env", None,
+                {"format_version": 1, "topology": None, "catalog": {}},
+                "invalid env_file",
+            ),
+            ("run-env", "--replicas", [1], "invalid --replicas"),
+            ("run-faults", "--scenario", [1], "invalid --scenario"),
+            (
+                "run-online", "--feed",
+                '{"format_version": 1, "name": "f", "seed": "x"}\n',
+                "invalid --feed",
+            ),
+            (
+                "run-gateway", "--request-feed",
+                '{"format_version": 1, "name": "f", "seed": []}\n',
+                "invalid --request-feed",
+            ),
+            (
+                "run-online", "--slo",
+                {"slos": [{"name": "a", "indicator": "x", "objective": "0.5"}]},
+                "invalid --slo",
+            ),
+        ],
+        ids=[
+            "env_file", "--replicas", "--scenario", "--feed",
+            "--request-feed", "--slo",
+        ],
+    )
+    def test_malformed_file_input(self, tmp_path, command, flag, content, says):
+        env = paper_env(tmp_path, requests=command != "run-gateway")
+        bad = tmp_path / "bad"
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
+        argv = [command, str(bad)] if flag is None else [
+            command, str(env), flag, str(bad),
+        ]
+        with pytest.raises(SystemExit, match=says) as exc:
+            main(argv)
+        assert "\n" not in str(exc.value)
+
 def _baseline_row(out: str) -> str:
     (line,) = [
         ln for ln in out.splitlines() if ln.startswith("network-only baseline")

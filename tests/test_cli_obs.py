@@ -237,12 +237,17 @@ class TestSloSurfaces:
         path = paper_env(tmp_path)
         report, _ = _run_online(path, tmp_path, "badname")
         bad = tmp_path / "bad.json"
-        for name in (["a"], 5, None, ""):
+        for name, says in (
+            (["a"], "name must be a string"),
+            (5, "name must be a string"),
+            (None, "name must be a string"),
+            ("", "non-empty string"),
+        ):
             slo = {"name": name, "indicator": "shed_rate", "objective": 0.1}
             bad.write_text(json.dumps({"slos": [slo]}))
             with pytest.raises(SystemExit, match="invalid --slo") as exc:
                 main(["slo-check", str(report), "--slo", str(bad)])
-            assert "non-empty string" in str(exc.value)
+            assert says in str(exc.value)
             assert "\n" not in str(exc.value)
 
 
@@ -307,6 +312,42 @@ class TestDashboard:
     def test_unreadable_telemetry_diagnostic(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read --telemetry"):
             main(["report", "--telemetry", str(tmp_path / "no.json")])
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        with pytest.raises(SystemExit, match="cannot read --telemetry") as exc:
+            main(["report", "--telemetry", str(bad)])
+        assert "not JSON" in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "argv, content, says",
+        [
+            (["slo-check"], [1], "invalid report"),
+            (["slo-check"], {"slo": {"indicators": {"a": "x"}}}, "invalid report"),
+            (["report", "--telemetry"], [1], "invalid --telemetry"),
+            (["report", "--telemetry"], {"phases": {"a": 1}}, "invalid --telemetry"),
+            (["report", "--telemetry"], {"spans": [{"name": 1}]}, "invalid --telemetry"),
+            (["report", "--horizon-report"], [1], "invalid --horizon-report"),
+            (
+                ["report", "--horizon-report"],
+                {"deterministic": {"cycles": [1]}},
+                "invalid --horizon-report",
+            ),
+            (["report", "--gateway-report"], [1], "invalid --gateway-report"),
+            (
+                ["report", "--gateway-report"],
+                {"deterministic": {"cycles": [{"rejected": {"a": "x"}}]}},
+                "invalid --gateway-report",
+            ),
+            (["report", "--journal"], '{"event": []}\n', "cannot load --journal"),
+        ],
+    )
+    def test_malformed_artifact_diagnostic(self, tmp_path, argv, content, says):
+        bad = tmp_path / "bad"
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
+        with pytest.raises(SystemExit, match=says) as exc:
+            main([*argv, str(bad)])
+        assert "\n" not in str(exc.value)
 
 
 class TestProfile:

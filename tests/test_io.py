@@ -146,6 +146,26 @@ class TestEnvironmentFiles:
         with pytest.raises(ConfigError, match="format version"):
             load_environment(path)
 
+    @pytest.mark.parametrize(
+        "section, index, key",
+        [
+            ("nodes", 1, "srate"),
+            ("nodes", 1, "capacity"),
+            ("edges", 0, "nrate"),
+            ("pair_rates", 0, "nrate"),
+        ],
+    )
+    def test_nan_rate_or_capacity_refused(self, topo, tmp_path, section, index, key):
+        # Python's JSON reads NaN; a NaN price used to load and then fail
+        # topology validation with a traceback.
+        path = tmp_path / "env.json"
+        save_environment(path, topology=topo, catalog=paper_catalog(3, seed=1))
+        doc = json.loads(path.read_text())
+        doc["topology"][section][index][key] = math.nan
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            load_environment(path)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_environment(tmp_path / "missing.json")
